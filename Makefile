@@ -3,13 +3,16 @@ GO ?= go
 .PHONY: check build test bench bench-json bench-build bench-catalog bench-obs bench-workload bench-autobudget
 
 # The check gate: gofmt, vet, build, a fast -short pass under the race
-# detector, then the full suite (slow experiment sweeps included).
+# detector, then the full suite (slow experiment sweeps included), then
+# vet and the smoke test of the benchmark module (bench/ has its own
+# go.mod, so the root ./... never compiles it).
 check:
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -short -race ./...
 	$(GO) test ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 build:
 	$(GO) build ./...

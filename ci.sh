@@ -3,8 +3,9 @@
 # test passes — a fast -short pass under the race detector (the
 # concurrency tests in concurrency_test.go, internal/obs, and
 # internal/service depend on -race to mean anything) and the full suite,
-# including the slow harness experiment sweeps, without it. Same
-# commands as `make check`.
+# including the slow harness experiment sweeps, without it — then vet
+# and the smoke test of the benchmark module. Same commands as
+# `make check`.
 set -eux
 
 fmt="$(gofmt -l .)"
@@ -30,11 +31,18 @@ go build -o "$bindir" ./cmd/...
 go test -short -race ./...
 go test ./...
 
+# The serving benchmark (bench/) is its own module, so the root
+# `go test ./...` never compiles it: vet it and run its smoke test
+# against the service and catalog APIs it builds on (~15 s).
+(cd bench && go vet ./... && go test ./...)
+
 # The fuzz targets' seed corpora are regression tests: run them as
 # ordinary tests (no fuzzing engine, just the f.Add seeds + testdata).
 # Includes internal/catalog FuzzParseManifest (the -catalog manifest
-# parser never panics and everything it accepts round-trips) and
-# internal/profile FuzzParseProfile (the WorkloadProfile artifact
+# parser never panics and everything it accepts round-trips),
+# internal/catalog FuzzCatalogHTTP (no request to the daemon's handler
+# panics or answers 500, and every status is one its route documents),
+# and internal/profile FuzzParseProfile (the WorkloadProfile artifact
 # parser never panics and anything accepted is a round-trip fixed
 # point).
 go test -run=Fuzz ./...

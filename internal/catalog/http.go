@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -84,8 +85,7 @@ type SlowLogAllResponse struct {
 	Entries []obs.SlowLogEntry `json:"entries"`
 }
 
-// Handler returns the catalog's HTTP API. It extends the single-tenant
-// service surface with addressing instead of replacing it:
+// Handler returns the daemon's HTTP API — every endpoint it serves:
 //
 //	POST /estimate              single-tenant body, or +{"tenant":...,"collection":...}; scatter when collection omitted
 //	GET  /admin/catalog         tenants and shards
@@ -94,26 +94,29 @@ type SlowLogAllResponse struct {
 //	GET  /admin/catalog/route   ?tenant=T&key=K: the collection owning document key K
 //	GET  /metrics               merged Prometheus rendering: catalog series plus every shard's, labeled tenant/collection
 //	GET  /debug/slowlog/all     all shards' slow queries, annotated, most recent first (?limit=N)
-//	GET  /debug/traces          merged trace trees: the catalog's plus every shard's, tenant/collection-labeled
+//	GET  /debug/traces          retained request trace trees per family
 //	GET  /debug/slo             every shard's SLO report, tenant/collection-labeled
 //	GET  /debug/workload        every shard's workload profile, tenant/collection-labeled (?limit=N)
 //	GET  /readyz                503 before the first shard attaches and while shutting down; 200 otherwise
-//	GET  /healthz, /buildinfo   served directly
+//	GET  /healthz, /buildinfo   liveness probe; module version, VCS revision, Go version
 //
-// Every other service endpoint (/stats, /synopsis, /feedback,
-// /debug/slowlog, /debug/accuracy, /debug/synopsis, /debug/budget,
-// /admin/reload, /admin/rebuild, /admin/workload/export) is delegated
-// per shard,
-// addressed with ?tenant=T&collection=C query parameters; without them
-// the default shard answers, so a converted single-tenant deployment's
-// clients and scripts keep working unchanged.
+// plus the per-shard endpoints of shardhttp.go (/stats, /synopsis,
+// /feedback, /debug/slowlog, /debug/accuracy, /debug/synopsis,
+// /debug/budget, /admin/reload, /admin/rebuild,
+// /admin/workload/export), addressed with ?tenant=T&collection=C query
+// parameters; without them the default shard answers, so a converted
+// single-tenant deployment's clients and scripts keep working unchanged.
+//
+// Every endpoint answers a documented status or the ServeMux's own: 301
+// for a non-canonical path, 404 for an unknown one, 405 for a wrong
+// method. Per-query failures (parse errors, unknown labels) are
+// reported inline in the results; whole-request failures use the JSON
+// error envelope with the ErrorStatus code.
 //
 // The handler is wrapped in the request-correlation middleware: every
 // response carries X-Request-ID (honored from the request or
 // generated), and a completed trace tree per request lands in the
-// catalog's trace store. Delegated shard handlers see the catalog's
-// root span in their context, so they attach child spans instead of
-// opening a second root.
+// catalog's trace store.
 func (c *Catalog) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /estimate", c.handleEstimate)
@@ -134,19 +137,8 @@ func (c *Catalog) Handler() http.Handler {
 	mux.HandleFunc("GET /buildinfo", func(w http.ResponseWriter, r *http.Request) {
 		service.WriteJSON(w, http.StatusOK, service.ReadBuildInfo())
 	})
-	for _, ep := range []string{
-		"GET /stats",
-		"GET /synopsis",
-		"POST /feedback",
-		"GET /debug/slowlog",
-		"GET /debug/accuracy",
-		"GET /debug/synopsis",
-		"GET /debug/budget",
-		"POST /admin/reload",
-		"POST /admin/rebuild",
-		"GET /admin/workload/export",
-	} {
-		mux.HandleFunc(ep, c.delegate)
+	for pattern, h := range shardEndpoints {
+		mux.HandleFunc(pattern, c.perShard(h))
 	}
 	return obs.TraceHandler(c.traces, mux)
 }
@@ -166,37 +158,20 @@ func (c *Catalog) handleReady(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// handleTraces merges the catalog's own trace families with every
-// shard's. Shard families are prefixed "tenant/collection:" and their
-// root spans labeled, so one listing covers both front-end request
-// trees (whose shard children are labeled already) and traces recorded
-// by shards driven directly (tests, embedded use).
+// TracesResponse is the body of GET /debug/traces.
+type TracesResponse struct {
+	Families []obs.FamilySnapshot `json:"families"`
+}
+
+// handleTraces answers GET /debug/traces: the retained request trace
+// trees, grouped by family, most recent and slowest first. Scattered
+// requests carry labeled per-shard children.
 func (c *Catalog) handleTraces(w http.ResponseWriter, r *http.Request) {
 	families := c.traces.Snapshot()
 	if families == nil {
 		families = []obs.FamilySnapshot{}
 	}
-	for _, sh := range c.allShards() {
-		for _, f := range sh.svc.Traces().Snapshot() {
-			f.Family = sh.key.String() + ":" + f.Family
-			labelSpans(f.Recent, sh.key)
-			labelSpans(f.Slowest, sh.key)
-			families = append(families, f)
-		}
-	}
-	service.WriteJSON(w, http.StatusOK, service.TracesResponse{Families: families})
-}
-
-// labelSpans fills the shard identity into root spans that lack one.
-func labelSpans(spans []obs.SpanSnapshot, k Key) {
-	for i := range spans {
-		if spans[i].Tenant == "" {
-			spans[i].Tenant = k.Tenant
-		}
-		if spans[i].Collection == "" {
-			spans[i].Collection = k.Collection
-		}
-	}
+	service.WriteJSON(w, http.StatusOK, TracesResponse{Families: families})
 }
 
 // ShardSLO is one shard's SLO report in the catalog's GET /debug/slo.
@@ -242,29 +217,24 @@ type WorkloadAllResponse struct {
 }
 
 func (c *Catalog) handleWorkloadAll(w http.ResponseWriter, r *http.Request) {
-	limitRaw := r.URL.Query().Get("limit")
-	limit, capped := 0, false
-	if limitRaw != "" {
-		n, err := strconv.Atoi(limitRaw)
-		if err != nil || n < 0 {
-			service.WriteErrorMsg(w, http.StatusBadRequest,
-				fmt.Sprintf("bad limit %q: want a non-negative integer", limitRaw))
-			return
-		}
-		limit, capped = n, true
+	limit, ok := parseLimit(w, r)
+	if !ok {
+		return
 	}
 	resp := WorkloadAllResponse{Shards: []ShardWorkload{}}
 	for _, sh := range c.allShards() {
+		rep := sh.svc.WorkloadReport()
+		rep.Shapes = truncate(rep.Shapes, limit)
 		resp.Shards = append(resp.Shards, ShardWorkload{
 			Tenant:           sh.key.Tenant,
 			Collection:       sh.key.Collection,
-			WorkloadResponse: sh.svc.WorkloadReport(limit, capped),
+			WorkloadResponse: rep,
 		})
 	}
 	service.WriteJSON(w, http.StatusOK, resp)
 }
 
-// shardForRequest resolves the shard a delegated request addresses from
+// shardForRequest resolves the shard a per-shard request addresses from
 // its ?tenant=&collection= parameters, falling back to the default
 // shard when neither is present.
 func (c *Catalog) shardForRequest(r *http.Request) (*Shard, error) {
@@ -274,29 +244,55 @@ func (c *Catalog) shardForRequest(r *http.Request) (*Shard, error) {
 		return c.DefaultShard()
 	}
 	if tenant == "" || collection == "" {
+		// The wording predates the per-shard handlers; it is part of the
+		// wire contract.
 		return nil, fmt.Errorf("%w: delegated endpoints need both tenant and collection", service.ErrUnknownCollection)
 	}
 	return c.Shard(tenant, collection)
 }
 
-// delegate forwards a request to the addressed shard's own handler. The
-// shard's mux routes on method and path; the addressing query
-// parameters are ignored by the shard's handlers.
-func (c *Catalog) delegate(w http.ResponseWriter, r *http.Request) {
-	sh, err := c.shardForRequest(r)
-	if err != nil {
-		service.WriteError(w, err)
-		return
+// decodeBody decodes r's JSON body into v: bounded by
+// service.MaxRequestBytes, unknown fields rejected. With optional set,
+// an empty body leaves v untouched. On failure it writes the 400
+// envelope and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, optional bool) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, service.MaxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil && !(optional && errors.Is(err, io.EOF)) {
+		service.WriteErrorMsg(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		return false
 	}
-	sh.svc.Handler().ServeHTTP(w, r)
+	return true
+}
+
+// parseLimit reads the optional non-negative ?limit=N parameter of the
+// listing endpoints; -1 means no cap. On a malformed value it writes
+// the 400 envelope and reports false.
+func parseLimit(w http.ResponseWriter, r *http.Request) (int, bool) {
+	raw := r.URL.Query().Get("limit")
+	if raw == "" {
+		return -1, true
+	}
+	n, err := strconv.Atoi(raw)
+	if err != nil || n < 0 {
+		service.WriteErrorMsg(w, http.StatusBadRequest,
+			fmt.Sprintf("bad limit %q: want a non-negative integer", raw))
+		return 0, false
+	}
+	return n, true
+}
+
+// truncate caps s at limit entries; a negative limit leaves it whole.
+func truncate[T any](s []T, limit int) []T {
+	if limit >= 0 && len(s) > limit {
+		return s[:limit]
+	}
+	return s
 }
 
 func (c *Catalog) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var req EstimateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, service.MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		service.WriteErrorMsg(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -396,10 +392,7 @@ func (c *Catalog) handleList(w http.ResponseWriter, r *http.Request) {
 
 func (c *Catalog) handleAttach(w http.ResponseWriter, r *http.Request) {
 	var spec ShardSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, service.MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		service.WriteErrorMsg(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !decodeBody(w, r, &spec, false) {
 		return
 	}
 	if err := spec.validate(); err != nil {
@@ -420,10 +413,7 @@ func (c *Catalog) handleAttach(w http.ResponseWriter, r *http.Request) {
 
 func (c *Catalog) handleDetach(w http.ResponseWriter, r *http.Request) {
 	var req DetachRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, service.MaxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		service.WriteErrorMsg(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	if err := c.Detach(r.Context(), req.Tenant, req.Collection); err != nil {
@@ -489,16 +479,9 @@ func (c *Catalog) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Catalog) handleSlowLogAll(w http.ResponseWriter, r *http.Request) {
-	limitRaw := r.URL.Query().Get("limit")
-	limit, capped := 0, false
-	if limitRaw != "" {
-		n, err := strconv.Atoi(limitRaw)
-		if err != nil || n < 0 {
-			service.WriteErrorMsg(w, http.StatusBadRequest,
-				fmt.Sprintf("bad limit %q: want a non-negative integer", limitRaw))
-			return
-		}
-		limit, capped = n, true
+	limit, ok := parseLimit(w, r)
+	if !ok {
+		return
 	}
 	resp := SlowLogAllResponse{Entries: []obs.SlowLogEntry{}}
 	for _, sh := range c.allShards() {
@@ -519,8 +502,6 @@ func (c *Catalog) handleSlowLogAll(w http.ResponseWriter, r *http.Request) {
 	sort.SliceStable(resp.Entries, func(i, j int) bool {
 		return resp.Entries[i].Time.After(resp.Entries[j].Time)
 	})
-	if capped && len(resp.Entries) > limit {
-		resp.Entries = resp.Entries[:limit]
-	}
+	resp.Entries = truncate(resp.Entries, limit)
 	service.WriteJSON(w, http.StatusOK, resp)
 }

@@ -248,52 +248,95 @@ func TestHTTPMetricsMerged(t *testing.T) {
 
 func TestHTTPDelegatedEndpoints(t *testing.T) {
 	_, h := httpFixture(t)
-	// Addressed delegation.
+	// Addressed per-shard endpoint.
 	w := getPath(t, h, "/stats?tenant=acme&collection=mail")
 	if w.Code != http.StatusOK {
-		t.Fatalf("delegated stats status %d: %s", w.Code, w.Body.String())
+		t.Fatalf("addressed stats status %d: %s", w.Code, w.Body.String())
 	}
 	var st map[string]any
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := st["served"]; !ok {
-		t.Fatalf("delegated stats body: %v", st)
+		t.Fatalf("addressed stats body: %v", st)
 	}
 	// Legacy path: no addressing falls through to the default shard.
 	if w := getPath(t, h, "/stats"); w.Code != http.StatusOK {
 		t.Fatalf("default-shard stats status %d: %s", w.Code, w.Body.String())
 	}
 	if w := getPath(t, h, "/synopsis?tenant=globex&collection=docs"); w.Code != http.StatusOK {
-		t.Fatalf("delegated synopsis status %d", w.Code)
+		t.Fatalf("addressed synopsis status %d", w.Code)
 	}
-	// /debug/budget delegates per shard: each shard reports its own plan.
+	// /debug/budget is per shard: each shard reports its own plan.
 	w = getPath(t, h, "/debug/budget?tenant=acme&collection=mail")
 	if w.Code != http.StatusOK {
-		t.Fatalf("delegated budget status %d: %s", w.Code, w.Body.String())
+		t.Fatalf("addressed budget status %d: %s", w.Code, w.Body.String())
 	}
 	var budget map[string]any
 	if err := json.Unmarshal(w.Body.Bytes(), &budget); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := budget["actual"]; !ok {
-		t.Fatalf("delegated budget body: %v", budget)
+		t.Fatalf("addressed budget body: %v", budget)
 	}
 	// Unknown shard: consistent 404 JSON.
 	w = getPath(t, h, "/stats?tenant=acme&collection=nope")
 	if w.Code != http.StatusNotFound {
-		t.Fatalf("unknown delegation status %d", w.Code)
+		t.Fatalf("unknown shard status %d", w.Code)
 	}
-	// Half-addressed delegation is a 404 with guidance.
+	// Half addressing is a 404 with guidance.
 	w = getPath(t, h, "/stats?tenant=acme")
 	if w.Code != http.StatusNotFound || !strings.Contains(w.Body.String(), "both tenant and collection") {
-		t.Fatalf("half-addressed delegation: %d %s", w.Code, w.Body.String())
+		t.Fatalf("half-addressed request: %d %s", w.Code, w.Body.String())
 	}
 	if w := getPath(t, h, "/healthz"); w.Code != http.StatusOK {
 		t.Fatalf("healthz status %d", w.Code)
 	}
 	if w := getPath(t, h, "/buildinfo"); w.Code != http.StatusOK {
 		t.Fatalf("buildinfo status %d", w.Code)
+	}
+}
+
+// TestHTTPRebuildPreconditions pins the 412s of POST /admin/rebuild: a
+// rebuild that can only fail is refused up front, synchronous or async,
+// for a shard without a resident document and for an adaptive rebuild
+// on a shard whose workload profiler is off.
+func TestHTTPRebuildPreconditions(t *testing.T) {
+	noProf := spec("acme", "noprof")
+	noProf.Document = "mem:doc"
+	c := newTestCatalog(t, Config{
+		ShardOptions: func(spec ShardSpec) []service.Option {
+			if spec.Collection == "noprof" {
+				return []service.Option{service.WithWorkloadProfile(-1, 0)}
+			}
+			return nil
+		},
+	}, spec("acme", "nodoc"), noProf)
+	h := c.Handler()
+	for _, tc := range []struct {
+		shard, body string
+		status      int
+	}{
+		{"nodoc", `{}`, http.StatusPreconditionFailed},
+		{"nodoc", `{"async":true}`, http.StatusPreconditionFailed},
+		{"noprof", `{"adaptive":true}`, http.StatusPreconditionFailed},
+		{"noprof", `{"adaptive":true,"async":true}`, http.StatusPreconditionFailed},
+		// Explicit budgets win over adaptive, so no profiler is needed.
+		{"noprof", `{"adaptive":true,"struct_budget":600,"value_budget":600}`, http.StatusOK},
+	} {
+		w := postJSON(t, h, "/admin/rebuild?tenant=acme&collection="+tc.shard, tc.body, nil)
+		if w.Code != tc.status {
+			t.Fatalf("%s %s: status %d, want %d: %s", tc.shard, tc.body, w.Code, tc.status, w.Body.String())
+		}
+	}
+	sh, err := c.Shard("acme", "noprof")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only the explicit-budget rebuild ran: the refused async one never
+	// started.
+	if st := sh.Service().RebuildStatus(); st.LastOutcome != "ok" || st.LastGeneration != 1 {
+		t.Fatalf("rebuild status %+v, want one successful rebuild", st)
 	}
 }
 

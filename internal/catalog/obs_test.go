@@ -224,8 +224,9 @@ func TestManifestSLOValidation(t *testing.T) {
 }
 
 // TestCatalogWorkload: the merged GET /debug/workload lists every
-// shard's profile with tenant/collection labels, the per-shard export
-// delegates, and workload series reach the merged scrape labeled.
+// shard's profile with tenant/collection labels, the export answers
+// for the addressed shard, and workload series reach the merged scrape
+// labeled.
 func TestCatalogWorkload(t *testing.T) {
 	c, h := httpFixture(t)
 	_ = c
@@ -277,7 +278,7 @@ func TestCatalogWorkload(t *testing.T) {
 		t.Fatalf("bad limit status = %d, want 400", w.Code)
 	}
 
-	// The export endpoint delegates per shard and yields the addressed
+	// The export endpoint answers per shard and yields the addressed
 	// shard's artifact.
 	w = getPath(t, h, "/admin/workload/export?tenant=acme&collection=docs")
 	if w.Code != http.StatusOK {
@@ -285,7 +286,7 @@ func TestCatalogWorkload(t *testing.T) {
 	}
 	exported, err := profile.Parse(w.Body.Bytes())
 	if err != nil {
-		t.Fatalf("delegated export does not parse: %v", err)
+		t.Fatalf("addressed export does not parse: %v", err)
 	}
 	if exported.TotalRequests != 2 {
 		t.Fatalf("exported total = %d, want acme/docs's 2", exported.TotalRequests)

@@ -32,16 +32,16 @@ type ObsRow struct {
 	Iters   int `json:"iters"`
 	Rounds  int `json:"rounds"`
 	// BaseNsPerOp is the prepared hot path (result cache off, plan cache
-	// warm) with the trace store disabled and no SLO configured.
+	// warm) with no SLO configured.
 	BaseNsPerOp     float64 `json:"base_ns_per_op"`
 	BaseAllocsPerOp float64 `json:"base_allocs_per_op"`
-	// OffNsPerOp is the same path with the trace store and SLO tracking
-	// enabled but no span in the context: the request is sampled out, so
-	// the only tracing cost is one context lookup per estimate.
+	// OffNsPerOp is the same path with SLO tracking enabled but no span
+	// in the context: the request is sampled out, so the only tracing
+	// cost is one context lookup per estimate.
 	OffNsPerOp     float64 `json:"off_ns_per_op"`
 	OffAllocsPerOp float64 `json:"off_allocs_per_op"`
-	// OnNsPerOp creates, finishes, and records a root span per estimate:
-	// the worst-case fully traced cost.
+	// OnNsPerOp creates, finishes, and records into a trace store a root
+	// span per estimate: the worst-case fully traced cost.
 	OnNsPerOp     float64 `json:"on_ns_per_op"`
 	OnAllocsPerOp float64 `json:"on_allocs_per_op"`
 	// OverheadOffPct and OverheadOnPct are the relative slowdowns of the
@@ -92,15 +92,12 @@ func ObsExperiment(d *Dataset, cfg Config, iters int) (ObsRow, error) {
 	}
 	ctx := context.Background()
 
-	// Base: telemetry off — nil trace store, no SLO.
-	base := service.New(syn,
-		service.WithCacheCapacity(-1),
-		service.WithTraceStore(nil),
-	)
+	// Base: telemetry off — no SLO, no spans.
+	base := service.New(syn, service.WithCacheCapacity(-1))
 	defer base.Close()
-	// Telemetry on: default trace store plus SLO tracking, the full
-	// serving configuration. The off and on measurements share it; only
-	// the presence of a span in the context differs.
+	// Telemetry on: SLO tracking, the full serving configuration. The off
+	// and on measurements share it; only the presence of a span in the
+	// context (recorded into a default trace store) differs.
 	inst := service.New(syn,
 		service.WithCacheCapacity(-1),
 		service.WithSLO(obs.SLOConfig{Availability: 0.999, LatencyObjective: 50 * time.Millisecond}),
@@ -125,7 +122,7 @@ func ObsExperiment(d *Dataset, cfg Config, iters int) (ObsRow, error) {
 
 	row := ObsRow{Dataset: d.Name, Queries: len(qs), Iters: iters, Rounds: obsRounds, Mismatches: mismatches}
 	var sink float64
-	store := inst.Traces()
+	store := obs.NewTraceStore(0, 0)
 	tctx := obs.WithRequestID(ctx, "bench")
 	configs := []struct {
 		f          func(i int)

@@ -77,14 +77,10 @@ func WorkloadProfExperiment(d *Dataset, cfg Config, iters int) (WorkloadProfRow,
 	// configuration so the delta isolates the profiler itself.
 	off := service.New(syn,
 		service.WithCacheCapacity(-1),
-		service.WithTraceStore(nil),
 		service.WithWorkloadProfile(-1, 0),
 	)
 	defer off.Close()
-	on := service.New(syn,
-		service.WithCacheCapacity(-1),
-		service.WithTraceStore(nil),
-	)
+	on := service.New(syn, service.WithCacheCapacity(-1))
 	defer on.Close()
 
 	// Warm both plan caches, admit every shape, and cross-check answers.

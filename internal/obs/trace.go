@@ -446,11 +446,13 @@ func (ts *TraceStore) Snapshot() []FamilySnapshot {
 // honors a well-formed client X-Request-ID (generating one otherwise),
 // echoes it on the response before the handler runs (so error renderers
 // can read it back from the response headers), threads it through the
-// request context, and — unless an enclosing handler already opened one
-// (the catalog delegating to a shard's handler) — opens a root span for
-// the request and records the finished tree into store. store may be
-// nil: requests still get correlated IDs, spans are never created, and
-// nothing is retained.
+// request context, opens a root span for the request, and records the
+// finished tree into store. The catalog's handler (the daemon's one
+// HTTP surface) is its caller; handlers below it attach child spans to
+// that root. When the context already carries an ID or a span (a
+// TraceHandler composed inside another), both are kept, so the outer
+// handler owns the one root. store may be nil: requests still get
+// correlated IDs, spans are never created, and nothing is retained.
 func TraceHandler(store *TraceStore, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()

@@ -261,9 +261,9 @@ func TestTraceHandlerGeneratesID(t *testing.T) {
 	}
 }
 
-// TestTraceHandlerNested checks the delegation shape: an outer handler
-// (the catalog) already opened a root span, so the inner TraceHandler
-// (a shard's service) must not open a second root or re-record.
+// TestTraceHandlerNested checks composition: an outer TraceHandler
+// already opened a root span, so an inner one must not open a second
+// root or re-record.
 func TestTraceHandlerNested(t *testing.T) {
 	outer := NewTraceStore(4, 2)
 	inner := NewTraceStore(4, 2)

@@ -1,31 +1,19 @@
-package service
+package service_test
 
 import (
 	"context"
 	"encoding/json"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"xcluster/internal/accuracy"
 	"xcluster/internal/query"
+	"xcluster/internal/service"
 	"xcluster/internal/workload"
-	"xcluster/internal/xmltree"
 )
-
-// newTestTree parses testDoc into the document the shadow evaluator
-// runs against.
-func newTestTree(t *testing.T) *xmltree.Tree {
-	t.Helper()
-	tree, err := xmltree.Parse(strings.NewReader(testDoc()), xmltree.ParseOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tree
-}
 
 // TestShadowDifferential is the tentpole acceptance check: with
 // shadow-rate 1.0 over the test workload, the per-class average
@@ -33,21 +21,19 @@ func newTestTree(t *testing.T) *xmltree.Tree {
 // workload.AvgRelError computed offline on the same query set — the
 // online monitor and the offline harness share one metric.
 func TestShadowDifferential(t *testing.T) {
-	tree := newTestTree(t)
-	syn := newTestSynopsis(t)
-	svc := New(syn,
-		WithDocument(tree),
-		WithShadowSampling(1.0, 2, 10*time.Second),
+	tree := service.TestTree(t)
+	svc, srv := serve(t,
+		service.WithDocument(tree),
+		service.WithShadowSampling(1.0, 2, 10*time.Second),
 	)
-	defer svc.Close()
 	if svc.Shadow() == nil {
 		t.Fatal("shadow sampler not created")
 	}
 
-	qs := parseWorkload(t)
+	qs := service.ParseWorkload(t)
 	for i, q := range qs {
 		if _, err := svc.Estimate(context.Background(), q); err != nil {
-			t.Fatalf("query %d (%s): %v", i, testWorkload[i], err)
+			t.Fatalf("query %d (%s): %v", i, service.TestWorkload[i], err)
 		}
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -60,13 +46,11 @@ func TestShadowDifferential(t *testing.T) {
 		t.Fatalf("shadow stats = %+v, want all %d queries observed at rate 1", st, len(qs))
 	}
 
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
 	resp, raw := getBody(t, srv, "/debug/accuracy")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
 	}
-	var ar AccuracyResponse
+	var ar service.AccuracyResponse
 	if err := json.Unmarshal(raw, &ar); err != nil {
 		t.Fatalf("%v in %s", err, raw)
 	}
@@ -135,19 +119,19 @@ func TestShadowDifferential(t *testing.T) {
 // the shadow deadline only increments the drop counter; every client
 // estimate still succeeds, untouched.
 func TestShadowDeadlineNeverFailsClient(t *testing.T) {
-	syn := newTestSynopsis(t)
+	syn := service.NewTestSynopsis(t)
 	blocking := func(ctx context.Context, q *query.Query) (float64, error) {
 		<-ctx.Done() // the evaluator honors ctx, then reports why it stopped
 		return 0, ctx.Err()
 	}
-	svc := New(syn,
-		WithTruthFunc(blocking),
-		WithShadowSampling(1.0, 1, 5*time.Millisecond),
+	svc := service.New(syn,
+		service.WithTruthFunc(blocking),
+		service.WithShadowSampling(1.0, 1, 5*time.Millisecond),
 	)
 	defer svc.Close()
 
-	qs := parseWorkload(t)[:3]
-	want := sequentialAnswers(syn, qs)
+	qs := service.ParseWorkload(t)[:3]
+	want := service.SequentialAnswers(syn, qs)
 	for i, q := range qs {
 		got, err := svc.Estimate(context.Background(), q)
 		if err != nil {
@@ -177,9 +161,7 @@ func TestShadowDeadlineNeverFailsClient(t *testing.T) {
 // TestHTTPFeedback exercises POST /feedback: pushed ground truth feeds
 // the monitor, per-entry failures stay inline.
 func TestHTTPFeedback(t *testing.T) {
-	svc := New(newTestSynopsis(t))
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	svc, srv := serve(t)
 
 	body := `{"feedback":[
 		{"query":"//book[year>1990]","true":60},
@@ -190,7 +172,7 @@ func TestHTTPFeedback(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
 	}
-	var fr FeedbackResponse
+	var fr service.FeedbackResponse
 	if err := json.Unmarshal(raw, &fr); err != nil {
 		t.Fatalf("%v in %s", err, raw)
 	}
@@ -226,16 +208,14 @@ func TestHTTPFeedback(t *testing.T) {
 // be internally consistent with /synopsis totals, the cluster list
 // sorted by cardinality, and ?limit honored.
 func TestHTTPSynopsisDebug(t *testing.T) {
-	syn := newTestSynopsis(t)
-	svc := New(syn)
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	svc, srv := serve(t)
+	syn := svc.Synopsis()
 
 	resp, raw := getBody(t, srv, "/debug/synopsis")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var sd SynopsisDebugResponse
+	var sd service.SynopsisDebugResponse
 	if err := json.Unmarshal(raw, &sd); err != nil {
 		t.Fatalf("%v in %s", err, raw)
 	}
@@ -282,7 +262,7 @@ func TestHTTPSynopsisDebug(t *testing.T) {
 
 	// ?limit caps the detail list without touching the totals.
 	_, raw = getBody(t, srv, "/debug/synopsis?limit=2")
-	var capped SynopsisDebugResponse
+	var capped service.SynopsisDebugResponse
 	if err := json.Unmarshal(raw, &capped); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +278,7 @@ func TestHTTPSynopsisDebug(t *testing.T) {
 // monitor still exists, so /feedback and /debug/accuracy work and the
 // accuracy series are pre-registered in /metrics.
 func TestMonitorAlwaysAvailable(t *testing.T) {
-	svc := New(newTestSynopsis(t))
+	svc, srv := serve(t)
 	if svc.Monitor() == nil {
 		t.Fatal("Monitor() = nil on a default service")
 	}
@@ -307,13 +287,11 @@ func TestMonitorAlwaysAvailable(t *testing.T) {
 	}
 	svc.Close() // must be safe with no sampler
 
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
 	resp, raw := getBody(t, srv, "/debug/accuracy")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var ar AccuracyResponse
+	var ar service.AccuracyResponse
 	if err := json.Unmarshal(raw, &ar); err != nil {
 		t.Fatalf("%v in %s", err, raw)
 	}

@@ -124,8 +124,7 @@ type BudgetResponse struct {
 	NextError string           `json:"next_error,omitempty"`
 }
 
-// BudgetReport builds the GET /debug/budget body. Exported so the
-// multi-tenant catalog front-end renders the same view per shard.
+// BudgetReport builds the GET /debug/budget body.
 func (s *Service) BudgetReport() BudgetResponse {
 	sl := s.cur.Load()
 	resp := BudgetResponse{

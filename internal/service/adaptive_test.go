@@ -2,12 +2,7 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"xcluster/internal/core"
@@ -175,80 +170,5 @@ func TestAdaptiveRebuildNeedsProfiler(t *testing.T) {
 	defer svc.Close()
 	if _, err := svc.Rebuild(context.Background(), RebuildOptions{Adaptive: true}); !errors.Is(err, ErrNoProfiler) {
 		t.Fatalf("adaptive rebuild without profiler: %v, want ErrNoProfiler", err)
-	}
-}
-
-// TestHTTPBudgetAndAdaptiveRebuild drives the HTTP surface: POST
-// /admin/rebuild {"adaptive":true} plans from the live profile, and
-// GET /debug/budget reports the plan, splits, and dry-run.
-func TestHTTPBudgetAndAdaptiveRebuild(t *testing.T) {
-	svc := New(newTestSynopsis(t), WithDocument(testTree(t)), WithAdaptiveBudget())
-	defer svc.Close()
-	profileTraffic(t, svc)
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	resp, err := http.Post(srv.URL+"/admin/rebuild", "application/json",
-		strings.NewReader(`{"adaptive":true,"reason":"ops"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("rebuild status = %d", resp.StatusCode)
-	}
-	var ev SwapEvent
-	if err := json.NewDecoder(resp.Body).Decode(&ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Plan == nil || ev.Plan.Provenance != core.ProvenanceWorkload {
-		t.Fatalf("HTTP adaptive rebuild plan = %+v", ev.Plan)
-	}
-
-	bresp, err := http.Get(srv.URL + "/debug/budget")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bresp.Body.Close()
-	if bresp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/budget status = %d", bresp.StatusCode)
-	}
-	var rep BudgetResponse
-	if err := json.NewDecoder(bresp.Body).Decode(&rep); err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Adaptive {
-		t.Fatal("budget report does not reflect WithAdaptiveBudget")
-	}
-	if rep.Current.Provenance != core.ProvenanceWorkload {
-		t.Fatalf("budget report current = %+v", rep.Current)
-	}
-	if rep.Next == nil || rep.LastDecision == nil {
-		t.Fatalf("budget report missing planner runs: %+v", rep)
-	}
-	if rep.Actual.NodeBytes <= 0 {
-		t.Fatalf("budget report actual split empty: %+v", rep.Actual)
-	}
-
-	// The scrape surface exports the plan gauges.
-	mresp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	raw, err := io.ReadAll(mresp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
-	for _, series := range []string{
-		"xcluster_budget_plan_total_bytes",
-		`xcluster_budget_planned_bytes{component="struct"}`,
-		`xcluster_budget_actual_bytes{component="histogram"}`,
-		`xcluster_budget_plan_provenance{provenance="workload"} 1`,
-	} {
-		if !strings.Contains(body, series) {
-			t.Fatalf("metrics missing %s", series)
-		}
 	}
 }

@@ -1,7 +1,6 @@
-package service
+package service_test
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"xcluster/internal/catalog"
 	"xcluster/internal/obs"
+	"xcluster/internal/service"
 )
 
 // postJSONWithID is postJSON plus a client-supplied X-Request-ID header.
@@ -37,20 +38,18 @@ func postJSONWithID(t *testing.T, srv *httptest.Server, path, body, id string) (
 	return resp, raw
 }
 
-// TestHTTPReadyz: /readyz is 200 until draining starts, then 503 —
+// TestHTTPReadyz: /readyz is 200 until shutdown begins, then 503 —
 // while /healthz (liveness) stays 200 through the whole shutdown.
 func TestHTTPReadyz(t *testing.T) {
-	svc := New(newTestSynopsis(t))
-	srv := httptest.NewServer(svc.Handler())
+	cat, _ := newCatalog(t)
+	srv := httptest.NewServer(cat.Handler())
 	defer srv.Close()
 
 	resp, raw := getBody(t, srv, "/readyz")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(raw), "ready") {
 		t.Fatalf("fresh /readyz = %d %q, want 200 ready", resp.StatusCode, raw)
 	}
-	if err := svc.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	cat.BeginShutdown()
 	resp, raw = getBody(t, srv, "/readyz")
 	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(raw), "draining") {
 		t.Fatalf("draining /readyz = %d %q, want 503 draining", resp.StatusCode, raw)
@@ -63,9 +62,7 @@ func TestHTTPReadyz(t *testing.T) {
 // TestHTTPRequestIDEcho: a well-formed client X-Request-ID comes back on
 // the response; a missing or malformed one is replaced by a generated ID.
 func TestHTTPRequestIDEcho(t *testing.T) {
-	svc := New(newTestSynopsis(t))
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	_, srv := serve(t)
 
 	resp, _ := postJSONWithID(t, srv, "/estimate", `{"queries":["//book/title"]}`, "req-echo-1")
 	if got := resp.Header.Get("X-Request-ID"); got != "req-echo-1" {
@@ -85,9 +82,7 @@ func TestHTTPRequestIDEcho(t *testing.T) {
 // request ID inside the JSON error body, so a client log line holds
 // everything needed to find the trace.
 func TestHTTPRequestIDInErrorEnvelope(t *testing.T) {
-	svc := New(newTestSynopsis(t))
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	_, srv := serve(t)
 
 	resp, raw := postJSONWithID(t, srv, "/estimate", `{"queries":[]}`, "req-err-1")
 	if resp.StatusCode != http.StatusBadRequest {
@@ -106,9 +101,7 @@ func TestHTTPRequestIDInErrorEnvelope(t *testing.T) {
 // /debug/traces whose root carries the client's request ID and whose
 // children are the per-estimate pipeline spans.
 func TestHTTPDebugTraces(t *testing.T) {
-	svc := New(newTestSynopsis(t))
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	_, srv := serve(t)
 
 	postJSONWithID(t, srv, "/estimate", `{"queries":["//book[year>1990]/title"]}`, "req-trace-1")
 
@@ -116,7 +109,7 @@ func TestHTTPDebugTraces(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	var tr TracesResponse
+	var tr catalog.TracesResponse
 	if err := json.Unmarshal(raw, &tr); err != nil {
 		t.Fatalf("%v in %s", err, raw)
 	}
@@ -150,35 +143,32 @@ func TestHTTPDebugTraces(t *testing.T) {
 	}
 }
 
-// TestHTTPDebugSLO: without objectives the endpoint reports disabled;
+// TestHTTPDebugSLO: without objectives the shard's report is disabled;
 // with objectives, traffic lands in the trailing windows.
 func TestHTTPDebugSLO(t *testing.T) {
-	plain := New(newTestSynopsis(t))
-	srv := httptest.NewServer(plain.Handler())
-	resp, raw := getBody(t, srv, "/debug/slo")
-	srv.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
+	// shardSLO reads the one shard's report from the catalog's rollup.
+	shardSLO := func(srv *httptest.Server) obs.SLOReport {
+		t.Helper()
+		var all catalog.SLOAllResponse
+		if resp := getJSON(t, srv, "/debug/slo", &all); resp.StatusCode != http.StatusOK {
+			t.Fatalf("status = %d", resp.StatusCode)
+		}
+		if len(all.Shards) != 1 {
+			t.Fatalf("shards = %+v, want the one shard", all.Shards)
+		}
+		return all.Shards[0].SLOReport
 	}
-	var rep obs.SLOReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("%v in %s", err, raw)
-	}
-	if rep.Enabled {
+	_, plain := serve(t)
+	if rep := shardSLO(plain); rep.Enabled {
 		t.Fatalf("default service SLO report = %+v, want disabled", rep)
 	}
 
-	svc := New(newTestSynopsis(t), WithSLO(obs.SLOConfig{
+	_, srv := serve(t, service.WithSLO(obs.SLOConfig{
 		Availability:     0.999,
 		LatencyObjective: 5 * time.Second,
 	}))
-	srv = httptest.NewServer(svc.Handler())
-	defer srv.Close()
 	postJSON(t, srv, "/estimate", `{"queries":["//book/title","//journal/title"]}`)
-	_, raw = getBody(t, srv, "/debug/slo")
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("%v in %s", err, raw)
-	}
+	rep := shardSLO(srv)
 	if !rep.Enabled || rep.AvailabilityObjective != 0.999 || rep.LatencyObjective != "5s" {
 		t.Fatalf("report = %+v, want enabled with configured objectives", rep)
 	}
@@ -193,7 +183,7 @@ func TestHTTPDebugSLO(t *testing.T) {
 	}
 
 	// The scrape mirrors the same numbers as xcluster_slo_* series.
-	_, raw = getBody(t, srv, "/metrics")
+	_, raw := getBody(t, srv, "/metrics")
 	for _, want := range []string{
 		"xcluster_slo_availability_objective 0.999",
 		`xcluster_slo_window_requests{window="5m"} 2`,
@@ -208,9 +198,7 @@ func TestHTTPDebugSLO(t *testing.T) {
 // TestHTTPMetricsRuntimeSeries: the scrape carries the sampled
 // runtime-telemetry series.
 func TestHTTPMetricsRuntimeSeries(t *testing.T) {
-	svc := New(newTestSynopsis(t))
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	_, srv := serve(t)
 
 	postJSON(t, srv, "/estimate", `{"queries":["//book/title"]}`)
 	_, raw := getBody(t, srv, "/metrics")
@@ -230,14 +218,12 @@ func TestHTTPMetricsRuntimeSeries(t *testing.T) {
 // TestHTTPSlowLogRequestID: slow-log entries captured during an HTTP
 // request carry that request's correlation ID.
 func TestHTTPSlowLogRequestID(t *testing.T) {
-	svc := New(newTestSynopsis(t), WithSlowQueryLog(time.Nanosecond, 4))
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	_, srv := serve(t, service.WithSlowQueryLog(time.Nanosecond, 4))
 
 	postJSONWithID(t, srv, "/estimate", `{"queries":["//book[year>1990]/title"]}`, "req-slow-1")
 
 	_, raw := getBody(t, srv, "/debug/slowlog")
-	var sl SlowLogResponse
+	var sl service.SlowLogResponse
 	if err := json.Unmarshal(raw, &sl); err != nil {
 		t.Fatalf("%v in %s", err, raw)
 	}

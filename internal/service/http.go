@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"time"
 
 	"xcluster/internal/accuracy"
@@ -19,19 +17,20 @@ import (
 	"xcluster/internal/xmltree"
 )
 
-// maxRequestBytes bounds the size of a POST /estimate body.
-const maxRequestBytes = 1 << 20
+// This file holds the service's side of the HTTP contract: the wire
+// types of every per-shard endpoint, the error-to-status mapping, and
+// the JSON writer. The routes themselves belong to the catalog
+// (internal/catalog), which serves every endpoint over the service's
+// Go API.
 
-// MaxRequestBytes is the request-body bound shared by every JSON
-// endpoint of this service and of the multi-tenant catalog front-end
-// built on top of it.
-const MaxRequestBytes = maxRequestBytes
+// MaxRequestBytes bounds the size of every JSON request body.
+const MaxRequestBytes = 1 << 20
 
 // Catalog addressing errors. The sentinels live here, next to their
-// HTTP mapping (ErrorStatus), so the single-tenant service and the
-// multi-tenant catalog front-end report unknown-resource and draining
-// failures with one consistent JSON body instead of generic 500s. Test
-// with errors.Is; re-exported at the repository root.
+// HTTP mapping (ErrorStatus), so every endpoint reports unknown-resource
+// and draining failures with one consistent JSON body instead of
+// generic 500s. Test with errors.Is; re-exported at the repository
+// root.
 var (
 	// ErrUnknownTenant reports a request addressing a tenant the
 	// catalog has no shards for (HTTP 404).
@@ -69,25 +68,33 @@ func ErrorStatus(err error) int {
 	}
 }
 
-// WriteError writes err as the service's standard JSON error body with
-// the ErrorStatus status code.
+// WriteError writes err as the standard JSON error body with the
+// ErrorStatus status code.
 func WriteError(w http.ResponseWriter, err error) {
-	httpError(w, ErrorStatus(err), err.Error())
+	WriteErrorMsg(w, ErrorStatus(err), err.Error())
 }
 
-// WriteErrorMsg writes an error envelope with an explicit status. Like
-// WriteError it echoes the request ID set by the correlation middleware
-// into the body, so front-ends (the catalog) get correlated error
-// envelopes without threading IDs through their call sites.
+// WriteErrorMsg writes an error envelope with an explicit status. The
+// correlation middleware (obs.TraceHandler) sets the X-Request-ID
+// response header before the handler runs, so the envelope echoes the
+// request ID without threading it through every call site. (encoding/json
+// renders map keys sorted, so the body stays deterministic.)
 func WriteErrorMsg(w http.ResponseWriter, status int, msg string) {
-	httpError(w, status, msg)
+	body := map[string]string{"error": msg}
+	if id := w.Header().Get("X-Request-ID"); id != "" {
+		body["request_id"] = id
+	}
+	WriteJSON(w, status, body)
 }
 
 // WriteJSON writes v as an indented JSON response body with the given
-// status, the rendering every endpoint of the service (and the catalog
-// front-end) uses.
+// status, the rendering every endpoint uses.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	writeJSON(w, status, v)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v) //nolint:errcheck // headers are out; nothing to do
 }
 
 // EstimateRequest is the body of POST /estimate.
@@ -318,95 +325,6 @@ type RebuildRequest struct {
 // explainLimit caps the embeddings returned per query when Explain is set.
 const explainLimit = 5
 
-// Handler returns the service's HTTP API:
-//
-//	POST /estimate        {"queries":["//a[b>1]",...],"explain":false,"trace":false}
-//	POST /feedback        {"feedback":[{"query":"//a[b>1]","true":42},...]}
-//	GET  /stats           counters, cache hit rates, latency percentiles
-//	GET  /metrics         the metrics registry in Prometheus text format
-//	GET  /debug/slowlog   the slow-query ring buffer, most recent first (?limit=N)
-//	GET  /debug/accuracy  per-class estimation error, drift flags, shadow counters
-//	GET  /debug/synopsis  cluster cardinalities, budget split, build identity, rebuild status (?limit=N)
-//	POST /admin/reload    hot swap: re-read the synopsis from its source
-//	POST /admin/rebuild   hot swap: rebuild from the resident document {"struct_budget":N,"value_budget":N,"async":false}
-//	GET  /buildinfo       module version, VCS revision, Go version
-//	GET  /synopsis        size and composition of the served synopsis
-//	GET  /healthz         liveness probe
-//	GET  /readyz          readiness probe (503 while draining)
-//	GET  /debug/traces    retained request trace trees per family
-//	GET  /debug/slo       availability/latency error-budget burn rates
-//	GET  /debug/workload  live workload profile: shape top-K, class mix, pain scores, coverage (?limit=N)
-//	GET  /debug/budget    serving budget plan, planned vs actual split, last planner run, next-rebuild dry run
-//	GET  /admin/workload/export  the versioned WorkloadProfile JSON artifact
-//
-// Every request is wrapped in request correlation: a well-formed client
-// X-Request-ID is honored (one is generated otherwise), echoed on the
-// response and in error envelopes, and threaded through the context to
-// pipeline spans, the slow-query log, and the trace store.
-//
-// Per-query failures (parse errors, unknown labels) are reported inline in
-// the results array; whole-request failures (malformed JSON, deadline
-// exceeded) use HTTP status codes.
-func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /estimate", s.handleEstimate)
-	mux.HandleFunc("POST /feedback", s.handleFeedback)
-	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /debug/slowlog", s.handleSlowLog)
-	mux.HandleFunc("GET /debug/accuracy", s.handleAccuracy)
-	mux.HandleFunc("GET /debug/synopsis", s.handleSynopsisDebug)
-	mux.HandleFunc("GET /debug/traces", s.handleTraces)
-	mux.HandleFunc("GET /debug/slo", s.handleSLO)
-	mux.HandleFunc("GET /debug/workload", s.handleWorkload)
-	mux.HandleFunc("GET /debug/budget", s.handleBudget)
-	mux.HandleFunc("GET /admin/workload/export", s.handleWorkloadExport)
-	mux.HandleFunc("POST /admin/reload", s.handleReload)
-	mux.HandleFunc("POST /admin/rebuild", s.handleRebuild)
-	mux.HandleFunc("GET /buildinfo", s.handleBuildInfo)
-	mux.HandleFunc("GET /synopsis", s.handleSynopsis)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("GET /readyz", s.handleReady)
-	return obs.TraceHandler(s.traces, mux)
-}
-
-// handleReady implements GET /readyz: 200 while the service should
-// receive traffic, 503 once draining starts. Distinct from /healthz,
-// which stays 200 through a graceful shutdown (the process is alive).
-func (s *Service) handleReady(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if !s.Ready() {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
-		return
-	}
-	fmt.Fprintln(w, "ready")
-}
-
-// TracesResponse is the body of GET /debug/traces.
-type TracesResponse struct {
-	Families []obs.FamilySnapshot `json:"families"`
-}
-
-// handleTraces implements GET /debug/traces: the retained request trace
-// trees, grouped by family, most recent and slowest first.
-func (s *Service) handleTraces(w http.ResponseWriter, r *http.Request) {
-	fams := s.traces.Snapshot()
-	if fams == nil {
-		fams = []obs.FamilySnapshot{}
-	}
-	writeJSON(w, http.StatusOK, TracesResponse{Families: fams})
-}
-
-// handleSLO implements GET /debug/slo: the configured objectives and
-// multi-window burn rates ({"enabled":false} when none are configured).
-func (s *Service) handleSLO(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.slo.Report())
-}
-
 // WorkloadResponse is the body of GET /debug/workload: the profiler's
 // snapshot (shape top-K, class mix with pain scores) plus the synopsis
 // coverage report comparing the observed class mix against the served
@@ -420,96 +338,26 @@ type WorkloadResponse struct {
 
 // WorkloadReport builds the GET /debug/workload body: snapshot, pain
 // join, and coverage against the serving generation's budget split.
-// limit caps the shape list when capped is true. Exported so the
-// multi-tenant catalog renders the same rows per shard.
-func (s *Service) WorkloadReport(limit int, capped bool) WorkloadResponse {
+func (s *Service) WorkloadReport() WorkloadResponse {
 	if s.prof == nil {
 		return WorkloadResponse{}
 	}
 	snap := s.prof.Snapshot(time.Now())
 	snap.Join(s.mon.Report())
-	if capped && len(snap.Shapes) > limit {
-		snap.Shapes = snap.Shapes[:limit]
-	}
-	b := synopsisBudget(s.cur.Load().syn)
 	return WorkloadResponse{
 		Enabled:  true,
 		Snapshot: snap,
-		Coverage: profile.Coverage(snap.Classes, profile.BudgetSplit{
-			NodeBytes:      b.NodeBytes,
-			EdgeBytes:      b.EdgeBytes,
-			HistogramBytes: b.HistogramBytes,
-			PSTBytes:       b.PSTBytes,
-			TermHistBytes:  b.TermHistBytes,
-		}),
+		Coverage: profile.Coverage(snap.Classes, actualSplit(s.cur.Load().syn)),
 	}
-}
-
-// handleWorkload implements GET /debug/workload.
-func (s *Service) handleWorkload(w http.ResponseWriter, r *http.Request) {
-	limit, capped, err := parseLimit(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, s.WorkloadReport(limit, capped))
-}
-
-// handleBudget implements GET /debug/budget: the serving generation's
-// budget plan with planned-vs-actual bytes, the planner run behind the
-// last adaptive rebuild, and a dry-run of the next one.
-func (s *Service) handleBudget(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.BudgetReport())
-}
-
-// handleWorkloadExport implements GET /admin/workload/export: the
-// versioned WorkloadProfile artifact in its canonical file encoding
-// (profile.Encode), so the body can be saved and fed back through
-// profile.Parse byte-for-byte. 412 when profiling is disabled.
-func (s *Service) handleWorkloadExport(w http.ResponseWriter, r *http.Request) {
-	p, err := s.WorkloadProfile()
-	if err != nil {
-		WriteError(w, err)
-		return
-	}
-	b, err := profile.Encode(p)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(b) //nolint:errcheck // headers are out; nothing to do
-}
-
-func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	var req EstimateRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	if len(req.Queries) == 0 {
-		httpError(w, http.StatusBadRequest, "no queries")
-		return
-	}
-	resp, err := s.RunEstimateRequest(r.Context(), req)
-	if err != nil {
-		WriteError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // RunEstimateRequest answers one EstimateRequest end to end: it parses
 // each query (per-query failures land inline in the results), runs the
 // parseable ones as one batch pinned to a single synopsis generation,
 // and renders traces, explanations, and plans as requested. It is the
-// body of POST /estimate, exported so the multi-tenant catalog
-// front-end can route the same request shape to a shard — the
-// single-tenant response is byte-for-byte what this service's own
-// handler returns. A non-nil error is a whole-request failure (map it
-// with ErrorStatus).
+// body of POST /estimate for one shard: the catalog routes the request
+// here and writes the response with WriteJSON. A non-nil error is a
+// whole-request failure (map it with ErrorStatus).
 func (s *Service) RunEstimateRequest(ctx context.Context, req EstimateRequest) (EstimateResponse, error) {
 	results := make([]EstimateResult, len(req.Queries))
 	var qs []*query.Query      // parsed queries, in request order
@@ -582,119 +430,6 @@ func renderTrace(parse time.Duration, tr *core.EstimateTrace) *TraceInfo {
 	return ti
 }
 
-func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.Stats()
-	writeJSON(w, http.StatusOK, StatsResponse{
-		Served:            st.Served,
-		Failed:            st.Failed,
-		CacheHits:         st.Cache.Hits,
-		CacheMisses:       st.Cache.Misses,
-		CacheHitRate:      st.Cache.HitRate(),
-		CacheLen:          st.Cache.Len,
-		CacheCapacity:     st.Cache.Capacity,
-		PlanCacheHits:     st.PlanCache.Hits,
-		PlanCacheMisses:   st.PlanCache.Misses,
-		PlanCacheHitRate:  st.PlanCache.HitRate(),
-		PlanCacheLen:      st.PlanCache.Len,
-		PlanCacheCapacity: st.PlanCache.Capacity,
-		P50:               st.P50.String(),
-		P95:               st.P95.String(),
-		P99:               st.P99.String(),
-		LatencySamples:    st.LatencySamples,
-		SlowQueries:       st.SlowQueries,
-		Uptime:            st.Uptime.String(),
-	})
-}
-
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.syncRegistry()
-	// Runtime telemetry is process-global and sampled only at scrape
-	// time; the hot path never touches runtime/metrics. The allocs/op
-	// gauge divides the process allocation delta by the served delta
-	// between scrapes.
-	s.runtime.Sample(s.reg)
-	s.runtime.SampleAllocsPerOp(s.reg, s.served.Value()+s.failed.Value())
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.reg.WritePrometheus(w) //nolint:errcheck // headers are out; nothing to do
-}
-
-// parseLimit reads a non-negative ?limit=N query parameter. A missing
-// or empty parameter yields (0, false): no cap.
-func parseLimit(r *http.Request) (int, bool, error) {
-	raw := r.URL.Query().Get("limit")
-	if raw == "" {
-		return 0, false, nil
-	}
-	n, err := strconv.Atoi(raw)
-	if err != nil || n < 0 {
-		return 0, false, fmt.Errorf("bad limit %q: want a non-negative integer", raw)
-	}
-	return n, true, nil
-}
-
-func (s *Service) handleSlowLog(w http.ResponseWriter, r *http.Request) {
-	limit, capped, err := parseLimit(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	entries := s.slow.Snapshot()
-	if capped && len(entries) > limit {
-		entries = entries[:limit]
-	}
-	if entries == nil {
-		entries = []obs.SlowLogEntry{}
-	}
-	writeJSON(w, http.StatusOK, SlowLogResponse{
-		ThresholdNanos: s.slow.Threshold().Nanoseconds(),
-		Total:          s.slow.Total(),
-		Entries:        entries,
-	})
-}
-
-func (s *Service) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	var req FeedbackRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	if len(req.Feedback) == 0 {
-		httpError(w, http.StatusBadRequest, "no feedback")
-		return
-	}
-	resp := FeedbackResponse{Results: make([]FeedbackResult, len(req.Feedback))}
-	for i, fb := range req.Feedback {
-		resp.Results[i].Query = fb.Query
-		q, err := query.Parse(fb.Query)
-		if err != nil {
-			resp.Results[i].Error = err.Error()
-			continue
-		}
-		est, err := s.Estimate(r.Context(), q)
-		if err != nil {
-			resp.Results[i].Error = err.Error()
-			continue
-		}
-		class, relErr := s.mon.Observe(q, est, fb.True)
-		resp.Results[i].Class = class.String()
-		resp.Results[i].Estimate = est
-		resp.Results[i].RelError = relErr
-		resp.Accepted++
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Service) handleAccuracy(w http.ResponseWriter, r *http.Request) {
-	resp := AccuracyResponse{Report: s.mon.Report()}
-	if s.shadow != nil {
-		st := s.shadow.Stats()
-		resp.Shadow = &st
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
 // summaryKind names a value summary for introspection output.
 func summaryKind(vt xmltree.ValueType) string {
 	switch vt {
@@ -734,12 +469,10 @@ func synopsisBudget(syn *core.Synopsis) SynopsisBudget {
 	return b
 }
 
-func (s *Service) handleSynopsisDebug(w http.ResponseWriter, r *http.Request) {
-	limit, capped, err := parseLimit(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+// SynopsisReport builds the GET /debug/synopsis body from one pinned
+// generation: sizes, budget split, build identity, rebuild status, and
+// the clusters by descending cardinality.
+func (s *Service) SynopsisReport() SynopsisDebugResponse {
 	sl := s.cur.Load()
 	fp := sl.syn.Fingerprint()
 	ver := SynopsisVersion{
@@ -788,109 +521,5 @@ func (s *Service) handleSynopsisDebug(w http.ResponseWriter, r *http.Request) {
 	sort.SliceStable(resp.ClusterDetail, func(i, j int) bool {
 		return resp.ClusterDetail[i].Count > resp.ClusterDetail[j].Count
 	})
-	if capped && len(resp.ClusterDetail) > limit {
-		resp.ClusterDetail = resp.ClusterDetail[:limit]
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Service) handleBuildInfo(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, ReadBuildInfo())
-}
-
-func (s *Service) handleSynopsis(w http.ResponseWriter, r *http.Request) {
-	syn := s.cur.Load().syn
-	writeJSON(w, http.StatusOK, SynopsisResponse{
-		Nodes:       syn.NumNodes(),
-		ValueNodes:  syn.NumValueNodes(),
-		Edges:       syn.NumEdges(),
-		StructBytes: syn.StructBytes(),
-		ValueBytes:  syn.ValueBytes(),
-		TotalBytes:  syn.TotalBytes(),
-	})
-}
-
-// handleReload implements POST /admin/reload: re-read the synopsis
-// through the configured source and hot swap it in. 412 when no source
-// is configured; the response is the completed SwapEvent.
-func (s *Service) handleReload(w http.ResponseWriter, r *http.Request) {
-	ev, err := s.Reload(r.Context())
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrNoSource) {
-			status = http.StatusPreconditionFailed
-		}
-		httpError(w, status, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, ev)
-}
-
-// handleRebuild implements POST /admin/rebuild: rebuild the synopsis
-// from the resident document with (optionally) new budgets and hot swap
-// it in. The body is optional. With "async":true the rebuild runs in
-// the background and 202 returns immediately; otherwise the response is
-// the completed SwapEvent. 409 while another rebuild runs, 412 without
-// a resident document.
-func (s *Service) handleRebuild(w http.ResponseWriter, r *http.Request) {
-	var req RebuildRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	opts := RebuildOptions{
-		StructBudget: req.StructBudget,
-		ValueBudget:  req.ValueBudget,
-		Adaptive:     req.Adaptive,
-		Reason:       req.Reason,
-	}
-	if req.Async {
-		if s.doc == nil {
-			httpError(w, http.StatusPreconditionFailed, ErrNoDocument.Error())
-			return
-		}
-		go func() {
-			// Outcome and error land in RebuildStatus (GET /debug/synopsis).
-			_, _ = s.Rebuild(context.Background(), opts)
-		}()
-		writeJSON(w, http.StatusAccepted, map[string]string{"status": "rebuild started"})
-		return
-	}
-	ev, err := s.Rebuild(r.Context(), opts)
-	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, ErrRebuildInProgress):
-			status = http.StatusConflict
-		case errors.Is(err, ErrNoDocument):
-			status = http.StatusPreconditionFailed
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusServiceUnavailable
-		}
-		httpError(w, status, err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, ev)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // headers are out; nothing to do
-}
-
-func httpError(w http.ResponseWriter, status int, msg string) {
-	body := map[string]string{"error": msg}
-	// The correlation middleware sets the response header before the
-	// handler runs, so error envelopes can echo the request ID without
-	// threading it through every call site. (encoding/json renders map
-	// keys sorted, so the body stays deterministic.)
-	if id := w.Header().Get("X-Request-ID"); id != "" {
-		body["request_id"] = id
-	}
-	writeJSON(w, status, body)
+	return resp
 }

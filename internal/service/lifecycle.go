@@ -317,6 +317,23 @@ func (s *Service) Rebuild(ctx context.Context, opts RebuildOptions) (SwapEvent, 
 	return ev, nil
 }
 
+// StartRebuild checks Rebuild's preconditions — a resident document,
+// and the workload profiler when the rebuild would plan adaptively —
+// then runs the rebuild in the background and returns at once. A
+// precondition failure comes back typed (ErrNoDocument, ErrNoProfiler),
+// so a request that can only fail is refused up front; the background
+// outcome lands in RebuildStatus.
+func (s *Service) StartRebuild(opts RebuildOptions) error {
+	if s.doc == nil {
+		return ErrNoDocument
+	}
+	if opts.Adaptive && opts.StructBudget <= 0 && opts.ValueBudget <= 0 && s.prof == nil {
+		return ErrNoProfiler
+	}
+	go func() { _, _ = s.Rebuild(context.Background(), opts) }()
+	return nil
+}
+
 // rebuild is Rebuild's body: build the new generation off the serving
 // path, then install it.
 //

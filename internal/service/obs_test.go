@@ -2,289 +2,11 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
-	"xcluster/internal/core"
 	"xcluster/internal/query"
 )
-
-func getBody(t *testing.T, srv *httptest.Server, path string) (*http.Response, []byte) {
-	t.Helper()
-	resp, err := http.Get(srv.URL + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp, raw
-}
-
-// TestHTTPTrace exercises "trace":true: every result carries spans that
-// start at parse, cover the pipeline stages, and sum to at most the
-// reported total.
-func TestHTTPTrace(t *testing.T) {
-	svc := New(newTestSynopsis(t))
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	body := `{"queries":["//book[year>1990]/title","//journal/title"],"trace":true}`
-	resp, raw := postJSON(t, srv, "/estimate", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %s", resp.StatusCode, raw)
-	}
-	var er EstimateResponse
-	if err := json.Unmarshal(raw, &er); err != nil {
-		t.Fatalf("%v in %s", err, raw)
-	}
-	for i, res := range er.Results {
-		tr := res.Trace
-		if tr == nil {
-			t.Fatalf("result %d has no trace: %+v", i, res)
-		}
-		if len(tr.Spans) == 0 || tr.Spans[0].Stage != core.StageParse {
-			t.Fatalf("result %d spans = %+v, want parse first", i, tr.Spans)
-		}
-		var sum int64
-		seen := make(map[string]bool)
-		for _, sp := range tr.Spans {
-			if sp.Nanos < 0 {
-				t.Errorf("result %d: negative span %+v", i, sp)
-			}
-			sum += sp.Nanos
-			seen[sp.Stage] = true
-		}
-		if sum > tr.TotalNanos {
-			t.Errorf("result %d: span sum %d exceeds total %d", i, sum, tr.TotalNanos)
-		}
-		// The batch path compiles each shape up front (prepareShapes), so
-		// the traced call hits the plan cache rather than compiling.
-		for _, stage := range []string{core.StageCanonicalize, core.StagePlanCache, core.StageExecute} {
-			if !seen[stage] {
-				t.Errorf("result %d: cold trace missing stage %q: %+v", i, stage, tr.Spans)
-			}
-		}
-		if tr.ResultCacheHit {
-			t.Errorf("result %d: cold request reported a result-cache hit", i)
-		}
-		if !tr.PlanCacheHit {
-			t.Errorf("result %d: want plan_cache_hit (batch pre-compiles shapes)", i)
-		}
-	}
-
-	// The identical request again: the result cache answers, and the
-	// trace says so.
-	_, raw = postJSON(t, srv, "/estimate", body)
-	if err := json.Unmarshal(raw, &er); err != nil {
-		t.Fatalf("%v in %s", err, raw)
-	}
-	for i, res := range er.Results {
-		if res.Trace == nil || !res.Trace.ResultCacheHit {
-			t.Errorf("repeat result %d: want result_cache_hit, got %+v", i, res.Trace)
-		}
-	}
-
-	// Without "trace":true no trace is attached.
-	_, raw = postJSON(t, srv, "/estimate", `{"queries":["//book/title"]}`)
-	var plain EstimateResponse
-	if err := json.Unmarshal(raw, &plain); err != nil {
-		t.Fatalf("%v in %s", err, raw)
-	}
-	if plain.Results[0].Trace != nil {
-		t.Errorf("untraced request returned a trace: %+v", plain.Results[0].Trace)
-	}
-}
-
-// TestHTTPMetrics scrapes /metrics after traffic and checks the
-// families the service promises, including that the mirrored estimator
-// cache counters agree exactly with /stats.
-func TestHTTPMetrics(t *testing.T) {
-	svc := New(newTestSynopsis(t))
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	postJSON(t, srv, "/estimate", `{"queries":["//book/title","//book[year>1990]"]}`)
-	postJSON(t, srv, "/estimate", `{"queries":["//book/title"]}`)
-	// Pushed ground truth lands in the accuracy series.
-	postJSON(t, srv, "/feedback", `{"feedback":[{"query":"//book/title","true":120}]}`)
-
-	resp, raw := getBody(t, srv, "/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	text := string(raw)
-	for _, want := range []string{
-		// 3 estimates plus the one the feedback handler runs to pair
-		// with the pushed ground truth.
-		`xcluster_requests_total{outcome="ok"} 4`,
-		"# TYPE xcluster_request_seconds histogram",
-		"xcluster_request_seconds_count 4",
-		`xcluster_pipeline_stage_seconds_bucket{stage="execute",`,
-		`xcluster_pipeline_stage_seconds_bucket{stage="parse",`,
-		`xcluster_cache_lookups_total{cache="result",outcome="hit"} 2`,
-		`xcluster_cache_lookups_total{cache="result",outcome="miss"} 2`,
-		`xcluster_synopsis_bytes{component="struct"}`,
-		"xcluster_batches_total 2",
-		"xcluster_batch_queries_total 3",
-		"# HELP xcluster_requests_total Estimate queries answered, by outcome.",
-		// The accuracy series exist from startup for every class; the
-		// feedback pair above is the one struct observation.
-		"# HELP xcluster_accuracy_error Relative error of shadow-checked estimates, by predicate class.",
-		"# TYPE xcluster_accuracy_error histogram",
-		`xcluster_accuracy_error_bucket{class="struct",le="+Inf"} 1`,
-		`xcluster_accuracy_samples_total{class="struct"} 1`,
-		`xcluster_accuracy_samples_total{class="range"} 0`,
-		`xcluster_accuracy_drifted{class="struct"} 0`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-
-	// The mirrored counters must equal the /stats numbers bit-for-bit:
-	// both come from the estimator's own cache counters.
-	st := svc.Stats()
-	for _, c := range []struct {
-		series string
-		want   uint64
-	}{
-		{`xcluster_estimator_cache_hits_total{cache="result"} `, st.Cache.Hits},
-		{`xcluster_estimator_cache_misses_total{cache="result"} `, st.Cache.Misses},
-		{`xcluster_estimator_cache_hits_total{cache="plan"} `, st.PlanCache.Hits},
-		{`xcluster_estimator_cache_misses_total{cache="plan"} `, st.PlanCache.Misses},
-	} {
-		found := false
-		for _, line := range strings.Split(text, "\n") {
-			v, ok := strings.CutPrefix(line, c.series)
-			if !ok {
-				continue
-			}
-			found = true
-			got, err := strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-			if err != nil {
-				t.Errorf("parsing %q: %v", line, err)
-			} else if got != c.want {
-				t.Errorf("%s= %d, /stats says %d", c.series, got, c.want)
-			}
-		}
-		if !found {
-			t.Errorf("/metrics missing series %q", c.series)
-		}
-	}
-}
-
-// TestHTTPSlowLog drives a service whose slow-query threshold captures
-// everything, then reads the log back over HTTP.
-func TestHTTPSlowLog(t *testing.T) {
-	svc := New(newTestSynopsis(t), WithSlowQueryLog(time.Nanosecond, 4))
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	postJSON(t, srv, "/estimate", `{"queries":["//book[year>1990]/title","//journal/title"]}`)
-
-	resp, raw := getBody(t, srv, "/debug/slowlog")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	var sl SlowLogResponse
-	if err := json.Unmarshal(raw, &sl); err != nil {
-		t.Fatalf("%v in %s", err, raw)
-	}
-	if sl.ThresholdNanos != 1 {
-		t.Errorf("threshold_nanos = %d, want 1", sl.ThresholdNanos)
-	}
-	if sl.Total != 2 || len(sl.Entries) != 2 {
-		t.Fatalf("total = %d, entries = %d, want 2 and 2", sl.Total, len(sl.Entries))
-	}
-	for _, e := range sl.Entries {
-		if e.Query == "" || e.TotalNanos <= 0 {
-			t.Errorf("entry = %+v, want query and positive total", e)
-		}
-		// Total is the human-readable rendering of TotalNanos.
-		if e.Total != time.Duration(e.TotalNanos).String() {
-			t.Errorf("entry total = %q, want %q", e.Total, time.Duration(e.TotalNanos).String())
-		}
-		if !strings.Contains(e.Plan, "subproblems") {
-			t.Errorf("entry plan = %q, want a plan summary", e.Plan)
-		}
-		if len(e.Spans) == 0 {
-			t.Errorf("entry %q has no spans", e.Query)
-		}
-	}
-	if st := svc.Stats(); st.SlowQueries != 2 {
-		t.Errorf("Stats().SlowQueries = %d, want 2", st.SlowQueries)
-	}
-
-	// ?limit=N caps the entries while Total still counts everything.
-	_, raw = getBody(t, srv, "/debug/slowlog?limit=1")
-	var capped SlowLogResponse
-	if err := json.Unmarshal(raw, &capped); err != nil {
-		t.Fatal(err)
-	}
-	if len(capped.Entries) != 1 || capped.Total != 2 {
-		t.Errorf("limit=1: entries = %d, total = %d, want 1 and 2", len(capped.Entries), capped.Total)
-	}
-	if resp, _ := getBody(t, srv, "/debug/slowlog?limit=-3"); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("negative limit status = %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestHTTPSlowLogDisabled: the default service has no slow-query log,
-// and the endpoint reports it as disabled rather than failing.
-func TestHTTPSlowLogDisabled(t *testing.T) {
-	svc := New(newTestSynopsis(t))
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	postJSON(t, srv, "/estimate", `{"queries":["//book/title"]}`)
-	resp, raw := getBody(t, srv, "/debug/slowlog")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	var sl SlowLogResponse
-	if err := json.Unmarshal(raw, &sl); err != nil {
-		t.Fatalf("%v in %s", err, raw)
-	}
-	if sl.ThresholdNanos != 0 || sl.Total != 0 || len(sl.Entries) != 0 {
-		t.Errorf("disabled slowlog = %+v, want zero threshold and no entries", sl)
-	}
-}
-
-func TestHTTPBuildInfo(t *testing.T) {
-	svc := New(newTestSynopsis(t))
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-
-	resp, raw := getBody(t, srv, "/buildinfo")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	var bi BuildInfo
-	if err := json.Unmarshal(raw, &bi); err != nil {
-		t.Fatalf("%v in %s", err, raw)
-	}
-	if bi.GoVersion == "" {
-		t.Errorf("buildinfo = %+v, want a go_version", bi)
-	}
-	if bi.Module != "xcluster" {
-		t.Errorf("module = %q, want xcluster", bi.Module)
-	}
-	if s := bi.String(); !strings.Contains(s, bi.GoVersion) {
-		t.Errorf("String() = %q, want it to include the Go version", s)
-	}
-}
 
 // TestDrain: Drain returns immediately with nothing in flight, honors
 // its context while work is in flight, and completes once the work does.

@@ -8,11 +8,14 @@
 // deadlines via context, and full observability: every estimate runs
 // the traced canonicalize → compile → execute pipeline, emitting
 // per-stage latencies, cache outcomes, and request counters into an
-// internal/obs metrics registry (exported in Prometheus text format at
-// GET /metrics), recording queries above a threshold in a ring-buffer
-// slow-query log, and returning per-stage spans inline on request. The
-// HTTP layer in http.go exposes the same operations over JSON for
-// cmd/xclusterd.
+// internal/obs metrics registry, recording queries above a threshold in
+// a ring-buffer slow-query log, and returning per-stage spans inline on
+// request.
+//
+// The package is a Go API with no HTTP routing: internal/catalog owns
+// every endpoint and serves each shard through these methods. http.go
+// keeps the wire types those endpoints render, the error-to-status
+// mapping, and the JSON writer.
 package service
 
 import (
@@ -149,14 +152,6 @@ func WithWorkloadProfile(capacity int, window time.Duration) Option {
 	return func(s *Service) { s.profCap, s.profWindow = capacity, window }
 }
 
-// WithTraceStore overrides the request trace store. The default is a
-// fresh store with the obs package's default retention; nil disables
-// request tracing entirely (requests still get correlated IDs, but no
-// span trees are built or retained).
-func WithTraceStore(ts *obs.TraceStore) Option {
-	return func(s *Service) { s.traces, s.tracesSet = ts, true }
-}
-
 // Service is a concurrent estimation service over an immutable synopsis
 // generation. All methods are safe for concurrent use.
 //
@@ -214,17 +209,10 @@ type Service struct {
 	profCap    int
 	profWindow time.Duration
 
-	// Request-correlation and SLO state: traces retains completed span
-	// trees for GET /debug/traces (nil: tracing disabled), slo tracks
-	// error-budget burn rates (nil: no objectives configured), runtime
-	// samples runtime/metrics into the registry at scrape time, and
-	// draining flips GET /readyz to 503 once Drain starts.
-	traces    *obs.TraceStore
-	tracesSet bool
-	slo       *obs.SLOTracker
-	sloCfg    obs.SLOConfig
-	runtime   *obs.RuntimeSampler
-	draining  atomic.Bool
+	// slo tracks error-budget burn rates (nil: no objectives
+	// configured).
+	slo    *obs.SLOTracker
+	sloCfg obs.SLOConfig
 
 	// Accuracy monitoring: mon aggregates estimate/truth pairs (always
 	// on — POST /feedback feeds it even without shadow sampling);
@@ -272,11 +260,7 @@ func New(syn *core.Synopsis, opts ...Option) *Service {
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
 	}
-	if !s.tracesSet {
-		s.traces = obs.NewTraceStore(0, 0)
-	}
 	s.slo = obs.NewSLOTracker(s.sloCfg)
-	s.runtime = obs.NewRuntimeSampler()
 	if s.profCap >= 0 {
 		s.prof = profile.New(s.profCap, s.profWindow)
 	}
@@ -388,11 +372,13 @@ func (s *Service) wireMetrics() {
 	s.swaps = r.Counter("xcluster_synopsis_swaps_total", "")
 }
 
-// syncRegistry mirrors scrape-time state into the registry: the
-// estimator's authoritative cache counters (the same values /stats
+// SyncMetrics mirrors scrape-time state into the service's registry:
+// the estimator's authoritative cache counters (the same values Stats
 // reports, so the two views cannot disagree), cache occupancy, synopsis
-// size, and uptime. Called before every /metrics render.
-func (s *Service) syncRegistry() {
+// size, uptime, shadow counters, and the workload, budget, and SLO
+// gauges. The catalog calls it for each shard before a GET /metrics
+// render.
+func (s *Service) SyncMetrics() {
 	r := s.reg
 	sl := s.cur.Load()
 	for _, c := range []struct {
@@ -424,26 +410,11 @@ func (s *Service) syncRegistry() {
 	s.slo.Sync(r)
 }
 
-// SyncMetrics mirrors scrape-time state (cache counters and occupancy,
-// synopsis size, uptime, shadow counters) into the service's registry.
-// The service's own /metrics handler calls it before rendering; the
-// multi-tenant catalog front-end calls it for each shard before a
-// merged render.
-func (s *Service) SyncMetrics() { s.syncRegistry() }
-
-// Ready reports whether the service should receive traffic: true until
-// Drain starts. GET /readyz renders it; /healthz stays a pure liveness
-// probe.
-func (s *Service) Ready() bool { return !s.draining.Load() }
-
-// Traces returns the request trace store (nil when disabled).
-func (s *Service) Traces() *obs.TraceStore { return s.traces }
-
 // SLO returns the SLO tracker (nil when no objectives are configured).
 func (s *Service) SLO() *obs.SLOTracker { return s.slo }
 
 // RequestsTotal returns the number of estimates ever answered (served
-// plus failed) — the ops denominator front-ends use for allocs-per-op
+// plus failed) — the ops denominator the catalog uses for allocs-per-op
 // sampling.
 func (s *Service) RequestsTotal() uint64 { return s.served.Value() + s.failed.Value() }
 
@@ -707,10 +678,6 @@ func (s *Service) prepareShapes(sl *slot, qs []*query.Query) error {
 // work submitted concurrently with Drain is not guaranteed to be
 // waited for.
 func (s *Service) Drain(ctx context.Context) error {
-	// Readiness flips before the wait starts: GET /readyz reports 503
-	// from here on, so load balancers stop routing while in-flight work
-	// finishes.
-	s.draining.Store(true)
 	done := make(chan struct{})
 	go func() {
 		s.inflightWG.Wait()

@@ -1,9 +1,7 @@
-package service
+package service_test
 
 import (
 	"context"
-	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -11,33 +9,27 @@ import (
 	"testing"
 	"time"
 
+	"xcluster/internal/catalog"
 	"xcluster/internal/profile"
+	"xcluster/internal/service"
 )
 
-// getJSON GETs a path from the test server and decodes its JSON body.
-func getJSON(t *testing.T, srv *httptest.Server, path string, out any) *http.Response {
+// getWorkload reads the one shard's profile from the catalog's
+// GET /debug/workload rollup.
+func getWorkload(t *testing.T, srv *httptest.Server, path string) (service.WorkloadResponse, *http.Response) {
 	t.Helper()
-	resp, err := http.Get(srv.URL + path)
-	if err != nil {
-		t.Fatal(err)
+	var all catalog.WorkloadAllResponse
+	resp := getJSON(t, srv, path, &all)
+	if len(all.Shards) != 1 {
+		t.Fatalf("GET %s: shards = %d, want the one shard", path, len(all.Shards))
 	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != nil {
-		if err := json.Unmarshal(body, out); err != nil {
-			t.Fatalf("GET %s: decode %q: %v", path, body, err)
-		}
-	}
-	return resp
+	return all.Shards[0].WorkloadResponse, resp
 }
 
 // driveWorkload runs every test query through the service a few times.
-func driveWorkload(t *testing.T, svc *Service, rounds int) {
+func driveWorkload(t *testing.T, svc *service.Service, rounds int) {
 	t.Helper()
-	qs := parseWorkload(t)
+	qs := service.ParseWorkload(t)
 	ctx := context.Background()
 	for r := 0; r < rounds; r++ {
 		for _, q := range qs {
@@ -49,26 +41,23 @@ func driveWorkload(t *testing.T, svc *Service, rounds int) {
 }
 
 func TestWorkloadEndpointReportsTraffic(t *testing.T) {
-	svc := New(newTestSynopsis(t))
-	defer svc.Close()
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	svc, srv := serve(t)
 	driveWorkload(t, svc, 3)
 
-	var resp WorkloadResponse
-	if got := getJSON(t, srv, "/debug/workload", &resp); got.StatusCode != http.StatusOK {
+	resp, got := getWorkload(t, srv, "/debug/workload")
+	if got.StatusCode != http.StatusOK {
 		t.Fatalf("GET /debug/workload = %d", got.StatusCode)
 	}
 	if !resp.Enabled {
 		t.Fatal("profiling not enabled by default")
 	}
-	if want := uint64(3 * len(testWorkload)); resp.TotalRequests != want {
+	if want := uint64(3 * len(service.TestWorkload)); resp.TotalRequests != want {
 		t.Fatalf("total requests = %d, want %d", resp.TotalRequests, want)
 	}
 	// The 10 test queries all have distinct shapes; every row carries a
 	// join ID.
-	if len(resp.Shapes) != len(testWorkload) {
-		t.Fatalf("shapes = %d, want %d", len(resp.Shapes), len(testWorkload))
+	if len(resp.Shapes) != len(service.TestWorkload) {
+		t.Fatalf("shapes = %d, want %d", len(resp.Shapes), len(service.TestWorkload))
 	}
 	for _, sh := range resp.Shapes {
 		if len(sh.ID) != 16 || sh.Count == 0 {
@@ -77,7 +66,7 @@ func TestWorkloadEndpointReportsTraffic(t *testing.T) {
 	}
 	// Coverage joins the served synopsis's budget: total bytes match
 	// /debug/synopsis and every class has a row.
-	var syn SynopsisDebugResponse
+	var syn service.SynopsisDebugResponse
 	getJSON(t, srv, "/debug/synopsis", &syn)
 	wantTotal := syn.Budget.NodeBytes + syn.Budget.EdgeBytes +
 		syn.Budget.HistogramBytes + syn.Budget.PSTBytes + syn.Budget.TermHistBytes
@@ -89,31 +78,22 @@ func TestWorkloadEndpointReportsTraffic(t *testing.T) {
 	}
 
 	// ?limit caps the shape list; a bad limit is a 400.
-	var capped WorkloadResponse
-	getJSON(t, srv, "/debug/workload?limit=2", &capped)
+	capped, _ := getWorkload(t, srv, "/debug/workload?limit=2")
 	if len(capped.Shapes) != 2 {
 		t.Fatalf("limited shapes = %d, want 2", len(capped.Shapes))
 	}
-	if got := getJSON(t, srv, "/debug/workload?limit=-1", nil); got.StatusCode != http.StatusBadRequest {
+	if got, _ := getBody(t, srv, "/debug/workload?limit=-1"); got.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad limit status = %d, want 400", got.StatusCode)
 	}
 }
 
 func TestWorkloadExportRoundTrip(t *testing.T) {
-	svc := New(newTestSynopsis(t))
-	defer svc.Close()
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	svc, srv := serve(t)
 	driveWorkload(t, svc, 2)
 
-	resp, err := http.Get(srv.URL + "/admin/workload/export")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("export = %d (%v)", resp.StatusCode, err)
+	resp, body := getBody(t, srv, "/admin/workload/export")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("export = %d", resp.StatusCode)
 	}
 	// The exported bytes are the canonical artifact: they parse, verify,
 	// and re-encode byte-identically.
@@ -124,7 +104,7 @@ func TestWorkloadExportRoundTrip(t *testing.T) {
 	if parsed.Version != profile.ProfileVersion || parsed.Fingerprint == "" {
 		t.Fatalf("artifact identity = v%d %q", parsed.Version, parsed.Fingerprint)
 	}
-	if want := uint64(2 * len(testWorkload)); parsed.TotalRequests != want {
+	if want := uint64(2 * len(service.TestWorkload)); parsed.TotalRequests != want {
 		t.Fatalf("exported requests = %d, want %d", parsed.TotalRequests, want)
 	}
 	again, err := profile.Encode(parsed)
@@ -147,44 +127,26 @@ func TestWorkloadExportRoundTrip(t *testing.T) {
 }
 
 func TestWorkloadDisabled(t *testing.T) {
-	svc := New(newTestSynopsis(t), WithWorkloadProfile(-1, 0))
-	defer svc.Close()
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	svc, srv := serve(t, service.WithWorkloadProfile(-1, 0))
 	driveWorkload(t, svc, 1)
 
-	var resp WorkloadResponse
-	if got := getJSON(t, srv, "/debug/workload", &resp); got.StatusCode != http.StatusOK || resp.Enabled {
+	if resp, got := getWorkload(t, srv, "/debug/workload"); got.StatusCode != http.StatusOK || resp.Enabled {
 		t.Fatalf("disabled workload = %d enabled=%v, want 200/false", got.StatusCode, resp.Enabled)
 	}
 	if got := getJSON(t, srv, "/admin/workload/export", nil); got.StatusCode != http.StatusPreconditionFailed {
 		t.Fatalf("disabled export status = %d, want 412", got.StatusCode)
 	}
 	// No xcluster_workload_* series when disabled.
-	mresp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if strings.Contains(string(metrics), "xcluster_workload_") {
+	if _, metrics := getBody(t, srv, "/metrics"); strings.Contains(string(metrics), "xcluster_workload_") {
 		t.Fatal("disabled profiler still exports xcluster_workload_* series")
 	}
 }
 
 func TestWorkloadMetricsExported(t *testing.T) {
-	svc := New(newTestSynopsis(t))
-	defer svc.Close()
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	svc, srv := serve(t)
 	driveWorkload(t, svc, 1)
 
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
+	_, body := getBody(t, srv, "/metrics")
 	text := string(body)
 	for _, line := range []string{
 		"# HELP xcluster_workload_requests_total",
@@ -206,19 +168,15 @@ func TestWorkloadMetricsExported(t *testing.T) {
 func TestSlowLogCarriesShapeID(t *testing.T) {
 	// Threshold 1ns: every estimate is slow, so log rows and workload
 	// shapes must join on shape_id.
-	svc := New(newTestSynopsis(t), WithSlowQueryLog(time.Nanosecond, 16))
-	defer svc.Close()
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
+	svc, srv := serve(t, service.WithSlowQueryLog(time.Nanosecond, 16))
 	driveWorkload(t, svc, 1)
 
-	var slow SlowLogResponse
+	var slow service.SlowLogResponse
 	getJSON(t, srv, "/debug/slowlog", &slow)
 	if len(slow.Entries) == 0 {
 		t.Fatal("no slow-log entries at 1ns threshold")
 	}
-	var work WorkloadResponse
-	getJSON(t, srv, "/debug/workload", &work)
+	work, _ := getWorkload(t, srv, "/debug/workload")
 	shapes := make(map[string]string)
 	for _, sh := range work.Shapes {
 		shapes[sh.ID] = sh.Shape
@@ -234,14 +192,14 @@ func TestSlowLogCarriesShapeID(t *testing.T) {
 }
 
 func TestRebuildStampsWorkloadFingerprint(t *testing.T) {
-	svc := New(newTestSynopsis(t), WithDocument(newTestTree(t)))
+	svc := service.New(service.NewTestSynopsis(t), service.WithDocument(service.TestTree(t)))
 	defer svc.Close()
 	driveWorkload(t, svc, 1)
 	wantFP := svc.Workload().Fingerprint(time.Now())
 	if wantFP == "" {
 		t.Fatal("live profiler has empty fingerprint")
 	}
-	ev, err := svc.Rebuild(context.Background(), RebuildOptions{})
+	ev, err := svc.Rebuild(context.Background(), service.RebuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,9 +208,9 @@ func TestRebuildStampsWorkloadFingerprint(t *testing.T) {
 	}
 
 	// With profiling disabled the field stays empty (and absent in JSON).
-	off := New(newTestSynopsis(t), WithDocument(newTestTree(t)), WithWorkloadProfile(-1, 0))
+	off := service.New(service.NewTestSynopsis(t), service.WithDocument(service.TestTree(t)), service.WithWorkloadProfile(-1, 0))
 	defer off.Close()
-	ev, err = off.Rebuild(context.Background(), RebuildOptions{})
+	ev, err = off.Rebuild(context.Background(), service.RebuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
