@@ -42,9 +42,11 @@ go test ./...
 # parser never panics and everything it accepts round-trips),
 # internal/catalog FuzzCatalogHTTP (no request to the daemon's handler
 # panics or answers 500, and every status is one its route documents),
-# and internal/profile FuzzParseProfile (the WorkloadProfile artifact
+# internal/profile FuzzParseProfile (the WorkloadProfile artifact
 # parser never panics and anything accepted is a round-trip fixed
-# point).
+# point), and internal/core FuzzEstimate (every parsed query gets a
+# finite, non-negative estimate equal to the reference interpreter's,
+# and Explain's top embeddings are sorted and sum to at most it).
 go test -run=Fuzz ./...
 
 # Machine-readable benchmark artifacts, kept at the repo root for

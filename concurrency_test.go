@@ -48,7 +48,7 @@ var concurrencyWorkload = []string{
 // TestEstimatorConcurrentBitForBit hammers one shared Estimator from 32
 // goroutines with a mixed twig workload and requires every answer to
 // match the sequential answers bit-for-bit: the estimator's precomputed
-// indexes, pooled memos, and result cache must not perturb the
+// indexes, pooled execution scratch, and caches must not perturb the
 // floating-point accumulation order. Run with -race.
 func TestEstimatorConcurrentBitForBit(t *testing.T) {
 	tree, err := xcluster.ParseXML(strings.NewReader(concurrencyDoc()))

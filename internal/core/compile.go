@@ -26,7 +26,8 @@ type PreparedQuery struct {
 // shape share one plan through the estimator's plan cache. Results are
 // bit-for-bit identical to Estimator.Selectivity.
 func (e *Estimator) Prepare(q *query.Query) (*PreparedQuery, error) {
-	plan, err := e.planFor(q)
+	canonical := q.String()
+	plan, err := e.planFor(q, canonical, e.saltKey(canonical), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -35,12 +36,15 @@ func (e *Estimator) Prepare(q *query.Query) (*PreparedQuery, error) {
 
 // Selectivity executes the compiled plan: s(Q), the expected number of
 // binding tuples.
-func (pq *PreparedQuery) Selectivity() float64 { return pq.plan.execute() }
+func (pq *PreparedQuery) Selectivity() float64 {
+	v, _ := pq.plan.execute(context.Background())
+	return v
+}
 
 // SelectivityContext is Selectivity with cancellation, checked before
 // each root variable's subproblem group.
 func (pq *PreparedQuery) SelectivityContext(ctx context.Context) (float64, error) {
-	return pq.plan.executeContext(ctx)
+	return pq.plan.execute(ctx)
 }
 
 // Query returns the canonical string of the prepared query.
@@ -55,18 +59,19 @@ func (pq *PreparedQuery) ExplainPlan() string { return pq.plan.describe(pq.est.s
 // term, and lowered-step counts) without the per-subproblem detail.
 func (pq *PreparedQuery) PlanSummary() string { return pq.plan.Summary() }
 
-// compile lowers q onto the synopsis: every step label is resolved to
-// an id set once, every (variable, origin) subproblem's frontier and
-// predicate selectivities are evaluated through the same reach/predSel
-// arithmetic as the interpreter, and the result is flattened into a
-// Plan whose execution replays that arithmetic bit-for-bit.
-func (e *Estimator) compile(q *query.Query) (*Plan, error) {
+// compile lowers q, whose canonical string is canonical, onto the
+// synopsis: every step label is resolved to an id set once, every
+// (variable, origin) subproblem's frontier and predicate selectivities
+// are evaluated through the same reach/predSel arithmetic as the
+// interpreted reference walk, and the result is flattened into a Plan
+// whose execution replays that arithmetic bit-for-bit.
+func (e *Estimator) compile(q *query.Query, canonical string) (*Plan, error) {
 	c := &compiler{
 		e:     e,
 		steps: make(map[query.Step]*stepSet),
 		memo:  make(map[memoKey]int32),
 	}
-	p := &Plan{canonical: q.String(), gen: e.s.fp.Generation}
+	p := &Plan{canonical: canonical, gen: e.s.fp.Generation}
 	for _, r := range q.Roots {
 		p.groupStart = append(p.groupStart, int32(len(c.subs)))
 		idx, err := c.compileVar(r, -1)
@@ -173,13 +178,14 @@ func varLabel(v *query.Node) string {
 	return sb.String()
 }
 
-// reach is the compiled mirror of Estimator.reach: identical traversal
-// and accumulation order (id-sorted frontiers, id-sorted kids/desc
-// inputs), with the lowered step sets replacing per-node label tests —
-// so the frontier weights are bit-identical to the interpreter's.
+// reach is the compiled mirror of the reference interpreter's reach
+// (interp_test.go): identical traversal and accumulation order
+// (id-sorted frontiers, id-sorted kids/desc inputs), with the lowered
+// step sets replacing per-node label tests — so the frontier weights are
+// bit-identical to the interpreter's.
 func (c *compiler) reach(from NodeID, steps []query.Step) []weight {
 	e := c.e
-	// Single child-step fast path, mirroring Estimator.reach: the
+	// Single child-step fast path, mirroring the interpreter's: the
 	// id-sorted kids slice filtered in place is already the frontier.
 	if from != -1 && len(steps) == 1 && steps[0].Axis == query.Child {
 		ss := c.lower(steps[0])

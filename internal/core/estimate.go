@@ -4,32 +4,33 @@ import (
 	"context"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
 	"xcluster/internal/query"
 )
 
 // Estimator approximates twig-query selectivities over an XCluster
-// synopsis using the paper's Section 5 framework: it enumerates query
+// synopsis using the paper's Section 5 framework: it sums over query
 // embeddings (mappings of query variables to synopsis nodes satisfying
 // the structural and value constraints) and combines edge counts with
 // predicate selectivities under the generalized Path-Value Independence
 // assumption — the selectivity of a path u[p]/c is |u|·σ_p(u)·count(u,c).
 //
-// Estimation is a three-stage pipeline: canonicalize (the query's
-// canonical string is the identity under which results and plans are
-// cached), compile (the query is lowered onto the synopsis once — see
-// compile.go), and execute (the flat compiled plan is evaluated — see
-// plan.go). Selectivity runs all three stages behind two LRU caches: a
-// result cache keyed by canonical query, and a plan cache that makes
-// repeated shapes compile-once/execute-many. Prepare exposes the
-// compiled plan directly for callers that hold a query shape and
-// execute it repeatedly.
+// Estimation is one pipeline (pipeline, below) that every entry point
+// runs: canonicalize (the query's canonical string is the identity
+// under which results and plans are cached), compile (the query is
+// lowered onto the synopsis once — see compile.go), and execute (the
+// flat compiled plan is evaluated — see plan.go), behind two LRU
+// caches: a result cache keyed by canonical query, and a plan cache
+// that makes repeated shapes compile-once/execute-many. Selectivity,
+// SelectivityContext and SelectivityTraced differ only in what they
+// report; Prepare exposes the compiled plan directly for callers that
+// hold a query shape and execute it repeatedly, and Explain reads the
+// top embeddings off it.
 //
 // An Estimator is safe for concurrent use by multiple goroutines: the
 // synopsis is immutable after Build, the descendant-closure vectors are
-// precomputed at construction, per-call state is pooled, and both
+// precomputed at construction, execution scratch is pooled, and both
 // caches are internally synchronized. The one exception is
 // configuration (UninformedSel, SetCacheCapacity,
 // SetPlanCacheCapacity), which must happen before the estimator is
@@ -52,10 +53,6 @@ type Estimator struct {
 	// proper-descendant elements per cluster, per element of the node,
 	// id-sorted. Precomputed for every node at construction; immutable.
 	desc map[NodeID][]weight
-	// memos pools the per-call memo tables of the interpreted reference
-	// walk (interpretedSelectivity), kept as the differential baseline
-	// the compiled plans are tested against.
-	memos sync.Pool
 	// cache memoizes full query results by canonical query string; nil
 	// when disabled.
 	cache *lruCache[float64]
@@ -68,7 +65,7 @@ type Estimator struct {
 	// atomically (see estcache.go).
 	epoch atomic.Uint64
 	// sink, when non-nil, receives pipeline stage timings and cache
-	// outcomes from the traced estimation paths (SetMetricSink).
+	// outcomes from every estimate (SetMetricSink).
 	sink MetricSink
 }
 
@@ -101,7 +98,6 @@ func NewEstimator(s *Synopsis) *Estimator {
 	e.cache = newLRUCache[float64](DefaultCacheCapacity, &e.epoch)
 	e.plans = newLRUCache[*Plan](DefaultPlanCacheCapacity, &e.epoch)
 	e.desc = buildDescIndex(s)
-	e.memos.New = func() any { return make(map[memoKey]float64) }
 	return e
 }
 
@@ -189,64 +185,77 @@ func buildKidIndex(s *Synopsis) map[NodeID][]weight {
 	return kids
 }
 
-// Selectivity estimates s(Q), the expected number of binding tuples. It
-// is the canonicalize → compile → execute pipeline behind both caches:
-// a result-cache hit returns immediately, a plan-cache hit skips
-// compilation, and a full miss compiles the query and executes the
-// fresh plan.
+// Selectivity estimates s(Q), the expected number of binding tuples,
+// through the estimation pipeline (see pipeline). It returns 0 when the
+// query cannot be compiled — the only such query is a hand-built one
+// with a stepless variable, which the parser never produces; use
+// SelectivityContext or Prepare to see the error.
 func (e *Estimator) Selectivity(q *query.Query) float64 {
-	if e.cache != nil {
-		key := e.cacheKey(q)
-		if v, ok := e.cache.get(key); ok {
-			return v
-		}
-		v := e.mustPlan(q).execute()
-		e.cache.put(key, v)
-		return v
-	}
-	return e.mustPlan(q).execute()
+	v, _ := e.pipeline(context.Background(), q, nil)
+	return v
 }
 
-// SelectivityContext is Selectivity with cancellation: it checks ctx
-// before evaluating each root variable (cache hits short-circuit). Use
-// it when estimates are served under a request deadline. With a metric
-// sink configured it runs the traced pipeline, so per-stage timings
-// reach the sink on every call.
+// SelectivityContext is Selectivity with cancellation, checked before
+// each root variable's subproblem group (cache hits short-circuit), and
+// with the compile error returned. Use it when estimates are served
+// under a request deadline.
 func (e *Estimator) SelectivityContext(ctx context.Context, q *query.Query) (float64, error) {
-	if e.sink != nil {
-		v, _, err := e.SelectivityTraced(ctx, q)
-		return v, err
+	return e.pipeline(ctx, q, nil)
+}
+
+// pipeline is the estimation pipeline every entry point runs:
+// canonicalize (the query's canonical string, salted into the cache
+// key, is its identity in both caches), result-cache lookup, plan-cache
+// lookup, compile on a plan miss, and execute. tr, when non-nil,
+// receives one span per stage that ran plus the cache outcomes; with a
+// metric sink configured a trace is recorded even when the caller did
+// not ask for one, and every trace is emitted into the sink. With
+// neither, no timestamps are taken.
+func (e *Estimator) pipeline(ctx context.Context, q *query.Query, tr *EstimateTrace) (float64, error) {
+	if tr == nil && e.sink != nil {
+		tr = e.newTrace()
 	}
-	var key string
+	canonical := q.String()
+	key := e.saltKey(canonical)
+	if tr != nil {
+		tr.Canonical = canonical
+		tr.CanonicalHash = CanonicalHash(canonical)
+		tr.span(StageCanonicalize, tr.start)
+	}
 	if e.cache != nil {
-		key = e.cacheKey(q)
-		if v, ok := e.cache.get(key); ok {
-			return v, nil
+		ts := tr.now()
+		v, ok := e.cache.get(key)
+		tr.span(StageResultCache, ts)
+		if ok {
+			if tr != nil {
+				tr.ResultCacheHit = true
+			}
+			return e.finish(tr, v, nil)
 		}
 	}
-	plan, err := e.planFor(q)
+	plan, err := e.planFor(q, canonical, key, tr)
 	if err != nil {
-		return 0, err
+		return e.finish(tr, 0, err)
 	}
-	total, err := plan.executeContext(ctx)
+	if tr != nil {
+		tr.Subproblems = plan.NumSubproblems()
+		tr.PlanGeneration = plan.gen
+	}
+	ts := tr.now()
+	v, err := plan.execute(ctx)
+	tr.span(StageExecute, ts)
 	if err != nil {
-		return 0, err
+		return e.finish(tr, 0, err)
 	}
 	if e.cache != nil {
-		e.cache.put(key, total)
+		e.cache.put(key, v)
 	}
-	return total, nil
+	return e.finish(tr, v, nil)
 }
 
-// cacheKey is the canonical cache key of a query: its canonical string,
-// salted with UninformedSel when nonzero (both the estimate and the
-// compiled plan depend on it).
-func (e *Estimator) cacheKey(q *query.Query) string {
-	return e.saltKey(q.String())
-}
-
-// saltKey turns an already-canonicalized query string into its cache
-// key, for callers that hold the canonical string.
+// saltKey turns a canonical query string into its cache key: salted
+// with UninformedSel when nonzero (both the estimate and the compiled
+// plan depend on it).
 func (e *Estimator) saltKey(canonical string) string {
 	if e.UninformedSel == 0 {
 		return canonical
@@ -254,87 +263,39 @@ func (e *Estimator) saltKey(canonical string) string {
 	return strconv.FormatFloat(e.UninformedSel, 'g', -1, 64) + "|" + canonical
 }
 
-// planFor returns the compiled plan of q, consulting the plan cache
-// when enabled. Concurrent misses on the same shape may compile twice;
-// both plans are identical and either lands in the cache.
-func (e *Estimator) planFor(q *query.Query) (*Plan, error) {
-	if e.plans == nil {
-		return e.compile(q)
+// planFor returns the compiled plan of q under its cache key,
+// consulting the plan cache when enabled and recording the lookup and
+// any compilation in tr (nil: untraced). Concurrent misses on the same
+// shape may compile twice; both plans are identical and either lands in
+// the cache.
+func (e *Estimator) planFor(q *query.Query, canonical, key string, tr *EstimateTrace) (*Plan, error) {
+	if e.plans != nil {
+		ts := tr.now()
+		p, ok := e.plans.get(key)
+		tr.span(StagePlanCache, ts)
+		if ok {
+			if tr != nil {
+				tr.PlanCacheHit = true
+			}
+			return p, nil
+		}
 	}
-	key := e.cacheKey(q)
-	if p, ok := e.plans.get(key); ok {
-		return p, nil
-	}
-	p, err := e.compile(q)
+	ts := tr.now()
+	p, err := e.compile(q, canonical)
+	tr.span(StageCompile, ts)
 	if err != nil {
 		return nil, err
 	}
-	e.plans.put(key, p)
+	if e.plans != nil {
+		e.plans.put(key, p)
+	}
 	return p, nil
 }
 
-// mustPlan is planFor for the error-free Selectivity signature.
-// Compilation only fails on structurally invalid hand-built queries (a
-// variable with no steps), which the previous interpreter answered with
-// an index panic; the panic is kept, now carrying a message.
-func (e *Estimator) mustPlan(q *query.Query) *Plan {
-	p, err := e.planFor(q)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// interpretedSelectivity runs the original memoized interpreter over
-// the query — re-resolving every step label and predicate against the
-// synopsis as it walks. It is retained as the reference semantics of
-// the estimation framework: differential tests pin the compiled plans
-// to it bit-for-bit.
-func (e *Estimator) interpretedSelectivity(q *query.Query) float64 {
-	memo := e.memos.Get().(map[memoKey]float64)
-	total := 1.0
-	for _, r := range q.Roots {
-		total *= e.estimate(r, -1, memo)
-	}
-	clear(memo)
-	e.memos.Put(memo)
-	return total
-}
-
-// memoKey identifies one (query variable, origin cluster) subproblem of
-// a single Selectivity call.
+// memoKey identifies one (query variable, origin cluster) subproblem.
 type memoKey struct {
 	v    *query.Node
 	from NodeID
-}
-
-// estimate returns the expected number of binding tuples of the query
-// subtree rooted at variable v, per element of the synopsis node from
-// (from = -1 denotes the virtual document node above the root).
-func (e *Estimator) estimate(v *query.Node, from NodeID, memo map[memoKey]float64) float64 {
-	k := memoKey{v: v, from: from}
-	if val, ok := memo[k]; ok {
-		return val
-	}
-	frontier := e.reach(from, v.Steps)
-	total := 0.0
-	for _, fw := range frontier {
-		node := e.s.nodes[fw.id]
-		sel := e.predSel(node, v.Pred)
-		if sel == 0 {
-			continue
-		}
-		prod := fw.w * sel
-		for _, c := range v.Children {
-			prod *= e.estimate(c, fw.id, memo)
-			if prod == 0 {
-				break
-			}
-		}
-		total += prod
-	}
-	memo[k] = total
-	return total
 }
 
 // predSel returns σ_p(u): 1 for no predicate; 0 when the predicate kind
@@ -354,79 +315,6 @@ func (e *Estimator) predSel(n *Node, p query.Pred) float64 {
 		return e.UninformedSel
 	}
 	return n.VSum.PredSel(p, e.s.dict)
-}
-
-// reach returns, for each synopsis node t, the expected number of
-// elements of t reached from one element of `from` by the step sequence
-// (the product of average edge counts along all matching synopsis paths,
-// as in the Figure 7 walkthrough). The result is id-sorted; every
-// accumulation iterates id-sorted inputs, so the floating-point sums are
-// order-deterministic.
-func (e *Estimator) reach(from NodeID, steps []query.Step) []weight {
-	// Fast path for the common A/B edge shape: a single child step from
-	// a real node selects a subsequence of the id-sorted kids slice, so
-	// the frontier can be built directly — no map, no re-sort. Weights
-	// are identical to the slow path's 1·count products.
-	if from != -1 && len(steps) == 1 && steps[0].Axis == query.Child {
-		st := steps[0]
-		var out []weight
-		for _, c := range e.kids[from] {
-			if st.Matches(e.s.nodes[c.id].Label) {
-				out = append(out, c)
-			}
-		}
-		return out
-	}
-	acc := make(map[NodeID]float64)
-	rest := steps
-	if from == -1 {
-		// The virtual document node has a single child: the root
-		// cluster, with an average count equal to the root element count
-		// (1 for well-formed documents).
-		root := e.s.Root()
-		st := steps[0]
-		rest = steps[1:]
-		if st.Axis == query.Child {
-			if st.Matches(root.Label) {
-				acc[root.ID] = root.Count
-			}
-		} else {
-			if st.Matches(root.Label) {
-				acc[root.ID] += root.Count
-			}
-			for _, d := range e.desc[root.ID] {
-				if st.Matches(e.s.nodes[d.id].Label) {
-					acc[d.id] += root.Count * d.w
-				}
-			}
-		}
-	} else {
-		acc[from] = 1
-	}
-	frontier := sortedWeights(acc)
-	for _, st := range rest {
-		next := make(map[NodeID]float64)
-		for _, fw := range frontier {
-			if st.Axis == query.Child {
-				for _, c := range e.kids[fw.id] {
-					if st.Matches(e.s.nodes[c.id].Label) {
-						next[c.id] += fw.w * c.w
-					}
-				}
-			} else {
-				for _, d := range e.desc[fw.id] {
-					if st.Matches(e.s.nodes[d.id].Label) {
-						next[d.id] += fw.w * d.w
-					}
-				}
-			}
-		}
-		frontier = sortedWeights(next)
-		if len(frontier) == 0 {
-			break
-		}
-	}
-	return frontier
 }
 
 // sortedWeights flattens a sparse vector into an id-sorted slice.

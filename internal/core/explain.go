@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"xcluster/internal/query"
@@ -20,85 +21,87 @@ type Embedding struct {
 	Tuples float64
 }
 
-// Explain enumerates the query's embeddings and their contributions.
-// The sum of the contributions equals Selectivity(q). Embeddings are
-// returned in decreasing contribution order, capped at limit (<= 0: all).
+// Explain returns the query's limit largest embeddings (limit <= 0:
+// all of them) in decreasing contribution order; the contributions of
+// all embeddings sum to Selectivity(q). Embeddings contributing nothing
+// are skipped, and an uncompilable query has none.
 //
-// Explain enumerates embeddings explicitly (exponential in the worst
-// case, unlike the memoized Selectivity), so it is intended for query
-// debugging, not the hot path.
+// Explain reads the embeddings off the compiled plan (taken from the
+// plan cache, or compiled and cached) rather than re-walking the
+// synopsis: an embedding's contribution is the product of one term
+// weight per variable, so bottom-up over the subproblem array each
+// subproblem keeps only its best limit partial embeddings — the top
+// limit products of non-negative factors come from the top limit of
+// each factor. The cost is polynomial in the plan size for any fixed
+// limit; only limit <= 0 enumerates every embedding.
 func (e *Estimator) Explain(q *query.Query, limit int) []Embedding {
-	vars := countVars(q)
-	var out []Embedding
-	assignment := make([]NodeID, vars)
-	// Enumerate variable bindings depth-first over the preorder list of
-	// variables: each embedding's contribution is the product of
-	// (reach count × predicate selectivity) over its variables, and the
-	// products sum to exactly what the memoized Selectivity computes.
-	type varInfo struct {
-		node   *query.Node
-		parent int // preorder index of parent variable, -1 for roots
+	canonical := q.String()
+	p, err := e.planFor(q, canonical, e.saltKey(canonical), nil)
+	if err != nil {
+		return nil
 	}
-	var infos []varInfo
-	var collect func(v *query.Node, parent int)
-	collect = func(v *query.Node, parent int) {
-		idx := len(infos)
-		infos = append(infos, varInfo{node: v, parent: parent})
-		for _, c := range v.Children {
-			collect(c, idx)
-		}
-	}
-	for _, r := range q.Roots {
-		collect(r, -1)
-	}
+	return p.topEmbeddings(limit)
+}
 
-	var rec func(i int, contrib float64)
-	rec = func(i int, contrib float64) {
-		if i == len(infos) {
-			out = append(out, Embedding{
-				Nodes:  append([]NodeID(nil), assignment...),
-				Tuples: contrib,
-			})
-			return
-		}
-		info := infos[i]
-		from := NodeID(-1)
-		if info.parent >= 0 {
-			from = assignment[info.parent]
-		}
-		frontier := e.reach(from, info.node.Steps)
-		for _, fw := range frontier {
-			sel := e.predSel(e.s.nodes[fw.id], info.node.Pred)
-			if sel == 0 || fw.w == 0 {
+// topEmbeddings computes, children before parents, each subproblem's
+// best limit partial embeddings — Nodes covering the variable's subtree
+// in preorder, Tuples the term weight times its kids' contributions, in
+// execute's multiplication order — and combines the root variables'
+// lists the same way.
+func (p *Plan) topEmbeddings(limit int) []Embedding {
+	best := make([][]Embedding, len(p.subs))
+	for i := range p.subs {
+		var cands []Embedding
+		for _, t := range p.subs[i].terms {
+			if t.w == 0 {
 				continue
 			}
-			assignment[i] = fw.id
-			rec(i+1, contrib*fw.w*sel)
+			part := []Embedding{{Nodes: []NodeID{t.node}, Tuples: t.w}}
+			for _, k := range t.kids {
+				part = combineEmbeddings(part, best[k], limit)
+			}
+			cands = append(cands, part...)
 		}
+		best[i] = topEmbeddingsOf(cands, limit)
 	}
-	rec(0, 1)
-
-	sort.Slice(out, func(i, j int) bool { return out[i].Tuples > out[j].Tuples })
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
+	out := []Embedding{{Tuples: 1}}
+	for _, r := range p.roots {
+		out = combineEmbeddings(out, best[r], limit)
 	}
 	return out
 }
 
-// countVars returns the number of query variables.
-func countVars(q *query.Query) int {
-	n := 0
-	var walk func(*query.Node)
-	walk = func(v *query.Node) {
-		n++
-		for _, c := range v.Children {
-			walk(c)
+// combineEmbeddings joins every pair of partial embeddings (a's
+// variables, then b's) and returns the best limit nonzero products.
+func combineEmbeddings(a, b []Embedding, limit int) []Embedding {
+	out := make([]Embedding, 0, len(a)*len(b))
+	for _, x := range a {
+		for _, y := range b {
+			t := x.Tuples * y.Tuples
+			if t == 0 {
+				continue
+			}
+			nodes := make([]NodeID, 0, len(x.Nodes)+len(y.Nodes))
+			nodes = append(append(nodes, x.Nodes...), y.Nodes...)
+			out = append(out, Embedding{Nodes: nodes, Tuples: t})
 		}
 	}
-	for _, r := range q.Roots {
-		walk(r)
+	return topEmbeddingsOf(out, limit)
+}
+
+// topEmbeddingsOf sorts embeddings by decreasing Tuples (ties by Nodes,
+// so the order is deterministic) and keeps the first limit (<= 0: all).
+func topEmbeddingsOf(ems []Embedding, limit int) []Embedding {
+	slices.SortFunc(ems, func(x, y Embedding) int {
+		if c := cmp.Compare(y.Tuples, x.Tuples); c != 0 {
+			return c
+		}
+		return slices.Compare(x.Nodes, y.Nodes)
+	})
+	if limit > 0 && len(ems) > limit {
+		ems = ems[:limit]
 	}
-	return n
+	return ems
 }
 
 // FormatEmbedding renders an embedding against a synopsis for human

@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"math"
 	"testing"
+
+	"xcluster/internal/query"
 )
 
 // FuzzDecodeSynopsis feeds arbitrary bytes to the synopsis decoder: it
@@ -54,6 +58,57 @@ func FuzzDecodeSynopsis(f *testing.F) {
 		// Anything accepted must be internally consistent.
 		if err := s.Validate(); err != nil {
 			t.Fatalf("decoder accepted an invalid synopsis: %v", err)
+		}
+	})
+}
+
+// FuzzEstimate runs parsed query text through the estimation pipeline
+// and Explain on the figure-1 reference and its merged compression.
+// Every accepted query must get a finite, non-negative estimate that
+// equals the reference interpreter's bit-for-bit, and at most 5
+// embeddings, sorted by decreasing finite contribution, that sum to no
+// more than the estimate.
+func FuzzEstimate(f *testing.F) {
+	for _, qs := range planQueries {
+		f.Add(qs)
+	}
+	for _, qs := range wideTwigs {
+		f.Add(qs)
+	}
+	ests := planEstimators(f)
+	f.Fuzz(func(t *testing.T, text string) {
+		q, err := query.Parse(text)
+		if err != nil {
+			return
+		}
+		for name, est := range ests {
+			got, err := est.SelectivityContext(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%s: SelectivityContext(%s): %v", name, q, err)
+			}
+			if math.IsNaN(got) || math.IsInf(got, 0) || got < 0 {
+				t.Fatalf("%s: estimate of %s = %v, want finite and non-negative", name, q, got)
+			}
+			if want := est.interpretedSelectivity(q); got != want {
+				t.Fatalf("%s: estimate of %s = %v, interpreter %v", name, q, got, want)
+			}
+			ems := est.Explain(q, 5)
+			if len(ems) > 5 {
+				t.Fatalf("%s: Explain(%s, 5) returned %d embeddings", name, q, len(ems))
+			}
+			sum := 0.0
+			for i, em := range ems {
+				if math.IsNaN(em.Tuples) || math.IsInf(em.Tuples, 0) {
+					t.Fatalf("%s: Explain(%s)[%d].Tuples = %v", name, q, i, em.Tuples)
+				}
+				if i > 0 && em.Tuples > ems[i-1].Tuples {
+					t.Fatalf("%s: Explain(%s) not sorted at %d", name, q, i)
+				}
+				sum += em.Tuples
+			}
+			if sum > got*(1+1e-9) {
+				t.Fatalf("%s: Explain(%s) top embeddings sum to %v, estimate %v", name, q, sum, got)
+			}
 		}
 	})
 }

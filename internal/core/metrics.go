@@ -36,6 +36,6 @@ const (
 // SetMetricSink routes the estimator's pipeline stage timings and cache
 // outcomes to the sink (nil disables). Like the other estimator
 // configuration it must be set before the estimator is shared across
-// goroutines. With a sink set, SelectivityContext records per-stage
-// timings on every call.
+// goroutines. With a sink set, every estimate — Selectivity,
+// SelectivityContext or SelectivityTraced — records per-stage timings.
 func (e *Estimator) SetMetricSink(sink MetricSink) { e.sink = sink }

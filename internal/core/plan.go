@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -34,9 +33,8 @@ type Plan struct {
 	roots []int32
 	// groupStart[i] is the subs index where root i's subproblems begin:
 	// subs[groupStart[i]:groupStart[i+1]] is everything root i needs
-	// that earlier roots did not already compute. executeContext checks
-	// cancellation at these boundaries, mirroring the interpreter's
-	// per-root ctx checks.
+	// that earlier roots did not already compute. execute checks
+	// cancellation at these boundaries.
 	groupStart []int32
 	// loweredSteps is the number of distinct (axis, label) steps
 	// resolved against the synopsis during compilation.
@@ -88,26 +86,10 @@ func (p *Plan) NumSubproblems() int { return len(p.subs) }
 
 // execute evaluates the plan: one pass over the subproblem array,
 // children before parents, then the product over the root variables.
+// Cancellation is checked before each root variable's subproblem group.
 // The arithmetic replays the interpreted walk operation for operation,
 // so results are bit-identical to it.
-func (p *Plan) execute() float64 {
-	bufp := p.vals.Get().(*[]float64)
-	vals := *bufp
-	for i := range p.subs {
-		vals[i] = evalSub(&p.subs[i], vals)
-	}
-	total := 1.0
-	for _, r := range p.roots {
-		total *= vals[r]
-	}
-	p.vals.Put(bufp)
-	return total
-}
-
-// executeContext is execute with cancellation, checked before each root
-// variable's subproblem group (the granularity of the interpreter's
-// SelectivityContext).
-func (p *Plan) executeContext(ctx context.Context) (float64, error) {
+func (p *Plan) execute(ctx context.Context) (float64, error) {
 	bufp := p.vals.Get().(*[]float64)
 	defer p.vals.Put(bufp)
 	vals := *bufp
@@ -198,21 +180,4 @@ func formatCluster(s *Synopsis, id NodeID) string {
 		return fmt.Sprintf("#%d(%s)", id, n.Label)
 	}
 	return fmt.Sprintf("#%d", id)
-}
-
-// sortedSubIDs is a debugging helper: the distinct synopsis clusters
-// the plan touches, id-sorted.
-func (p *Plan) sortedSubIDs() []NodeID {
-	seen := make(map[NodeID]bool)
-	for i := range p.subs {
-		for _, t := range p.subs[i].terms {
-			seen[t.node] = true
-		}
-	}
-	out := make([]NodeID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

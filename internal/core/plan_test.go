@@ -40,7 +40,7 @@ var planQueries = []string{
 // planEstimators builds estimators over the figure-1 reference and a
 // heavily merged compression of it, so plans are exercised both on
 // tight single-element clusters and on merged multi-path clusters.
-func planEstimators(t *testing.T) map[string]*Estimator {
+func planEstimators(t testing.TB) map[string]*Estimator {
 	t.Helper()
 	tr := figure1(t)
 	ref, err := BuildReference(tr, ReferenceOptions{})
@@ -223,14 +223,22 @@ func TestExplainPlan(t *testing.T) {
 	if pq.Query() != query.MustParse("//paper[year>2000]/title").String() {
 		t.Errorf("Query() = %q", pq.Query())
 	}
-	if pq.plan.NumSubproblems() == 0 || len(pq.plan.sortedSubIDs()) == 0 {
+	clusters := make(map[NodeID]bool)
+	for _, sub := range pq.plan.subs {
+		for _, term := range sub.terms {
+			clusters[term.node] = true
+		}
+	}
+	if pq.plan.NumSubproblems() == 0 || len(clusters) == 0 {
 		t.Error("plan has no subproblems or clusters")
 	}
 }
 
 // TestCompileRejectsStepless checks that a hand-built variable with no
-// steps is a compile error (the interpreter panicked on it), and that
-// Prepare surfaces it gracefully.
+// steps is a compile error (the interpreter panicked on it): Prepare,
+// SelectivityContext and SelectivityTraced surface it, while the
+// error-free Selectivity answers 0 and Explain no embeddings — none of
+// them panics.
 func TestCompileRejectsStepless(t *testing.T) {
 	est := planEstimators(t)["reference"]
 	bad := &query.Query{Roots: []*query.Node{{}}}
@@ -239,6 +247,15 @@ func TestCompileRejectsStepless(t *testing.T) {
 	}
 	if _, err := est.SelectivityContext(context.Background(), bad); err == nil {
 		t.Fatal("SelectivityContext accepted a stepless variable")
+	}
+	if _, _, err := est.SelectivityTraced(context.Background(), bad); err == nil {
+		t.Fatal("SelectivityTraced accepted a stepless variable")
+	}
+	if got := est.Selectivity(bad); got != 0 {
+		t.Fatalf("Selectivity of a stepless variable = %v, want 0", got)
+	}
+	if ems := est.Explain(bad, 5); len(ems) != 0 {
+		t.Fatalf("Explain of a stepless variable = %v, want none", ems)
 	}
 }
 

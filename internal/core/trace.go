@@ -9,7 +9,7 @@ import (
 
 // Pipeline stage names of one estimate, in execution order. StageParse
 // is emitted by the serving layer (query text → AST happens above
-// core); the remaining stages are recorded by SelectivityTraced.
+// core); the remaining stages are recorded by the estimation pipeline.
 const (
 	StageParse        = "parse"
 	StageCanonicalize = "canonicalize"
@@ -67,6 +67,8 @@ type EstimateTrace struct {
 	// caches) — and the lifecycle tests assert exactly that.
 	Generation     uint64
 	PlanGeneration uint64
+	// start is when the estimate began; span offsets are relative to it.
+	start time.Time
 }
 
 // CanonicalHash is the 64-bit FNV-1a hash of a canonical query string,
@@ -85,11 +87,6 @@ func CanonicalHash(canonical string) uint64 {
 	return h
 }
 
-// add appends one stage timing at the given offset from estimate start.
-func (t *EstimateTrace) add(stage string, off, d time.Duration) {
-	t.Spans = append(t.Spans, Span{Stage: stage, Offset: off, Duration: d})
-}
-
 // SpanSum returns the summed stage durations (at most Total).
 func (t *EstimateTrace) SpanSum() time.Duration {
 	var s time.Duration
@@ -100,77 +97,55 @@ func (t *EstimateTrace) SpanSum() time.Duration {
 }
 
 // SelectivityTraced is SelectivityContext with per-stage tracing: it
-// runs the same canonicalize → result-cache → plan-cache → compile →
-// execute pipeline and returns, alongside the estimate, a trace of
+// runs the same pipeline and returns, alongside the estimate, a trace of
 // where the time went. The trace is also returned on error, covering
 // the stages that ran. When a metric sink is configured the trace is
 // additionally emitted into it.
 func (e *Estimator) SelectivityTraced(ctx context.Context, q *query.Query) (float64, *EstimateTrace, error) {
-	tr := &EstimateTrace{Spans: make([]Span, 0, 5)}
-	tr.Generation = e.s.fp.Generation
-	tr.PlanGeneration = tr.Generation // refined below when a plan runs
-	t0 := time.Now()
-	canonical := q.String()
-	tr.Canonical = canonical
-	tr.CanonicalHash = CanonicalHash(canonical)
-	key := e.saltKey(canonical)
-	tr.add(StageCanonicalize, 0, time.Since(t0))
+	tr := e.newTrace()
+	v, err := e.pipeline(ctx, q, tr)
+	return v, tr, err
+}
 
-	if e.cache != nil {
-		ts := time.Now()
-		v, ok := e.cache.get(key)
-		tr.add(StageResultCache, ts.Sub(t0), time.Since(ts))
-		if ok {
-			tr.ResultCacheHit = true
-			tr.Estimate = v
-			tr.Total = time.Since(t0)
-			e.emit(tr)
-			return v, tr, nil
-		}
+// newTrace starts the trace of one estimate over this estimator's
+// generation.
+func (e *Estimator) newTrace() *EstimateTrace {
+	g := e.s.fp.Generation
+	return &EstimateTrace{
+		Spans:          make([]Span, 0, 5),
+		Generation:     g,
+		PlanGeneration: g, // refined when a plan runs
+		start:          time.Now(),
 	}
+}
 
-	var plan *Plan
-	if e.plans != nil {
-		ts := time.Now()
-		p, ok := e.plans.get(key)
-		tr.add(StagePlanCache, ts.Sub(t0), time.Since(ts))
-		if ok {
-			plan = p
-			tr.PlanCacheHit = true
-		}
+// now returns the start time of the next stage, or the zero time on a
+// nil trace, so the untraced pipeline takes no timestamps.
+func (t *EstimateTrace) now() time.Time {
+	if t == nil {
+		return time.Time{}
 	}
-	if plan == nil {
-		ts := time.Now()
-		p, err := e.compile(q)
-		tr.add(StageCompile, ts.Sub(t0), time.Since(ts))
-		if err != nil {
-			tr.Total = time.Since(t0)
-			e.emit(tr)
-			return 0, tr, err
-		}
-		if e.plans != nil {
-			e.plans.put(key, p)
-		}
-		plan = p
-	}
-	tr.Subproblems = plan.NumSubproblems()
-	tr.PlanGeneration = plan.gen
+	return time.Now()
+}
 
-	ts := time.Now()
-	total, err := plan.executeContext(ctx)
-	tr.add(StageExecute, ts.Sub(t0), time.Since(ts))
-	if err != nil {
-		tr.Total = time.Since(t0)
+// span records one stage that started at ts and ends now (no-op on a
+// nil trace).
+func (t *EstimateTrace) span(stage string, ts time.Time) {
+	if t == nil {
+		return
+	}
+	t.Spans = append(t.Spans, Span{Stage: stage, Offset: ts.Sub(t.start), Duration: time.Since(ts)})
+}
+
+// finish closes the pipeline: it completes and emits the trace, if any,
+// and passes the outcome through.
+func (e *Estimator) finish(tr *EstimateTrace, v float64, err error) (float64, error) {
+	if tr != nil {
+		tr.Estimate = v
+		tr.Total = time.Since(tr.start)
 		e.emit(tr)
-		return 0, tr, err
 	}
-	if e.cache != nil {
-		e.cache.put(key, total)
-	}
-	tr.Estimate = total
-	tr.Total = time.Since(t0)
-	e.emit(tr)
-	return total, tr, nil
+	return v, err
 }
 
 // emit forwards one trace's stage timings and cache outcomes to the

@@ -353,8 +353,10 @@ func (s *Service) WorkloadReport() WorkloadResponse {
 
 // RunEstimateRequest answers one EstimateRequest end to end: it parses
 // each query (per-query failures land inline in the results), runs the
-// parseable ones as one batch pinned to a single synopsis generation,
-// and renders traces, explanations, and plans as requested. It is the
+// parseable ones as one batch, and renders traces, explanations, and
+// plans as requested — all against one pinned synopsis generation, so
+// an explanation always describes the synopsis that produced its
+// estimate, even when a swap lands mid-request. It is the
 // body of POST /estimate for one shard: the catalog routes the request
 // here and writes the response with WriteJSON. A non-nil error is a
 // whole-request failure (map it with ErrorStatus).
@@ -383,7 +385,8 @@ func (s *Service) RunEstimateRequest(ctx context.Context, req EstimateRequest) (
 		parsed = append(parsed, d)
 	}
 
-	sels, traces, err := s.EstimateBatchTraced(ctx, qs)
+	sl := s.cur.Load()
+	sels, traces, err := s.estimateBatch(ctx, sl, qs)
 	if err != nil {
 		return EstimateResponse{}, err
 	}
@@ -394,10 +397,10 @@ func (s *Service) RunEstimateRequest(ctx context.Context, req EstimateRequest) (
 			results[i].Trace = renderTrace(parsed[j], traces[j])
 		}
 		if req.Explain {
-			results[i].Explain = s.Explain(qs[j], explainLimit)
+			results[i].Explain = sl.explain(qs[j], explainLimit)
 		}
 		if req.Plan {
-			plan, err := s.ExplainPlan(qs[j])
+			plan, err := sl.explainPlan(qs[j])
 			if err != nil {
 				results[i].Error = err.Error()
 				continue

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -497,4 +498,93 @@ func TestHammerWhileParallelBuilding(t *testing.T) {
 	if st := svc.RebuildStatus(); st.LastBuildStats == nil || st.LastBuildStats.Workers != 4 {
 		t.Fatalf("rebuild status missing build stats: %+v", st)
 	}
+}
+
+// TestEstimateRequestExplainsItsGeneration reloads back and forth
+// between two different synopses of one document while estimate
+// requests ask for explanations and plans: every answer's (selectivity,
+// explain lines, plan) triple must come whole from one of the two
+// synopses, never mix a number from one generation with the explanation
+// of another (run under -race).
+func TestEstimateRequestExplainsItsGeneration(t *testing.T) {
+	ref, err := core.BuildReference(testTree(t), core.ReferenceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := core.XClusterBuild(ref, core.BuildOptions{StructBudget: 64, ValueBudget: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Serialized once; every load decodes a fresh copy, since installing
+	// a synopsis stamps its generation.
+	var encoded [2][]byte
+	for i, syn := range []*core.Synopsis{ref, merged} {
+		var buf bytes.Buffer
+		if _, err := syn.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		encoded[i] = buf.Bytes()
+	}
+	decode := func(i int) *core.Synopsis {
+		syn, err := core.ReadSynopsis(bytes.NewReader(encoded[i]))
+		if err != nil {
+			t.Error(err)
+		}
+		return syn
+	}
+	req := EstimateRequest{Queries: []string{"//*[year>1990]/title"}, Explain: true, Plan: true}
+	type triple struct {
+		sel     float64
+		explain string
+		plan    string
+	}
+	answer := func(svc *Service) triple {
+		resp, err := svc.RunEstimateRequest(context.Background(), req)
+		if err != nil {
+			t.Error(err)
+			return triple{}
+		}
+		r := resp.Results[0]
+		if r.Selectivity == nil {
+			t.Errorf("no selectivity: %+v", r)
+			return triple{}
+		}
+		return triple{*r.Selectivity, strings.Join(r.Explain, "\n"), r.Plan}
+	}
+	want := [2]triple{answer(New(decode(0))), answer(New(decode(1)))}
+	if want[0].sel == want[1].sel {
+		t.Fatalf("fixtures agree on %s (%v); the test needs them to differ", req.Queries[0], want[0].sel)
+	}
+
+	var loads atomic.Int64
+	svc := New(decode(0), WithSynopsisSource(func(context.Context) (*core.Synopsis, error) {
+		return decode(int(loads.Add(1) % 2)), nil
+	}))
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if got := answer(svc); got != want[0] && got != want[1] {
+					t.Errorf("answer mixes generations: %+v", got)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := svc.Reload(context.Background()); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
 }

@@ -581,6 +581,13 @@ func (s *Service) EstimateBatch(ctx context.Context, qs []*query.Query) ([]float
 // positional per-stage pipeline traces (trace entries for queries the
 // batch never reached are nil).
 func (s *Service) EstimateBatchTraced(ctx context.Context, qs []*query.Query) ([]float64, []*core.EstimateTrace, error) {
+	return s.estimateBatch(ctx, s.cur.Load(), qs)
+}
+
+// estimateBatch is EstimateBatchTraced on a pinned slot: every query of
+// the batch is answered by the same generation even if a swap lands
+// mid-batch.
+func (s *Service) estimateBatch(ctx context.Context, sl *slot, qs []*query.Query) ([]float64, []*core.EstimateTrace, error) {
 	s.inflightWG.Add(1)
 	defer s.inflightWG.Done()
 	if s.timeout > 0 {
@@ -595,9 +602,6 @@ func (s *Service) EstimateBatchTraced(ctx context.Context, qs []*query.Query) ([
 	}
 	s.batches.Inc()
 	s.batchQueries.Add(uint64(len(qs)))
-	// Pin one generation for the whole batch: every query of the batch
-	// is answered by the same synopsis even if a swap lands mid-batch.
-	sl := s.cur.Load()
 	if err := s.prepareShapes(sl, qs); err != nil {
 		return out, trs, err
 	}
@@ -695,7 +699,12 @@ func (s *Service) Drain(ctx context.Context) error {
 // resolved frontier clusters, bound term weights, and subproblem
 // structure of the canonicalize → compile → execute pipeline.
 func (s *Service) ExplainPlan(q *query.Query) (string, error) {
-	pq, err := s.cur.Load().est.Prepare(q)
+	return s.cur.Load().explainPlan(q)
+}
+
+// explainPlan is ExplainPlan on a pinned slot.
+func (sl *slot) explainPlan(q *query.Query) (string, error) {
+	pq, err := sl.est.Prepare(q)
 	if err != nil {
 		return "", err
 	}
@@ -705,7 +714,11 @@ func (s *Service) ExplainPlan(q *query.Query) (string, error) {
 // Explain returns up to limit formatted embeddings (query variables →
 // synopsis clusters with per-embedding tuple counts) for one query.
 func (s *Service) Explain(q *query.Query, limit int) []string {
-	sl := s.cur.Load()
+	return s.cur.Load().explain(q, limit)
+}
+
+// explain is Explain on a pinned slot.
+func (sl *slot) explain(q *query.Query, limit int) []string {
 	ems := sl.est.Explain(q, limit)
 	out := make([]string, len(ems))
 	for i, em := range ems {
