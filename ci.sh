@@ -6,6 +6,11 @@
 # including the slow harness experiment sweeps, without it — then vet
 # and the smoke test of the benchmark module. Same commands as
 # `make check`.
+#
+# The allocation pins (internal/core TestEstimateCacheHitAllocs,
+# internal/query TestStringAllocs) run in the plain pass only: the race
+# detector's instrumentation allocates, so under -race they skip
+# themselves (raceEnabled, set by each package's race_test.go).
 set -eux
 
 fmt="$(gofmt -l .)"

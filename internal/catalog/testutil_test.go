@@ -80,7 +80,7 @@ func testLoader(t testing.TB) Loader {
 
 // newTestCatalog builds a catalog with the test loader and attaches the
 // given specs.
-func newTestCatalog(t *testing.T, cfg Config, specs ...ShardSpec) *Catalog {
+func newTestCatalog(t testing.TB, cfg Config, specs ...ShardSpec) *Catalog {
 	t.Helper()
 	if cfg.Loader == nil {
 		cfg.Loader = testLoader(t)

@@ -168,6 +168,16 @@ func (e *Estimator) PlanCacheStats() CacheStats {
 	return e.plans.stats()
 }
 
+// PlanCacheCapacity returns the plan cache's capacity (0 when
+// disabled). Unlike PlanCacheStats it takes no lock, so it is cheap
+// enough to consult per request.
+func (e *Estimator) PlanCacheCapacity() int {
+	if e.plans == nil {
+		return 0
+	}
+	return e.plans.capacity
+}
+
 // buildKidIndex converts each node's child map into an id-sorted slice.
 func buildKidIndex(s *Synopsis) map[NodeID][]weight {
 	kids := make(map[NodeID][]weight, len(s.nodes))

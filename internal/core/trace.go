@@ -42,7 +42,10 @@ type EstimateTrace struct {
 	// (the workload profiler's shape lookup, slow-log shape tagging)
 	// never re-hash the canonical string on the hot path.
 	CanonicalHash uint64
-	// Spans are the stage timings in execution order.
+	// Spans are the stage timings in execution order. The slice aliases
+	// the trace's own storage (the pipeline records at most one span per
+	// stage, so the trace and its spans are one allocation): a copy of
+	// the EstimateTrace value shares its spans with the original.
 	Spans []Span
 	// Total is the wall time of the whole call; it is at least the sum
 	// of the spans (inter-stage bookkeeping is not attributed to any
@@ -69,7 +72,13 @@ type EstimateTrace struct {
 	PlanGeneration uint64
 	// start is when the estimate began; span offsets are relative to it.
 	start time.Time
+	// spans backs Spans: one slot per stage the pipeline records.
+	spans [numStages]Span
 }
+
+// numStages is the number of stages the estimation pipeline records
+// (every stage but StageParse).
+const numStages = 5
 
 // CanonicalHash is the 64-bit FNV-1a hash of a canonical query string,
 // the cheap per-request identity SelectivityTraced stamps on every
@@ -111,12 +120,13 @@ func (e *Estimator) SelectivityTraced(ctx context.Context, q *query.Query) (floa
 // generation.
 func (e *Estimator) newTrace() *EstimateTrace {
 	g := e.s.fp.Generation
-	return &EstimateTrace{
-		Spans:          make([]Span, 0, 5),
+	tr := &EstimateTrace{
 		Generation:     g,
 		PlanGeneration: g, // refined when a plan runs
 		start:          time.Now(),
 	}
+	tr.Spans = tr.spans[:0]
+	return tr
 }
 
 // now returns the start time of the next stage, or the zero time on a
@@ -149,33 +159,43 @@ func (e *Estimator) finish(tr *EstimateTrace, v float64, err error) (float64, er
 }
 
 // emit forwards one trace's stage timings and cache outcomes to the
-// configured sink, if any.
+// configured sink, if any. Every label list is a constant, so emission
+// allocates nothing once the sink's series exist.
 func (e *Estimator) emit(tr *EstimateTrace) {
 	if e.sink == nil {
 		return
 	}
 	resultLooked, planLooked := false, false
 	for _, sp := range tr.Spans {
-		e.sink.Observe(MetricPipelineStageSeconds, `stage="`+sp.Stage+`"`, sp.Duration.Seconds())
+		var labels string
 		switch sp.Stage {
+		case StageCanonicalize:
+			labels = `stage="` + StageCanonicalize + `"`
 		case StageResultCache:
+			labels = `stage="` + StageResultCache + `"`
 			resultLooked = true
 		case StagePlanCache:
+			labels = `stage="` + StagePlanCache + `"`
 			planLooked = true
+		case StageCompile:
+			labels = `stage="` + StageCompile + `"`
+		case StageExecute:
+			labels = `stage="` + StageExecute + `"`
 		}
+		e.sink.Observe(MetricPipelineStageSeconds, labels, sp.Duration.Seconds())
 	}
 	if resultLooked {
-		e.sink.Add(MetricCacheLookupsTotal, `cache="result",outcome="`+hitOutcome(tr.ResultCacheHit)+`"`, 1)
+		outcome := `cache="result",outcome="miss"`
+		if tr.ResultCacheHit {
+			outcome = `cache="result",outcome="hit"`
+		}
+		e.sink.Add(MetricCacheLookupsTotal, outcome, 1)
 	}
 	if planLooked {
-		e.sink.Add(MetricCacheLookupsTotal, `cache="plan",outcome="`+hitOutcome(tr.PlanCacheHit)+`"`, 1)
+		outcome := `cache="plan",outcome="miss"`
+		if tr.PlanCacheHit {
+			outcome = `cache="plan",outcome="hit"`
+		}
+		e.sink.Add(MetricCacheLookupsTotal, outcome, 1)
 	}
-}
-
-// hitOutcome renders a cache outcome label value.
-func hitOutcome(hit bool) string {
-	if hit {
-		return "hit"
-	}
-	return "miss"
 }

@@ -6,27 +6,32 @@ import (
 	"xcluster/internal/xmltree"
 )
 
+// parseSeeds are FuzzParse's seed corpus, also rendered by the
+// canonical-string tests.
+var parseSeeds = []string{
+	"//paper/title",
+	"//paper[year>2000][abstract ftcontains(synopsis,xml)]/title[contains(Tree)]",
+	"/site/regions/region/item[quantity>5]/name",
+	"//*[.//profile/age>=30]/name",
+	"//a[ftsim(2,x,y,z)]",
+	"//paper[abstract ftsim(1,xml)]/title",
+	"//y[range(3,7)]",
+	"//a[contains(()]",
+	"[[[",
+	"//",
+	"//a[",
+	"//a]b",
+	"//a[./b[./c[./d]]]",
+	"//a[b>1][c<2][d=3]",
+}
+
 // FuzzParse checks that the query parser never panics, and that anything
 // it accepts survives a String() → Parse round trip with the same
-// structure (variable count and predicate kinds).
+// structure (variable count and predicate kinds). The rendering must
+// equal the original renderer's byte for byte and be a fixed point of
+// the round trip (checkCanonical).
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		"//paper/title",
-		"//paper[year>2000][abstract ftcontains(synopsis,xml)]/title[contains(Tree)]",
-		"/site/regions/region/item[quantity>5]/name",
-		"//*[.//profile/age>=30]/name",
-		"//a[ftsim(2,x,y,z)]",
-		"//paper[abstract ftsim(1,xml)]/title",
-		"//y[range(3,7)]",
-		"//a[contains(()]",
-		"[[[",
-		"//",
-		"//a[",
-		"//a]b",
-		"//a[./b[./c[./d]]]",
-		"//a[b>1][c<2][d=3]",
-	}
-	for _, s := range seeds {
+	for _, s := range parseSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
@@ -50,6 +55,7 @@ func FuzzParse(f *testing.F) {
 				t.Fatalf("round trip lost predicate kind %v (%q -> %q)", k, input, rendered)
 			}
 		}
+		checkCanonical(t, q)
 	})
 }
 

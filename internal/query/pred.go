@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"xcluster/internal/xmltree"
@@ -81,7 +82,18 @@ func (p Range) Match(_ *xmltree.Tree, n *xmltree.Node) bool {
 	return n.Type == xmltree.TypeNumeric && n.Num >= p.Lo && n.Num <= p.Hi
 }
 
-func (p Range) String() string { return fmt.Sprintf("range(%d,%d)", p.Lo, p.Hi) }
+func (p Range) String() string { return predString(p) }
+
+func (p Range) renderLen() int { return len("range(,)") + intLen(p.Lo) + intLen(p.Hi) }
+
+func (p Range) render(sb *strings.Builder) {
+	var buf [20]byte
+	sb.WriteString("range(")
+	sb.Write(strconv.AppendInt(buf[:0], int64(p.Lo), 10))
+	sb.WriteByte(',')
+	sb.Write(strconv.AppendInt(buf[:0], int64(p.Hi), 10))
+	sb.WriteByte(')')
+}
 
 // Contains selects STRING values that contain Substr (like SQL LIKE
 // '%Substr%').
@@ -97,7 +109,15 @@ func (p Contains) Match(_ *xmltree.Tree, n *xmltree.Node) bool {
 	return n.Type == xmltree.TypeString && strings.Contains(n.Str, p.Substr)
 }
 
-func (p Contains) String() string { return fmt.Sprintf("contains(%s)", p.Substr) }
+func (p Contains) String() string { return predString(p) }
+
+func (p Contains) renderLen() int { return len("contains()") + len(p.Substr) }
+
+func (p Contains) render(sb *strings.Builder) {
+	sb.WriteString("contains(")
+	sb.WriteString(p.Substr)
+	sb.WriteByte(')')
+}
 
 // FTContains selects TEXT values whose Boolean term vector contains every
 // listed term (exact term matches in the set-theoretic IR model).
@@ -122,8 +142,14 @@ func (p FTContains) Match(t *xmltree.Tree, n *xmltree.Node) bool {
 	return true
 }
 
-func (p FTContains) String() string {
-	return fmt.Sprintf("ftcontains(%s)", strings.Join(p.Terms, ","))
+func (p FTContains) String() string { return predString(p) }
+
+func (p FTContains) renderLen() int { return len("ftcontains()") + termsLen(p.Terms) }
+
+func (p FTContains) render(sb *strings.Builder) {
+	sb.WriteString("ftcontains(")
+	writeTerms(sb, p.Terms)
+	sb.WriteByte(')')
 }
 
 // FTSim selects TEXT values whose term vector contains at least Min of
@@ -155,6 +181,86 @@ func (p FTSim) Match(t *xmltree.Tree, n *xmltree.Node) bool {
 	return hits >= p.Min
 }
 
-func (p FTSim) String() string {
-	return fmt.Sprintf("ftsim(%d,%s)", p.Min, strings.Join(p.Terms, ","))
+func (p FTSim) String() string { return predString(p) }
+
+func (p FTSim) renderLen() int { return len("ftsim(,)") + intLen(p.Min) + termsLen(p.Terms) }
+
+func (p FTSim) render(sb *strings.Builder) {
+	var buf [20]byte
+	sb.WriteString("ftsim(")
+	sb.Write(strconv.AppendInt(buf[:0], int64(p.Min), 10))
+	sb.WriteByte(',')
+	writeTerms(sb, p.Terms)
+	sb.WriteByte(')')
+}
+
+// predLen is the length of p's rendering. The built-in predicates
+// report it (renderLen) and render straight into the caller's buffer
+// (render); the type switches, unlike an interface, keep that buffer
+// off the heap.
+func predLen(p Pred) int {
+	switch p := p.(type) {
+	case Range:
+		return p.renderLen()
+	case Contains:
+		return p.renderLen()
+	case FTContains:
+		return p.renderLen()
+	case FTSim:
+		return p.renderLen()
+	}
+	return len(p.String())
+}
+
+// writePred renders p into sb; predicates outside this package fall
+// back to their String method.
+func writePred(sb *strings.Builder, p Pred) {
+	switch p := p.(type) {
+	case Range:
+		p.render(sb)
+	case Contains:
+		p.render(sb)
+	case FTContains:
+		p.render(sb)
+	case FTSim:
+		p.render(sb)
+	default:
+		sb.WriteString(p.String())
+	}
+}
+
+// predString renders one predicate on its own.
+func predString(p Pred) string {
+	var sb strings.Builder
+	sb.Grow(predLen(p))
+	writePred(&sb, p)
+	return sb.String()
+}
+
+// intLen is the length of v in decimal.
+func intLen(v int) int {
+	var buf [20]byte
+	return len(strconv.AppendInt(buf[:0], int64(v), 10))
+}
+
+// termsLen is the length of terms joined by commas.
+func termsLen(terms []string) int {
+	n := 0
+	for i, t := range terms {
+		if i > 0 {
+			n++
+		}
+		n += len(t)
+	}
+	return n
+}
+
+// writeTerms writes terms joined by commas.
+func writeTerms(sb *strings.Builder, terms []string) {
+	for i, t := range terms {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		sb.WriteString(t)
+	}
 }

@@ -15,10 +15,7 @@
 // constraint.
 package query
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Axis is an XPath navigation axis.
 type Axis uint8
@@ -123,32 +120,65 @@ func (q *Query) PredTypes() map[PredKind]bool {
 
 // String renders the query back into the parser's syntax. Multi-root
 // queries render each root path as a bracketed branch of an implicit "/".
+// The rendering is the query's canonical string (its identity in the
+// estimator's caches, the slow-query log and the workload profiler), so
+// it runs on every estimate: a length pass sizes one buffer and the
+// query renders into it, one allocation in all.
 func (q *Query) String() string {
-	var sb strings.Builder
+	n := 0
 	for i, r := range q.Roots {
-		if i == 0 {
-			sb.WriteString(nodeString(r, true))
-		} else {
-			sb.WriteString(fmt.Sprintf("[%s]", nodeString(r, false)))
+		n += nodeLen(r)
+		if i > 0 {
+			n += 2
+		}
+	}
+	var sb strings.Builder
+	sb.Grow(n)
+	for i, r := range q.Roots {
+		if i > 0 {
+			sb.WriteByte('[')
+		}
+		writeNode(&sb, r)
+		if i > 0 {
+			sb.WriteByte(']')
 		}
 	}
 	return sb.String()
 }
 
-func nodeString(v *Node, topLevel bool) string {
-	var sb strings.Builder
+// nodeLen is the length of writeNode's rendering of v.
+func nodeLen(v *Node) int {
+	n := 0
 	for _, s := range v.Steps {
-		sb.WriteString(s.String())
+		n += len(s.Axis.String()) + len(s.Label)
 	}
 	if v.Pred != nil {
-		sb.WriteString("[" + v.Pred.String() + "]")
+		n += predLen(v.Pred) + 2
+	}
+	for _, c := range v.Children {
+		n += nodeLen(c) + 2
+	}
+	return n
+}
+
+// writeNode renders v's edge path, predicate and child variables.
+func writeNode(sb *strings.Builder, v *Node) {
+	for _, s := range v.Steps {
+		sb.WriteString(s.Axis.String())
+		sb.WriteString(s.Label)
+	}
+	if v.Pred != nil {
+		sb.WriteByte('[')
+		writePred(sb, v.Pred)
+		sb.WriteByte(']')
 	}
 	// Every child variable renders as a bracketed branch: brackets are
 	// what create variable boundaries in the grammar, so an unbracketed
 	// continuation would re-parse as part of this variable's edge path
 	// (collapsing the twig into a chain).
 	for _, c := range v.Children {
-		sb.WriteString("[" + nodeString(c, false) + "]")
+		sb.WriteByte('[')
+		writeNode(sb, c)
+		sb.WriteByte(']')
 	}
-	return sb.String()
 }

@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"sort"
+	"sync"
 	"time"
 
 	"xcluster/internal/accuracy"
@@ -88,14 +90,44 @@ func WriteErrorMsg(w http.ResponseWriter, status int, msg string) {
 }
 
 // WriteJSON writes v as an indented JSON response body with the given
-// status, the rendering every endpoint uses.
+// status, the rendering every endpoint uses. The body is encoded before
+// anything is written, so a value that cannot be encoded (a NaN or ±Inf
+// float) is answered with the 500 error envelope instead of a
+// truncated body under the intended status.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	je := jsonEncoders.Get().(*jsonEncoder)
+	je.buf.Reset()
+	if err := je.enc.Encode(v); err != nil {
+		jsonEncoders.Put(je)
+		WriteErrorMsg(w, http.StatusInternalServerError, "service: encode response: "+err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // headers are out; nothing to do
+	w.Write(je.buf.Bytes()) //nolint:errcheck // headers are out; nothing to do
+	if je.buf.Cap() <= maxPooledJSON {
+		jsonEncoders.Put(je)
+	}
 }
+
+// jsonEncoder is one pooled response encoder: a buffer and the
+// indenting encoder that writes into it.
+type jsonEncoder struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// jsonEncoders recycles response encoders across requests.
+var jsonEncoders = sync.Pool{New: func() any {
+	je := new(jsonEncoder)
+	je.enc = json.NewEncoder(&je.buf)
+	je.enc.SetIndent("", "  ")
+	return je
+}}
+
+// maxPooledJSON is the largest buffer WriteJSON returns to the pool, so
+// one large response (a /debug/traces dump) does not pin its memory.
+const maxPooledJSON = 64 << 10
 
 // EstimateRequest is the body of POST /estimate.
 type EstimateRequest struct {

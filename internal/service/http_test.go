@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -657,5 +658,41 @@ func TestHTTPBudgetAndAdaptiveRebuild(t *testing.T) {
 		if !strings.Contains(body, series) {
 			t.Fatalf("metrics missing %s", series)
 		}
+	}
+}
+
+// TestWriteJSONUnencodable pins WriteJSON's failure mode: a value
+// encoding/json rejects (NaN) is answered with the 500 error envelope,
+// never the intended status with an empty body, and the envelope echoes
+// the request ID when the correlation header is set. An encodable value
+// still renders as indented JSON under the given status.
+func TestWriteJSONUnencodable(t *testing.T) {
+	for _, id := range []string{"", "req-7"} {
+		w := httptest.NewRecorder()
+		if id != "" {
+			w.Header().Set("X-Request-ID", id)
+		}
+		service.WriteJSON(w, http.StatusOK, map[string]float64{"v": math.NaN()})
+		if w.Code != http.StatusInternalServerError {
+			t.Fatalf("status %d, want 500: %s", w.Code, w.Body.String())
+		}
+		var env map[string]string
+		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+			t.Fatalf("body is not an error envelope: %v\n%s", err, w.Body.String())
+		}
+		if !strings.Contains(env["error"], "unsupported value: NaN") {
+			t.Errorf("error = %q, want the encoder's message", env["error"])
+		}
+		if env["request_id"] != id {
+			t.Errorf("request_id = %q, want %q", env["request_id"], id)
+		}
+	}
+	w := httptest.NewRecorder()
+	service.WriteJSON(w, http.StatusCreated, map[string]int{"n": 1})
+	if w.Code != http.StatusCreated || w.Body.String() != "{\n  \"n\": 1\n}\n" {
+		t.Fatalf("status %d, body %q", w.Code, w.Body.String())
+	}
+	if ct := w.Header().Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("Content-Type = %q", ct)
 	}
 }

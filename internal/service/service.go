@@ -568,10 +568,11 @@ func (s *Service) recordSlow(ctx context.Context, sl *slot, q *query.Query, tr *
 // remaining work and is returned; already-computed entries stay in the
 // slice.
 //
-// Before fanning out, the batch compiles each distinct query shape
-// exactly once (grouped by canonical string, sequentially, so racing
-// workers never compile the same shape twice); the workers then execute
-// through the estimator's plan and result caches.
+// Before fanning out, the batch compiles its query shapes,
+// sequentially, into the estimator's plan cache (each distinct shape
+// once: a repeated shape's second lookup is a plan-cache hit), so
+// racing workers never compile the same shape twice; the workers then
+// execute through the estimator's plan and result caches.
 func (s *Service) EstimateBatch(ctx context.Context, qs []*query.Query) ([]float64, error) {
 	out, _, err := s.EstimateBatchTraced(ctx, qs)
 	return out, err
@@ -655,20 +656,17 @@ func (s *Service) estimateBatch(ctx context.Context, sl *slot, qs []*query.Query
 	return out, trs, batchErr
 }
 
-// prepareShapes compiles each distinct query shape in the batch once,
-// seeding the estimator's plan cache. With the plan cache disabled this
-// is a no-op (per-call compilation is what the caller asked for).
+// prepareShapes seeds the estimator's plan cache with the batch's
+// query shapes. The pass is sequential, so a repeated shape is a
+// plan-cache hit (unless more distinct shapes than the cache holds came
+// in between) and needs no dedupe of its own. With the plan cache
+// disabled this is a no-op (per-call compilation is what the caller
+// asked for).
 func (s *Service) prepareShapes(sl *slot, qs []*query.Query) error {
-	if sl.est.PlanCacheStats().Capacity == 0 {
+	if sl.est.PlanCacheCapacity() == 0 {
 		return nil
 	}
-	seen := make(map[string]struct{}, len(qs))
 	for i, q := range qs {
-		key := q.String()
-		if _, ok := seen[key]; ok {
-			continue
-		}
-		seen[key] = struct{}{}
 		if _, err := sl.est.Prepare(q); err != nil {
 			return fmt.Errorf("service: query %d: %w", i, err)
 		}
