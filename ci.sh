@@ -30,7 +30,8 @@ go build -o "$bindir" ./cmd/...
 "$bindir/xclusterd" -version
 
 # The -short -race pass includes the build differential test
-# (internal/harness TestBuildExperimentDifferential): serial, parallel
+# (internal/core TestBuildWorkersAndMemoIdentical, on a synthetic tree
+# and the value-bearing IMDB and XMark generators): serial, parallel
 # and memoized construction must agree bit-for-bit, with the worker
 # pool under the race detector.
 go test -short -race ./...
@@ -54,19 +55,14 @@ go test ./...
 # and Explain's top embeddings are sorted and sum to at most it).
 go test -run=Fuzz ./...
 
-# Machine-readable benchmark artifacts, kept at the repo root for
-# comparison across revisions: the prepared-execution experiment
-# (performance + per-class accuracy), the build experiment (serial vs
-# parallel vs memoized construction), the catalog experiment
-# (scatter-gather vs single-shard estimation across a sharded corpus),
-# the observability experiment (tracing-off vs tracing-on overhead on
-# the serving hot path), the workload-profiler experiment
-# (profiling-off vs profiling-on overhead plus the artifact round
-# trip), and the budget-allocation experiment (fixed vs auto vs
-# workload-planned splits on held-out queries).
-make bench-json
-make bench-build
-make bench-catalog
-make bench-obs
-make bench-workload
+# The estimate-path benchmarks run once each, so they cannot rot:
+# internal/service BenchmarkEstimateTelemetry (bare, default,
+# SLO-sampled-out and traced telemetry) and internal/catalog
+# BenchmarkHandlerEstimateHot (one cached POST /estimate through the
+# daemon's handler). Timing itself lives in bench/ and `go test -bench`.
+go test -run '^$' -bench 'EstimateTelemetry|HandlerEstimateHot' -benchtime 1x ./internal/service ./internal/catalog
+
+# Machine-readable benchmark artifact, kept at the repo root for
+# comparison across revisions: the budget-allocation experiment (fixed
+# vs auto vs workload-planned splits on held-out queries).
 make bench-autobudget

@@ -9,18 +9,15 @@
 //	xclusterbench -table 1              # Table 1 only
 //	xclusterbench -figure 8a            # Figure 8(a) only
 //	xclusterbench -experiment negative  # negative-workload check
-//	xclusterbench -experiment prepared  # compile-once speedup (JSON)
-//	xclusterbench -experiment build     # serial vs parallel vs memoized construction (JSON)
-//	xclusterbench -experiment catalog   # scatter-gather throughput across a sharded corpus (JSON)
-//	xclusterbench -experiment obs       # observability overhead on the serving hot path (JSON)
-//	xclusterbench -experiment workload  # workload-profiler overhead and export round trip (JSON)
 //	xclusterbench -experiment autobudget # fixed vs auto vs workload-planned budget splits (JSON)
 //
 // Absolute numbers differ from the paper (different hardware, synthetic
 // data); the shapes — error falling with budget, struct error < 5%,
 // XMark TEXT relative error inflated by tiny true selectivities while
 // its absolute error stays around a tuple — are the reproduction target.
-// See EXPERIMENTS.md for a paper-vs-measured discussion.
+// See EXPERIMENTS.md for a paper-vs-measured discussion. Wall-clock
+// timing is not measured here: the serving benchmark in bench/ and the
+// `go test -bench` benchmarks cover it.
 package main
 
 import (
@@ -36,7 +33,7 @@ import (
 
 // validExperiments lists the -experiment selector's legal values; an
 // unknown name is a hard error naming them, not a silent no-op.
-var validExperiments = []string{"negative", "ablations", "autobudget", "throughput", "prepared", "build", "catalog", "obs", "workload"}
+var validExperiments = []string{"negative", "ablations", "autobudget"}
 
 var (
 	validTables  = []string{"1", "2"}
@@ -61,7 +58,6 @@ func main() {
 	table := flag.String("table", "", "run one table: 1 or 2")
 	figure := flag.String("figure", "", "run one figure: 8a, 8b or 9")
 	experiment := flag.String("experiment", "", "run one experiment: "+strings.Join(validExperiments, ", "))
-	workers := flag.Int("workers", 0, "goroutines for -experiment throughput/build/catalog (default GOMAXPROCS)")
 	csvOut := flag.Bool("csv", false, "emit Figure 8 rows as CSV (for plotting)")
 	flag.Parse()
 	checkSelector("table", *table, validTables)
@@ -161,25 +157,6 @@ func main() {
 		num := harness.AblationNumericSummaries(d, []int{512, 128, 64, 32}, *seed)
 		fmt.Println(harness.FormatNumericAblation(num))
 	}
-	if *experiment == "throughput" { // opt-in: wall-clock sensitive
-		var rows []harness.ThroughputRow
-		for _, name := range harness.DatasetNames() {
-			r, err := harness.ThroughputExperiment(load(name), cfg, *workers, 0)
-			check(err)
-			rows = append(rows, r...)
-		}
-		fmt.Println(harness.FormatThroughput(rows))
-	}
-	if *experiment == "prepared" { // opt-in: wall-clock sensitive
-		var rows []harness.PreparedRow
-		for _, name := range harness.DatasetNames() {
-			r, err := harness.PreparedExperiment(load(name), cfg, 0)
-			check(err)
-			rows = append(rows, r)
-		}
-		fmt.Fprintln(os.Stderr, harness.FormatPrepared(rows))
-		fmt.Println(harness.FormatPreparedJSON(rows))
-	}
 	if *experiment == "autobudget" { // opt-in: several extra builds per dataset
 		var rows []harness.AutoBudgetRow
 		for _, name := range harness.DatasetNames() {
@@ -189,45 +166,5 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, harness.FormatAutoBudget(rows))
 		fmt.Println(harness.FormatAutoBudgetJSON(rows))
-	}
-	if *experiment == "build" { // opt-in: wall-clock sensitive
-		var rows []harness.BuildRow
-		for _, name := range harness.DatasetNames() {
-			r, err := harness.BuildExperiment(load(name), cfg, *workers)
-			check(err)
-			rows = append(rows, r)
-		}
-		fmt.Fprintln(os.Stderr, harness.FormatBuild(rows))
-		fmt.Println(harness.FormatBuildJSON(rows))
-	}
-	if *experiment == "obs" { // opt-in: wall-clock sensitive
-		var rows []harness.ObsRow
-		for _, name := range harness.DatasetNames() {
-			r, err := harness.ObsExperiment(load(name), cfg, 0)
-			check(err)
-			rows = append(rows, r)
-		}
-		fmt.Fprintln(os.Stderr, harness.FormatObs(rows))
-		fmt.Println(harness.FormatObsJSON(rows))
-	}
-	if *experiment == "workload" { // opt-in: wall-clock sensitive
-		var rows []harness.WorkloadProfRow
-		for _, name := range harness.DatasetNames() {
-			r, err := harness.WorkloadProfExperiment(load(name), cfg, 0)
-			check(err)
-			rows = append(rows, r)
-		}
-		fmt.Fprintln(os.Stderr, harness.FormatWorkloadProf(rows))
-		fmt.Println(harness.FormatWorkloadProfJSON(rows))
-	}
-	if *experiment == "catalog" { // opt-in: wall-clock sensitive
-		var rows []harness.CatalogRow
-		for _, name := range harness.DatasetNames() {
-			r, err := harness.CatalogExperiment(load(name), cfg, *workers, 0)
-			check(err)
-			rows = append(rows, r)
-		}
-		fmt.Fprintln(os.Stderr, harness.FormatCatalog(rows))
-		fmt.Println(harness.FormatCatalogJSON(rows))
 	}
 }

@@ -62,10 +62,10 @@ type BuildOptions struct {
 	// order (marginal loss, then mass, then (u, v)) makes the merge
 	// sequence identical at any parallelism.
 	Workers int
-	// NoDeltaMemo disables the pair-Δ memo table, recomputing every
-	// candidate from scratch — the pre-memo behavior, kept for ablation
-	// and as the benchmark baseline.
-	NoDeltaMemo bool
+	// noDeltaMemo disables the pair-Δ memo table, recomputing every
+	// candidate from scratch: the serial unmemoized build, kept as the
+	// oracle the package's differential tests compare the memo against.
+	noDeltaMemo bool
 	// Progress, when non-nil, receives periodic BuildProgress snapshots
 	// from the build goroutine (synchronously; keep the callback cheap).
 	Progress func(BuildProgress)
@@ -272,7 +272,7 @@ func newBuilder(ctx context.Context, s *Synopsis, opts BuildOptions) *builder {
 		start: time.Now(),
 	}
 	b.stats.Workers = opts.Workers
-	if !opts.NoDeltaMemo && !opts.GlobalMetric && !opts.RandomMerges {
+	if !opts.noDeltaMemo && !opts.GlobalMetric && !opts.RandomMerges {
 		b.memo = make(map[pairKey]memoEntry)
 		b.sigs = make(map[NodeID]sigEntry)
 		b.evalc = &evalCache{}

@@ -5,6 +5,10 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"xcluster/internal/datagen"
+	"xcluster/internal/vsum"
+	"xcluster/internal/xmltree"
 )
 
 // codecBytes encodes s with the wall-clock fingerprint fields zeroed,
@@ -21,15 +25,49 @@ func codecBytes(t *testing.T, s *Synopsis) []byte {
 	return buf.Bytes()
 }
 
+// valueFixture builds the reference synopsis of a generated document
+// with its value paths, the value-bearing fixtures the build
+// differential runs on.
+func valueFixture(t *testing.T, tr *xmltree.Tree, paths []string) *Synopsis {
+	t.Helper()
+	ref, err := BuildReference(tr, ReferenceOptions{
+		ValuePaths: paths,
+		Detail:     vsum.BuildOptions{PSTDepth: 5, MaxSummaryBytes: 2048},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
 // TestBuildWorkersAndMemoIdentical is the differential test of the
 // tentpole invariant: worker count and the pair-Δ memo table are pure
-// performance knobs — every configuration must produce the same bytes.
+// performance knobs — every configuration must produce the same bytes,
+// on a synthetic structure-only tree and on the value-bearing IMDB and
+// XMark generators alike. It runs under -short on purpose, so that the
+// -race pass audits the worker pool.
 func TestBuildWorkersAndMemoIdentical(t *testing.T) {
-	ref, _ := buildFixture(t, 31, 300)
-	base := BuildOptions{
-		StructBudget: ref.StructBytes() / 4,
-		ValueBudget:  ref.ValueBytes() / 2,
-		Hm:           400, Hl: 200,
+	synth, _ := buildFixture(t, 31, 300)
+	imdb := valueFixture(t, datagen.IMDB(datagen.IMDBConfig{Seed: 7, Scale: 0.2}), datagen.IMDBValuePaths())
+	xmark := valueFixture(t, datagen.XMark(datagen.XMarkConfig{Seed: 7, Scale: 0.2}), datagen.XMarkValuePaths())
+	fixtures := []struct {
+		name string
+		ref  *Synopsis
+		opts BuildOptions
+	}{
+		{"synthetic", synth, BuildOptions{
+			StructBudget: synth.StructBytes() / 4,
+			ValueBudget:  synth.ValueBytes() / 2,
+			Hm:           400, Hl: 200,
+		}},
+		{"IMDB", imdb, BuildOptions{
+			StructBudget: imdb.StructBytes() / 20,
+			ValueBudget:  imdb.ValueBytes() / 3,
+		}},
+		{"XMark", xmark, BuildOptions{
+			StructBudget: xmark.StructBytes() / 20,
+			ValueBudget:  xmark.ValueBytes() * 3 / 5,
+		}},
 	}
 	variants := []struct {
 		name    string
@@ -41,39 +79,46 @@ func TestBuildWorkersAndMemoIdentical(t *testing.T) {
 		{"memo", 1, false},
 		{"parallel+memo", 4, false},
 	}
-	var want []byte
-	var wantStats BuildStats
-	for _, v := range variants {
-		opts := base
-		opts.Workers = v.workers
-		opts.NoDeltaMemo = v.noMemo
-		var stats BuildStats
-		opts.Stats = &stats
-		s, err := XClusterBuild(ref, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", v.name, err)
-		}
-		got := codecBytes(t, s)
-		if want == nil {
-			want, wantStats = got, stats
-			continue
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: synopsis bytes differ from serial build", v.name)
-		}
-		if stats.Merges != wantStats.Merges {
-			t.Fatalf("%s: %d merges, serial did %d", v.name, stats.Merges, wantStats.Merges)
-		}
-		if !v.noMemo && stats.MemoHits == 0 {
-			t.Fatalf("%s: memo enabled but never hit", v.name)
-		}
-		if !v.noMemo && stats.PairsEvaluated >= wantStats.PairsEvaluated {
-			t.Fatalf("%s: memo did not reduce evaluations (%d >= %d)",
-				v.name, stats.PairsEvaluated, wantStats.PairsEvaluated)
-		}
-	}
-	if wantStats.PairsEvaluated == 0 || wantStats.Merges == 0 {
-		t.Fatalf("degenerate fixture: stats %+v", wantStats)
+	for _, f := range fixtures {
+		t.Run(f.name, func(t *testing.T) {
+			var want []byte
+			var wantStats BuildStats
+			for _, v := range variants {
+				opts := f.opts
+				opts.Workers = v.workers
+				opts.noDeltaMemo = v.noMemo
+				var stats BuildStats
+				opts.Stats = &stats
+				s, err := XClusterBuild(f.ref, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", v.name, err)
+				}
+				if v.noMemo && stats.MemoHits+stats.MemoPartialHits != 0 {
+					t.Fatalf("%s: unmemoized build recorded memo hits: %+v", v.name, stats)
+				}
+				got := codecBytes(t, s)
+				if want == nil {
+					want, wantStats = got, stats
+					continue
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s: synopsis bytes differ from serial build", v.name)
+				}
+				if stats.Merges != wantStats.Merges {
+					t.Fatalf("%s: %d merges, serial did %d", v.name, stats.Merges, wantStats.Merges)
+				}
+				if !v.noMemo && stats.MemoHits == 0 {
+					t.Fatalf("%s: memo enabled but never hit", v.name)
+				}
+				if !v.noMemo && stats.PairsEvaluated >= wantStats.PairsEvaluated {
+					t.Fatalf("%s: memo did not reduce evaluations (%d >= %d)",
+						v.name, stats.PairsEvaluated, wantStats.PairsEvaluated)
+				}
+			}
+			if wantStats.PairsEvaluated == 0 || wantStats.Merges == 0 {
+				t.Fatalf("degenerate fixture: stats %+v", wantStats)
+			}
+		})
 	}
 }
 

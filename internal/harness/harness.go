@@ -49,9 +49,6 @@ type Config struct {
 	// instead starves the fixed value budget across thousands of
 	// detailed summaries.
 	MaxStructFrac float64
-	// Metrics, when set, receives synopsis build-phase timings
-	// (xcluster_build_phase_seconds) from every BuildAt call.
-	Metrics core.MetricSink
 }
 
 // datasetDefaults holds the per-dataset budget balance. Mirroring the
@@ -196,6 +193,5 @@ func (cfg Config) BuildAt(d *Dataset, structBudget int) (*core.Synopsis, error) 
 	return core.XClusterBuild(d.Ref, core.BuildOptions{
 		StructBudget: structBudget,
 		ValueBudget:  cfg.ValueBudget(d),
-		Metrics:      cfg.Metrics,
 	})
 }

@@ -423,40 +423,3 @@ func WritePrometheusMerged(w io.Writer, parts ...Labeled) error {
 	_, err := io.WriteString(w, sb.String())
 	return err
 }
-
-// Snapshot flattens the registry into a series → value map for embedding
-// in JSON reports (bench output): counters and gauges directly, and for
-// each histogram its _count, _sum, and exact p50/p95/p99 readouts.
-func (r *Registry) Snapshot() map[string]float64 {
-	r.mu.RLock()
-	counters := make(map[metricKey]*Counter, len(r.counters))
-	for k, c := range r.counters {
-		counters[k] = c
-	}
-	gauges := make(map[metricKey]*Gauge, len(r.gauges))
-	for k, g := range r.gauges {
-		gauges[k] = g
-	}
-	hists := make(map[metricKey]*Histogram, len(r.hists))
-	for k, h := range r.hists {
-		hists[k] = h
-	}
-	r.mu.RUnlock()
-
-	out := make(map[string]float64)
-	for k, c := range counters {
-		out[seriesRef(k.name, k.labels, "")] = float64(c.Value())
-	}
-	for k, g := range gauges {
-		out[seriesRef(k.name, k.labels, "")] = g.Value()
-	}
-	for k, h := range hists {
-		snap := h.Snapshot()
-		out[seriesRef(k.name+"_count", k.labels, "")] = float64(snap.Count)
-		out[seriesRef(k.name+"_sum", k.labels, "")] = snap.Sum
-		out[seriesRef(k.name+"_p50", k.labels, "")] = snap.P50
-		out[seriesRef(k.name+"_p95", k.labels, "")] = snap.P95
-		out[seriesRef(k.name+"_p99", k.labels, "")] = snap.P99
-	}
-	return out
-}

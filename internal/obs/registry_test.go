@@ -103,7 +103,6 @@ func TestRegistryConcurrent(t *testing.T) {
 					if err := r.WritePrometheus(&sb); err != nil {
 						t.Errorf("WritePrometheus: %v", err)
 					}
-					r.Snapshot()
 				}
 			}
 		}(g)
@@ -251,32 +250,6 @@ func TestHelpEscaping(t *testing.T) {
 	want := "# HELP m_total line one\\nline \\\\ two\n"
 	if !strings.Contains(sb.String(), want) {
 		t.Errorf("escaped HELP %q not found in:\n%s", want, sb.String())
-	}
-}
-
-func TestSnapshotFlattening(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total", `k="v"`).Add(7)
-	r.Gauge("g", "").Set(1.5)
-	h := r.Histogram("h_seconds", "", nil)
-	h.Observe(2)
-	h.Observe(4)
-
-	snap := r.Snapshot()
-	if got := snap[`c_total{k="v"}`]; got != 7 {
-		t.Errorf(`c_total{k="v"} = %g, want 7`, got)
-	}
-	if got := snap["g"]; got != 1.5 {
-		t.Errorf("g = %g, want 1.5", got)
-	}
-	if got := snap["h_seconds_count"]; got != 2 {
-		t.Errorf("h_seconds_count = %g, want 2", got)
-	}
-	if got := snap["h_seconds_sum"]; got != 6 {
-		t.Errorf("h_seconds_sum = %g, want 6", got)
-	}
-	if got := snap["h_seconds_p50"]; got != 4 {
-		t.Errorf("h_seconds_p50 = %g, want 4 (s[int(0.5*2)])", got)
 	}
 }
 

@@ -190,7 +190,8 @@ func HeapAllocObjects() uint64 {
 // change in served operations since the previous scrape. It is an
 // approximation — background work (shadow sampling, rebuilds) allocates
 // into the same numerator — but tracks the hot path closely on a busy
-// server; BENCH_obs.json pins the exact per-op number in isolation.
+// server; internal/service BenchmarkEstimateTelemetry reports the exact
+// per-op number in isolation.
 func (rs *RuntimeSampler) SampleAllocsPerOp(r *Registry, ops uint64) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()

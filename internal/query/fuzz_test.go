@@ -23,6 +23,10 @@ var parseSeeds = []string{
 	"//a]b",
 	"//a[./b[./c[./d]]]",
 	"//a[b>1][c<2][d=3]",
+	"/0>7000000000",
+	"/0>2147483647",
+	"/0>9223372036854775807",
+	"/0<-9223372036854775808",
 }
 
 // FuzzParse checks that the query parser never panics, and that anything

@@ -217,6 +217,14 @@ func (p *parser) parseChain(implicitChild bool) (*Node, error) {
 	return node, nil
 }
 
+// closedRange returns the condition [lo,hi], rejecting it when empty.
+func (p *parser) closedRange(lo, hi int) (Pred, bool, error) {
+	if lo > hi {
+		return nil, false, p.errf("empty range [%d,%d]", lo, hi)
+	}
+	return Range{Lo: lo, Hi: hi}, true, nil
+}
+
 // tryCond attempts to parse a value condition at the current position. It
 // reports (nil, false, nil) when the input is not a condition.
 func (p *parser) tryCond() (Pred, bool, error) {
@@ -239,10 +247,7 @@ func (p *parser) tryCond() (Pred, bool, error) {
 		if !p.eat(')') {
 			return nil, false, p.errf("expected ')' after range")
 		}
-		if lo > hi {
-			return nil, false, p.errf("empty range [%d,%d]", lo, hi)
-		}
-		return Range{Lo: lo, Hi: hi}, true, nil
+		return p.closedRange(lo, hi)
 
 	case strings.HasPrefix(rest, "contains("):
 		p.pos += len("contains(")
@@ -313,19 +318,22 @@ func (p *parser) tryCond() (Pred, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		return Range{Lo: n, Hi: MaxBound}, true, nil
+		return p.closedRange(n, MaxBound)
 	case strings.HasPrefix(rest, "<="):
 		p.pos += 2
 		n, err := p.number()
 		if err != nil {
 			return nil, false, err
 		}
-		return Range{Lo: -MaxBound, Hi: n}, true, nil
+		return p.closedRange(-MaxBound, n)
 	case strings.HasPrefix(rest, ">"):
 		p.pos++
 		n, err := p.number()
 		if err != nil {
 			return nil, false, err
+		}
+		if n >= MaxBound { // checked first: n+1 would overflow at the int limit
+			return nil, false, p.errf("empty range (%d,%d]", n, MaxBound)
 		}
 		return Range{Lo: n + 1, Hi: MaxBound}, true, nil
 	case strings.HasPrefix(rest, "<"):
@@ -333,6 +341,9 @@ func (p *parser) tryCond() (Pred, bool, error) {
 		n, err := p.number()
 		if err != nil {
 			return nil, false, err
+		}
+		if n <= -MaxBound { // checked first: n-1 would overflow at the int limit
+			return nil, false, p.errf("empty range [%d,%d)", -MaxBound, n)
 		}
 		return Range{Lo: -MaxBound, Hi: n - 1}, true, nil
 	case strings.HasPrefix(rest, "="):

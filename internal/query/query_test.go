@@ -95,6 +95,10 @@ func TestParseComparisons(t *testing.T) {
 		{"//y[<=10]", -MaxBound, 10},
 		{"//y[=10]", 10, 10},
 		{"//y[range(3,7)]", 3, 7},
+		{"//y[>2147483646]", MaxBound, MaxBound},
+		{"//y[<-2147483646]", -MaxBound, -MaxBound},
+		{"//y[>=2147483647]", MaxBound, MaxBound},
+		{"//y[<=-2147483647]", -MaxBound, -MaxBound},
 	}
 	for _, c := range cases {
 		q, err := Parse(c.in)
@@ -104,6 +108,32 @@ func TestParseComparisons(t *testing.T) {
 		r, ok := q.Roots[0].Pred.(Range)
 		if !ok || r.Lo != c.lo || r.Hi != c.hi {
 			t.Errorf("%q => %+v, want [%d,%d]", c.in, q.Roots[0].Pred, c.lo, c.hi)
+		}
+	}
+}
+
+// TestParseComparisonBounds pins the error of every comparison whose
+// range would be empty: the bound lies past ±MaxBound, and n±1 of > and
+// < is never computed at the int limits (where it used to wrap into a
+// range matching almost every value).
+func TestParseComparisonBounds(t *testing.T) {
+	cases := []struct{ in, want string }{
+		{"/0>7000000000", "query: parse error at offset 13: empty range (7000000000,2147483647]"},
+		{"/0>2147483647", "query: parse error at offset 13: empty range (2147483647,2147483647]"},
+		{"/0>9223372036854775807", "query: parse error at offset 22: empty range (9223372036854775807,2147483647]"},
+		{"/0<-9223372036854775808", "query: parse error at offset 23: empty range [-2147483647,-9223372036854775808)"},
+		{"/0>=7000000000", "query: parse error at offset 14: empty range [7000000000,2147483647]"},
+		{"/0<=-2147483648", "query: parse error at offset 15: empty range [-2147483647,-2147483648]"},
+		{"/0<-2147483647", "query: parse error at offset 14: empty range [-2147483647,-2147483647)"},
+	}
+	for _, c := range cases {
+		q, err := Parse(c.in)
+		if err == nil {
+			t.Errorf("Parse(%q) = %s, want an empty-range error", c.in, q)
+			continue
+		}
+		if got := err.Error(); got != c.want {
+			t.Errorf("Parse(%q) error = %q, want %q", c.in, got, c.want)
 		}
 	}
 }

@@ -144,7 +144,7 @@ func WithSLO(cfg obs.SLOConfig) Option {
 // entirely), window the rolling-window width behind rates and traffic
 // shares (profile.DefaultWindow when 0). The profiler is on by
 // default: its hot-path cost is a handful of atomic updates per
-// estimate (priced by BENCH_workload.json), and its output —
+// estimate (BenchmarkEstimateTelemetry prices it), and its output —
 // GET /debug/workload, xcluster_workload_* series, and the exported
 // WorkloadProfile artifact — is what workload-adaptive rebuilds
 // consume.

@@ -48,7 +48,7 @@ var testWorkload = []string{
 }
 
 // newTestSynopsis builds a compressed synopsis of testDoc.
-func newTestSynopsis(t *testing.T) *core.Synopsis {
+func newTestSynopsis(t testing.TB) *core.Synopsis {
 	t.Helper()
 	tree, err := xmltree.Parse(strings.NewReader(testDoc()), xmltree.ParseOptions{})
 	if err != nil {
@@ -65,7 +65,7 @@ func newTestSynopsis(t *testing.T) *core.Synopsis {
 	return syn
 }
 
-func parseWorkload(t *testing.T) []*query.Query {
+func parseWorkload(t testing.TB) []*query.Query {
 	t.Helper()
 	qs := make([]*query.Query, len(testWorkload))
 	for i, s := range testWorkload {
