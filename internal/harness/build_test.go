@@ -1,83 +1,80 @@
 package harness
 
 import (
-	"encoding/json"
-	"strings"
+	"bytes"
 	"testing"
+
+	"xcluster/internal/core"
 )
 
-// TestBuildExperimentDifferential is the engine's differential gate: on
-// both datasets, the serial, parallel, memoized, and parallel+memoized
-// configurations must produce bit-for-bit the same synopsis (compared
-// through the codec with build timestamps normalized). It runs in
-// -short mode on purpose — ci.sh exercises it under -race, where the
-// parallel variants' worker pools get their data-race audit.
+// TestBuildExperimentDifferential is the harness's build differential:
+// on both datasets, at every structural budget of the Figure 8 sweep,
+// a serial and a parallel build under the experiments' own budget
+// configuration produce bit-for-bit the same synopsis (compared through
+// the codec with build timestamps normalized) and apply the same merges.
+// It runs in -short mode on purpose — ci.sh exercises it under -race,
+// where the parallel build's worker pool gets its data-race audit. The
+// memo-off comparison lives in internal/core, which owns that switch.
 func TestBuildExperimentDifferential(t *testing.T) {
+	cfg := smallCfg()
 	for _, name := range DatasetNames() {
-		d, err := NewDataset(name, smallCfg())
+		d, err := NewDataset(name, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		row, err := BuildExperiment(d, smallCfg(), 3)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !row.Identical {
-			t.Fatalf("%s: variants diverged — parallel/memoized builds are not bit-for-bit serial", name)
-		}
-		if len(row.Variants) != 4 {
-			t.Fatalf("%s: %d variants, want 4", name, len(row.Variants))
-		}
-		serial := row.Variants[0]
-		if serial.Name != "serial" || serial.Workers != 1 || serial.Memo {
-			t.Fatalf("%s: baseline variant %+v", name, serial)
-		}
-		if serial.MemoHits != 0 || serial.MemoPartialHits != 0 {
-			t.Fatalf("%s: unmemoized baseline recorded memo hits: %+v", name, serial)
-		}
-		for _, v := range row.Variants {
-			if v.Merges != serial.Merges {
-				t.Fatalf("%s/%s: %d merges, serial applied %d", name, v.Name, v.Merges, serial.Merges)
+		merged := false
+		for _, sb := range cfg.StructBudgets(d) {
+			var want []byte
+			var wantStats core.BuildStats
+			for _, workers := range []int{1, 4} {
+				var stats core.BuildStats
+				s, err := core.XClusterBuild(d.Ref, core.BuildOptions{
+					StructBudget: sb,
+					ValueBudget:  cfg.ValueBudget(d),
+					Workers:      workers,
+					Stats:        &stats,
+				})
+				if err != nil {
+					t.Fatalf("%s Bstr=%d workers=%d: %v", name, sb, workers, err)
+				}
+				if stats.Workers != workers {
+					t.Fatalf("%s Bstr=%d: resolved %d workers, asked for %d", name, sb, stats.Workers, workers)
+				}
+				got := normalizedBytes(t, s)
+				if want == nil {
+					want, wantStats = got, stats
+					continue
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s Bstr=%d: parallel build is not bit-for-bit serial", name, sb)
+				}
+				if stats.Merges != wantStats.Merges {
+					t.Fatalf("%s Bstr=%d: parallel applied %d merges, serial %d", name, sb, stats.Merges, wantStats.Merges)
+				}
 			}
-			if v.TotalSeconds <= 0 {
-				t.Fatalf("%s/%s: no time recorded: %+v", name, v.Name, v)
+			if wantStats.Merges > 0 {
+				merged = true
+				if wantStats.MemoHits+wantStats.MemoPartialHits == 0 {
+					t.Fatalf("%s Bstr=%d: %d merges but the pair-Δ memo never hit", name, sb, wantStats.Merges)
+				}
 			}
 		}
-		// The memoized engine may only do less evaluation work, never
-		// more.
-		memo := row.Variants[2]
-		if memo.PairsEvaluated > serial.PairsEvaluated {
-			t.Fatalf("%s: memoized build evaluated %d pairs, serial only %d",
-				name, memo.PairsEvaluated, serial.PairsEvaluated)
-		}
-		if serial.PairsEvaluated > 0 && memo.MemoHits+memo.MemoPartialHits == 0 {
-			t.Fatalf("%s: memo enabled but never hit (%d serial evals)", name, serial.PairsEvaluated)
+		if !merged {
+			t.Fatalf("%s: no budget of the sweep merged anything", name)
 		}
 	}
 }
 
-// TestBuildFormats sanity-checks the two renderings of the experiment.
-func TestBuildFormats(t *testing.T) {
-	rows := []BuildRow{{
-		Dataset: "IMDB", Elements: 10, RefNodes: 5,
-		StructBudget: 100, ValueBudget: 200,
-		Variants: []BuildVariant{
-			{Name: "serial", Workers: 1, MergeSeconds: 2, TotalSeconds: 3},
-			{Name: "parallel+memo", Workers: 8, MergeSeconds: 0.25, TotalSeconds: 0.5, MemoHits: 7, MemoHitRate: 0.5},
-		},
-		MergeSpeedup: 8, TotalSpeedup: 6, Identical: true,
-	}}
-	text := FormatBuild(rows)
-	for _, want := range []string{"IMDB", "serial", "parallel+memo", "8.0x", "identical=true"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("text rendering missing %q:\n%s", want, text)
-		}
+// normalizedBytes encodes s with the wall-clock fingerprint fields
+// zeroed, so byte comparisons ignore when a build ran.
+func normalizedBytes(t *testing.T, s *core.Synopsis) []byte {
+	t.Helper()
+	fp := s.Fingerprint()
+	fp.BuiltAtUnix, fp.BuildNanos = 0, 0
+	s.SetFingerprint(fp)
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
 	}
-	var back []BuildRow
-	if err := json.Unmarshal([]byte(FormatBuildJSON(rows)), &back); err != nil {
-		t.Fatalf("JSON rendering does not round-trip: %v", err)
-	}
-	if len(back) != 1 || back[0].MergeSpeedup != 8 || !back[0].Identical {
-		t.Fatalf("round-tripped %+v", back)
-	}
+	return buf.Bytes()
 }
