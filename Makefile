@@ -2,17 +2,13 @@ GO ?= go
 
 .PHONY: check build test bench bench-autobudget
 
-# The check gate: gofmt, vet, build, a fast -short pass under the race
-# detector, then the full suite (slow experiment sweeps included), then
-# vet and the smoke test of the benchmark module (bench/ has its own
-# go.mod, so the root ./... never compiles it).
+# The check gate is ci.sh, the one list of what CI runs: gofmt, vet,
+# build, the binaries' smoke run, a -short pass under the race
+# detector, the full suite, the benchmark module's vet and smoke test,
+# the fuzz seed corpora, the estimate-path benchmark smoke and the
+# budget-allocation artifact.
 check:
-	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
-	$(GO) vet ./...
-	$(GO) build ./...
-	$(GO) test -short -race ./...
-	$(GO) test ./...
-	cd bench && $(GO) vet ./... && $(GO) test ./...
+	sh ./ci.sh
 
 build:
 	$(GO) build ./...

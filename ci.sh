@@ -4,13 +4,14 @@
 # concurrency tests in concurrency_test.go, internal/obs, and
 # internal/service depend on -race to mean anything) and the full suite,
 # including the slow harness experiment sweeps, without it — then vet
-# and the smoke test of the benchmark module. Same commands as
-# `make check`.
+# and the smoke test of the benchmark module, the fuzz seed corpora and
+# the benchmark smoke runs. `make check` runs this script.
 #
 # The allocation pins (internal/core TestEstimateCacheHitAllocs,
-# internal/query TestStringAllocs) run in the plain pass only: the race
-# detector's instrumentation allocates, so under -race they skip
-# themselves (raceEnabled, set by each package's race_test.go).
+# internal/service TestServiceEstimateCacheHitAllocs, internal/query
+# TestStringAllocs) run in the plain pass only: the race detector's
+# instrumentation allocates, so under -race they skip themselves
+# (raceEnabled, set by each package's race_test.go).
 set -eux
 
 fmt="$(gofmt -l .)"
@@ -47,7 +48,9 @@ go test ./...
 # Includes internal/catalog FuzzParseManifest (the -catalog manifest
 # parser never panics and everything it accepts round-trips),
 # internal/catalog FuzzCatalogHTTP (no request to the daemon's handler
-# panics or answers 500, and every status is one its route documents),
+# — over a shard with a resident document and a slow log that captures
+# every estimate — panics or answers 500, every status is one its route
+# documents, and /debug/traces and /debug/slowlog render afterwards),
 # internal/profile FuzzParseProfile (the WorkloadProfile artifact
 # parser never panics and anything accepted is a round-trip fixed
 # point), and internal/core FuzzEstimate (every parsed query gets a

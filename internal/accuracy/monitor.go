@@ -57,16 +57,6 @@ type DriftEvent struct {
 // MonitorOption configures NewMonitor.
 type MonitorOption func(*Monitor)
 
-// WithSanity sets the sanity bound of the error metric (default
-// DefaultSanityBound, the paper's s = 10).
-func WithSanity(s float64) MonitorOption {
-	return func(m *Monitor) {
-		if s > 0 {
-			m.sanity = s
-		}
-	}
-}
-
 // WithWindow sets the rolling-window size per class (default
 // DefaultWindow).
 func WithWindow(n int) MonitorOption {
@@ -137,7 +127,6 @@ type classState struct {
 // statistics with the paper's relative-error metric. All methods are
 // safe for concurrent use.
 type Monitor struct {
-	sanity   float64
 	window   int
 	factor   float64
 	minDelta float64
@@ -159,7 +148,6 @@ type Monitor struct {
 // and the default drift policy.
 func NewMonitor(opts ...MonitorOption) *Monitor {
 	m := &Monitor{
-		sanity:   DefaultSanityBound,
 		window:   DefaultWindow,
 		factor:   DefaultDriftFactor,
 		minDelta: DefaultMinDelta,
@@ -188,8 +176,9 @@ func NewMonitor(opts ...MonitorOption) *Monitor {
 	return m
 }
 
-// SanityBound returns the monitor's sanity bound.
-func (m *Monitor) SanityBound() float64 { return m.sanity }
+// SanityBound returns the monitor's sanity bound: the paper's
+// DefaultSanityBound.
+func (m *Monitor) SanityBound() float64 { return DefaultSanityBound }
 
 // Observe records one estimate/ground-truth pair: it classifies the
 // query, scores the estimate with the relative-error metric, and
@@ -197,7 +186,7 @@ func (m *Monitor) SanityBound() float64 { return m.sanity }
 // class and error so callers can log or return them.
 func (m *Monitor) Observe(q *query.Query, est, truth float64) (Class, float64) {
 	c := Classify(q)
-	err := RelError(truth, est, m.sanity)
+	err := RelError(truth, est, DefaultSanityBound)
 
 	m.mu.Lock()
 	st := &m.classes[c]
@@ -293,7 +282,7 @@ type Report struct {
 
 // Report snapshots the monitor.
 func (m *Monitor) Report() Report {
-	rep := Report{SanityBound: m.sanity, Window: m.window, DriftFactor: m.factor}
+	rep := Report{SanityBound: DefaultSanityBound, Window: m.window, DriftFactor: m.factor}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var totalN uint64

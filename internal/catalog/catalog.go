@@ -89,9 +89,6 @@ func (sh *Shard) Spec() ShardSpec { return sh.spec }
 // Service returns the shard's underlying service.
 func (sh *Shard) Service() *service.Service { return sh.svc }
 
-// Registry returns the shard's private metrics registry.
-func (sh *Shard) Registry() *obs.Registry { return sh.reg }
-
 // Draining reports whether Detach has claimed the shard.
 func (sh *Shard) Draining() bool { return sh.draining.Load() }
 
@@ -159,11 +156,6 @@ func New(cfg Config) (*Catalog, error) {
 	c.reg.Gauge("xcluster_catalog_shards", "").Set(0)
 	return c, nil
 }
-
-// Registry returns the catalog's own metrics registry (shard counts,
-// scatter outcomes). Per-shard serving metrics live in each shard's
-// registry and are merged with tenant/collection labels at render time.
-func (c *Catalog) Registry() *obs.Registry { return c.reg }
 
 // Traces returns the catalog's request trace store.
 func (c *Catalog) Traces() *obs.TraceStore { return c.traces }

@@ -6,6 +6,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"xcluster/internal/service"
 )
 
 // documentedStatus lists, per route, every status Handler documents
@@ -42,9 +45,13 @@ var documentedStatus = map[string][]int{
 var muxStatus = []int{301, 404, 405}
 
 // FuzzCatalogHTTP sends one arbitrary request — method, path, query
-// string, X-Request-ID, body — to a fresh one-shard catalog without a
-// resident document. The handler must not panic, must never answer
-// 500, and must answer a status its route documents.
+// string, X-Request-ID, body — to a fresh one-shard catalog whose shard
+// keeps its document resident (so feedback pairs with ground truth and
+// rebuilds, adaptive ones included, really run) and logs every estimate
+// as slow (a 1 ns threshold). The handler must not panic, must never
+// answer 500, and must answer a status its route documents. Each input
+// is followed by GET /debug/traces and GET /debug/slowlog, so whatever
+// the request recorded is rendered too, under the same status rules.
 func FuzzCatalogHTTP(f *testing.F) {
 	for _, seed := range []struct{ method, path, query, id, body string }{
 		{"POST", "/estimate", "", "req-1", `{"queries":["//book[year>1990]/title","//book["],"explain":true,"plan":true,"trace":true}`},
@@ -78,11 +85,21 @@ func FuzzCatalogHTTP(f *testing.F) {
 		{"DELETE", "/estimate", "", "", ""},
 		{"GET", "//stats/../stats", "", "", ""},
 		{"GET", "/nowhere", "", "", ""},
+		{"POST", "/admin/rebuild", "", "", `{"struct_budget":4096,"reason":"fuzz"}`},
+		{"POST", "/admin/rebuild", "", "", `{"adaptive":true}`},
+		{"POST", "/estimate", "", "req-2", `{"queries":["//book[year>1990]/title","//journal/title"],"trace":true}`},
 	} {
 		f.Add(seed.method, seed.path, seed.query, seed.id, seed.body)
 	}
 	f.Fuzz(func(t *testing.T, method, path, rawQuery, id, body string) {
-		c := newTestCatalog(t, Config{DefaultKey: Key{Tenant: "acme", Collection: "docs"}}, spec("acme", "docs"))
+		sp := spec("acme", "docs")
+		sp.Document = "mem:acme/docs.xml"
+		c := newTestCatalog(t, Config{
+			DefaultKey: Key{Tenant: "acme", Collection: "docs"},
+			ShardOptions: func(ShardSpec) []service.Option {
+				return []service.Option{service.WithSlowQueryLog(time.Nanosecond, 0)}
+			},
+		}, sp)
 		req := httptest.NewRequest(http.MethodGet, "/", strings.NewReader(body))
 		req.Method, req.URL.Path, req.URL.RawQuery = method, path, rawQuery
 		req.Header.Set("X-Request-ID", id)
@@ -99,6 +116,13 @@ func FuzzCatalogHTTP(f *testing.F) {
 		}
 		if !slices.Contains(allowed, w.Code) {
 			t.Fatalf("%s %s?%s: status %d, want one of %v; body %s", method, path, rawQuery, w.Code, allowed, w.Body.String())
+		}
+		for _, after := range []string{"/debug/traces", "/debug/slowlog"} {
+			w := httptest.NewRecorder()
+			c.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, after, nil))
+			if !slices.Contains(documentedStatus["GET "+after], w.Code) {
+				t.Fatalf("GET %s after %s %s: status %d; body %s", after, method, path, w.Code, w.Body.String())
+			}
 		}
 	})
 }

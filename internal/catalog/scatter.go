@@ -97,9 +97,9 @@ func (c *Catalog) ScatterEstimate(ctx context.Context, tenant string, qs []*quer
 				}
 				// One child span per shard under the request's root, carrying
 				// the same request ID; the shard's pipeline attaches its
-				// per-estimate spans beneath it. Stragglers finishing after
+				// per-estimate traces beneath it. Stragglers finishing after
 				// the gather gave up still record safely — spans lock
-				// per-node, and the trace store snapshots deep copies.
+				// per-node, and a snapshot copies each node under its lock.
 				sctx := ctx
 				var child *obs.Span
 				if sp := obs.SpanFrom(ctx); sp != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"xcluster/internal/obs"
 	"xcluster/internal/query"
 )
 
@@ -15,8 +14,9 @@ var raceEnabled bool
 // TestEstimateCacheHitAllocs pins the allocation cost of an estimate
 // that a cache answers: the canonical string is the one allocation of
 // an untraced hit, and a trace adds exactly one more (the trace and its
-// spans are one object; emission into the sink allocates nothing once
-// the series exist).
+// spans are one object). The served path's pin, with the service
+// recording metrics from the trace, is internal/service
+// TestServiceEstimateCacheHitAllocs.
 func TestEstimateCacheHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -27,7 +27,6 @@ func TestEstimateCacheHitAllocs(t *testing.T) {
 	planHit := NewEstimator(ref)
 	planHit.SetCacheCapacity(0)
 	traced := NewEstimator(ref)
-	traced.SetMetricSink(obs.NewRegistry())
 	for _, s := range planQueries {
 		q := query.MustParse(s)
 		cases := []struct {
@@ -37,11 +36,10 @@ func TestEstimateCacheHitAllocs(t *testing.T) {
 		}{
 			{"Selectivity, result-cache hit", 1, func() { resultHit.Selectivity(q) }},
 			{"Selectivity, plan-cache hit", 1, func() { planHit.Selectivity(q) }},
-			{"SelectivityTraced with a sink, result-cache hit", 2, func() { traced.SelectivityTraced(ctx, q) }},
-			{"Selectivity with a sink, result-cache hit", 2, func() { traced.Selectivity(q) }},
+			{"SelectivityTraced, result-cache hit", 2, func() { traced.SelectivityTraced(ctx, q) }},
 		}
 		for _, c := range cases {
-			c.run() // warm the caches and the sink's series
+			c.run() // warm the caches
 			if n := testing.AllocsPerRun(100, c.run); n > c.max {
 				t.Errorf("%s: %q: %v allocs, want ≤%v", c.name, s, n, c.max)
 			}

@@ -299,11 +299,17 @@ func (b *builder) randomMergePhase() error {
 		if len(mergeable) == 0 {
 			return nil
 		}
+		// Order groups by their whole key, so the seeded pick below sees
+		// the same list whatever the map's iteration order.
 		sort.Slice(mergeable, func(i, j int) bool {
-			if mergeable[i].label != mergeable[j].label {
-				return mergeable[i].label < mergeable[j].label
+			a, b := mergeable[i], mergeable[j]
+			if a.label != b.label {
+				return a.label < b.label
 			}
-			return mergeable[i].vt < mergeable[j].vt
+			if a.vt != b.vt {
+				return a.vt < b.vt
+			}
+			return !a.hasV && b.hasV
 		})
 		members := groups[mergeable[rng.Intn(len(mergeable))]]
 		sort.Slice(members, func(i, j int) bool { return members[i].ID < members[j].ID })

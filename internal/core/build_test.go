@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -63,29 +64,63 @@ func TestBuildGlobalMetric(t *testing.T) {
 	}
 }
 
+// TestBuildRandomMergesDeterministic: the random-merge ablation is a
+// function of its seed — repeated builds encode to the same bytes. The
+// "tied" fixture summarizes values under a few paths only, so two merge
+// groups share a label and value type and differ only in carrying
+// values: the tie the group order must break before the seeded pick.
 func TestBuildRandomMergesDeterministic(t *testing.T) {
-	ref, _ := buildFixture(t, 23, 200)
-	budget := ref.StructBytes() / 2
-	a, err := XClusterBuild(ref, BuildOptions{
-		StructBudget: budget, ValueBudget: 1 << 20,
-		RandomMerges: true, RandomSeed: 9,
+	full, _ := buildFixture(t, 23, 200)
+	tied, err := BuildReference(randomTree(rand.New(rand.NewSource(23)), 200), ReferenceOptions{
+		ValuePaths: []string{"/root/num", "/root/a/num", "/root/b/num", "/root/str", "/root/a/str"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := XClusterBuild(ref, BuildOptions{
-		StructBudget: budget, ValueBudget: 1 << 20,
-		RandomMerges: true, RandomSeed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if !hasGroupTie(tied) {
+		t.Fatal("tied fixture has no (label, value type) tie between mergeable groups")
 	}
-	if a.NumNodes() != b.NumNodes() || a.StructBytes() != b.StructBytes() {
-		t.Fatalf("same seed, different synopses: %d/%d nodes", a.NumNodes(), b.NumNodes())
+	for _, fx := range []struct {
+		name string
+		ref  *Synopsis
+	}{{"full", full}, {"tied", tied}} {
+		t.Run(fx.name, func(t *testing.T) {
+			opts := BuildOptions{
+				StructBudget: fx.ref.StructBytes() / 2, ValueBudget: 1 << 20,
+				RandomMerges: true, RandomSeed: 9,
+			}
+			var first []byte
+			for i := 0; i < 20; i++ {
+				s, err := XClusterBuild(fx.ref, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				if b := codecBytes(t, s); i == 0 {
+					first = b
+				} else if !bytes.Equal(b, first) {
+					t.Fatalf("build %d encodes differently from build 0 at the same seed", i)
+				}
+			}
+		})
 	}
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
+}
+
+// hasGroupTie reports whether two mergeable groups (two or more members
+// each) differ only in whether their members carry value summaries.
+func hasGroupTie(s *Synopsis) bool {
+	sizes := make(map[groupKey]int)
+	for _, n := range s.nodes {
+		sizes[nodeGroup(n)]++
 	}
+	for k, n := range sizes {
+		if k.hasV && n >= 2 && sizes[groupKey{label: k.label, vt: k.vt}] >= 2 {
+			return true
+		}
+	}
+	return false
 }
 
 func TestBuildDeterministic(t *testing.T) {

@@ -64,9 +64,6 @@ type Estimator struct {
 	// InvalidateCaches bump makes every cached result and plan stale
 	// atomically (see estcache.go).
 	epoch atomic.Uint64
-	// sink, when non-nil, receives pipeline stage timings and cache
-	// outcomes from every estimate (SetMetricSink).
-	sink MetricSink
 }
 
 // weight is one (node, expected count) pair of a sparse vector.
@@ -218,19 +215,14 @@ func (e *Estimator) SelectivityContext(ctx context.Context, q *query.Query) (flo
 // key, is its identity in both caches), result-cache lookup, plan-cache
 // lookup, compile on a plan miss, and execute. tr, when non-nil,
 // receives one span per stage that ran plus the cache outcomes; with a
-// metric sink configured a trace is recorded even when the caller did
-// not ask for one, and every trace is emitted into the sink. With
-// neither, no timestamps are taken.
+// nil trace no timestamps are taken.
 func (e *Estimator) pipeline(ctx context.Context, q *query.Query, tr *EstimateTrace) (float64, error) {
-	if tr == nil && e.sink != nil {
-		tr = e.newTrace()
-	}
 	canonical := q.String()
 	key := e.saltKey(canonical)
 	if tr != nil {
 		tr.Canonical = canonical
 		tr.CanonicalHash = CanonicalHash(canonical)
-		tr.span(StageCanonicalize, tr.start)
+		tr.span(StageCanonicalize, tr.Start)
 	}
 	if e.cache != nil {
 		ts := tr.now()
@@ -240,12 +232,12 @@ func (e *Estimator) pipeline(ctx context.Context, q *query.Query, tr *EstimateTr
 			if tr != nil {
 				tr.ResultCacheHit = true
 			}
-			return e.finish(tr, v, nil)
+			return tr.finish(v, nil)
 		}
 	}
 	plan, err := e.planFor(q, canonical, key, tr)
 	if err != nil {
-		return e.finish(tr, 0, err)
+		return tr.finish(0, err)
 	}
 	if tr != nil {
 		tr.Subproblems = plan.NumSubproblems()
@@ -255,12 +247,12 @@ func (e *Estimator) pipeline(ctx context.Context, q *query.Query, tr *EstimateTr
 	v, err := plan.execute(ctx)
 	tr.span(StageExecute, ts)
 	if err != nil {
-		return e.finish(tr, 0, err)
+		return tr.finish(0, err)
 	}
 	if e.cache != nil {
 		e.cache.put(key, v)
 	}
-	return e.finish(tr, v, nil)
+	return tr.finish(v, nil)
 }
 
 // saltKey turns a canonical query string into its cache key: salted

@@ -47,9 +47,12 @@ type EstimateTrace struct {
 	// stage, so the trace and its spans are one allocation): a copy of
 	// the EstimateTrace value shares its spans with the original.
 	Spans []Span
-	// Total is the wall time of the whole call; it is at least the sum
-	// of the spans (inter-stage bookkeeping is not attributed to any
-	// stage).
+	// Start is when the estimate began; span offsets are relative to
+	// it. Total is the wall time of the whole call; it is at least the
+	// sum of the spans (inter-stage bookkeeping is not attributed to any
+	// stage). Together they are the estimate's one clock: the serving
+	// layer times requests, SLOs and the slow log from them.
+	Start time.Time
 	Total time.Duration
 	// ResultCacheHit and PlanCacheHit report the cache outcomes (false
 	// when the corresponding lookup never ran).
@@ -70,8 +73,6 @@ type EstimateTrace struct {
 	// caches) — and the lifecycle tests assert exactly that.
 	Generation     uint64
 	PlanGeneration uint64
-	// start is when the estimate began; span offsets are relative to it.
-	start time.Time
 	// spans backs Spans: one slot per stage the pipeline records.
 	spans [numStages]Span
 }
@@ -108,8 +109,7 @@ func (t *EstimateTrace) SpanSum() time.Duration {
 // SelectivityTraced is SelectivityContext with per-stage tracing: it
 // runs the same pipeline and returns, alongside the estimate, a trace of
 // where the time went. The trace is also returned on error, covering
-// the stages that ran. When a metric sink is configured the trace is
-// additionally emitted into it.
+// the stages that ran.
 func (e *Estimator) SelectivityTraced(ctx context.Context, q *query.Query) (float64, *EstimateTrace, error) {
 	tr := e.newTrace()
 	v, err := e.pipeline(ctx, q, tr)
@@ -123,7 +123,7 @@ func (e *Estimator) newTrace() *EstimateTrace {
 	tr := &EstimateTrace{
 		Generation:     g,
 		PlanGeneration: g, // refined when a plan runs
-		start:          time.Now(),
+		Start:          time.Now(),
 	}
 	tr.Spans = tr.spans[:0]
 	return tr
@@ -144,58 +144,30 @@ func (t *EstimateTrace) span(stage string, ts time.Time) {
 	if t == nil {
 		return
 	}
-	t.Spans = append(t.Spans, Span{Stage: stage, Offset: ts.Sub(t.start), Duration: time.Since(ts)})
+	t.Spans = append(t.Spans, Span{Stage: stage, Offset: ts.Sub(t.Start), Duration: time.Since(ts)})
 }
 
-// finish closes the pipeline: it completes and emits the trace, if any,
-// and passes the outcome through.
-func (e *Estimator) finish(tr *EstimateTrace, v float64, err error) (float64, error) {
-	if tr != nil {
-		tr.Estimate = v
-		tr.Total = time.Since(tr.start)
-		e.emit(tr)
+// finish closes the pipeline: it completes the trace (no-op on a nil
+// trace) and passes the outcome through.
+func (t *EstimateTrace) finish(v float64, err error) (float64, error) {
+	if t != nil {
+		t.Estimate = v
+		t.Total = time.Since(t.Start)
 	}
 	return v, err
 }
 
-// emit forwards one trace's stage timings and cache outcomes to the
-// configured sink, if any. Every label list is a constant, so emission
-// allocates nothing once the sink's series exist.
-func (e *Estimator) emit(tr *EstimateTrace) {
-	if e.sink == nil {
-		return
-	}
-	resultLooked, planLooked := false, false
-	for _, sp := range tr.Spans {
-		var labels string
-		switch sp.Stage {
-		case StageCanonicalize:
-			labels = `stage="` + StageCanonicalize + `"`
-		case StageResultCache:
-			labels = `stage="` + StageResultCache + `"`
-			resultLooked = true
-		case StagePlanCache:
-			labels = `stage="` + StagePlanCache + `"`
-			planLooked = true
-		case StageCompile:
-			labels = `stage="` + StageCompile + `"`
-		case StageExecute:
-			labels = `stage="` + StageExecute + `"`
-		}
-		e.sink.Observe(MetricPipelineStageSeconds, labels, sp.Duration.Seconds())
-	}
-	if resultLooked {
-		outcome := `cache="result",outcome="miss"`
-		if tr.ResultCacheHit {
-			outcome = `cache="result",outcome="hit"`
-		}
-		e.sink.Add(MetricCacheLookupsTotal, outcome, 1)
-	}
-	if planLooked {
-		outcome := `cache="plan",outcome="miss"`
-		if tr.PlanCacheHit {
-			outcome = `cache="plan",outcome="hit"`
-		}
-		e.sink.Add(MetricCacheLookupsTotal, outcome, 1)
+// RunSummary and RunStages make a finished trace an obs.Run, so a
+// request's span tree holds the trace itself and renders it only when
+// the tree is snapshotted: one "estimate" node detailed by the
+// canonical query, with one child per stage.
+func (t *EstimateTrace) RunSummary() (name, detail string, start time.Time, d time.Duration) {
+	return "estimate", t.Canonical, t.Start, t.Total
+}
+
+// RunStages calls fn for each stage in execution order.
+func (t *EstimateTrace) RunStages(fn func(stage string, offset, d time.Duration)) {
+	for _, sp := range t.Spans {
+		fn(sp.Stage, sp.Offset, sp.Duration)
 	}
 }

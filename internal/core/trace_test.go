@@ -145,33 +145,6 @@ func TestSelectivityTracedPlanCacheHit(t *testing.T) {
 	}
 }
 
-func TestSelectivityContextRoutesThroughSink(t *testing.T) {
-	est := tracedFixture(t)
-	sink := newFakeSink()
-	est.SetMetricSink(sink)
-	q := query.MustParse("//paper/title")
-
-	if _, err := est.SelectivityContext(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := est.SelectivityContext(context.Background(), q); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, stage := range []string{StageCanonicalize, StageResultCache, StageCompile, StageExecute} {
-		k := MetricPipelineStageSeconds + `{stage="` + stage + `"}`
-		if sink.observes[k] == 0 {
-			t.Errorf("no observations for %s; got %v", k, sink.observes)
-		}
-	}
-	if got := sink.adds[MetricCacheLookupsTotal+`{cache="result",outcome="miss"}`]; got != 1 {
-		t.Errorf("result-cache misses = %g, want 1", got)
-	}
-	if got := sink.adds[MetricCacheLookupsTotal+`{cache="result",outcome="hit"}`]; got != 1 {
-		t.Errorf("result-cache hits = %g, want 1", got)
-	}
-}
-
 func TestBuildPhaseMetrics(t *testing.T) {
 	ref, err := BuildReference(figure1(t), ReferenceOptions{})
 	if err != nil {

@@ -4,10 +4,10 @@
 // text format, plus a ring-buffer slow-query log (slowlog.go).
 //
 // The registry is the concrete implementation behind the small
-// MetricSink interface internal/core defines (Add/Observe), so the core
-// estimation pipeline and synopsis build can emit metrics without
-// depending on this package; internal/service and the daemons hold the
-// registry directly and expose it at GET /metrics.
+// MetricSink interface internal/core defines (Add/Observe), so a
+// synopsis build can emit metrics without depending on this package;
+// internal/service and the daemons hold the registry directly and
+// expose it at GET /metrics.
 //
 // All metric operations are safe for concurrent use and lock-free on
 // the hot path (counter increments, bucket increments); only the exact

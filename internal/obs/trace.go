@@ -62,8 +62,18 @@ func WithRequestID(ctx context.Context, id string) context.Context {
 	return context.WithValue(ctx, requestIDKey{}, id)
 }
 
-// RequestIDFrom returns the request ID carried by ctx, or "".
+// RequestIDFrom returns the request ID carried by ctx, or "": the
+// active span's when it has one (a traced request carries its ID only
+// on its root span), else the ID-only value WithRequestID stores.
 func RequestIDFrom(ctx context.Context) string {
+	return requestID(ctx, SpanFrom(ctx))
+}
+
+// requestID is RequestIDFrom with the active span already looked up.
+func requestID(ctx context.Context, sp *Span) string {
+	if sp != nil && sp.requestID != "" {
+		return sp.requestID
+	}
 	id, _ := ctx.Value(requestIDKey{}).(string)
 	return id
 }
@@ -86,6 +96,7 @@ func SpanFrom(ctx context.Context) *Span {
 // under the span's own mutex so a scatter worker finishing a child
 // after the root was recorded (a straggler past the gather deadline)
 // races neither the recorder nor a concurrent /debug/traces snapshot.
+// The name and request ID are set at creation and never change.
 type Span struct {
 	mu         sync.Mutex
 	name       string
@@ -96,83 +107,48 @@ type Span struct {
 	err        string
 	start      time.Time
 	d          time.Duration // 0 until Finish
-	children   []*Span
-
-	// poolable marks spans built by CompletedSpan, the only constructor
-	// whose spans are recycled through spanPool when the trace store
-	// evicts their tree. It is set at creation and never changes. Spans
-	// from NewSpan and StartChild stay GC-managed on purpose: long-lived
-	// references may outlive the store's retention (a scatter straggler
-	// holds the root and its shard child through its context), and a
-	// recycled span under a live reference would corrupt another
-	// request's trace. CompletedSpan subtrees have no such references —
-	// they are fully built before AddChild publishes them and never
-	// touched by their creator again.
-	poolable bool
-	// storeRefs counts how many TraceStore retention slots (recent ring,
-	// slowest list) hold this span as a root. Guarded by the owning
-	// store's mu; the tree is released for reuse when it drops to zero.
-	storeRefs int
+	children   []child
+	// first backs children until a second child arrives, so a span
+	// holding one child (a point request's root and its one estimate)
+	// gets it with no allocation.
+	first [1]child
 }
 
-// spanPool recycles CompletedSpan nodes — the per-estimate subtree that
-// dominates sampled-in tracing allocations (one span per pipeline stage
-// per estimate). Released spans keep their children backing array, so a
-// reused estimate span appends its stage children without growing a
-// fresh slice.
-var spanPool = sync.Pool{New: func() any { return new(Span) }}
+// child is one entry of a span's child list: either a live span started
+// under it (StartChild), or a finished Run attached by reference
+// (AddRun) and rendered only at snapshot time. Entries are stored by
+// value, so attaching a run allocates nothing beyond the list's growth.
+type child struct {
+	span *Span
+	run  Run
+	err  error
+}
+
+// Run is a finished unit of work that timed itself. A span tree holds
+// it by reference (Span.AddRun) and renders it only when the tree is
+// snapshotted: one node carrying the run's name, detail, start and
+// duration, with one child per stage. One estimate's pipeline trace
+// (core.EstimateTrace) is a Run, so obs needs no dependency on core. A
+// Run must not change once attached.
+type Run interface {
+	// RunSummary returns the run's node: its name, detail (e.g. a
+	// canonical query), start and duration.
+	RunSummary() (name, detail string, start time.Time, d time.Duration)
+	// RunStages calls fn for each stage in order, with its start offset
+	// from the run's start and its duration.
+	RunStages(fn func(stage string, offset, d time.Duration))
+}
 
 // NewSpan starts a span now. requestID may be "" for children; Snapshot
 // omits empty fields.
 func NewSpan(name, requestID string) *Span {
-	return &Span{name: name, requestID: requestID, start: time.Now()}
-}
-
-// CompletedSpan builds an already-finished span from recorded timings,
-// for attaching pipeline-stage measurements that were captured by other
-// means (core.EstimateTrace) into a trace tree after the fact. The span
-// comes from a pool fed by trace-store eviction; callers must finish
-// building the subtree (SetDetail, AddChild) before attaching it to a
-// live tree, and must not retain references past that attachment.
-func CompletedSpan(name string, start time.Time, d time.Duration) *Span {
-	sp := spanPool.Get().(*Span)
-	sp.name, sp.start, sp.d = name, start, d
-	sp.poolable = true
-	return sp
-}
-
-// releaseTree detaches and recycles an evicted trace tree: children are
-// released depth-first and cleared, and poolable spans return to
-// spanPool with their fields zeroed (children keep their backing array).
-// The walk holds each parent's lock while releasing its children, so it
-// serializes with a straggler's AddChild on the same node: the straggler
-// either attaches before the clear (and its subtree is recycled here) or
-// attaches to an already-detached node, where the subtree leaks
-// harmlessly to the garbage collector instead of the pool.
-func releaseTree(s *Span) {
-	s.mu.Lock()
-	for i, c := range s.children {
-		releaseTree(c)
-		s.children[i] = nil
-	}
-	s.children = s.children[:0]
-	if !s.poolable {
-		s.mu.Unlock()
-		return
-	}
-	s.name, s.requestID, s.tenant, s.collection, s.detail, s.err = "", "", "", "", "", ""
-	s.start = time.Time{}
-	s.d = 0
-	s.mu.Unlock()
-	spanPool.Put(s)
+	s := &Span{name: name, requestID: requestID, start: time.Now()}
+	s.children = s.first[:0]
+	return s
 }
 
 // RequestID returns the span's request ID.
-func (s *Span) RequestID() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.requestID
-}
+func (s *Span) RequestID() string { return s.requestID }
 
 // SetShard labels the span with the tenant/collection that served it.
 func (s *Span) SetShard(tenant, collection string) {
@@ -190,20 +166,19 @@ func (s *Span) SetDetail(detail string) {
 
 // StartChild starts and attaches a child span, inheriting the request ID.
 func (s *Span) StartChild(name string) *Span {
+	c := NewSpan(name, s.requestID)
 	s.mu.Lock()
-	c := &Span{name: name, requestID: s.requestID, start: time.Now()}
-	s.children = append(s.children, c)
+	s.children = append(s.children, child{span: c})
 	s.mu.Unlock()
 	return c
 }
 
-// AddChild attaches a pre-built child span (typically CompletedSpan).
-func (s *Span) AddChild(c *Span) {
-	if c == nil {
-		return
-	}
+// AddRun attaches a finished run as a child, failed with err when
+// non-nil. The span keeps r itself, not a copy: the run and its stages
+// become span nodes only when the tree is snapshotted.
+func (s *Span) AddRun(r Run, err error) {
 	s.mu.Lock()
-	s.children = append(s.children, c)
+	s.children = append(s.children, child{run: r, err: err})
 	s.mu.Unlock()
 }
 
@@ -258,6 +233,7 @@ type SpanSnapshot struct {
 
 // Snapshot deep-copies the span tree under each node's lock, so it is
 // safe against concurrent child attachment and straggler finishes.
+// Attached runs are rendered here, from the runs themselves.
 func (s *Span) Snapshot() SpanSnapshot {
 	s.mu.Lock()
 	out := SpanSnapshot{
@@ -270,15 +246,32 @@ func (s *Span) Snapshot() SpanSnapshot {
 		Nanos:      int64(s.d),
 		Err:        s.err,
 	}
-	children := make([]*Span, len(s.children))
+	children := make([]child, len(s.children))
 	copy(children, s.children)
 	s.mu.Unlock()
 	if len(children) > 0 {
 		out.Spans = make([]SpanSnapshot, len(children))
 		for i, c := range children {
-			out.Spans[i] = c.Snapshot()
+			out.Spans[i] = c.snapshot()
 		}
 	}
+	return out
+}
+
+// snapshot renders one child entry: a live span's subtree, or a run as
+// a node whose stage children sit at the run's start plus their offsets.
+func (c child) snapshot() SpanSnapshot {
+	if c.span != nil {
+		return c.span.Snapshot()
+	}
+	name, detail, start, d := c.run.RunSummary()
+	out := SpanSnapshot{Name: name, Detail: detail, Start: start, Nanos: int64(d)}
+	if c.err != nil {
+		out.Err = c.err.Error()
+	}
+	c.run.RunStages(func(stage string, offset, d time.Duration) {
+		out.Spans = append(out.Spans, SpanSnapshot{Name: stage, Start: start.Add(offset), Nanos: int64(d)})
+	})
 	return out
 }
 
@@ -332,17 +325,13 @@ func NewTraceStore(recent, slowest int) *TraceStore {
 }
 
 // Record retains a finished root span. Roots beyond the family cap are
-// pooled under the "_other" family rather than dropped. A root evicted
-// from both retention structures (its ring slot was overwritten and it
-// is not among the slowest) has its tree released back to the span pool.
+// pooled under the "_other" family rather than dropped.
 func (ts *TraceStore) Record(root *Span) {
 	if ts == nil || root == nil {
 		return
 	}
 	d := root.Duration()
-	root.mu.Lock()
 	family := root.name
-	root.mu.Unlock()
 
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -357,12 +346,7 @@ func (ts *TraceStore) Record(root *Span) {
 			ts.families[family] = f
 		}
 	}
-	slot := f.next % uint64(len(f.recent))
-	root.storeRefs++
-	if old := f.recent[slot]; old != nil {
-		ts.unref(old)
-	}
-	f.recent[slot] = root
+	f.recent[f.next%uint64(len(f.recent))] = root
 	f.next++
 	f.total++
 
@@ -373,23 +357,10 @@ func (ts *TraceStore) Record(root *Span) {
 	f.slow = append(f.slow, nil)
 	copy(f.slow[i+1:], f.slow[i:])
 	f.slow[i] = root
-	root.storeRefs++
 	if len(f.slow) > ts.slowCap {
-		dropped := f.slow[0]
 		copy(f.slow, f.slow[1:])
 		f.slow[len(f.slow)-1] = nil
 		f.slow = f.slow[:len(f.slow)-1]
-		ts.unref(dropped)
-	}
-}
-
-// unref drops one retention reference from a root, releasing its tree
-// to the span pool when no ring slot or slowest entry holds it anymore.
-// Caller holds ts.mu.
-func (ts *TraceStore) unref(root *Span) {
-	root.storeRefs--
-	if root.storeRefs == 0 {
-		releaseTree(root)
 	}
 }
 
@@ -404,40 +375,42 @@ type FamilySnapshot struct {
 }
 
 // Snapshot renders every family, sorted by name, most recent trace
-// first and slowest trace first. The deep copy runs under the store's
-// lock: a concurrent Record could otherwise evict a retained root and
-// release its tree to the span pool mid-copy.
+// first and slowest trace first. Only the retained roots are gathered
+// under the store's lock; each tree is copied after it is released,
+// under its spans' own locks.
 func (ts *TraceStore) Snapshot() []FamilySnapshot {
 	if ts == nil {
 		return nil
 	}
-	ts.mu.Lock()
-	type fam struct {
-		name string
-		fs   FamilySnapshot
+	type retained struct {
+		name         string
+		total        uint64
+		recent, slow []*Span // in rendering order
 	}
-	fams := make([]fam, 0, len(ts.families))
+	ts.mu.Lock()
+	fams := make([]retained, 0, len(ts.families))
 	for name, f := range ts.families {
-		fs := FamilySnapshot{Family: name, Total: f.total}
-		n := f.next
-		if n > uint64(len(f.recent)) {
-			n = uint64(len(f.recent))
-		}
-		for i := uint64(0); i < n; i++ {
-			sp := f.recent[(f.next-1-i)%uint64(len(f.recent))]
-			fs.Recent = append(fs.Recent, sp.Snapshot())
+		r := retained{name: name, total: f.total}
+		for i := uint64(0); i < min(f.next, uint64(len(f.recent))); i++ {
+			r.recent = append(r.recent, f.recent[(f.next-1-i)%uint64(len(f.recent))])
 		}
 		for i := len(f.slow) - 1; i >= 0; i-- { // descending by duration
-			fs.Slowest = append(fs.Slowest, f.slow[i].Snapshot())
+			r.slow = append(r.slow, f.slow[i])
 		}
-		fams = append(fams, fam{name: name, fs: fs})
+		fams = append(fams, r)
 	}
 	ts.mu.Unlock()
 
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	out := make([]FamilySnapshot, len(fams))
 	for i, f := range fams {
-		out[i] = f.fs
+		out[i] = FamilySnapshot{Family: f.name, Total: f.total}
+		for _, sp := range f.recent {
+			out[i].Recent = append(out[i].Recent, sp.Snapshot())
+		}
+		for _, sp := range f.slow {
+			out[i].Slowest = append(out[i].Slowest, sp.Snapshot())
+		}
 	}
 	return out
 }
@@ -445,32 +418,38 @@ func (ts *TraceStore) Snapshot() []FamilySnapshot {
 // TraceHandler wraps an HTTP handler with request correlation: it
 // honors a well-formed client X-Request-ID (generating one otherwise),
 // echoes it on the response before the handler runs (so error renderers
-// can read it back from the response headers), threads it through the
-// request context, opens a root span for the request, and records the
-// finished tree into store. The catalog's handler (the daemon's one
-// HTTP surface) is its caller; handlers below it attach child spans to
-// that root. When the context already carries an ID or a span (a
-// TraceHandler composed inside another), both are kept, so the outer
-// handler owns the one root. store may be nil: requests still get
-// correlated IDs, spans are never created, and nothing is retained.
+// can read it back from the response headers), opens a root span for
+// the request carrying that ID, and records the finished tree into
+// store. The root span is the one context value a traced request gets:
+// RequestIDFrom reads the ID off it. The catalog's handler (the
+// daemon's one HTTP surface) is its caller; handlers below it attach
+// child spans to that root. When the context already carries an ID or a
+// span (a TraceHandler composed inside another), both are kept, so the
+// outer handler owns the one root. store may be nil: requests still get
+// correlated IDs (threaded as an ID-only context value), spans are
+// never created, and nothing is retained.
 func TraceHandler(store *TraceStore, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
-		id := RequestIDFrom(ctx)
-		if id == "" {
+		sp := SpanFrom(ctx)
+		id := requestID(ctx, sp)
+		carried := id != ""
+		if !carried {
 			if id = SanitizeRequestID(r.Header.Get("X-Request-ID")); id == "" {
 				id = NewRequestID()
 			}
-			ctx = WithRequestID(ctx, id)
 		}
 		w.Header().Set("X-Request-ID", id)
-		if store != nil && SpanFrom(ctx) == nil {
+		switch {
+		case store != nil && sp == nil:
 			root := NewSpan(r.Method+" "+r.URL.Path, id)
 			ctx = WithSpan(ctx, root)
 			defer func() {
 				root.Finish()
 				store.Record(root)
 			}()
+		case !carried:
+			ctx = WithRequestID(ctx, id)
 		}
 		next.ServeHTTP(w, r.WithContext(ctx))
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"sync"
 	"testing"
@@ -58,9 +59,7 @@ func TestSpanTree(t *testing.T) {
 	}
 	child.SetShard("acme", "docs")
 	child.SetDetail("//a/b")
-	grand := CompletedSpan("stage", time.Now(), 5*time.Millisecond)
-	child.AddChild(grand)
-	child.AddChild(nil) // no-op
+	child.AddRun(&fakeRun{name: "estimate", d: 5 * time.Millisecond}, nil)
 	child.FinishErr(errors.New("boom"))
 	root.Finish()
 	root.Finish() // idempotent
@@ -79,8 +78,82 @@ func TestSpanTree(t *testing.T) {
 	if cs.Tenant != "acme" || cs.Collection != "docs" || cs.Detail != "//a/b" || cs.Err != "boom" {
 		t.Fatalf("child snapshot = %+v", cs)
 	}
-	if len(cs.Spans) != 1 || cs.Spans[0].Name != "stage" || cs.Spans[0].Nanos != int64(5*time.Millisecond) {
+	if len(cs.Spans) != 1 || cs.Spans[0].Name != "estimate" || cs.Spans[0].Nanos != int64(5*time.Millisecond) {
 		t.Fatalf("grandchild snapshot = %+v", cs.Spans)
+	}
+}
+
+// fakeRun is a Run with fixed timings.
+type fakeRun struct {
+	name   string
+	detail string
+	start  time.Time
+	d      time.Duration
+	stages []fakeStage
+}
+
+type fakeStage struct {
+	name      string
+	offset, d time.Duration
+}
+
+func (r *fakeRun) RunSummary() (string, string, time.Time, time.Duration) {
+	return r.name, r.detail, r.start, r.d
+}
+
+func (r *fakeRun) RunStages(fn func(stage string, offset, d time.Duration)) {
+	for _, st := range r.stages {
+		fn(st.name, st.offset, st.d)
+	}
+}
+
+// TestSpanSnapshotRendersRuns pins the exact rendering of runs attached
+// by reference: each becomes a node with the run's name, detail,
+// start and duration, its stages become children at start plus
+// offset, an error renders on the run's node only, and runs keep their
+// insertion order among live child spans.
+func TestSpanSnapshotRendersRuns(t *testing.T) {
+	t0 := time.Date(2024, 1, 2, 3, 4, 5, 0, time.UTC)
+	us := time.Microsecond
+	root := &Span{name: "POST /estimate", requestID: "req-9", start: t0, d: 900 * us}
+	root.AddRun(&fakeRun{
+		name:   "estimate",
+		detail: "//a/b",
+		start:  t0.Add(10 * us),
+		d:      40 * us,
+		stages: []fakeStage{{"canonicalize", 0, 2 * us}, {"result_cache", 3 * us, 1 * us}},
+	}, nil)
+	shard := root.StartChild("shard")
+	shard.start, shard.d = t0.Add(60*us), 500*us
+	shard.SetShard("acme", "docs")
+	shard.AddRun(&fakeRun{
+		name:   "estimate",
+		detail: "//a[b>1]",
+		start:  t0.Add(70 * us),
+		d:      300 * us,
+		stages: []fakeStage{{"canonicalize", 0, 3 * us}, {"compile", 5 * us, 100 * us}, {"execute", 110 * us, 150 * us}},
+	}, errors.New("context deadline exceeded"))
+	root.AddRun(&fakeRun{name: "estimate", detail: "//c", start: t0.Add(600 * us), d: 9 * us}, nil)
+
+	want := SpanSnapshot{
+		Name: "POST /estimate", RequestID: "req-9", Start: t0, Nanos: int64(900 * us),
+		Spans: []SpanSnapshot{
+			{Name: "estimate", Detail: "//a/b", Start: t0.Add(10 * us), Nanos: int64(40 * us), Spans: []SpanSnapshot{
+				{Name: "canonicalize", Start: t0.Add(10 * us), Nanos: int64(2 * us)},
+				{Name: "result_cache", Start: t0.Add(13 * us), Nanos: int64(1 * us)},
+			}},
+			{Name: "shard", RequestID: "req-9", Tenant: "acme", Collection: "docs", Start: t0.Add(60 * us), Nanos: int64(500 * us), Spans: []SpanSnapshot{
+				{Name: "estimate", Detail: "//a[b>1]", Start: t0.Add(70 * us), Nanos: int64(300 * us), Err: "context deadline exceeded", Spans: []SpanSnapshot{
+					{Name: "canonicalize", Start: t0.Add(70 * us), Nanos: int64(3 * us)},
+					{Name: "compile", Start: t0.Add(75 * us), Nanos: int64(100 * us)},
+					{Name: "execute", Start: t0.Add(180 * us), Nanos: int64(150 * us)},
+				}},
+			}},
+			{Name: "estimate", Detail: "//c", Start: t0.Add(600 * us), Nanos: int64(9 * us)},
+		},
+	}
+	if got := root.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("snapshot =\n%+v\nwant\n%+v", got, want)
 	}
 }
 
@@ -95,7 +168,7 @@ func TestSpanFinishClampsToPositive(t *testing.T) {
 // recordedSpan builds a finished root with a given family name and
 // duration for store tests.
 func recordedSpan(family string, d time.Duration) *Span {
-	return CompletedSpan(family, time.Now(), d)
+	return &Span{name: family, start: time.Now(), d: d}
 }
 
 func TestTraceStoreRingAndSlowest(t *testing.T) {
@@ -215,11 +288,62 @@ func TestTraceStoreConcurrent(t *testing.T) {
 	}
 }
 
+// TestStragglerAfterEviction has a scatter straggler attach a run to its
+// shard span after the store evicted the span's root, while snapshots
+// of the store and of the evicted tree run concurrently. Meaningful
+// under -race; the straggler's reference keeps the tree intact.
+func TestStragglerAfterEviction(t *testing.T) {
+	ts := NewTraceStore(1, 1)
+	root := NewSpan("POST /estimate", "req-late")
+	shard := root.StartChild("shard")
+	root.Finish()
+	ts.Record(root)
+
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() { // evict the root from the ring and the slowest list
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			ts.Record(recordedSpan("POST /estimate", time.Hour))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			ts.Snapshot()
+			root.Snapshot()
+		}
+	}()
+	go func() { // the straggler
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			shard.AddRun(&fakeRun{name: "estimate", detail: "//late", d: time.Microsecond}, nil)
+		}
+		shard.FinishErr(errors.New("gather gave up"))
+	}()
+	wg.Wait()
+
+	for _, f := range ts.Snapshot() {
+		for _, sp := range append(f.Recent, f.Slowest...) {
+			if sp.RequestID == "req-late" {
+				t.Fatalf("evicted root still retained: %+v", sp)
+			}
+		}
+	}
+	got := root.Snapshot().Spans[0]
+	if got.Err != "gather gave up" || len(got.Spans) != 50 || got.Spans[49].Detail != "//late" {
+		t.Fatalf("straggler's shard span = %s error %q with %d runs", got.Name, got.Err, len(got.Spans))
+	}
+}
+
 func TestTraceHandlerHonorsClientID(t *testing.T) {
 	ts := NewTraceStore(4, 2)
 	var seenID string
 	h := TraceHandler(ts, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seenID = RequestIDFrom(r.Context())
+		if r.Context().Value(requestIDKey{}) != nil {
+			t.Error("traced request carries an ID-only context value besides its root span")
+		}
 		if sp := SpanFrom(r.Context()); sp == nil {
 			t.Error("no span in handler context")
 		} else if sp.RequestID() != "abc" {

@@ -402,7 +402,7 @@ func (s *Service) RunEstimateRequest(ctx context.Context, req EstimateRequest) (
 		t0 := time.Now()
 		q, err := query.Parse(qstr)
 		d := time.Since(t0)
-		s.reg.Observe(core.MetricPipelineStageSeconds, `stage="`+core.StageParse+`"`, d.Seconds())
+		s.stages.parse.Observe(d.Seconds())
 		if err != nil {
 			results[i].Error = err.Error()
 			var perr *query.ParseError

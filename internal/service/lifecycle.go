@@ -34,8 +34,7 @@ type slot struct {
 }
 
 // newSlot builds a fully configured slot for syn: a fresh estimator
-// carrying the service's stored configuration and the shared metric
-// sink. Every generation is constructed through here, so a rebuilt
+// carrying the service's stored configuration. Every generation is constructed through here, so a rebuilt
 // estimator is indistinguishable from a cold start over the same
 // synopsis.
 func (s *Service) newSlot(syn *core.Synopsis) *slot {
@@ -47,7 +46,6 @@ func (s *Service) newSlot(syn *core.Synopsis) *slot {
 		est.SetPlanCacheCapacity(s.planCap)
 	}
 	est.UninformedSel = s.uninformedSel
-	est.SetMetricSink(s.reg)
 	return &slot{syn: syn, est: est, installed: time.Now()}
 }
 

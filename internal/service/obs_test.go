@@ -56,7 +56,10 @@ func TestStatsMatchesRegistry(t *testing.T) {
 		t.Errorf("stats percentiles %v/%v diverge from histogram %g/%g",
 			st.P50, st.P99, snap.P50, snap.P99)
 	}
-	if got := svc.served.Value(); got != st.Served {
-		t.Errorf("served counter = %d, stats = %d", got, st.Served)
+	// The answered count lives in the histogram; /metrics' counter
+	// mirrors it once the render path syncs.
+	svc.SyncMetrics()
+	if got := svc.served.Value(); got != st.Served || got != snap.Count {
+		t.Errorf("served counter = %d, stats = %d, histogram count = %d", got, st.Served, snap.Count)
 	}
 }

@@ -6,11 +6,12 @@
 // A Service wraps a synopsis and a shared thread-safe Estimator and
 // offers batch estimation with a bounded worker pool, per-request
 // deadlines via context, and full observability: every estimate runs
-// the traced canonicalize → compile → execute pipeline, emitting
-// per-stage latencies, cache outcomes, and request counters into an
-// internal/obs metrics registry, recording queries above a threshold in
-// a ring-buffer slow-query log, and returning per-stage spans inline on
-// request.
+// the traced canonicalize → compile → execute pipeline, and the
+// service records that one trace — per-stage latencies, cache
+// outcomes, and request counters into an internal/obs metrics
+// registry, queries above a threshold into a ring-buffer slow-query
+// log, the trace itself into the request's span tree — and returns
+// per-stage spans inline on request.
 //
 // The package is a Go API with no HTTP routing: internal/catalog owns
 // every endpoint and serves each shard through these methods. http.go
@@ -124,7 +125,7 @@ func WithTruthFunc(fn accuracy.TruthFunc) Option {
 }
 
 // WithAccuracy forwards options to the service's accuracy monitor
-// (sanity bound, drift window/threshold, drift callback).
+// (drift window/threshold, drift callback).
 func WithAccuracy(opts ...accuracy.MonitorOption) Option {
 	return func(s *Service) { s.monOpts = append(s.monOpts, opts...) }
 }
@@ -228,6 +229,9 @@ type Service struct {
 	shadowDeadline time.Duration
 
 	// Registry series the hot path holds directly (no per-event lookup).
+	// served and slowTotal mirror reqHist.Count() and slow.Total(),
+	// stored at scrape time (SyncMetrics): each fact is counted once.
+	stages       stageMetrics
 	served       *obs.Counter // xcluster_requests_total{outcome="ok"}
 	failed       *obs.Counter // xcluster_requests_total{outcome="error"}
 	reqHist      *obs.Histogram
@@ -318,9 +322,78 @@ func (s *Service) Close() {
 	}
 }
 
+// Per-estimate metric families the service records from each trace.
+const (
+	// metricStageSeconds is a histogram of per-stage wall time of the
+	// estimation pipeline, labeled stage="parse|canonicalize|
+	// result_cache|plan_cache|compile|execute".
+	metricStageSeconds = "xcluster_pipeline_stage_seconds"
+	// metricCacheLookups counts estimate-pipeline cache lookups,
+	// labeled cache="result|plan" and outcome="hit|miss".
+	metricCacheLookups = "xcluster_cache_lookups_total"
+)
+
+// stageMetrics are the pipeline series of metricStageSeconds and
+// metricCacheLookups, resolved once in wireMetrics: one histogram per
+// stage and one counter per cache outcome.
+type stageMetrics struct {
+	parse, canonicalize, resultCache, planCache, compile, execute *obs.Histogram
+	resultHit, resultMiss, planHit, planMiss                      *obs.Counter
+}
+
+func newStageMetrics(r *obs.Registry) stageMetrics {
+	stage := func(name string) *obs.Histogram {
+		return r.Histogram(metricStageSeconds, `stage="`+name+`"`, nil)
+	}
+	lookups := func(labels string) *obs.Counter { return r.Counter(metricCacheLookups, labels) }
+	return stageMetrics{
+		parse:        stage(core.StageParse),
+		canonicalize: stage(core.StageCanonicalize),
+		resultCache:  stage(core.StageResultCache),
+		planCache:    stage(core.StagePlanCache),
+		compile:      stage(core.StageCompile),
+		execute:      stage(core.StageExecute),
+		resultHit:    lookups(`cache="result",outcome="hit"`),
+		resultMiss:   lookups(`cache="result",outcome="miss"`),
+		planHit:      lookups(`cache="plan",outcome="hit"`),
+		planMiss:     lookups(`cache="plan",outcome="miss"`),
+	}
+}
+
+// record observes each stage the trace ran, and one cache lookup per
+// cache-lookup stage.
+func (m *stageMetrics) record(tr *core.EstimateTrace) {
+	for _, sp := range tr.Spans {
+		var h *obs.Histogram
+		switch sp.Stage {
+		case core.StageCanonicalize:
+			h = m.canonicalize
+		case core.StageResultCache:
+			h = m.resultCache
+			countLookup(tr.ResultCacheHit, m.resultHit, m.resultMiss)
+		case core.StagePlanCache:
+			h = m.planCache
+			countLookup(tr.PlanCacheHit, m.planHit, m.planMiss)
+		case core.StageCompile:
+			h = m.compile
+		case core.StageExecute:
+			h = m.execute
+		default:
+			continue
+		}
+		h.Observe(sp.Duration.Seconds())
+	}
+}
+
+func countLookup(hit bool, hits, misses *obs.Counter) {
+	if hit {
+		hits.Inc()
+	} else {
+		misses.Inc()
+	}
+}
+
 // wireMetrics registers help text and resolves the hot-path series.
-// (Each generation's estimator gets its metric sink pointed at the
-// registry by newSlot.)
 func (s *Service) wireMetrics() {
 	r := s.reg
 	r.Help("xcluster_requests_total", "Estimate queries answered, by outcome.")
@@ -353,11 +426,12 @@ func (s *Service) wireMetrics() {
 		r.Help("xcluster_workload_shapes_tracked", "Distinct query shapes currently tracked by the workload profiler.")
 		r.Help("xcluster_workload_shape_evictions_total", "Shapes displaced from the profiler's bounded top-K table.")
 	}
-	r.Help(core.MetricPipelineStageSeconds, "Wall time per estimation pipeline stage.")
-	r.Help(core.MetricCacheLookupsTotal, "Estimate-pipeline cache lookups, by cache and outcome.")
+	r.Help(metricStageSeconds, "Wall time per estimation pipeline stage.")
+	r.Help(metricCacheLookups, "Estimate-pipeline cache lookups, by cache and outcome.")
 	r.Help(core.MetricBuildPhaseSeconds, "Synopsis build phase wall time.")
 	r.Help(core.MetricBuildMergesTotal, "Node merges applied by synopsis builds.")
 	r.Help(core.MetricBuildPairsTotal, "Merge-candidate evaluations by synopsis builds, by outcome (computed, memo_hit, memo_partial).")
+	s.stages = newStageMetrics(r)
 	s.served = r.Counter("xcluster_requests_total", `outcome="ok"`)
 	s.failed = r.Counter("xcluster_requests_total", `outcome="error"`)
 	s.reqHist = r.Histogram("xcluster_request_seconds", "", nil)
@@ -373,14 +447,17 @@ func (s *Service) wireMetrics() {
 }
 
 // SyncMetrics mirrors scrape-time state into the service's registry:
-// the estimator's authoritative cache counters (the same values Stats
-// reports, so the two views cannot disagree), cache occupancy, synopsis
-// size, uptime, shadow counters, and the workload, budget, and SLO
-// gauges. The catalog calls it for each shard before a GET /metrics
-// render.
+// the answered and slow-logged counts (from the latency histogram and
+// the slow log, which count them), the estimator's authoritative cache
+// counters (the same values Stats reports, so the two views cannot
+// disagree), cache occupancy, synopsis size, uptime, shadow counters,
+// and the workload, budget, and SLO gauges. The catalog calls it for
+// each shard before a GET /metrics render.
 func (s *Service) SyncMetrics() {
 	r := s.reg
 	sl := s.cur.Load()
+	s.served.Store(s.reqHist.Count())
+	s.slowTotal.Store(s.slow.Total())
 	for _, c := range []struct {
 		label string
 		stats core.CacheStats
@@ -416,7 +493,7 @@ func (s *Service) SLO() *obs.SLOTracker { return s.slo }
 // RequestsTotal returns the number of estimates ever answered (served
 // plus failed) — the ops denominator the catalog uses for allocs-per-op
 // sampling.
-func (s *Service) RequestsTotal() uint64 { return s.served.Value() + s.failed.Value() }
+func (s *Service) RequestsTotal() uint64 { return s.reqHist.Count() + s.failed.Value() }
 
 // Synopsis returns the currently served synopsis generation.
 func (s *Service) Synopsis() *core.Synopsis { return s.cur.Load().syn }
@@ -426,9 +503,6 @@ func (s *Service) Synopsis() *core.Synopsis { return s.cur.Load().syn }
 // the returned pointer across related calls if cross-call consistency
 // matters.
 func (s *Service) Estimator() *core.Estimator { return s.cur.Load().est }
-
-// Registry returns the service's metrics registry.
-func (s *Service) Registry() *obs.Registry { return s.reg }
 
 // SlowLog returns the slow-query log (nil when disabled).
 func (s *Service) SlowLog() *obs.SlowLog { return s.slow }
@@ -473,92 +547,70 @@ func (s *Service) EstimateTraced(ctx context.Context, q *query.Query) (float64, 
 	return s.estimateOne(ctx, s.cur.Load(), q)
 }
 
-// estimateOne runs one traced estimate against the pinned slot,
-// recording latency, counters, and — above the threshold — a slow-query
-// log entry. The caller pins the slot so one logical operation (a
+// estimateOne runs one traced estimate against the pinned slot and
+// records it. The caller pins the slot so one logical operation (a
 // single estimate, or a whole batch) runs coherently on one generation
 // even while a hot swap installs the next.
 func (s *Service) estimateOne(ctx context.Context, sl *slot, q *query.Query) (float64, *core.EstimateTrace, error) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	t0 := time.Now()
 	v, tr, err := sl.est.SelectivityTraced(ctx, q)
-	d := time.Since(t0)
-	// One context lookup is the whole per-estimate tracing cost when the
-	// request carries no span (untraced callers, or tracing disabled).
-	sp := obs.SpanFrom(ctx)
+	s.record(ctx, sl, q, tr, err)
+	return v, tr, err
+}
+
+// record writes one estimate down, once. Every per-request sink reads
+// the estimate's own trace — its start and total (the one clock),
+// stages, canonical query and estimate — so nothing is timed or copied
+// twice: the stage and cache-lookup series, the workload profiler, the
+// SLO tracker, the request's span tree (which keeps the trace itself),
+// then, for an answered estimate, the latency histogram, the slow-query
+// log and the shadow sampler; a failed one counts as failed. The slow
+// log's plan summary is resolved through the plan cache, so its cost is
+// paid only by queries already slow enough to log.
+func (s *Service) record(ctx context.Context, sl *slot, q *query.Query, tr *core.EstimateTrace, err error) {
+	s.stages.record(tr)
 	// The profiler reuses the trace's canonical string and hash, so its
 	// hit path is a read-locked map probe plus atomic counter bumps.
 	shapeID := ""
-	if s.prof != nil && tr != nil {
-		shapeID = s.prof.Record(t0, q, tr.Canonical, tr.CanonicalHash, d, tr.Estimate, err != nil)
+	if s.prof != nil {
+		shapeID = s.prof.Record(tr.Start, q, tr.Canonical, tr.CanonicalHash, tr.Total, tr.Estimate, err != nil)
+	}
+	s.slo.ObserveAt(tr.Start, tr.Total, err != nil)
+	// One context lookup is the whole per-estimate tracing cost when the
+	// request carries no span (untraced callers, or tracing disabled).
+	if sp := obs.SpanFrom(ctx); sp != nil {
+		sp.AddRun(tr, err)
 	}
 	if err != nil {
 		s.failed.Inc()
-		s.slo.ObserveAt(t0, d, true)
-		if sp != nil {
-			sp.AddChild(estimateSpan(t0, d, tr, err))
+		return
+	}
+	s.reqHist.Observe(tr.Total.Seconds())
+	if s.slow != nil && tr.Total >= s.slow.Threshold() {
+		planSummary := ""
+		if pq, err := sl.est.Prepare(q); err == nil {
+			planSummary = pq.PlanSummary()
 		}
-		return 0, tr, err
+		spans := make([]obs.SlowLogSpan, len(tr.Spans))
+		for i, sp := range tr.Spans {
+			spans[i] = obs.SlowLogSpan{Stage: sp.Stage, Nanos: sp.Duration.Nanoseconds()}
+		}
+		s.slow.Record(obs.SlowLogEntry{
+			Time:       tr.Start.Add(tr.Total),
+			RequestID:  obs.RequestIDFrom(ctx),
+			ShapeID:    shapeID,
+			Query:      tr.Canonical,
+			Plan:       planSummary,
+			Estimate:   tr.Estimate,
+			TotalNanos: tr.Total.Nanoseconds(),
+			Spans:      spans,
+		})
 	}
-	s.reqHist.Observe(d.Seconds())
-	s.served.Inc()
-	s.slo.ObserveAt(t0, d, false)
-	if sp != nil {
-		sp.AddChild(estimateSpan(t0, d, tr, nil))
-	}
-	s.recordSlow(ctx, sl, q, tr, v, d, shapeID)
 	if s.shadow != nil {
 		// Pair the trace's estimate with exact ground truth off the
 		// serving path; Offer never blocks.
 		s.shadow.Offer(q, tr.Estimate)
-	}
-	return v, tr, nil
-}
-
-// estimateSpan renders one completed estimate (and its pipeline-stage
-// timings) as a span subtree for the request's trace.
-func estimateSpan(start time.Time, d time.Duration, tr *core.EstimateTrace, err error) *obs.Span {
-	sp := obs.CompletedSpan("estimate", start, d)
-	if tr != nil {
-		sp.SetDetail(tr.Canonical)
-		for _, st := range tr.Spans {
-			sp.AddChild(obs.CompletedSpan(st.Stage, start.Add(st.Offset), st.Duration))
-		}
-	}
-	if err != nil {
-		sp.FinishErr(err)
-	}
-	return sp
-}
-
-// recordSlow captures one answered estimate in the slow-query log when
-// its latency reaches the threshold. The plan summary is resolved
-// through the plan cache, so the extra cost is paid only by queries
-// already slow enough to log.
-func (s *Service) recordSlow(ctx context.Context, sl *slot, q *query.Query, tr *core.EstimateTrace, v float64, d time.Duration, shapeID string) {
-	if s.slow == nil || d < s.slow.Threshold() {
-		return
-	}
-	planSummary := ""
-	if pq, err := sl.est.Prepare(q); err == nil {
-		planSummary = pq.PlanSummary()
-	}
-	spans := make([]obs.SlowLogSpan, len(tr.Spans))
-	for i, sp := range tr.Spans {
-		spans[i] = obs.SlowLogSpan{Stage: sp.Stage, Nanos: sp.Duration.Nanoseconds()}
-	}
-	if s.slow.Record(obs.SlowLogEntry{
-		Time:       time.Now(),
-		RequestID:  obs.RequestIDFrom(ctx),
-		ShapeID:    shapeID,
-		Query:      tr.Canonical,
-		Plan:       planSummary,
-		Estimate:   v,
-		TotalNanos: d.Nanoseconds(),
-		Spans:      spans,
-	}) {
-		s.slowTotal.Inc()
 	}
 }
 
@@ -759,7 +811,7 @@ func (s *Service) Stats() Stats {
 	snap := s.reqHist.Snapshot()
 	sl := s.cur.Load()
 	return Stats{
-		Served:         s.served.Value(),
+		Served:         snap.Count,
 		Failed:         s.failed.Value(),
 		Cache:          sl.est.CacheStats(),
 		PlanCache:      sl.est.PlanCacheStats(),
