@@ -67,5 +67,8 @@ go test -run '^$' -bench 'EstimateTelemetry|HandlerEstimateHot' -benchtime 1x ./
 
 # Machine-readable benchmark artifact, kept at the repo root for
 # comparison across revisions: the budget-allocation experiment (fixed
-# vs auto vs workload-planned splits on held-out queries).
+# vs auto vs workload-planned splits on held-out queries). The run is
+# deterministic, so the regenerated file must equal the committed one:
+# a change that moves the experiment has to commit the new artifact.
 make bench-autobudget
+git diff --exit-code -- BENCH_autobudget.json

@@ -83,8 +83,7 @@ func main() {
 			usage()
 		}
 		tree := loadDoc(fs.Arg(0))
-		// The struct configuration rides through the Legacy adapter.
-		syn, err := xcluster.Build(tree, xcluster.Legacy(xcluster.Options{StructBudget: *bstr, ValueBudget: *bval}))
+		syn, err := xcluster.Build(tree, xcluster.WithStructBudget(*bstr), xcluster.WithValueBudget(*bval))
 		if err != nil {
 			fatal(err)
 		}
@@ -143,7 +142,7 @@ func main() {
 			}
 		case fs.NArg() == 1:
 			tree = loadDoc(fs.Arg(0))
-			syn, err = xcluster.Build(tree, xcluster.Legacy(xcluster.Options{StructBudget: *bstr, ValueBudget: *bval}))
+			syn, err = xcluster.Build(tree, xcluster.WithStructBudget(*bstr), xcluster.WithValueBudget(*bval))
 			if err != nil {
 				fatal(err)
 			}

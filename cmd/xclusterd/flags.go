@@ -32,7 +32,6 @@ type config struct {
 	adaptiveBudget bool
 	buildWorkers   int
 	workloadCap    int
-	workloadWindow time.Duration
 
 	// Server-wide SLO defaults; manifest shard entries override them.
 	sloAvailability  float64
@@ -73,7 +72,6 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 	fs.BoolVar(&c.adaptiveBudget, "adaptive-budget", false, "derive rebuild budget splits from the live workload profile (requires -doc; see GET /debug/budget)")
 	fs.IntVar(&c.buildWorkers, "build-workers", 0, "merge-candidate evaluation goroutines for /admin/rebuild (default GOMAXPROCS; never changes the built synopsis)")
 	fs.IntVar(&c.workloadCap, "workload-cap", 0, "workload profiler shape-table capacity per shard (default 256, negative disables profiling)")
-	fs.DurationVar(&c.workloadWindow, "workload-window", 0, "workload profiler rate window (default 1m)")
 	fs.Float64Var(&c.sloAvailability, "slo-availability", 0, "availability objective in (0,1), e.g. 0.999 (0 disables; manifest shard entries override)")
 	fs.DurationVar(&c.sloLatency, "slo-latency", 0, "latency objective per estimate, e.g. 50ms (0 disables; manifest shard entries override)")
 	fs.Float64Var(&c.sloLatencyTarget, "slo-latency-target", 0, "fraction of requests that must beat -slo-latency (default 0.99; requires -slo-latency)")
@@ -150,12 +148,6 @@ func (c *config) validate(set map[string]bool) error {
 	}
 	if c.buildWorkers < 0 {
 		return fmt.Errorf("-build-workers must be non-negative (0 = GOMAXPROCS), got %d", c.buildWorkers)
-	}
-	if c.workloadWindow < 0 {
-		return fmt.Errorf("-workload-window must be non-negative (0 = default), got %v", c.workloadWindow)
-	}
-	if c.workloadWindow > 0 && c.workloadCap < 0 {
-		return fmt.Errorf("-workload-window is meaningless with profiling disabled (-workload-cap %d)", c.workloadCap)
 	}
 	// SLO flags are server-wide defaults, legitimate in both modes (the
 	// manifest's per-shard objectives win where both are set).

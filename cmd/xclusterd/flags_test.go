@@ -66,8 +66,6 @@ func TestParseFlagsRejections(t *testing.T) {
 		{"negative slo latency", []string{"-syn", "s", "-slo-latency", "-50ms"}, "-slo-latency must be non-negative"},
 		{"slo target out of range", []string{"-syn", "s", "-slo-latency", "50ms", "-slo-latency-target", "1.2"}, "-slo-latency-target must be in (0,1)"},
 		{"slo target without latency", []string{"-syn", "s", "-slo-latency-target", "0.95"}, "-slo-latency-target requires -slo-latency"},
-		{"negative workload window", []string{"-syn", "s", "-workload-window", "-1m"}, "-workload-window must be non-negative"},
-		{"workload window with disabled profiling", []string{"-syn", "s", "-workload-cap", "-1", "-workload-window", "30s"}, "-workload-window is meaningless"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -130,11 +128,11 @@ func TestParseFlagsSLO(t *testing.T) {
 // TestParseFlagsWorkload: the profiler knobs are server-wide and valid
 // in both modes; a negative capacity disables profiling per shard.
 func TestParseFlagsWorkload(t *testing.T) {
-	c, err := parseFlags([]string{"-syn", "s.bin", "-workload-cap", "512", "-workload-window", "30s"}, io.Discard)
+	c, err := parseFlags([]string{"-syn", "s.bin", "-workload-cap", "512"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.workloadCap != 512 || c.workloadWindow != 30*time.Second {
+	if c.workloadCap != 512 {
 		t.Fatalf("parsed workload %+v", c)
 	}
 	if _, err := parseFlags([]string{"-catalog", "m.json", "-workload-cap", "-1"}, io.Discard); err != nil {

@@ -250,8 +250,8 @@ func main() {
 			if cfg.buildWorkers > 0 {
 				opts = append(opts, service.WithBuildWorkers(cfg.buildWorkers))
 			}
-			if cfg.workloadCap != 0 || cfg.workloadWindow != 0 {
-				opts = append(opts, service.WithWorkloadProfile(cfg.workloadCap, cfg.workloadWindow))
+			if cfg.workloadCap != 0 {
+				opts = append(opts, service.WithWorkloadProfile(cfg.workloadCap))
 			}
 			// Server-wide SLO defaults; a shard's manifest objectives are
 			// appended after these by the catalog and win.

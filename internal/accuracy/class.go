@@ -9,8 +9,9 @@ import (
 // Class partitions queries by the value-predicate kind that drives
 // their estimation error: structure-only twigs, numeric ranges,
 // substring predicates, and the two full-text predicate forms. It is
-// finer than workload.Class (which folds ftcontains and ftsim into one
-// Text class) because the two full-text estimators share a term
+// the one query-class taxonomy: the workload generator, the Figure 8
+// tables, the monitor and the profiler all use it. The two full-text
+// forms are separate classes because their estimators share a term
 // histogram but combine it differently, and their errors drift
 // independently.
 type Class uint8

@@ -307,7 +307,7 @@ func TestHTTPRebuildPreconditions(t *testing.T) {
 	c := newTestCatalog(t, Config{
 		ShardOptions: func(spec ShardSpec) []service.Option {
 			if spec.Collection == "noprof" {
-				return []service.Option{service.WithWorkloadProfile(-1, 0)}
+				return []service.Option{service.WithWorkloadProfile(-1)}
 			}
 			return nil
 		},

@@ -14,7 +14,6 @@ import (
 	"xcluster/internal/query"
 	"xcluster/internal/termhist"
 	"xcluster/internal/vsum"
-	"xcluster/internal/workload"
 	"xcluster/internal/xmltree"
 )
 
@@ -349,7 +348,7 @@ func AblationBuild(d *Dataset, cfg Config) ([]AblationBuildRow, error) {
 		rep := d.Workload.Evaluate(est.Selectivity)
 		rows = append(rows, AblationBuildRow{
 			Policy: p.name, BuildSecs: secs,
-			Overall: rep.Overall, Struct: rep.ByClass[workload.Struct],
+			Overall: rep.Overall, Struct: rep.ByClass[accuracy.Struct],
 		})
 	}
 	return rows, nil

@@ -32,23 +32,6 @@ type AutoBudgetRow struct {
 	Overall float64 `json:"overall_err"`
 }
 
-// accuracyClass maps a generator class to the accuracy class name the
-// profiler reports (the planner's vocabulary): range predicates are
-// answered by histograms, substrings by PSTs, keywords by term
-// histograms, everything else by structure alone.
-func accuracyClass(c workload.Class) string {
-	switch c {
-	case workload.Numeric:
-		return accuracy.Range.String()
-	case workload.String:
-		return accuracy.Substring.String()
-	case workload.Text:
-		return accuracy.FTContains.String()
-	default:
-		return accuracy.Struct.String()
-	}
-}
-
 // measureSplit computes a synopsis's realized byte split by component —
 // the same measurement the serving layer feeds the planner (presence
 // and node/edge proportion signals).
@@ -79,12 +62,12 @@ func measureSplit(s *core.Synopsis) profile.BudgetSplit {
 // and measured relative error, joined into pain = share × error.
 func sampleClassStats(sample []workload.Query, s *core.Synopsis, sanity float64) []profile.ClassStat {
 	est := core.NewEstimator(s)
-	byClass := map[workload.Class][]workload.Query{}
+	byClass := map[accuracy.Class][]workload.Query{}
 	for _, q := range sample {
 		byClass[q.Class] = append(byClass[q.Class], q)
 	}
 	var stats []profile.ClassStat
-	for _, c := range workload.Classes() {
+	for _, c := range accuracy.Classes() {
 		qs := byClass[c]
 		if len(qs) == 0 {
 			continue
@@ -92,7 +75,7 @@ func sampleClassStats(sample []workload.Query, s *core.Synopsis, sanity float64)
 		share := float64(len(qs)) / float64(len(sample))
 		relErr := workload.AvgRelError(qs, est.Selectivity, sanity)
 		stats = append(stats, profile.ClassStat{
-			Class:        accuracyClass(c),
+			Class:        c.String(),
 			Count:        uint64(len(qs)),
 			TrafficShare: share,
 			RelError:     relErr,

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"xcluster/internal/accuracy"
 	"xcluster/internal/core"
 	"xcluster/internal/workload"
 )
@@ -45,12 +46,12 @@ type Table2Row struct {
 // workload, split into structure-only and predicate queries.
 func Table2(d *Dataset) Table2Row {
 	var pred []workload.Query
-	for _, c := range []workload.Class{workload.Numeric, workload.String, workload.Text} {
+	for _, c := range []accuracy.Class{accuracy.Range, accuracy.Substring, accuracy.FTContains} {
 		pred = append(pred, d.Workload.ByClass(c)...)
 	}
 	return Table2Row{
 		Dataset:    d.Name,
-		AvgStruct:  workload.AvgTrue(d.Workload.ByClass(workload.Struct)),
+		AvgStruct:  workload.AvgTrue(d.Workload.ByClass(accuracy.Struct)),
 		AvgPred:    workload.AvgTrue(pred),
 		NumQueries: len(d.Workload.Queries),
 	}
@@ -97,10 +98,10 @@ func Figure8(d *Dataset, cfg Config) ([]Fig8Row, error) {
 					StructBudget: budgets[i],
 					TotalKB:      float64(s.TotalBytes()) / 1024,
 					Overall:      rep.Overall,
-					Numeric:      rep.ByClass[workload.Numeric],
-					String:       rep.ByClass[workload.String],
-					Text:         rep.ByClass[workload.Text],
-					Struct:       rep.ByClass[workload.Struct],
+					Numeric:      rep.ByClass[accuracy.Range],
+					String:       rep.ByClass[accuracy.Substring],
+					Text:         rep.ByClass[accuracy.FTContains],
+					Struct:       rep.ByClass[accuracy.Struct],
 				}
 			}
 		}()
@@ -117,7 +118,7 @@ func Figure8(d *Dataset, cfg Config) ([]Fig8Row, error) {
 // queries of one class on one data set, at the largest synopsis.
 type Fig9Row struct {
 	Dataset string
-	Class   workload.Class
+	Class   accuracy.Class
 	AbsErr  float64
 	AvgTrue float64
 	N       int
@@ -136,7 +137,7 @@ func Figure9(d *Dataset, cfg Config) ([]Fig9Row, error) {
 	est := core.NewEstimator(s)
 	bound := d.Workload.SanityBound()
 	var rows []Fig9Row
-	for _, c := range []workload.Class{workload.Numeric, workload.String, workload.Text} {
+	for _, c := range []accuracy.Class{accuracy.Range, accuracy.Substring, accuracy.FTContains} {
 		low := workload.LowCount(d.Workload.ByClass(c), bound)
 		rows = append(rows, Fig9Row{
 			Dataset: d.Name,
@@ -152,7 +153,7 @@ func Figure9(d *Dataset, cfg Config) ([]Fig9Row, error) {
 // NegativeRow summarizes the negative-workload experiment for one class.
 type NegativeRow struct {
 	Dataset string
-	Class   workload.Class
+	Class   accuracy.Class
 	AvgEst  float64 // average estimate on zero-selectivity queries
 	MaxEst  float64
 	N       int
@@ -169,7 +170,7 @@ func NegativeExperiment(d *Dataset, cfg Config) ([]NegativeRow, error) {
 	}
 	est := core.NewEstimator(s)
 	var rows []NegativeRow
-	for _, c := range []workload.Class{workload.Numeric, workload.String, workload.Text} {
+	for _, c := range []accuracy.Class{accuracy.Range, accuracy.Substring, accuracy.FTContains} {
 		qs := d.Negative.ByClass(c)
 		row := NegativeRow{Dataset: d.Name, Class: c, N: len(qs)}
 		for _, q := range qs {
@@ -233,7 +234,7 @@ func FormatFigure9(rows []Fig9Row) string {
 	fmt.Fprintf(&sb, "Figure 9. Avg. Absolute Error for Low-Count Queries\n")
 	fmt.Fprintf(&sb, "%-8s %-8s %12s %12s %6s\n", "Dataset", "Class", "AbsError", "AvgTrueSel", "N")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-8s %-8s %12.3f %12.2f %6d\n", r.Dataset, r.Class, r.AbsErr, r.AvgTrue, r.N)
+		fmt.Fprintf(&sb, "%-8s %-8s %12.3f %12.2f %6d\n", r.Dataset, workload.ClassName(r.Class), r.AbsErr, r.AvgTrue, r.N)
 	}
 	return sb.String()
 }
@@ -244,7 +245,7 @@ func FormatNegative(rows []NegativeRow) string {
 	fmt.Fprintf(&sb, "Negative workload (zero-selectivity queries): estimates at Bstr=0\n")
 	fmt.Fprintf(&sb, "%-8s %-8s %12s %12s %6s\n", "Dataset", "Class", "AvgEstimate", "MaxEstimate", "N")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-8s %-8s %12.4f %12.4f %6d\n", r.Dataset, r.Class, r.AvgEst, r.MaxEst, r.N)
+		fmt.Fprintf(&sb, "%-8s %-8s %12.4f %12.4f %6d\n", r.Dataset, workload.ClassName(r.Class), r.AvgEst, r.MaxEst, r.N)
 	}
 	return sb.String()
 }

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"xcluster/internal/workload"
+	"xcluster/internal/accuracy"
 )
 
 // smallCfg keeps harness tests fast.
@@ -260,7 +260,7 @@ func TestBudgetHelpers(t *testing.T) {
 		t.Fatalf("value budget = %d (ref %d)", vb, d.Ref.ValueBytes())
 	}
 	// Evaluate on the workload's own classes to ensure coverage.
-	for _, c := range workload.Classes() {
+	for _, c := range []accuracy.Class{accuracy.Range, accuracy.Substring, accuracy.FTContains, accuracy.Struct} {
 		if len(d.Workload.ByClass(c)) == 0 {
 			t.Fatalf("class %v empty", c)
 		}

@@ -1,7 +1,8 @@
 // Package obs is the repository's stdlib-only observability layer: a
 // metrics registry of atomic counters, gauges, and fixed-bucket latency
-// histograms with exact percentile readouts, rendered in Prometheus
-// text format, plus a ring-buffer slow-query log (slowlog.go).
+// histograms, rendered in Prometheus text format, the lock-free time
+// window behind every windowed readout (window.go), plus a ring-buffer
+// slow-query log (slowlog.go).
 //
 // The registry is the concrete implementation behind the small
 // MetricSink interface internal/core defines (Add/Observe), so a
@@ -10,8 +11,7 @@
 // expose it at GET /metrics.
 //
 // All metric operations are safe for concurrent use and lock-free on
-// the hot path (counter increments, bucket increments); only the exact
-// percentile sample ring takes a mutex.
+// the hot path (counter increments, bucket increments).
 package obs
 
 import (
@@ -61,10 +61,6 @@ func (g *Gauge) Add(d float64) {
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
-// histWindow is the number of recent observations a histogram retains
-// for exact percentile readouts (the bucket counts are unbounded).
-const histWindow = 4096
-
 // DefaultLatencyBuckets are the histogram bounds used when none are
 // given: exponential-ish latency buckets in seconds from 5µs to 10s.
 var DefaultLatencyBuckets = []float64{
@@ -74,18 +70,13 @@ var DefaultLatencyBuckets = []float64{
 }
 
 // Histogram is a fixed-bucket histogram (Prometheus-style cumulative
-// buckets at render time) that additionally keeps a ring of the most
-// recent histWindow raw observations, so percentile readouts are exact
-// over the recent window rather than bucket-interpolated.
+// buckets at render time) over every observation ever made; windowed
+// percentiles come from a RequestWindow instead.
 type Histogram struct {
 	bounds []float64       // ascending upper bounds; +Inf is implicit
 	counts []atomic.Uint64 // len(bounds)+1; the last is the +Inf bucket
 	count  atomic.Uint64
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
-
-	mu   sync.Mutex
-	ring []float64
-	next uint64
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -95,7 +86,6 @@ func newHistogram(bounds []float64) *Histogram {
 	return &Histogram{
 		bounds: bounds,
 		counts: make([]atomic.Uint64, len(bounds)+1),
-		ring:   make([]float64, histWindow),
 	}
 }
 
@@ -106,13 +96,9 @@ func (h *Histogram) Observe(v float64) {
 	for {
 		old := h.sum.Load()
 		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			break
+			return
 		}
 	}
-	h.mu.Lock()
-	h.ring[h.next%histWindow] = v
-	h.next++
-	h.mu.Unlock()
 }
 
 // Count returns the total number of observations.
@@ -120,61 +106,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// samples copies the retained ring, sorted ascending.
-func (h *Histogram) samples() []float64 {
-	h.mu.Lock()
-	n := h.next
-	if n > histWindow {
-		n = histWindow
-	}
-	out := make([]float64, n)
-	copy(out, h.ring[:n])
-	h.mu.Unlock()
-	sort.Float64s(out)
-	return out
-}
-
-// quantileOf indexes a sorted sample slice the same way the previous
-// service stats did (p=0.5 → s[n/2]), keeping /stats readouts stable.
-func quantileOf(s []float64, p float64) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(s)))
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
-}
-
-// Quantile returns the exact p-quantile (0 < p < 1) over the retained
-// window of recent observations, or 0 with no observations.
-func (h *Histogram) Quantile(p float64) float64 { return quantileOf(h.samples(), p) }
-
-// HistogramSnapshot is a point-in-time readout of a histogram.
-type HistogramSnapshot struct {
-	// Count and Sum cover every observation ever made.
-	Count uint64
-	Sum   float64
-	// Samples is the number of recent observations behind the exact
-	// percentiles (at most the retained window).
-	Samples       int
-	P50, P95, P99 float64
-}
-
-// Snapshot returns counters and exact percentiles in one pass.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := h.samples()
-	return HistogramSnapshot{
-		Count:   h.Count(),
-		Sum:     h.Sum(),
-		Samples: len(s),
-		P50:     quantileOf(s, 0.50),
-		P95:     quantileOf(s, 0.95),
-		P99:     quantileOf(s, 0.99),
-	}
-}
 
 // metricKey identifies one series: a metric name plus its rendered
 // label pairs (e.g. `stage="compile"`, possibly empty).

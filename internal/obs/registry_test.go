@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -31,51 +32,64 @@ func TestGauge(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantiles pins the percentile readout: interpolated
+// within the bucket where the cumulative count reaches p × total, with
+// bounds and ranks chosen so every expected value is an exact binary
+// float.
 func TestHistogramQuantiles(t *testing.T) {
-	h := newHistogram(nil)
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
+	bounds := []float64{1, 2, 4, 8}
+	counts := []uint64{2, 2, 4, 0, 0} // 8 observations, none above 4
+	for _, c := range []struct{ p, want float64 }{
+		{0.125, 0.5}, // rank 1 of the first bucket's 2: halfway from 0 to 1
+		{0.25, 1},    // rank 2 closes the first bucket
+		{0.5, 2},     // rank 4 closes the second
+		{0.75, 3},    // rank 6: halfway through (2, 4]
+		{0.875, 3.5}, // rank 7: three quarters through (2, 4]
+	} {
+		if got := bucketQuantile(bounds, counts, c.p); got != c.want {
+			t.Errorf("quantile(%v) = %v, want %v", c.p, got, c.want)
+		}
 	}
-	snap := h.Snapshot()
-	if snap.Count != 100 || snap.Sum != 5050 || snap.Samples != 100 {
-		t.Fatalf("snapshot = %+v, want Count=100 Sum=5050 Samples=100", snap)
+	// A quantile in the +Inf bucket reads the last finite bound.
+	if got := bucketQuantile(bounds, []uint64{1, 0, 0, 0, 3}, 0.5); got != 8 {
+		t.Errorf("+Inf-bucket quantile = %v, want 8", got)
 	}
-	// quantileOf indexes s[int(p*n)], the convention the service stats
-	// have always used: p50 of 1..100 is s[50] = 51.
-	if snap.P50 != 51 || snap.P95 != 96 || snap.P99 != 100 {
-		t.Fatalf("quantiles = %g/%g/%g, want 51/96/100", snap.P50, snap.P95, snap.P99)
-	}
-	if got := h.Quantile(0.5); got != 51 {
-		t.Fatalf("Quantile(0.5) = %g, want 51", got)
+	// Empty buckets below the rank are skipped, not interpolated into.
+	if got := bucketQuantile(bounds, []uint64{0, 0, 0, 2, 0}, 0.5); got != 6 {
+		t.Errorf("quantile over a lone (4, 8] bucket = %v, want 6", got)
 	}
 }
 
+// TestHistogramRingWindow: request-window percentiles cover only the
+// trailing span, so observations a full ring (LongWindow) older than
+// the latest are forgotten entirely rather than mixed in.
 func TestHistogramRingWindow(t *testing.T) {
-	h := newHistogram(nil)
-	// Overfill the ring: the first histWindow observations are 0, then
-	// histWindow more at 7 overwrite them entirely.
-	for i := 0; i < histWindow; i++ {
-		h.Observe(0)
+	t0 := time.Unix(3_600_000, 0)
+	r := NewRequestWindow(0)
+	for i := 0; i < 64; i++ {
+		r.Observe(t0, 0, false) // 0 s: the first (≤ 5µs) bucket
 	}
-	for i := 0; i < histWindow; i++ {
-		h.Observe(7)
+	later := t0.Add(LongWindow)
+	for i := 0; i < 64; i++ {
+		r.Observe(later, 2*time.Second, false) // the (1, 2.5] bucket
 	}
-	snap := h.Snapshot()
-	if snap.Count != 2*histWindow {
-		t.Fatalf("Count = %d, want %d", snap.Count, 2*histWindow)
+	c := r.Trailing(later, LongWindow)
+	if c.Total != 64 || c.Answered() != 64 {
+		t.Fatalf("total/answered = %d/%d, want 64/64 (the old pass expired)", c.Total, c.Answered())
 	}
-	if snap.Samples != histWindow {
-		t.Fatalf("Samples = %d, want %d", snap.Samples, histWindow)
-	}
-	if snap.P50 != 7 || snap.P99 != 7 {
-		t.Fatalf("percentiles over retained window = %g/%g, want 7/7", snap.P50, snap.P99)
+	// Rank 32 of 64 in (1, 2.5]: 1 + 1.5 × 1/2.
+	if got := c.Quantile(0.5); got != 1.75 {
+		t.Fatalf("p50 = %v, want 1.75", got)
 	}
 }
 
 func TestHistogramEmptyQuantile(t *testing.T) {
-	h := newHistogram(nil)
-	if got := h.Quantile(0.99); got != 0 {
-		t.Fatalf("Quantile on empty histogram = %g, want 0", got)
+	if got := bucketQuantile([]float64{1, 2}, []uint64{0, 0, 0}, 0.99); got != 0 {
+		t.Fatalf("quantile of empty buckets = %g, want 0", got)
+	}
+	c := NewRequestWindow(0).Trailing(time.Unix(3_600_000, 0), ShortWindow)
+	if got := c.Quantile(0.99); got != 0 || c.Answered() != 0 {
+		t.Fatalf("empty window p99 = %g over %d samples, want 0 over 0", got, c.Answered())
 	}
 }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -62,45 +61,24 @@ func (c SLOConfig) Validate() error {
 	return nil
 }
 
-// Window geometry: 10-second buckets covering the long window, so the
-// 5m window reads 30 buckets and the 1h window reads all 360. Counts
-// are windowed (the registry's cumulative histograms cannot yield a
-// trailing 5m rate without scrape-side state, so the tracker keeps its
-// own ring).
-const (
-	sloBucketSeconds = 10
-	sloNumBuckets    = 360 // 1h of 10s buckets
-	sloShortBuckets  = 30  // 5m
-)
-
-// sloBucket is one 10-second accumulation slot. epoch is the absolute
-// bucket index it currently holds; a reader or writer seeing a stale
-// epoch resets the slot. All fields are atomic: Observe on the estimate
-// hot path takes no lock.
-type sloBucket struct {
-	epoch  atomic.Int64
-	total  atomic.Uint64
-	errors atomic.Uint64
-	slow   atomic.Uint64
-}
-
-// SLOTracker accumulates request outcomes into a bucket ring and
-// reports burn rates over 5m/1h windows. A nil *SLOTracker is a valid
-// disabled tracker: Observe is a no-op, Report returns a disabled
+// SLOTracker is a shard's objectives plus burn-rate views over the
+// shard's request window (5m = ShortWindow, 1h = LongWindow). A nil
+// *SLOTracker is a valid disabled tracker: Report returns a disabled
 // report, Sync emits nothing.
 type SLOTracker struct {
-	cfg     SLOConfig
-	buckets [sloNumBuckets]sloBucket
-	now     func() time.Time // injectable for deterministic tests
+	cfg  SLOConfig
+	reqs *RequestWindow
+	now  func() time.Time // injectable for deterministic tests
 }
 
-// NewSLOTracker returns a tracker for cfg, or nil when cfg disables
-// tracking.
-func NewSLOTracker(cfg SLOConfig) *SLOTracker {
+// NewSLOTracker returns a tracker for cfg reading reqs, which must
+// count estimates slower than cfg.LatencyObjective as slow, or nil when
+// cfg disables tracking.
+func NewSLOTracker(cfg SLOConfig, reqs *RequestWindow) *SLOTracker {
 	if !cfg.Enabled() {
 		return nil
 	}
-	return &SLOTracker{cfg: cfg.withDefaults(), now: time.Now}
+	return &SLOTracker{cfg: cfg.withDefaults(), reqs: reqs, now: time.Now}
 }
 
 // Config returns the tracked objectives (zero when disabled).
@@ -109,57 +87,6 @@ func (t *SLOTracker) Config() SLOConfig {
 		return SLOConfig{}
 	}
 	return t.cfg
-}
-
-// bucketAt returns the slot for the absolute bucket index, resetting it
-// if it still holds counts from a previous ring pass. The CAS keeps
-// concurrent resetters from double-clearing a slot another writer has
-// started filling; the small count loss when a reset races an Add is an
-// accepted trade for a lock-free hot path.
-func (t *SLOTracker) bucketAt(epoch int64) *sloBucket {
-	b := &t.buckets[epoch%sloNumBuckets]
-	for {
-		cur := b.epoch.Load()
-		if cur == epoch {
-			return b
-		}
-		if b.epoch.CompareAndSwap(cur, epoch) {
-			b.total.Store(0)
-			b.errors.Store(0)
-			b.slow.Store(0)
-			return b
-		}
-	}
-}
-
-// Observe records one request outcome: its latency and whether it
-// failed.
-func (t *SLOTracker) Observe(d time.Duration, failed bool) {
-	if t == nil {
-		return
-	}
-	t.observeEpoch(t.now().Unix()/sloBucketSeconds, d, failed)
-}
-
-// ObserveAt is Observe with the request's wall-clock time supplied by
-// the caller, sparing the serving hot path a clock read it has already
-// paid for. The injected test clock is ignored: at is authoritative.
-func (t *SLOTracker) ObserveAt(at time.Time, d time.Duration, failed bool) {
-	if t == nil {
-		return
-	}
-	t.observeEpoch(at.Unix()/sloBucketSeconds, d, failed)
-}
-
-func (t *SLOTracker) observeEpoch(epoch int64, d time.Duration, failed bool) {
-	b := t.bucketAt(epoch)
-	b.total.Add(1)
-	if failed {
-		b.errors.Add(1)
-	}
-	if t.cfg.LatencyObjective > 0 && d > t.cfg.LatencyObjective {
-		b.slow.Add(1)
-	}
 }
 
 // SLOWindowReport is one trailing window's readout.
@@ -188,23 +115,10 @@ type SLOReport struct {
 	Windows               []SLOWindowReport `json:"windows,omitempty"`
 }
 
-// window sums the trailing n buckets ending at the current epoch.
-func (t *SLOTracker) window(name string, nBuckets int) SLOWindowReport {
-	epoch := t.now().Unix() / sloBucketSeconds
-	w := SLOWindowReport{Window: name}
-	for i := 0; i < nBuckets; i++ {
-		e := epoch - int64(i)
-		if e < 0 {
-			break
-		}
-		b := &t.buckets[e%sloNumBuckets]
-		if b.epoch.Load() != e {
-			continue // slot holds another ring pass (or was never written)
-		}
-		w.Total += b.total.Load()
-		w.Errors += b.errors.Load()
-		w.Slow += b.slow.Load()
-	}
+// window reads one trailing span of the request window.
+func (t *SLOTracker) window(name string, span time.Duration) SLOWindowReport {
+	c := t.reqs.Trailing(t.now(), span)
+	w := SLOWindowReport{Window: name, Total: c.Total, Errors: c.Errors, Slow: c.Slow}
 	if w.Total > 0 {
 		w.ErrorRate = float64(w.Errors) / float64(w.Total)
 		w.SlowRate = float64(w.Slow) / float64(w.Total)
@@ -220,11 +134,11 @@ func (t *SLOTracker) window(name string, nBuckets int) SLOWindowReport {
 
 // sloWindows are the reported trailing windows.
 var sloWindows = []struct {
-	name    string
-	buckets int
+	name string
+	span time.Duration
 }{
-	{"5m", sloShortBuckets},
-	{"1h", sloNumBuckets},
+	{"5m", ShortWindow},
+	{"1h", LongWindow},
 }
 
 // Report renders the tracker's current state.
@@ -242,7 +156,7 @@ func (t *SLOTracker) Report() SLOReport {
 		rep.LatencyObjectiveNanos = int64(t.cfg.LatencyObjective)
 	}
 	for _, w := range sloWindows {
-		rep.Windows = append(rep.Windows, t.window(w.name, w.buckets))
+		rep.Windows = append(rep.Windows, t.window(w.name, w.span))
 	}
 	return rep
 }
@@ -268,7 +182,7 @@ func (t *SLOTracker) Sync(r *Registry) {
 	r.Gauge("xcluster_slo_latency_objective_seconds", "").Set(t.cfg.LatencyObjective.Seconds())
 	r.Gauge("xcluster_slo_latency_target", "").Set(t.cfg.LatencyTarget)
 	for _, w := range sloWindows {
-		rep := t.window(w.name, w.buckets)
+		rep := t.window(w.name, w.span)
 		wl := fmt.Sprintf("window=%q", w.name)
 		r.Gauge("xcluster_slo_window_requests", wl).Set(float64(rep.Total))
 		r.Gauge("xcluster_slo_window_errors", wl).Set(float64(rep.Errors))

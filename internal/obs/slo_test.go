@@ -31,11 +31,10 @@ func TestSLOConfigValidate(t *testing.T) {
 }
 
 func TestSLOTrackerDisabled(t *testing.T) {
-	if tr := NewSLOTracker(SLOConfig{}); tr != nil {
+	if tr := NewSLOTracker(SLOConfig{}, NewRequestWindow(0)); tr != nil {
 		t.Fatal("zero config must return a nil (disabled) tracker")
 	}
 	var tr *SLOTracker
-	tr.Observe(time.Second, true) // no panic
 	if rep := tr.Report(); rep.Enabled {
 		t.Fatal("nil tracker reports enabled")
 	}
@@ -43,7 +42,7 @@ func TestSLOTrackerDisabled(t *testing.T) {
 }
 
 func TestSLOLatencyTargetDefault(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{LatencyObjective: time.Second})
+	tr := NewSLOTracker(SLOConfig{LatencyObjective: time.Second}, NewRequestWindow(time.Second))
 	if got := tr.Config().LatencyTarget; got != 0.99 {
 		t.Fatalf("defaulted latency target = %v, want 0.99", got)
 	}
@@ -55,26 +54,28 @@ func TestSLOLatencyTargetDefault(t *testing.T) {
 // stable.
 func TestSLOTrackerWindows(t *testing.T) {
 	t0 := time.Unix(3_600_000, 0)
-	tr := NewSLOTracker(SLOConfig{
+	cfg := SLOConfig{
 		Availability:     0.5,
 		LatencyObjective: 100 * time.Millisecond,
 		LatencyTarget:    0.5,
-	})
+	}
+	reqs := NewRequestWindow(cfg.LatencyObjective)
+	tr := NewSLOTracker(cfg, reqs)
 	tr.now = func() time.Time { return t0 }
 	// 350s ago: inside the 1h window, outside the 5m window.
 	old := t0.Add(-350 * time.Second)
 	for i := 0; i < 8; i++ {
-		tr.ObserveAt(old, time.Millisecond, false)
+		reqs.Observe(old, time.Millisecond, false)
 	}
 	// Now: 8 requests — 4 failed, 2 slow, 2 fast successes.
 	for i := 0; i < 4; i++ {
-		tr.ObserveAt(t0, time.Millisecond, true)
+		reqs.Observe(t0, time.Millisecond, true)
 	}
 	for i := 0; i < 2; i++ {
-		tr.ObserveAt(t0, 500*time.Millisecond, false)
+		reqs.Observe(t0, 500*time.Millisecond, false)
 	}
 	for i := 0; i < 2; i++ {
-		tr.ObserveAt(t0, time.Millisecond, false)
+		reqs.Observe(t0, time.Millisecond, false)
 	}
 
 	rep := tr.Report()
@@ -102,9 +103,10 @@ func TestSLOTrackerWindows(t *testing.T) {
 
 func TestSLOTrackerWindowRotation(t *testing.T) {
 	now := time.Unix(3_600_000, 0)
-	tr := NewSLOTracker(SLOConfig{Availability: 0.5})
+	reqs := NewRequestWindow(0)
+	tr := NewSLOTracker(SLOConfig{Availability: 0.5}, reqs)
 	tr.now = func() time.Time { return now }
-	tr.Observe(time.Millisecond, true)
+	reqs.Observe(now, time.Millisecond, true)
 	if got := tr.Report().Windows[0].Total; got != 1 {
 		t.Fatalf("5m total = %d, want 1", got)
 	}
@@ -120,7 +122,7 @@ func TestSLOTrackerWindowRotation(t *testing.T) {
 	// A full ring pass later (> 1h) the old bucket's epoch is stale and
 	// the slot is reused, not double-counted.
 	now = now.Add(2 * time.Hour)
-	tr.Observe(time.Millisecond, false)
+	reqs.Observe(now, time.Millisecond, false)
 	rep = tr.Report()
 	if got := rep.Windows[1].Total; got != 1 {
 		t.Fatalf("1h total after ring reuse = %d, want 1 (old pass expired)", got)
@@ -132,24 +134,26 @@ func TestSLOTrackerWindowRotation(t *testing.T) {
 // fixture's rates are exact binary floats, so rendering is stable).
 func TestSLOSyncGolden(t *testing.T) {
 	t0 := time.Unix(3_600_000, 0)
-	tr := NewSLOTracker(SLOConfig{
+	cfg := SLOConfig{
 		Availability:     0.5,
 		LatencyObjective: 100 * time.Millisecond,
 		LatencyTarget:    0.5,
-	})
+	}
+	reqs := NewRequestWindow(cfg.LatencyObjective)
+	tr := NewSLOTracker(cfg, reqs)
 	tr.now = func() time.Time { return t0 }
 	old := t0.Add(-350 * time.Second)
 	for i := 0; i < 8; i++ {
-		tr.ObserveAt(old, time.Millisecond, false)
+		reqs.Observe(old, time.Millisecond, false)
 	}
 	for i := 0; i < 4; i++ {
-		tr.ObserveAt(t0, time.Millisecond, true)
+		reqs.Observe(t0, time.Millisecond, true)
 	}
 	for i := 0; i < 2; i++ {
-		tr.ObserveAt(t0, 500*time.Millisecond, false)
+		reqs.Observe(t0, 500*time.Millisecond, false)
 	}
 	for i := 0; i < 2; i++ {
-		tr.ObserveAt(t0, time.Millisecond, false)
+		reqs.Observe(t0, time.Millisecond, false)
 	}
 
 	reg := NewRegistry()
@@ -194,7 +198,8 @@ xcluster_slo_window_slow{window="5m"} 2
 // TestSLOTrackerConcurrent exercises the lock-free bucket ring from
 // many goroutines with a moving clock — meaningful under -race.
 func TestSLOTrackerConcurrent(t *testing.T) {
-	tr := NewSLOTracker(SLOConfig{Availability: 0.999, LatencyObjective: time.Millisecond})
+	reqs := NewRequestWindow(time.Millisecond)
+	tr := NewSLOTracker(SLOConfig{Availability: 0.999, LatencyObjective: time.Millisecond}, reqs)
 	base := time.Unix(3_600_000, 0)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {
@@ -203,7 +208,7 @@ func TestSLOTrackerConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				at := base.Add(time.Duration(i%40) * 7 * time.Second)
-				tr.ObserveAt(at, time.Duration(i)*time.Microsecond, i%5 == 0)
+				reqs.Observe(at, time.Duration(i)*time.Microsecond, i%5 == 0)
 				if i%100 == 0 {
 					tr.Report()
 				}

@@ -14,7 +14,7 @@ import (
 // buildProfile produces a populated artifact for codec tests.
 func buildProfile(t *testing.T) Profile {
 	t.Helper()
-	p := New(8, time.Minute)
+	p := New(8)
 	now := time.Now()
 	for _, s := range []string{
 		"//book[year>1990]", "//book[year>2005]", "//book",
@@ -104,7 +104,7 @@ func TestParseRejectsTrailingData(t *testing.T) {
 }
 
 func TestFingerprintIgnoresCaptureTime(t *testing.T) {
-	p := New(8, time.Minute)
+	p := New(8)
 	now := time.Now()
 	q := mustParse(t, "//book")
 	record(p, now, q)
@@ -123,7 +123,7 @@ func TestFingerprintIgnoresCaptureTime(t *testing.T) {
 // must never panic, and anything it accepts must re-encode and re-parse
 // to the same artifact.
 func FuzzParseProfile(f *testing.F) {
-	p := New(4, time.Minute)
+	p := New(4)
 	now := time.Unix(1700000000, 0)
 	for _, s := range []string{"//book", "//book[year>1990]"} {
 		q, err := query.Parse(s)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"xcluster/internal/accuracy"
+	"xcluster/internal/obs"
 	"xcluster/internal/query"
 )
 
@@ -19,9 +20,10 @@ const (
 	// DefaultCapacity is the default number of distinct query shapes
 	// the space-saving table tracks.
 	DefaultCapacity = 256
-	// DefaultWindow is the default rolling-window width behind rates
-	// and traffic shares.
-	DefaultWindow = 60 * time.Second
+	// RateWindow is the trailing span behind rates and traffic shares:
+	// windowBuckets obs.Window buckets per shape and per class residue.
+	RateWindow    = 60 * time.Second
+	windowBuckets = int(RateWindow / obs.WindowBucket)
 	// lookupFactor scales the canonical-lookup cache relative to the
 	// shape capacity.
 	lookupFactor = 8
@@ -46,16 +48,15 @@ type shapeEntry struct {
 	failed  atomic.Uint64
 	latNs   atomic.Int64
 	selBits atomic.Uint64 // float64 bits of the selectivity sum
-	winCur  atomic.Uint64 // current rolling-window count
-	winPrev atomic.Uint64 // previous full window's count
+	win     *obs.Window   // occurrences over the trailing RateWindow
 }
 
-// bump records one occurrence into the entry's counters. Callers hold
-// the profiler's read lock, so window rotation (write lock) never
+// bump records one occurrence at time now into the entry's counters.
+// Callers hold the profiler's read lock, so eviction (write lock) never
 // interleaves with a bump.
-func (e *shapeEntry) bump(d time.Duration, estimate float64, failed bool) {
+func (e *shapeEntry) bump(now time.Time, d time.Duration, estimate float64, failed bool) {
 	e.count.Add(1)
-	e.winCur.Add(1)
+	e.win.Add(now, 0, 1)
 	e.latNs.Add(d.Nanoseconds())
 	addFloat(&e.selBits, estimate)
 	if failed {
@@ -75,8 +76,7 @@ type classCounters struct {
 	failed  atomic.Uint64
 	latNs   atomic.Int64
 	selBits atomic.Uint64
-	winCur  atomic.Uint64
-	winPrev atomic.Uint64
+	win     *obs.Window
 }
 
 // absorb folds an evicted entry's observed statistics into the
@@ -86,8 +86,7 @@ func (c *classCounters) absorb(e *shapeEntry) {
 	c.failed.Add(e.failed.Load())
 	c.latNs.Add(e.latNs.Load())
 	addFloat(&c.selBits, loadFloat(&e.selBits))
-	c.winCur.Add(e.winCur.Load())
-	c.winPrev.Add(e.winPrev.Load())
+	c.win.Absorb(e.win)
 }
 
 // addFloat accumulates v into a float64 stored as atomic bits.
@@ -106,12 +105,13 @@ func addFloat(b *atomic.Uint64, v float64) {
 // sync, profile export) reads off the hot path.
 //
 // Concurrency: a canonical already in the lookup cache costs one
-// RLock, one map read, and four atomic updates on its own entry — no
-// allocation, no write lock, no shared-counter contention (class
-// aggregates are derived at snapshot time from the entries plus the
-// eviction residue). The write lock is taken only on admission (a
-// canonical or shape seen for the first time, or re-seen after
-// eviction), window rotation (once per window), snapshots, and Reset.
+// RLock, one map read, and a handful of atomic updates on its own
+// entry (its window bucket among them) — no allocation, no write
+// lock, no shared-counter contention (class aggregates are derived at
+// snapshot time from the entries plus the eviction residue; windows
+// age out old buckets without a rotation step). The write lock is
+// taken only on admission (a canonical or shape seen for the first
+// time, or re-seen after eviction), snapshots, and Reset.
 //
 // Shapes are identified by 64-bit hashes; a collision merges two
 // shapes' statistics, which is acceptable for a frequency sketch and
@@ -121,13 +121,8 @@ func addFloat(b *atomic.Uint64, v float64) {
 // every accessor returns zero values.
 type Profiler struct {
 	capacity  int
-	window    time.Duration
 	lookupCap int
-
-	// windowStart is the unix-nano start of the current window, read
-	// lock-free on the hot path to decide whether rotation is due.
-	windowStart atomic.Int64
-	evictions   atomic.Uint64
+	evictions atomic.Uint64
 
 	mu      sync.RWMutex
 	lookup  map[uint64]*shapeEntry // canonical hash → entry (cache)
@@ -136,23 +131,20 @@ type Profiler struct {
 }
 
 // New returns a profiler tracking up to capacity shapes
-// (DefaultCapacity when <= 0) over rolling windows of width window
-// (DefaultWindow when <= 0).
-func New(capacity int, window time.Duration) *Profiler {
+// (DefaultCapacity when <= 0).
+func New(capacity int) *Profiler {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	if window <= 0 {
-		window = DefaultWindow
-	}
 	p := &Profiler{
 		capacity:  capacity,
-		window:    window,
 		lookupCap: capacity * lookupFactor,
 		lookup:    make(map[uint64]*shapeEntry, capacity*lookupFactor),
 		shapes:    make(map[string]*shapeEntry, capacity),
 	}
-	p.windowStart.Store(time.Now().UnixNano())
+	for i := range p.residue {
+		p.residue[i].win = obs.NewWindow(windowBuckets, 1)
+	}
 	return p
 }
 
@@ -162,14 +154,6 @@ func (p *Profiler) Capacity() int {
 		return 0
 	}
 	return p.capacity
-}
-
-// Window returns the rolling-window width (0 on a nil profiler).
-func (p *Profiler) Window() time.Duration {
-	if p == nil {
-		return 0
-	}
-	return p.window
 }
 
 // Record sketches one served estimate: the query q, its canonical
@@ -189,22 +173,21 @@ func (p *Profiler) Record(now time.Time, q *query.Query, canonical string, hash 
 	if hash == 0 {
 		hash = hash64(canonical)
 	}
-	p.maybeRotate(now)
 	p.mu.RLock()
 	if e := p.lookup[hash]; e != nil && !e.evicted.Load() {
-		e.bump(d, estimate, failed)
+		e.bump(now, d, estimate, failed)
 		p.mu.RUnlock()
 		return e.id
 	}
 	p.mu.RUnlock()
-	return p.admit(q, hash, d, estimate, failed)
+	return p.admit(now, q, hash, d, estimate, failed)
 }
 
 // admit is Record's miss path: compute the shape (the only per-record
 // allocation, paid once per distinct canonical), classify it, and
 // install it in the space-saving table, evicting the minimum-count
 // shape when the table is full.
-func (p *Profiler) admit(q *query.Query, hash uint64, d time.Duration, estimate float64, failed bool) string {
+func (p *Profiler) admit(now time.Time, q *query.Query, hash uint64, d time.Duration, estimate float64, failed bool) string {
 	shape := ShapeOf(q)
 	p.mu.Lock()
 	e := p.shapes[shape]
@@ -228,6 +211,7 @@ func (p *Profiler) admit(q *query.Query, hash uint64, d time.Duration, estimate 
 			id:       shapeID(shape),
 			class:    accuracy.Classify(q),
 			errBound: inherited,
+			win:      obs.NewWindow(windowBuckets, 1),
 		}
 		e.count.Store(inherited)
 		p.shapes[shape] = e
@@ -236,7 +220,7 @@ func (p *Profiler) admit(q *query.Query, hash uint64, d time.Duration, estimate 
 		clear(p.lookup)
 	}
 	p.lookup[hash] = e
-	e.bump(d, estimate, failed)
+	e.bump(now, d, estimate, failed)
 	p.mu.Unlock()
 	return e.id
 }
@@ -261,45 +245,9 @@ func (p *Profiler) minEntry() *shapeEntry {
 	return victim
 }
 
-// maybeRotate advances the rolling window when it has expired: the
-// current window's counts become the previous window's, lock-free
-// checked on every Record but taking the write lock at most once per
-// window per profiler.
-func (p *Profiler) maybeRotate(now time.Time) {
-	nowNs := now.UnixNano()
-	ws := p.windowStart.Load()
-	if nowNs-ws < int64(p.window) {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	ws = p.windowStart.Load()
-	elapsed := nowNs - ws
-	if elapsed < int64(p.window) {
-		return // another goroutine rotated first
-	}
-	// More than two windows idle: both generations are stale.
-	stale := elapsed >= 2*int64(p.window)
-	for _, e := range p.shapes {
-		rotate(&e.winCur, &e.winPrev, stale)
-	}
-	for i := range p.residue {
-		rotate(&p.residue[i].winCur, &p.residue[i].winPrev, stale)
-	}
-	p.windowStart.Store(nowNs)
-}
-
-func rotate(cur, prev *atomic.Uint64, stale bool) {
-	c := cur.Swap(0)
-	if stale {
-		c = 0
-	}
-	prev.Store(c)
-}
-
 // Reset clears every counter, shape, and cached lookup, starting a
 // fresh profile (e.g. after exporting one for an adaptive rebuild).
-func (p *Profiler) Reset(now time.Time) {
+func (p *Profiler) Reset() {
 	if p == nil {
 		return
 	}
@@ -311,14 +259,7 @@ func (p *Profiler) Reset(now time.Time) {
 	}
 	clear(p.shapes)
 	for i := range p.residue {
-		c := &p.residue[i]
-		c.count.Store(0)
-		c.failed.Store(0)
-		c.latNs.Store(0)
-		c.selBits.Store(0)
-		c.winCur.Store(0)
-		c.winPrev.Store(0)
+		p.residue[i] = classCounters{win: obs.NewWindow(windowBuckets, 1)}
 	}
 	p.evictions.Store(0)
-	p.windowStart.Store(now.UnixNano())
 }

@@ -64,7 +64,7 @@ func TestShapeOfElidesConstants(t *testing.T) {
 }
 
 func TestRecordCountsAndShapeIDJoin(t *testing.T) {
-	p := New(8, time.Minute)
+	p := New(8)
 	now := time.Now()
 	q1 := mustParse(t, "//book[year>1990]")
 	q2 := mustParse(t, "//book[year>2005]") // same shape, different constant
@@ -102,7 +102,7 @@ func TestRecordCountsAndShapeIDJoin(t *testing.T) {
 }
 
 func TestSnapshotListsEveryClassInOrder(t *testing.T) {
-	p := New(4, time.Minute)
+	p := New(4)
 	snap := p.Snapshot(time.Now())
 	if len(snap.Classes) != int(accuracy.NumClasses) {
 		t.Fatalf("classes = %d, want %d", len(snap.Classes), accuracy.NumClasses)
@@ -115,7 +115,7 @@ func TestSnapshotListsEveryClassInOrder(t *testing.T) {
 }
 
 func TestSpaceSavingEvictionBounds(t *testing.T) {
-	p := New(2, time.Minute)
+	p := New(2)
 	now := time.Now()
 	qa := mustParse(t, "//book")       // shape //book
 	qb := mustParse(t, "//book/title") // shape //book/title
@@ -169,7 +169,7 @@ func TestEvictionTieBreakIsDeterministic(t *testing.T) {
 	// evicted, regardless of map iteration order. Run repeatedly to
 	// shake out order dependence.
 	for trial := 0; trial < 20; trial++ {
-		p := New(2, time.Minute)
+		p := New(2)
 		now := time.Now()
 		record(p, now, mustParse(t, "//book"))       // shape //book
 		record(p, now, mustParse(t, "//book/title")) // shape //book/title (larger)
@@ -182,44 +182,45 @@ func TestEvictionTieBreakIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestRollingWindowRates: a rate is the trailing RateWindow's count
+// over RateWindow, read from 10 s buckets that age out one by one.
 func TestRollingWindowRates(t *testing.T) {
-	window := time.Minute
-	p := New(8, window)
-	t0 := time.Now()
+	p := New(8)
+	t0 := time.Unix(3_600_000, 0) // the start of a bucket
 	q := mustParse(t, "//book")
+	rate := func(now time.Time) float64 { return p.Snapshot(now).Shapes[0].RatePerSec }
 	for i := 0; i < 60; i++ {
 		record(p, t0, q)
 	}
-	// Snapshot at window start: full previous-window weight is 1 but the
-	// previous window is empty; the 60 current-window hits over 60s → 1/s.
-	snap := p.Snapshot(t0)
-	if got := snap.Shapes[0].RatePerSec; got != 1 {
-		t.Fatalf("rate at window start = %v, want 1", got)
+	if got := rate(t0); got != 1 {
+		t.Fatalf("rate = %v, want 1 (60 hits over 60 s)", got)
 	}
-	// Rotation: a record one window later moves cur → prev. Half a
-	// window after that, the sliding estimate keeps half the old window.
-	p.Record(t0.Add(window), q, q.String(), 0, time.Millisecond, 0.5, false)
-	snap = p.Snapshot(t0.Add(window + window/2))
-	got := snap.Shapes[0].RatePerSec
-	want := (1.0 + 60.0*0.5) / 60.0 // 1 current + 60 prev × ½ weight, over 60s
-	if got < want-1e-9 || got > want+1e-9 {
-		t.Fatalf("sliding rate = %v, want %v", got, want)
+	record(p, t0.Add(30*time.Second), q)
+	// 50 s on, t0's bucket is still the window's oldest.
+	if got, want := rate(t0.Add(50*time.Second)), 61.0/60; got != want {
+		t.Fatalf("rate at +50s = %v, want %v", got, want)
 	}
-	// Two idle windows: both generations are stale, rates drop to zero.
-	p.Record(t0.Add(4*window), q, q.String(), 0, time.Millisecond, 0.5, false)
-	snap = p.Snapshot(t0.Add(4 * window))
-	if got := snap.Shapes[0].RatePerSec; got*60 != 1 {
-		t.Fatalf("post-idle rate = %v, want 1/60 (stale windows zeroed)", got)
+	// At +60 s it has aged out; only the +30 s hit remains.
+	if got, want := rate(t0.Add(60*time.Second)), 1.0/60; got != want {
+		t.Fatalf("rate at +60s = %v, want %v", got, want)
+	}
+	// After two idle minutes nothing is left, and a new hit counts alone.
+	if got := rate(t0.Add(3 * time.Minute)); got != 0 {
+		t.Fatalf("rate after idling = %v, want 0", got)
+	}
+	record(p, t0.Add(3*time.Minute), q)
+	if got, want := rate(t0.Add(3*time.Minute)), 1.0/60; got != want {
+		t.Fatalf("post-idle rate = %v, want %v", got, want)
 	}
 }
 
 func TestResetClearsEverything(t *testing.T) {
-	p := New(2, time.Minute)
+	p := New(2)
 	now := time.Now()
 	record(p, now, mustParse(t, "//book"))
 	record(p, now, mustParse(t, "//book/title"))
 	record(p, now, mustParse(t, "//library/book")) // forces one eviction
-	p.Reset(now)
+	p.Reset()
 	snap := p.Snapshot(now)
 	if snap.TotalRequests != 0 || snap.TrackedShapes != 0 || snap.Evictions != 0 || len(snap.Shapes) != 0 {
 		t.Fatalf("post-reset snapshot = %+v", snap)
@@ -238,10 +239,10 @@ func TestNilProfilerIsDisabled(t *testing.T) {
 	if got := p.Snapshot(time.Now()); got.Capacity != 0 || len(got.Classes) != 0 {
 		t.Fatalf("nil snapshot = %+v", got)
 	}
-	if p.Capacity() != 0 || p.Window() != 0 || p.Fingerprint(time.Now()) != "" {
+	if p.Capacity() != 0 || p.Fingerprint(time.Now()) != "" {
 		t.Fatal("nil profiler accessors not zero")
 	}
-	p.Reset(time.Now())
+	p.Reset()
 	p.Sync(obs.NewRegistry(), accuracy.Report{}, time.Now())
 }
 
@@ -250,7 +251,8 @@ func TestNilProfilerIsDisabled(t *testing.T) {
 // and resets against one small profiler, so evictions and lookup-cache
 // clears interleave with reads.
 func TestConcurrentRecordSnapshotReset(t *testing.T) {
-	p := New(4, 10*time.Millisecond) // tiny window so rotation fires too
+	p := New(4)
+	base := time.Unix(3_600_000, 0)
 	queries := []*query.Query{
 		mustParse(t, "//book"),
 		mustParse(t, "//book/title"),
@@ -273,13 +275,16 @@ func TestConcurrentRecordSnapshotReset(t *testing.T) {
 					p.Snapshot(time.Now())
 				case 7:
 					if i%100 == 0 {
-						p.Reset(time.Now())
+						p.Reset()
 					} else {
 						p.Sync(reg, accuracy.Report{}, time.Now())
 					}
 				default:
 					q := queries[(g+i)%len(queries)]
-					p.Record(time.Now(), q, q.String(), 0, time.Microsecond, 0.5, i%17 == 0)
+					// A clock stepping 3 s per record crosses bucket
+					// boundaries and wraps the ring.
+					at := base.Add(time.Duration(i) * 3 * time.Second)
+					p.Record(at, q, q.String(), 0, time.Microsecond, 0.5, i%17 == 0)
 				}
 			}
 		}(g)
@@ -364,7 +369,7 @@ func TestCoverageFlagsStarvedClasses(t *testing.T) {
 // the exact counter lines for a deterministic single-class load, and
 // the presence of every gauge series.
 func TestSyncGoldenPrometheus(t *testing.T) {
-	p := New(8, time.Minute)
+	p := New(8)
 	now := time.Now()
 	q := mustParse(t, "//book[year>1990]")
 	for i := 0; i < 4; i++ {

@@ -22,7 +22,8 @@ type ShapeStat struct {
 	Count      uint64 `json:"count"`
 	CountError uint64 `json:"count_error,omitempty"`
 	Failed     uint64 `json:"failed,omitempty"`
-	// RatePerSec is the shape's observed rate over the rolling window.
+	// RatePerSec is the shape's observed rate over the trailing
+	// RateWindow.
 	RatePerSec float64 `json:"rate_per_sec"`
 	// AvgLatencyNanos and AvgSelectivity average over the occurrences
 	// actually observed (Count - CountError).
@@ -38,8 +39,8 @@ type ClassStat struct {
 	Count      uint64  `json:"count"`
 	Failed     uint64  `json:"failed"`
 	RatePerSec float64 `json:"rate_per_sec"`
-	// TrafficShare is the class's fraction of rolling-window traffic
-	// (lifetime traffic when the window is empty).
+	// TrafficShare is the class's fraction of the trailing RateWindow's
+	// traffic (lifetime traffic when the window is empty).
 	TrafficShare    float64 `json:"traffic_share"`
 	AvgLatencyNanos int64   `json:"avg_latency_nanos"`
 	AvgSelectivity  float64 `json:"avg_selectivity"`
@@ -74,9 +75,8 @@ type Snapshot struct {
 	Shapes []ShapeStat `json:"shapes"`
 }
 
-// Snapshot renders the profiler's state at time now. The rolling rate
-// of each row blends the current partial window with the decaying
-// remainder of the previous one (a standard sliding-window estimate).
+// Snapshot renders the profiler's state at time now. Each row's rate is
+// its count over the trailing RateWindow divided by RateWindow.
 // Returns the zero Snapshot on a nil profiler.
 func (p *Profiler) Snapshot(now time.Time) Snapshot {
 	if p == nil {
@@ -85,23 +85,15 @@ func (p *Profiler) Snapshot(now time.Time) Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	snap := Snapshot{
-		WindowSeconds: p.window.Seconds(),
+		WindowSeconds: RateWindow.Seconds(),
 		Capacity:      p.capacity,
 		TrackedShapes: len(p.shapes),
 		Evictions:     p.evictions.Load(),
 	}
-	// prevWeight is the surviving fraction of the previous window in
-	// the sliding estimate; elapsed is clamped to the window width.
-	elapsed := now.UnixNano() - p.windowStart.Load()
-	if elapsed < 0 {
-		elapsed = 0
-	}
-	if elapsed > int64(p.window) {
-		elapsed = int64(p.window)
-	}
-	prevWeight := float64(int64(p.window)-elapsed) / float64(p.window)
-	windowed := func(cur, prev uint64) float64 {
-		return float64(cur) + float64(prev)*prevWeight
+	windowed := func(w *obs.Window) uint64 {
+		var n [1]uint64
+		w.Sum(now, windowBuckets, n[:])
+		return n[0]
 	}
 
 	// Entries in deterministic (count descending, shape ascending)
@@ -125,38 +117,34 @@ func (p *Profiler) Snapshot(now time.Time) Snapshot {
 	// eviction folds the victim's observed traffic into the residue, so
 	// these totals are exact even though shape counts are sketched.
 	type classAgg struct {
-		count, failed, winCur, winPrev uint64
-		latNs                          int64
-		sel                            float64
+		count, failed, win uint64
+		latNs              int64
+		sel                float64
 	}
 	agg := make([]classAgg, accuracy.NumClasses)
 	for i := range p.residue {
 		c := &p.residue[i]
 		agg[i] = classAgg{
-			count:   c.count.Load(),
-			failed:  c.failed.Load(),
-			winCur:  c.winCur.Load(),
-			winPrev: c.winPrev.Load(),
-			latNs:   c.latNs.Load(),
-			sel:     loadFloat(&c.selBits),
+			count:  c.count.Load(),
+			failed: c.failed.Load(),
+			win:    windowed(c.win),
+			latNs:  c.latNs.Load(),
+			sel:    loadFloat(&c.selBits),
 		}
 	}
 	for _, e := range entries {
 		a := &agg[e.class]
 		a.count += e.count.Load() - e.errBound
 		a.failed += e.failed.Load()
-		a.winCur += e.winCur.Load()
-		a.winPrev += e.winPrev.Load()
+		a.win += windowed(e.win)
 		a.latNs += e.latNs.Load()
 		a.sel += loadFloat(&e.selBits)
 	}
 
-	var winTotal, lifeTotal float64
-	classWin := make([]float64, accuracy.NumClasses)
+	var winTotal, lifeTotal uint64
 	for i := range agg {
-		classWin[i] = windowed(agg[i].winCur, agg[i].winPrev)
-		winTotal += classWin[i]
-		lifeTotal += float64(agg[i].count)
+		winTotal += agg[i].win
+		lifeTotal += agg[i].count
 	}
 	for _, cl := range accuracy.Classes() {
 		a := &agg[cl]
@@ -164,12 +152,12 @@ func (p *Profiler) Snapshot(now time.Time) Snapshot {
 			Class:      cl.String(),
 			Count:      a.count,
 			Failed:     a.failed,
-			RatePerSec: classWin[cl] / p.window.Seconds(),
+			RatePerSec: float64(a.win) / RateWindow.Seconds(),
 		}
 		if winTotal > 0 {
-			st.TrafficShare = classWin[cl] / winTotal
+			st.TrafficShare = float64(a.win) / float64(winTotal)
 		} else if lifeTotal > 0 {
-			st.TrafficShare = float64(a.count) / lifeTotal
+			st.TrafficShare = float64(a.count) / float64(lifeTotal)
 		}
 		if a.count > 0 {
 			st.AvgLatencyNanos = a.latNs / int64(a.count)
@@ -191,7 +179,7 @@ func (p *Profiler) Snapshot(now time.Time) Snapshot {
 			Count:      count,
 			CountError: e.errBound,
 			Failed:     e.failed.Load(),
-			RatePerSec: windowed(e.winCur.Load(), e.winPrev.Load()) / p.window.Seconds(),
+			RatePerSec: float64(windowed(e.win)) / RateWindow.Seconds(),
 		}
 		if observed > 0 {
 			st.AvgLatencyNanos = e.latNs.Load() / int64(observed)

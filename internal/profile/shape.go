@@ -2,7 +2,7 @@
 // bounded sketch of the query shapes a serving hot path actually sees.
 // It canonicalizes each query into a predicate-elided shape, counts
 // shapes in a space-saving top-K frequency table, tracks per-shape and
-// per-class rates, latency, and selectivity over rolling windows, and
+// per-class rates over a trailing window, latency, and selectivity, and
 // joins the accuracy monitor's per-class error into a traffic×error
 // "pain" score — the workload side of the accuracy loop that a
 // workload-adaptive budget allocator consumes. Snapshots render at

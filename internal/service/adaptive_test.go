@@ -166,7 +166,7 @@ func TestAdaptiveRebuildSwapEvent(t *testing.T) {
 // TestAdaptiveRebuildNeedsProfiler: Adaptive fails typed when workload
 // profiling was disabled.
 func TestAdaptiveRebuildNeedsProfiler(t *testing.T) {
-	svc := New(newTestSynopsis(t), WithDocument(testTree(t)), WithWorkloadProfile(-1, 0))
+	svc := New(newTestSynopsis(t), WithDocument(testTree(t)), WithWorkloadProfile(-1))
 	defer svc.Close()
 	if _, err := svc.Rebuild(context.Background(), RebuildOptions{Adaptive: true}); !errors.Is(err, ErrNoProfiler) {
 		t.Fatalf("adaptive rebuild without profiler: %v, want ErrNoProfiler", err)

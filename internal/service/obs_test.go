@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"xcluster/internal/obs"
 	"xcluster/internal/query"
 )
 
@@ -38,8 +39,9 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestStatsMatchesRegistry: the one-histogram design means /stats
-// percentiles and /metrics are read from the same series.
+// TestStatsMatchesRegistry: /stats percentiles are read from the
+// request window, interpolated within the latency buckets /metrics
+// exports, and the answered count from the histogram /metrics renders.
 func TestStatsMatchesRegistry(t *testing.T) {
 	svc := New(newTestSynopsis(t))
 	for _, qs := range testWorkload {
@@ -48,18 +50,51 @@ func TestStatsMatchesRegistry(t *testing.T) {
 		}
 	}
 	st := svc.Stats()
-	snap := svc.reqHist.Snapshot()
-	if st.LatencySamples != snap.Samples {
-		t.Errorf("LatencySamples = %d, histogram says %d", st.LatencySamples, snap.Samples)
+	recent := svc.reqs.Trailing(time.Now(), obs.ShortWindow)
+	if st.LatencySamples != int(recent.Answered()) || st.LatencySamples != len(testWorkload) {
+		t.Errorf("LatencySamples = %d, window says %d, want %d", st.LatencySamples, recent.Answered(), len(testWorkload))
 	}
-	if st.P50 != secondsDuration(snap.P50) || st.P99 != secondsDuration(snap.P99) {
-		t.Errorf("stats percentiles %v/%v diverge from histogram %g/%g",
-			st.P50, st.P99, snap.P50, snap.P99)
+	if st.P50 != secondsDuration(recent.Quantile(0.5)) || st.P99 != secondsDuration(recent.Quantile(0.99)) {
+		t.Errorf("stats percentiles %v/%v diverge from the window's %g/%g",
+			st.P50, st.P99, recent.Quantile(0.5), recent.Quantile(0.99))
 	}
 	// The answered count lives in the histogram; /metrics' counter
 	// mirrors it once the render path syncs.
 	svc.SyncMetrics()
-	if got := svc.served.Value(); got != st.Served || got != snap.Count {
-		t.Errorf("served counter = %d, stats = %d, histogram count = %d", got, st.Served, snap.Count)
+	if got := svc.served.Value(); got != st.Served || got != svc.reqHist.Count() {
+		t.Errorf("served counter = %d, stats = %d, histogram count = %d", got, st.Served, svc.reqHist.Count())
+	}
+}
+
+// TestWindowViewsAgree: /stats and /debug/slo read one request window,
+// so after a mix of answered estimates and estimates failed on their
+// deadline the SLO's 5m total is Served + Failed, its errors are
+// Failed, and the percentiles' samples are Served.
+func TestWindowViewsAgree(t *testing.T) {
+	svc := New(newTestSynopsis(t), WithSLO(obs.SLOConfig{Availability: 0.5}))
+	t.Cleanup(svc.Close)
+	ctx := context.Background()
+	dead, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
+	defer cancel()
+	for i, qs := range testWorkload {
+		c := ctx
+		if i%3 == 0 {
+			c = dead
+		}
+		_, err := svc.Estimate(c, query.MustParse(qs))
+		if (err != nil) != (i%3 == 0) {
+			t.Fatalf("estimate %d: err = %v", i, err)
+		}
+	}
+	st := svc.Stats()
+	if st.Failed == 0 || st.Served == 0 {
+		t.Fatalf("served/failed = %d/%d, want both nonzero", st.Served, st.Failed)
+	}
+	w := svc.SLO().Report().Windows[0]
+	if w.Window != "5m" || w.Total != st.Served+st.Failed || w.Errors != st.Failed {
+		t.Fatalf("5m window = %+v, want total %d errors %d", w, st.Served+st.Failed, st.Failed)
+	}
+	if uint64(st.LatencySamples) != st.Served {
+		t.Fatalf("LatencySamples = %d, want Served = %d", st.LatencySamples, st.Served)
 	}
 }

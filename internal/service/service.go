@@ -22,6 +22,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -130,11 +131,10 @@ func WithAccuracy(opts ...accuracy.MonitorOption) Option {
 	return func(s *Service) { s.monOpts = append(s.monOpts, opts...) }
 }
 
-// WithSLO configures the service's availability/latency objectives.
-// Every traced estimate's outcome feeds multi-window (5m/1h)
-// error-budget burn rates, reported at GET /debug/slo and as
-// xcluster_slo_* gauges. The zero config (the default) disables
-// tracking at zero hot-path cost.
+// WithSLO configures the service's availability/latency objectives:
+// multi-window (5m/1h) error-budget burn rates over the request window
+// every estimate is written to, reported at GET /debug/slo and as
+// xcluster_slo_* gauges. The zero config (the default) disables them.
 func WithSLO(cfg obs.SLOConfig) Option {
 	return func(s *Service) { s.sloCfg = cfg }
 }
@@ -142,15 +142,15 @@ func WithSLO(cfg obs.SLOConfig) Option {
 // WithWorkloadProfile configures the live workload profiler: capacity
 // is the number of distinct query shapes its space-saving table tracks
 // (profile.DefaultCapacity when 0; negative disables profiling
-// entirely), window the rolling-window width behind rates and traffic
-// shares (profile.DefaultWindow when 0). The profiler is on by
+// entirely). Rates and traffic shares cover the trailing
+// profile.RateWindow. The profiler is on by
 // default: its hot-path cost is a handful of atomic updates per
 // estimate (BenchmarkEstimateTelemetry prices it), and its output —
 // GET /debug/workload, xcluster_workload_* series, and the exported
 // WorkloadProfile artifact — is what workload-adaptive rebuilds
 // consume.
-func WithWorkloadProfile(capacity int, window time.Duration) Option {
-	return func(s *Service) { s.profCap, s.profWindow = capacity, window }
+func WithWorkloadProfile(capacity int) Option {
+	return func(s *Service) { s.profCap = capacity }
 }
 
 // Service is a concurrent estimation service over an immutable synopsis
@@ -206,12 +206,13 @@ type Service struct {
 
 	// prof sketches the live workload (nil when disabled via
 	// WithWorkloadProfile with a negative capacity).
-	prof       *profile.Profiler
-	profCap    int
-	profWindow time.Duration
+	prof    *profile.Profiler
+	profCap int
 
-	// slo tracks error-budget burn rates (nil: no objectives
-	// configured).
+	// reqs is the shard's one window over its estimates, behind the
+	// /stats percentiles and the SLO views; slo reads error-budget burn
+	// rates from it (nil: no objectives configured).
+	reqs   *obs.RequestWindow
 	slo    *obs.SLOTracker
 	sloCfg obs.SLOConfig
 
@@ -264,9 +265,10 @@ func New(syn *core.Synopsis, opts ...Option) *Service {
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
 	}
-	s.slo = obs.NewSLOTracker(s.sloCfg)
+	s.reqs = obs.NewRequestWindow(s.sloCfg.LatencyObjective)
+	s.slo = obs.NewSLOTracker(s.sloCfg, s.reqs)
 	if s.profCap >= 0 {
-		s.prof = profile.New(s.profCap, s.profWindow)
+		s.prof = profile.New(s.profCap)
 	}
 	s.wireMetrics()
 	// Install the initial generation. The artifact keeps whatever
@@ -563,7 +565,7 @@ func (s *Service) estimateOne(ctx context.Context, sl *slot, q *query.Query) (fl
 // the estimate's own trace — its start and total (the one clock),
 // stages, canonical query and estimate — so nothing is timed or copied
 // twice: the stage and cache-lookup series, the workload profiler, the
-// SLO tracker, the request's span tree (which keeps the trace itself),
+// request window, the request's span tree (which keeps the trace itself),
 // then, for an answered estimate, the latency histogram, the slow-query
 // log and the shadow sampler; a failed one counts as failed. The slow
 // log's plan summary is resolved through the plan cache, so its cost is
@@ -576,7 +578,7 @@ func (s *Service) record(ctx context.Context, sl *slot, q *query.Query, tr *core
 	if s.prof != nil {
 		shapeID = s.prof.Record(tr.Start, q, tr.Canonical, tr.CanonicalHash, tr.Total, tr.Estimate, err != nil)
 	}
-	s.slo.ObserveAt(tr.Start, tr.Total, err != nil)
+	s.reqs.Observe(tr.Start, tr.Total, err != nil)
 	// One context lookup is the whole per-estimate tracing cost when the
 	// request carries no span (untraced callers, or tracing disabled).
 	if sp := obs.SpanFrom(ctx); sp != nil {
@@ -787,12 +789,13 @@ type Stats struct {
 	// PlanCache is the shared estimator's compiled-plan cache snapshot;
 	// its Misses count how many query shapes were compiled.
 	PlanCache core.CacheStats
-	// P50, P95 and P99 are latency percentiles over the last
-	// LatencySamples answered queries, read from the same shared
-	// histogram /metrics exports (the two views cannot disagree).
+	// P50, P95 and P99 are latency percentiles of the queries answered
+	// in the trailing five minutes, interpolated within the latency
+	// buckets /metrics exports, read from the request window /debug/slo
+	// also reads.
 	P50, P95, P99 time.Duration
-	// LatencySamples is the number of samples behind the percentiles
-	// (at most the histogram's retained window).
+	// LatencySamples is the number of samples behind the percentiles:
+	// the queries answered in the trailing five minutes.
 	LatencySamples int
 	// SlowQueries counts estimates captured by the slow-query log.
 	SlowQueries uint64
@@ -808,25 +811,26 @@ type Stats struct {
 // Cache statistics belong to the current generation's estimator (they
 // reset on a hot swap, together with the caches themselves).
 func (s *Service) Stats() Stats {
-	snap := s.reqHist.Snapshot()
+	recent := s.reqs.Trailing(time.Now(), obs.ShortWindow)
 	sl := s.cur.Load()
 	return Stats{
-		Served:         snap.Count,
+		Served:         s.reqHist.Count(),
 		Failed:         s.failed.Value(),
 		Cache:          sl.est.CacheStats(),
 		PlanCache:      sl.est.PlanCacheStats(),
 		Generation:     sl.syn.Fingerprint().Generation,
 		Swaps:          s.swaps.Value(),
-		P50:            secondsDuration(snap.P50),
-		P95:            secondsDuration(snap.P95),
-		P99:            secondsDuration(snap.P99),
-		LatencySamples: snap.Samples,
+		P50:            secondsDuration(recent.Quantile(0.50)),
+		P95:            secondsDuration(recent.Quantile(0.95)),
+		P99:            secondsDuration(recent.Quantile(0.99)),
+		LatencySamples: int(recent.Answered()),
 		SlowQueries:    s.slow.Total(),
 		Uptime:         time.Since(s.start),
 	}
 }
 
-// secondsDuration converts a seconds float into a Duration.
+// secondsDuration converts a seconds float into a Duration, rounded to
+// the nanosecond (interpolated percentiles are rarely whole).
 func secondsDuration(sec float64) time.Duration {
-	return time.Duration(sec * float64(time.Second))
+	return time.Duration(math.Round(sec * float64(time.Second)))
 }

@@ -31,7 +31,7 @@ type telemetryConfig struct {
 //   - traced: as slo_sampled_out, with a root span recorded per estimate.
 func telemetryConfigs(tb testing.TB, syn *core.Synopsis) []telemetryConfig {
 	slo := obs.SLOConfig{Availability: 0.999, LatencyObjective: 50 * time.Millisecond}
-	bare := New(syn, WithCacheCapacity(-1), WithWorkloadProfile(-1, 0))
+	bare := New(syn, WithCacheCapacity(-1), WithWorkloadProfile(-1))
 	def := New(syn, WithCacheCapacity(-1))
 	withSLO := New(syn, WithCacheCapacity(-1), WithSLO(slo))
 	for _, s := range []*Service{bare, def, withSLO} {

@@ -127,7 +127,7 @@ func TestWorkloadExportRoundTrip(t *testing.T) {
 }
 
 func TestWorkloadDisabled(t *testing.T) {
-	svc, srv := serve(t, service.WithWorkloadProfile(-1, 0))
+	svc, srv := serve(t, service.WithWorkloadProfile(-1))
 	driveWorkload(t, svc, 1)
 
 	if resp, got := getWorkload(t, srv, "/debug/workload"); got.StatusCode != http.StatusOK || resp.Enabled {
@@ -208,7 +208,7 @@ func TestRebuildStampsWorkloadFingerprint(t *testing.T) {
 	}
 
 	// With profiling disabled the field stays empty (and absent in JSON).
-	off := service.New(service.NewTestSynopsis(t), service.WithDocument(service.TestTree(t)), service.WithWorkloadProfile(-1, 0))
+	off := service.New(service.NewTestSynopsis(t), service.WithDocument(service.TestTree(t)), service.WithWorkloadProfile(-1))
 	defer off.Close()
 	ev, err = off.Rebuild(context.Background(), service.RebuildOptions{})
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"xcluster/internal/accuracy"
 	"xcluster/internal/query"
 )
 
@@ -29,7 +30,7 @@ func (w *Workload) WriteTo(out io.Writer) (int64, error) {
 		return int64(n), err
 	}
 	for _, q := range w.Queries {
-		if err := write(fmt.Sprintf("%s\t%g\t%s\n", q.Class, q.True, q.Q)); err != nil {
+		if err := write(fmt.Sprintf("%s\t%g\t%s\n", ClassName(q.Class), q.True, q.Q)); err != nil {
 			return int64(n), err
 		}
 	}
@@ -46,12 +47,6 @@ func Read(r io.Reader) (*Workload, error) {
 	if got := strings.TrimSpace(sc.Text()); got != header {
 		return nil, fmt.Errorf("workload: bad header %q", got)
 	}
-	classByName := map[string]Class{
-		Struct.String():  Struct,
-		Numeric.String(): Numeric,
-		String.String():  String,
-		Text.String():    Text,
-	}
 	w := &Workload{}
 	line := 1
 	for sc.Scan() {
@@ -64,7 +59,7 @@ func Read(r io.Reader) (*Workload, error) {
 		if len(parts) != 3 {
 			return nil, fmt.Errorf("workload: line %d: want class<TAB>selectivity<TAB>query", line)
 		}
-		class, ok := classByName[parts[0]]
+		class, ok := classNamed(parts[0])
 		if !ok {
 			return nil, fmt.Errorf("workload: line %d: unknown class %q", line, parts[0])
 		}
@@ -85,4 +80,14 @@ func Read(r io.Reader) (*Workload, error) {
 		return nil, fmt.Errorf("workload: no queries")
 	}
 	return w, nil
+}
+
+// classNamed parses a Figure 8 class name written by WriteTo.
+func classNamed(name string) (accuracy.Class, bool) {
+	for _, cn := range classNames {
+		if cn.name == name {
+			return cn.class, true
+		}
+	}
+	return 0, false
 }

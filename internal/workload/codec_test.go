@@ -23,6 +23,16 @@ func TestWorkloadRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) {
 		t.Fatalf("WriteTo reported %d, wrote %d", n, buf.Len())
 	}
+	// Classes print under their Figure 8 names, in generation order.
+	var names []string
+	for _, line := range strings.Split(buf.String(), "\n")[1:] {
+		if name, _, ok := strings.Cut(line, "\t"); ok && (len(names) == 0 || names[len(names)-1] != name) {
+			names = append(names, name)
+		}
+	}
+	if got := strings.Join(names, " "); got != "Numeric String Text Struct" {
+		t.Fatalf("class names in file order = %q, want %q", got, "Numeric String Text Struct")
+	}
 	back, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)

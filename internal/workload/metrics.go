@@ -72,7 +72,7 @@ func AvgTrue(qs []Query) float64 {
 // Report is one row of the Figure 8 error curves: the per-class and
 // overall average relative errors of a synopsis on a workload.
 type Report struct {
-	ByClass map[Class]float64
+	ByClass map[accuracy.Class]float64
 	Overall float64
 	Sanity  float64
 }
@@ -81,9 +81,9 @@ type Report struct {
 // sanity bound.
 func (w *Workload) Evaluate(est EstimateFunc) Report {
 	sanity := w.SanityBound()
-	rep := Report{ByClass: make(map[Class]float64), Sanity: sanity}
-	for _, c := range Classes() {
-		rep.ByClass[c] = AvgRelError(w.ByClass(c), est, sanity)
+	rep := Report{ByClass: make(map[accuracy.Class]float64), Sanity: sanity}
+	for _, cn := range classNames {
+		rep.ByClass[cn.class] = AvgRelError(w.ByClass(cn.class), est, sanity)
 	}
 	rep.Overall = AvgRelError(w.Queries, est, sanity)
 	return rep

@@ -14,47 +14,40 @@ import (
 	"sort"
 	"strings"
 
+	"xcluster/internal/accuracy"
 	"xcluster/internal/query"
 	"xcluster/internal/xmltree"
 )
 
-// Class partitions workload queries the way Figure 8 reports them:
-// structure-only twigs and twigs with predicates on one value type.
-type Class uint8
-
-const (
-	// Struct marks twigs without value predicates.
-	Struct Class = iota
-	// Numeric marks twigs with range predicates.
-	Numeric
-	// String marks twigs with substring predicates.
-	String
-	// Text marks twigs with keyword predicates.
-	Text
-)
-
-func (c Class) String() string {
-	switch c {
-	case Struct:
-		return "Struct"
-	case Numeric:
-		return "Numeric"
-	case String:
-		return "String"
-	case Text:
-		return "Text"
-	default:
-		return fmt.Sprintf("Class(%d)", uint8(c))
-	}
+// classNames is the one table of the query classes the generator
+// emits, in generation and report order, with the names Figure 8 gives
+// them — the names the text codec and the experiment tables print.
+// Keyword predicates are ftcontains; the generator never emits ftsim.
+var classNames = [...]struct {
+	class accuracy.Class
+	name  string
+}{
+	{accuracy.Range, "Numeric"},
+	{accuracy.Substring, "String"},
+	{accuracy.FTContains, "Text"},
+	{accuracy.Struct, "Struct"},
 }
 
-// Classes lists all workload classes in report order.
-func Classes() []Class { return []Class{Numeric, String, Text, Struct} }
+// ClassName returns the Figure 8 name of a class the generator emits,
+// and the accuracy name of any other.
+func ClassName(c accuracy.Class) string {
+	for _, cn := range classNames {
+		if cn.class == c {
+			return cn.name
+		}
+	}
+	return c.String()
+}
 
 // Query is one workload entry with its exact selectivity.
 type Query struct {
 	Q     *query.Query
-	Class Class
+	Class accuracy.Class
 	True  float64
 }
 
@@ -102,10 +95,10 @@ func Generate(tree *xmltree.Tree, opts Options) (*Workload, error) {
 	}
 	g.index()
 	w := &Workload{}
-	for _, class := range Classes() {
+	for _, cn := range classNames {
 		made := 0
 		for made < opts.PerClass {
-			q, ok := g.tryQuery(class)
+			q, ok := g.tryQuery(cn.class)
 			if !ok {
 				break // class not supported by this document
 			}
@@ -120,7 +113,7 @@ func Generate(tree *xmltree.Tree, opts Options) (*Workload, error) {
 }
 
 // ByClass returns the subset of queries in the given class.
-func (w *Workload) ByClass(c Class) []Query {
+func (w *Workload) ByClass(c accuracy.Class) []Query {
 	var out []Query
 	for _, q := range w.Queries {
 		if q.Class == c {
@@ -175,7 +168,7 @@ func (g *generator) index() {
 
 // tryQuery makes up to MaxTries attempts to build a query of the class
 // with the required (non-)zero selectivity.
-func (g *generator) tryQuery(class Class) (Query, bool) {
+func (g *generator) tryQuery(class accuracy.Class) (Query, bool) {
 	for try := 0; try < g.opts.MaxTries; try++ {
 		q := g.buildQuery(class)
 		if q == nil {
@@ -196,14 +189,14 @@ func (g *generator) tryQuery(class Class) (Query, bool) {
 }
 
 // buildQuery assembles one random twig of the class.
-func (g *generator) buildQuery(class Class) *query.Query {
-	if class == Struct {
+func (g *generator) buildQuery(class accuracy.Class) *query.Query {
+	if class == accuracy.Struct {
 		return g.buildStruct()
 	}
-	vt := map[Class]xmltree.ValueType{
-		Numeric: xmltree.TypeNumeric,
-		String:  xmltree.TypeString,
-		Text:    xmltree.TypeText,
+	vt := map[accuracy.Class]xmltree.ValueType{
+		accuracy.Range:      xmltree.TypeNumeric,
+		accuracy.Substring:  xmltree.TypeString,
+		accuracy.FTContains: xmltree.TypeText,
 	}[class]
 	pool := g.valueNodes[vt]
 	if len(pool) == 0 {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"xcluster/internal/accuracy"
 	"xcluster/internal/datagen"
 	"xcluster/internal/query"
 	"xcluster/internal/xmltree"
@@ -37,19 +38,19 @@ func TestGeneratePositive(t *testing.T) {
 	for _, q := range w.Queries {
 		kinds := q.Q.PredTypes()
 		switch q.Class {
-		case Struct:
+		case accuracy.Struct:
 			if len(kinds) != 0 {
 				t.Fatalf("struct query %s has predicates", q.Q)
 			}
-		case Numeric:
+		case accuracy.Range:
 			if !kinds[query.KindRange] || kinds[query.KindContains] || kinds[query.KindFTContains] {
 				t.Fatalf("numeric query %s has kinds %v", q.Q, kinds)
 			}
-		case String:
+		case accuracy.Substring:
 			if !kinds[query.KindContains] {
 				t.Fatalf("string query %s has kinds %v", q.Q, kinds)
 			}
-		case Text:
+		case accuracy.FTContains:
 			if !kinds[query.KindFTContains] {
 				t.Fatalf("text query %s has kinds %v", q.Q, kinds)
 			}
@@ -78,7 +79,7 @@ func TestGenerateNegative(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range w.Queries {
-		if q.Class == Struct {
+		if q.Class == accuracy.Struct {
 			continue // structural twigs are sampled from the data, so positive
 		}
 		if q.True != 0 {
@@ -181,7 +182,7 @@ func TestPredicatePathPurity(t *testing.T) {
 	}
 	ev := query.NewEvaluator(tr)
 	for _, q := range w.Queries {
-		if q.Class == Struct {
+		if q.Class == accuracy.Struct {
 			continue
 		}
 		root := q.Q.Roots[0]

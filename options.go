@@ -1,18 +1,8 @@
 package xcluster
 
 // Option configures Build, BuildReference, BuildContext and AutoBuild.
-// Options compose left to right: later options override earlier ones,
-// and Legacy replaces the whole configuration, so it should come first
-// when mixed with With* options.
+// Options compose left to right: later options override earlier ones.
 type Option func(*Options)
-
-// Legacy adapts the original Options struct to the functional-options
-// API, so pre-existing call sites keep working:
-//
-//	syn, err := xcluster.Build(tree, xcluster.Legacy(opts))
-func Legacy(opts Options) Option {
-	return func(dst *Options) { *dst = opts }
-}
 
 // WithStructBudget sets the byte budget for the synopsis graph (nodes,
 // edges, edge counts). The coarsest reachable structure is one cluster
@@ -77,7 +67,7 @@ const (
 )
 
 // String returns the option-string form of the kind (the value the
-// legacy Options.NumericSummary field takes).
+// Options.NumericSummary field takes).
 func (k NumericSummary) String() string {
 	switch k {
 	case NumericHistogram:

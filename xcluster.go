@@ -21,11 +21,6 @@
 //	pq, _ := est.Prepare(q)
 //	fmt.Println(pq.Selectivity()) // same value, no per-call resolution
 //
-// Pre-existing call sites that configured builds with the Options struct
-// keep working through the Legacy adapter:
-//
-//	syn, _ = xcluster.Build(tree, xcluster.Legacy(opts))
-//
 // The estimator is safe for concurrent use; internal/service wraps it in
 // a batch estimation service and cmd/xclusterd serves it over HTTP.
 //
@@ -87,11 +82,8 @@ func MustParseQuery(s string) *Query {
 	return query.MustParse(s)
 }
 
-// Options is the legacy struct configuration of Build. New code should
-// use the functional options (WithStructBudget, WithValueBudget, ...);
-// existing struct-based call sites are adapted with Legacy:
-//
-//	xcluster.Build(tree, xcluster.Legacy(opts))
+// Options is the configuration the functional options (WithStructBudget,
+// WithValueBudget, ...) fill in for Build and its variants.
 type Options struct {
 	// StructBudget is the byte budget for the synopsis graph (nodes,
 	// edges, edge counts). The coarsest reachable structure is one
@@ -178,7 +170,7 @@ func Build(t *Tree, opts ...Option) (*Synopsis, error) {
 // so huge builds can be aborted.
 func BuildContext(ctx context.Context, t *Tree, opts ...Option) (*Synopsis, error) {
 	cfg := applyOptions(opts)
-	ref, err := BuildReference(t, Legacy(cfg))
+	ref, err := buildReference(t, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +183,11 @@ func BuildContext(ctx context.Context, t *Tree, opts ...Option) (*Synopsis, erro
 // exact structural summary. Budget options are ignored (the reference is
 // uncompressed).
 func BuildReference(t *Tree, opts ...Option) (*Synopsis, error) {
-	cfg := applyOptions(opts)
+	return buildReference(t, applyOptions(opts))
+}
+
+// buildReference is BuildReference on a resolved configuration.
+func buildReference(t *Tree, cfg Options) (*Synopsis, error) {
 	kind, err := cfg.numericKind()
 	if err != nil {
 		return nil, err

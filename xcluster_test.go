@@ -83,11 +83,14 @@ func TestPublicSerializationRoundTrip(t *testing.T) {
 
 func TestPublicNumericSummaryOption(t *testing.T) {
 	tree := parseLibrary(t)
-	// Legacy struct form, through the adapter.
+	// The option-string form, set on the configuration directly.
+	numericSummary := func(kind string) xcluster.Option {
+		return func(o *xcluster.Options) { o.NumericSummary = kind }
+	}
 	for _, kind := range []string{"", "histogram", "wavelet", "sample"} {
-		if _, err := xcluster.Build(tree, xcluster.Legacy(xcluster.Options{
-			StructBudget: 1024, ValueBudget: 1024, NumericSummary: kind,
-		})); err != nil {
+		if _, err := xcluster.Build(tree,
+			xcluster.WithStructBudget(1024), xcluster.WithValueBudget(1024), numericSummary(kind),
+		); err != nil {
 			t.Fatalf("kind %q: %v", kind, err)
 		}
 	}
@@ -103,7 +106,7 @@ func TestPublicNumericSummaryOption(t *testing.T) {
 			t.Fatalf("kind %v: %v", kind, err)
 		}
 	}
-	_, err := xcluster.Build(tree, xcluster.Legacy(xcluster.Options{NumericSummary: "tarot"}))
+	_, err := xcluster.Build(tree, numericSummary("tarot"))
 	if err == nil {
 		t.Fatal("accepted unknown numeric summary kind")
 	}
