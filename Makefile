@@ -21,8 +21,9 @@ bench:
 	$(GO) test -run xxx -bench 'Estimate(|Cold|CacheHit|Parallel)$$|Prepared$$' -benchmem .
 
 # Machine-readable budget-allocation benchmark: fixed structural/value
-# splits vs the sample-guided auto search vs the workload-adaptive
-# planner, all scored on held-out queries, as JSON at the repo root.
+# splits vs the sample-guided auto search vs the same search run by
+# budget.Plan on the profiled sample's shapes (what an adaptive rebuild
+# does), all scored on held-out queries, as JSON at the repo root.
 bench-autobudget:
 	$(GO) run ./cmd/xclusterbench -experiment autobudget > BENCH_autobudget.json
 	@echo "wrote BENCH_autobudget.json"

@@ -9,7 +9,7 @@
 //	xclusterbench -table 1              # Table 1 only
 //	xclusterbench -figure 8a            # Figure 8(a) only
 //	xclusterbench -experiment negative  # negative-workload check
-//	xclusterbench -experiment autobudget # fixed vs auto vs workload-planned budget splits (JSON)
+//	xclusterbench -experiment autobudget # fixed vs auto vs workload-profiled budget splits (JSON)
 //
 // Absolute numbers differ from the paper (different hardware, synthetic
 // data); the shapes — error falling with budget, struct error < 5%,

@@ -14,12 +14,31 @@
 // probe sets through Avg.
 package accuracy
 
-import "math"
+import (
+	"math"
+	"sort"
+)
 
 // DefaultSanityBound is the paper's sanity bound s = 10 (Section 6):
 // relative errors are measured against max(true, s) so that queries
 // with tiny true counts cannot inflate the average without bound.
 const DefaultSanityBound = 10
+
+// SanityBound returns the paper's workload sanity bound: the
+// 10-percentile s of the true counts, so that 90% of the queries have
+// a true result size >= s (at least 1; 1 for an empty workload).
+func SanityBound(truths []float64) float64 {
+	if len(truths) == 0 {
+		return 1
+	}
+	sorted := append([]float64(nil), truths...)
+	sort.Float64s(sorted)
+	b := sorted[len(sorted)/10]
+	if b < 1 {
+		b = 1
+	}
+	return b
+}
 
 // RelError returns the absolute relative error |truth − est| /
 // max(truth, sanity) of one estimate — the paper's per-query accuracy

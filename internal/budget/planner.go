@@ -1,333 +1,131 @@
-// Package budget turns a live workload profile into a first-class
-// BudgetPlan: the §4.3 "allocate bytes where the workload hurts" loop,
-// closed. The planner is a pure, deterministic function of its inputs —
-// the same profile, synopsis split, and total always yield the same
-// plan — so adaptive rebuilds are reproducible and testable. Two
-// policies keep it safe to run unattended: per-component floors (no
-// summary class is ever starved to zero just because this window's
-// traffic ignored it) and hysteresis (a jittery class mix oscillating
-// around a threshold does not flip the plan, and therefore does not
-// thrash rebuilds).
+// Package budget closes the §4.3 loop on live traffic: an adaptive
+// rebuild splits its byte budget between structure and values by the
+// paper's own search (core.AutoAllocateContext), scored on the queries
+// the workload profiler saw. Plan is that one function. It is
+// deterministic — the same inputs, reference synopsis and document
+// always yield the same plan and the same synopsis — so adaptive
+// rebuilds are reproducible and testable. Two rules keep it safe to
+// run unattended: an idle profile keeps the inherited split, and a
+// hysteresis dead band on the struct share keeps a jittery workload
+// from flipping the plan, and therefore from thrashing rebuilds.
 package budget
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"xcluster/internal/accuracy"
 	"xcluster/internal/core"
 	"xcluster/internal/profile"
+	"xcluster/internal/query"
+	"xcluster/internal/xmltree"
 )
 
-// The planner's policy knobs. They are constants, not configuration:
-// the planner's value is that every deployment adapts the same way, so
-// a plan can be explained by its inputs alone.
-const (
-	// MinComponentShare is the floor for every present non-struct
-	// component: even a component whose classes saw zero traffic this
-	// window keeps 5% of the total, because the next window may need it
-	// and rebuilding the summaries from the document costs far more
-	// than the reserved bytes.
-	MinComponentShare = 0.05
-	// MinStructShare and MaxStructShare bound the structural budget:
-	// below the floor the synopsis graph degrades into a handful of
-	// mega-clusters that poison every estimate (value predicates
-	// included); above the cap value summaries starve wholesale.
-	MinStructShare = 0.15
-	MaxStructShare = 0.85
-	// HysteresisShare is the dead band: a candidate plan within this
-	// share distance of the current workload plan (per component, same
-	// total) is not worth a rebuild, and the current plan is kept.
-	HysteresisShare = 0.04
-)
+// HysteresisShare is the dead band: a searched split whose struct
+// share lies within this distance of the inherited workload plan's is
+// jitter, not a trend, and the inherited plan is kept.
+const HysteresisShare = 0.04
 
-// Components in report order. Struct funds node+edge bytes; the other
-// three fund one value-summary kind each.
-const (
-	ComponentStruct    = "struct"
-	ComponentHistogram = "histogram"
-	ComponentPST       = "pst"
-	ComponentTermHist  = "termhist"
-)
-
-var componentOrder = []string{ComponentStruct, ComponentHistogram, ComponentPST, ComponentTermHist}
-
-// Inputs are everything one planning decision depends on.
+// Inputs are everything one planning decision depends on, besides the
+// reference synopsis and document it builds from.
 type Inputs struct {
-	// TotalBytes is the unified byte budget the plan splits.
-	TotalBytes int `json:"total_bytes"`
-	// Classes is the profiled class mix with joined accuracy (the
-	// WorkloadProfile's class rows: traffic share, rel error, pain).
-	Classes []profile.ClassStat `json:"classes"`
-	// WorkloadFingerprint identifies the WorkloadProfile the classes
+	// Inherited is the plan a rebuild without adaptation would build
+	// under. The search re-splits its total; an idle profile keeps it.
+	Inherited core.BudgetPlan `json:"inherited"`
+	// WorkloadFingerprint identifies the WorkloadProfile the shapes
 	// came from; it is stamped into the produced plan.
 	WorkloadFingerprint string `json:"workload_fingerprint,omitempty"`
-	// Actual is the served synopsis's byte split. It supplies the
-	// node/edge ratio (the builder cannot trade nodes against edges,
-	// so the plan records the observed proportion) and the presence
-	// signal: a component with zero actual bytes summarizes nothing in
-	// this document and gets no budget.
-	Actual profile.BudgetSplit `json:"actual"`
-	// Current is the plan behind the serving synopsis, for hysteresis.
-	// Zero means none (first adaptive rebuild).
-	Current core.BudgetPlan `json:"current,omitzero"`
+	// Shapes is the sample workload: one representative query per
+	// tracked profiler shape, weighted by the shape's count.
+	Shapes []profile.Representative `json:"shapes"`
 }
 
-// ComponentRow explains one component's allocation.
-type ComponentRow struct {
-	Component string `json:"component"`
-	// TrafficShare, RelError and Pain aggregate the classes the
-	// component answers (traffic-weighted error; pain = share × error).
-	TrafficShare float64 `json:"traffic_share"`
-	RelError     float64 `json:"rel_error"`
-	Pain         float64 `json:"pain"`
-	// Weight is the raw allocation weight (share + pain); TargetShare
-	// is the weight after floors and caps; PlannedBytes is its slice
-	// of the total.
-	Weight       float64 `json:"weight"`
-	TargetShare  float64 `json:"target_share"`
-	PlannedBytes int     `json:"planned_bytes"`
-	// Present is false for components whose summaries do not exist in
-	// the served synopsis (nothing to fund).
-	Present bool `json:"present"`
-}
-
-// Decision is one planner run: the plan, the per-component arithmetic
-// that produced it, and whether hysteresis held the previous plan.
+// Decision is one planning run: the plan and why it was chosen.
 type Decision struct {
 	Plan core.BudgetPlan `json:"plan"`
-	Rows []ComponentRow  `json:"rows"`
-	// Held reports that the candidate split sat inside the hysteresis
-	// dead band of Inputs.Current, so Plan is the current plan and no
-	// rebuild is warranted.
+	// Score is the searched winner's error on the sample: the
+	// count-weighted mean relative error over Shapes (0 when idle).
+	Score float64 `json:"score"`
+	// Held reports that Plan is Inputs.Inherited: the profile had no
+	// shapes, or the winner sat inside the hysteresis dead band of an
+	// inherited workload plan.
 	Held bool `json:"held"`
 	// Reason is a one-line explanation for logs and /debug/budget.
 	Reason string `json:"reason"`
 }
 
-// classComponent maps an accuracy class name to the component funding
-// it (the same mapping as profile coverage: range→histogram,
-// substring→pst, ftcontains/ftsim→termhist, everything else→struct).
-func classComponent(class string) string {
-	switch class {
-	case accuracy.Range.String():
-		return ComponentHistogram
-	case accuracy.Substring.String():
-		return ComponentPST
-	case accuracy.FTContains.String(), accuracy.FTSim.String():
-		return ComponentTermHist
-	default:
-		return ComponentStruct
-	}
-}
-
-// Plan maps a workload profile and the served synopsis's state to a
-// BudgetPlan with provenance "workload". It is deterministic and pure.
-func Plan(in Inputs) (Decision, error) {
-	if in.TotalBytes <= 0 {
-		return Decision{}, fmt.Errorf("budget: non-positive total %d", in.TotalBytes)
-	}
-
-	rows := map[string]*ComponentRow{}
-	for _, c := range componentOrder {
-		rows[c] = &ComponentRow{Component: c}
-	}
-	rows[ComponentStruct].Present = true // a synopsis always has structure
-	rows[ComponentHistogram].Present = in.Actual.HistogramBytes > 0
-	rows[ComponentPST].Present = in.Actual.PSTBytes > 0
-	rows[ComponentTermHist].Present = in.Actual.TermHistBytes > 0
-
-	// Aggregate the class mix per component. Weight = share + pain =
-	// share × (1 + relError): traffic earns budget, error-afflicted
-	// traffic earns more.
-	for _, cl := range in.Classes {
-		r := rows[classComponent(cl.Class)]
-		r.TrafficShare += cl.TrafficShare
-		r.Pain += cl.Pain
-	}
-	var weightSum float64
-	for _, c := range componentOrder {
-		r := rows[c]
-		if r.TrafficShare > 0 {
-			r.RelError = r.Pain / r.TrafficShare
-		}
-		if r.Present {
-			r.Weight = r.TrafficShare + r.Pain
-			weightSum += r.Weight
-		}
-	}
-
-	// No traffic signal at all: fall back to the synopsis's observed
-	// proportions so an idle service plans the split it already has.
-	if weightSum == 0 {
-		actual := map[string]int{
-			ComponentStruct:    in.Actual.NodeBytes + in.Actual.EdgeBytes,
-			ComponentHistogram: in.Actual.HistogramBytes,
-			ComponentPST:       in.Actual.PSTBytes,
-			ComponentTermHist:  in.Actual.TermHistBytes,
-		}
-		var actualSum int
-		for _, c := range componentOrder {
-			actualSum += actual[c]
-		}
-		for _, c := range componentOrder {
-			r := rows[c]
-			if !r.Present {
-				continue
-			}
-			if actualSum > 0 {
-				r.Weight = float64(actual[c]) / float64(actualSum)
-			} else {
-				r.Weight = 1
-			}
-			weightSum += r.Weight
-		}
-	}
-
-	// Floors first, then the remaining mass by weight: every present
-	// component keeps its floor no matter how lopsided the traffic.
-	floors := map[string]float64{ComponentStruct: MinStructShare}
-	var floorSum float64
-	for _, c := range componentOrder {
-		r := rows[c]
-		if !r.Present {
-			continue
-		}
-		f, ok := floors[c]
-		if !ok {
-			f = MinComponentShare
-		}
-		floorSum += f
-		r.TargetShare = f
-	}
-	for _, c := range componentOrder {
-		r := rows[c]
-		if r.Present && weightSum > 0 {
-			r.TargetShare += (1 - floorSum) * r.Weight / weightSum
-		}
-	}
-
-	// Cap the structural share, spilling the excess onto the value
-	// components in proportion to their target shares.
-	if s := rows[ComponentStruct]; s.TargetShare > MaxStructShare {
-		excess := s.TargetShare - MaxStructShare
-		s.TargetShare = MaxStructShare
-		var valSum float64
-		for _, c := range componentOrder[1:] {
-			valSum += rows[c].TargetShare
-		}
-		for _, c := range componentOrder[1:] {
-			r := rows[c]
-			if !r.Present {
-				continue
-			}
-			if valSum > 0 {
-				r.TargetShare += excess * r.TargetShare / valSum
-			} else {
-				// No value component exists; structure keeps it all.
-				s.TargetShare += excess
-				break
-			}
-		}
-	}
-
-	// Integer byte slices by largest remainder, so they sum exactly.
-	planned := apportion(in.TotalBytes, rows)
-	nodeBytes, edgeBytes := splitStruct(planned[ComponentStruct], in.Actual)
-
-	plan, err := core.BudgetPlan{
-		NodeBytes:           nodeBytes,
-		EdgeBytes:           edgeBytes,
-		HistogramBytes:      planned[ComponentHistogram],
-		PSTBytes:            planned[ComponentPST],
-		TermHistBytes:       planned[ComponentTermHist],
-		Provenance:          core.ProvenanceWorkload,
-		WorkloadFingerprint: in.WorkloadFingerprint,
-	}.Normalize()
+// Plan decides the split of in.Inherited's total and returns the
+// synopsis built under the decided plan. With shapes to score, it runs
+// core.AutoAllocateContext over ref (each candidate built with opts)
+// against exact counts from doc, and stamps the winner with provenance
+// workload and in.WorkloadFingerprint; the search's own build of the
+// winner is returned, not rebuilt. When the decision keeps the
+// inherited plan, the synopsis is built under that plan instead.
+func Plan(ctx context.Context, in Inputs, ref *core.Synopsis, doc *xmltree.Tree, opts core.BuildOptions) (Decision, *core.Synopsis, error) {
+	inherited, err := in.Inherited.Normalize()
 	if err != nil {
-		return Decision{}, err
+		return Decision{}, nil, err
+	}
+	if inherited.TotalBytes <= 0 {
+		return Decision{}, nil, fmt.Errorf("budget: non-positive total %d", inherited.TotalBytes)
+	}
+	keep := func(d Decision) (Decision, *core.Synopsis, error) {
+		o := opts
+		o.Plan = &inherited
+		s, err := core.XClusterBuildContext(ctx, ref, o)
+		if err != nil {
+			return Decision{}, nil, err
+		}
+		d.Plan, d.Held = inherited, true
+		return d, s, nil
+	}
+	if len(in.Shapes) == 0 {
+		return keep(Decision{Reason: "no tracked query shapes: kept the inherited split"})
 	}
 
-	d := Decision{Plan: plan, Reason: fmt.Sprintf("planned from workload %s", in.WorkloadFingerprint)}
-	for _, c := range componentOrder {
-		d.Rows = append(d.Rows, *rows[c])
+	s, plan, score, err := core.AutoAllocateContext(ctx, ref, inherited.TotalBytes, sampleScorer(in.Shapes, doc), opts)
+	if err != nil {
+		return Decision{}, nil, err
 	}
-
-	// Hysteresis: against another workload plan of the same total, a
-	// move inside the dead band is jitter, not a trend — keep what we
-	// have. Static and auto plans never hold: the first adaptive
-	// rebuild should always be allowed to move off them.
-	if in.Current.Provenance == core.ProvenanceWorkload && in.Current.TotalBytes == in.TotalBytes {
-		if maxShareDelta(plan, in.Current) < HysteresisShare {
-			d.Plan = in.Current
-			d.Held = true
-			d.Reason = fmt.Sprintf("held current plan: share delta below %.2f dead band", HysteresisShare)
+	plan.Provenance = core.ProvenanceWorkload
+	plan.WorkloadFingerprint = in.WorkloadFingerprint
+	if inherited.Provenance == core.ProvenanceWorkload {
+		if delta := math.Abs(structShare(plan) - structShare(inherited)); delta < HysteresisShare {
+			return keep(Decision{Score: score, Reason: fmt.Sprintf(
+				"held inherited plan: struct share moved %.3f, inside the %.2f dead band", delta, HysteresisShare)})
 		}
 	}
-	return d, nil
+	fp := s.Fingerprint()
+	fp.Plan = plan
+	s.SetFingerprint(fp)
+	return Decision{Plan: plan, Score: score, Reason: fmt.Sprintf(
+		"searched %d shapes of workload %s: struct share %.3f", len(in.Shapes), in.WorkloadFingerprint, structShare(plan))}, s, nil
 }
 
-// apportion distributes total bytes over the components by TargetShare
-// with largest-remainder rounding (deterministic; ties break in
-// component order). It also back-fills each row's PlannedBytes.
-func apportion(total int, rows map[string]*ComponentRow) map[string]int {
-	type slice struct {
-		c    string
-		ip   int
-		frac float64
+// sampleScorer scores a candidate synopsis on the shapes: the
+// count-weighted mean relative error against exact counts from doc,
+// under the sample's sanity bound.
+func sampleScorer(shapes []profile.Representative, doc *xmltree.Tree) func(*core.Synopsis) float64 {
+	ev := query.NewEvaluator(doc)
+	truths := make([]float64, len(shapes))
+	var weight float64
+	for i, sh := range shapes {
+		truths[i] = ev.Selectivity(sh.Query)
+		weight += float64(sh.Count)
 	}
-	slices := make([]slice, 0, len(componentOrder))
-	assigned := 0
-	for _, c := range componentOrder {
-		exact := rows[c].TargetShare * float64(total)
-		ip := int(math.Floor(exact))
-		assigned += ip
-		slices = append(slices, slice{c: c, ip: ip, frac: exact - math.Floor(exact)})
-	}
-	rem := total - assigned
-	sort.SliceStable(slices, func(i, j int) bool { return slices[i].frac > slices[j].frac })
-	for i := 0; i < len(slices) && rem > 0; i++ {
-		slices[i].ip++
-		rem--
-	}
-	out := map[string]int{}
-	for _, s := range slices {
-		out[s.c] = s.ip
-		rows[s.c].PlannedBytes = s.ip
-	}
-	return out
-}
-
-// splitStruct divides the structural slice between nodes and edges in
-// the served synopsis's observed proportion (all nodes when unknown —
-// the builder treats the pair as one budget either way).
-func splitStruct(structBytes int, actual profile.BudgetSplit) (node, edge int) {
-	an, ae := actual.NodeBytes, actual.EdgeBytes
-	if an+ae == 0 {
-		return structBytes, 0
-	}
-	node = int(math.Round(float64(structBytes) * float64(an) / float64(an+ae)))
-	return node, structBytes - node
-}
-
-// maxShareDelta is the largest per-component share difference between
-// two plans of the same total.
-func maxShareDelta(a, b core.BudgetPlan) float64 {
-	if a.TotalBytes == 0 {
-		return 0
-	}
-	t := float64(a.TotalBytes)
-	d := 0.0
-	for _, pair := range [][2]int{
-		{a.NodeBytes + a.EdgeBytes, b.NodeBytes + b.EdgeBytes},
-		{a.HistogramBytes, b.HistogramBytes},
-		{a.PSTBytes, b.PSTBytes},
-		{a.TermHistBytes, b.TermHistBytes},
-	} {
-		if delta := math.Abs(float64(pair[0]-pair[1])) / t; delta > d {
-			d = delta
+	sanity := accuracy.SanityBound(truths)
+	return func(s *core.Synopsis) float64 {
+		est := core.NewEstimator(s)
+		var sum float64
+		for i, sh := range shapes {
+			sum += float64(sh.Count) * accuracy.RelError(truths[i], est.Selectivity(sh.Query), sanity)
 		}
+		return sum / weight
 	}
-	return d
+}
+
+// structShare is the fraction of the plan's total given to structure.
+func structShare(p core.BudgetPlan) float64 {
+	return float64(p.StructBytes) / float64(p.TotalBytes)
 }

@@ -1,205 +1,194 @@
 package budget
 
 import (
+	"bytes"
+	"context"
 	"reflect"
 	"testing"
+	"time"
 
-	"xcluster/internal/accuracy"
 	"xcluster/internal/core"
+	"xcluster/internal/datagen"
 	"xcluster/internal/profile"
+	"xcluster/internal/query"
+	"xcluster/internal/vsum"
+	"xcluster/internal/xmltree"
 )
 
-// allPresent is a synopsis split where every component exists.
-var allPresent = profile.BudgetSplit{
-	NodeBytes: 3000, EdgeBytes: 1000,
-	HistogramBytes: 2000, PSTBytes: 2000, TermHistBytes: 2000,
+// fixture is a small IMDB document, its reference synopsis, and the
+// shapes a profiler recorded for a mixed-class workload over it. Its
+// builds use a small merge pool, to keep the searches fast.
+type fixture struct {
+	doc    *xmltree.Tree
+	ref    *core.Synopsis
+	shapes []profile.Representative
+	total  int
+	opts   core.BuildOptions
 }
 
-func classes(shares, errs map[string]float64) []profile.ClassStat {
-	var out []profile.ClassStat
-	for _, cl := range accuracy.Classes() {
-		name := cl.String()
-		out = append(out, profile.ClassStat{
-			Class:        name,
-			TrafficShare: shares[name],
-			RelError:     errs[name],
-			Pain:         shares[name] * errs[name],
-		})
-	}
-	return out
-}
-
-// TestPlannerFloors: a profile where one class carries 100% of the
-// traffic must still leave a non-zero floor for every component that
-// exists in the synopsis — the satellite's starvation guarantee.
-func TestPlannerFloors(t *testing.T) {
-	const total = 100_000
-	d, err := Plan(Inputs{
-		TotalBytes: total,
-		Classes:    classes(map[string]float64{"range": 1}, map[string]float64{"range": 0.5}),
-		Actual:     allPresent,
+func newFixture(t *testing.T) fixture {
+	t.Helper()
+	doc := datagen.IMDB(datagen.IMDBConfig{Seed: 5, Scale: 0.02})
+	ref, err := core.BuildReference(doc, core.ReferenceOptions{
+		ValuePaths: datagen.IMDBValuePaths(),
+		Detail:     vsum.BuildOptions{PSTDepth: 3, MaxSummaryBytes: 256},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := d.Plan
-	if p.Provenance != core.ProvenanceWorkload {
-		t.Fatalf("provenance = %q, want workload", p.Provenance)
-	}
-	if p.TotalBytes != total {
-		t.Fatalf("total %d, want %d", p.TotalBytes, total)
-	}
-	if got := p.NodeBytes + p.EdgeBytes; float64(got) < MinStructShare*total {
-		t.Fatalf("struct bytes %d below floor %v", got, MinStructShare*total)
-	}
-	for name, v := range map[string]int{
-		"histogram": p.HistogramBytes, "pst": p.PSTBytes, "termhist": p.TermHistBytes,
+	prof := profile.New(0)
+	at := time.Unix(0, 0)
+	for i, qs := range []string{
+		"//movie/title",
+		"//movie[year>1990]/title",
+		"//movie[year>2000]/title", // same shape as the line above
+		"//movie/cast/actor/name",
+		"//movie[title contains(The)]",
+		"//show[plot ftcontains(family)]",
+		"//imdb/show[year<1980]",
 	} {
-		if float64(v) < MinComponentShare*total {
-			t.Fatalf("%s bytes %d below floor %v despite zero traffic", name, v, MinComponentShare*total)
-		}
-	}
-	// The all-range workload must still dominate: histogram gets the
-	// biggest value slice.
-	if p.HistogramBytes <= p.PSTBytes || p.HistogramBytes <= p.TermHistBytes {
-		t.Fatalf("histogram not favored by all-range workload: %+v", p)
-	}
-}
-
-// TestPlannerStructCap: all-structural traffic is bounded by
-// MaxStructShare so value summaries never starve wholesale.
-func TestPlannerStructCap(t *testing.T) {
-	const total = 100_000
-	d, err := Plan(Inputs{
-		TotalBytes: total,
-		Classes:    classes(map[string]float64{"struct": 1}, map[string]float64{"struct": 0.9}),
-		Actual:     allPresent,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := d.Plan.NodeBytes + d.Plan.EdgeBytes; float64(got) > MaxStructShare*total {
-		t.Fatalf("struct bytes %d above cap %v", got, MaxStructShare*total)
-	}
-}
-
-// TestPlannerHysteresis: a class share oscillating inside the dead band
-// must not flip the plan from window to window, while a real shift
-// must. This is the satellite's thrash guarantee.
-func TestPlannerHysteresis(t *testing.T) {
-	const total = 100_000
-	mix := func(ft float64) []profile.ClassStat {
-		return classes(
-			map[string]float64{"ftcontains": ft, "struct": 1 - ft},
-			map[string]float64{"ftcontains": 0.4, "struct": 0.01},
-		)
-	}
-	base, err := Plan(Inputs{TotalBytes: total, Classes: mix(0.30), Actual: allPresent})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur := base.Plan
-	// Five windows of jitter around the 0.30 share.
-	for i, ft := range []float64{0.31, 0.29, 0.32, 0.28, 0.30} {
-		d, err := Plan(Inputs{TotalBytes: total, Classes: mix(ft), Actual: allPresent, Current: cur})
+		q, err := query.Parse(qs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !d.Held {
-			t.Fatalf("window %d (share %.2f): jitter flipped the plan:\n cur %v\n new %v", i, ft, cur, d.Plan)
-		}
-		if d.Plan != cur {
-			t.Fatalf("window %d: held decision changed the plan", i)
+		for n := 0; n <= i%3; n++ {
+			prof.Record(at, q, q.String(), 0, 0, 0, false)
 		}
 	}
-	// A genuine mix shift must escape the dead band.
-	d, err := Plan(Inputs{TotalBytes: total, Classes: mix(0.80), Actual: allPresent, Current: cur})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Held || d.Plan == cur {
-		t.Fatalf("real workload shift was held: %+v", d)
-	}
-	// Hysteresis never holds against a static plan: the first adaptive
-	// rebuild must be allowed to move off the configured split.
-	static := core.PlanFromBudgets(total/2, total-total/2)
-	d, err = Plan(Inputs{TotalBytes: total, Classes: mix(0.30), Actual: allPresent, Current: static})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Held {
-		t.Fatal("planner held a static plan")
+	return fixture{
+		doc: doc, ref: ref, shapes: prof.Representatives(),
+		total: ref.TotalBytes() / 4, opts: core.BuildOptions{Hm: 200, Hl: 100},
 	}
 }
 
-// TestPlannerDeterministic: identical inputs yield identical decisions.
-func TestPlannerDeterministic(t *testing.T) {
-	in := Inputs{
-		TotalBytes: 77_777,
-		Classes: classes(
-			map[string]float64{"range": 0.2, "substring": 0.3, "ftcontains": 0.1, "struct": 0.4},
-			map[string]float64{"range": 0.01, "substring": 0.2, "ftcontains": 0.4, "struct": 0.005},
-		),
+// plan runs Plan on the fixture with the given inherited plan.
+func (f fixture) plan(t *testing.T, inherited core.BudgetPlan) (Decision, *core.Synopsis) {
+	t.Helper()
+	d, s, err := Plan(context.Background(), Inputs{
+		Inherited:           inherited,
 		WorkloadFingerprint: "deadbeefdeadbeef",
-		Actual:              allPresent,
-	}
-	a, err := Plan(in)
+		Shapes:              f.shapes,
+	}, f.ref, f.doc, f.opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Plan(in)
-	if err != nil {
+	if s.Fingerprint().Plan != d.Plan {
+		t.Fatalf("synopsis plan %+v != decision plan %+v", s.Fingerprint().Plan, d.Plan)
+	}
+	return d, s
+}
+
+// workloadPlan is a workload-provenance plan of total bytes giving
+// structure bstr.
+func workloadPlan(bstr, total int) core.BudgetPlan {
+	p := core.PlanFromBudgets(bstr, total-bstr)
+	p.Provenance = core.ProvenanceWorkload
+	p.WorkloadFingerprint = "0123456789abcdef"
+	return p
+}
+
+// stableBytes encodes s with the wall-clock fingerprint fields zeroed.
+func stableBytes(t *testing.T, s *core.Synopsis) []byte {
+	t.Helper()
+	fp := s.Fingerprint()
+	fp.BuiltAtUnix, fp.BuildNanos = 0, 0
+	s.SetFingerprint(fp)
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// TestPlannerHysteresis: an inherited workload plan whose struct share
+// lies inside the dead band of the searched one is held, a real shift
+// escapes it, and a static plan is never held — the first adaptive
+// rebuild must be allowed to move off the configured split.
+func TestPlannerHysteresis(t *testing.T) {
+	f := newFixture(t)
+	base, _ := f.plan(t, core.PlanFromBudgets(f.total/2, f.total-f.total/2))
+	if base.Held || base.Plan.Provenance != core.ProvenanceWorkload {
+		t.Fatalf("static inherited plan was held or kept: %+v", base)
+	}
+	if base.Plan.TotalBytes != f.total || base.Plan.WorkloadFingerprint != "deadbeefdeadbeef" {
+		t.Fatalf("searched plan lost the total or the fingerprint: %+v", base.Plan)
+	}
+	// Jitter: inherited workload plans within the dead band are held.
+	for _, shift := range []float64{-0.03, -0.01, 0.01, 0.03} {
+		cur := workloadPlan(base.Plan.StructBytes+int(shift*float64(f.total)), f.total)
+		d, _ := f.plan(t, cur)
+		if !d.Held || d.Plan != cur {
+			t.Fatalf("struct share shift %.2f flipped the plan:\n cur %v\n new %v", shift, cur, d.Plan)
+		}
+	}
+	// A real shift escapes the band: the search's own winner comes back.
+	shift := f.total / 4
+	if base.Plan.StructBytes > f.total/2 {
+		shift = -shift
+	}
+	far := workloadPlan(base.Plan.StructBytes+shift, f.total)
+	d, _ := f.plan(t, far)
+	if d.Held || d.Plan != base.Plan {
+		t.Fatalf("plan 25%% off the searched split was held: %+v", d)
+	}
+	// A static plan at the searched split is not held either.
+	d, _ = f.plan(t, core.PlanFromBudgets(base.Plan.StructBytes, base.Plan.ValueBytes))
+	if d.Held || d.Plan != base.Plan {
+		t.Fatalf("planner held a static plan: %+v", d)
+	}
+}
+
+// TestPlannerDeterministic: identical inputs yield identical decisions
+// and byte-identical synopses, which are XClusterBuild's at the plan.
+func TestPlannerDeterministic(t *testing.T) {
+	f := newFixture(t)
+	inherited := core.PlanFromBudgets(f.total/2, f.total-f.total/2)
+	a, sa := f.plan(t, inherited)
+	b, sb := f.plan(t, inherited)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same inputs, different decisions:\n%+v\n%+v", a, b)
 	}
-	if a.Plan.WorkloadFingerprint != in.WorkloadFingerprint {
-		t.Fatalf("plan lost the workload fingerprint: %+v", a.Plan)
+	if !bytes.Equal(stableBytes(t, sa), stableBytes(t, sb)) {
+		t.Fatal("same inputs, different synopses")
 	}
-	if got := a.Plan.NodeBytes + a.Plan.EdgeBytes + a.Plan.HistogramBytes + a.Plan.PSTBytes + a.Plan.TermHistBytes; got != in.TotalBytes {
-		t.Fatalf("component bytes sum %d != total %d", got, in.TotalBytes)
-	}
-}
-
-// TestPlannerAbsentComponent: a component with no summaries in the
-// served synopsis gets no budget, whatever the traffic says.
-func TestPlannerAbsentComponent(t *testing.T) {
-	actual := allPresent
-	actual.TermHistBytes = 0
-	d, err := Plan(Inputs{
-		TotalBytes: 50_000,
-		Classes:    classes(map[string]float64{"ftcontains": 1}, map[string]float64{"ftcontains": 0.9}),
-		Actual:     actual,
-	})
+	o := f.opts
+	o.Plan = &a.Plan
+	want, err := core.XClusterBuild(f.ref, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Plan.TermHistBytes != 0 {
-		t.Fatalf("absent termhist component was funded: %+v", d.Plan)
+	if !bytes.Equal(stableBytes(t, sa), stableBytes(t, want)) {
+		t.Fatalf("planned synopsis differs from XClusterBuild at %v", a.Plan)
 	}
 }
 
-// TestPlannerIdleFallsBackToActual: with no traffic at all the plan
-// reproduces the synopsis's own proportions instead of inventing a
-// split.
-func TestPlannerIdleFallsBackToActual(t *testing.T) {
-	d, err := Plan(Inputs{TotalBytes: 10_000, Classes: classes(nil, nil), Actual: allPresent})
+// TestPlannerIdleKeepsInherited: with no tracked shapes there is
+// nothing to score, so the decision keeps the inherited split, says
+// why, and builds under it.
+func TestPlannerIdleKeepsInherited(t *testing.T) {
+	f := newFixture(t)
+	f.shapes = nil
+	inherited := core.PlanFromBudgets(f.total/3, f.total-f.total/3)
+	d, s := f.plan(t, inherited)
+	if !d.Held || d.Plan != inherited || d.Reason == "" {
+		t.Fatalf("idle decision = %+v, want the inherited plan held with a reason", d)
+	}
+	o := f.opts
+	o.Plan = &inherited
+	want, err := core.XClusterBuild(f.ref, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := d.Plan
-	if p.NodeBytes+p.EdgeBytes == 0 || p.HistogramBytes == 0 || p.PSTBytes == 0 || p.TermHistBytes == 0 {
-		t.Fatalf("idle plan starved a present component: %+v", p)
-	}
-	// allPresent is 40/20/20/20: struct should hold the largest slice.
-	if s := p.NodeBytes + p.EdgeBytes; s <= p.HistogramBytes {
-		t.Fatalf("idle plan ignored actual proportions: %+v", p)
+	if !bytes.Equal(stableBytes(t, s), stableBytes(t, want)) {
+		t.Fatal("idle synopsis differs from XClusterBuild at the inherited plan")
 	}
 }
 
 func TestPlannerRejectsNonPositiveTotal(t *testing.T) {
-	if _, err := Plan(Inputs{TotalBytes: 0, Actual: allPresent}); err == nil {
-		t.Fatal("zero total accepted")
+	f := newFixture(t)
+	for _, p := range []core.BudgetPlan{{}, {StructBytes: -1, ValueBytes: 1}} {
+		if _, _, err := Plan(context.Background(), Inputs{Inherited: p, Shapes: f.shapes}, f.ref, f.doc, f.opts); err == nil {
+			t.Fatalf("inherited plan %+v accepted", p)
+		}
 	}
 }

@@ -57,9 +57,6 @@ type Config struct {
 	// tenant/collection labels, keeping a converted single-tenant
 	// deployment's /metrics byte-compatible.
 	UnlabeledDefault bool
-	// RingReplicas sets virtual nodes per collection on each tenant's
-	// document-routing ring (<= 0: DefaultRingReplicas).
-	RingReplicas int
 }
 
 // Shard is one attached (tenant, collection) member: a service plus the
@@ -230,7 +227,7 @@ func (c *Catalog) Attach(ctx context.Context, spec ShardSpec) (*Shard, error) {
 	if !ok {
 		ts = &tenantState{
 			shards: make(map[string]*Shard),
-			ring:   NewRing(c.cfg.RingReplicas),
+			ring:   NewRing(DefaultRingReplicas),
 		}
 		c.tenants[k.Tenant] = ts
 	}

@@ -64,9 +64,9 @@ type ShardSpec struct {
 	// RebuildOnDrift triggers a background rebuild of this shard when
 	// its accuracy monitor flags drift (requires Document).
 	RebuildOnDrift bool `json:"rebuild_on_drift,omitempty"`
-	// AdaptiveBudget makes this shard's drift-triggered rebuilds derive
-	// their budget split from the shard's own workload profile via the
-	// internal/budget planner (requires Document). Each shard plans
+	// AdaptiveBudget makes this shard's drift-triggered rebuilds search
+	// their budget split on the shard's own workload profile
+	// (budget.Plan; requires Document). Each shard plans
 	// independently: one tenant's traffic mix never moves another
 	// tenant's budget.
 	AdaptiveBudget bool `json:"adaptive_budget,omitempty"`

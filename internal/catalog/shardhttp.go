@@ -162,8 +162,7 @@ func handleSynopsisDebug(w http.ResponseWriter, r *http.Request, svc *service.Se
 }
 
 // handleBudget answers GET /debug/budget: the serving budget plan,
-// planned vs actual split, the last planner run, and a next-rebuild
-// dry run.
+// planned vs actual split, and the last adaptive planning run.
 func handleBudget(w http.ResponseWriter, _ *http.Request, svc *service.Service) {
 	service.WriteJSON(w, http.StatusOK, svc.BudgetReport())
 }

@@ -32,7 +32,8 @@ func AutoAllocate(ref *Synopsis, totalBudget int, score func(*Synopsis) float64,
 // gradient would be fragile. Candidate builds run under ctx, so a
 // cancelled adaptive rebuild aborts mid-search with ctx.Err() instead
 // of finishing up to a dozen builds. It returns the best synopsis, the
-// winning BudgetPlan (provenance "auto"), and the score it achieved.
+// winning BudgetPlan (provenance "auto"), and the score it achieved;
+// opts.Stats, when set, receives the winning build's statistics.
 func AutoAllocateContext(ctx context.Context, ref *Synopsis, totalBudget int, score func(*Synopsis) float64, opts BuildOptions) (*Synopsis, BudgetPlan, float64, error) {
 	if totalBudget <= 0 {
 		return nil, BudgetPlan{}, 0, fmt.Errorf("core: AutoAllocate: non-positive budget %d", totalBudget)
@@ -42,6 +43,7 @@ func AutoAllocateContext(ctx context.Context, ref *Synopsis, totalBudget int, sc
 		bstr  int
 		s     *Synopsis
 		score float64
+		stats BuildStats
 	}
 	evalFrac := func(frac float64) (result, error) {
 		bstr := int(frac * float64(totalBudget))
@@ -50,11 +52,16 @@ func AutoAllocateContext(ctx context.Context, ref *Synopsis, totalBudget int, sc
 		plan.Provenance = ProvenanceAuto
 		o.Plan = &plan
 		o.StructBudget, o.ValueBudget = 0, 0
+		r := result{frac: frac, bstr: bstr}
+		if opts.Stats != nil {
+			o.Stats = &r.stats
+		}
 		s, err := XClusterBuildContext(ctx, ref, o)
 		if err != nil {
 			return result{}, err
 		}
-		return result{frac: frac, bstr: bstr, s: s, score: score(s)}, nil
+		r.s, r.score = s, score(s)
+		return r, nil
 	}
 
 	best := result{score: math.Inf(1)}
@@ -96,6 +103,9 @@ func AutoAllocateContext(ctx context.Context, ref *Synopsis, totalBudget int, sc
 	}
 	if best.s == nil {
 		return nil, BudgetPlan{}, 0, fmt.Errorf("core: AutoAllocate: no feasible split")
+	}
+	if opts.Stats != nil {
+		*opts.Stats = best.stats
 	}
 	return best.s, best.s.Fingerprint().Plan, best.score, nil
 }

@@ -16,30 +16,23 @@ const (
 	// ProvenanceAuto marks a plan chosen by the sample-workload search
 	// of AutoAllocate (the paper's Section 4.3 sketch).
 	ProvenanceAuto Provenance = "auto"
-	// ProvenanceWorkload marks a plan derived from a live
-	// WorkloadProfile by the internal/budget planner.
+	// ProvenanceWorkload marks a plan chosen by the same search,
+	// scored on the live WorkloadProfile's query shapes
+	// (internal/budget).
 	ProvenanceWorkload Provenance = "workload"
 )
 
 // BudgetPlan is a first-class byte-budget decision: how one total
-// budget splits across the synopsis's storage components, where the
-// split came from (Provenance), and — for workload-derived plans — the
+// budget splits between structure and values, where the split came
+// from (Provenance), and — for workload-derived plans — the
 // fingerprint of the WorkloadProfile that justified it.
 //
 // The builder enforces the paper's two-budget contract: StructBytes
 // bounds nodes+edges (the merge phase) and ValueBytes bounds value
-// summaries (the compression phase). The finer split refines that
-// contract where the builder can act on it: the three value components
-// (histogram/PST/term-histogram), when non-zero, direct the value
-// phase to compress each summary kind toward its own sub-budget before
-// the global pass enforces the ValueBytes total. The node/edge split
-// is advisory — merging shrinks nodes and edges together, so the
-// builder cannot trade one against the other — and is recorded so
-// operators can compare planned against actual.
-//
-// A plan with all component fields zero is exactly equivalent to the
-// legacy two-int configuration: the builder takes the same code path
-// and produces bit-identical output (enforced by differential test).
+// summaries (the compression phase). A plan is exactly equivalent to
+// the legacy two-int configuration: the builder takes the same code
+// path and produces bit-identical output (enforced by differential
+// test).
 type BudgetPlan struct {
 	// TotalBytes is the unified budget the plan splits
 	// (StructBytes + ValueBytes).
@@ -50,15 +43,6 @@ type BudgetPlan struct {
 	// ValueBytes is Bval: the byte budget for value summaries.
 	ValueBytes int `json:"value_bytes"`
 
-	// The component split. Node+Edge refine StructBytes;
-	// Histogram+PST+TermHist refine ValueBytes. All zero means
-	// "unsplit" — the legacy two-budget behavior.
-	NodeBytes      int `json:"node_bytes,omitempty"`
-	EdgeBytes      int `json:"edge_bytes,omitempty"`
-	HistogramBytes int `json:"histogram_bytes,omitempty"`
-	PSTBytes       int `json:"pst_bytes,omitempty"`
-	TermHistBytes  int `json:"termhist_bytes,omitempty"`
-
 	// Provenance tells where the split came from: static, auto, or
 	// workload.
 	Provenance Provenance `json:"provenance,omitempty"`
@@ -68,8 +52,8 @@ type BudgetPlan struct {
 }
 
 // PlanFromBudgets synthesizes a static plan from the legacy Bstr/Bval
-// pair. The component split stays zero ("unsplit"), so a build under
-// this plan is bit-identical to one under the raw ints.
+// pair; a build under this plan is bit-identical to one under the raw
+// ints.
 func PlanFromBudgets(structBudget, valueBudget int) BudgetPlan {
 	return BudgetPlan{
 		TotalBytes:  structBudget + valueBudget,
@@ -88,55 +72,54 @@ func (p BudgetPlan) StructBudget() int { return p.StructBytes }
 // ValueBudget is the Bval the plan assigns (all value summaries).
 func (p BudgetPlan) ValueBudget() int { return p.ValueBytes }
 
-// HasValueSplit reports whether the plan splits the value budget
-// across summary kinds (directing the per-kind value phase) rather
-// than leaving Bval as one pool.
-func (p BudgetPlan) HasValueSplit() bool {
-	return p.HistogramBytes > 0 || p.PSTBytes > 0 || p.TermHistBytes > 0
+// ByteSplit is a synopsis's realized byte split by storage component:
+// the structural charge of its nodes and edges, and the value charge
+// by summary kind (numeric histograms, pruned suffix trees, end-biased
+// term histograms). GET /debug/synopsis, GET /debug/budget, swap
+// events and the workload coverage report all render this one
+// measurement.
+type ByteSplit struct {
+	NodeBytes      int `json:"node_bytes"`
+	EdgeBytes      int `json:"edge_bytes"`
+	HistogramBytes int `json:"histogram_bytes"`
+	PSTBytes       int `json:"pst_bytes"`
+	TermHistBytes  int `json:"termhist_bytes"`
 }
 
-// valueKindBudget is the plan's sub-budget for one summary kind.
-func (p BudgetPlan) valueKindBudget(vt xmltree.ValueType) int {
-	switch vt {
-	case xmltree.TypeNumeric:
-		return p.HistogramBytes
-	case xmltree.TypeString:
-		return p.PSTBytes
-	case xmltree.TypeText:
-		return p.TermHistBytes
+// Split measures the synopsis's ByteSplit.
+func (s *Synopsis) Split() ByteSplit {
+	b := ByteSplit{
+		NodeBytes: s.NumNodes() * NodeBytes,
+		EdgeBytes: s.NumEdges() * EdgeBytes,
 	}
-	return 0
+	for _, n := range s.nodes {
+		if n.VSum == nil {
+			continue
+		}
+		switch n.VSum.Type() {
+		case xmltree.TypeNumeric:
+			b.HistogramBytes += n.VSum.SizeBytes()
+		case xmltree.TypeString:
+			b.PSTBytes += n.VSum.SizeBytes()
+		case xmltree.TypeText:
+			b.TermHistBytes += n.VSum.SizeBytes()
+		}
+	}
+	return b
 }
 
-// Normalize fills derivable fields and validates consistency: group
-// sums are reconciled with the component split, the total with the
-// group sums. It returns the completed plan or an error naming the
-// inconsistency.
+// Normalize fills derivable fields and validates consistency: the
+// total is derived from, or checked against, the group sums. It
+// returns the completed plan or an error naming the inconsistency.
 func (p BudgetPlan) Normalize() (BudgetPlan, error) {
 	for _, f := range []struct {
 		name string
 		v    int
 	}{
 		{"total_bytes", p.TotalBytes}, {"struct_bytes", p.StructBytes}, {"value_bytes", p.ValueBytes},
-		{"node_bytes", p.NodeBytes}, {"edge_bytes", p.EdgeBytes},
-		{"histogram_bytes", p.HistogramBytes}, {"pst_bytes", p.PSTBytes}, {"termhist_bytes", p.TermHistBytes},
 	} {
 		if f.v < 0 {
 			return p, fmt.Errorf("core: budget plan: negative %s %d", f.name, f.v)
-		}
-	}
-	if s := p.NodeBytes + p.EdgeBytes; s > 0 {
-		if p.StructBytes == 0 {
-			p.StructBytes = s
-		} else if p.StructBytes != s {
-			return p, fmt.Errorf("core: budget plan: struct_bytes %d != node_bytes+edge_bytes %d", p.StructBytes, s)
-		}
-	}
-	if s := p.HistogramBytes + p.PSTBytes + p.TermHistBytes; s > 0 {
-		if p.ValueBytes == 0 {
-			p.ValueBytes = s
-		} else if p.ValueBytes != s {
-			return p, fmt.Errorf("core: budget plan: value_bytes %d != histogram+pst+termhist bytes %d", p.ValueBytes, s)
 		}
 	}
 	if s := p.StructBytes + p.ValueBytes; p.TotalBytes == 0 {
@@ -156,12 +139,6 @@ func (p BudgetPlan) String() string {
 		return "no plan"
 	}
 	s := fmt.Sprintf("%s total=%d bstr=%d bval=%d", p.Provenance, p.TotalBytes, p.StructBytes, p.ValueBytes)
-	if p.NodeBytes+p.EdgeBytes > 0 {
-		s += fmt.Sprintf(" node=%d edge=%d", p.NodeBytes, p.EdgeBytes)
-	}
-	if p.HasValueSplit() {
-		s += fmt.Sprintf(" hist=%d pst=%d termhist=%d", p.HistogramBytes, p.PSTBytes, p.TermHistBytes)
-	}
 	if p.WorkloadFingerprint != "" {
 		s += " workload=" + p.WorkloadFingerprint
 	}

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-
-	"xcluster/internal/xmltree"
 )
 
 func refFor(t *testing.T, seed int64, elements int) *Synopsis {
@@ -61,21 +59,20 @@ func TestPlanFromBudgetsBitIdentical(t *testing.T) {
 }
 
 func TestBudgetPlanNormalize(t *testing.T) {
-	p, err := (BudgetPlan{NodeBytes: 300, EdgeBytes: 100, HistogramBytes: 50, PSTBytes: 30, TermHistBytes: 20}).Normalize()
+	p, err := (BudgetPlan{StructBytes: 400, ValueBytes: 100}).Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.StructBytes != 400 || p.ValueBytes != 100 || p.TotalBytes != 500 {
-		t.Fatalf("derived groups wrong: %+v", p)
+	if p.TotalBytes != 500 {
+		t.Fatalf("derived total wrong: %+v", p)
 	}
 	if p.Provenance != ProvenanceStatic {
 		t.Fatalf("default provenance = %q, want static", p.Provenance)
 	}
 	for _, bad := range []BudgetPlan{
-		{StructBytes: 10, NodeBytes: 5, EdgeBytes: 6},
-		{ValueBytes: 10, HistogramBytes: 11},
 		{TotalBytes: 10, StructBytes: 4, ValueBytes: 7},
 		{StructBytes: -1},
+		{ValueBytes: -1},
 	} {
 		if _, err := bad.Normalize(); err == nil {
 			t.Fatalf("normalize accepted inconsistent plan %+v", bad)
@@ -88,63 +85,6 @@ func TestResolvePlanConflict(t *testing.T) {
 	_, err := XClusterBuild(refFor(t, 3, 120), BuildOptions{StructBudget: 999, Plan: &plan})
 	if err == nil {
 		t.Fatal("conflicting StructBudget and plan accepted")
-	}
-}
-
-// valueBytesByKind sums the summary charge per value kind.
-func valueBytesByKind(s *Synopsis) map[xmltree.ValueType]int {
-	out := map[xmltree.ValueType]int{}
-	for _, n := range s.Nodes() {
-		if n.VSum != nil {
-			out[n.VSum.Type()] += n.VSum.SizeBytes()
-		}
-	}
-	return out
-}
-
-// TestValueSplitDirectsCompression checks that a plan's per-kind value
-// split actually steers the value phase: a split that starves string
-// summaries to protect term histograms must leave more termhist bytes
-// (and fewer PST bytes) than the unsplit build, while the Bval total
-// still holds.
-func TestValueSplitDirectsCompression(t *testing.T) {
-	ref := refFor(t, 17, 600)
-	byKind := valueBytesByKind(ref)
-	bval := ref.ValueBytes() / 2
-	bstr := ref.StructBytes()
-
-	flat, err := XClusterBuild(ref, BuildOptions{StructBudget: bstr, ValueBudget: bval})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Keep full text bytes, squeeze the rest.
-	keep := byKind[xmltree.TypeText]
-	rest := bval - keep
-	plan := BudgetPlan{
-		NodeBytes:      bstr,
-		HistogramBytes: rest / 2,
-		PSTBytes:       rest - rest/2,
-		TermHistBytes:  keep,
-	}
-	split, err := XClusterBuild(ref, BuildOptions{Plan: &plan})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := split.ValueBytes(); got > bval {
-		t.Fatalf("split build exceeded Bval: %d > %d", got, bval)
-	}
-	flatKinds, splitKinds := valueBytesByKind(flat), valueBytesByKind(split)
-	if splitKinds[xmltree.TypeText] < flatKinds[xmltree.TypeText] {
-		t.Fatalf("protected termhist bytes shrank: split %d < flat %d",
-			splitKinds[xmltree.TypeText], flatKinds[xmltree.TypeText])
-	}
-	if splitKinds[xmltree.TypeString] >= flatKinds[xmltree.TypeString] &&
-		splitKinds[xmltree.TypeNumeric] >= flatKinds[xmltree.TypeNumeric] {
-		t.Fatalf("squeezed kinds did not shrink: split %+v, flat %+v", splitKinds, flatKinds)
-	}
-	if got := split.Fingerprint().Plan; !got.HasValueSplit() {
-		t.Fatalf("fingerprint lost the value split: %+v", got)
 	}
 }
 

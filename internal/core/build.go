@@ -332,8 +332,10 @@ func (b *builder) randomMergePhase() error {
 // phase runs once toward the smallest budget, snapshotting the synopsis
 // as it crosses each requested budget; each snapshot then gets its own
 // value-compression phase. The result matches XClusterBuild at every
-// budget while paying for one merge phase instead of len(budgets).
-// Results are returned in the order of structBudgets.
+// budget, fingerprint included (budgets and static plan; the clock
+// fields count from the sweep's start), while paying for one merge
+// phase instead of len(budgets). Results are returned in the order of
+// structBudgets.
 func XClusterSweep(ref *Synopsis, structBudgets []int, valueBudget int, opts BuildOptions) ([]*Synopsis, error) {
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("core: build workers must be non-negative (0 = GOMAXPROCS), got %d", opts.Workers)
@@ -342,6 +344,7 @@ func XClusterSweep(ref *Synopsis, structBudgets []int, valueBudget int, opts Bui
 	if opts.RandomMerges || opts.GlobalMetric {
 		return nil, fmt.Errorf("core: XClusterSweep supports only the default policy")
 	}
+	sweepStart := time.Now()
 	// Work over distinct budgets in descending order.
 	desc := append([]int(nil), structBudgets...)
 	sort.Sort(sort.Reverse(sort.IntSlice(desc)))
@@ -395,6 +398,13 @@ func XClusterSweep(ref *Synopsis, structBudgets []int, valueBudget int, opts Bui
 				vopts.Progress = nil
 				vb := newBuilder(nil, snapshots[budget], vopts)
 				vb.valuePhase()
+				// Stamp the build identity as XClusterBuild does.
+				fp := &vb.s.fp
+				fp.StructBudget = budget
+				fp.ValueBudget = valueBudget
+				fp.Plan = PlanFromBudgets(budget, valueBudget)
+				fp.BuiltAtUnix = time.Now().Unix()
+				fp.BuildNanos = time.Since(sweepStart).Nanoseconds()
 			}
 		}()
 	}
@@ -1104,45 +1114,21 @@ func (b *builder) newValCand(u *Node, excess int) *valCand {
 	}
 }
 
-// valuePhase compresses value summaries within ValueBudget. When the
-// resolved plan splits the value budget across summary kinds, each kind
-// is first compressed toward its own sub-budget (so a workload-derived
-// plan can, say, spend PST bytes on term histograms); the global pass
-// then enforces the Bval total exactly as in the paper, reclaiming any
-// slack a kind could not use. Unsplit plans — every legacy caller —
-// take only the global pass, bit for bit the original behavior.
+// valuePhase compresses value summaries within ValueBudget (the
+// paper's Figure 5 value phase): one minimum-marginal-loss pass over
+// every summary, stopping when their combined charge fits the budget
+// or no summary can shrink further. The marginal loss per saved byte
+// already divides the value budget across summary kinds.
 func (b *builder) valuePhase() error {
-	if p := b.opts.Plan; p != nil && p.HasValueSplit() {
-		for _, vt := range []xmltree.ValueType{xmltree.TypeNumeric, xmltree.TypeString, xmltree.TypeText} {
-			vt := vt
-			err := b.compressValues(p.valueKindBudget(vt), func(n *Node) bool {
-				return n.VSum != nil && n.VSum.Type() == vt
-			})
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return b.compressValues(b.opts.ValueBudget, func(n *Node) bool { return n.VSum != nil })
-}
-
-// compressValues runs one minimum-marginal-loss compression pass over
-// the summaries include admits, stopping when their combined charge
-// fits budget or no admitted summary can shrink further.
-func (b *builder) compressValues(budget int, include func(*Node) bool) error {
-	cur := 0
-	for _, n := range b.s.Nodes() {
-		if include(n) {
-			cur += n.VSum.SizeBytes()
-		}
-	}
+	budget := b.opts.ValueBudget
+	cur := b.s.ValueBytes()
 	if cur <= budget {
 		return nil
 	}
 	defer func() { b.emitProgress("value", b.s.ValueBytes()) }()
 	var h valHeap
 	for _, n := range b.s.Nodes() {
-		if !include(n) {
+		if n.VSum == nil {
 			continue
 		}
 		if c := b.newValCand(n, cur-budget); c != nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"xcluster/internal/datagen"
 	"xcluster/internal/query"
 )
 
@@ -181,44 +182,60 @@ func TestAutoAllocate(t *testing.T) {
 	}
 }
 
+// TestSweepMatchesIndividualBuilds: every synopsis a sweep returns is
+// codec-identical (clock fields aside) to XClusterBuild at the same
+// budgets, fingerprint included, on a synthetic tree and on the
+// value-bearing IMDB and XMark generators.
 func TestSweepMatchesIndividualBuilds(t *testing.T) {
-	ref, _ := buildFixture(t, 26, 300)
-	budgets := []int{
-		ref.StructBytes(), // no merging
-		ref.StructBytes() / 2,
-		ref.StructBytes() / 4,
-		0, // tag-level floor
-	}
-	bval := ref.ValueBytes() / 2
-	opts := BuildOptions{Hm: 200, Hl: 100}
-	swept, err := XClusterSweep(ref, budgets, bval, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(swept) != len(budgets) {
-		t.Fatalf("results = %d", len(swept))
-	}
-	for i, budget := range budgets {
-		o := opts
-		o.StructBudget = budget
-		o.ValueBudget = bval
-		want, err := XClusterBuild(ref, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := swept[i]
-		if err := got.Validate(); err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
-		}
-		if got.NumNodes() != want.NumNodes() || got.StructBytes() != want.StructBytes() ||
-			got.ValueBytes() != want.ValueBytes() {
-			t.Fatalf("budget %d: sweep %d nodes/%dB/%dB, build %d nodes/%dB/%dB",
-				budget, got.NumNodes(), got.StructBytes(), got.ValueBytes(),
-				want.NumNodes(), want.StructBytes(), want.ValueBytes())
-		}
+	synth, _ := buildFixture(t, 26, 300)
+	imdb := valueFixture(t, datagen.IMDB(datagen.IMDBConfig{Seed: 7, Scale: 0.1}), datagen.IMDBValuePaths())
+	xmark := valueFixture(t, datagen.XMark(datagen.XMarkConfig{Seed: 7, Scale: 0.1}), datagen.XMarkValuePaths())
+	for _, fx := range []struct {
+		name string
+		ref  *Synopsis
+		opts BuildOptions
+	}{
+		{"synthetic", synth, BuildOptions{Hm: 200, Hl: 100}},
+		{"IMDB", imdb, BuildOptions{}},
+		{"XMark", xmark, BuildOptions{}},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			ref := fx.ref
+			budgets := []int{
+				ref.StructBytes(), // no merging
+				ref.StructBytes() / 2,
+				ref.StructBytes() / 4,
+				0, // tag-level floor
+			}
+			bval := ref.ValueBytes() / 2
+			swept, err := XClusterSweep(ref, budgets, bval, fx.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(swept) != len(budgets) {
+				t.Fatalf("results = %d", len(swept))
+			}
+			for i, budget := range budgets {
+				o := fx.opts
+				o.StructBudget = budget
+				o.ValueBudget = bval
+				want, err := XClusterBuild(ref, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := swept[i]
+				if err := got.Validate(); err != nil {
+					t.Fatalf("budget %d: %v", budget, err)
+				}
+				if g, w := codecBytes(t, got), codecBytes(t, want); !bytes.Equal(g, w) {
+					t.Fatalf("budget %d: sweep (%d bytes, %+v) and build (%d bytes, %+v) encode differently",
+						budget, len(g), got.Fingerprint(), len(w), want.Fingerprint())
+				}
+			}
+		})
 	}
 	// Unsupported policies are rejected.
-	if _, err := XClusterSweep(ref, budgets, bval, BuildOptions{RandomMerges: true}); err == nil {
+	if _, err := XClusterSweep(synth, []int{0}, 0, BuildOptions{RandomMerges: true}); err == nil {
 		t.Fatal("sweep accepted random policy")
 	}
 }

@@ -17,8 +17,9 @@ import (
 //	XCLUSTER1\n  graph + dictionary + value summaries (legacy)
 //	XCLUSTER2\n  adds a fingerprint header (doc hash, budgets,
 //	             generation, build time) before the v1 body
-//	XCLUSTER3\n  extends the header with the BudgetPlan (component
-//	             split, provenance, workload fingerprint)
+//	XCLUSTER3\n  extends the header with the BudgetPlan (group
+//	             budgets, five component slots, provenance, workload
+//	             fingerprint)
 //
 // WriteTo always writes the current version; ReadSynopsis decodes
 // every version it knows and fails with ErrSynopsisVersion on versions
@@ -29,6 +30,12 @@ var (
 	magicV2 = []byte("XCLUSTER2\n")
 	magicV3 = []byte("XCLUSTER3\n")
 )
+
+// planComponentSlots is the number of v3 header ints reserved for a
+// per-component budget split (node, edge, histogram, PST, term
+// histogram). Plans split only structure from values, so WriteTo
+// writes the slots as 0 and ReadSynopsis discards them.
+const planComponentSlots = 5
 
 // CodecVersion is the synopsis file format version WriteTo produces.
 const CodecVersion = 3
@@ -56,11 +63,9 @@ func (s *Synopsis) WriteTo(w io.Writer) (int64, error) {
 	ww.Int(s.fp.Plan.TotalBytes)
 	ww.Int(s.fp.Plan.StructBytes)
 	ww.Int(s.fp.Plan.ValueBytes)
-	ww.Int(s.fp.Plan.NodeBytes)
-	ww.Int(s.fp.Plan.EdgeBytes)
-	ww.Int(s.fp.Plan.HistogramBytes)
-	ww.Int(s.fp.Plan.PSTBytes)
-	ww.Int(s.fp.Plan.TermHistBytes)
+	for range planComponentSlots {
+		ww.Int(0)
+	}
 	ww.String(string(s.fp.Plan.Provenance))
 	ww.String(s.fp.Plan.WorkloadFingerprint)
 
@@ -139,11 +144,9 @@ func ReadSynopsis(r io.Reader) (*Synopsis, error) {
 			fp.Plan.TotalBytes = rr.Int()
 			fp.Plan.StructBytes = rr.Int()
 			fp.Plan.ValueBytes = rr.Int()
-			fp.Plan.NodeBytes = rr.Int()
-			fp.Plan.EdgeBytes = rr.Int()
-			fp.Plan.HistogramBytes = rr.Int()
-			fp.Plan.PSTBytes = rr.Int()
-			fp.Plan.TermHistBytes = rr.Int()
+			for range planComponentSlots {
+				rr.Int()
+			}
 			fp.Plan.Provenance = Provenance(rr.String())
 			fp.Plan.WorkloadFingerprint = rr.String()
 		}

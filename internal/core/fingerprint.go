@@ -44,9 +44,8 @@ type Fingerprint struct {
 	BuildNanos int64 `json:"build_nanos,omitempty"`
 	// Plan is the resolved BudgetPlan the compression ran under:
 	// StructBudget/ValueBudget above mirror its group totals, and the
-	// plan adds the component split, provenance (static | auto |
-	// workload) and the WorkloadProfile fingerprint of an adaptive
-	// plan. It is stamped by XClusterBuildContext and serialized in
+	// plan adds the provenance (static | auto | workload) and the
+	// WorkloadProfile fingerprint of an adaptive plan. It is stamped by XClusterBuildContext and serialized in
 	// version-3 files; a synopsis restored from a v1/v2 file has a
 	// zero Plan (unknown provenance).
 	Plan BudgetPlan `json:"plan,omitzero"`

@@ -1,16 +1,16 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
+	"time"
 
-	"xcluster/internal/accuracy"
 	"xcluster/internal/budget"
 	"xcluster/internal/core"
 	"xcluster/internal/profile"
 	"xcluster/internal/workload"
-	"xcluster/internal/xmltree"
 )
 
 // AutoBudgetRow compares one structural/value split of a unified budget.
@@ -18,80 +18,27 @@ type AutoBudgetRow struct {
 	Dataset string `json:"dataset"`
 	// Split is the human label; Provenance classifies the row the way
 	// BudgetPlan does: static (fixed split), auto (sample-guided
-	// search) or workload (planner output on a profiled class mix).
+	// search) or workload (the same search, scored on the profiled
+	// shapes of the sample).
 	Split      string `json:"split"`
 	Provenance string `json:"provenance"`
 	Bstr       int    `json:"bstr_bytes"`
 	Bval       int    `json:"bval_bytes"`
-	// Plan carries the full per-component split when the row was built
-	// under one (the workload-adaptive row); fixed and auto rows only
-	// have the two-way split.
+	// Plan carries the workload row's plan, with the fingerprint of
+	// the profile it was searched on; fixed and auto rows omit it.
 	Plan *core.BudgetPlan `json:"plan,omitempty"`
 	// Overall is the average relative error on the held-out workload
-	// (queries never shown to the auto search or the planner).
+	// (queries never shown to either search).
 	Overall float64 `json:"overall_err"`
-}
-
-// measureSplit computes a synopsis's realized byte split by component —
-// the same measurement the serving layer feeds the planner (presence
-// and node/edge proportion signals).
-func measureSplit(s *core.Synopsis) profile.BudgetSplit {
-	sp := profile.BudgetSplit{
-		NodeBytes: s.NumNodes() * core.NodeBytes,
-		EdgeBytes: s.NumEdges() * core.EdgeBytes,
-	}
-	for _, n := range s.Nodes() {
-		if n.VSum == nil {
-			continue
-		}
-		b := n.VSum.SizeBytes()
-		switch n.VSum.Type() {
-		case xmltree.TypeNumeric:
-			sp.HistogramBytes += b
-		case xmltree.TypeString:
-			sp.PSTBytes += b
-		case xmltree.TypeText:
-			sp.TermHistBytes += b
-		}
-	}
-	return sp
-}
-
-// sampleClassStats profiles the sample workload through a synopsis the
-// way a serving process would: per accuracy class, the traffic share
-// and measured relative error, joined into pain = share × error.
-func sampleClassStats(sample []workload.Query, s *core.Synopsis, sanity float64) []profile.ClassStat {
-	est := core.NewEstimator(s)
-	byClass := map[accuracy.Class][]workload.Query{}
-	for _, q := range sample {
-		byClass[q.Class] = append(byClass[q.Class], q)
-	}
-	var stats []profile.ClassStat
-	for _, c := range accuracy.Classes() {
-		qs := byClass[c]
-		if len(qs) == 0 {
-			continue
-		}
-		share := float64(len(qs)) / float64(len(sample))
-		relErr := workload.AvgRelError(qs, est.Selectivity, sanity)
-		stats = append(stats, profile.ClassStat{
-			Class:        c.String(),
-			Count:        uint64(len(qs)),
-			TrafficShare: share,
-			RelError:     relErr,
-			Pain:         share * relErr,
-		})
-	}
-	return stats
 }
 
 // AutoBudgetExperiment exercises the Section 4.3 future-work extension:
 // given one total budget, it compares three ways of splitting it —
 // fixed structural/value fractions, the split chosen by
-// core.AutoAllocate, and the per-component BudgetPlan produced by the
-// internal/budget planner from a profiled sample (the same pipeline an
-// adaptive rebuild runs in the serving layer). The search and the
-// planner see every fourth workload query (the "sample workload" of
+// core.AutoAllocate on the sample queries, and the plan an adaptive
+// rebuild would choose after serving the sample (budget.Plan on the
+// profiler's shapes, the same function the serving layer runs). Both
+// searches see every fourth workload query (the "sample workload" of
 // the paper's sketch); all rows are scored on the remaining held-out
 // queries, so no adaptive row can win by overfitting its sample.
 func AutoBudgetExperiment(d *Dataset, cfg Config) ([]AutoBudgetRow, error) {
@@ -126,16 +73,14 @@ func AutoBudgetExperiment(d *Dataset, cfg Config) ([]AutoBudgetRow, error) {
 			Bval:       plan.ValueBudget(),
 			Overall:    scoreOn(holdout, s),
 		}
-		if plan.HasValueSplit() {
+		if plan.Provenance == core.ProvenanceWorkload {
 			row.Plan = &plan
 		}
 		rows = append(rows, row)
 	}
 
-	// Fixed splits. The 50/50 row doubles as the acceptance baseline
-	// for the adaptive row and as the planner's "serving synopsis":
-	// its measured class errors and byte split are the profile an
-	// adaptive rebuild would observe.
+	// Fixed splits. The 50/50 row's plan is the one the adaptive row
+	// inherits, as a rebuild of a 50/50 synopsis would.
 	var baseline *core.Synopsis
 	for _, frac := range []float64{0.1, 0.3, 0.5} {
 		bstr := int(frac * float64(total))
@@ -159,23 +104,23 @@ func AutoBudgetExperiment(d *Dataset, cfg Config) ([]AutoBudgetRow, error) {
 	}
 	addRow("auto (sample-guided)", s)
 
-	// Workload-adaptive: profile the sample through the 50/50 baseline,
-	// plan a per-component split from the class mix, rebuild under it.
-	dec, err := budget.Plan(budget.Inputs{
-		TotalBytes:          total,
-		Classes:             sampleClassStats(sample, baseline, sanity),
-		WorkloadFingerprint: "bench-" + strings.ToLower(d.Name) + "-sample",
-		Actual:              measureSplit(baseline),
-	})
+	// Workload-adaptive: serve the sample through a profiler, then
+	// plan from its shapes. The clock is fixed so the profile's
+	// fingerprint, and with it the artifact, is reproducible.
+	prof := profile.New(0)
+	at := time.Unix(0, 0)
+	for _, q := range sample {
+		prof.Record(at, q.Q, q.Q.String(), 0, 0, 0, false)
+	}
+	_, ws, err := budget.Plan(context.Background(), budget.Inputs{
+		Inherited:           baseline.Fingerprint().Plan,
+		WorkloadFingerprint: prof.Fingerprint(at),
+		Shapes:              prof.Representatives(),
+	}, d.Ref, d.Tree, core.BuildOptions{})
 	if err != nil {
 		return nil, err
 	}
-	plan := dec.Plan
-	ws, err := core.XClusterBuild(d.Ref, core.BuildOptions{Plan: &plan})
-	if err != nil {
-		return nil, err
-	}
-	addRow("workload (planner)", ws)
+	addRow("workload (profiled)", ws)
 	return rows, nil
 }
 

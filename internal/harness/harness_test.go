@@ -230,11 +230,11 @@ func TestAutoBudgetExperiment(t *testing.T) {
 		t.Fatalf("auto row = %+v", rows[3])
 	}
 	wl := rows[4]
-	if wl.Split != "workload (planner)" || wl.Provenance != "workload" {
+	if wl.Split != "workload (profiled)" || wl.Provenance != "workload" {
 		t.Fatalf("workload row = %+v", wl)
 	}
-	if wl.Plan == nil || !wl.Plan.HasValueSplit() || wl.Plan.WorkloadFingerprint == "" {
-		t.Fatalf("workload row carries no component plan: %+v", wl.Plan)
+	if wl.Plan == nil || wl.Plan.Provenance != "workload" || wl.Plan.WorkloadFingerprint == "" {
+		t.Fatalf("workload row carries no workload plan: %+v", wl.Plan)
 	}
 	if wl.Bstr+wl.Bval != rows[2].Bstr+rows[2].Bval {
 		t.Fatalf("workload row total %d != fixed 50%% total %d",

@@ -36,6 +36,9 @@ type shapeEntry struct {
 	shape string
 	id    string // 16-hex of hash64(shape), pre-rendered (no per-hit alloc)
 	class accuracy.Class
+	// rep is the query that admitted the shape: the shape's
+	// representative in the adaptive budget search's sample.
+	rep *query.Query
 	// errBound is the space-saving overestimate bound inherited from
 	// the evicted minimum at admission (0 for shapes admitted into a
 	// non-full table). count - errBound occurrences were truly observed.
@@ -66,11 +69,10 @@ func (e *shapeEntry) bump(now time.Time, d time.Duration, estimate float64, fail
 
 // classCounters holds one accuracy class's eviction residue: the
 // truly-observed statistics of shapes the bounded table displaced,
-// folded in under the write lock when their entry is evicted or the
-// profiler resets. Class totals at snapshot time are this residue plus
-// the live entries' observed statistics, so they stay exact even when
-// shape counts are sketched — without a second set of atomic bumps on
-// the hot path.
+// folded in under the write lock when their entry is evicted. Class
+// totals at snapshot time are this residue plus the live entries'
+// observed statistics, so they stay exact even when shape counts are
+// sketched — without a second set of atomic bumps on the hot path.
 type classCounters struct {
 	count   atomic.Uint64
 	failed  atomic.Uint64
@@ -111,7 +113,7 @@ func addFloat(b *atomic.Uint64, v float64) {
 // snapshot time from the entries plus the eviction residue; windows
 // age out old buckets without a rotation step). The write lock is
 // taken only on admission (a canonical or shape seen for the first
-// time, or re-seen after eviction), snapshots, and Reset.
+// time, or re-seen after eviction) and snapshots.
 //
 // Shapes are identified by 64-bit hashes; a collision merges two
 // shapes' statistics, which is acceptable for a frequency sketch and
@@ -186,7 +188,8 @@ func (p *Profiler) Record(now time.Time, q *query.Query, canonical string, hash 
 // admit is Record's miss path: compute the shape (the only per-record
 // allocation, paid once per distinct canonical), classify it, and
 // install it in the space-saving table, evicting the minimum-count
-// shape when the table is full.
+// shape when the table is full. A new entry keeps q as its shape's
+// representative query.
 func (p *Profiler) admit(now time.Time, q *query.Query, hash uint64, d time.Duration, estimate float64, failed bool) string {
 	shape := ShapeOf(q)
 	p.mu.Lock()
@@ -210,6 +213,7 @@ func (p *Profiler) admit(now time.Time, q *query.Query, hash uint64, d time.Dura
 			shape:    shape,
 			id:       shapeID(shape),
 			class:    accuracy.Classify(q),
+			rep:      q,
 			errBound: inherited,
 			win:      obs.NewWindow(windowBuckets, 1),
 		}
@@ -243,23 +247,4 @@ func (p *Profiler) minEntry() *shapeEntry {
 		}
 	}
 	return victim
-}
-
-// Reset clears every counter, shape, and cached lookup, starting a
-// fresh profile (e.g. after exporting one for an adaptive rebuild).
-func (p *Profiler) Reset() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	clear(p.lookup)
-	for _, e := range p.shapes {
-		e.evicted.Store(true)
-	}
-	clear(p.shapes)
-	for i := range p.residue {
-		p.residue[i] = classCounters{win: obs.NewWindow(windowBuckets, 1)}
-	}
-	p.evictions.Store(0)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"xcluster/internal/accuracy"
+	"xcluster/internal/core"
 	"xcluster/internal/obs"
 	"xcluster/internal/query"
 )
@@ -214,20 +215,40 @@ func TestRollingWindowRates(t *testing.T) {
 	}
 }
 
-func TestResetClearsEverything(t *testing.T) {
+// TestRepresentatives: one representative per tracked shape — the
+// query that admitted it — weighted by the shape's count, in snapshot
+// order; an evicted shape's representative leaves with it.
+func TestRepresentatives(t *testing.T) {
 	p := New(2)
 	now := time.Now()
-	record(p, now, mustParse(t, "//book"))
+	first := mustParse(t, "//book[year>1990]")
+	record(p, now, first)
+	record(p, now, mustParse(t, "//book[year>2005]")) // same shape
 	record(p, now, mustParse(t, "//book/title"))
-	record(p, now, mustParse(t, "//library/book")) // forces one eviction
-	p.Reset()
-	snap := p.Snapshot(now)
-	if snap.TotalRequests != 0 || snap.TrackedShapes != 0 || snap.Evictions != 0 || len(snap.Shapes) != 0 {
-		t.Fatalf("post-reset snapshot = %+v", snap)
+	record(p, now, mustParse(t, "//book/title"))
+	record(p, now, mustParse(t, "//book/title"))
+	reps := p.Representatives()
+	if len(reps) != 2 {
+		t.Fatalf("representatives = %+v, want 2", reps)
 	}
-	// The profiler keeps working after a reset.
-	if id := record(p, now, mustParse(t, "//book")); id == "" {
-		t.Fatal("record after reset returned empty shape ID")
+	if reps[0].Shape != "//book/title" || reps[0].Count != 3 {
+		t.Fatalf("first representative = %+v", reps[0])
+	}
+	if reps[1].Query != first || reps[1].Count != 2 {
+		t.Fatalf("range shape's representative = %+v, want the admitting query with count 2", reps[1])
+	}
+	snap := p.Snapshot(now)
+	for i, r := range reps {
+		if r.Shape != snap.Shapes[i].Shape || r.Count != snap.Shapes[i].Count {
+			t.Fatalf("representative %d = %+v, snapshot row %+v", i, r, snap.Shapes[i])
+		}
+	}
+	// A third shape evicts the minimum; its representative goes too.
+	record(p, now, mustParse(t, "//library/book"))
+	for _, r := range p.Representatives() {
+		if r.Query == first {
+			t.Fatalf("evicted shape still represented: %+v", r)
+		}
 	}
 }
 
@@ -242,15 +263,17 @@ func TestNilProfilerIsDisabled(t *testing.T) {
 	if p.Capacity() != 0 || p.Fingerprint(time.Now()) != "" {
 		t.Fatal("nil profiler accessors not zero")
 	}
-	p.Reset()
+	if p.Representatives() != nil {
+		t.Fatal("nil profiler has representatives")
+	}
 	p.Sync(obs.NewRegistry(), accuracy.Report{}, time.Now())
 }
 
-// TestConcurrentRecordSnapshotReset is the -race hammer: 32 goroutines
-// mixing hot-path records (cache hits and admissions), snapshots, syncs,
-// and resets against one small profiler, so evictions and lookup-cache
-// clears interleave with reads.
-func TestConcurrentRecordSnapshotReset(t *testing.T) {
+// TestConcurrentRecordSnapshot is the -race hammer: 32 goroutines
+// mixing hot-path records (cache hits and admissions), snapshots,
+// syncs, and representative reads against one small profiler, so
+// evictions and lookup-cache clears interleave with reads.
+func TestConcurrentRecordSnapshot(t *testing.T) {
 	p := New(4)
 	base := time.Unix(3_600_000, 0)
 	queries := []*query.Query{
@@ -275,7 +298,7 @@ func TestConcurrentRecordSnapshotReset(t *testing.T) {
 					p.Snapshot(time.Now())
 				case 7:
 					if i%100 == 0 {
-						p.Reset()
+						p.Representatives()
 					} else {
 						p.Sync(reg, accuracy.Report{}, time.Now())
 					}
@@ -330,7 +353,7 @@ func TestCoverageFlagsStarvedClasses(t *testing.T) {
 		{Class: "ftcontains", TrafficShare: 0.04},       // below MinCoverageShare
 		{Class: "ftsim", TrafficShare: 0.01},
 	}
-	b := BudgetSplit{NodeBytes: 600, EdgeBytes: 200, HistogramBytes: 150, PSTBytes: 0, TermHistBytes: 50}
+	b := core.ByteSplit{NodeBytes: 600, EdgeBytes: 200, HistogramBytes: 150, PSTBytes: 0, TermHistBytes: 50}
 	rep := Coverage(classes, b)
 	if rep.TotalBudgetBytes != 1000 {
 		t.Fatalf("total budget = %d, want 1000", rep.TotalBudgetBytes)

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"xcluster/internal/accuracy"
+	"xcluster/internal/core"
 	"xcluster/internal/obs"
+	"xcluster/internal/query"
 )
 
 // ShapeStat is one tracked shape's statistics in a Snapshot.
@@ -96,21 +98,11 @@ func (p *Profiler) Snapshot(now time.Time) Snapshot {
 		return n[0]
 	}
 
-	// Entries in deterministic (count descending, shape ascending)
-	// order: both the shape rows and the class aggregation below walk
-	// this list, so two snapshots of unchanged state are bit-identical
-	// — float sums are order-sensitive in their last ulp.
-	entries := make([]*shapeEntry, 0, len(p.shapes))
-	for _, e := range p.shapes {
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		ci, cj := entries[i].count.Load(), entries[j].count.Load()
-		if ci != cj {
-			return ci > cj
-		}
-		return entries[i].shape < entries[j].shape
-	})
+	// Both the shape rows and the class aggregation below walk the
+	// entries in one deterministic order, so two snapshots of unchanged
+	// state are bit-identical — float sums are order-sensitive in their
+	// last ulp.
+	entries := p.sortedEntries()
 
 	// Class aggregates: the eviction residue plus the live entries'
 	// observed statistics. Every Record bumps exactly one live entry and
@@ -190,6 +182,49 @@ func (p *Profiler) Snapshot(now time.Time) Snapshot {
 	return snap
 }
 
+// sortedEntries lists the tracked shapes in deterministic order: count
+// descending, shape ascending. Callers hold the profiler's lock.
+func (p *Profiler) sortedEntries() []*shapeEntry {
+	entries := make([]*shapeEntry, 0, len(p.shapes))
+	for _, e := range p.shapes {
+		entries = append(entries, e)
+	}
+	sort.Slice(entries, func(i, j int) bool {
+		ci, cj := entries[i].count.Load(), entries[j].count.Load()
+		if ci != cj {
+			return ci > cj
+		}
+		return entries[i].shape < entries[j].shape
+	})
+	return entries
+}
+
+// Representative is one tracked shape as a weighted sample query: the
+// query that admitted the shape, standing for Count requests (the
+// shape's space-saving count).
+type Representative struct {
+	Shape string       `json:"shape"`
+	Count uint64       `json:"count"`
+	Query *query.Query `json:"-"`
+}
+
+// Representatives lists one representative query per tracked shape,
+// in Snapshot's shape order (nil on a nil profiler). It is the sample
+// workload of an adaptive budget search.
+func (p *Profiler) Representatives() []Representative {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	entries := p.sortedEntries()
+	reps := make([]Representative, len(entries))
+	for i, e := range entries {
+		reps[i] = Representative{Shape: e.shape, Count: e.count.Load(), Query: e.rep}
+	}
+	return reps
+}
+
 // loadFloat reads a float64 accumulated as atomic bits (see addFloat).
 func loadFloat(b *atomic.Uint64) float64 {
 	return math.Float64frombits(b.Load())
@@ -248,16 +283,6 @@ const (
 	CoverageSlack    = 2.0
 )
 
-// BudgetSplit is the served synopsis's byte split by component, the
-// same numbers GET /debug/synopsis reports.
-type BudgetSplit struct {
-	NodeBytes      int `json:"node_bytes"`
-	EdgeBytes      int `json:"edge_bytes"`
-	HistogramBytes int `json:"histogram_bytes"`
-	PSTBytes       int `json:"pst_bytes"`
-	TermHistBytes  int `json:"termhist_bytes"`
-}
-
 // CoverageRow compares one class's observed traffic against the
 // synopsis bytes funding the summaries that answer it.
 type CoverageRow struct {
@@ -290,7 +315,7 @@ type CoverageReport struct {
 
 // classComponent maps an accuracy class to the budget component that
 // answers its predicates.
-func classComponent(class string, b BudgetSplit) (string, int) {
+func classComponent(class string, b core.ByteSplit) (string, int) {
 	switch class {
 	case accuracy.Range.String():
 		return "histogram", b.HistogramBytes
@@ -306,7 +331,7 @@ func classComponent(class string, b BudgetSplit) (string, int) {
 // Coverage joins the snapshot's class mix (after Join, so pain scores
 // are populated) against the synopsis budget split, flagging classes
 // whose traffic outruns their component's funding.
-func Coverage(classes []ClassStat, b BudgetSplit) CoverageReport {
+func Coverage(classes []ClassStat, b core.ByteSplit) CoverageReport {
 	total := b.NodeBytes + b.EdgeBytes + b.HistogramBytes + b.PSTBytes + b.TermHistBytes
 	rep := CoverageReport{TotalBudgetBytes: total, Rows: make([]CoverageRow, 0, len(classes))}
 	for _, c := range classes {

@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"xcluster/internal/core"
@@ -150,16 +152,80 @@ func TestAdaptiveRebuildSwapEvent(t *testing.T) {
 		t.Fatalf("serving plan %+v != swap event plan %+v", fp.Plan, *ev.Plan)
 	}
 
-	// The planner run is recorded for /debug/budget.
+	// The planning run is recorded for /debug/budget.
 	rep := svc.BudgetReport()
 	if rep.LastDecision == nil || rep.LastInputs == nil {
-		t.Fatal("budget report lost the last planner run")
+		t.Fatal("budget report lost the last planning run")
 	}
 	if rep.Current.Provenance != core.ProvenanceWorkload {
 		t.Fatalf("budget report current plan = %+v", rep.Current)
 	}
-	if rep.Next == nil {
-		t.Fatalf("budget report has no dry-run decision: %+v", rep)
+	if len(rep.LastInputs.Shapes) == 0 || rep.LastDecision.Plan != *ev.Plan {
+		t.Fatalf("budget report inputs/decision do not match the swap: %+v / %+v", rep.LastInputs, rep.LastDecision)
+	}
+}
+
+// stableCodec encodes syn with its generation and wall-clock
+// fingerprint fields zeroed, so a served synopsis compares byte for
+// byte against a fresh build.
+func stableCodec(t *testing.T, syn *core.Synopsis) []byte {
+	t.Helper()
+	fp := syn.Fingerprint()
+	fp.Generation, fp.BuiltAtUnix, fp.BuildNanos = 0, 0, 0
+	syn.SetFingerprint(fp)
+	var buf bytes.Buffer
+	if _, err := syn.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestAdaptiveRebuildInstallsSearchedSynopsis: an adaptive rebuild
+// installs the split search's own winner, and that synopsis is
+// codec-identical to XClusterBuild at the chosen plan.
+func TestAdaptiveRebuildInstallsSearchedSynopsis(t *testing.T) {
+	tree := testTree(t)
+	svc := New(newTestSynopsis(t), WithDocument(tree))
+	defer svc.Close()
+	profileTraffic(t, svc)
+	ev, err := svc.Rebuild(context.Background(), RebuildOptions{Adaptive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Plan == nil || ev.Plan.Provenance != core.ProvenanceWorkload || ev.Build == nil {
+		t.Fatalf("adaptive swap event = %+v", ev)
+	}
+	ref, err := core.BuildReference(tree, core.ReferenceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := *ev.Plan
+	want, err := core.XClusterBuild(ref, core.BuildOptions{Plan: &plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := stableCodec(t, svc.Synopsis()); !bytes.Equal(got, stableCodec(t, want)) {
+		t.Fatalf("installed synopsis differs from XClusterBuild at %v", plan)
+	}
+}
+
+// TestAdaptiveRebuildIdleKeepsInheritedSplit: with no profiled shapes
+// there is nothing to search on, so an adaptive rebuild keeps the
+// serving plan and /debug/budget says why.
+func TestAdaptiveRebuildIdleKeepsInheritedSplit(t *testing.T) {
+	svc := New(newTestSynopsis(t), WithDocument(testTree(t)))
+	defer svc.Close()
+	before := svc.Synopsis().Fingerprint().Plan
+	ev, err := svc.Rebuild(context.Background(), RebuildOptions{Adaptive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Plan == nil || *ev.Plan != before {
+		t.Fatalf("idle adaptive rebuild plan = %+v, want the inherited %+v", ev.Plan, before)
+	}
+	d := svc.BudgetReport().LastDecision
+	if d == nil || !d.Held || !strings.Contains(d.Reason, "no tracked query shapes") {
+		t.Fatalf("idle decision = %+v", d)
 	}
 }
 

@@ -281,19 +281,6 @@ type SynopsisCluster struct {
 	SummaryBytes int    `json:"summary_bytes,omitempty"`
 }
 
-// SynopsisBudget is the storage split of the served synopsis: the
-// structural charge by component and the value charge by summary kind.
-type SynopsisBudget struct {
-	NodeBytes int `json:"node_bytes"`
-	EdgeBytes int `json:"edge_bytes"`
-	// HistogramBytes, PSTBytes and TermHistBytes split the value budget
-	// across numeric histograms, pruned suffix trees, and end-biased
-	// term histograms.
-	HistogramBytes int `json:"histogram_bytes"`
-	PSTBytes       int `json:"pst_bytes"`
-	TermHistBytes  int `json:"termhist_bytes"`
-}
-
 // SynopsisVersion is the build-identity section of GET /debug/synopsis:
 // the served generation's fingerprint plus the codec version this build
 // writes.
@@ -331,7 +318,7 @@ type SynopsisDebugResponse struct {
 	TotalBytes    int             `json:"total_bytes"`
 	Version       SynopsisVersion `json:"version"`
 	Rebuild       RebuildStatus   `json:"rebuild"`
-	Budget        SynopsisBudget  `json:"budget"`
+	Budget        core.ByteSplit  `json:"budget"`
 	// ClusterDetail lists clusters by descending cardinality (capped by
 	// the request's ?limit=N).
 	ClusterDetail []SynopsisCluster `json:"cluster_detail"`
@@ -343,9 +330,9 @@ type RebuildRequest struct {
 	// budgets (nonpositive or absent: keep the current ones).
 	StructBudget int `json:"struct_budget,omitempty"`
 	ValueBudget  int `json:"value_budget,omitempty"`
-	// Adaptive asks the workload-adaptive planner to re-split the
-	// inherited total (ignored when explicit budgets are given; 412
-	// when the workload profiler is disabled).
+	// Adaptive asks for a workload-adaptive re-split of the inherited
+	// total (ignored when explicit budgets are given; 412 when the
+	// workload profiler is disabled).
 	Adaptive bool `json:"adaptive,omitempty"`
 	// Async returns 202 immediately and rebuilds in the background;
 	// poll GET /debug/synopsis for the outcome.
@@ -379,7 +366,7 @@ func (s *Service) WorkloadReport() WorkloadResponse {
 	return WorkloadResponse{
 		Enabled:  true,
 		Snapshot: snap,
-		Coverage: profile.Coverage(snap.Classes, actualSplit(s.cur.Load().syn)),
+		Coverage: profile.Coverage(snap.Classes, s.cur.Load().syn.Split()),
 	}
 }
 
@@ -479,31 +466,6 @@ func summaryKind(vt xmltree.ValueType) string {
 	}
 }
 
-// synopsisBudget computes the storage split of a synopsis: structural
-// charge from the cluster and edge counts, value charge by summary
-// kind. Shared by GET /debug/synopsis and the workload coverage report.
-func synopsisBudget(syn *core.Synopsis) SynopsisBudget {
-	b := SynopsisBudget{
-		NodeBytes: syn.NumNodes() * core.NodeBytes,
-		EdgeBytes: syn.NumEdges() * core.EdgeBytes,
-	}
-	for _, n := range syn.Nodes() {
-		if n.VSum == nil {
-			continue
-		}
-		bytes := n.VSum.SizeBytes()
-		switch n.VSum.Type() {
-		case xmltree.TypeNumeric:
-			b.HistogramBytes += bytes
-		case xmltree.TypeString:
-			b.PSTBytes += bytes
-		case xmltree.TypeText:
-			b.TermHistBytes += bytes
-		}
-	}
-	return b
-}
-
 // SynopsisReport builds the GET /debug/synopsis body from one pinned
 // generation: sizes, budget split, build identity, rebuild status, and
 // the clusters by descending cardinality.
@@ -534,7 +496,7 @@ func (s *Service) SynopsisReport() SynopsisDebugResponse {
 		TotalBytes:    sl.syn.TotalBytes(),
 		Version:       ver,
 		Rebuild:       s.RebuildStatus(),
-		Budget:        synopsisBudget(sl.syn),
+		Budget:        sl.syn.Split(),
 	}
 	nodes := sl.syn.Nodes()
 	resp.ClusterDetail = make([]SynopsisCluster, 0, len(nodes))

@@ -612,7 +612,7 @@ func TestAdminRebuildHTTP(t *testing.T) {
 
 // TestHTTPBudgetAndAdaptiveRebuild drives the HTTP surface: POST
 // /admin/rebuild {"adaptive":true} plans from the live profile, and
-// GET /debug/budget reports the plan, splits, and dry-run.
+// GET /debug/budget reports the plan, splits, and planning run.
 func TestHTTPBudgetAndAdaptiveRebuild(t *testing.T) {
 	svc, srv := serve(t, service.WithDocument(service.TestTree(t)), service.WithAdaptiveBudget())
 	service.ProfileTraffic(t, svc)
@@ -639,8 +639,8 @@ func TestHTTPBudgetAndAdaptiveRebuild(t *testing.T) {
 	if rep.Current.Provenance != core.ProvenanceWorkload {
 		t.Fatalf("budget report current = %+v", rep.Current)
 	}
-	if rep.Next == nil || rep.LastDecision == nil {
-		t.Fatalf("budget report missing planner runs: %+v", rep)
+	if rep.LastInputs == nil || rep.LastDecision == nil {
+		t.Fatalf("budget report missing the planning run: %+v", rep)
 	}
 	if rep.Actual.NodeBytes <= 0 {
 		t.Fatalf("budget report actual split empty: %+v", rep.Actual)

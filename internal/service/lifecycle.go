@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"xcluster/internal/core"
-	"xcluster/internal/profile"
 )
 
 // Lifecycle errors, tested with errors.Is by the HTTP layer.
@@ -45,7 +44,6 @@ func (s *Service) newSlot(syn *core.Synopsis) *slot {
 	if s.planCapSet {
 		est.SetPlanCacheCapacity(s.planCap)
 	}
-	est.UninformedSel = s.uninformedSel
 	return &slot{syn: syn, est: est, installed: time.Now()}
 }
 
@@ -73,8 +71,8 @@ type SwapEvent struct {
 	// (provenance included; nil for legacy artifacts that carry none).
 	// ActualSplit is the realized byte split, so every swap records
 	// planned versus actual.
-	Plan        *core.BudgetPlan     `json:"plan,omitempty"`
-	ActualSplit *profile.BudgetSplit `json:"actual_split,omitempty"`
+	Plan        *core.BudgetPlan `json:"plan,omitempty"`
+	ActualSplit *core.ByteSplit  `json:"actual_split,omitempty"`
 	// WorkloadFingerprint is the workload profiler's mix fingerprint at
 	// swap time (empty when profiling is disabled), recording which
 	// traffic mix was live when the generation was installed — the
@@ -120,13 +118,6 @@ func WithRebuildBudgets(structBudget, valueBudget int) Option {
 	return func(s *Service) { s.defaultBstr, s.defaultBval = structBudget, valueBudget }
 }
 
-// WithReferenceOptions sets the reference-synopsis options Rebuild uses
-// (value paths, summary detail). The zero value summarizes every
-// value-bearing path with default detail.
-func WithReferenceOptions(o core.ReferenceOptions) Option {
-	return func(s *Service) { s.refOpts = o }
-}
-
 // WithBuildWorkers sets the number of goroutines Rebuild's compression
 // phase uses to evaluate merge candidates (0 = GOMAXPROCS). The count
 // affects only build speed, never the produced synopsis.
@@ -161,7 +152,7 @@ func (s *Service) install(syn *core.Synopsis, reason string, d time.Duration, bu
 	s.swaps.Inc()
 	s.swapMu.Unlock()
 	old.est.InvalidateCaches()
-	split := actualSplit(syn)
+	split := syn.Split()
 	ev := SwapEvent{
 		OldGeneration:       old.syn.Fingerprint().Generation,
 		NewGeneration:       fp.Generation,
@@ -209,10 +200,10 @@ type RebuildOptions struct {
 	// documented on rebuild.
 	StructBudget int `json:"struct_budget,omitempty"`
 	ValueBudget  int `json:"value_budget,omitempty"`
-	// Adaptive asks the internal/budget planner to re-split the
-	// inherited total budget from the live workload profile (ignored
-	// when explicit budgets are given — an operator override always
-	// wins). Drift-triggered rebuilds set it when WithAdaptiveBudget is
+	// Adaptive asks budget.Plan to re-split the inherited total budget
+	// by searching on the live workload profile's shapes (ignored when
+	// explicit budgets are given — an operator override always wins).
+	// Drift-triggered rebuilds set it when WithAdaptiveBudget is
 	// configured.
 	Adaptive bool `json:"adaptive,omitempty"`
 	// Reason is recorded in the swap event and rebuild status
@@ -339,58 +330,31 @@ func (s *Service) StartRebuild(opts RebuildOptions) error {
 // TestRebuildBudgetPrecedence, documented in DESIGN.md §16):
 //
 //  1. Explicit RebuildOptions budgets: an operator override beats
-//     everything, including the adaptive planner.
+//     everything, including adaptive planning.
 //  2. Adaptive plan: with opts.Adaptive set and no explicit budgets,
-//     the internal/budget planner re-splits the total inherited from
-//     steps 3–5 according to the live workload profile.
+//     budget.Plan re-splits the total inherited from steps 3–5 by
+//     searching on the live workload profile's shapes.
 //  3. The serving fingerprint's budgets (rebuild what was built).
 //  4. The WithRebuildBudgets defaults (legacy artifacts carry no
 //     fingerprint budgets).
 //  5. The serving synopsis's actual struct/value sizes (last resort:
 //     rebuild at the size being served).
 //
-// Each group (struct, value) walks 3–5 independently; the adaptive
-// planner then redistributes their sum, so step 2 changes the split,
-// never the total.
+// Each group (struct, value) walks 3–5 independently (inheritBudgets);
+// adaptive planning then redistributes their sum, so step 2 changes
+// the split, never the total.
 func (s *Service) rebuild(ctx context.Context, opts RebuildOptions, t0 time.Time) (SwapEvent, error) {
-	cur := s.cur.Load()
-	fp := cur.syn.Fingerprint()
-	explicit := opts.StructBudget > 0 || opts.ValueBudget > 0
-	if opts.StructBudget <= 0 {
-		opts.StructBudget = fp.StructBudget
+	adaptive := opts.Adaptive && opts.StructBudget <= 0 && opts.ValueBudget <= 0
+	if adaptive && s.prof == nil {
+		return SwapEvent{}, fmt.Errorf("service: rebuild: %w", ErrNoProfiler)
 	}
-	if opts.StructBudget <= 0 {
-		opts.StructBudget = s.defaultBstr
-	}
-	if opts.StructBudget <= 0 {
-		opts.StructBudget = cur.syn.StructBytes()
-	}
-	if opts.ValueBudget <= 0 {
-		opts.ValueBudget = fp.ValueBudget
-	}
-	if opts.ValueBudget <= 0 {
-		opts.ValueBudget = s.defaultBval
-	}
-	if opts.ValueBudget <= 0 {
-		opts.ValueBudget = cur.syn.ValueBytes()
-	}
+	cur := s.cur.Load().syn
+	bstr, bval := s.inheritBudgets(cur, opts.StructBudget, opts.ValueBudget)
 	if opts.Reason == "" {
 		opts.Reason = "rebuild"
 	}
-	var plan *core.BudgetPlan
-	if opts.Adaptive && !explicit {
-		d, err := s.planAdaptive(opts.StructBudget + opts.ValueBudget)
-		if err != nil {
-			return SwapEvent{}, fmt.Errorf("service: rebuild: %w", err)
-		}
-		p := d.Plan
-		plan = &p
-		// The plan carries the group budgets; the build resolves them
-		// from it (passing both would be a conflict).
-		opts.StructBudget, opts.ValueBudget = 0, 0
-	}
 
-	ref, err := core.BuildReference(s.doc, s.refOpts)
+	ref, err := core.BuildReference(s.doc, core.ReferenceOptions{})
 	if err != nil {
 		return SwapEvent{}, fmt.Errorf("service: rebuild: %w", err)
 	}
@@ -399,17 +363,42 @@ func (s *Service) rebuild(ctx context.Context, opts RebuildOptions, t0 time.Time
 	}
 	s.setPhase(PhaseCompress)
 	var st core.BuildStats
-	built, err := core.XClusterBuildContext(ctx, ref, core.BuildOptions{
-		StructBudget: opts.StructBudget,
-		ValueBudget:  opts.ValueBudget,
-		Plan:         plan,
-		Workers:      s.buildWorkers,
-		Metrics:      s.reg,
-		Stats:        &st,
-	})
+	bopts := core.BuildOptions{Workers: s.buildWorkers, Metrics: s.reg, Stats: &st}
+	var built *core.Synopsis
+	if adaptive {
+		// Keep the serving plan (provenance included, for hysteresis)
+		// when it is the inherited split.
+		inherited := cur.Fingerprint().Plan
+		if inherited.StructBytes != bstr || inherited.ValueBytes != bval {
+			inherited = core.PlanFromBudgets(bstr, bval)
+		}
+		built, err = s.planAdaptive(ctx, ref, inherited, bopts)
+	} else {
+		bopts.StructBudget, bopts.ValueBudget = bstr, bval
+		built, err = core.XClusterBuildContext(ctx, ref, bopts)
+	}
 	if err != nil {
 		return SwapEvent{}, fmt.Errorf("service: rebuild: %w", err)
 	}
 	s.setPhase(PhaseInstall)
 	return s.install(built, opts.Reason, time.Since(t0), &st), nil
+}
+
+// inheritBudgets resolves a rebuild's struct and value budgets: each
+// positive argument stands, and each other one walks steps 3–5 of the
+// precedence documented on rebuild — the serving fingerprint's budget,
+// then the WithRebuildBudgets default, then the serving synopsis's
+// actual size.
+func (s *Service) inheritBudgets(cur *core.Synopsis, bstr, bval int) (int, int) {
+	fp := cur.Fingerprint()
+	pick := func(chain ...int) int {
+		for _, v := range chain {
+			if v > 0 {
+				return v
+			}
+		}
+		return 0
+	}
+	return pick(bstr, fp.StructBudget, s.defaultBstr, cur.StructBytes()),
+		pick(bval, fp.ValueBudget, s.defaultBval, cur.ValueBytes())
 }

@@ -73,13 +73,6 @@ func WithPlanCacheCapacity(n int) Option {
 	return func(s *Service) { s.planCap, s.planCapSet = n, true }
 }
 
-// WithUninformedSel sets the estimator's selectivity for predicates on
-// unsummarized type-matching clusters. Applied to every estimator the
-// lifecycle installs.
-func WithUninformedSel(sel float64) Option {
-	return func(s *Service) { s.uninformedSel = sel }
-}
-
 // WithRegistry makes the service emit into a caller-owned metrics
 // registry instead of creating its own (e.g. to share one registry
 // across a build pipeline and the serving path).
@@ -171,11 +164,10 @@ type Service struct {
 
 	// Stored estimator configuration, replayed onto every estimator the
 	// lifecycle installs so generations only differ by their synopsis.
-	cacheCap      int
-	cacheCapSet   bool
-	planCap       int
-	planCapSet    bool
-	uninformedSel float64
+	cacheCap    int
+	cacheCapSet bool
+	planCap     int
+	planCapSet  bool
 
 	// Lifecycle state: swapMu serializes installs, gen numbers them,
 	// rebuilding single-flights Rebuild, source re-reads the synopsis
@@ -189,11 +181,10 @@ type Service struct {
 	rb             RebuildStatus
 	defaultBstr    int
 	defaultBval    int
-	refOpts        core.ReferenceOptions
 	buildWorkers   int
 
 	// Adaptive budget planning (see adaptive.go): planMu guards the
-	// last planner run recorded for GET /debug/budget.
+	// last planning run recorded for GET /debug/budget.
 	adaptiveBudget   bool
 	planMu           sync.Mutex
 	lastPlanInputs   *budget.Inputs

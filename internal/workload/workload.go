@@ -451,20 +451,12 @@ func (g *generator) extraBranch(anchor, used *xmltree.Node, vt xmltree.ValueType
 	return nil
 }
 
-// SanityBound returns the 10-percentile of positive true counts: the
-// bound s such that 90% of workload queries have true result size >= s.
+// SanityBound returns the workload's sanity bound
+// (accuracy.SanityBound over its true counts).
 func (w *Workload) SanityBound() float64 {
 	counts := make([]float64, 0, len(w.Queries))
 	for _, q := range w.Queries {
 		counts = append(counts, q.True)
 	}
-	sort.Float64s(counts)
-	if len(counts) == 0 {
-		return 1
-	}
-	b := counts[len(counts)/10]
-	if b < 1 {
-		b = 1
-	}
-	return b
+	return accuracy.SanityBound(counts)
 }

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 
+	"xcluster/internal/accuracy"
 	"xcluster/internal/core"
 	"xcluster/internal/query"
 	"xcluster/internal/vsum"
@@ -92,8 +93,8 @@ type Options struct {
 	// ValueBudget is the byte budget for value summaries (histograms,
 	// pruned suffix trees, end-biased term histograms).
 	ValueBudget int
-	// BudgetPlan, when set, supplies both budgets (and optionally a
-	// per-component split and provenance) as one first-class plan; see
+	// BudgetPlan, when set, supplies both budgets (and their
+	// provenance) as one first-class plan; see
 	// WithBudgetPlan. Raw budgets set alongside a disagreeing plan are
 	// rejected.
 	BudgetPlan *BudgetPlan
@@ -298,17 +299,13 @@ func AutoBuild(t *Tree, totalBudget int, sample []*Query, opts ...Option) (*Syno
 	for i, q := range sample {
 		exact[i] = ev.Selectivity(q)
 	}
+	ests := make([]float64, len(sample))
 	score := func(s *Synopsis) float64 {
 		est := core.NewEstimator(s)
-		total := 0.0
 		for i, q := range sample {
-			denom := exact[i]
-			if denom < 1 {
-				denom = 1
-			}
-			total += absf(exact[i]-est.Selectivity(q)) / denom
+			ests[i] = est.Selectivity(q)
 		}
-		return total / float64(len(sample))
+		return accuracy.Avg(exact, ests, 1)
 	}
 	cfg := applyOptions(opts)
 	s, bstr, _, err := core.AutoAllocate(ref, totalBudget, score, core.BuildOptions{
@@ -318,13 +315,6 @@ func AutoBuild(t *Tree, totalBudget int, sample []*Query, opts ...Option) (*Syno
 		Stats:    cfg.BuildStats,
 	})
 	return s, bstr, err
-}
-
-func absf(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // WriteSynopsis serializes a synopsis (graph, dictionary, and value
@@ -358,8 +348,8 @@ type Fingerprint = core.Fingerprint
 type BudgetPlan = core.BudgetPlan
 
 // Provenance records how a BudgetPlan was chosen: static (configured
-// budgets), auto (sample-workload search), or workload (live-profile
-// planner).
+// budgets), auto (sample-workload search), or workload (the same
+// search on a live workload profile).
 type Provenance = core.Provenance
 
 // The plan provenances.

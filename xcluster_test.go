@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"xcluster"
+	"xcluster/internal/core"
+	"xcluster/internal/datagen"
+	"xcluster/internal/query"
 )
 
 const libraryDoc = `
@@ -156,6 +159,80 @@ func TestPublicAutoBuild(t *testing.T) {
 	// And without a sample the call fails cleanly.
 	if _, _, err := xcluster.AutoBuild(tree, total, nil); err == nil {
 		t.Fatal("AutoBuild accepted an empty sample")
+	}
+}
+
+// stableSynopsisBytes encodes s with the wall-clock fingerprint fields
+// zeroed, so two builds of the same inputs compare byte for byte.
+func stableSynopsisBytes(t *testing.T, s *xcluster.Synopsis) []byte {
+	t.Helper()
+	fp := s.Fingerprint()
+	fp.BuiltAtUnix, fp.BuildNanos = 0, 0
+	s.SetFingerprint(fp)
+	var buf bytes.Buffer
+	if err := xcluster.WriteSynopsis(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestAutoBuildScorerUnchanged pins AutoBuild's sample scorer: on an
+// IMDB fixture it picks the same structural budget, and encodes to the
+// same bytes, as the split search scored by the average relative error
+// over max(exact, 1) written out by hand.
+func TestAutoBuildScorerUnchanged(t *testing.T) {
+	tree := datagen.IMDB(datagen.IMDBConfig{Seed: 3, Scale: 0.05})
+	var sample []*xcluster.Query
+	for _, qs := range []string{
+		"//movie[year>1990]/title",
+		"//movie/cast/actor/name",
+		"//movie[title contains(The)]",
+		"//show[plot ftcontains(family)]",
+		"//imdb/show[year<1980]",
+	} {
+		q, err := xcluster.ParseQuery(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sample = append(sample, q)
+	}
+	opts := []xcluster.Option{xcluster.WithValuePaths(datagen.IMDBValuePaths()...)}
+	ref, err := xcluster.BuildReference(tree, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := ref.TotalBytes() / 4
+	syn, bstr, err := xcluster.AutoBuild(tree, total, sample, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ev := query.NewEvaluator(tree)
+	exact := make([]float64, len(sample))
+	for i, q := range sample {
+		exact[i] = ev.Selectivity(q)
+	}
+	want, wantBstr, _, err := core.AutoAllocate(ref, total, func(s *core.Synopsis) float64 {
+		est := core.NewEstimator(s)
+		sum := 0.0
+		for i, q := range sample {
+			denom := exact[i]
+			if denom < 1 {
+				denom = 1
+			}
+			sum += math.Abs(exact[i]-est.Selectivity(q)) / denom
+		}
+		return sum / float64(len(sample))
+	}, core.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 5194 is the split the hand-written scorer picks on this fixture.
+	if bstr != wantBstr || bstr != 5194 {
+		t.Fatalf("AutoBuild chose Bstr %d, the hand-written scorer %d (pinned 5194)", bstr, wantBstr)
+	}
+	if !bytes.Equal(stableSynopsisBytes(t, syn), stableSynopsisBytes(t, want)) {
+		t.Fatal("AutoBuild's synopsis encodes differently from the hand-written scorer's")
 	}
 }
 
