@@ -22,6 +22,9 @@ func TestRelErrorDefinition(t *testing.T) {
 		{0, 5, 0, 0},        // degenerate: no denominator at all
 		{10, 0, 10, 1},      // truth == sanity
 		{1e6, 999900, 10, 1e-4},
+		{100, 90, 10, 0.1}, // 10% under
+		{1, 11, 10, 1},     // sanity bound caps a tiny count's error
+		{0, 0, 0, 0},       // empty and exact, no sanity bound
 	}
 	for _, c := range cases {
 		if got := RelError(c.truth, c.est, c.sanity); math.Abs(got-c.want) > 1e-12 {

@@ -61,8 +61,8 @@ func newFixture(t *testing.T) fixture {
 	}
 }
 
-// plan runs Plan on the fixture with the given inherited plan.
-func (f fixture) plan(t *testing.T, inherited core.BudgetPlan) (Decision, *core.Synopsis) {
+// plan runs Plan on the fixture with the given inherited split.
+func (f fixture) plan(t *testing.T, inherited core.Fingerprint) (Decision, *core.Synopsis) {
 	t.Helper()
 	d, s, err := Plan(context.Background(), Inputs{
 		Inherited:           inherited,
@@ -72,19 +72,43 @@ func (f fixture) plan(t *testing.T, inherited core.BudgetPlan) (Decision, *core.
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Fingerprint().Plan != d.Plan {
-		t.Fatalf("synopsis plan %+v != decision plan %+v", s.Fingerprint().Plan, d.Plan)
+	if fp := s.Fingerprint(); fp.StructBudget != d.StructBudget || fp.ValueBudget != d.ValueBudget {
+		t.Fatalf("synopsis budgets %d/%d != decision %+v", fp.StructBudget, fp.ValueBudget, d)
 	}
 	return d, s
 }
 
-// workloadPlan is a workload-provenance plan of total bytes giving
-// structure bstr.
-func workloadPlan(bstr, total int) core.BudgetPlan {
-	p := core.PlanFromBudgets(bstr, total-bstr)
-	p.Provenance = core.ProvenanceWorkload
-	p.WorkloadFingerprint = "0123456789abcdef"
-	return p
+// split is a fingerprint of total bytes giving structure bstr, with
+// the given provenance (workload splits carry a profile fingerprint).
+func split(bstr, total int, prov core.Provenance) core.Fingerprint {
+	fp := core.Fingerprint{StructBudget: bstr, ValueBudget: total - bstr, Provenance: prov}
+	if prov == core.ProvenanceWorkload {
+		fp.WorkloadFingerprint = "0123456789abcdef"
+	}
+	return fp
+}
+
+// sameSplit reports whether two fingerprints carry the same budgets,
+// provenance and workload fingerprint.
+func sameSplit(a, b core.Fingerprint) bool {
+	return a.StructBudget == b.StructBudget && a.ValueBudget == b.ValueBudget &&
+		a.Provenance == b.Provenance && a.WorkloadFingerprint == b.WorkloadFingerprint
+}
+
+// buildAt is XClusterBuild at fp's budgets, stamped with fp's
+// provenance and workload fingerprint.
+func (f fixture) buildAt(t *testing.T, fp core.Fingerprint) *core.Synopsis {
+	t.Helper()
+	o := f.opts
+	o.StructBudget, o.ValueBudget = fp.StructBudget, fp.ValueBudget
+	s, err := core.XClusterBuild(f.ref, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := s.Fingerprint()
+	got.Provenance, got.WorkloadFingerprint = fp.Provenance, fp.WorkloadFingerprint
+	s.SetFingerprint(got)
+	return s
 }
 
 // stableBytes encodes s with the wall-clock fingerprint fields zeroed.
@@ -100,49 +124,49 @@ func stableBytes(t *testing.T, s *core.Synopsis) []byte {
 	return buf.Bytes()
 }
 
-// TestPlannerHysteresis: an inherited workload plan whose struct share
-// lies inside the dead band of the searched one is held, a real shift
-// escapes it, and a static plan is never held — the first adaptive
-// rebuild must be allowed to move off the configured split.
+// TestPlannerHysteresis: an inherited workload split whose struct
+// share lies inside the dead band of the searched one is held, a real
+// shift escapes it, and a static split is never held — the first
+// adaptive rebuild must be allowed to move off the configured split.
 func TestPlannerHysteresis(t *testing.T) {
 	f := newFixture(t)
-	base, _ := f.plan(t, core.PlanFromBudgets(f.total/2, f.total-f.total/2))
-	if base.Held || base.Plan.Provenance != core.ProvenanceWorkload {
-		t.Fatalf("static inherited plan was held or kept: %+v", base)
+	base, bs := f.plan(t, split(f.total/2, f.total, core.ProvenanceStatic))
+	searched := bs.Fingerprint()
+	if base.Held || searched.Provenance != core.ProvenanceWorkload {
+		t.Fatalf("static inherited split was held or kept: %+v", base)
 	}
-	if base.Plan.TotalBytes != f.total || base.Plan.WorkloadFingerprint != "deadbeefdeadbeef" {
-		t.Fatalf("searched plan lost the total or the fingerprint: %+v", base.Plan)
+	if base.StructBudget+base.ValueBudget != f.total || searched.WorkloadFingerprint != "deadbeefdeadbeef" {
+		t.Fatalf("searched split lost the total or the fingerprint: %+v / %+v", base, searched)
 	}
-	// Jitter: inherited workload plans within the dead band are held.
+	// Jitter: inherited workload splits within the dead band are held.
 	for _, shift := range []float64{-0.03, -0.01, 0.01, 0.03} {
-		cur := workloadPlan(base.Plan.StructBytes+int(shift*float64(f.total)), f.total)
-		d, _ := f.plan(t, cur)
-		if !d.Held || d.Plan != cur {
-			t.Fatalf("struct share shift %.2f flipped the plan:\n cur %v\n new %v", shift, cur, d.Plan)
+		cur := split(base.StructBudget+int(shift*float64(f.total)), f.total, core.ProvenanceWorkload)
+		d, s := f.plan(t, cur)
+		if !d.Held || !sameSplit(s.Fingerprint(), cur) {
+			t.Fatalf("struct share shift %.2f flipped the split:\n cur %v\n new %v", shift, cur, s.Fingerprint())
 		}
 	}
 	// A real shift escapes the band: the search's own winner comes back.
 	shift := f.total / 4
-	if base.Plan.StructBytes > f.total/2 {
+	if base.StructBudget > f.total/2 {
 		shift = -shift
 	}
-	far := workloadPlan(base.Plan.StructBytes+shift, f.total)
-	d, _ := f.plan(t, far)
-	if d.Held || d.Plan != base.Plan {
-		t.Fatalf("plan 25%% off the searched split was held: %+v", d)
+	d, s := f.plan(t, split(base.StructBudget+shift, f.total, core.ProvenanceWorkload))
+	if d.Held || !sameSplit(s.Fingerprint(), searched) {
+		t.Fatalf("split 25%% off the searched one was held: %+v", d)
 	}
-	// A static plan at the searched split is not held either.
-	d, _ = f.plan(t, core.PlanFromBudgets(base.Plan.StructBytes, base.Plan.ValueBytes))
-	if d.Held || d.Plan != base.Plan {
-		t.Fatalf("planner held a static plan: %+v", d)
+	// A static split at the searched one is not held either.
+	d, s = f.plan(t, split(base.StructBudget, f.total, core.ProvenanceStatic))
+	if d.Held || !sameSplit(s.Fingerprint(), searched) {
+		t.Fatalf("planner held a static split: %+v", d)
 	}
 }
 
 // TestPlannerDeterministic: identical inputs yield identical decisions
-// and byte-identical synopses, which are XClusterBuild's at the plan.
+// and byte-identical synopses, which are XClusterBuild's at the split.
 func TestPlannerDeterministic(t *testing.T) {
 	f := newFixture(t)
-	inherited := core.PlanFromBudgets(f.total/2, f.total-f.total/2)
+	inherited := split(f.total/2, f.total, core.ProvenanceStatic)
 	a, sa := f.plan(t, inherited)
 	b, sb := f.plan(t, inherited)
 	if !reflect.DeepEqual(a, b) {
@@ -151,14 +175,9 @@ func TestPlannerDeterministic(t *testing.T) {
 	if !bytes.Equal(stableBytes(t, sa), stableBytes(t, sb)) {
 		t.Fatal("same inputs, different synopses")
 	}
-	o := f.opts
-	o.Plan = &a.Plan
-	want, err := core.XClusterBuild(f.ref, o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := f.buildAt(t, sa.Fingerprint())
 	if !bytes.Equal(stableBytes(t, sa), stableBytes(t, want)) {
-		t.Fatalf("planned synopsis differs from XClusterBuild at %v", a.Plan)
+		t.Fatalf("planned synopsis differs from XClusterBuild at %+v", a)
 	}
 }
 
@@ -168,27 +187,21 @@ func TestPlannerDeterministic(t *testing.T) {
 func TestPlannerIdleKeepsInherited(t *testing.T) {
 	f := newFixture(t)
 	f.shapes = nil
-	inherited := core.PlanFromBudgets(f.total/3, f.total-f.total/3)
+	inherited := split(f.total/3, f.total, core.ProvenanceStatic)
 	d, s := f.plan(t, inherited)
-	if !d.Held || d.Plan != inherited || d.Reason == "" {
-		t.Fatalf("idle decision = %+v, want the inherited plan held with a reason", d)
+	if !d.Held || !sameSplit(s.Fingerprint(), inherited) || d.Reason == "" {
+		t.Fatalf("idle decision = %+v, want the inherited split held with a reason", d)
 	}
-	o := f.opts
-	o.Plan = &inherited
-	want, err := core.XClusterBuild(f.ref, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(stableBytes(t, s), stableBytes(t, want)) {
-		t.Fatal("idle synopsis differs from XClusterBuild at the inherited plan")
+	if !bytes.Equal(stableBytes(t, s), stableBytes(t, f.buildAt(t, inherited))) {
+		t.Fatal("idle synopsis differs from XClusterBuild at the inherited split")
 	}
 }
 
 func TestPlannerRejectsNonPositiveTotal(t *testing.T) {
 	f := newFixture(t)
-	for _, p := range []core.BudgetPlan{{}, {StructBytes: -1, ValueBytes: 1}} {
-		if _, _, err := Plan(context.Background(), Inputs{Inherited: p, Shapes: f.shapes}, f.ref, f.doc, f.opts); err == nil {
-			t.Fatalf("inherited plan %+v accepted", p)
+	for _, fp := range []core.Fingerprint{{}, {StructBudget: -1, ValueBudget: 1}, {StructBudget: -1, ValueBudget: 2}} {
+		if _, _, err := Plan(context.Background(), Inputs{Inherited: fp, Shapes: f.shapes}, f.ref, f.doc, f.opts); err == nil {
+			t.Fatalf("inherited budgets %d/%d accepted", fp.StructBudget, fp.ValueBudget)
 		}
 	}
 }

@@ -161,8 +161,9 @@ func handleSynopsisDebug(w http.ResponseWriter, r *http.Request, svc *service.Se
 	service.WriteJSON(w, http.StatusOK, resp)
 }
 
-// handleBudget answers GET /debug/budget: the serving budget plan,
-// planned vs actual split, and the last adaptive planning run.
+// handleBudget answers GET /debug/budget: the serving fingerprint
+// (budgets and their provenance), the realized split, and the last
+// adaptive planning run.
 func handleBudget(w http.ResponseWriter, _ *http.Request, svc *service.Service) {
 	service.WriteJSON(w, http.StatusOK, svc.BudgetReport())
 }
@@ -215,7 +216,9 @@ func handleRebuild(w http.ResponseWriter, r *http.Request, svc *service.Service)
 // handleWorkloadExport answers GET /admin/workload/export: the
 // versioned WorkloadProfile artifact in its canonical file encoding
 // (profile.Encode), so the body can be saved and fed back through
-// profile.Parse byte-for-byte. 412 when profiling is disabled.
+// profile.Parse byte-for-byte. It is an audit record of the traffic
+// mix (its fingerprint is the one on swap events); rebuilds do not
+// read it. 412 when profiling is disabled.
 func handleWorkloadExport(w http.ResponseWriter, _ *http.Request, svc *service.Service) {
 	p, err := svc.WorkloadProfile()
 	if err != nil {

@@ -6,20 +6,9 @@ import (
 	"math"
 )
 
-// AutoAllocate is AutoAllocateContext with a background context, kept
-// for callers without a cancellation need. It returns the best
-// synopsis, its structural budget, and the score it achieved.
-func AutoAllocate(ref *Synopsis, totalBudget int, score func(*Synopsis) float64, opts BuildOptions) (*Synopsis, int, float64, error) {
-	s, plan, sc, err := AutoAllocateContext(context.Background(), ref, totalBudget, score, opts)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return s, plan.StructBudget(), sc, nil
-}
-
-// AutoAllocateContext implements the budget-split search the paper
-// defers to future work: "it is possible to invoke XCLUSTERBUILD with a
-// unified total space budget B and let the construction process determine
+// AutoAllocate implements the budget-split search the paper defers to
+// future work: "it is possible to invoke XCLUSTERBUILD with a unified
+// total space budget B and let the construction process determine
 // automatically the ratio of structural- to value-storage budget. One
 // plausible approach ... would be to perform a binary search in the range
 // of possible Bstr/Bval ratios, based on the observed estimation error on
@@ -31,16 +20,16 @@ func AutoAllocate(ref *Synopsis, totalBudget int, score func(*Synopsis) float64,
 // rounds — the error curve is noisy, so a pure binary search on the
 // gradient would be fragile. Candidate builds run under ctx, so a
 // cancelled adaptive rebuild aborts mid-search with ctx.Err() instead
-// of finishing up to a dozen builds. It returns the best synopsis, the
-// winning BudgetPlan (provenance "auto"), and the score it achieved;
-// opts.Stats, when set, receives the winning build's statistics.
-func AutoAllocateContext(ctx context.Context, ref *Synopsis, totalBudget int, score func(*Synopsis) float64, opts BuildOptions) (*Synopsis, BudgetPlan, float64, error) {
+// of finishing up to a dozen builds. It returns the best synopsis,
+// whose fingerprint carries the winning split with provenance "auto",
+// and the score it achieved; opts.Stats, when set, receives the
+// winning build's statistics.
+func AutoAllocate(ctx context.Context, ref *Synopsis, totalBudget int, score func(*Synopsis) float64, opts BuildOptions) (*Synopsis, float64, error) {
 	if totalBudget <= 0 {
-		return nil, BudgetPlan{}, 0, fmt.Errorf("core: AutoAllocate: non-positive budget %d", totalBudget)
+		return nil, 0, fmt.Errorf("core: AutoAllocate: non-positive budget %d", totalBudget)
 	}
 	type result struct {
 		frac  float64
-		bstr  int
 		s     *Synopsis
 		score float64
 		stats BuildStats
@@ -48,11 +37,8 @@ func AutoAllocateContext(ctx context.Context, ref *Synopsis, totalBudget int, sc
 	evalFrac := func(frac float64) (result, error) {
 		bstr := int(frac * float64(totalBudget))
 		o := opts
-		plan := PlanFromBudgets(bstr, totalBudget-bstr)
-		plan.Provenance = ProvenanceAuto
-		o.Plan = &plan
-		o.StructBudget, o.ValueBudget = 0, 0
-		r := result{frac: frac, bstr: bstr}
+		o.StructBudget, o.ValueBudget = bstr, totalBudget-bstr
+		r := result{frac: frac}
 		if opts.Stats != nil {
 			o.Stats = &r.stats
 		}
@@ -84,7 +70,7 @@ func AutoAllocateContext(ctx context.Context, ref *Synopsis, totalBudget int, sc
 	}
 	for _, f := range probes {
 		if err := eval(f); err != nil {
-			return nil, BudgetPlan{}, 0, err
+			return nil, 0, err
 		}
 	}
 	// Two refinement rounds: bisect toward the best ratio's neighbors.
@@ -96,16 +82,17 @@ func AutoAllocateContext(ctx context.Context, ref *Synopsis, totalBudget int, sc
 				continue
 			}
 			if err := eval(f); err != nil {
-				return nil, BudgetPlan{}, 0, err
+				return nil, 0, err
 			}
 		}
 		step /= 2
 	}
 	if best.s == nil {
-		return nil, BudgetPlan{}, 0, fmt.Errorf("core: AutoAllocate: no feasible split")
+		return nil, 0, fmt.Errorf("core: AutoAllocate: no feasible split")
 	}
 	if opts.Stats != nil {
 		*opts.Stats = best.stats
 	}
-	return best.s, best.s.Fingerprint().Plan, best.score, nil
+	best.s.fp.Provenance = ProvenanceAuto
+	return best.s, best.score, nil
 }

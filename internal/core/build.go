@@ -23,28 +23,9 @@ type BuildOptions struct {
 	StructBudget int
 	// ValueBudget is Bval: the byte budget for value summaries.
 	ValueBudget int
-	// Plan, when non-nil, supplies the budgets as a first-class
-	// BudgetPlan: StructBudget/ValueBudget are taken from the plan
-	// (setting them alongside a disagreeing plan is an error), a
-	// non-zero value split directs the per-kind value phase, and the
-	// plan (provenance, workload fingerprint, split) is stamped into
-	// the build fingerprint. A nil Plan synthesizes a static plan from
-	// the two ints — the exact legacy code path, bit for bit.
-	Plan *BudgetPlan
 	// Hm caps the candidate-merge pool; Hl is the replenish threshold
 	// (the paper uses 10000 / 5000).
 	Hm, Hl int
-	// AtomicCap bounds atomic predicates per summary in Δ evaluations
-	// (DefaultAtomicCap when 0).
-	AtomicCap int
-	// PairWindow bounds, within a sorted candidate group, how far apart
-	// two nodes may sit to be proposed as a merge pair. This keeps
-	// candidate generation near-linear in group size; the pool cap Hm
-	// provides the same guarantee in the paper.
-	PairWindow int
-	// CompressStep is the b parameter of the value-compression
-	// operations; 0 picks it adaptively from the remaining excess.
-	CompressStep int
 	// NoLevelHeuristic disables the bottom-up level stratification of
 	// build_pool, admitting candidates from every level immediately
 	// (ablation of the Figure 6 heuristic).
@@ -87,18 +68,18 @@ type BuildOptions struct {
 	GlobalMetric bool
 }
 
+// pairWindow bounds, within a sorted candidate group, how far apart two
+// nodes may sit to be proposed as a merge pair. This keeps candidate
+// generation near-linear in group size; the pool cap Hm provides the
+// same guarantee in the paper.
+const pairWindow = 8
+
 func (o BuildOptions) withDefaults() BuildOptions {
 	if o.Hm == 0 {
 		o.Hm = 10000
 	}
 	if o.Hl == 0 {
 		o.Hl = o.Hm / 2
-	}
-	if o.AtomicCap == 0 {
-		o.AtomicCap = DefaultAtomicCap
-	}
-	if o.PairWindow == 0 {
-		o.PairWindow = 8
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -179,13 +160,6 @@ func XClusterBuildContext(ctx context.Context, ref *Synopsis, opts BuildOptions)
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("core: build workers must be non-negative (0 = GOMAXPROCS), got %d", opts.Workers)
 	}
-	plan, err := opts.resolvePlan()
-	if err != nil {
-		return nil, err
-	}
-	opts.Plan = &plan
-	opts.StructBudget = plan.StructBudget()
-	opts.ValueBudget = plan.ValueBudget()
 	opts = opts.withDefaults()
 	buildStart := time.Now()
 	b := newBuilder(ctx, ref.Clone(), opts)
@@ -225,39 +199,21 @@ func XClusterBuildContext(ctx context.Context, ref *Synopsis, opts BuildOptions)
 	if opts.Stats != nil {
 		*opts.Stats = b.stats
 	}
-	s := b.s
-	// Stamp the build identity: the doc hash and option summary arrive
-	// via the reference's fingerprint (through Clone); the compression
-	// pass adds its budgets and timing. Workers and the memo are
-	// deliberately absent: they must not affect the output, so they are
-	// not part of the synopsis identity.
-	s.fp.StructBudget = opts.StructBudget
-	s.fp.ValueBudget = opts.ValueBudget
-	s.fp.Plan = plan
-	s.fp.BuiltAtUnix = time.Now().Unix()
-	s.fp.BuildNanos = time.Since(buildStart).Nanoseconds()
-	return s, nil
+	b.s.stampBuild(opts.StructBudget, opts.ValueBudget, buildStart)
+	return b.s, nil
 }
 
-// resolvePlan turns the options' budget configuration into one
-// normalized BudgetPlan: the explicit Plan when set (its budgets must
-// not disagree with any raw ints also set), otherwise a static plan
-// synthesized from StructBudget/ValueBudget.
-func (o BuildOptions) resolvePlan() (BudgetPlan, error) {
-	if o.Plan == nil {
-		return PlanFromBudgets(o.StructBudget, o.ValueBudget), nil
-	}
-	plan, err := o.Plan.Normalize()
-	if err != nil {
-		return BudgetPlan{}, err
-	}
-	if o.StructBudget != 0 && o.StructBudget != plan.StructBudget() {
-		return BudgetPlan{}, fmt.Errorf("core: StructBudget %d conflicts with plan Bstr %d", o.StructBudget, plan.StructBudget())
-	}
-	if o.ValueBudget != 0 && o.ValueBudget != plan.ValueBudget() {
-		return BudgetPlan{}, fmt.Errorf("core: ValueBudget %d conflicts with plan Bval %d", o.ValueBudget, plan.ValueBudget())
-	}
-	return plan, nil
+// stampBuild records a compression's build identity: the budgets it
+// ran under, provenance static, the completion time and the wall time
+// since start. The doc hash and option summary arrive via the
+// reference's fingerprint (through Clone). Workers and the memo are
+// deliberately absent: they must not affect the output, so they are
+// not part of the synopsis identity.
+func (s *Synopsis) stampBuild(structBudget, valueBudget int, start time.Time) {
+	s.fp.StructBudget, s.fp.ValueBudget = structBudget, valueBudget
+	s.fp.Provenance, s.fp.WorkloadFingerprint = ProvenanceStatic, ""
+	s.fp.BuiltAtUnix = time.Now().Unix()
+	s.fp.BuildNanos = time.Since(start).Nanoseconds()
 }
 
 // newBuilder assembles a builder with its incremental indexes. The memo
@@ -332,8 +288,8 @@ func (b *builder) randomMergePhase() error {
 // phase runs once toward the smallest budget, snapshotting the synopsis
 // as it crosses each requested budget; each snapshot then gets its own
 // value-compression phase. The result matches XClusterBuild at every
-// budget, fingerprint included (budgets and static plan; the clock
-// fields count from the sweep's start), while paying for one merge
+// budget, fingerprint included (budgets and static provenance; the
+// clock fields count from the sweep's start), while paying for one merge
 // phase instead of len(budgets). Results are returned in the order of
 // structBudgets.
 func XClusterSweep(ref *Synopsis, structBudgets []int, valueBudget int, opts BuildOptions) ([]*Synopsis, error) {
@@ -398,13 +354,7 @@ func XClusterSweep(ref *Synopsis, structBudgets []int, valueBudget int, opts Bui
 				vopts.Progress = nil
 				vb := newBuilder(nil, snapshots[budget], vopts)
 				vb.valuePhase()
-				// Stamp the build identity as XClusterBuild does.
-				fp := &vb.s.fp
-				fp.StructBudget = budget
-				fp.ValueBudget = valueBudget
-				fp.Plan = PlanFromBudgets(budget, valueBudget)
-				fp.BuiltAtUnix = time.Now().Unix()
-				fp.BuildNanos = time.Since(sweepStart).Nanoseconds()
+				vb.s.stampBuild(budget, valueBudget, sweepStart)
 			}
 		}()
 	}
@@ -632,7 +582,7 @@ func (b *builder) computeCand(u, v NodeID) *mergeCand {
 	if b.opts.GlobalMetric {
 		delta, saved, err = b.globalDelta(u, v)
 	} else {
-		delta, saved, err = b.s.mergeDeltaCached(u, v, b.opts.AtomicCap, b.evalc)
+		delta, saved, err = b.s.mergeDeltaCached(u, v, DefaultAtomicCap, b.evalc)
 	}
 	if err != nil {
 		return nil
@@ -736,7 +686,7 @@ func nodeGroup(n *Node) groupKey {
 }
 
 // childSig is a cheap similarity key: nodes pointing to similar child
-// sets sort near each other, so the PairWindow pairing proposes the
+// sets sort near each other, so the pairWindow pairing proposes the
 // merges most likely to have low Δ (the paper's "clusters are similar if
 // they point to similar children" intuition).
 func childSig(n *Node) string {
@@ -821,7 +771,7 @@ func (b *builder) buildPool(l int, levels map[NodeID]int) *candHeap {
 		}
 		sort.Sort(&memberSort{members: members, sigs: sigs})
 		for i := range members {
-			for j := i + 1; j <= i+b.opts.PairWindow && j < len(members); j++ {
+			for j := i + 1; j <= i+pairWindow && j < len(members); j++ {
 				cands = append(cands, &mergeCand{u: members[i].ID, v: members[j].ID})
 			}
 		}
@@ -1017,7 +967,7 @@ func (b *builder) groupsOnMerge(u, v NodeID, w *Node) {
 	b.groups[k] = append(out, w.ID)
 }
 
-// pairNew proposes up to PairWindow merges pairing the new node w with
+// pairNew proposes up to pairWindow merges pairing the new node w with
 // other members of its group at the current level bound. The group
 // index yields the same candidates, in the same ascending-id order, as
 // the full node scan it replaced — without sorting every live node on
@@ -1034,7 +984,7 @@ func (b *builder) pairNew(w *Node, pool *candHeap, l int, levels map[NodeID]int)
 		if c := b.newCand(w.ID, id); c != nil {
 			heap.Push(pool, c)
 			added++
-			if added >= b.opts.PairWindow {
+			if added >= pairWindow {
 				return
 			}
 		}
@@ -1075,12 +1025,9 @@ func (h *valHeap) Pop() any {
 }
 
 // compressStep picks the b parameter for the next value-compression
-// candidate: the configured constant, or an excess-proportional adaptive
-// value (large early steps, b=1 near the budget).
-func (b *builder) compressStep(excess int) int {
-	if b.opts.CompressStep > 0 {
-		return b.opts.CompressStep
-	}
+// candidate: an excess-proportional adaptive value (large early steps,
+// b=1 near the budget).
+func compressStep(excess int) int {
 	step := excess / 2048
 	if step < 1 {
 		return 1
@@ -1097,11 +1044,11 @@ func (b *builder) newValCand(u *Node, excess int) *valCand {
 	if u.VSum == nil {
 		return nil
 	}
-	next, saved, steps := u.VSum.Compress(b.compressStep(excess))
+	next, saved, steps := u.VSum.Compress(compressStep(excess))
 	if steps == 0 {
 		return nil
 	}
-	delta, err := b.s.CompressDelta(u.ID, next, b.opts.AtomicCap)
+	delta, err := b.s.CompressDelta(u.ID, next, DefaultAtomicCap)
 	if err != nil {
 		return nil
 	}

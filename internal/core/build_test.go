@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -163,11 +164,11 @@ func TestAutoAllocate(t *testing.T) {
 		got := NewEstimator(s).Selectivity(q)
 		return math.Abs(got - want)
 	}
-	s, bstr, sc, err := AutoAllocate(ref, total, score, BuildOptions{Hm: 200, Hl: 100})
+	s, sc, err := AutoAllocate(context.Background(), ref, total, score, BuildOptions{Hm: 200, Hl: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s == nil || bstr <= 0 || bstr >= total {
+	if bstr := s.Fingerprint().StructBudget; bstr <= 0 || bstr >= total {
 		t.Fatalf("bstr = %d of %d", bstr, total)
 	}
 	if sc < 0 {
@@ -177,7 +178,7 @@ func TestAutoAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Degenerate budget rejected.
-	if _, _, _, err := AutoAllocate(ref, 0, score, BuildOptions{}); err == nil {
+	if _, _, err := AutoAllocate(context.Background(), ref, 0, score, BuildOptions{}); err == nil {
 		t.Fatal("zero budget accepted")
 	}
 }

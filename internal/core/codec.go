@@ -17,9 +17,13 @@ import (
 //	XCLUSTER1\n  graph + dictionary + value summaries (legacy)
 //	XCLUSTER2\n  adds a fingerprint header (doc hash, budgets,
 //	             generation, build time) before the v1 body
-//	XCLUSTER3\n  extends the header with the BudgetPlan (group
-//	             budgets, five component slots, provenance, workload
-//	             fingerprint)
+//	XCLUSTER3\n  extends the header with eight reserved ints, the
+//	             budget provenance and the workload fingerprint
+//
+// The v3 reserved ints are a retired plan record: WriteTo fills the
+// first three with (Bstr+Bval, Bstr, Bval) when the provenance is set
+// and 0 otherwise, and the other five with 0; ReadSynopsis discards
+// all eight, since the budgets already sit in the v2 fields.
 //
 // WriteTo always writes the current version; ReadSynopsis decodes
 // every version it knows and fails with ErrSynopsisVersion on versions
@@ -31,11 +35,9 @@ var (
 	magicV3 = []byte("XCLUSTER3\n")
 )
 
-// planComponentSlots is the number of v3 header ints reserved for a
-// per-component budget split (node, edge, histogram, PST, term
-// histogram). Plans split only structure from values, so WriteTo
-// writes the slots as 0 and ReadSynopsis discards them.
-const planComponentSlots = 5
+// reservedSlots is the number of zero v3 header ints after the
+// retired plan's (total, Bstr, Bval) triple.
+const reservedSlots = 5
 
 // CodecVersion is the synopsis file format version WriteTo produces.
 const CodecVersion = 3
@@ -52,7 +54,7 @@ func (s *Synopsis) WriteTo(w io.Writer) (int64, error) {
 	ww := wire.NewWriter(w)
 	ww.Bytes(magicV3)
 
-	// Fingerprint header (v2 fields, then the v3 budget plan).
+	// Fingerprint header (v2 fields, then the v3 fields).
 	ww.Uint(s.fp.DocHash)
 	ww.Int(s.fp.StructBudget)
 	ww.Int(s.fp.ValueBudget)
@@ -60,14 +62,18 @@ func (s *Synopsis) WriteTo(w io.Writer) (int64, error) {
 	ww.Int(int(s.fp.BuiltAtUnix))
 	ww.Int(int(s.fp.BuildNanos))
 	ww.String(s.fp.BuildOptions)
-	ww.Int(s.fp.Plan.TotalBytes)
-	ww.Int(s.fp.Plan.StructBytes)
-	ww.Int(s.fp.Plan.ValueBytes)
-	for range planComponentSlots {
+	plan := [3]int{}
+	if s.fp.Provenance != "" {
+		plan = [3]int{s.fp.StructBudget + s.fp.ValueBudget, s.fp.StructBudget, s.fp.ValueBudget}
+	}
+	for _, v := range plan {
+		ww.Int(v)
+	}
+	for range reservedSlots {
 		ww.Int(0)
 	}
-	ww.String(string(s.fp.Plan.Provenance))
-	ww.String(s.fp.Plan.WorkloadFingerprint)
+	ww.String(string(s.fp.Provenance))
+	ww.String(s.fp.WorkloadFingerprint)
 
 	// Term dictionary.
 	ww.Uint(uint64(s.dict.Len()))
@@ -111,9 +117,9 @@ func (s *Synopsis) WriteTo(w io.Writer) (int64, error) {
 
 // ReadSynopsis deserializes a synopsis written by WriteTo. All format
 // versions decode: v1 files yield a zero fingerprint, v2 files carry
-// their build identity with a zero budget plan (unknown provenance),
-// v3 files carry the full plan. Unknown versions fail with
-// ErrSynopsisVersion.
+// their build identity with an empty provenance (unknown), v3 files
+// add the provenance and workload fingerprint. Unknown versions fail
+// with ErrSynopsisVersion.
 func ReadSynopsis(r io.Reader) (*Synopsis, error) {
 	rr := wire.NewReader(r)
 	// In-memory readers self-report their size (wire.NewReader detects
@@ -141,14 +147,11 @@ func ReadSynopsis(r io.Reader) (*Synopsis, error) {
 		fp.BuildNanos = int64(rr.Int())
 		fp.BuildOptions = rr.String()
 		if string(head) == string(magicV3) {
-			fp.Plan.TotalBytes = rr.Int()
-			fp.Plan.StructBytes = rr.Int()
-			fp.Plan.ValueBytes = rr.Int()
-			for range planComponentSlots {
+			for range 3 + reservedSlots {
 				rr.Int()
 			}
-			fp.Plan.Provenance = Provenance(rr.String())
-			fp.Plan.WorkloadFingerprint = rr.String()
+			fp.Provenance = Provenance(rr.String())
+			fp.WorkloadFingerprint = rr.String()
 		}
 		if err := rr.Err(); err != nil {
 			return nil, fmt.Errorf("core: ReadSynopsis: header: %w", err)

@@ -210,6 +210,99 @@ func TestCodecV1Golden(t *testing.T) {
 	}
 }
 
+// v3Golden names the version-3 fixtures TestCodecV3Golden pins: the
+// figure1 reference synopsis, a static build at Bstr = Bval = 256, and
+// the same build stamped with workload provenance.
+var v3Golden = []string{"reference", "static", "workload"}
+
+const (
+	goldenWorkloadFP = "00c0ffee00c0ffee"
+	goldenGeneration = 3
+	goldenBuiltAt    = 1700000000
+	goldenBuildNanos = 123456789
+)
+
+// v3GoldenSynopses builds the TestCodecV3Golden fixtures' synopses,
+// with a fixed generation and clock so the bytes are reproducible.
+func v3GoldenSynopses(t *testing.T) map[string]*Synopsis {
+	t.Helper()
+	ref, err := BuildReference(figure1(t), ReferenceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	static, err := XClusterBuild(ref, BuildOptions{StructBudget: 256, ValueBudget: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workload := static.Clone()
+	out := map[string]*Synopsis{"reference": ref, "static": static, "workload": workload}
+	for _, s := range out {
+		fp := s.Fingerprint()
+		fp.Generation, fp.BuiltAtUnix, fp.BuildNanos = goldenGeneration, goldenBuiltAt, goldenBuildNanos
+		s.SetFingerprint(fp)
+	}
+	fp := workload.Fingerprint()
+	fp.Provenance, fp.WorkloadFingerprint = ProvenanceWorkload, goldenWorkloadFP
+	workload.SetFingerprint(fp)
+	return out
+}
+
+// TestCodecV3Golden decodes the checked-in version-3 fixtures and
+// re-encodes them: the fingerprint fields must decode as written and
+// the re-encoding must reproduce the committed bytes, so the header
+// layout cannot drift. Regenerate the fixtures with
+// GOLDEN_UPDATE=1 go test -run V3Golden.
+func TestCodecV3Golden(t *testing.T) {
+	if os.Getenv("GOLDEN_UPDATE") != "" {
+		for name, s := range v3GoldenSynopses(t) {
+			var buf bytes.Buffer
+			if _, err := s.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			path := "testdata/synopsis_v3_" + name + ".bin"
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("wrote %s (%d bytes)", path, buf.Len())
+		}
+	}
+	for _, name := range v3Golden {
+		raw, err := os.ReadFile("testdata/synopsis_v3_" + name + ".bin")
+		if err != nil {
+			t.Fatalf("missing golden fixture (regenerate with GOLDEN_UPDATE=1): %v", err)
+		}
+		s, err := ReadSynopsis(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: v3 fixture no longer decodes: %v", name, err)
+		}
+		fp := s.Fingerprint()
+		if fp.DocHash == 0 || fp.Generation != goldenGeneration || fp.BuiltAtUnix != goldenBuiltAt || fp.BuildNanos != goldenBuildNanos {
+			t.Fatalf("%s: identity fields lost: %+v", name, fp)
+		}
+		var bstr, bval int
+		var prov Provenance
+		var wfp string
+		switch name {
+		case "static":
+			bstr, bval, prov = 256, 256, ProvenanceStatic
+		case "workload":
+			bstr, bval, prov, wfp = 256, 256, ProvenanceWorkload, goldenWorkloadFP
+		}
+		if fp.StructBudget != bstr || fp.ValueBudget != bval ||
+			fp.Provenance != prov || fp.WorkloadFingerprint != wfp {
+			t.Fatalf("%s: decoded fingerprint %+v, want budgets %d/%d provenance %q workload %q",
+				name, fp, bstr, bval, prov, wfp)
+		}
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), raw) {
+			t.Fatalf("%s: re-encoding changed the bytes (%d vs %d)", name, buf.Len(), len(raw))
+		}
+	}
+}
+
 func TestCodecFingerprintRoundTrip(t *testing.T) {
 	tr := figure1(t)
 	ref, err := BuildReference(tr, ReferenceOptions{})

@@ -422,7 +422,7 @@ func (b *builder) memoStore(u, v NodeID, c *mergeCand) {
 // pairs that can still come up. It only bothers once the table clearly
 // outgrew the live pair population.
 func (b *builder) memoSweep() {
-	if b.memo == nil || len(b.memo) <= 8*b.opts.PairWindow*len(b.s.nodes) {
+	if b.memo == nil || len(b.memo) <= 8*pairWindow*len(b.s.nodes) {
 		return
 	}
 	for k := range b.memo {

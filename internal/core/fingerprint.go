@@ -9,13 +9,31 @@ import (
 	"xcluster/internal/xmltree"
 )
 
+// Provenance records how a synopsis's struct/value budget split was
+// chosen.
+type Provenance string
+
+const (
+	// ProvenanceStatic marks explicitly configured budgets (the classic
+	// Bstr/Bval pair).
+	ProvenanceStatic Provenance = "static"
+	// ProvenanceAuto marks a split chosen by the sample-workload search
+	// of AutoAllocate (the paper's Section 4.3 sketch).
+	ProvenanceAuto Provenance = "auto"
+	// ProvenanceWorkload marks a split chosen by the same search,
+	// scored on the live WorkloadProfile's query shapes
+	// (internal/budget).
+	ProvenanceWorkload Provenance = "workload"
+)
+
 // Fingerprint is a synopsis's build identity: which document it
 // summarizes (a structural hash), under which budgets and build
-// options, and in which rebuild generation. It is stamped by
-// BuildReference (doc hash) and XClusterBuildContext (budgets, build
-// time), carried through Clone, serialized in the versioned codec
-// header, and reported by the serving layer so operators can tell at a
-// glance whether the resident synopsis matches the resident document.
+// options (the budget split's provenance included), and in which
+// rebuild generation. It is stamped by BuildReference (doc hash) and
+// XClusterBuildContext (budgets, build time), carried through Clone,
+// serialized in the versioned codec header, and reported by the
+// serving layer so operators can tell at a glance whether the resident
+// synopsis matches the resident document.
 //
 // The zero Fingerprint marks a synopsis of unknown provenance (built
 // before fingerprinting, or decoded from a version-1 file).
@@ -42,13 +60,14 @@ type Fingerprint struct {
 	// BuildNanos is the wall time of the build (reference construction
 	// excluded for XClusterBuildContext; 0 when unknown).
 	BuildNanos int64 `json:"build_nanos,omitempty"`
-	// Plan is the resolved BudgetPlan the compression ran under:
-	// StructBudget/ValueBudget above mirror its group totals, and the
-	// plan adds the provenance (static | auto | workload) and the
-	// WorkloadProfile fingerprint of an adaptive plan. It is stamped by XClusterBuildContext and serialized in
-	// version-3 files; a synopsis restored from a v1/v2 file has a
-	// zero Plan (unknown provenance).
-	Plan BudgetPlan `json:"plan,omitzero"`
+	// Provenance tells where the budget split came from (static,
+	// auto or workload; empty when unknown: the reference synopsis,
+	// and artifacts decoded from v1/v2 files). WorkloadFingerprint is
+	// the fingerprint of the WorkloadProfile a workload split was
+	// searched on (empty otherwise). Both are serialized in version-3
+	// files.
+	Provenance          Provenance `json:"provenance,omitempty"`
+	WorkloadFingerprint string     `json:"workload_fingerprint,omitempty"`
 }
 
 // IsZero reports whether the fingerprint carries no provenance (legacy
@@ -62,10 +81,10 @@ func (f Fingerprint) String() string {
 		return "unfingerprinted (pre-v2 artifact)"
 	}
 	s := fmt.Sprintf("doc=%016x gen=%d bstr=%d bval=%d", f.DocHash, f.Generation, f.StructBudget, f.ValueBudget)
-	if p := f.Plan; !p.IsZero() && p.Provenance != ProvenanceStatic {
-		s += " plan=" + string(p.Provenance)
-		if p.WorkloadFingerprint != "" {
-			s += " workload=" + p.WorkloadFingerprint
+	if f.Provenance != "" && f.Provenance != ProvenanceStatic {
+		s += " provenance=" + string(f.Provenance)
+		if f.WorkloadFingerprint != "" {
+			s += " workload=" + f.WorkloadFingerprint
 		}
 	}
 	if f.BuiltAtUnix != 0 {

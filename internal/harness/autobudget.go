@@ -16,17 +16,17 @@ import (
 // AutoBudgetRow compares one structural/value split of a unified budget.
 type AutoBudgetRow struct {
 	Dataset string `json:"dataset"`
-	// Split is the human label; Provenance classifies the row the way
-	// BudgetPlan does: static (fixed split), auto (sample-guided
-	// search) or workload (the same search, scored on the profiled
-	// shapes of the sample).
+	// Split is the human label; Provenance is the synopsis
+	// fingerprint's: static (fixed split), auto (sample-guided search)
+	// or workload (the same search, scored on the profiled shapes of
+	// the sample).
 	Split      string `json:"split"`
 	Provenance string `json:"provenance"`
 	Bstr       int    `json:"bstr_bytes"`
 	Bval       int    `json:"bval_bytes"`
-	// Plan carries the workload row's plan, with the fingerprint of
-	// the profile it was searched on; fixed and auto rows omit it.
-	Plan *core.BudgetPlan `json:"plan,omitempty"`
+	// WorkloadFingerprint is the fingerprint of the profile the
+	// workload row was searched on; fixed and auto rows omit it.
+	WorkloadFingerprint string `json:"workload_fingerprint,omitempty"`
 	// Overall is the average relative error on the held-out workload
 	// (queries never shown to either search).
 	Overall float64 `json:"overall_err"`
@@ -35,7 +35,7 @@ type AutoBudgetRow struct {
 // AutoBudgetExperiment exercises the Section 4.3 future-work extension:
 // given one total budget, it compares three ways of splitting it —
 // fixed structural/value fractions, the split chosen by
-// core.AutoAllocate on the sample queries, and the plan an adaptive
+// core.AutoAllocate on the sample queries, and the split an adaptive
 // rebuild would choose after serving the sample (budget.Plan on the
 // profiler's shapes, the same function the serving layer runs). Both
 // searches see every fourth workload query (the "sample workload" of
@@ -64,23 +64,20 @@ func AutoBudgetExperiment(d *Dataset, cfg Config) ([]AutoBudgetRow, error) {
 
 	var rows []AutoBudgetRow
 	addRow := func(label string, s *core.Synopsis) {
-		plan := s.Fingerprint().Plan
-		row := AutoBudgetRow{
-			Dataset:    d.Name,
-			Split:      label,
-			Provenance: string(plan.Provenance),
-			Bstr:       plan.StructBudget(),
-			Bval:       plan.ValueBudget(),
-			Overall:    scoreOn(holdout, s),
-		}
-		if plan.Provenance == core.ProvenanceWorkload {
-			row.Plan = &plan
-		}
-		rows = append(rows, row)
+		fp := s.Fingerprint()
+		rows = append(rows, AutoBudgetRow{
+			Dataset:             d.Name,
+			Split:               label,
+			Provenance:          string(fp.Provenance),
+			Bstr:                fp.StructBudget,
+			Bval:                fp.ValueBudget,
+			WorkloadFingerprint: fp.WorkloadFingerprint,
+			Overall:             scoreOn(holdout, s),
+		})
 	}
 
-	// Fixed splits. The 50/50 row's plan is the one the adaptive row
-	// inherits, as a rebuild of a 50/50 synopsis would.
+	// Fixed splits. The 50/50 row's fingerprint is the one the adaptive
+	// row inherits, as a rebuild of a 50/50 synopsis would.
 	var baseline *core.Synopsis
 	for _, frac := range []float64{0.1, 0.3, 0.5} {
 		bstr := int(frac * float64(total))
@@ -96,7 +93,7 @@ func AutoBudgetExperiment(d *Dataset, cfg Config) ([]AutoBudgetRow, error) {
 		addRow(fmt.Sprintf("fixed %2.0f%% struct", frac*100), s)
 	}
 
-	s, _, _, err := core.AutoAllocate(d.Ref, total,
+	s, _, err := core.AutoAllocate(context.Background(), d.Ref, total,
 		func(s *core.Synopsis) float64 { return scoreOn(sample, s) },
 		core.BuildOptions{})
 	if err != nil {
@@ -113,7 +110,7 @@ func AutoBudgetExperiment(d *Dataset, cfg Config) ([]AutoBudgetRow, error) {
 		prof.Record(at, q.Q, q.Q.String(), 0, 0, 0, false)
 	}
 	_, ws, err := budget.Plan(context.Background(), budget.Inputs{
-		Inherited:           baseline.Fingerprint().Plan,
+		Inherited:           baseline.Fingerprint(),
 		WorkloadFingerprint: prof.Fingerprint(at),
 		Shapes:              prof.Representatives(),
 	}, d.Ref, d.Tree, core.BuildOptions{})

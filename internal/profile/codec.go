@@ -20,11 +20,13 @@ const ProfileVersion = 1
 var ErrProfileVersion = errors.New("profile: unsupported workload profile version")
 
 // Profile is the versioned, persistable WorkloadProfile artifact: a
-// Snapshot plus identity. It is the contract a workload-adaptive
-// rebuild consumes — exported at GET /admin/workload/export, parsed
-// back with Parse, and identified by Fingerprint (also stamped into
-// rebuild SwapEvents, so a swap records the workload mix that was live
-// when it happened).
+// Snapshot plus identity, exported at GET /admin/workload/export and
+// parsed back with Parse. It is an audit record: an operator saves it
+// to archive or diff the traffic mix, and its Fingerprint is the one
+// stamped into rebuild SwapEvents and onto the fingerprint of a
+// workload-split synopsis, so a saved profile names the traffic a
+// rebuild was planned on. Adaptive rebuilds do not read it; they score
+// on Profiler.Representatives.
 type Profile struct {
 	Version        int   `json:"version"`
 	CapturedAtUnix int64 `json:"captured_at_unix"`

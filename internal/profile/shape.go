@@ -4,8 +4,9 @@
 // shapes in a space-saving top-K frequency table, tracks per-shape and
 // per-class rates over a trailing window, latency, and selectivity, and
 // joins the accuracy monitor's per-class error into a traffic×error
-// "pain" score — the workload side of the accuracy loop that a
-// workload-adaptive budget allocator consumes. Snapshots render at
+// "pain" score — the workload side of the accuracy loop. Its
+// per-shape representatives are the sample a workload-adaptive rebuild
+// scores its budget split on. Snapshots render at
 // GET /debug/workload, mirror into xcluster_workload_* Prometheus
 // series at scrape time, and persist as a versioned WorkloadProfile
 // JSON artifact (codec.go).

@@ -24,11 +24,11 @@ func WithAdaptiveBudget() Option {
 func (s *Service) AdaptiveBudget() bool { return s.adaptiveBudget }
 
 // planAdaptive runs budget.Plan for a rebuild that would otherwise
-// build under inherited: it searches the split of inherited's total on
-// the live profile's shapes, with ground truth from the resident
+// build at inherited's budgets: it searches the split of their total
+// on the live profile's shapes, with ground truth from the resident
 // document, and records the inputs and decision for GET /debug/budget.
-// It returns the synopsis built under the decided plan.
-func (s *Service) planAdaptive(ctx context.Context, ref *core.Synopsis, inherited core.BudgetPlan, opts core.BuildOptions) (*core.Synopsis, error) {
+// It returns the synopsis built at the decided split.
+func (s *Service) planAdaptive(ctx context.Context, ref *core.Synopsis, inherited core.Fingerprint, opts core.BuildOptions) (*core.Synopsis, error) {
 	in := budget.Inputs{
 		Inherited:           inherited,
 		WorkloadFingerprint: s.prof.Fingerprint(time.Now()),
@@ -46,17 +46,18 @@ func (s *Service) planAdaptive(ctx context.Context, ref *core.Synopsis, inherite
 }
 
 // BudgetResponse is the body of GET /debug/budget: the serving
-// generation's plan and realized split, and the planning run behind
-// the last adaptive rebuild.
+// generation's fingerprint and realized split, and the planning run
+// behind the last adaptive rebuild.
 type BudgetResponse struct {
 	// Adaptive reports whether WithAdaptiveBudget is configured (drift
 	// rebuilds plan automatically).
 	Adaptive bool `json:"adaptive"`
-	// Current is the plan the serving synopsis was built under (zero
-	// for legacy artifacts built before plans existed).
-	Current core.BudgetPlan `json:"current,omitzero"`
+	// Current is the serving synopsis's fingerprint: the budgets it
+	// was built under and their provenance (zero for legacy v1
+	// artifacts).
+	Current core.Fingerprint `json:"current,omitzero"`
 	// Actual is the serving synopsis's realized byte split, for
-	// planned-vs-actual comparison against Current.
+	// planned-vs-actual comparison against Current's budgets.
 	Actual core.ByteSplit `json:"actual"`
 	// LastInputs and LastDecision are the planning run behind the most
 	// recent adaptive rebuild of this process (absent before the first).
@@ -69,7 +70,7 @@ func (s *Service) BudgetReport() BudgetResponse {
 	sl := s.cur.Load()
 	resp := BudgetResponse{
 		Adaptive: s.adaptiveBudget,
-		Current:  sl.syn.Fingerprint().Plan,
+		Current:  sl.syn.Fingerprint(),
 		Actual:   sl.syn.Split(),
 	}
 	s.planMu.Lock()
@@ -78,17 +79,23 @@ func (s *Service) BudgetReport() BudgetResponse {
 	return resp
 }
 
-// syncBudgetGauges mirrors the serving plan and realized split into
-// xcluster_budget_* series at scrape time.
+// syncBudgetGauges mirrors the serving budgets and realized split into
+// xcluster_budget_* series at scrape time. The planned budgets read 0
+// when the provenance is unknown (the reference synopsis, v1/v2
+// artifacts).
 func (s *Service) syncBudgetGauges() {
 	r := s.reg
 	sl := s.cur.Load()
-	plan := sl.syn.Fingerprint().Plan
+	fp := sl.syn.Fingerprint()
 	split := sl.syn.Split()
-	r.Gauge("xcluster_budget_plan_total_bytes", "").Set(float64(plan.TotalBytes))
+	bstr, bval := 0, 0
+	if fp.Provenance != "" {
+		bstr, bval = fp.StructBudget, fp.ValueBudget
+	}
+	r.Gauge("xcluster_budget_plan_total_bytes", "").Set(float64(bstr + bval))
 	for _, prov := range []core.Provenance{core.ProvenanceStatic, core.ProvenanceAuto, core.ProvenanceWorkload} {
 		v := 0.0
-		if plan.Provenance == prov {
+		if fp.Provenance == prov {
 			v = 1
 		}
 		r.Gauge("xcluster_budget_plan_provenance", `provenance="`+string(prov)+`"`).Set(v)
@@ -97,8 +104,8 @@ func (s *Service) syncBudgetGauges() {
 		component       string
 		planned, actual int
 	}{
-		{"struct", plan.StructBudget(), split.NodeBytes + split.EdgeBytes},
-		// A plan splits only structure from values, so the value
+		{"struct", bstr, split.NodeBytes + split.EdgeBytes},
+		// The budgets split only structure from values, so the value
 		// components are never planned individually.
 		{"histogram", 0, split.HistogramBytes},
 		{"pst", 0, split.PSTBytes},

@@ -10,14 +10,14 @@ import (
 	"xcluster/internal/core"
 )
 
-// legacySynopsis strips the build fingerprint's budgets and plan,
+// legacySynopsis strips the build fingerprint's budgets and provenance,
 // emulating an artifact from before budgets were recorded.
 func legacySynopsis(t *testing.T) *core.Synopsis {
 	t.Helper()
 	syn := newTestSynopsis(t)
 	fp := syn.Fingerprint()
 	fp.StructBudget, fp.ValueBudget = 0, 0
-	fp.Plan = core.BudgetPlan{}
+	fp.Provenance = ""
 	syn.SetFingerprint(fp)
 	return syn
 }
@@ -55,8 +55,8 @@ func TestRebuildBudgetPrecedence(t *testing.T) {
 		}
 		// The operator override wins over Adaptive, so the plan stays
 		// static — the planner must not have re-split the total.
-		if ev.Plan == nil || ev.Plan.Provenance != core.ProvenanceStatic {
-			t.Fatalf("explicit rebuild plan = %+v, want static provenance", ev.Plan)
+		if ev.Fingerprint.Provenance != core.ProvenanceStatic {
+			t.Fatalf("explicit rebuild fingerprint = %+v, want static provenance", ev.Fingerprint)
 		}
 	})
 
@@ -109,11 +109,11 @@ func TestRebuildBudgetPrecedence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ev.Plan == nil || ev.Plan.Provenance != core.ProvenanceWorkload {
-			t.Fatalf("adaptive rebuild plan = %+v, want workload provenance", ev.Plan)
+		if ev.Fingerprint.Provenance != core.ProvenanceWorkload {
+			t.Fatalf("adaptive rebuild fingerprint = %+v, want workload provenance", ev.Fingerprint)
 		}
-		if ev.Plan.TotalBytes != 1024 {
-			t.Fatalf("planner changed the total: %d, want 1024", ev.Plan.TotalBytes)
+		if total := ev.Fingerprint.StructBudget + ev.Fingerprint.ValueBudget; total != 1024 {
+			t.Fatalf("planner changed the total: %d, want 1024", total)
 		}
 	})
 }
@@ -131,14 +131,11 @@ func TestAdaptiveRebuildSwapEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Plan == nil {
-		t.Fatal("adaptive swap event has no plan")
+	if ev.Fingerprint.Provenance != core.ProvenanceWorkload {
+		t.Fatalf("fingerprint provenance = %q, want workload", ev.Fingerprint.Provenance)
 	}
-	if ev.Plan.Provenance != core.ProvenanceWorkload {
-		t.Fatalf("plan provenance = %q, want workload", ev.Plan.Provenance)
-	}
-	if ev.Plan.WorkloadFingerprint == "" {
-		t.Fatal("plan lost its workload fingerprint")
+	if ev.Fingerprint.WorkloadFingerprint == "" {
+		t.Fatal("fingerprint lost its workload fingerprint")
 	}
 	if ev.ActualSplit == nil {
 		t.Fatal("swap event has no actual split")
@@ -148,8 +145,8 @@ func TestAdaptiveRebuildSwapEvent(t *testing.T) {
 		t.Fatalf("actual split is empty: %+v", ev.ActualSplit)
 	}
 	// The installed generation serves under the planned split.
-	if fp := svc.Synopsis().Fingerprint(); fp.Plan != *ev.Plan {
-		t.Fatalf("serving plan %+v != swap event plan %+v", fp.Plan, *ev.Plan)
+	if fp := svc.Synopsis().Fingerprint(); fp != ev.Fingerprint {
+		t.Fatalf("serving fingerprint %+v != swap event fingerprint %+v", fp, ev.Fingerprint)
 	}
 
 	// The planning run is recorded for /debug/budget.
@@ -158,9 +155,10 @@ func TestAdaptiveRebuildSwapEvent(t *testing.T) {
 		t.Fatal("budget report lost the last planning run")
 	}
 	if rep.Current.Provenance != core.ProvenanceWorkload {
-		t.Fatalf("budget report current plan = %+v", rep.Current)
+		t.Fatalf("budget report current fingerprint = %+v", rep.Current)
 	}
-	if len(rep.LastInputs.Shapes) == 0 || rep.LastDecision.Plan != *ev.Plan {
+	if d := rep.LastDecision; len(rep.LastInputs.Shapes) == 0 ||
+		d.StructBudget != ev.Fingerprint.StructBudget || d.ValueBudget != ev.Fingerprint.ValueBudget {
 		t.Fatalf("budget report inputs/decision do not match the swap: %+v / %+v", rep.LastInputs, rep.LastDecision)
 	}
 }
@@ -192,20 +190,23 @@ func TestAdaptiveRebuildInstallsSearchedSynopsis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Plan == nil || ev.Plan.Provenance != core.ProvenanceWorkload || ev.Build == nil {
+	if ev.Fingerprint.Provenance != core.ProvenanceWorkload || ev.Build == nil {
 		t.Fatalf("adaptive swap event = %+v", ev)
 	}
 	ref, err := core.BuildReference(tree, core.ReferenceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := *ev.Plan
-	want, err := core.XClusterBuild(ref, core.BuildOptions{Plan: &plan})
+	fp := ev.Fingerprint
+	want, err := core.XClusterBuild(ref, core.BuildOptions{StructBudget: fp.StructBudget, ValueBudget: fp.ValueBudget})
 	if err != nil {
 		t.Fatal(err)
 	}
+	wfp := want.Fingerprint()
+	wfp.Provenance, wfp.WorkloadFingerprint = fp.Provenance, fp.WorkloadFingerprint
+	want.SetFingerprint(wfp)
 	if got := stableCodec(t, svc.Synopsis()); !bytes.Equal(got, stableCodec(t, want)) {
-		t.Fatalf("installed synopsis differs from XClusterBuild at %v", plan)
+		t.Fatalf("installed synopsis differs from XClusterBuild at %d/%d", fp.StructBudget, fp.ValueBudget)
 	}
 }
 
@@ -215,13 +216,14 @@ func TestAdaptiveRebuildInstallsSearchedSynopsis(t *testing.T) {
 func TestAdaptiveRebuildIdleKeepsInheritedSplit(t *testing.T) {
 	svc := New(newTestSynopsis(t), WithDocument(testTree(t)))
 	defer svc.Close()
-	before := svc.Synopsis().Fingerprint().Plan
+	before := svc.Synopsis().Fingerprint()
 	ev, err := svc.Rebuild(context.Background(), RebuildOptions{Adaptive: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.Plan == nil || *ev.Plan != before {
-		t.Fatalf("idle adaptive rebuild plan = %+v, want the inherited %+v", ev.Plan, before)
+	if fp := ev.Fingerprint; fp.StructBudget != before.StructBudget || fp.ValueBudget != before.ValueBudget ||
+		fp.Provenance != before.Provenance || fp.WorkloadFingerprint != before.WorkloadFingerprint {
+		t.Fatalf("idle adaptive rebuild fingerprint = %+v, want the inherited split of %+v", fp, before)
 	}
 	d := svc.BudgetReport().LastDecision
 	if d == nil || !d.Held || !strings.Contains(d.Reason, "no tracked query shapes") {

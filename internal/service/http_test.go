@@ -625,8 +625,8 @@ func TestHTTPBudgetAndAdaptiveRebuild(t *testing.T) {
 	if err := json.Unmarshal(raw, &ev); err != nil {
 		t.Fatal(err)
 	}
-	if ev.Plan == nil || ev.Plan.Provenance != core.ProvenanceWorkload {
-		t.Fatalf("HTTP adaptive rebuild plan = %+v", ev.Plan)
+	if ev.Fingerprint.Provenance != core.ProvenanceWorkload {
+		t.Fatalf("HTTP adaptive rebuild fingerprint = %+v", ev.Fingerprint)
 	}
 
 	var rep service.BudgetResponse

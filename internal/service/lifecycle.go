@@ -67,11 +67,10 @@ type SwapEvent struct {
 	// Build carries the construction statistics when the swap came from
 	// a Rebuild (nil for reloads, whose synopsis was built elsewhere).
 	Build *core.BuildStats `json:"build,omitempty"`
-	// Plan is the budget plan the installed generation was built under
-	// (provenance included; nil for legacy artifacts that carry none).
-	// ActualSplit is the realized byte split, so every swap records
-	// planned versus actual.
-	Plan        *core.BudgetPlan `json:"plan,omitempty"`
+	// Fingerprint is the installed generation's build identity: its
+	// budgets and their provenance. ActualSplit is the realized byte
+	// split, so every swap records planned versus actual.
+	Fingerprint core.Fingerprint `json:"fingerprint"`
 	ActualSplit *core.ByteSplit  `json:"actual_split,omitempty"`
 	// WorkloadFingerprint is the workload profiler's mix fingerprint at
 	// swap time (empty when profiling is disabled), recording which
@@ -162,11 +161,9 @@ func (s *Service) install(syn *core.Synopsis, reason string, d time.Duration, bu
 		Duration:            d,
 		DurationString:      d.String(),
 		Build:               build,
+		Fingerprint:         fp,
 		ActualSplit:         &split,
 		WorkloadFingerprint: s.prof.Fingerprint(time.Now()),
-	}
-	if plan := fp.Plan; !plan.IsZero() {
-		ev.Plan = &plan
 	}
 	if s.onSwap != nil {
 		s.onSwap(ev)
@@ -331,7 +328,7 @@ func (s *Service) StartRebuild(opts RebuildOptions) error {
 //
 //  1. Explicit RebuildOptions budgets: an operator override beats
 //     everything, including adaptive planning.
-//  2. Adaptive plan: with opts.Adaptive set and no explicit budgets,
+//  2. Adaptive split: with opts.Adaptive set and no explicit budgets,
 //     budget.Plan re-splits the total inherited from steps 3–5 by
 //     searching on the live workload profile's shapes.
 //  3. The serving fingerprint's budgets (rebuild what was built).
@@ -366,11 +363,11 @@ func (s *Service) rebuild(ctx context.Context, opts RebuildOptions, t0 time.Time
 	bopts := core.BuildOptions{Workers: s.buildWorkers, Metrics: s.reg, Stats: &st}
 	var built *core.Synopsis
 	if adaptive {
-		// Keep the serving plan (provenance included, for hysteresis)
-		// when it is the inherited split.
-		inherited := cur.Fingerprint().Plan
-		if inherited.StructBytes != bstr || inherited.ValueBytes != bval {
-			inherited = core.PlanFromBudgets(bstr, bval)
+		// Keep the serving fingerprint (provenance included, for
+		// hysteresis) when its budgets are the inherited split.
+		inherited := cur.Fingerprint()
+		if inherited.StructBudget != bstr || inherited.ValueBudget != bval {
+			inherited = core.Fingerprint{StructBudget: bstr, ValueBudget: bval, Provenance: core.ProvenanceStatic}
 		}
 		built, err = s.planAdaptive(ctx, ref, inherited, bopts)
 	} else {

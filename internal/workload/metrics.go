@@ -11,23 +11,16 @@ import (
 // Estimator bound to a synopsis).
 type EstimateFunc func(*query.Query) float64
 
-// RelError returns the absolute relative error |c − e| / max(c, sanity)
-// of one estimate, the paper's per-query accuracy metric. It delegates
-// to internal/accuracy, the metric's single implementation shared with
-// the online monitor.
-func RelError(trueSel, est, sanity float64) float64 {
-	return accuracy.RelError(trueSel, est, sanity)
-}
-
-// AvgRelError returns the average absolute relative error of the
-// estimator over the queries, with the given sanity bound.
+// AvgRelError returns the average absolute relative error
+// (accuracy.RelError, the paper's per-query metric) of the estimator
+// over the queries, with the given sanity bound.
 func AvgRelError(qs []Query, est EstimateFunc, sanity float64) float64 {
 	if len(qs) == 0 {
 		return 0
 	}
 	total := 0.0
 	for _, q := range qs {
-		total += RelError(q.True, est(q.Q), sanity)
+		total += accuracy.RelError(q.True, est(q.Q), sanity)
 	}
 	return total / float64(len(qs))
 }

@@ -104,19 +104,6 @@ func TestSanityBound(t *testing.T) {
 	}
 }
 
-func TestRelError(t *testing.T) {
-	if got := RelError(100, 90, 10); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("RelError = %g", got)
-	}
-	// Sanity bound caps the contribution of tiny counts.
-	if got := RelError(1, 11, 10); math.Abs(got-1.0) > 1e-12 {
-		t.Fatalf("RelError with sanity = %g", got)
-	}
-	if got := RelError(0, 0, 0); got != 0 {
-		t.Fatalf("RelError(0,0,0) = %g", got)
-	}
-}
-
 func TestEvaluatePerfectEstimator(t *testing.T) {
 	tr := testTree(t)
 	w, _ := Generate(tr, Options{Seed: 3, PerClass: 10})

@@ -17,17 +17,6 @@ func WithValueBudget(n int) Option {
 	return func(o *Options) { o.ValueBudget = n }
 }
 
-// WithBudgetPlan supplies the budgets as a first-class BudgetPlan
-// instead of the two raw ints: the plan's Bstr/Bval drive the build, a
-// non-zero value split steers per-kind value compression, and the
-// plan's provenance and workload fingerprint are stamped into the
-// synopsis fingerprint. Setting WithStructBudget/WithValueBudget
-// alongside a disagreeing plan is a build error. A plan synthesized
-// with PlanFromBudgets behaves bit-for-bit like the raw ints.
-func WithBudgetPlan(p BudgetPlan) Option {
-	return func(o *Options) { o.BudgetPlan = &p }
-}
-
 // WithValuePaths restricts value summarization to the given root label
 // paths (e.g. "/dblp/author/paper/year"). Without it every value-bearing
 // path is summarized.

@@ -93,11 +93,6 @@ type Options struct {
 	// ValueBudget is the byte budget for value summaries (histograms,
 	// pruned suffix trees, end-biased term histograms).
 	ValueBudget int
-	// BudgetPlan, when set, supplies both budgets (and their
-	// provenance) as one first-class plan; see
-	// WithBudgetPlan. Raw budgets set alongside a disagreeing plan are
-	// rejected.
-	BudgetPlan *BudgetPlan
 	// ValuePaths restricts value summarization to the given root label
 	// paths (e.g. "/dblp/author/paper/year"). Nil summarizes every
 	// value-bearing path.
@@ -214,20 +209,6 @@ func Compress(ref *Synopsis, structBudget, valueBudget int, opts ...Option) (*Sy
 }
 
 func compressContext(ctx context.Context, ref *Synopsis, structBudget, valueBudget int, cfg Options) (*Synopsis, error) {
-	if p := cfg.BudgetPlan; p != nil {
-		// A plan supplies the budgets the raw arguments left unset; a
-		// genuine disagreement is rejected by the builder.
-		norm, err := p.Normalize()
-		if err != nil {
-			return nil, err
-		}
-		if structBudget == 0 {
-			structBudget = norm.StructBudget()
-		}
-		if valueBudget == 0 {
-			valueBudget = norm.ValueBudget()
-		}
-	}
 	if structBudget <= 0 {
 		return nil, fmt.Errorf("%w: structural budget %d must be positive", ErrBudgetTooSmall, structBudget)
 	}
@@ -237,7 +218,6 @@ func compressContext(ctx context.Context, ref *Synopsis, structBudget, valueBudg
 	return core.XClusterBuildContext(ctx, ref, core.BuildOptions{
 		StructBudget: structBudget,
 		ValueBudget:  valueBudget,
-		Plan:         cfg.BudgetPlan,
 		Workers:      cfg.BuildWorkers,
 		Progress:     cfg.BuildProgress,
 		Metrics:      cfg.BuildMetrics,
@@ -308,13 +288,16 @@ func AutoBuild(t *Tree, totalBudget int, sample []*Query, opts ...Option) (*Syno
 		return accuracy.Avg(exact, ests, 1)
 	}
 	cfg := applyOptions(opts)
-	s, bstr, _, err := core.AutoAllocate(ref, totalBudget, score, core.BuildOptions{
+	s, _, err := core.AutoAllocate(context.Background(), ref, totalBudget, score, core.BuildOptions{
 		Workers:  cfg.BuildWorkers,
 		Progress: cfg.BuildProgress,
 		Metrics:  cfg.BuildMetrics,
 		Stats:    cfg.BuildStats,
 	})
-	return s, bstr, err
+	if err != nil {
+		return nil, 0, err
+	}
+	return s, s.Fingerprint().StructBudget, nil
 }
 
 // WriteSynopsis serializes a synopsis (graph, dictionary, and value
@@ -334,37 +317,24 @@ func ReadSynopsis(r io.Reader) (*Synopsis, error) {
 }
 
 // Fingerprint is a synopsis's build identity — source-document hash,
-// byte budgets, the resolved BudgetPlan, build options, generation
+// byte budgets and how their split was chosen (Provenance, plus the
+// workload fingerprint of a workload split), build options, generation
 // counter, and build time — carried in the serialized format and
 // stamped by the builders. Access it with Synopsis.Fingerprint.
 type Fingerprint = core.Fingerprint
 
-// BudgetPlan is a first-class byte-budget decision: one total budget,
-// its split across the synopsis's storage components (node/edge and
-// histogram/PST/term-histogram), the split's provenance (static, auto,
-// or workload), and — for workload-derived plans — the fingerprint of
-// the WorkloadProfile it was computed from. Supply one with
-// WithBudgetPlan; PlanFromBudgets converts the legacy Bstr/Bval pair.
-type BudgetPlan = core.BudgetPlan
-
-// Provenance records how a BudgetPlan was chosen: static (configured
-// budgets), auto (sample-workload search), or workload (the same
-// search on a live workload profile).
+// Provenance records how a synopsis's struct/value budget split was
+// chosen: static (configured budgets), auto (sample-workload search,
+// AutoBuild), or workload (the same search on a live workload
+// profile). It is Fingerprint.Provenance; empty means unknown.
 type Provenance = core.Provenance
 
-// The plan provenances.
+// The budget provenances.
 const (
 	ProvenanceStatic   = core.ProvenanceStatic
 	ProvenanceAuto     = core.ProvenanceAuto
 	ProvenanceWorkload = core.ProvenanceWorkload
 )
-
-// PlanFromBudgets synthesizes a static BudgetPlan from the legacy
-// structural/value byte-budget pair; building under it is bit-for-bit
-// identical to passing the raw budgets.
-func PlanFromBudgets(structBudget, valueBudget int) BudgetPlan {
-	return core.PlanFromBudgets(structBudget, valueBudget)
-}
 
 // WriteDOT renders the synopsis as a Graphviz digraph for visual
 // inspection of the structure-value clustering.

@@ -212,7 +212,7 @@ func TestAutoBuildScorerUnchanged(t *testing.T) {
 	for i, q := range sample {
 		exact[i] = ev.Selectivity(q)
 	}
-	want, wantBstr, _, err := core.AutoAllocate(ref, total, func(s *core.Synopsis) float64 {
+	want, _, err := core.AutoAllocate(context.Background(), ref, total, func(s *core.Synopsis) float64 {
 		est := core.NewEstimator(s)
 		sum := 0.0
 		for i, q := range sample {
@@ -227,6 +227,7 @@ func TestAutoBuildScorerUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantBstr := want.Fingerprint().StructBudget
 	// 5194 is the split the hand-written scorer picks on this fixture.
 	if bstr != wantBstr || bstr != 5194 {
 		t.Fatalf("AutoBuild chose Bstr %d, the hand-written scorer %d (pinned 5194)", bstr, wantBstr)
