@@ -88,6 +88,25 @@ func TestGenerateNegative(t *testing.T) {
 	}
 }
 
+// TestRelError checks that the workload scorer charges each query the
+// paper's per-query relative error: on a one-query workload,
+// AvgRelError is that query's error with the sanity bound applied.
+func TestRelError(t *testing.T) {
+	cases := []struct{ truth, est, sanity, want float64 }{
+		{100, 90, 10, 0.1}, // 10% under
+		{1, 11, 10, 1},     // sanity bound caps a tiny count's error
+		{0, 0, 0, 0},       // empty and exact, no sanity bound
+	}
+	for _, c := range cases {
+		qs := []Query{{True: c.truth}}
+		est := func(*query.Query) float64 { return c.est }
+		if got := AvgRelError(qs, est, c.sanity); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("AvgRelError(truth %g, est %g, sanity %g) = %g, want %g",
+				c.truth, c.est, c.sanity, got, c.want)
+		}
+	}
+}
+
 func TestSanityBound(t *testing.T) {
 	w := &Workload{}
 	for i := 1; i <= 100; i++ {
