@@ -5,9 +5,12 @@
 # internal/service depend on -race to mean anything) and the full suite,
 # including the slow harness experiment sweeps, without it — then vet
 # and the smoke test of the benchmark module, the fuzz seed corpora and
-# the benchmark smoke runs. `make check` runs this script.
+# the benchmark smoke runs (the estimate-path benchmarks, including the
+# cold-compile and prepared-execute pair, once each). `make check` runs
+# this script.
 #
 # The allocation pins (internal/core TestEstimateCacheHitAllocs,
+# TestCompileAllocs and TestLRUPutFullRecycles' allocation check,
 # internal/service TestServiceEstimateCacheHitAllocs, internal/query
 # TestStringAllocs) run in the plain pass only: the race detector's
 # instrumentation allocates, so under -race they skip themselves
@@ -60,10 +63,14 @@ go test -run=Fuzz ./...
 
 # The estimate-path benchmarks run once each, so they cannot rot:
 # internal/service BenchmarkEstimateTelemetry (bare, default,
-# SLO-sampled-out and traced telemetry) and internal/catalog
+# SLO-sampled-out and traced telemetry), internal/catalog
 # BenchmarkHandlerEstimateHot (one cached POST /estimate through the
-# daemon's handler). Timing itself lives in bench/ and `go test -bench`.
+# daemon's handler), and the root package's BenchmarkEstimateCold (both
+# caches off: every call compiles) and BenchmarkPrepared (execute only),
+# whose ratio is the compile cost. Timing itself lives in bench/ and
+# `go test -bench`.
 go test -run '^$' -bench 'EstimateTelemetry|HandlerEstimateHot' -benchtime 1x ./internal/service ./internal/catalog
+go test -run '^$' -bench 'EstimateCold$|Prepared$' -benchtime 1x .
 
 # Machine-readable benchmark artifact, kept at the repo root for
 # comparison across revisions: the budget-allocation experiment (fixed

@@ -46,3 +46,61 @@ func TestEstimateCacheHitAllocs(t *testing.T) {
 		}
 	}
 }
+
+// compileAllocs is the measured allocation count of one cold estimate
+// (both caches off: canonicalize, compile, execute) per planQueries
+// entry, on the reference and the merged planEstimators synopsis. The
+// canonical string is one allocation and execution none, so the rest
+// is compilation: the plan, its roots and subproblem array (3), each
+// subproblem's terms and kid indices, and whatever the value summaries
+// allocate to estimate a predicate. Before label-indexed lowering and
+// the dense frontier accumulator the same estimates took 13–83
+// allocations each (reference) and 13–56 (merged).
+var compileAllocs = map[string][2]float64{
+	"//paper":                              {5, 5},
+	"//paper/title":                        {5, 5},
+	"/dblp/author/paper/year":              {5, 5},
+	"//author//title":                      {5, 5},
+	"//*":                                  {5, 5},
+	"//*/year":                             {5, 5},
+	"//author/*/title":                     {5, 5},
+	"//paper[year>2000]":                   {7, 7},
+	"//paper[year range(1999,2001)]/title": {9, 8},
+	"//title[contains(Tree)]":              {5, 6},
+	"//paper[abstract ftcontains(xml,synopsis)]":          {7, 7},
+	"//keywords[ftsim(1,xml,quantum)]":                    {7, 7},
+	"//paper[abstract ftsim(2,xml,synopsis)]":             {9, 9},
+	"//author[./paper[year>2001]][./paper/keywords]/name": {12, 11},
+	"//author[.//title[contains(Book)]]":                  {7, 8},
+	"//nosuchtag":                                         {4, 4},
+	"//paper[year>2999]":                                  {6, 6},
+	"//paper[title contains(zzzznothing)]":                {8, 7},
+	"//book[foreword ftcontains(database)]/title":         {8, 8},
+	"//author[name contains(Author)]//year":               {12, 9},
+}
+
+// TestCompileAllocs pins the allocation cost of the cache-miss path:
+// every planQueries entry, estimated with both caches off, stays within
+// two allocations of its measured count (compileAllocs).
+func TestCompileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ests := planEstimators(t)
+	for i, name := range []string{"reference", "merged"} {
+		est := ests[name]
+		est.SetCacheCapacity(0)
+		est.SetPlanCacheCapacity(0)
+		for _, s := range planQueries {
+			want, ok := compileAllocs[s]
+			if !ok {
+				t.Fatalf("%q has no measured allocation count in compileAllocs", s)
+			}
+			q := query.MustParse(s)
+			est.Selectivity(q) // fill the compiler and execution pools
+			if n := testing.AllocsPerRun(100, func() { est.Selectivity(q) }); n > want[i]+2 {
+				t.Errorf("%s: cold %q: %v allocs, want ≤%v (measured %v)", name, s, n, want[i]+2, want[i])
+			}
+		}
+	}
+}

@@ -98,9 +98,11 @@ func (c *lruCache[V]) get(key string) (V, bool) {
 }
 
 // put inserts key → val stamped with the current epoch, evicting the
-// least recently used entry when the cache is full. Concurrent puts of
-// the same key are idempotent (both goroutines computed the same
-// deterministic value).
+// least recently used entry when the cache is full. The eviction
+// recycles the victim's list element and entry for the new key, so a
+// put into a full cache allocates nothing. Concurrent puts of the same
+// key are idempotent (both goroutines computed the same deterministic
+// value).
 func (c *lruCache[V]) put(key string, val V) {
 	now := c.epoch.Load()
 	c.mu.Lock()
@@ -112,14 +114,17 @@ func (c *lruCache[V]) put(key string, val V) {
 		ent.epoch = now
 		return
 	}
-	el := c.ll.PushFront(&cacheEntry[V]{key: key, val: val, epoch: now})
-	c.items[key] = el
-	if c.ll.Len() > c.capacity {
-		last := c.ll.Back()
-		c.ll.Remove(last)
-		delete(c.items, last.Value.(*cacheEntry[V]).key)
+	if c.ll.Len() >= c.capacity {
+		el := c.ll.Back()
+		ent := el.Value.(*cacheEntry[V])
+		delete(c.items, ent.key)
+		*ent = cacheEntry[V]{key: key, val: val, epoch: now}
+		c.ll.MoveToFront(el)
+		c.items[key] = el
 		c.evictions.Add(1)
+		return
 	}
+	c.items[key] = c.ll.PushFront(&cacheEntry[V]{key: key, val: val, epoch: now})
 }
 
 // purge eagerly drops every entry (stale entries would otherwise only be

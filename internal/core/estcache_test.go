@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -38,5 +40,56 @@ func TestLRUEvictionCounter(t *testing.T) {
 	c.purge()
 	if st := c.stats(); st.Evictions != 1 {
 		t.Fatalf("evictions after purge = %d, want 1", st.Evictions)
+	}
+}
+
+// TestLRUPutFullRecycles pins eviction by recycling: a put into a full
+// cache reuses the least recently used entry for the new key, so it
+// allocates nothing, and the LRU order, the victim and the eviction
+// count are those of evict-then-insert.
+func TestLRUPutFullRecycles(t *testing.T) {
+	var epoch atomic.Uint64
+	c := newLRUCache[int](3, &epoch)
+	order := func() []string {
+		var ks []string
+		for el := c.ll.Front(); el != nil; el = el.Next() {
+			ks = append(ks, el.Value.(*cacheEntry[int]).key)
+		}
+		return ks
+	}
+	c.put("a", 1)
+	c.put("b", 2)
+	c.put("c", 3)
+	c.get("a")    // order: a c b
+	c.put("d", 4) // evicts b
+	if got, want := order(), []string{"d", "a", "c"}; !slices.Equal(got, want) {
+		t.Fatalf("LRU order = %v, want %v", got, want)
+	}
+	if _, ok := c.get("b"); ok {
+		t.Fatal("victim b still cached")
+	}
+	if v, ok := c.get("d"); !ok || v != 4 {
+		t.Fatalf("get(d) = %v, %v; want 4, true", v, ok)
+	}
+	if st := c.stats(); st.Evictions != 1 || st.Len != 3 {
+		t.Fatalf("stats = %+v, want 1 eviction, len 3", st)
+	}
+	if raceEnabled {
+		return // allocation counts are not meaningful under the race detector
+	}
+	keys := make([]string, 64)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	i := 0
+	n := testing.AllocsPerRun(1000, func() {
+		c.put(keys[i%len(keys)], i)
+		i++
+	})
+	if n != 0 {
+		t.Errorf("put into a full cache: %v allocs, want 0", n)
+	}
+	if st := c.stats(); st.Len != 3 {
+		t.Errorf("len after churn = %d, want 3", st.Len)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"xcluster/internal/query"
@@ -53,6 +54,16 @@ type Estimator struct {
 	// proper-descendant elements per cluster, per element of the node,
 	// id-sorted. Precomputed for every node at construction; immutable.
 	desc map[NodeID][]weight
+	// labelOf is the label index: the dense id of each cluster's label,
+	// indexed by NodeID (-1 where no cluster has the id), with labelIDs
+	// mapping each label to its id. Compilation resolves a step's label
+	// test to one id through it, so testing a cluster is one slice
+	// compare. Built at construction; immutable.
+	labelOf  []int32
+	labelIDs map[string]int32
+	// scratch pools compiler working memory (*compiler), allocated on
+	// first use.
+	scratch sync.Pool
 	// cache memoizes full query results by canonical query string; nil
 	// when disabled.
 	cache *lruCache[float64]
@@ -85,13 +96,14 @@ const DefaultPlanCacheCapacity = 256
 // NewEstimator returns an estimator over the synopsis, ready to be
 // shared across goroutines. Construction precomputes the
 // descendant-closure vectors of every node (the work Selectivity
-// previously redid lazily per estimator) and enables a result cache of
-// DefaultCacheCapacity queries.
+// previously redid lazily per estimator) and the label index, and
+// enables a result cache of DefaultCacheCapacity queries.
 func NewEstimator(s *Synopsis) *Estimator {
 	e := &Estimator{
 		s:    s,
 		kids: buildKidIndex(s),
 	}
+	e.labelOf, e.labelIDs = buildLabelIndex(s)
 	e.cache = newLRUCache[float64](DefaultCacheCapacity, &e.epoch)
 	e.plans = newLRUCache[*Plan](DefaultPlanCacheCapacity, &e.epoch)
 	e.desc = buildDescIndex(s)
@@ -165,16 +177,6 @@ func (e *Estimator) PlanCacheStats() CacheStats {
 	return e.plans.stats()
 }
 
-// PlanCacheCapacity returns the plan cache's capacity (0 when
-// disabled). Unlike PlanCacheStats it takes no lock, so it is cheap
-// enough to consult per request.
-func (e *Estimator) PlanCacheCapacity() int {
-	if e.plans == nil {
-		return 0
-	}
-	return e.plans.capacity
-}
-
 // buildKidIndex converts each node's child map into an id-sorted slice.
 func buildKidIndex(s *Synopsis) map[NodeID][]weight {
 	kids := make(map[NodeID][]weight, len(s.nodes))
@@ -192,13 +194,36 @@ func buildKidIndex(s *Synopsis) map[NodeID][]weight {
 	return kids
 }
 
+// buildLabelIndex numbers the synopsis's distinct labels and records
+// each cluster's label id in a slice indexed by NodeID.
+func buildLabelIndex(s *Synopsis) ([]int32, map[string]int32) {
+	n := 0
+	for id := range s.nodes {
+		n = max(n, int(id)+1)
+	}
+	labelOf := make([]int32, n)
+	for i := range labelOf {
+		labelOf[i] = -1
+	}
+	ids := make(map[string]int32)
+	for id, nd := range s.nodes {
+		l, ok := ids[nd.Label]
+		if !ok {
+			l = int32(len(ids))
+			ids[nd.Label] = l
+		}
+		labelOf[id] = l
+	}
+	return labelOf, ids
+}
+
 // Selectivity estimates s(Q), the expected number of binding tuples,
 // through the estimation pipeline (see pipeline). It returns 0 when the
 // query cannot be compiled — the only such query is a hand-built one
 // with a stepless variable, which the parser never produces; use
 // SelectivityContext or Prepare to see the error.
 func (e *Estimator) Selectivity(q *query.Query) float64 {
-	v, _ := e.pipeline(context.Background(), q, nil)
+	v, _ := e.pipeline(context.Background(), q, "", nil)
 	return v
 }
 
@@ -207,17 +232,20 @@ func (e *Estimator) Selectivity(q *query.Query) float64 {
 // with the compile error returned. Use it when estimates are served
 // under a request deadline.
 func (e *Estimator) SelectivityContext(ctx context.Context, q *query.Query) (float64, error) {
-	return e.pipeline(ctx, q, nil)
+	return e.pipeline(ctx, q, "", nil)
 }
 
 // pipeline is the estimation pipeline every entry point runs:
 // canonicalize (the query's canonical string, salted into the cache
-// key, is its identity in both caches), result-cache lookup, plan-cache
-// lookup, compile on a plan miss, and execute. tr, when non-nil,
-// receives one span per stage that ran plus the cache outcomes; with a
-// nil trace no timestamps are taken.
-func (e *Estimator) pipeline(ctx context.Context, q *query.Query, tr *EstimateTrace) (float64, error) {
-	canonical := q.String()
+// key, is its identity in both caches; a caller that already holds it
+// passes it as canonical, and "" means compute it), result-cache
+// lookup, plan-cache lookup, compile on a plan miss, and execute. tr,
+// when non-nil, receives one span per stage that ran plus the cache
+// outcomes; with a nil trace no timestamps are taken.
+func (e *Estimator) pipeline(ctx context.Context, q *query.Query, canonical string, tr *EstimateTrace) (float64, error) {
+	if canonical == "" {
+		canonical = q.String()
+	}
 	key := e.saltKey(canonical)
 	if tr != nil {
 		tr.Canonical = canonical

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"xcluster/internal/query"
 )
 
 // Plan is a twig query compiled against one synopsis: the executable
@@ -13,7 +15,8 @@ import (
 // selectivity once; what remains at execution time is pure float
 // arithmetic over a flat subproblem array — no maps, no label
 // comparisons, no dictionary lookups, and no allocation on the steady
-// state (the scratch buffer is pooled).
+// state (the value table comes from execScratch, one pool shared by
+// every plan).
 //
 // A Plan is bound to the synopsis and the estimator configuration
 // (UninformedSel) it was compiled under, and is immutable and safe for
@@ -43,17 +46,22 @@ type Plan struct {
 	// against; traces carry it so a swap can prove no plan outlived its
 	// generation.
 	gen uint64
-	// vals pools the execution scratch buffer (len(subs) floats).
-	vals sync.Pool
 }
+
+// execScratch pools execution value tables (*[]float64) across every
+// plan of every estimator; execute grows a table that is too short for
+// its plan. One shared pool, rather than one per plan, keeps the
+// runtime's list of pools — which every GC clears and every pool rejoins
+// on its next Get — from growing with the plan cache.
+var execScratch sync.Pool
 
 // planSub is one (query variable, origin cluster) subproblem: the
 // expected number of binding tuples of the variable's subtree per
 // element of the origin cluster, as a sum of per-frontier-node terms.
 type planSub struct {
-	// label renders the variable's edge path and predicate (explain
-	// only; execution never reads it).
-	label string
+	// v is the query variable, whose edge path and predicate describe
+	// renders (explain only; execution never reads it).
+	v *query.Node
 	// from is the origin cluster (-1 for the virtual document node).
 	from NodeID
 	// terms has one entry per frontier cluster with nonzero predicate
@@ -90,8 +98,14 @@ func (p *Plan) NumSubproblems() int { return len(p.subs) }
 // The arithmetic replays the interpreted walk operation for operation,
 // so results are bit-identical to it.
 func (p *Plan) execute(ctx context.Context) (float64, error) {
-	bufp := p.vals.Get().(*[]float64)
-	defer p.vals.Put(bufp)
+	bufp, _ := execScratch.Get().(*[]float64)
+	if bufp == nil {
+		bufp = new([]float64)
+	}
+	if len(*bufp) < len(p.subs) {
+		*bufp = make([]float64, len(p.subs))
+	}
+	defer execScratch.Put(bufp)
 	vals := *bufp
 	total := 1.0
 	for gi, r := range p.roots {
@@ -154,7 +168,7 @@ func (p *Plan) describe(s *Synopsis) string {
 		if sub.from != -1 {
 			origin = formatCluster(s, sub.from)
 		}
-		fmt.Fprintf(&sb, "  s%d: %s from %s", i, sub.label, origin)
+		fmt.Fprintf(&sb, "  s%d: %s from %s", i, varLabel(sub.v), origin)
 		if len(sub.terms) == 0 {
 			sb.WriteString(" = 0 (no reachable cluster passes)\n")
 			continue

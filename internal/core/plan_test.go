@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -161,11 +162,27 @@ func TestPlanCache(t *testing.T) {
 	if st := est.PlanCacheStats(); st.Misses != 1 || st.Hits != 2 {
 		t.Fatalf("after reuse: %+v", st)
 	}
+	// WarmPlan is one lookup: a hit here, a compile for a new shape,
+	// and either way the canonical string comes back.
+	for i, s := range []string{"//paper[year>2000]/title", "//author/name"} {
+		wq := query.MustParse(s)
+		c, err := est.WarmPlan(wq)
+		if err != nil || c != wq.String() {
+			t.Fatalf("WarmPlan(%s) = %q, %v; want %q", s, c, err, wq.String())
+		}
+		if st := est.PlanCacheStats(); st.Hits != 3 || st.Misses != uint64(1+i) {
+			t.Fatalf("after WarmPlan(%s): %+v", s, st)
+		}
+	}
 
-	// Disabling the plan cache recompiles per call and reports zeros.
+	// Disabling the plan cache recompiles per call and reports zeros;
+	// WarmPlan then only canonicalizes.
 	est.SetPlanCacheCapacity(0)
 	if _, err := est.Prepare(q); err != nil {
 		t.Fatal(err)
+	}
+	if c, err := est.WarmPlan(q); err != nil || c != q.String() {
+		t.Fatalf("uncached WarmPlan = %q, %v", c, err)
 	}
 	if st := est.PlanCacheStats(); st != (CacheStats{}) {
 		t.Fatalf("disabled plan cache reports %+v", st)
@@ -294,6 +311,72 @@ func TestReachSingleChildFastPath(t *testing.T) {
 		}
 		if got != want {
 			t.Errorf("node %d: fast-path title mass %v, wildcard-filtered %v", id, want, got)
+		}
+	}
+}
+
+// TestReachMatchesInterpreterFrontiers compares the compiler's reach —
+// the dense accumulator — with the interpreter's map-based reach
+// frontier by frontier: the same cluster ids in the same order with
+// bit-identical weights, from the document and from every cluster, over
+// step sequences covering both axes, wildcards, unknown labels and
+// multi-step paths. On the merged synopsis every edge into "title" has
+// its average count zeroed first, so frontiers carry clusters whose
+// weight is 0: a touched cluster stays in the frontier (and so becomes
+// a term and a subproblem origin) exactly as the map kept its entry.
+func TestReachMatchesInterpreterFrontiers(t *testing.T) {
+	ests := planEstimators(t)
+	zeroed := ests["merged"].Synopsis().Clone()
+	zeros := 0
+	for _, n := range zeroed.nodes {
+		for c := range n.Children {
+			if zeroed.nodes[c].Label == "title" {
+				n.Children[c] = 0
+				zeros++
+			}
+		}
+	}
+	if zeros == 0 {
+		t.Fatal("fixture has no edge into a title cluster")
+	}
+	ests["zeroed"] = NewEstimator(zeroed)
+	paths := []string{
+		"//title", "/title", "/*", "//*", "//*/title", "/*/*", "//author//title",
+		"/author/paper/title", "//nosuch", "/nosuch/title", "//paper/*", "/dblp//*/title",
+	}
+	for name, est := range ests {
+		ids := []NodeID{-1}
+		for _, n := range est.s.Nodes() {
+			ids = append(ids, n.ID)
+		}
+		zeroSeen := false
+		for _, p := range paths {
+			steps := query.MustParse(p).Roots[0].Steps
+			for _, from := range ids {
+				want := est.reach(from, steps)
+				c := est.getCompiler()
+				got := slices.Clone(c.reach(from, steps))
+				est.scratch.Put(c)
+				if !slices.Equal(got, want) {
+					t.Errorf("%s: reach(%d, %s) = %v, interpreter %v", name, from, p, got, want)
+				}
+				for _, w := range got {
+					zeroSeen = zeroSeen || w.w == 0
+				}
+			}
+		}
+		if name == "zeroed" && !zeroSeen {
+			t.Error("zeroed: no frontier carried a zero-weight cluster")
+		}
+	}
+	// The zero-weight clusters reach the plan: the compiled estimate and
+	// the explain text agree with the interpreter's frontier.
+	est := ests["zeroed"]
+	est.SetCacheCapacity(0)
+	for _, s := range []string{"//paper/title", "//author[.//title]/name", "//*[./title]"} {
+		q := query.MustParse(s)
+		if got, want := est.Selectivity(q), est.interpretedSelectivity(q); got != want {
+			t.Errorf("zeroed: Selectivity(%s) = %v, interpreter %v", s, got, want)
 		}
 	}
 }

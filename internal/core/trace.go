@@ -111,8 +111,16 @@ func (t *EstimateTrace) SpanSum() time.Duration {
 // where the time went. The trace is also returned on error, covering
 // the stages that ran.
 func (e *Estimator) SelectivityTraced(ctx context.Context, q *query.Query) (float64, *EstimateTrace, error) {
+	return e.SelectivityTracedCanonical(ctx, q, "")
+}
+
+// SelectivityTracedCanonical is SelectivityTraced for a query whose
+// canonical string, q.String(), the caller already holds (WarmPlan
+// returns it), so the pipeline does not canonicalize q again. An empty
+// canonical canonicalizes as SelectivityTraced does.
+func (e *Estimator) SelectivityTracedCanonical(ctx context.Context, q *query.Query, canonical string) (float64, *EstimateTrace, error) {
 	tr := e.newTrace()
-	v, err := e.pipeline(ctx, q, tr)
+	v, err := e.pipeline(ctx, q, canonical, tr)
 	return v, tr, err
 }
 

@@ -537,17 +537,19 @@ func (s *Service) EstimateTraced(ctx context.Context, q *query.Query) (float64, 
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
 	}
-	return s.estimateOne(ctx, s.cur.Load(), q)
+	return s.estimateOne(ctx, s.cur.Load(), q, "")
 }
 
 // estimateOne runs one traced estimate against the pinned slot and
 // records it. The caller pins the slot so one logical operation (a
 // single estimate, or a whole batch) runs coherently on one generation
-// even while a hot swap installs the next.
-func (s *Service) estimateOne(ctx context.Context, sl *slot, q *query.Query) (float64, *core.EstimateTrace, error) {
+// even while a hot swap installs the next. canonical is q's canonical
+// string when the caller already computed it (the batch warm pass), ""
+// otherwise.
+func (s *Service) estimateOne(ctx context.Context, sl *slot, q *query.Query, canonical string) (float64, *core.EstimateTrace, error) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	v, tr, err := sl.est.SelectivityTraced(ctx, q)
+	v, tr, err := sl.est.SelectivityTracedCanonical(ctx, q, canonical)
 	s.record(ctx, sl, q, tr, err)
 	return v, tr, err
 }
@@ -648,7 +650,8 @@ func (s *Service) estimateBatch(ctx context.Context, sl *slot, qs []*query.Query
 	}
 	s.batches.Inc()
 	s.batchQueries.Add(uint64(len(qs)))
-	if err := s.prepareShapes(sl, qs); err != nil {
+	canonicals, err := s.prepareShapes(sl, qs)
+	if err != nil {
 		return out, trs, err
 	}
 	workers := s.workers
@@ -657,7 +660,7 @@ func (s *Service) estimateBatch(ctx context.Context, sl *slot, qs []*query.Query
 	}
 	if workers <= 1 {
 		for i, q := range qs {
-			v, tr, err := s.estimateOne(ctx, sl, q)
+			v, tr, err := s.estimateOne(ctx, sl, q, canonicals[i])
 			trs[i] = tr
 			if err != nil {
 				return out, trs, fmt.Errorf("service: query %d: %w", i, err)
@@ -682,7 +685,7 @@ func (s *Service) estimateBatch(ctx context.Context, sl *slot, qs []*query.Query
 				if i >= len(qs) || stop.Load() {
 					return
 				}
-				v, tr, err := s.estimateOne(ctx, sl, qs[i])
+				v, tr, err := s.estimateOne(ctx, sl, qs[i], canonicals[i])
 				trs[i] = tr
 				if err != nil {
 					errMu.Lock()
@@ -702,21 +705,24 @@ func (s *Service) estimateBatch(ctx context.Context, sl *slot, qs []*query.Query
 }
 
 // prepareShapes seeds the estimator's plan cache with the batch's
-// query shapes. The pass is sequential, so a repeated shape is a
+// query shapes (core.Estimator.WarmPlan: one plan-cache lookup per
+// query, compiling on a miss) and returns the queries' canonical
+// strings, which the batch's estimates reuse instead of canonicalizing
+// each query again. The pass is sequential, so a repeated shape is a
 // plan-cache hit (unless more distinct shapes than the cache holds came
 // in between) and needs no dedupe of its own. With the plan cache
-// disabled this is a no-op (per-call compilation is what the caller
-// asked for).
-func (s *Service) prepareShapes(sl *slot, qs []*query.Query) error {
-	if sl.est.PlanCacheCapacity() == 0 {
-		return nil
-	}
+// disabled it only canonicalizes (per-call compilation is what the
+// caller asked for).
+func (s *Service) prepareShapes(sl *slot, qs []*query.Query) ([]string, error) {
+	canonicals := make([]string, len(qs))
 	for i, q := range qs {
-		if _, err := sl.est.Prepare(q); err != nil {
-			return fmt.Errorf("service: query %d: %w", i, err)
+		c, err := sl.est.WarmPlan(q)
+		if err != nil {
+			return nil, fmt.Errorf("service: query %d: %w", i, err)
 		}
+		canonicals[i] = c
 	}
-	return nil
+	return canonicals, nil
 }
 
 // Drain blocks until every in-flight Estimate and EstimateBatch call

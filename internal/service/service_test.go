@@ -281,12 +281,24 @@ func TestEstimateBatchCompilesOnce(t *testing.T) {
 	if st.Hits == 0 {
 		t.Fatalf("plan cache never hit across %d repeated executions: %+v", rep*len(qs), st)
 	}
-	// A second identical batch compiles nothing new.
-	if _, err := svc.EstimateBatch(context.Background(), big); err != nil {
+	// Each query costs exactly two plan-cache lookups: one in the warm
+	// pass and one when its estimate misses the (disabled) result cache.
+	if got := st.Hits + st.Misses; got != uint64(2*len(big)) {
+		t.Fatalf("plan-cache lookups = %d, want %d (2 per query)", got, 2*len(big))
+	}
+	// A second identical batch compiles nothing new, and every estimate
+	// carries its own query's canonical string from the warm pass.
+	_, trs, err := svc.EstimateBatchTraced(context.Background(), big)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if after := svc.Stats().PlanCache; after.Misses != st.Misses {
 		t.Fatalf("second batch recompiled: misses %d -> %d", st.Misses, after.Misses)
+	}
+	for i, tr := range trs {
+		if want := big[i].String(); tr.Canonical != want || tr.CanonicalHash != core.CanonicalHash(want) {
+			t.Fatalf("batch[%d] traced as %q (hash %x), want %q", i, tr.Canonical, tr.CanonicalHash, want)
+		}
 	}
 
 	// With the plan cache disabled the batch still answers correctly.
