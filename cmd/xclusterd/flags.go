@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"xcluster/internal/catalog"
 )
 
 // config is the validated daemon configuration.
@@ -12,7 +14,6 @@ type config struct {
 	synPath        string
 	catalogPath    string
 	addr           string
-	workers        int
 	timeout        time.Duration
 	cache          int
 	planCap        int
@@ -47,12 +48,27 @@ const usageLine = "usage: xclusterd -syn syn.bin | -catalog manifest.json [-addr
 // goes to out.
 func parseFlags(args []string, out io.Writer) (*config, error) {
 	c := &config{}
+	fs := newFlagSet(c, out)
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := c.validate(set); err != nil {
+		fmt.Fprintf(out, "xclusterd: %v\n%s\n", err, usageLine)
+		return nil, err
+	}
+	return c, nil
+}
+
+// newFlagSet registers every daemon flag, bound to c's fields, on a
+// fresh flag set that reports to out.
+func newFlagSet(c *config, out io.Writer) *flag.FlagSet {
 	fs := flag.NewFlagSet("xclusterd", flag.ContinueOnError)
 	fs.SetOutput(out)
 	fs.StringVar(&c.synPath, "syn", "", "serialized synopsis to serve (see xcluster build -o; this or -catalog is required)")
 	fs.StringVar(&c.catalogPath, "catalog", "", "multi-tenant catalog manifest (JSON; serves one shard per (tenant, collection) entry)")
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&c.workers, "workers", 0, "batch worker goroutines (default GOMAXPROCS)")
 	fs.DurationVar(&c.timeout, "timeout", 5*time.Second, "per-request estimation deadline (0 disables)")
 	fs.IntVar(&c.cache, "cache", 0, "query-result cache capacity (default 1024, negative disables)")
 	fs.IntVar(&c.planCap, "plancache", 0, "compiled-plan cache capacity (default 256, negative disables)")
@@ -75,16 +91,7 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 	fs.Float64Var(&c.sloAvailability, "slo-availability", 0, "availability objective in (0,1), e.g. 0.999 (0 disables; manifest shard entries override)")
 	fs.DurationVar(&c.sloLatency, "slo-latency", 0, "latency objective per estimate, e.g. 50ms (0 disables; manifest shard entries override)")
 	fs.Float64Var(&c.sloLatencyTarget, "slo-latency-target", 0, "fraction of requests that must beat -slo-latency (default 0.99; requires -slo-latency)")
-	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := c.validate(set); err != nil {
-		fmt.Fprintf(out, "xclusterd: %v\n%s\n", err, usageLine)
-		return nil, err
-	}
-	return c, nil
+	return fs
 }
 
 // validate rejects nonsensical configurations with a clear usage error.
@@ -116,8 +123,11 @@ func (c *config) validate(set map[string]bool) error {
 	if set["bval"] && c.bval <= 0 {
 		return fmt.Errorf("-bval must be a positive byte budget, got %d", c.bval)
 	}
-	if c.workers < 0 {
-		return fmt.Errorf("-workers must be non-negative, got %d", c.workers)
+	if c.cache > catalog.MaxCacheCapacity {
+		return fmt.Errorf("-cache must be at most %d, got %d", catalog.MaxCacheCapacity, c.cache)
+	}
+	if c.planCap > catalog.MaxCacheCapacity {
+		return fmt.Errorf("-plancache must be at most %d, got %d", catalog.MaxCacheCapacity, c.planCap)
 	}
 	if c.timeout < 0 {
 		return fmt.Errorf("-timeout must be non-negative, got %v", c.timeout)
@@ -131,8 +141,8 @@ func (c *config) validate(set map[string]bool) error {
 	if c.shadowDeadline <= 0 {
 		return fmt.Errorf("-shadow-deadline must be positive, got %v", c.shadowDeadline)
 	}
-	if c.shadowWorkers < 0 {
-		return fmt.Errorf("-shadow-workers must be non-negative, got %d", c.shadowWorkers)
+	if c.shadowWorkers < 0 || c.shadowWorkers > catalog.MaxShadowWorkers {
+		return fmt.Errorf("-shadow-workers must be in [0,%d], got %d", catalog.MaxShadowWorkers, c.shadowWorkers)
 	}
 	if c.rebuildOnDrift && c.docPath == "" {
 		return fmt.Errorf("-rebuild-on-drift requires -doc (the document to rebuild from)")

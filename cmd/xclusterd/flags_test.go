@@ -53,7 +53,9 @@ func TestParseFlagsRejections(t *testing.T) {
 		{"shadow rate without doc", []string{"-syn", "s", "-shadow-rate", "0.5"}, "requires -doc"},
 		{"zero shadow deadline", []string{"-syn", "s", "-shadow-deadline", "0"}, "-shadow-deadline must be positive"},
 		{"negative shadow deadline", []string{"-syn", "s", "-shadow-deadline", "-1s"}, "-shadow-deadline must be positive"},
-		{"negative workers", []string{"-syn", "s", "-workers", "-2"}, "-workers must be non-negative"},
+		{"cache over cap", []string{"-syn", "s", "-cache", "100000000"}, "-cache must be at most"},
+		{"plan cache over cap", []string{"-catalog", "m.json", "-plancache", "100000000"}, "-plancache must be at most"},
+		{"shadow workers over cap", []string{"-syn", "s", "-shadow-workers", "100000"}, "-shadow-workers must be in [0,"},
 		{"negative timeout", []string{"-syn", "s", "-timeout", "-1s"}, "-timeout must be non-negative"},
 		{"drift without doc", []string{"-syn", "s", "-rebuild-on-drift"}, "requires -doc"},
 		{"adaptive budget without doc", []string{"-syn", "s", "-adaptive-budget"}, "requires -doc"},

@@ -44,7 +44,7 @@
 // manifest file's directory, so a manifest can travel with its
 // artifacts. Per-shard settings (document, shadow sampling, rebuild
 // budgets, cache sizes) come from the manifest in catalog mode;
-// server-wide flags (-timeout, -slowquery, -workers, -cache defaults)
+// server-wide flags (-timeout, -slowquery, -cache/-plancache defaults)
 // apply to every shard.
 //
 // Each served synopsis is a hot-swappable generation. SIGHUP or POST
@@ -154,6 +154,29 @@ func resolvePath(baseDir, path string) string {
 	return filepath.Join(baseDir, path)
 }
 
+// Server timeouts. A request must arrive in full within readTimeout
+// (its headers within readHeaderTimeout), and an idle keep-alive
+// connection is closed after idleTimeout.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer returns the daemon's HTTP server for one listener. It sets
+// no WriteTimeout: a synchronous POST /admin/rebuild answers only after
+// the rebuild, which runs for seconds, and a write deadline would cut
+// its response off.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	cfg, err := parseFlags(os.Args[1:], os.Stderr)
 	if err != nil {
@@ -238,9 +261,6 @@ func main() {
 					logger.Info("synopsis swapped", args...)
 				}),
 			}
-			if cfg.workers > 0 {
-				opts = append(opts, service.WithWorkers(cfg.workers))
-			}
 			if cfg.cache != 0 {
 				opts = append(opts, service.WithCacheCapacity(cfg.cache))
 			}
@@ -304,7 +324,7 @@ func main() {
 		pprofMux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		pprofMux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pprofMux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		pprofSrv := &http.Server{Addr: cfg.pprofAddr, Handler: pprofMux, ReadHeaderTimeout: 5 * time.Second}
+		pprofSrv := newServer(cfg.pprofAddr, pprofMux)
 		logger.Info("pprof listening", "addr", cfg.pprofAddr)
 		go func() {
 			if err := pprofSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -334,11 +354,7 @@ func main() {
 		}
 	}()
 
-	srv := &http.Server{
-		Addr:              cfg.addr,
-		Handler:           cat.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := newServer(cfg.addr, cat.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -384,8 +400,8 @@ func main() {
 		// listener closes.
 		cat.BeginShutdown()
 		// Stop accepting and wait for in-flight HTTP handlers, then
-		// drain every shard's estimation work (EstimateBatch workers,
-		// shadow pools), all under the one -drain deadline.
+		// drain every shard's estimation work (in-flight estimates and
+		// batches, shadow pools), all under the one -drain deadline.
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			logger.Error("shutdown incomplete", "error", err)
 		}

@@ -134,7 +134,7 @@ func New(cfg Config) (*Catalog, error) {
 		cfg:     cfg,
 		reg:     obs.NewRegistry(),
 		tenants: make(map[string]*tenantState),
-		traces:  obs.NewTraceStore(0, 0),
+		traces:  obs.NewTraceStore(),
 		runtime: obs.NewRuntimeSampler(),
 	}
 	c.reg.Help("xcluster_catalog_shards", "Attached shards in the catalog.")

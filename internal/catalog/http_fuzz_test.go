@@ -61,6 +61,7 @@ func FuzzCatalogHTTP(f *testing.F) {
 		{"GET", "/admin/catalog", "", "", ""},
 		{"POST", "/admin/catalog/attach", "", "", `{"tenant":"globex","collection":"wiki","synopsis":"mem:globex/wiki"}`},
 		{"POST", "/admin/catalog/attach", "", "", `{"tenant":"bad name","collection":"x","synopsis":"s"}`},
+		{"POST", "/admin/catalog/attach", "", "", `{"tenant":"globex","collection":"big","synopsis":"mem:globex/big","cache":100000000,"plan_cache":100000000}`},
 		{"POST", "/admin/catalog/detach", "", "", `{"tenant":"acme","collection":"docs"}`},
 		{"GET", "/admin/catalog/route", "tenant=acme&key=doc-42", "", ""},
 		{"GET", "/metrics", "", "", ""},

@@ -190,10 +190,16 @@ func TestHTTPAdminCatalog(t *testing.T) {
 	if w.Code != http.StatusConflict {
 		t.Fatalf("duplicate attach status %d", w.Code)
 	}
-	// Invalid spec is a 400.
-	w = postJSON(t, h, "/admin/catalog/attach", `{"tenant":"bad name","collection":"x","synopsis":"s"}`, nil)
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("invalid attach status %d", w.Code)
+	// Invalid spec is a 400, and so are sizes above the caps.
+	for _, body := range []string{
+		`{"tenant":"bad name","collection":"x","synopsis":"s"}`,
+		`{"tenant":"globex","collection":"big","synopsis":"mem:globex/big","cache":100000000}`,
+		`{"tenant":"globex","collection":"big","synopsis":"mem:globex/big","plan_cache":100000000}`,
+		`{"tenant":"globex","collection":"big","synopsis":"mem:globex/big","shadow_workers":100000}`,
+	} {
+		if w = postJSON(t, h, "/admin/catalog/attach", body, nil); w.Code != http.StatusBadRequest {
+			t.Fatalf("attach %s: status %d, want 400", body, w.Code)
+		}
 	}
 
 	// Routing reaches the new shard.

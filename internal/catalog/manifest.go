@@ -13,6 +13,18 @@ import (
 // nameMaxLen bounds tenant and collection names.
 const nameMaxLen = 128
 
+// Bounds on the sizes a manifest or an attach request can set. Both
+// caches are rebuilt on every hot swap, and each shadow worker is a
+// goroutine, so an unbounded value from outside could exhaust memory.
+const (
+	// MaxCacheCapacity bounds a shard's result and plan cache
+	// capacities (cache, plan_cache; xclusterd -cache, -plancache).
+	MaxCacheCapacity = 1 << 20
+	// MaxShadowWorkers bounds a shard's shadow evaluation goroutines
+	// (shadow_workers; xclusterd -shadow-workers).
+	MaxShadowWorkers = 64
+)
+
 // ValidName reports whether s is a legal tenant or collection name:
 // 1-128 characters from [A-Za-z0-9._-], starting with a letter or
 // digit. The restriction keeps names safe to embed verbatim in
@@ -51,13 +63,15 @@ type ShardSpec struct {
 	StructBudget int `json:"struct_budget,omitempty"`
 	ValueBudget  int `json:"value_budget,omitempty"`
 	// Cache and PlanCache size the shard's result and plan caches
-	// (0: service defaults; negative: disabled). Each shard owns its
-	// caches, so one tenant's traffic can never evict another's entries.
+	// (0: service defaults; negative: disabled; at most
+	// MaxCacheCapacity). Each shard owns its caches, so one tenant's
+	// traffic can never evict another's entries.
 	Cache     int `json:"cache,omitempty"`
 	PlanCache int `json:"plan_cache,omitempty"`
 	// ShadowRate, ShadowWorkers and ShadowDeadlineMS configure the
 	// shard's private shadow-sampling budget (rate in (0,1] requires
-	// Document). A noisy tenant exhausts only its own shadow queue.
+	// Document; at most MaxShadowWorkers workers). A noisy tenant
+	// exhausts only its own shadow queue.
 	ShadowRate       float64 `json:"shadow_rate,omitempty"`
 	ShadowWorkers    int     `json:"shadow_workers,omitempty"`
 	ShadowDeadlineMS int     `json:"shadow_deadline_ms,omitempty"`
@@ -114,14 +128,17 @@ func (sp ShardSpec) validate() error {
 	if sp.StructBudget < 0 || sp.ValueBudget < 0 {
 		return fmt.Errorf("catalog: shard %s/%s: negative budget", sp.Tenant, sp.Collection)
 	}
+	if sp.Cache > MaxCacheCapacity || sp.PlanCache > MaxCacheCapacity {
+		return fmt.Errorf("catalog: shard %s/%s: cache and plan_cache must be at most %d", sp.Tenant, sp.Collection, MaxCacheCapacity)
+	}
 	if sp.ShadowRate < 0 || sp.ShadowRate > 1 {
 		return fmt.Errorf("catalog: shard %s/%s: shadow_rate %g outside [0,1]", sp.Tenant, sp.Collection, sp.ShadowRate)
 	}
 	if sp.ShadowRate > 0 && sp.Document == "" {
 		return fmt.Errorf("catalog: shard %s/%s: shadow_rate requires document", sp.Tenant, sp.Collection)
 	}
-	if sp.ShadowWorkers < 0 {
-		return fmt.Errorf("catalog: shard %s/%s: negative shadow_workers", sp.Tenant, sp.Collection)
+	if sp.ShadowWorkers < 0 || sp.ShadowWorkers > MaxShadowWorkers {
+		return fmt.Errorf("catalog: shard %s/%s: shadow_workers %d outside [0,%d]", sp.Tenant, sp.Collection, sp.ShadowWorkers, MaxShadowWorkers)
 	}
 	if sp.ShadowDeadlineMS < 0 {
 		return fmt.Errorf("catalog: shard %s/%s: negative shadow_deadline_ms", sp.Tenant, sp.Collection)

@@ -61,6 +61,10 @@ func TestParseManifestRejections(t *testing.T) {
 		{"rebuild without document", `{"shards": [{"tenant":"a","collection":"c","synopsis":"s","rebuild_on_drift":true}]}`, "requires document"},
 		{"adaptive budget without document", `{"shards": [{"tenant":"a","collection":"c","synopsis":"s","adaptive_budget":true}]}`, "adaptive_budget requires document"},
 		{"negative budget", `{"shards": [{"tenant":"a","collection":"c","synopsis":"s","struct_budget":-1}]}`, "negative budget"},
+		{"cache over cap", `{"shards": [{"tenant":"a","collection":"c","synopsis":"s","cache":100000000}]}`, "must be at most"},
+		{"plan cache over cap", `{"shards": [{"tenant":"a","collection":"c","synopsis":"s","plan_cache":1048577}]}`, "must be at most"},
+		{"shadow workers over cap", `{"shards": [{"tenant":"a","collection":"c","synopsis":"s","shadow_workers":65}]}`, "shadow_workers 65 outside"},
+		{"negative shadow workers", `{"shards": [{"tenant":"a","collection":"c","synopsis":"s","shadow_workers":-1}]}`, "shadow_workers -1 outside"},
 		{"negative workers", `{"scatter_workers": -2, "shards": [{"tenant":"a","collection":"c","synopsis":"s"}]}`, "negative scatter_workers"},
 		{"half default", `{"default_tenant":"a","shards": [{"tenant":"a","collection":"c","synopsis":"s"}]}`, "set together"},
 		{"default missing", `{"default_tenant":"x","default_collection":"y","shards": [{"tenant":"a","collection":"c","synopsis":"s"}]}`, "not declared"},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"xcluster/internal/obs"
 	"xcluster/internal/query"
@@ -50,7 +51,8 @@ type ScatterResult struct {
 func (r *ScatterResult) Complete() bool { return len(r.Errors) == 0 }
 
 // ScatterEstimate fans qs out to every collection of the tenant on a
-// bounded worker pool and sums the per-shard selectivities. The gather
+// bounded worker pool (ScatterWorkers goroutines, one shard's batch at
+// a time each) and sums the per-shard selectivities. The gather
 // is deadline-aware: when ctx expires, shards that have not answered
 // are reported with reason "deadline" and the partial aggregate over
 // the shards that did answer is returned — a stuck shard delays the
@@ -80,16 +82,19 @@ func (c *Catalog) ScatterEstimate(ctx context.Context, tenant string, qs []*quer
 	// Buffered for the full fan-out: a worker finishing after the
 	// deadline still completes its send and exits.
 	answers := make(chan answer, len(shards))
-	work := make(chan int)
-	workers := c.cfg.ScatterWorkers
-	if workers > len(shards) {
-		workers = len(shards)
-	}
+	// Workers claim shards by index and stop claiming once ctx ends, so
+	// a shard not started before the deadline never runs.
+	var next atomic.Int64
+	workers := min(c.cfg.ScatterWorkers, len(shards))
 	// Workers are not waited on: a straggler past the deadline finishes
 	// its estimate, completes its buffered send, and exits on its own.
 	for w := 0; w < workers; w++ {
 		go func() {
-			for idx := range work {
+			for {
+				idx := int(next.Add(1)) - 1
+				if idx >= len(shards) || ctx.Err() != nil {
+					return
+				}
 				sh := shards[idx]
 				if sh.draining.Load() {
 					answers <- answer{idx: idx, err: service.ErrShardDraining}
@@ -115,16 +120,6 @@ func (c *Catalog) ScatterEstimate(ctx context.Context, tenant string, qs []*quer
 			}
 		}()
 	}
-	go func() {
-		defer close(work)
-		for i := range shards {
-			select {
-			case work <- i:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
 
 	// Gather until every shard reported or the deadline fired.
 	answered := make([]*answer, len(shards))

@@ -3,6 +3,7 @@ package catalog
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,11 +11,12 @@ import (
 	"xcluster/internal/service"
 )
 
-// scatterFixture attaches three collections for one tenant and returns
-// the catalog plus the shards by collection.
-func scatterFixture(t *testing.T) (*Catalog, map[string]*Shard) {
+// scatterFixture attaches three collections for one tenant to a catalog
+// configured by cfg and returns the catalog plus the shards by
+// collection.
+func scatterFixture(t *testing.T, cfg Config) (*Catalog, map[string]*Shard) {
 	t.Helper()
-	c := newTestCatalog(t, Config{},
+	c := newTestCatalog(t, cfg,
 		spec("acme", "docs"),
 		spec("acme", "mail"),
 		spec("acme", "wiki"),
@@ -31,7 +33,7 @@ func scatterFixture(t *testing.T) (*Catalog, map[string]*Shard) {
 }
 
 func TestScatterAggregatesAcrossShards(t *testing.T) {
-	c, shards := scatterFixture(t)
+	c, shards := scatterFixture(t, Config{})
 	qs := parseWorkload(t)
 
 	// Sum in sorted collection order — the same order the gather uses —
@@ -69,7 +71,7 @@ func TestScatterAggregatesAcrossShards(t *testing.T) {
 }
 
 func TestScatterUnknownTenant(t *testing.T) {
-	c, _ := scatterFixture(t)
+	c, _ := scatterFixture(t, Config{})
 	if _, err := c.ScatterEstimate(context.Background(), "nobody", parseWorkload(t)); !errors.Is(err, service.ErrUnknownTenant) {
 		t.Fatalf("scatter for unknown tenant = %v, want ErrUnknownTenant", err)
 	}
@@ -80,7 +82,7 @@ func TestScatterUnknownTenant(t *testing.T) {
 // healthy shards, the failed one is reported with its reason, and the
 // call as a whole succeeds.
 func TestScatterPartialFailure(t *testing.T) {
-	c, shards := scatterFixture(t)
+	c, shards := scatterFixture(t, Config{})
 	qs := parseWorkload(t)
 	shards["mail"].estimateBatch = func(ctx context.Context, qs []*query.Query) ([]float64, error) {
 		return nil, errors.New("injected shard fault")
@@ -129,7 +131,7 @@ func TestScatterPartialFailure(t *testing.T) {
 // comes back as soon as the context expires, with the stuck shard
 // reported as a deadline failure.
 func TestScatterDeadline(t *testing.T) {
-	c, shards := scatterFixture(t)
+	c, shards := scatterFixture(t, Config{})
 	qs := parseWorkload(t)
 	release := make(chan struct{})
 	defer close(release)
@@ -163,7 +165,7 @@ func TestScatterDeadline(t *testing.T) {
 }
 
 func TestScatterDrainingShardReported(t *testing.T) {
-	c, shards := scatterFixture(t)
+	c, shards := scatterFixture(t, Config{})
 	shards["docs"].draining.Store(true)
 	defer shards["docs"].draining.Store(false)
 
@@ -180,7 +182,7 @@ func TestScatterDrainingShardReported(t *testing.T) {
 }
 
 func TestScatterAllShardsFailed(t *testing.T) {
-	c, shards := scatterFixture(t)
+	c, shards := scatterFixture(t, Config{})
 	for _, sh := range shards {
 		sh.estimateBatch = func(ctx context.Context, qs []*query.Query) ([]float64, error) {
 			return nil, errors.New("injected total outage")
@@ -195,5 +197,73 @@ func TestScatterAllShardsFailed(t *testing.T) {
 	}
 	if got := c.scatterTotal["failed"].Value(); got != 1 {
 		t.Fatalf("failed counter = %d, want 1", got)
+	}
+}
+
+// TestScatterOneWorkerSerializes: with a one-goroutine scatter pool the
+// shards' batches run one after another, never overlapping, and every
+// shard still answers.
+func TestScatterOneWorkerSerializes(t *testing.T) {
+	c, shards := scatterFixture(t, Config{ScatterWorkers: 1})
+	var running, overlaps, calls atomic.Int64
+	for _, sh := range shards {
+		estimate := sh.estimateBatch
+		sh.estimateBatch = func(ctx context.Context, qs []*query.Query) ([]float64, error) {
+			if running.Add(1) > 1 {
+				overlaps.Add(1)
+			}
+			defer running.Add(-1)
+			calls.Add(1)
+			time.Sleep(10 * time.Millisecond) // widen any overlap window
+			return estimate(ctx, qs)
+		}
+	}
+	res, err := c.ScatterEstimate(context.Background(), "acme", parseWorkload(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete() || len(res.Collections) != 3 {
+		t.Fatalf("collections = %v, errors = %+v; want all 3 answering", res.Collections, res.Errors)
+	}
+	if n := calls.Load(); n != 3 {
+		t.Fatalf("estimateBatch ran %d times, want 3", n)
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Fatalf("%d estimateBatch calls overlapped with one scatter worker", n)
+	}
+}
+
+// TestScatterCancelledContext: a context that has already ended starts
+// no shard's batch, and every shard is reported as a deadline failure.
+// The scatter runs repeatedly so a worker that did claim a shard would
+// show up in the call count.
+func TestScatterCancelledContext(t *testing.T) {
+	c, shards := scatterFixture(t, Config{})
+	var calls atomic.Int64
+	for _, sh := range shards {
+		sh.estimateBatch = func(ctx context.Context, qs []*query.Query) ([]float64, error) {
+			calls.Add(1)
+			return make([]float64, len(qs)), nil
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	qs := parseWorkload(t)
+	for i := 0; i < 100; i++ {
+		res, err := c.ScatterEstimate(ctx, "acme", qs)
+		if err == nil {
+			t.Fatal("scatter with a cancelled context must fail the call")
+		}
+		if res == nil || len(res.Errors) != 3 || len(res.Collections) != 0 {
+			t.Fatalf("result = %+v, want all three shards in Errors", res)
+		}
+		for _, e := range res.Errors {
+			if e.Reason != ReasonDeadline {
+				t.Fatalf("shard %s reason %q, want %q", e.Collection, e.Reason, ReasonDeadline)
+			}
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("estimateBatch ran %d times under a cancelled context, want 0", n)
 	}
 }

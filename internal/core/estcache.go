@@ -64,11 +64,15 @@ type cacheEntry[V any] struct {
 	epoch uint64 // epoch counter value at insertion
 }
 
+// newLRUCache returns an empty cache holding at most capacity entries.
+// Its map grows with the entries it holds rather than being sized to
+// the capacity up front, which for a large capacity would reserve
+// gigabytes before the first entry (and again on every hot swap).
 func newLRUCache[V any](capacity int, epoch *atomic.Uint64) *lruCache[V] {
 	return &lruCache[V]{
 		capacity: capacity,
 		ll:       list.New(),
-		items:    make(map[string]*list.Element, capacity),
+		items:    make(map[string]*list.Element),
 		epoch:    epoch,
 	}
 }

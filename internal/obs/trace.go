@@ -17,13 +17,9 @@ import (
 // of recent traces per request family that additionally always retains
 // the slowest N, exposed at GET /debug/traces. Everything is stdlib.
 
-// requestIDKey and spanKey are the context keys for the request ID and
-// the active span. Distinct unexported struct types cannot collide with
-// other packages' keys.
-type (
-	requestIDKey struct{}
-	spanKey      struct{}
-)
+// spanKey is the context key for the active span. A distinct
+// unexported struct type cannot collide with other packages' keys.
+type spanKey struct{}
 
 // MaxRequestIDLen bounds accepted X-Request-ID header values; longer
 // (or non-printable) client IDs are replaced by a generated one so an
@@ -57,25 +53,14 @@ func SanitizeRequestID(id string) string {
 	return id
 }
 
-// WithRequestID returns a context carrying the request ID.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey{}, id)
-}
-
-// RequestIDFrom returns the request ID carried by ctx, or "": the
-// active span's when it has one (a traced request carries its ID only
-// on its root span), else the ID-only value WithRequestID stores.
+// RequestIDFrom returns the request ID of the active span carried by
+// ctx, or "" when ctx carries none: a request carries its ID only on
+// its spans.
 func RequestIDFrom(ctx context.Context) string {
-	return requestID(ctx, SpanFrom(ctx))
-}
-
-// requestID is RequestIDFrom with the active span already looked up.
-func requestID(ctx context.Context, sp *Span) string {
-	if sp != nil && sp.requestID != "" {
+	if sp := SpanFrom(ctx); sp != nil {
 		return sp.requestID
 	}
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
+	return ""
 }
 
 // WithSpan returns a context carrying sp as the active span.
@@ -84,9 +69,9 @@ func WithSpan(ctx context.Context, sp *Span) context.Context {
 }
 
 // SpanFrom returns the active span carried by ctx, or nil. A nil result
-// means the request is not being traced (sampled out or no middleware),
-// and callers skip span construction entirely — that single context
-// lookup is the whole tracing-off cost on the estimate hot path.
+// means the call did not come through TraceHandler (a direct Go API
+// caller), and callers skip span construction entirely — that single
+// context lookup is the whole untraced cost on the estimate hot path.
 func SpanFrom(ctx context.Context) *Span {
 	sp, _ := ctx.Value(spanKey{}).(*Span)
 	return sp
@@ -275,15 +260,15 @@ func (c child) snapshot() SpanSnapshot {
 	return out
 }
 
-// Trace-store defaults: per family, the ring of most recent completed
+// Trace-store sizes: per family, the ring of most recent completed
 // traces and the set of slowest traces ever seen, plus a cap on the
 // number of families so unknown-path 404s cannot grow the store without
 // bound.
 const (
-	DefaultTraceRecent  = 16
-	DefaultTraceSlowest = 8
-	maxTraceFamilies    = 64
-	otherTraceFamily    = "_other"
+	traceRecent      = 16
+	traceSlowest     = 8
+	maxTraceFamilies = 64
+	otherTraceFamily = "_other"
 )
 
 // traceFamily holds one request family's retained traces.
@@ -291,45 +276,28 @@ type traceFamily struct {
 	recent []*Span // ring, next % len is the write position
 	next   uint64
 	total  uint64
-	slow   []*Span // ascending by duration, at most slowCap entries
+	slow   []*Span // ascending by duration, at most traceSlowest entries
 }
 
 // TraceStore retains completed span trees grouped by family (the root
 // span's name, e.g. "POST /estimate"): a ring of the most recent per
 // family plus the slowest N per family, which survive ring turnover —
 // the traces an operator actually wants when debugging a latency SLO
-// burn. A nil *TraceStore is a valid disabled store: Record is a no-op
-// and Snapshot returns nil.
+// burn.
 type TraceStore struct {
-	recentCap int
-	slowCap   int
-
 	mu       sync.Mutex
 	families map[string]*traceFamily
 }
 
-// NewTraceStore returns a store retaining the given number of recent
-// and slowest traces per family (defaults for non-positive values).
-func NewTraceStore(recent, slowest int) *TraceStore {
-	if recent <= 0 {
-		recent = DefaultTraceRecent
-	}
-	if slowest <= 0 {
-		slowest = DefaultTraceSlowest
-	}
-	return &TraceStore{
-		recentCap: recent,
-		slowCap:   slowest,
-		families:  make(map[string]*traceFamily),
-	}
+// NewTraceStore returns a store retaining traceRecent recent and
+// traceSlowest slowest traces per family.
+func NewTraceStore() *TraceStore {
+	return &TraceStore{families: make(map[string]*traceFamily)}
 }
 
 // Record retains a finished root span. Roots beyond the family cap are
 // pooled under the "_other" family rather than dropped.
 func (ts *TraceStore) Record(root *Span) {
-	if ts == nil || root == nil {
-		return
-	}
 	d := root.Duration()
 	family := root.name
 
@@ -342,7 +310,7 @@ func (ts *TraceStore) Record(root *Span) {
 			f = ts.families[family]
 		}
 		if f == nil {
-			f = &traceFamily{recent: make([]*Span, ts.recentCap)}
+			f = &traceFamily{recent: make([]*Span, traceRecent)}
 			ts.families[family] = f
 		}
 	}
@@ -350,14 +318,14 @@ func (ts *TraceStore) Record(root *Span) {
 	f.next++
 	f.total++
 
-	// Keep the slowest slowCap traces, ascending by duration: insert in
-	// order, drop the fastest when over capacity (shifting in place so
-	// the backing array never migrates).
+	// Keep the slowest traceSlowest traces, ascending by duration:
+	// insert in order, drop the fastest when over capacity (shifting in
+	// place so the backing array never migrates).
 	i := sort.Search(len(f.slow), func(i int) bool { return f.slow[i].Duration() >= d })
 	f.slow = append(f.slow, nil)
 	copy(f.slow[i+1:], f.slow[i:])
 	f.slow[i] = root
-	if len(f.slow) > ts.slowCap {
+	if len(f.slow) > traceSlowest {
 		copy(f.slow, f.slow[1:])
 		f.slow[len(f.slow)-1] = nil
 		f.slow = f.slow[:len(f.slow)-1]
@@ -379,9 +347,6 @@ type FamilySnapshot struct {
 // under the store's lock; each tree is copied after it is released,
 // under its spans' own locks.
 func (ts *TraceStore) Snapshot() []FamilySnapshot {
-	if ts == nil {
-		return nil
-	}
 	type retained struct {
 		name         string
 		total        uint64
@@ -420,37 +385,22 @@ func (ts *TraceStore) Snapshot() []FamilySnapshot {
 // echoes it on the response before the handler runs (so error renderers
 // can read it back from the response headers), opens a root span for
 // the request carrying that ID, and records the finished tree into
-// store. The root span is the one context value a traced request gets:
+// store. The root span is the one context value a request gets:
 // RequestIDFrom reads the ID off it. The catalog's handler (the
 // daemon's one HTTP surface) is its caller; handlers below it attach
-// child spans to that root. When the context already carries an ID or a
-// span (a TraceHandler composed inside another), both are kept, so the
-// outer handler owns the one root. store may be nil: requests still get
-// correlated IDs (threaded as an ID-only context value), spans are
-// never created, and nothing is retained.
+// child spans to that root.
 func TraceHandler(store *TraceStore, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx := r.Context()
-		sp := SpanFrom(ctx)
-		id := requestID(ctx, sp)
-		carried := id != ""
-		if !carried {
-			if id = SanitizeRequestID(r.Header.Get("X-Request-ID")); id == "" {
-				id = NewRequestID()
-			}
+		id := SanitizeRequestID(r.Header.Get("X-Request-ID"))
+		if id == "" {
+			id = NewRequestID()
 		}
 		w.Header().Set("X-Request-ID", id)
-		switch {
-		case store != nil && sp == nil:
-			root := NewSpan(r.Method+" "+r.URL.Path, id)
-			ctx = WithSpan(ctx, root)
-			defer func() {
-				root.Finish()
-				store.Record(root)
-			}()
-		case !carried:
-			ctx = WithRequestID(ctx, id)
-		}
-		next.ServeHTTP(w, r.WithContext(ctx))
+		root := NewSpan(r.Method+" "+r.URL.Path, id)
+		defer func() {
+			root.Finish()
+			store.Record(root)
+		}()
+		next.ServeHTTP(w, r.WithContext(WithSpan(r.Context(), root)))
 	})
 }

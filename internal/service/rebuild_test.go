@@ -196,7 +196,7 @@ func TestSwapInvalidatesCachesAndPlans(t *testing.T) {
 	// the way a pinned in-flight request would.
 	oldEst := svc.Estimator()
 	for _, q := range qs {
-		if _, tr, err := svc.EstimateTraced(context.Background(), q); err != nil {
+		if _, tr, err := svc.estimateOne(context.Background(), svc.cur.Load(), q, ""); err != nil {
 			t.Fatal(err)
 		} else if tr.Generation != 0 || tr.PlanGeneration != 0 {
 			t.Fatalf("pre-swap trace generations %d/%d, want 0/0", tr.Generation, tr.PlanGeneration)
@@ -227,7 +227,7 @@ func TestSwapInvalidatesCachesAndPlans(t *testing.T) {
 		t.Fatal("swap did not replace the estimator")
 	}
 	for i, q := range qs {
-		_, tr, err := svc.EstimateTraced(context.Background(), q)
+		_, tr, err := svc.estimateOne(context.Background(), svc.cur.Load(), q, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func TestHammerWhileSwapping(t *testing.T) {
 	syn := newTestSynopsis(t)
 	qs := parseWorkload(t)
 	want := sequentialAnswers(syn, qs)
-	svc := New(syn, WithDocument(tree), WithWorkers(4))
+	svc := New(syn, WithDocument(tree))
 
 	const goroutines = 32
 	const rounds = 30
@@ -304,7 +304,7 @@ func TestHammerWhileSwapping(t *testing.T) {
 			<-start
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % len(qs)
-				v, tr, err := svc.EstimateTraced(context.Background(), qs[i])
+				v, tr, err := svc.estimateOne(context.Background(), svc.cur.Load(), qs[i], "")
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d round %d: %v", g, r, err)
 					return
@@ -322,7 +322,7 @@ func TestHammerWhileSwapping(t *testing.T) {
 				// the batch across generations.
 				if r%7 == 0 {
 					batch := qs[:3]
-					vs, trs, err := svc.EstimateBatchTraced(context.Background(), batch)
+					vs, trs, err := svc.estimateBatch(context.Background(), svc.cur.Load(), batch)
 					if err != nil {
 						errs <- fmt.Errorf("goroutine %d: batch: %v", g, err)
 						return
@@ -424,7 +424,6 @@ func TestHammerWhileParallelBuilding(t *testing.T) {
 	var evMu sync.Mutex
 	svc := New(syn,
 		WithDocument(tree),
-		WithWorkers(4),
 		WithBuildWorkers(4),
 		WithOnSwap(func(ev SwapEvent) {
 			evMu.Lock()

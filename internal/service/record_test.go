@@ -124,7 +124,7 @@ func TestSpanSnapshotMatchesTrace(t *testing.T) {
 		{"plan hit", planOnly, ctx, q},
 		{"deadline", cached, obs.WithSpan(expired, root), query.MustParse("//book[pages>=300]")},
 	} {
-		_, tr, err := c.svc.EstimateTraced(c.ctx, c.q)
+		_, tr, err := c.svc.estimateOne(c.ctx, c.svc.cur.Load(), c.q, "")
 		runs = append(runs, estimate{c.name, tr, err})
 	}
 	if !runs[1].tr.ResultCacheHit || !runs[3].tr.PlanCacheHit || runs[4].err == nil {

@@ -4,14 +4,13 @@
 // estimate requests from many query-optimizer workers at once.
 //
 // A Service wraps a synopsis and a shared thread-safe Estimator and
-// offers batch estimation with a bounded worker pool, per-request
-// deadlines via context, and full observability: every estimate runs
-// the traced canonicalize → compile → execute pipeline, and the
-// service records that one trace — per-stage latencies, cache
-// outcomes, and request counters into an internal/obs metrics
-// registry, queries above a threshold into a ring-buffer slow-query
-// log, the trace itself into the request's span tree — and returns
-// per-stage spans inline on request.
+// offers batch estimation, per-request deadlines via context, and full
+// observability: every estimate runs the traced canonicalize → compile
+// → execute pipeline, and the service records that one trace —
+// per-stage latencies, cache outcomes, and request counters into an
+// internal/obs metrics registry, queries above a threshold into a
+// ring-buffer slow-query log, the trace itself into the request's span
+// tree — and returns per-stage spans inline on request.
 //
 // The package is a Go API with no HTTP routing: internal/catalog owns
 // every endpoint and serves each shard through these methods. http.go
@@ -23,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,16 +37,6 @@ import (
 
 // Option configures New.
 type Option func(*Service)
-
-// WithWorkers caps the number of goroutines EstimateBatch uses
-// (default: GOMAXPROCS).
-func WithWorkers(n int) Option {
-	return func(s *Service) {
-		if n > 0 {
-			s.workers = n
-		}
-	}
-}
 
 // WithTimeout sets a per-request deadline applied to every Estimate and
 // EstimateBatch call on top of the caller's context (0 disables).
@@ -158,7 +146,6 @@ type Service struct {
 	// cur is the serving slot (synopsis + estimator + install time).
 	// Always non-nil after New.
 	cur     atomic.Pointer[slot]
-	workers int
 	timeout time.Duration
 	start   time.Time
 
@@ -246,10 +233,7 @@ type Service struct {
 // estimator of each installed generation, configured by the options;
 // configuration after New is not synchronized.
 func New(syn *core.Synopsis, opts ...Option) *Service {
-	s := &Service{
-		workers: runtime.GOMAXPROCS(0),
-		start:   time.Now(),
-	}
+	s := &Service{start: time.Now()}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -523,13 +507,6 @@ func (s *Service) WorkloadProfile() (profile.Profile, error) {
 
 // Estimate answers one query under the service's deadline.
 func (s *Service) Estimate(ctx context.Context, q *query.Query) (float64, error) {
-	v, _, err := s.EstimateTraced(ctx, q)
-	return v, err
-}
-
-// EstimateTraced answers one query under the service's deadline and
-// returns the per-stage pipeline trace alongside the estimate.
-func (s *Service) EstimateTraced(ctx context.Context, q *query.Query) (float64, *core.EstimateTrace, error) {
 	s.inflightWG.Add(1)
 	defer s.inflightWG.Done()
 	if s.timeout > 0 {
@@ -537,7 +514,8 @@ func (s *Service) EstimateTraced(ctx context.Context, q *query.Query) (float64, 
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
 	}
-	return s.estimateOne(ctx, s.cur.Load(), q, "")
+	v, _, err := s.estimateOne(ctx, s.cur.Load(), q, "")
+	return v, err
 }
 
 // estimateOne runs one traced estimate against the pinned slot and
@@ -573,7 +551,7 @@ func (s *Service) record(ctx context.Context, sl *slot, q *query.Query, tr *core
 	}
 	s.reqs.Observe(tr.Start, tr.Total, err != nil)
 	// One context lookup is the whole per-estimate tracing cost when the
-	// request carries no span (untraced callers, or tracing disabled).
+	// request carries no span (a direct Go API caller).
 	if sp := obs.SpanFrom(ctx); sp != nil {
 		sp.AddRun(tr, err)
 	}
@@ -609,32 +587,21 @@ func (s *Service) record(ctx context.Context, sl *slot, q *query.Query, tr *core
 	}
 }
 
-// EstimateBatch answers a batch of queries with a worker pool of up to
-// WithWorkers goroutines (default GOMAXPROCS). Results are positional:
-// out[i] is the selectivity of qs[i]. The first context error aborts the
-// remaining work and is returned; already-computed entries stay in the
-// slice.
-//
-// Before fanning out, the batch compiles its query shapes,
-// sequentially, into the estimator's plan cache (each distinct shape
-// once: a repeated shape's second lookup is a plan-cache hit), so
-// racing workers never compile the same shape twice; the workers then
-// execute through the estimator's plan and result caches.
+// EstimateBatch answers a batch of queries in order, on the caller's
+// goroutine. Results are positional: out[i] is the selectivity of
+// qs[i]. The first error (a context error, say) aborts the remaining
+// queries and is returned; already-computed entries stay in the slice.
+// Concurrency comes from the callers: the catalog's scatter pool runs
+// one shard's batch per goroutine.
 func (s *Service) EstimateBatch(ctx context.Context, qs []*query.Query) ([]float64, error) {
-	out, _, err := s.EstimateBatchTraced(ctx, qs)
+	out, _, err := s.estimateBatch(ctx, s.cur.Load(), qs)
 	return out, err
 }
 
-// EstimateBatchTraced is EstimateBatch returning, additionally, the
-// positional per-stage pipeline traces (trace entries for queries the
-// batch never reached are nil).
-func (s *Service) EstimateBatchTraced(ctx context.Context, qs []*query.Query) ([]float64, []*core.EstimateTrace, error) {
-	return s.estimateBatch(ctx, s.cur.Load(), qs)
-}
-
-// estimateBatch is EstimateBatchTraced on a pinned slot: every query of
-// the batch is answered by the same generation even if a swap lands
-// mid-batch.
+// estimateBatch is EstimateBatch on a pinned slot, returning also the
+// positional per-stage pipeline traces (nil for queries the batch never
+// reached): every query of the batch is answered by the same generation
+// even if a swap lands mid-batch.
 func (s *Service) estimateBatch(ctx context.Context, sl *slot, qs []*query.Query) ([]float64, []*core.EstimateTrace, error) {
 	s.inflightWG.Add(1)
 	defer s.inflightWG.Done()
@@ -654,65 +621,27 @@ func (s *Service) estimateBatch(ctx context.Context, sl *slot, qs []*query.Query
 	if err != nil {
 		return out, trs, err
 	}
-	workers := s.workers
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	if workers <= 1 {
-		for i, q := range qs {
-			v, tr, err := s.estimateOne(ctx, sl, q, canonicals[i])
-			trs[i] = tr
-			if err != nil {
-				return out, trs, fmt.Errorf("service: query %d: %w", i, err)
-			}
-			out[i] = v
+	for i, q := range qs {
+		v, tr, err := s.estimateOne(ctx, sl, q, canonicals[i])
+		trs[i] = tr
+		if err != nil {
+			return out, trs, fmt.Errorf("service: query %d: %w", i, err)
 		}
-		return out, trs, nil
+		out[i] = v
 	}
-	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		batchErr error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) || stop.Load() {
-					return
-				}
-				v, tr, err := s.estimateOne(ctx, sl, qs[i], canonicals[i])
-				trs[i] = tr
-				if err != nil {
-					errMu.Lock()
-					if batchErr == nil {
-						batchErr = fmt.Errorf("service: query %d: %w", i, err)
-					}
-					errMu.Unlock()
-					stop.Store(true)
-					return
-				}
-				out[i] = v
-			}
-		}()
-	}
-	wg.Wait()
-	return out, trs, batchErr
+	return out, trs, nil
 }
 
-// prepareShapes seeds the estimator's plan cache with the batch's
-// query shapes (core.Estimator.WarmPlan: one plan-cache lookup per
-// query, compiling on a miss) and returns the queries' canonical
+// prepareShapes looks each of the batch's queries up in the
+// estimator's plan cache (core.Estimator.WarmPlan: canonicalize, then
+// one plan-cache lookup, compiling on a miss) and returns the canonical
 // strings, which the batch's estimates reuse instead of canonicalizing
-// each query again. The pass is sequential, so a repeated shape is a
-// plan-cache hit (unless more distinct shapes than the cache holds came
-// in between) and needs no dedupe of its own. With the plan cache
-// disabled it only canonicalizes (per-call compilation is what the
-// caller asked for).
+// again. The batch runs in order on one goroutine, so the pass does not
+// change how often a shape compiles; what it adds is one plan-cache
+// lookup per query, also for queries the result cache then answers.
+// The serving benchmark's plan hit rate counts those lookups (on a
+// result-cache hit they are the only ones), which is why the pass is
+// still here. With the plan cache disabled it only canonicalizes.
 func (s *Service) prepareShapes(sl *slot, qs []*query.Query) ([]string, error) {
 	canonicals := make([]string, len(qs))
 	for i, q := range qs {

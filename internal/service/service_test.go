@@ -113,13 +113,13 @@ func TestEstimateBatchMatchesSequential(t *testing.T) {
 	syn := newTestSynopsis(t)
 	qs := parseWorkload(t)
 	want := sequentialAnswers(syn, qs)
-	// A big batch exercises the worker pool; results must stay positional.
+	// A big batch with repeated shapes: results must stay positional.
 	const rep = 16
 	big := make([]*query.Query, 0, rep*len(qs))
 	for r := 0; r < rep; r++ {
 		big = append(big, qs...)
 	}
-	svc := New(syn, WithWorkers(8))
+	svc := New(syn)
 	got, err := svc.EstimateBatch(context.Background(), big)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestConcurrentHammer(t *testing.T) {
 	syn := newTestSynopsis(t)
 	qs := parseWorkload(t)
 	want := sequentialAnswers(syn, qs)
-	svc := New(syn, WithWorkers(4))
+	svc := New(syn)
 	shared := svc.Estimator()
 
 	const goroutines = 32
@@ -270,7 +270,7 @@ func TestEstimateBatchCompilesOnce(t *testing.T) {
 		}
 	}
 	// Result cache off so every execution reaches the plan layer.
-	svc := New(syn, WithWorkers(8), WithCacheCapacity(0))
+	svc := New(syn, WithCacheCapacity(0))
 	if _, err := svc.EstimateBatch(context.Background(), big); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestEstimateBatchCompilesOnce(t *testing.T) {
 	}
 	// A second identical batch compiles nothing new, and every estimate
 	// carries its own query's canonical string from the warm pass.
-	_, trs, err := svc.EstimateBatchTraced(context.Background(), big)
+	_, trs, err := svc.estimateBatch(context.Background(), svc.cur.Load(), big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestEstimateBatchCompilesOnce(t *testing.T) {
 
 	// With the plan cache disabled the batch still answers correctly.
 	want := sequentialAnswers(syn, qs)
-	svc2 := New(syn, WithWorkers(8), WithCacheCapacity(0), WithPlanCacheCapacity(0))
+	svc2 := New(syn, WithCacheCapacity(0), WithPlanCacheCapacity(0))
 	got, err := svc2.EstimateBatch(context.Background(), big)
 	if err != nil {
 		t.Fatal(err)

@@ -41,7 +41,7 @@ func telemetryConfigs(tb testing.TB, syn *core.Synopsis) []telemetryConfig {
 		{name: "bare", svc: bare},
 		{name: "default", svc: def},
 		{name: "slo_sampled_out", svc: withSLO},
-		{name: "traced", svc: withSLO, traces: obs.NewTraceStore(0, 0)},
+		{name: "traced", svc: withSLO, traces: obs.NewTraceStore()},
 	}
 }
 
@@ -51,7 +51,7 @@ func (c telemetryConfig) estimate(ctx context.Context, q *query.Query) (float64,
 		return c.svc.Estimate(ctx, q)
 	}
 	sp := obs.NewSpan("estimate", "bench")
-	v, err := c.svc.Estimate(obs.WithSpan(obs.WithRequestID(ctx, "bench"), sp), q)
+	v, err := c.svc.Estimate(obs.WithSpan(ctx, sp), q)
 	sp.FinishErr(err)
 	c.traces.Record(sp)
 	return v, err
