@@ -11,10 +11,11 @@
 #
 # The allocation pins (internal/core TestEstimateCacheHitAllocs,
 # TestCompileAllocs and TestLRUPutFullRecycles' allocation check,
-# internal/service TestServiceEstimateCacheHitAllocs, internal/query
-# TestStringAllocs) run in the plain pass only: the race detector's
-# instrumentation allocates, so under -race they skip themselves
-# (raceEnabled, set by each package's race_test.go).
+# internal/service TestServiceEstimateCacheHitAllocs, internal/catalog
+# TestHandlerEstimateHotAllocs, internal/query TestStringAllocs) run in
+# the plain pass only: the race detector's instrumentation allocates,
+# so under -race they skip themselves (raceEnabled, set by each
+# package's race_test.go).
 set -eux
 
 fmt="$(gofmt -l .)"

@@ -89,6 +89,8 @@ func FuzzCatalogHTTP(f *testing.F) {
 		{"POST", "/admin/rebuild", "", "", `{"struct_budget":4096,"reason":"fuzz"}`},
 		{"POST", "/admin/rebuild", "", "", `{"adaptive":true}`},
 		{"POST", "/estimate", "", "req-2", `{"queries":["//book[year>1990]/title","//journal/title"],"trace":true}`},
+		{"POST", "/estimate", "", "req-3", `{"queries":["//book[year>1990]/title","//book[","//book[year>1990]/title","//book["],"trace":true}`},
+		{"POST", "/estimate", "", "", `{"queries":["//book[year>01990]","//(","//book[year>1990]","//book[year>01990]","//("],"explain":true,"plan":true}`},
 	} {
 		f.Add(seed.method, seed.path, seed.query, seed.id, seed.body)
 	}

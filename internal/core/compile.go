@@ -37,12 +37,16 @@ func (e *Estimator) Prepare(q *query.Query) (*PreparedQuery, error) {
 
 // WarmPlan is the batch warm pass for one query: it looks q's shape up
 // in the plan cache once and compiles it into the cache on a miss, as
-// Prepare does, without building a PreparedQuery. It returns q's
-// canonical string, which SelectivityTracedCanonical takes so the
-// estimate that follows does not canonicalize q again. With the plan
-// cache disabled it only canonicalizes.
-func (e *Estimator) WarmPlan(q *query.Query) (string, error) {
-	canonical := q.String()
+// Prepare does, without building a PreparedQuery. canonical is q's
+// canonical string when the caller holds it (from ParseQuery), "" to
+// compute it here. It returns the canonical string, which
+// SelectivityTracedCanonical takes so the estimate that follows does
+// not canonicalize q again. With the plan cache disabled it only
+// canonicalizes.
+func (e *Estimator) WarmPlan(q *query.Query, canonical string) (string, error) {
+	if canonical == "" {
+		canonical = q.String()
+	}
 	if e.plans == nil {
 		return canonical, nil
 	}

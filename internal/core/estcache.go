@@ -31,12 +31,13 @@ func (c CacheStats) HitRate() float64 {
 	return float64(c.Hits) / float64(total)
 }
 
-// lruCache is a mutex-guarded LRU of canonical query string → V, shared
-// by the result cache (V = float64) and the plan cache (V = *Plan).
-// Entries are immutable once inserted (estimates and plans over an
-// immutable synopsis never change), so a hit can be returned without
-// copying. Hit/miss counters are atomics so they never contend with the
-// list manipulation.
+// lruCache is a mutex-guarded LRU of string → V, shared by the result
+// cache (canonical query → float64), the plan cache (canonical query →
+// *Plan) and the text cache (raw query text → parsedText). Entries are
+// immutable once inserted (estimates and plans over an immutable
+// synopsis never change, nor does a parsed query), so a hit can be
+// returned without copying. Hit/miss counters are atomics so they
+// never contend with the list manipulation.
 //
 // The cache is epoch-aware: every entry is stamped with the value of the
 // shared epoch counter at insertion, and a lookup only hits when the
@@ -53,7 +54,7 @@ type lruCache[V any] struct {
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 	// epoch is the shared invalidation counter (owned by the Estimator;
-	// the same counter backs both of its caches).
+	// the same counter backs all of its caches).
 	epoch *atomic.Uint64
 }
 

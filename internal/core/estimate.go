@@ -23,7 +23,10 @@ import (
 // lowered onto the synopsis once — see compile.go), and execute (the
 // flat compiled plan is evaluated — see plan.go), behind two LRU
 // caches: a result cache keyed by canonical query, and a plan cache
-// that makes repeated shapes compile-once/execute-many. Selectivity,
+// that makes repeated shapes compile-once/execute-many. In front of the
+// pipeline, ParseQuery keeps a third cache from raw query text to the
+// parsed query and its canonical string, so a served request that
+// repeats a text neither parses nor canonicalizes it. Selectivity,
 // SelectivityContext and SelectivityTraced differ only in what they
 // report; Prepare exposes the compiled plan directly for callers that
 // hold a query shape and execute it repeatedly, and Explain reads the
@@ -31,8 +34,8 @@ import (
 //
 // An Estimator is safe for concurrent use by multiple goroutines: the
 // synopsis is immutable after Build, the descendant-closure vectors are
-// precomputed at construction, execution scratch is pooled, and both
-// caches are internally synchronized. The one exception is
+// precomputed at construction, execution scratch is pooled, and all
+// three caches are internally synchronized. The one exception is
 // configuration (UninformedSel, SetCacheCapacity,
 // SetPlanCacheCapacity), which must happen before the estimator is
 // shared: compiled plans bind UninformedSel at compile time.
@@ -71,11 +74,28 @@ type Estimator struct {
 	// repeated query shapes compile once and execute many times; nil
 	// when disabled.
 	plans *lruCache[*Plan]
-	// epoch is the shared invalidation counter behind both caches: one
-	// InvalidateCaches bump makes every cached result and plan stale
-	// atomically (see estcache.go).
+	// texts memoizes ParseQuery by raw query text; sized with (and
+	// disabled with) the result cache.
+	texts *lruCache[parsedText]
+	// epoch is the shared invalidation counter behind all three caches:
+	// one InvalidateCaches bump makes every cached result, plan and
+	// parsed text stale atomically (see estcache.go).
 	epoch atomic.Uint64
 }
+
+// parsedText is one entry of the text cache: a parsed query (immutable,
+// so every request that repeats the text shares it) and its canonical
+// string.
+type parsedText struct {
+	q         *query.Query
+	canonical string
+}
+
+// maxCachedQueryText is the longest query text ParseQuery caches.
+// Distinct texts can share one canonical form (padding a number with
+// leading zeros, say), so without a bound each cached text could pin up
+// to a request body of memory; longer texts are parsed on every call.
+const maxCachedQueryText = 4 << 10
 
 // weight is one (node, expected count) pair of a sparse vector.
 type weight struct {
@@ -84,7 +104,8 @@ type weight struct {
 }
 
 // DefaultCacheCapacity is the number of distinct queries the result
-// cache retains unless SetCacheCapacity overrides it.
+// cache, and of distinct texts the text cache, retains unless
+// SetCacheCapacity overrides it.
 const DefaultCacheCapacity = 1024
 
 // DefaultPlanCacheCapacity is the number of compiled plans the plan
@@ -104,21 +125,22 @@ func NewEstimator(s *Synopsis) *Estimator {
 		kids: buildKidIndex(s),
 	}
 	e.labelOf, e.labelIDs = buildLabelIndex(s)
-	e.cache = newLRUCache[float64](DefaultCacheCapacity, &e.epoch)
 	e.plans = newLRUCache[*Plan](DefaultPlanCacheCapacity, &e.epoch)
 	e.desc = buildDescIndex(s)
+	e.SetCacheCapacity(DefaultCacheCapacity)
 	return e
 }
 
-// SetCacheCapacity resizes the query-result cache to hold n entries
-// (n <= 0 disables caching). Counters reset. Call before sharing the
-// estimator across goroutines.
+// SetCacheCapacity resizes the query-result cache, and ParseQuery's
+// text cache with it, to hold n entries each (n <= 0 disables both).
+// Counters reset. Call before sharing the estimator across goroutines.
 func (e *Estimator) SetCacheCapacity(n int) {
 	if n <= 0 {
-		e.cache = nil
+		e.cache, e.texts = nil, nil
 		return
 	}
 	e.cache = newLRUCache[float64](n, &e.epoch)
+	e.texts = newLRUCache[parsedText](n, &e.epoch)
 }
 
 // SetPlanCacheCapacity resizes the compiled-plan cache to hold n plans
@@ -133,13 +155,13 @@ func (e *Estimator) SetPlanCacheCapacity(n int) {
 	e.plans = newLRUCache[*Plan](n, &e.epoch)
 }
 
-// InvalidateCaches drops every cached result and compiled plan in one
-// atomic step: the shared epoch counter is bumped first — instantly
-// staling all entries of both caches, including ones a racing writer is
-// about to insert with the old stamp — and then both caches are purged
-// eagerly to release memory. Safe for concurrent use; called on
-// synopsis hot swaps so no estimate computed against the outgoing
-// generation survives into the next.
+// InvalidateCaches drops every cached result, compiled plan and parsed
+// text in one atomic step: the shared epoch counter is bumped first —
+// instantly staling all entries of the three caches, including ones a
+// racing writer is about to insert with the old stamp — and then the
+// caches are purged eagerly to release memory. Safe for concurrent
+// use; called on synopsis hot swaps so no estimate computed against
+// the outgoing generation survives into the next.
 func (e *Estimator) InvalidateCaches() {
 	e.epoch.Add(1)
 	if e.cache != nil {
@@ -148,6 +170,34 @@ func (e *Estimator) InvalidateCaches() {
 	if e.plans != nil {
 		e.plans.purge()
 	}
+	if e.texts != nil {
+		e.texts.purge()
+	}
+}
+
+// ParseQuery parses a query text and returns the query with its
+// canonical string, which SelectivityTracedCanonical and WarmPlan take
+// so the estimate does not canonicalize again. Texts of up to 4 KiB
+// (maxCachedQueryText) are cached: a repeated text returns the same
+// *query.Query, shared by every caller, so callers must not modify it
+// (no code does: a parsed query is immutable). Parse errors are never
+// cached; a bad text is parsed, and fails identically, on every call.
+func (e *Estimator) ParseQuery(text string) (*query.Query, string, error) {
+	cacheable := e.texts != nil && len(text) <= maxCachedQueryText
+	if cacheable {
+		if p, ok := e.texts.get(text); ok {
+			return p.q, p.canonical, nil
+		}
+	}
+	q, err := query.Parse(text)
+	if err != nil {
+		return nil, "", err
+	}
+	canonical := q.String()
+	if cacheable {
+		e.texts.put(text, parsedText{q: q, canonical: canonical})
+	}
+	return q, canonical, nil
 }
 
 // Generation returns the build generation of the synopsis this

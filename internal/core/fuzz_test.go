@@ -67,7 +67,10 @@ func FuzzDecodeSynopsis(f *testing.F) {
 // Every accepted query must get a finite, non-negative estimate that
 // equals the reference interpreter's bit-for-bit, and at most 5
 // embeddings, sorted by decreasing finite contribution, that sum to no
-// more than the estimate.
+// more than the estimate. Parsing the text twice through the
+// estimator's text cache (ParseQuery) must give the direct parse's
+// canonical string and estimate both times, and a text query.Parse
+// rejects must be rejected there too.
 func FuzzEstimate(f *testing.F) {
 	for _, qs := range planQueries {
 		f.Add(qs)
@@ -79,6 +82,11 @@ func FuzzEstimate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string) {
 		q, err := query.Parse(text)
 		if err != nil {
+			for name, est := range ests {
+				if _, _, cerr := est.ParseQuery(text); cerr == nil || cerr.Error() != err.Error() {
+					t.Fatalf("%s: ParseQuery(%q) error %v, query.Parse %v", name, text, cerr, err)
+				}
+			}
 			return
 		}
 		for name, est := range ests {
@@ -91,6 +99,16 @@ func FuzzEstimate(f *testing.F) {
 			}
 			if want := est.interpretedSelectivity(q); got != want {
 				t.Fatalf("%s: estimate of %s = %v, interpreter %v", name, q, got, want)
+			}
+			for i := 0; i < 2; i++ {
+				cq, canonical, err := est.ParseQuery(text)
+				if err != nil || canonical != q.String() {
+					t.Fatalf("%s: ParseQuery(%q) #%d = %q, %v; direct parse %q", name, text, i, canonical, err, q)
+				}
+				v, _, err := est.SelectivityTracedCanonical(context.Background(), cq, canonical)
+				if err != nil || v != got {
+					t.Fatalf("%s: estimate of ParseQuery(%q) #%d = %v, %v; direct parse %v", name, text, i, v, err, got)
+				}
 			}
 			ems := est.Explain(q, 5)
 			if len(ems) > 5 {

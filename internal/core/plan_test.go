@@ -166,7 +166,7 @@ func TestPlanCache(t *testing.T) {
 	// and either way the canonical string comes back.
 	for i, s := range []string{"//paper[year>2000]/title", "//author/name"} {
 		wq := query.MustParse(s)
-		c, err := est.WarmPlan(wq)
+		c, err := est.WarmPlan(wq, "")
 		if err != nil || c != wq.String() {
 			t.Fatalf("WarmPlan(%s) = %q, %v; want %q", s, c, err, wq.String())
 		}
@@ -181,7 +181,7 @@ func TestPlanCache(t *testing.T) {
 	if _, err := est.Prepare(q); err != nil {
 		t.Fatal(err)
 	}
-	if c, err := est.WarmPlan(q); err != nil || c != q.String() {
+	if c, err := est.WarmPlan(q, ""); err != nil || c != q.String() {
 		t.Fatalf("uncached WarmPlan = %q, %v", c, err)
 	}
 	if st := est.PlanCacheStats(); st != (CacheStats{}) {

@@ -115,9 +115,9 @@ func (e *Estimator) SelectivityTraced(ctx context.Context, q *query.Query) (floa
 }
 
 // SelectivityTracedCanonical is SelectivityTraced for a query whose
-// canonical string, q.String(), the caller already holds (WarmPlan
-// returns it), so the pipeline does not canonicalize q again. An empty
-// canonical canonicalizes as SelectivityTraced does.
+// canonical string, q.String(), the caller already holds (ParseQuery
+// and WarmPlan return it), so the pipeline does not canonicalize q
+// again. An empty canonical canonicalizes as SelectivityTraced does.
 func (e *Estimator) SelectivityTracedCanonical(ctx context.Context, q *query.Query, canonical string) (float64, *EstimateTrace, error) {
 	tr := e.newTrace()
 	v, err := e.pipeline(ctx, q, canonical, tr)

@@ -21,12 +21,19 @@ import (
 // unexported struct type cannot collide with other packages' keys.
 type spanKey struct{}
 
+// RequestIDHeader is the header that carries a request's ID, in its
+// canonical MIME form. net/http canonicalizes any other spelling of a
+// key on every Get and Set, which allocates; the bytes on the wire are
+// the canonical form either way.
+const RequestIDHeader = "X-Request-Id"
+
 // MaxRequestIDLen bounds accepted X-Request-ID header values; longer
 // (or non-printable) client IDs are replaced by a generated one so an
 // abusive client cannot bloat traces, logs, and response headers.
 const MaxRequestIDLen = 64
 
-// NewRequestID returns a fresh 16-hex-digit request ID.
+// NewRequestID returns a fresh 16-hex-digit request ID. The digits are
+// encoded into a fixed array and converted once: one allocation.
 func NewRequestID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -34,7 +41,9 @@ func NewRequestID() string {
 		// still a usable correlation key if it somehow does.
 		return "0000000000000000"
 	}
-	return hex.EncodeToString(b[:])
+	var h [16]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 // SanitizeRequestID validates a client-supplied request ID: at most
@@ -81,10 +90,16 @@ func SpanFrom(ctx context.Context) *Span {
 // under the span's own mutex so a scatter worker finishing a child
 // after the root was recorded (a straggler past the gather deadline)
 // races neither the recorder nor a concurrent /debug/traces snapshot.
-// The name and request ID are set at creation and never change.
+// The name, path and request ID are set at creation and never change.
 type Span struct {
-	mu         sync.Mutex
-	name       string
+	mu   sync.Mutex
+	name string
+	// path is the request path of a root span TraceHandler opened, whose
+	// name is then the request method. The two are joined into the
+	// span's rendered name ("POST /estimate") only where that name is
+	// needed, when a trace store first sees the family and when the span
+	// is snapshotted, never per request.
+	path       string
 	requestID  string
 	tenant     string
 	collection string
@@ -134,6 +149,16 @@ func NewSpan(name, requestID string) *Span {
 
 // RequestID returns the span's request ID.
 func (s *Span) RequestID() string { return s.requestID }
+
+// appendName appends the span's rendered name to b: its name, then for
+// a request's root span a space and the path.
+func (s *Span) appendName(b []byte) []byte {
+	b = append(b, s.name...)
+	if s.path != "" {
+		b = append(append(b, ' '), s.path...)
+	}
+	return b
+}
 
 // SetShard labels the span with the tenant/collection that served it.
 func (s *Span) SetShard(tenant, collection string) {
@@ -231,6 +256,9 @@ func (s *Span) Snapshot() SpanSnapshot {
 		Nanos:      int64(s.d),
 		Err:        s.err,
 	}
+	if s.path != "" {
+		out.Name += " " + s.path
+	}
 	children := make([]child, len(s.children))
 	copy(children, s.children)
 	s.mu.Unlock()
@@ -296,17 +324,22 @@ func NewTraceStore() *TraceStore {
 }
 
 // Record retains a finished root span. Roots beyond the family cap are
-// pooled under the "_other" family rather than dropped.
+// pooled under the "_other" family rather than dropped. The family is
+// looked up by the root's rendered name, built in a stack buffer; the
+// name becomes a string only when the family is new.
 func (ts *TraceStore) Record(root *Span) {
 	d := root.Duration()
-	family := root.name
+	var buf [64]byte
+	name := root.appendName(buf[:0])
 
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
-	f, ok := ts.families[family]
+	f, ok := ts.families[string(name)]
 	if !ok {
-		if len(ts.families) >= maxTraceFamilies {
-			family = otherTraceFamily
+		family := otherTraceFamily
+		if len(ts.families) < maxTraceFamilies {
+			family = string(name)
+		} else {
 			f = ts.families[family]
 		}
 		if f == nil {
@@ -391,12 +424,13 @@ func (ts *TraceStore) Snapshot() []FamilySnapshot {
 // child spans to that root.
 func TraceHandler(store *TraceStore, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := SanitizeRequestID(r.Header.Get("X-Request-ID"))
+		id := SanitizeRequestID(r.Header.Get(RequestIDHeader))
 		if id == "" {
 			id = NewRequestID()
 		}
-		w.Header().Set("X-Request-ID", id)
-		root := NewSpan(r.Method+" "+r.URL.Path, id)
+		w.Header().Set(RequestIDHeader, id)
+		root := NewSpan(r.Method, id)
+		root.path = r.URL.Path
 		defer func() {
 			root.Finish()
 			store.Record(root)

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -370,5 +371,37 @@ func TestTraceHandlerGeneratesID(t *testing.T) {
 		if !regexp.MustCompile(`^[0-9a-f]{16}$`).MatchString(got) {
 			t.Fatalf("X-Request-ID for client id %q = %q, want generated 16 hex digits", bad, got)
 		}
+	}
+}
+
+// TestTraceHandlerFamilyName: a request's root span keeps its method
+// and path apart, yet files under and renders as "METHOD /path", the
+// same family as a root span named that way directly, also for a path
+// longer than Record's stack buffer.
+func TestTraceHandlerFamilyName(t *testing.T) {
+	ts := NewTraceStore()
+	h := TraceHandler(ts, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	long := "/" + strings.Repeat("x", 100)
+	for _, path := range []string{"/estimate", "/estimate", long} {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", path, nil))
+	}
+	direct := NewSpan("POST /estimate", "req-direct")
+	direct.Finish()
+	ts.Record(direct)
+
+	fams := ts.Snapshot()
+	if len(fams) != 2 || fams[0].Family != "POST /estimate" || fams[1].Family != "POST "+long {
+		t.Fatalf("families = %+v, want POST /estimate and POST %s", fams, long)
+	}
+	if fams[0].Total != 3 {
+		t.Fatalf("POST /estimate holds %d traces, want 3", fams[0].Total)
+	}
+	for _, sp := range append(fams[0].Recent, fams[0].Slowest...) {
+		if sp.Name != "POST /estimate" {
+			t.Fatalf("root rendered as %q, want POST /estimate", sp.Name)
+		}
+	}
+	if got := fams[1].Recent[0].Name; got != "POST "+long {
+		t.Fatalf("long-path root rendered as %q", got)
 	}
 }

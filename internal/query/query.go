@@ -13,6 +13,14 @@
 // selectivity of a twig is the number of assignments of document elements
 // to all query variables that satisfy every structural and value
 // constraint.
+//
+// A parsed *Query is immutable: nothing modifies a query after Parse
+// returns it, and the serving path relies on that. The estimator's text
+// cache hands one parsed query to every request that repeats its text,
+// and the workload profiler (as a shape representative), the shadow
+// sampler and compiled plans all hold it beyond the request. Code that
+// builds a query programmatically must likewise finish it before
+// sharing it.
 package query
 
 import "strings"

@@ -83,7 +83,7 @@ func WriteError(w http.ResponseWriter, err error) {
 // renders map keys sorted, so the body stays deterministic.)
 func WriteErrorMsg(w http.ResponseWriter, status int, msg string) {
 	body := map[string]string{"error": msg}
-	if id := w.Header().Get("X-Request-ID"); id != "" {
+	if id := w.Header().Get(obs.RequestIDHeader); id != "" {
 		body["request_id"] = id
 	}
 	WriteJSON(w, status, body)
@@ -371,23 +371,24 @@ func (s *Service) WorkloadReport() WorkloadResponse {
 }
 
 // RunEstimateRequest answers one EstimateRequest end to end: it parses
-// each query (per-query failures land inline in the results), runs the
-// parseable ones as one batch, and renders traces, explanations, and
-// plans as requested — all against one pinned synopsis generation, so
-// an explanation always describes the synopsis that produced its
-// estimate, even when a swap lands mid-request. It is the
-// body of POST /estimate for one shard: the catalog routes the request
-// here and writes the response with WriteJSON. A non-nil error is a
-// whole-request failure (map it with ErrorStatus).
+// each query through the pinned estimator's text cache (a repeated text
+// is neither parsed nor canonicalized again; per-query failures land
+// inline in the results), runs the parseable ones as one batch, and
+// renders traces, explanations, and plans as requested — all against
+// one pinned synopsis generation, so an explanation always describes
+// the synopsis that produced its estimate, even when a swap lands
+// mid-request. It is the body of POST /estimate for one shard: the
+// catalog routes the request here and writes the response with
+// WriteJSON. A non-nil error is a whole-request failure (map it with
+// ErrorStatus).
 func (s *Service) RunEstimateRequest(ctx context.Context, req EstimateRequest) (EstimateResponse, error) {
+	sl := s.cur.Load()
 	results := make([]EstimateResult, len(req.Queries))
-	var qs []*query.Query      // parsed queries, in request order
-	var pos []int              // pos[j] = results index of qs[j]
-	var parsed []time.Duration // parsed[j] = parse time of qs[j]
+	batch := make([]batchQuery, 0, len(req.Queries))
 	for i, qstr := range req.Queries {
 		results[i].Query = qstr
 		t0 := time.Now()
-		q, err := query.Parse(qstr)
+		q, canonical, err := sl.est.ParseQuery(qstr)
 		d := time.Since(t0)
 		s.stages.parse.Observe(d.Seconds())
 		if err != nil {
@@ -399,32 +400,29 @@ func (s *Service) RunEstimateRequest(ctx context.Context, req EstimateRequest) (
 			}
 			continue
 		}
-		qs = append(qs, q)
-		pos = append(pos, i)
-		parsed = append(parsed, d)
+		batch = append(batch, batchQuery{q: q, canonical: canonical, pos: i, parse: d})
 	}
 
-	sl := s.cur.Load()
-	sels, traces, err := s.estimateBatch(ctx, sl, qs)
-	if err != nil {
+	if err := s.estimateBatch(ctx, sl, batch); err != nil {
 		return EstimateResponse{}, err
 	}
-	for j, i := range pos {
-		v := sels[j]
-		results[i].Selectivity = &v
-		if req.Trace && traces[j] != nil {
-			results[i].Trace = renderTrace(parsed[j], traces[j])
+	for j := range batch {
+		bq := &batch[j]
+		res := &results[bq.pos]
+		res.Selectivity = &bq.sel
+		if req.Trace && bq.tr != nil {
+			res.Trace = renderTrace(bq.parse, bq.tr)
 		}
 		if req.Explain {
-			results[i].Explain = sl.explain(qs[j], explainLimit)
+			res.Explain = sl.explain(bq.q, explainLimit)
 		}
 		if req.Plan {
-			plan, err := sl.explainPlan(qs[j])
+			plan, err := sl.explainPlan(bq.q)
 			if err != nil {
-				results[i].Error = err.Error()
+				res.Error = err.Error()
 				continue
 			}
-			results[i].Plan = plan
+			res.Plan = plan
 		}
 	}
 	return EstimateResponse{Results: results}, nil

@@ -322,7 +322,7 @@ func TestHammerWhileSwapping(t *testing.T) {
 				// the batch across generations.
 				if r%7 == 0 {
 					batch := qs[:3]
-					vs, trs, err := svc.estimateBatch(context.Background(), svc.cur.Load(), batch)
+					vs, trs, err := runBatch(context.Background(), svc, svc.cur.Load(), batch)
 					if err != nil {
 						errs <- fmt.Errorf("goroutine %d: batch: %v", g, err)
 						return

@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -594,15 +595,52 @@ func (s *Service) record(ctx context.Context, sl *slot, q *query.Query, tr *core
 // Concurrency comes from the callers: the catalog's scatter pool runs
 // one shard's batch per goroutine.
 func (s *Service) EstimateBatch(ctx context.Context, qs []*query.Query) ([]float64, error) {
-	out, _, err := s.estimateBatch(ctx, s.cur.Load(), qs)
+	bp := batchPool.Get().(*[]batchQuery)
+	batch := slices.Grow((*bp)[:0], len(qs))[:len(qs)]
+	for i, q := range qs {
+		batch[i] = batchQuery{q: q}
+	}
+	err := s.estimateBatch(ctx, s.cur.Load(), batch)
+	out := make([]float64, len(qs))
+	for i := range batch {
+		out[i] = batch[i].sel
+	}
+	if cap(batch) <= maxPooledBatch {
+		clear(batch) // the pool must not keep queries and traces alive
+		*bp = batch[:0]
+		batchPool.Put(bp)
+	}
 	return out, err
 }
 
-// estimateBatch is EstimateBatch on a pinned slot, returning also the
-// positional per-stage pipeline traces (nil for queries the batch never
-// reached): every query of the batch is answered by the same generation
-// even if a swap lands mid-batch.
-func (s *Service) estimateBatch(ctx context.Context, sl *slot, qs []*query.Query) ([]float64, []*core.EstimateTrace, error) {
+// batchPool recycles EstimateBatch's records. The catalog's scatter
+// calls EstimateBatch once per shard per request, and only the
+// estimates outlive the call.
+var batchPool = sync.Pool{New: func() any { return new([]batchQuery) }}
+
+// maxPooledBatch is the largest record slice EstimateBatch returns to
+// the pool, so one huge batch does not pin its memory.
+const maxPooledBatch = 1024
+
+// batchQuery is one query's record on its way through estimateBatch:
+// the parsed query and its canonical string ("" until prepareShapes
+// computes it), then its estimate and pipeline trace (nil when the
+// batch never reached it). RunEstimateRequest also keeps the query's
+// results index and parse time here, so a request needs one slice of
+// records however many queries it carries.
+type batchQuery struct {
+	q         *query.Query
+	canonical string
+	sel       float64
+	tr        *core.EstimateTrace
+	pos       int
+	parse     time.Duration
+}
+
+// estimateBatch answers the batch in place on a pinned slot: every
+// query of the batch is answered by the same generation even if a swap
+// lands mid-batch.
+func (s *Service) estimateBatch(ctx context.Context, sl *slot, batch []batchQuery) error {
 	s.inflightWG.Add(1)
 	defer s.inflightWG.Done()
 	if s.timeout > 0 {
@@ -610,48 +648,46 @@ func (s *Service) estimateBatch(ctx context.Context, sl *slot, qs []*query.Query
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
 		defer cancel()
 	}
-	out := make([]float64, len(qs))
-	trs := make([]*core.EstimateTrace, len(qs))
-	if len(qs) == 0 {
-		return out, trs, nil
+	if len(batch) == 0 {
+		return nil
 	}
 	s.batches.Inc()
-	s.batchQueries.Add(uint64(len(qs)))
-	canonicals, err := s.prepareShapes(sl, qs)
-	if err != nil {
-		return out, trs, err
+	s.batchQueries.Add(uint64(len(batch)))
+	if err := s.prepareShapes(sl, batch); err != nil {
+		return err
 	}
-	for i, q := range qs {
-		v, tr, err := s.estimateOne(ctx, sl, q, canonicals[i])
-		trs[i] = tr
+	for i := range batch {
+		bq := &batch[i]
+		v, tr, err := s.estimateOne(ctx, sl, bq.q, bq.canonical)
+		bq.tr = tr
 		if err != nil {
-			return out, trs, fmt.Errorf("service: query %d: %w", i, err)
+			return fmt.Errorf("service: query %d: %w", i, err)
 		}
-		out[i] = v
+		bq.sel = v
 	}
-	return out, trs, nil
+	return nil
 }
 
 // prepareShapes looks each of the batch's queries up in the
-// estimator's plan cache (core.Estimator.WarmPlan: canonicalize, then
-// one plan-cache lookup, compiling on a miss) and returns the canonical
-// strings, which the batch's estimates reuse instead of canonicalizing
-// again. The batch runs in order on one goroutine, so the pass does not
-// change how often a shape compiles; what it adds is one plan-cache
-// lookup per query, also for queries the result cache then answers.
-// The serving benchmark's plan hit rate counts those lookups (on a
-// result-cache hit they are the only ones), which is why the pass is
-// still here. With the plan cache disabled it only canonicalizes.
-func (s *Service) prepareShapes(sl *slot, qs []*query.Query) ([]string, error) {
-	canonicals := make([]string, len(qs))
-	for i, q := range qs {
-		c, err := sl.est.WarmPlan(q)
+// estimator's plan cache (core.Estimator.WarmPlan: canonicalize unless
+// the record already holds the canonical string, then one plan-cache
+// lookup, compiling on a miss) and stores the canonical strings in the
+// records, where the batch's estimates reuse them. The batch runs in
+// order on one goroutine, so the pass does not change how often a shape
+// compiles; what it adds is one plan-cache lookup per query, also for
+// queries the result cache then answers. The serving benchmark's plan
+// hit rate counts those lookups (on a result-cache hit they are the
+// only ones), which is why the pass is still here. With the plan cache
+// disabled it only canonicalizes.
+func (s *Service) prepareShapes(sl *slot, batch []batchQuery) error {
+	for i := range batch {
+		c, err := sl.est.WarmPlan(batch[i].q, batch[i].canonical)
 		if err != nil {
-			return nil, fmt.Errorf("service: query %d: %w", i, err)
+			return fmt.Errorf("service: query %d: %w", i, err)
 		}
-		canonicals[i] = c
+		batch[i].canonical = c
 	}
-	return canonicals, nil
+	return nil
 }
 
 // Drain blocks until every in-flight Estimate and EstimateBatch call

@@ -34,6 +34,22 @@ func testDoc() string {
 	return b.String()
 }
 
+// runBatch runs qs as one batch on the pinned slot sl and returns the
+// positional estimates and pipeline traces.
+func runBatch(ctx context.Context, svc *Service, sl *slot, qs []*query.Query) ([]float64, []*core.EstimateTrace, error) {
+	batch := make([]batchQuery, len(qs))
+	for i, q := range qs {
+		batch[i].q = q
+	}
+	err := svc.estimateBatch(ctx, sl, batch)
+	vs := make([]float64, len(qs))
+	trs := make([]*core.EstimateTrace, len(qs))
+	for i, bq := range batch {
+		vs[i], trs[i] = bq.sel, bq.tr
+	}
+	return vs, trs, err
+}
+
 var testWorkload = []string{
 	"//book",
 	"//book/title",
@@ -288,7 +304,7 @@ func TestEstimateBatchCompilesOnce(t *testing.T) {
 	}
 	// A second identical batch compiles nothing new, and every estimate
 	// carries its own query's canonical string from the warm pass.
-	_, trs, err := svc.estimateBatch(context.Background(), svc.cur.Load(), big)
+	_, trs, err := runBatch(context.Background(), svc, svc.cur.Load(), big)
 	if err != nil {
 		t.Fatal(err)
 	}
