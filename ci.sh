@@ -15,7 +15,13 @@
 # TestHandlerEstimateHotAllocs, internal/query TestStringAllocs) run in
 # the plain pass only: the race detector's instrumentation allocates,
 # so under -race they skip themselves (raceEnabled, set by each
-# package's race_test.go).
+# package's race_test.go). Both serving pins run under xclusterd's
+# default -timeout (service.WithTimeout(5s)):
+# TestServiceEstimateCacheHitAllocs checks a timeout service too,
+# under the same ≤2 bound, and TestHandlerEstimateHotAllocs's shard
+# (hotEstimate) gets the timeout through ShardOptions, with the bound
+# at ≤29, the measured count once the deadline arms no timer and the
+# body decodes without a json.Decoder.
 set -eux
 
 fmt="$(gofmt -l .)"
@@ -51,7 +57,9 @@ go test ./...
 # ordinary tests (no fuzzing engine, just the f.Add seeds + testdata).
 # Includes internal/catalog FuzzParseManifest (the -catalog manifest
 # parser never panics and everything it accepts round-trips),
-# internal/catalog FuzzCatalogHTTP (no request to the daemon's handler
+# internal/catalog FuzzDecodeEstimateRequest (POST /estimate's strict
+# body decoder and json.Decoder agree on every body: the same request
+# or the same error text), internal/catalog FuzzCatalogHTTP (no request to the daemon's handler
 # — over a shard with a resident document and a slow log that captures
 # every estimate — panics or answers 500, every status is one its route
 # documents, and /debug/traces and /debug/slowlog render afterwards),

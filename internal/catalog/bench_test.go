@@ -5,6 +5,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
+
+	"xcluster/internal/service"
 )
 
 // raceEnabled is set under the race detector, whose instrumentation
@@ -14,11 +17,15 @@ var raceEnabled bool
 // hotEstimate returns a function that serves a one-query POST /estimate
 // through the daemon's handler, after a first call that fills the
 // result cache (and the estimator's text cache), so every later call is
-// a cache hit.
+// a cache hit. The shard runs under xclusterd's default -timeout, as
+// the daemon's shards do.
 func hotEstimate(tb testing.TB) func() *httptest.ResponseRecorder {
 	c := newTestCatalog(tb, Config{
 		DefaultKey:       Key{Tenant: "acme", Collection: "docs"},
 		UnlabeledDefault: true,
+		ShardOptions: func(ShardSpec) []service.Option {
+			return []service.Option{service.WithTimeout(5 * time.Second)}
+		},
 	}, spec("acme", "docs"))
 	h := c.Handler()
 	const body = `{"queries":["//book[year>1990]/title"]}`
@@ -49,14 +56,16 @@ func BenchmarkHandlerEstimateHot(b *testing.B) {
 
 // TestHandlerEstimateHotAllocs pins the allocations of
 // BenchmarkHandlerEstimateHot's request: a repeated query text is
-// neither parsed nor canonicalized, and the request ID and root span
-// cost no allocation beyond the ID itself.
+// neither parsed nor canonicalized, the request ID and root span cost no
+// allocation beyond the ID itself, the plain body decodes into its
+// queries slice and strings alone, and the service deadline arms no
+// timer.
 func TestHandlerEstimateHotAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	serve := hotEstimate(t)
-	if n := testing.AllocsPerRun(200, func() { serve() }); n > 42 {
-		t.Errorf("cached POST /estimate: %v allocs, want ≤42", n)
+	if n := testing.AllocsPerRun(200, func() { serve() }); n > 29 {
+		t.Errorf("cached POST /estimate: %v allocs, want ≤29", n)
 	}
 }

@@ -256,7 +256,12 @@ func (c *Catalog) shardForRequest(r *http.Request) (*Shard, error) {
 // an empty body leaves v untouched. On failure it writes the 400
 // envelope and reports false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any, optional bool) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, service.MaxRequestBytes))
+	return decodeJSON(w, http.MaxBytesReader(w, r.Body, service.MaxRequestBytes), v, optional)
+}
+
+// decodeJSON is decodeBody over an already bounded body.
+func decodeJSON(w http.ResponseWriter, body io.Reader, v any, optional bool) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil && !(optional && errors.Is(err, io.EOF)) {
 		service.WriteErrorMsg(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
@@ -292,7 +297,7 @@ func truncate[T any](s []T, limit int) []T {
 
 func (c *Catalog) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var req EstimateRequest
-	if !decodeBody(w, r, &req, false) {
+	if !decodeEstimateBody(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {

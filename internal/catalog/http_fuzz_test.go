@@ -91,6 +91,9 @@ func FuzzCatalogHTTP(f *testing.F) {
 		{"POST", "/estimate", "", "req-2", `{"queries":["//book[year>1990]/title","//journal/title"],"trace":true}`},
 		{"POST", "/estimate", "", "req-3", `{"queries":["//book[year>1990]/title","//book[","//book[year>1990]/title","//book["],"trace":true}`},
 		{"POST", "/estimate", "", "", `{"queries":["//book[year>01990]","//(","//book[year>1990]","//book[year>01990]","//("],"explain":true,"plan":true}`},
+		{"POST", "/estimate", "", "", `{"queries":["//book[year\u003e1990]/title","//book[title contains(\"x\")]"]}`},
+		{"POST", "/estimate", "", "", `{"queries":["//book"],"Queries":["//journal"],"queries":null}`},
+		{"POST", "/estimate", "", "", `{"queries":["//book"]} trailing`},
 	} {
 		f.Add(seed.method, seed.path, seed.query, seed.id, seed.body)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"time"
 
 	"xcluster/internal/query"
 )
@@ -57,14 +58,14 @@ func (e *Estimator) WarmPlan(q *query.Query, canonical string) (string, error) {
 // Selectivity executes the compiled plan: s(Q), the expected number of
 // binding tuples.
 func (pq *PreparedQuery) Selectivity() float64 {
-	v, _ := pq.plan.execute(context.Background())
+	v, _ := pq.plan.execute(context.Background(), time.Time{})
 	return v
 }
 
 // SelectivityContext is Selectivity with cancellation, checked before
 // each root variable's subproblem group.
 func (pq *PreparedQuery) SelectivityContext(ctx context.Context) (float64, error) {
-	return pq.plan.execute(ctx)
+	return pq.plan.execute(ctx, time.Time{})
 }
 
 // Query returns the canonical string of the prepared query.

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"xcluster/internal/query"
 )
@@ -273,7 +274,7 @@ func buildLabelIndex(s *Synopsis) ([]int32, map[string]int32) {
 // with a stepless variable, which the parser never produces; use
 // SelectivityContext or Prepare to see the error.
 func (e *Estimator) Selectivity(q *query.Query) float64 {
-	v, _ := e.pipeline(context.Background(), q, "", nil)
+	v, _ := e.pipeline(context.Background(), time.Time{}, q, "", nil)
 	return v
 }
 
@@ -282,7 +283,7 @@ func (e *Estimator) Selectivity(q *query.Query) float64 {
 // with the compile error returned. Use it when estimates are served
 // under a request deadline.
 func (e *Estimator) SelectivityContext(ctx context.Context, q *query.Query) (float64, error) {
-	return e.pipeline(ctx, q, "", nil)
+	return e.pipeline(ctx, time.Time{}, q, "", nil)
 }
 
 // pipeline is the estimation pipeline every entry point runs:
@@ -291,8 +292,10 @@ func (e *Estimator) SelectivityContext(ctx context.Context, q *query.Query) (flo
 // passes it as canonical, and "" means compute it), result-cache
 // lookup, plan-cache lookup, compile on a plan miss, and execute. tr,
 // when non-nil, receives one span per stage that ran plus the cache
-// outcomes; with a nil trace no timestamps are taken.
-func (e *Estimator) pipeline(ctx context.Context, q *query.Query, canonical string, tr *EstimateTrace) (float64, error) {
+// outcomes; with a nil trace no timestamps are taken. ctx and deadline
+// (zero for none) are checked only where an executed plan checks them,
+// so a result-cache hit answers whatever their state.
+func (e *Estimator) pipeline(ctx context.Context, deadline time.Time, q *query.Query, canonical string, tr *EstimateTrace) (float64, error) {
 	if canonical == "" {
 		canonical = q.String()
 	}
@@ -322,7 +325,7 @@ func (e *Estimator) pipeline(ctx context.Context, q *query.Query, canonical stri
 		tr.PlanGeneration = plan.gen
 	}
 	ts := tr.now()
-	v, err := plan.execute(ctx)
+	v, err := plan.execute(ctx, deadline)
 	tr.span(StageExecute, ts)
 	if err != nil {
 		return tr.finish(0, err)

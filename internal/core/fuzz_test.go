@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 
 	"xcluster/internal/query"
 )
@@ -105,7 +106,7 @@ func FuzzEstimate(f *testing.F) {
 				if err != nil || canonical != q.String() {
 					t.Fatalf("%s: ParseQuery(%q) #%d = %q, %v; direct parse %q", name, text, i, canonical, err, q)
 				}
-				v, _, err := est.SelectivityTracedCanonical(context.Background(), cq, canonical)
+				v, _, err := est.SelectivityTracedCanonical(context.Background(), cq, canonical, time.Time{})
 				if err != nil || v != got {
 					t.Fatalf("%s: estimate of ParseQuery(%q) #%d = %v, %v; direct parse %v", name, text, i, v, err, got)
 				}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"xcluster/internal/query"
 )
@@ -94,10 +95,12 @@ func (p *Plan) NumSubproblems() int { return len(p.subs) }
 
 // execute evaluates the plan: one pass over the subproblem array,
 // children before parents, then the product over the root variables.
-// Cancellation is checked before each root variable's subproblem group.
-// The arithmetic replays the interpreted walk operation for operation,
-// so results are bit-identical to it.
-func (p *Plan) execute(ctx context.Context) (float64, error) {
+// Cancellation is checked before each root variable's subproblem group:
+// ctx first, so a cancelled caller gets its own error, then deadline (the
+// zero time means none), which fails with context.DeadlineExceeded once
+// it is reached. The arithmetic replays the interpreted walk operation
+// for operation, so results are bit-identical to it.
+func (p *Plan) execute(ctx context.Context, deadline time.Time) (float64, error) {
 	bufp, _ := execScratch.Get().(*[]float64)
 	if bufp == nil {
 		bufp = new([]float64)
@@ -111,6 +114,9 @@ func (p *Plan) execute(ctx context.Context) (float64, error) {
 	for gi, r := range p.roots {
 		if err := ctx.Err(); err != nil {
 			return 0, err
+		}
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			return 0, context.DeadlineExceeded
 		}
 		end := len(p.subs)
 		if gi+1 < len(p.groupStart) {

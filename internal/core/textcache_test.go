@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"xcluster/internal/query"
 )
@@ -182,7 +183,7 @@ func TestParseQueryConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				v, _, err := est.SelectivityTracedCanonical(context.Background(), q, c)
+				v, _, err := est.SelectivityTracedCanonical(context.Background(), q, c, time.Time{})
 				if err != nil || c != canon[i] || v != want[i] {
 					errs <- fmt.Errorf("goroutine %d: %s = %v (canonical %q, err %v); fresh parse %v (%q)",
 						g, planQueries[i], v, c, err, want[i], canon[i])

@@ -111,16 +111,20 @@ func (t *EstimateTrace) SpanSum() time.Duration {
 // where the time went. The trace is also returned on error, covering
 // the stages that ran.
 func (e *Estimator) SelectivityTraced(ctx context.Context, q *query.Query) (float64, *EstimateTrace, error) {
-	return e.SelectivityTracedCanonical(ctx, q, "")
+	return e.SelectivityTracedCanonical(ctx, q, "", time.Time{})
 }
 
 // SelectivityTracedCanonical is SelectivityTraced for a query whose
 // canonical string, q.String(), the caller already holds (ParseQuery
 // and WarmPlan return it), so the pipeline does not canonicalize q
 // again. An empty canonical canonicalizes as SelectivityTraced does.
-func (e *Estimator) SelectivityTracedCanonical(ctx context.Context, q *query.Query, canonical string) (float64, *EstimateTrace, error) {
+// deadline, unless zero, bounds the estimate like a context deadline
+// would, checked where ctx is (before each root variable's subproblem
+// group of an executed plan) and failing with context.DeadlineExceeded,
+// without a timer or a derived context per call.
+func (e *Estimator) SelectivityTracedCanonical(ctx context.Context, q *query.Query, canonical string, deadline time.Time) (float64, *EstimateTrace, error) {
 	tr := e.newTrace()
-	v, err := e.pipeline(ctx, q, canonical, tr)
+	v, err := e.pipeline(ctx, deadline, q, canonical, tr)
 	return v, tr, err
 }
 

@@ -99,8 +99,11 @@ type Span struct {
 	// span's rendered name ("POST /estimate") only where that name is
 	// needed, when a trace store first sees the family and when the span
 	// is snapshotted, never per request.
-	path       string
-	requestID  string
+	path      string
+	requestID string
+	// idHeader backs the X-Request-Id response header value of a root
+	// span TraceHandler opened, so the header costs no slice per request.
+	idHeader   [1]string
 	tenant     string
 	collection string
 	detail     string
@@ -428,9 +431,10 @@ func TraceHandler(store *TraceStore, next http.Handler) http.Handler {
 		if id == "" {
 			id = NewRequestID()
 		}
-		w.Header().Set(RequestIDHeader, id)
 		root := NewSpan(r.Method, id)
 		root.path = r.URL.Path
+		root.idHeader[0] = id
+		w.Header()[RequestIDHeader] = root.idHeader[:]
 		defer func() {
 			root.Finish()
 			store.Record(root)

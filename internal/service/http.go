@@ -102,13 +102,19 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 		WriteErrorMsg(w, http.StatusInternalServerError, "service: encode response: "+err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	w.Write(je.buf.Bytes()) //nolint:errcheck // headers are out; nothing to do
 	if je.buf.Cap() <= maxPooledJSON {
 		jsonEncoders.Put(je)
 	}
 }
+
+// jsonContentType is WriteJSON's Content-Type value, shared by every
+// response instead of a one-element slice per call. Nothing writes it:
+// net/http copies the header map when the header is written, and
+// Header.Add appends past its full capacity into a new array.
+var jsonContentType = []string{"application/json"}
 
 // jsonEncoder is one pooled response encoder: a buffer and the
 // indenting encoder that writes into it.

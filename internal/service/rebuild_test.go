@@ -196,7 +196,7 @@ func TestSwapInvalidatesCachesAndPlans(t *testing.T) {
 	// the way a pinned in-flight request would.
 	oldEst := svc.Estimator()
 	for _, q := range qs {
-		if _, tr, err := svc.estimateOne(context.Background(), svc.cur.Load(), q, ""); err != nil {
+		if _, tr, err := svc.estimateOne(context.Background(), time.Time{}, svc.cur.Load(), q, ""); err != nil {
 			t.Fatal(err)
 		} else if tr.Generation != 0 || tr.PlanGeneration != 0 {
 			t.Fatalf("pre-swap trace generations %d/%d, want 0/0", tr.Generation, tr.PlanGeneration)
@@ -227,7 +227,7 @@ func TestSwapInvalidatesCachesAndPlans(t *testing.T) {
 		t.Fatal("swap did not replace the estimator")
 	}
 	for i, q := range qs {
-		_, tr, err := svc.estimateOne(context.Background(), svc.cur.Load(), q, "")
+		_, tr, err := svc.estimateOne(context.Background(), time.Time{}, svc.cur.Load(), q, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +304,7 @@ func TestHammerWhileSwapping(t *testing.T) {
 			<-start
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % len(qs)
-				v, tr, err := svc.estimateOne(context.Background(), svc.cur.Load(), qs[i], "")
+				v, tr, err := svc.estimateOne(context.Background(), time.Time{}, svc.cur.Load(), qs[i], "")
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d round %d: %v", g, r, err)
 					return

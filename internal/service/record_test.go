@@ -124,7 +124,7 @@ func TestSpanSnapshotMatchesTrace(t *testing.T) {
 		{"plan hit", planOnly, ctx, q},
 		{"deadline", cached, obs.WithSpan(expired, root), query.MustParse("//book[pages>=300]")},
 	} {
-		_, tr, err := c.svc.estimateOne(c.ctx, c.svc.cur.Load(), c.q, "")
+		_, tr, err := c.svc.estimateOne(c.ctx, time.Time{}, c.svc.cur.Load(), c.q, "")
 		runs = append(runs, estimate{c.name, tr, err})
 	}
 	if !runs[1].tr.ResultCacheHit || !runs[3].tr.PlanCacheHit || runs[4].err == nil {
@@ -162,23 +162,28 @@ func TestSpanSnapshotMatchesTrace(t *testing.T) {
 // allocations, with the profiler and the pipeline metrics recording
 // from the trace. In a traced request the estimate attaches to the
 // span by reference, so it costs nothing more than the span's child
-// list growth (amortized away over the runs).
+// list growth (amortized away over the runs). A service deadline
+// (WithTimeout, set to xclusterd's default -timeout) costs nothing: it
+// is a time the executed plan checks, not a timer context.
 func TestServiceEstimateCacheHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	svc := New(newTestSynopsis(t))
-	t.Cleanup(svc.Close)
+	syn := newTestSynopsis(t)
 	plain := context.Background()
 	traced := obs.WithSpan(plain, obs.NewSpan("POST /estimate", "req-1"))
-	for _, s := range testWorkload {
-		q := query.MustParse(s)
-		if _, err := svc.Estimate(plain, q); err != nil { // warm the caches and the profiler
-			t.Fatal(err)
-		}
-		for name, ctx := range map[string]context.Context{"untraced": plain, "traced": traced} {
-			if n := testing.AllocsPerRun(100, func() { svc.Estimate(ctx, q) }); n > 2 {
-				t.Errorf("Service.Estimate, result-cache hit, %s: %q: %v allocs, want ≤2", name, s, n)
+	for svcName, opts := range map[string][]Option{"no timeout": nil, "timeout": {WithTimeout(5 * time.Second)}} {
+		svc := New(syn, opts...)
+		t.Cleanup(svc.Close)
+		for _, s := range testWorkload {
+			q := query.MustParse(s)
+			if _, err := svc.Estimate(plain, q); err != nil { // warm the caches and the profiler
+				t.Fatal(err)
+			}
+			for name, ctx := range map[string]context.Context{"untraced": plain, "traced": traced} {
+				if n := testing.AllocsPerRun(100, func() { svc.Estimate(ctx, q) }); n > 2 {
+					t.Errorf("Service.Estimate, result-cache hit, %s, %s: %q: %v allocs, want ≤2", svcName, name, s, n)
+				}
 			}
 		}
 	}

@@ -40,7 +40,11 @@ import (
 type Option func(*Service)
 
 // WithTimeout sets a per-request deadline applied to every Estimate and
-// EstimateBatch call on top of the caller's context (0 disables).
+// EstimateBatch call on top of the caller's context (0 disables). The
+// deadline is taken when the call starts and checked where the caller's
+// context is, before each root-variable group of an executed plan, so
+// a result-cache hit is never refused; an expired deadline fails the
+// estimate with context.DeadlineExceeded.
 func WithTimeout(d time.Duration) Option {
 	return func(s *Service) { s.timeout = d }
 }
@@ -510,13 +514,20 @@ func (s *Service) WorkloadProfile() (profile.Profile, error) {
 func (s *Service) Estimate(ctx context.Context, q *query.Query) (float64, error) {
 	s.inflightWG.Add(1)
 	defer s.inflightWG.Done()
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
-	v, _, err := s.estimateOne(ctx, s.cur.Load(), q, "")
+	v, _, err := s.estimateOne(ctx, s.deadline(), s.cur.Load(), q, "")
 	return v, err
+}
+
+// deadline returns the service deadline of one Estimate or
+// estimateBatch call, the zero time when WithTimeout is off. It is a
+// plain time the estimator checks beside ctx, not a derived context: a
+// timer per call would cost more than a result-cache hit, which never
+// checks it.
+func (s *Service) deadline() time.Time {
+	if s.timeout <= 0 {
+		return time.Time{}
+	}
+	return time.Now().Add(s.timeout)
 }
 
 // estimateOne runs one traced estimate against the pinned slot and
@@ -524,11 +535,11 @@ func (s *Service) Estimate(ctx context.Context, q *query.Query) (float64, error)
 // single estimate, or a whole batch) runs coherently on one generation
 // even while a hot swap installs the next. canonical is q's canonical
 // string when the caller already computed it (the batch warm pass), ""
-// otherwise.
-func (s *Service) estimateOne(ctx context.Context, sl *slot, q *query.Query, canonical string) (float64, *core.EstimateTrace, error) {
+// otherwise. deadline is the call's service deadline (zero for none).
+func (s *Service) estimateOne(ctx context.Context, deadline time.Time, sl *slot, q *query.Query, canonical string) (float64, *core.EstimateTrace, error) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	v, tr, err := sl.est.SelectivityTracedCanonical(ctx, q, canonical)
+	v, tr, err := sl.est.SelectivityTracedCanonical(ctx, q, canonical, deadline)
 	s.record(ctx, sl, q, tr, err)
 	return v, tr, err
 }
@@ -643,22 +654,18 @@ type batchQuery struct {
 func (s *Service) estimateBatch(ctx context.Context, sl *slot, batch []batchQuery) error {
 	s.inflightWG.Add(1)
 	defer s.inflightWG.Done()
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
 	if len(batch) == 0 {
 		return nil
 	}
 	s.batches.Inc()
 	s.batchQueries.Add(uint64(len(batch)))
+	deadline := s.deadline()
 	if err := s.prepareShapes(sl, batch); err != nil {
 		return err
 	}
 	for i := range batch {
 		bq := &batch[i]
-		v, tr, err := s.estimateOne(ctx, sl, bq.q, bq.canonical)
+		v, tr, err := s.estimateOne(ctx, deadline, sl, bq.q, bq.canonical)
 		bq.tr = tr
 		if err != nil {
 			return fmt.Errorf("service: query %d: %w", i, err)

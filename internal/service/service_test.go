@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -235,6 +236,31 @@ func TestTimeoutAndCancellation(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "query") {
 		t.Fatalf("batch error %q does not identify the failing query", err)
+	}
+
+	// The caller's cancellation is checked before the service deadline,
+	// so a cancelled caller gets Canceled even once the deadline passed.
+	svc3 := New(syn, WithCacheCapacity(0), WithTimeout(time.Nanosecond))
+	if _, err := svc3.Estimate(ctx, qs[0]); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancel under a service timeout: %v, want Canceled", err)
+	}
+	if _, err := svc3.EstimateBatch(ctx, qs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("batch cancel under a service timeout: %v, want Canceled", err)
+	}
+
+	// A result-cache hit is answered whatever the deadline's state: the
+	// deadline is checked only by an executed plan.
+	svc4 := New(syn, WithTimeout(time.Nanosecond))
+	want := make([]float64, len(qs))
+	for i, q := range qs {
+		want[i] = svc4.Estimator().Selectivity(q) // fills the result cache
+	}
+	if got, err := svc4.Estimate(context.Background(), qs[0]); err != nil || got != want[0] {
+		t.Fatalf("cache hit under an expired deadline: %v, %v, want %v", got, err, want[0])
+	}
+	got, err := svc4.EstimateBatch(context.Background(), qs)
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("batch of cache hits under an expired deadline: %v, %v, want %v", got, err, want)
 	}
 }
 
