@@ -21,7 +21,9 @@
 # under the same ≤2 bound, and TestHandlerEstimateHotAllocs's shard
 # (hotEstimate) gets the timeout through ShardOptions, with the bound
 # at ≤29, the measured count once the deadline arms no timer and the
-# body decodes without a json.Decoder.
+# body decodes without a json.Decoder; it also pins the same query as
+# json.Marshal escapes it (≤29) and a body that falls back to
+# json.Decoder (≤40).
 set -eux
 
 fmt="$(gofmt -l .)"

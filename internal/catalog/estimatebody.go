@@ -5,7 +5,9 @@ import (
 	"io"
 	"net/http"
 	"slices"
+	"strings"
 	"sync"
+	"unicode/utf16"
 	"unicode/utf8"
 
 	"xcluster/internal/service"
@@ -13,42 +15,45 @@ import (
 
 // decodeEstimateBody decodes the body of POST /estimate into req with
 // decodeBody's outcome — the same request, or the same 400 envelope —
-// but without a json.Decoder for the plain body clients send. A body of
-// known length within service.MaxRequestBytes is read whole into a
-// pooled buffer and parsed by parsePlainEstimateRequest. Every other
-// body, including one the plain parser turns down, is decoded as
-// decodeBody decodes it, over the same bytes followed by the same read
-// error, so status and error text cannot differ. A chunked body, or one
-// with no or too large a length, streams to the decoder as in
-// decodeBody.
+// but without a json.Decoder for a plain body. The body is read into a
+// pooled buffer, up to one byte past service.MaxRequestBytes, and a
+// whole body within the limit is parsed by parsePlainEstimateRequest.
+// Any other body, including one the plain parser turns down, goes to
+// decodeBody's json.Decoder over the same bytes followed by what ended
+// the read: the end of the body, the read error, or, past the limit,
+// the rest of the body under the same bound. Status and error text
+// therefore cannot differ.
 func decodeEstimateBody(w http.ResponseWriter, r *http.Request, req *EstimateRequest) bool {
-	body := r.Body
-	if n := r.ContentLength; n > 0 && n <= service.MaxRequestBytes {
-		bp := bodyBufs.Get().(*[]byte)
-		defer func() {
-			if cap(*bp) <= maxPooledBody {
-				bodyBufs.Put(bp)
-			}
-		}()
-		buf, err := readBody(r.Body, (*bp)[:0], int(n))
-		*bp = buf
-		if err == io.EOF && parsePlainEstimateRequest(buf, req) {
-			return true
+	bp := bodyBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*bp) <= maxPooledBody {
+			bodyBufs.Put(bp)
 		}
-		// The read ended at the body's end or on an error, which the
-		// replay repeats; or it stopped past the size limit (only a
-		// hand-built request's body outruns its length), and the rest of
-		// the body follows.
+	}()
+	buf, err := readBody(r.Body, (*bp)[:0], int(min(max(r.ContentLength, 0), service.MaxRequestBytes)))
+	*bp = buf
+	over := len(buf) > service.MaxRequestBytes
+	if err == io.EOF && !over && parsePlainEstimateRequest(buf, req) {
+		return true
+	}
+	// The decoder reads the same bytes, then what ended the read: the
+	// body's end, its read error, or, when the limit stopped it (err is
+	// nil), the rest of the body, bounded as decodeBody bounds it.
+	var body io.Reader = bytes.NewReader(buf)
+	if err != io.EOF {
 		rest := io.Reader(r.Body)
 		if err != nil {
 			rest = errReader{err}
 		}
-		body = io.NopCloser(io.MultiReader(bytes.NewReader(buf), rest))
+		body = io.MultiReader(body, rest)
+	}
+	if over {
+		body = http.MaxBytesReader(w, io.NopCloser(body), service.MaxRequestBytes)
 	}
 	// json.Decoder's target escapes: decoding into a copy keeps req, the
 	// caller's, off the heap on the plain path.
 	var dec EstimateRequest
-	ok := decodeJSON(w, http.MaxBytesReader(w, body, service.MaxRequestBytes), &dec, false)
+	ok := decodeJSON(w, body, &dec, false)
 	*req = dec
 	return ok
 }
@@ -61,12 +66,13 @@ var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 const maxPooledBody = 64 << 10
 
 // readBody appends r's bytes to buf until r fails or ends, or buf holds
-// more than service.MaxRequestBytes. It sizes buf for length bytes and
-// the read that finds the end first, so a body of the announced length
-// is read without regrowing. It returns the error the read ended with
-// (io.EOF at the end of the body), or nil when the limit stopped it.
-func readBody(r io.Reader, buf []byte, length int) ([]byte, error) {
-	buf = slices.Grow(buf, length+1)
+// more than service.MaxRequestBytes. It sizes buf for sizeHint bytes
+// (the body's length, 0 when unknown) and the read that finds the end,
+// so a body of the announced length is read without regrowing. It
+// returns the error the read ended with (io.EOF at the end of the
+// body), or nil when the limit stopped it.
+func readBody(r io.Reader, buf []byte, sizeHint int) ([]byte, error) {
+	buf = slices.Grow(buf, sizeHint+1)
 	for len(buf) <= service.MaxRequestBytes {
 		if len(buf) == cap(buf) {
 			buf = slices.Grow(buf, 512)
@@ -87,15 +93,17 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // parsePlainEstimateRequest parses body into req if it is a plain
 // estimate request: one object whose keys are exactly tenant,
-// collection, queries, explain, plan or trace, each at most once; whose
-// strings hold no backslash or control byte and are valid UTF-8; whose
-// booleans are true or false and whose queries are an array of such
-// strings; with JSON whitespace between tokens and nothing but
-// whitespace after the object. json.Decoder, unknown fields disallowed,
-// decodes such a body into the same request (FuzzDecodeEstimateRequest
-// checks it). For any other body it reports false and leaves req
-// untouched. Validation comes first, so the only allocations are the
-// strings and queries slice of an accepted body.
+// collection, queries, explain, plan or trace, each at most once, and
+// unescaped; whose strings hold no control byte, are valid UTF-8 and
+// escape nothing but single characters (json.Marshal writes <, > and &
+// as \u003c, \u003e and \u0026), not UTF-16 surrogates; whose booleans
+// are true or false and whose queries are an array of such strings;
+// with JSON whitespace between tokens and nothing but whitespace after
+// the object. json.Decoder, unknown fields disallowed, decodes such a
+// body into the same request (FuzzDecodeEstimateRequest checks it). For
+// any other body it reports false and leaves req untouched. Validation
+// comes first, so the only allocations are the strings and queries
+// slice of an accepted body.
 func parsePlainEstimateRequest(body []byte, req *EstimateRequest) bool {
 	const (
 		fTenant = 1 << iota
@@ -110,7 +118,8 @@ func parsePlainEstimateRequest(body []byte, req *EstimateRequest) bool {
 		out                EstimateRequest
 		seen               int
 		tenant, collection []byte
-		qStart, nq         int
+		queries            plainParser
+		nq                 int
 	)
 	if !p.token('{') {
 		return false
@@ -131,7 +140,8 @@ func parsePlainEstimateRequest(body []byte, req *EstimateRequest) bool {
 				collection, ok = p.str()
 			case "queries":
 				field = fQueries
-				qStart, nq, ok = p.strs()
+				queries = p
+				nq, ok = p.strs()
 			case "explain":
 				field = fExplain
 				out.Explain, ok = p.boolean()
@@ -160,15 +170,17 @@ func parsePlainEstimateRequest(body []byte, req *EstimateRequest) bool {
 	if p.i != len(body) {
 		return false
 	}
-	out.Tenant, out.Collection = string(tenant), string(collection)
+	out.Tenant, out.Collection = unescape(tenant), unescape(collection)
 	if seen&fQueries != 0 {
-		// The array is valid: each string runs from a quote to the next.
+		// The array is valid: rescan it for its strings.
+		queries.token('[')
 		out.Queries = make([]string, nq)
 		for i := range out.Queries {
-			open := qStart + bytes.IndexByte(body[qStart:], '"') + 1
-			end := open + bytes.IndexByte(body[open:], '"')
-			out.Queries[i] = string(body[open:end])
-			qStart = end + 1
+			if i > 0 {
+				queries.token(',')
+			}
+			s, _ := queries.str()
+			out.Queries[i] = unescape(s)
 		}
 	}
 	*req = out
@@ -203,8 +215,9 @@ func (p *plainParser) token(c byte) bool {
 	return false
 }
 
-// str consumes a string with no escape or control byte and returns its
-// contents, which must be valid UTF-8.
+// str consumes a string with no control byte and only the escapes
+// unescape decodes, and returns its still escaped contents, which must
+// be valid UTF-8.
 func (p *plainParser) str() ([]byte, bool) {
 	if !p.token('"') {
 		return nil, false
@@ -215,33 +228,37 @@ func (p *plainParser) str() ([]byte, bool) {
 			s := p.b[start:p.i]
 			p.i++
 			return s, utf8.Valid(s)
-		case c == '\\' || c < 0x20:
+		case c == '\\':
+			n, _ := escapeLen(p.b[p.i:])
+			if n == 0 {
+				return nil, false
+			}
+			p.i += n - 1
+		case c < 0x20:
 			return nil, false
 		}
 	}
 	return nil, false
 }
 
-// strs consumes an array of such strings and returns the offset just
-// past its opening bracket and how many strings it holds.
-func (p *plainParser) strs() (start, n int, ok bool) {
+// strs consumes an array of such strings and reports how many it holds.
+func (p *plainParser) strs() (n int, ok bool) {
 	if !p.token('[') {
-		return 0, 0, false
+		return 0, false
 	}
-	start = p.i
 	if p.token(']') {
-		return start, 0, true
+		return 0, true
 	}
 	for {
 		if _, ok := p.str(); !ok {
-			return 0, 0, false
+			return 0, false
 		}
 		n++
 		if p.token(']') {
-			return start, n, true
+			return n, true
 		}
 		if !p.token(',') {
-			return 0, 0, false
+			return 0, false
 		}
 	}
 }
@@ -256,4 +273,69 @@ func (p *plainParser) boolean() (v, ok bool) {
 		}
 	}
 	return false, false
+}
+
+// escapeLen returns the length of the escape sequence that starts b, a
+// backslash, and the character it stands for; the length is 0 for a
+// sequence str turns down: a malformed one, or a \u escape of a UTF-16
+// surrogate, which json.Decoder pairs or replaces.
+func escapeLen(b []byte) (n int, r rune) {
+	if len(b) < 2 {
+		return 0, 0
+	}
+	switch b[1] {
+	case '"', '\\', '/':
+		return 2, rune(b[1])
+	case 'b':
+		return 2, '\b'
+	case 'f':
+		return 2, '\f'
+	case 'n':
+		return 2, '\n'
+	case 'r':
+		return 2, '\r'
+	case 't':
+		return 2, '\t'
+	case 'u':
+		if len(b) < 6 {
+			return 0, 0
+		}
+		for _, c := range b[2:6] {
+			switch {
+			case '0' <= c && c <= '9':
+				c -= '0'
+			case 'a' <= c && c <= 'f':
+				c -= 'a' - 10
+			case 'A' <= c && c <= 'F':
+				c -= 'A' - 10
+			default:
+				return 0, 0
+			}
+			r = r<<4 | rune(c)
+		}
+		if utf16.IsSurrogate(r) {
+			return 0, 0
+		}
+		return 6, r
+	}
+	return 0, 0
+}
+
+// unescape returns the string a str-validated string's contents stand
+// for, in one allocation.
+func unescape(s []byte) string {
+	i := bytes.IndexByte(s, '\\')
+	if i < 0 {
+		return string(s)
+	}
+	var b strings.Builder
+	b.Grow(len(s))
+	for ; i >= 0; i = bytes.IndexByte(s, '\\') {
+		n, r := escapeLen(s[i:])
+		b.Write(s[:i])
+		b.WriteRune(r)
+		s = s[i+n:]
+	}
+	b.Write(s)
+	return b.String()
 }

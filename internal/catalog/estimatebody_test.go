@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"xcluster/internal/service"
 )
@@ -26,6 +27,11 @@ func FuzzDecodeEstimateRequest(f *testing.F) {
 		`{"queries":[]}`,
 		`{"queries":["//book[year\u003e1990]/title"]}`,
 		`{"queries":["//book[title contains(\"x\")]"]}`,
+		`{"queries":["\u003C\/\\\b\f\n\r\t\u00e9\u0000"]}`,
+		`{"queries":["\ud83d\ude00","\ud83d"]}`,
+		`{"queries":["\u00"]}`,
+		`{"queries":["\x"]}`,
+		`{"quer\u0069es":["//book"]}`,
 		`{"Queries":["//book"]}`,
 		`{"queries":["//book"],"queries":["//book/title"]}`,
 		`{"explain":true,"explain":false,"queries":["//book"]}`,
@@ -89,13 +95,21 @@ func TestParsePlainEstimateRequest(t *testing.T) {
 		`{}`,
 		`{"queries":[]}`,
 		" { \"tenant\" : \"acme\" ,\n\"collection\":\"docs\",\"queries\":[\"a\",\"é\"],\"explain\":true,\"plan\":false,\"trace\":true }\r\n",
+		`{"queries":["//book[year\u003e1990 \u0026 year\u003C2000]/title"],"tenant":"a\"b\\"}`,
+		`{"queries":["\/\b\f\n\r\t\u00e9\u0000\uFFFF"]}`,
 	} {
-		if !parsePlainEstimateRequest([]byte(body), new(EstimateRequest)) {
+		var got, want EstimateRequest
+		if !parsePlainEstimateRequest([]byte(body), &got) {
 			t.Errorf("%q: not parsed as a plain request", body)
+		} else if err := json.Unmarshal([]byte(body), &want); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%q: parsed as %#v, json.Unmarshal %#v (%v)", body, got, want, err)
 		}
 	}
 	for _, body := range []string{
-		`{"queries":["a\"b"]}`,
+		`{"queries":["\ud83d\ude00"]}`,
+		`{"queries":["\u00"]}`,
+		`{"queries":["\x"]}`,
+		`{"quer\u0069es":["a"]}`,
 		`{"Queries":["a"]}`,
 		`{"queries":["a"],"queries":["b"]}`,
 		`{"queries":null}`,
@@ -116,10 +130,12 @@ func TestParsePlainEstimateRequest(t *testing.T) {
 // TestDecodeEstimateBodyReadsLikeDecodeBody compares POST /estimate's
 // body decoder with decodeBody on bodies the fuzz test's requests
 // cannot carry: a read that fails partway, a chunked body (no length),
-// and a hand-built request whose body outruns its length past the size
-// limit. Status and response bytes must be the same.
+// a hand-built request whose body outruns its length past the size
+// limit, and a body one byte over the limit whose last read also
+// reports its end. Status and response bytes must be the same.
 func TestDecodeEstimateBodyReadsLikeDecodeBody(t *testing.T) {
 	huge := `{"queries":["` + strings.Repeat("a", service.MaxRequestBytes) + `"]}`
+	justOver := `{"queries":["` + strings.Repeat("a", service.MaxRequestBytes-15) + `"]}`
 	for _, c := range []struct {
 		name   string
 		length int64
@@ -134,6 +150,9 @@ func TestDecodeEstimateBodyReadsLikeDecodeBody(t *testing.T) {
 		{"chunked", -1, func() io.Reader { return strings.NewReader(`{"queries":["//book"]}`) }},
 		{"body outruns its length", 10, func() io.Reader { return strings.NewReader(huge) }},
 		{"over the limit", int64(len(huge)), func() io.Reader { return strings.NewReader(huge) }},
+		{"over the limit by the last byte, read with io.EOF", -1, func() io.Reader {
+			return iotest.DataErrReader(strings.NewReader(justOver))
+		}},
 	} {
 		serve := func(decode func(http.ResponseWriter, *http.Request) bool) (*httptest.ResponseRecorder, bool) {
 			r := httptest.NewRequest(http.MethodPost, "/estimate", nil)
