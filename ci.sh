@@ -77,11 +77,12 @@ go test -run=Fuzz ./...
 # SLO-sampled-out and traced telemetry), internal/catalog
 # BenchmarkHandlerEstimateHot (one cached POST /estimate through the
 # daemon's handler), and the root package's BenchmarkEstimateCold (both
-# caches off: every call compiles) and BenchmarkPrepared (execute only),
-# whose ratio is the compile cost. Timing itself lives in bench/ and
+# caches off: every call compiles), BenchmarkPrepared (execute only),
+# whose ratio is the compile cost, and BenchmarkEstimateCacheHit (the
+# result-cache LRU hit path). Timing itself lives in bench/ and
 # `go test -bench`.
 go test -run '^$' -bench 'EstimateTelemetry|HandlerEstimateHot' -benchtime 1x ./internal/service ./internal/catalog
-go test -run '^$' -bench 'EstimateCold$|Prepared$' -benchtime 1x .
+go test -run '^$' -bench 'EstimateCold$|Prepared$|EstimateCacheHit$' -benchtime 1x .
 
 # Machine-readable benchmark artifact, kept at the repo root for
 # comparison across revisions: the budget-allocation experiment (fixed

@@ -65,7 +65,6 @@ type Shard struct {
 	key  Key
 	spec ShardSpec
 	svc  *service.Service
-	reg  *obs.Registry
 
 	// draining flips once, when Detach claims the shard; estimates
 	// observing it fail fast with ErrShardDraining.
@@ -253,7 +252,6 @@ func (c *Catalog) buildShard(ctx context.Context, spec ShardSpec) (*Shard, error
 	if syn == nil {
 		return nil, fmt.Errorf("catalog: loading shard %s: loader returned no synopsis", spec.Key())
 	}
-	reg := obs.NewRegistry()
 	var opts []service.Option
 	if c.cfg.ShardOptions != nil {
 		opts = append(opts, c.cfg.ShardOptions(spec)...)
@@ -291,11 +289,8 @@ func (c *Catalog) buildShard(ctx context.Context, spec ShardSpec) (*Shard, error
 		s, _, err := loader(ctx, loadSpec)
 		return s, err
 	}))
-	// The shard's registry goes last so nothing in ShardOptions can
-	// redirect the shard's metrics into a shared registry.
-	opts = append(opts, service.WithRegistry(reg))
 	svc := service.New(syn, opts...)
-	sh := &Shard{key: spec.Key(), spec: spec, svc: svc, reg: reg}
+	sh := &Shard{key: spec.Key(), spec: spec, svc: svc}
 	sh.estimateBatch = svc.EstimateBatch
 	return sh, nil
 }

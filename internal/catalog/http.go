@@ -477,7 +477,7 @@ func (c *Catalog) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	parts = append(parts, obs.Labeled{R: c.reg})
 	for _, sh := range shards {
 		sh.svc.SyncMetrics()
-		parts = append(parts, obs.Labeled{Labels: c.shardLabels(sh), R: sh.reg})
+		parts = append(parts, obs.Labeled{Labels: c.shardLabels(sh), R: sh.svc.Registry()})
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	obs.WritePrometheusMerged(w, parts...) //nolint:errcheck // headers are out; nothing to do

@@ -14,10 +14,9 @@ import (
 // synopsis for repeated execution — the prepared-statement shape of the
 // estimation pipeline. It is immutable and safe for concurrent use.
 //
-// A PreparedQuery binds the estimator configuration (UninformedSel) in
-// effect at Prepare time; it does not consult the estimator's result
-// cache, because executing the compiled plan is the fast path the cache
-// would otherwise shortcut.
+// A PreparedQuery does not consult the estimator's result cache,
+// because executing the compiled plan is the fast path the cache would
+// otherwise shortcut.
 type PreparedQuery struct {
 	est  *Estimator
 	plan *Plan
@@ -29,7 +28,7 @@ type PreparedQuery struct {
 // bit-for-bit identical to Estimator.Selectivity.
 func (e *Estimator) Prepare(q *query.Query) (*PreparedQuery, error) {
 	canonical := q.String()
-	plan, err := e.planFor(q, canonical, e.saltKey(canonical), nil)
+	plan, err := e.planFor(q, canonical, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +50,7 @@ func (e *Estimator) WarmPlan(q *query.Query, canonical string) (string, error) {
 	if e.plans == nil {
 		return canonical, nil
 	}
-	_, err := e.planFor(q, canonical, e.saltKey(canonical), nil)
+	_, err := e.planFor(q, canonical, nil)
 	return canonical, err
 }
 

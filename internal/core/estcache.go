@@ -12,11 +12,10 @@ type CacheStats struct {
 	// Hits and Misses count cache lookups since construction (or the
 	// last capacity change).
 	Hits, Misses uint64
-	// Evictions counts entries displaced by capacity pressure (stale
-	// epoch drops and purges are not evictions). In a multi-tenant
-	// catalog, a tenant's eviction count can only be driven by its own
-	// traffic — each shard owns its caches — which the isolation tests
-	// assert.
+	// Evictions counts entries displaced by capacity pressure. In a
+	// multi-tenant catalog, a tenant's eviction count can only be driven
+	// by its own traffic — each shard owns its caches — which the
+	// isolation tests assert.
 	Evictions uint64
 	// Len is the current number of cached entries; Capacity the maximum.
 	Len, Capacity int
@@ -37,14 +36,9 @@ func (c CacheStats) HitRate() float64 {
 // immutable once inserted (estimates and plans over an immutable
 // synopsis never change, nor does a parsed query), so a hit can be
 // returned without copying. Hit/miss counters are atomics so they
-// never contend with the list manipulation.
-//
-// The cache is epoch-aware: every entry is stamped with the value of the
-// shared epoch counter at insertion, and a lookup only hits when the
-// entry's stamp matches the current epoch. Bumping the counter therefore
-// invalidates every cache sharing it in one atomic store — the result
-// and plan caches of an estimator can never serve values from different
-// epochs, even mid-swap while a slow writer races the bump.
+// never contend with the list manipulation. A cache lives exactly as
+// long as its estimator, which serves one synopsis: nothing it holds
+// can go stale, so nothing ever invalidates it.
 type lruCache[V any] struct {
 	mu        sync.Mutex
 	capacity  int
@@ -53,42 +47,30 @@ type lruCache[V any] struct {
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
-	// epoch is the shared invalidation counter (owned by the Estimator;
-	// the same counter backs all of its caches).
-	epoch *atomic.Uint64
 }
 
 // cacheEntry is one LRU element.
 type cacheEntry[V any] struct {
-	key   string
-	val   V
-	epoch uint64 // epoch counter value at insertion
+	key string
+	val V
 }
 
 // newLRUCache returns an empty cache holding at most capacity entries.
 // Its map grows with the entries it holds rather than being sized to
 // the capacity up front, which for a large capacity would reserve
 // gigabytes before the first entry (and again on every hot swap).
-func newLRUCache[V any](capacity int, epoch *atomic.Uint64) *lruCache[V] {
+func newLRUCache[V any](capacity int) *lruCache[V] {
 	return &lruCache[V]{
 		capacity: capacity,
 		ll:       list.New(),
 		items:    make(map[string]*list.Element),
-		epoch:    epoch,
 	}
 }
 
 // get returns the cached value for key and whether it was present.
-// Entries stamped with a stale epoch are dropped and count as misses.
 func (c *lruCache[V]) get(key string) (V, bool) {
-	now := c.epoch.Load()
 	c.mu.Lock()
 	el, ok := c.items[key]
-	if ok && el.Value.(*cacheEntry[V]).epoch != now {
-		c.ll.Remove(el)
-		delete(c.items, key)
-		ok = false
-	}
 	if !ok {
 		c.mu.Unlock()
 		c.misses.Add(1)
@@ -102,43 +84,30 @@ func (c *lruCache[V]) get(key string) (V, bool) {
 	return v, true
 }
 
-// put inserts key → val stamped with the current epoch, evicting the
-// least recently used entry when the cache is full. The eviction
-// recycles the victim's list element and entry for the new key, so a
-// put into a full cache allocates nothing. Concurrent puts of the same
-// key are idempotent (both goroutines computed the same deterministic
-// value).
+// put inserts key → val, evicting the least recently used entry when
+// the cache is full. The eviction recycles the victim's list element
+// and entry for the new key, so a put into a full cache allocates
+// nothing. Concurrent puts of the same key are idempotent (both
+// goroutines computed the same deterministic value).
 func (c *lruCache[V]) put(key string, val V) {
-	now := c.epoch.Load()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		ent := el.Value.(*cacheEntry[V])
-		ent.val = val
-		ent.epoch = now
+		el.Value.(*cacheEntry[V]).val = val
 		return
 	}
 	if c.ll.Len() >= c.capacity {
 		el := c.ll.Back()
 		ent := el.Value.(*cacheEntry[V])
 		delete(c.items, ent.key)
-		*ent = cacheEntry[V]{key: key, val: val, epoch: now}
+		*ent = cacheEntry[V]{key: key, val: val}
 		c.ll.MoveToFront(el)
 		c.items[key] = el
 		c.evictions.Add(1)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry[V]{key: key, val: val, epoch: now})
-}
-
-// purge eagerly drops every entry (stale entries would otherwise only be
-// reclaimed lazily on lookup). Counters are kept.
-func (c *lruCache[V]) purge() {
-	c.mu.Lock()
-	c.ll.Init()
-	clear(c.items)
-	c.mu.Unlock()
+	c.items[key] = c.ll.PushFront(&cacheEntry[V]{key: key, val: val})
 }
 
 // stats snapshots the counters and occupancy.

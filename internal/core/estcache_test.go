@@ -3,17 +3,14 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"testing"
 )
 
 // TestLRUEvictionCounter: only capacity pressure counts as an eviction —
-// epoch invalidation and purges drop entries without incrementing it, so
-// the counter isolates "my working set outgrew my cache" from lifecycle
-// churn.
+// updating a cached key does not, so the counter isolates "my working
+// set outgrew my cache".
 func TestLRUEvictionCounter(t *testing.T) {
-	var epoch atomic.Uint64
-	c := newLRUCache[int](2, &epoch)
+	c := newLRUCache[int](2)
 	c.put("a", 1)
 	c.put("b", 2)
 	if st := c.stats(); st.Evictions != 0 || st.Len != 2 {
@@ -31,16 +28,6 @@ func TestLRUEvictionCounter(t *testing.T) {
 	if st := c.stats(); st.Evictions != 1 {
 		t.Fatalf("evictions after update = %d, want 1", st.Evictions)
 	}
-	// Epoch invalidation stales entries; the lazy drop on lookup is a
-	// miss, not an eviction.
-	epoch.Add(1)
-	if _, ok := c.get("b"); ok {
-		t.Fatal("stale-epoch entry served")
-	}
-	c.purge()
-	if st := c.stats(); st.Evictions != 1 {
-		t.Fatalf("evictions after purge = %d, want 1", st.Evictions)
-	}
 }
 
 // TestLRUPutFullRecycles pins eviction by recycling: a put into a full
@@ -48,8 +35,7 @@ func TestLRUEvictionCounter(t *testing.T) {
 // allocates nothing, and the LRU order, the victim and the eviction
 // count are those of evict-then-insert.
 func TestLRUPutFullRecycles(t *testing.T) {
-	var epoch atomic.Uint64
-	c := newLRUCache[int](3, &epoch)
+	c := newLRUCache[int](3)
 	order := func() []string {
 		var ks []string
 		for el := c.ll.Front(); el != nil; el = el.Next() {

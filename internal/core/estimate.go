@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"sort"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"xcluster/internal/query"
@@ -37,18 +35,15 @@ import (
 // synopsis is immutable after Build, the descendant-closure vectors are
 // precomputed at construction, execution scratch is pooled, and all
 // three caches are internally synchronized. The one exception is
-// configuration (UninformedSel, SetCacheCapacity,
-// SetPlanCacheCapacity), which must happen before the estimator is
-// shared: compiled plans bind UninformedSel at compile time.
+// configuration (SetCacheCapacity, SetPlanCacheCapacity), which must
+// happen before the estimator is shared.
+//
+// The synopsis never changes, so an estimate is a pure function of the
+// canonical query string, and the caches are keyed by it alone. They
+// live and die with the estimator: a new synopsis gets a new estimator
+// with empty caches.
 type Estimator struct {
 	s *Synopsis
-	// UninformedSel is the selectivity assumed for a value predicate on
-	// a type-matching cluster that carries no value summary (a value
-	// path not configured for summarization). The default 0 keeps
-	// negative queries at the near-zero estimates reported in the paper;
-	// set 1 for an optimistic (superset) estimate instead. Set it before
-	// sharing the estimator across goroutines.
-	UninformedSel float64
 	// kids is the per-node child adjacency as id-sorted slices: the
 	// deterministic, cache-friendly iteration order that makes estimates
 	// reproducible bit-for-bit across runs and across goroutines
@@ -78,10 +73,6 @@ type Estimator struct {
 	// texts memoizes ParseQuery by raw query text; sized with (and
 	// disabled with) the result cache.
 	texts *lruCache[parsedText]
-	// epoch is the shared invalidation counter behind all three caches:
-	// one InvalidateCaches bump makes every cached result, plan and
-	// parsed text stale atomically (see estcache.go).
-	epoch atomic.Uint64
 }
 
 // parsedText is one entry of the text cache: a parsed query (immutable,
@@ -126,7 +117,7 @@ func NewEstimator(s *Synopsis) *Estimator {
 		kids: buildKidIndex(s),
 	}
 	e.labelOf, e.labelIDs = buildLabelIndex(s)
-	e.plans = newLRUCache[*Plan](DefaultPlanCacheCapacity, &e.epoch)
+	e.plans = newLRUCache[*Plan](DefaultPlanCacheCapacity)
 	e.desc = buildDescIndex(s)
 	e.SetCacheCapacity(DefaultCacheCapacity)
 	return e
@@ -140,8 +131,8 @@ func (e *Estimator) SetCacheCapacity(n int) {
 		e.cache, e.texts = nil, nil
 		return
 	}
-	e.cache = newLRUCache[float64](n, &e.epoch)
-	e.texts = newLRUCache[parsedText](n, &e.epoch)
+	e.cache = newLRUCache[float64](n)
+	e.texts = newLRUCache[parsedText](n)
 }
 
 // SetPlanCacheCapacity resizes the compiled-plan cache to hold n plans
@@ -153,27 +144,7 @@ func (e *Estimator) SetPlanCacheCapacity(n int) {
 		e.plans = nil
 		return
 	}
-	e.plans = newLRUCache[*Plan](n, &e.epoch)
-}
-
-// InvalidateCaches drops every cached result, compiled plan and parsed
-// text in one atomic step: the shared epoch counter is bumped first —
-// instantly staling all entries of the three caches, including ones a
-// racing writer is about to insert with the old stamp — and then the
-// caches are purged eagerly to release memory. Safe for concurrent
-// use; called on synopsis hot swaps so no estimate computed against
-// the outgoing generation survives into the next.
-func (e *Estimator) InvalidateCaches() {
-	e.epoch.Add(1)
-	if e.cache != nil {
-		e.cache.purge()
-	}
-	if e.plans != nil {
-		e.plans.purge()
-	}
-	if e.texts != nil {
-		e.texts.purge()
-	}
+	e.plans = newLRUCache[*Plan](n)
 }
 
 // ParseQuery parses a query text and returns the query with its
@@ -287,19 +258,18 @@ func (e *Estimator) SelectivityContext(ctx context.Context, q *query.Query) (flo
 }
 
 // pipeline is the estimation pipeline every entry point runs:
-// canonicalize (the query's canonical string, salted into the cache
-// key, is its identity in both caches; a caller that already holds it
-// passes it as canonical, and "" means compute it), result-cache
-// lookup, plan-cache lookup, compile on a plan miss, and execute. tr,
-// when non-nil, receives one span per stage that ran plus the cache
-// outcomes; with a nil trace no timestamps are taken. ctx and deadline
+// canonicalize (the query's canonical string is its identity in both
+// caches; a caller that already holds it passes it as canonical, and
+// "" means compute it), result-cache lookup, plan-cache lookup,
+// compile on a plan miss, and execute. tr, when non-nil, receives one
+// span per stage that ran plus the cache outcomes; with a nil trace no
+// timestamps are taken. ctx and deadline
 // (zero for none) are checked only where an executed plan checks them,
 // so a result-cache hit answers whatever their state.
 func (e *Estimator) pipeline(ctx context.Context, deadline time.Time, q *query.Query, canonical string, tr *EstimateTrace) (float64, error) {
 	if canonical == "" {
 		canonical = q.String()
 	}
-	key := e.saltKey(canonical)
 	if tr != nil {
 		tr.Canonical = canonical
 		tr.CanonicalHash = CanonicalHash(canonical)
@@ -307,7 +277,7 @@ func (e *Estimator) pipeline(ctx context.Context, deadline time.Time, q *query.Q
 	}
 	if e.cache != nil {
 		ts := tr.now()
-		v, ok := e.cache.get(key)
+		v, ok := e.cache.get(canonical)
 		tr.span(StageResultCache, ts)
 		if ok {
 			if tr != nil {
@@ -316,7 +286,7 @@ func (e *Estimator) pipeline(ctx context.Context, deadline time.Time, q *query.Q
 			return tr.finish(v, nil)
 		}
 	}
-	plan, err := e.planFor(q, canonical, key, tr)
+	plan, err := e.planFor(q, canonical, tr)
 	if err != nil {
 		return tr.finish(0, err)
 	}
@@ -331,30 +301,20 @@ func (e *Estimator) pipeline(ctx context.Context, deadline time.Time, q *query.Q
 		return tr.finish(0, err)
 	}
 	if e.cache != nil {
-		e.cache.put(key, v)
+		e.cache.put(canonical, v)
 	}
 	return tr.finish(v, nil)
 }
 
-// saltKey turns a canonical query string into its cache key: salted
-// with UninformedSel when nonzero (both the estimate and the compiled
-// plan depend on it).
-func (e *Estimator) saltKey(canonical string) string {
-	if e.UninformedSel == 0 {
-		return canonical
-	}
-	return strconv.FormatFloat(e.UninformedSel, 'g', -1, 64) + "|" + canonical
-}
-
-// planFor returns the compiled plan of q under its cache key,
+// planFor returns the compiled plan of q under its canonical string,
 // consulting the plan cache when enabled and recording the lookup and
 // any compilation in tr (nil: untraced). Concurrent misses on the same
 // shape may compile twice; both plans are identical and either lands in
 // the cache.
-func (e *Estimator) planFor(q *query.Query, canonical, key string, tr *EstimateTrace) (*Plan, error) {
+func (e *Estimator) planFor(q *query.Query, canonical string, tr *EstimateTrace) (*Plan, error) {
 	if e.plans != nil {
 		ts := tr.now()
-		p, ok := e.plans.get(key)
+		p, ok := e.plans.get(canonical)
 		tr.span(StagePlanCache, ts)
 		if ok {
 			if tr != nil {
@@ -370,7 +330,7 @@ func (e *Estimator) planFor(q *query.Query, canonical, key string, tr *EstimateT
 		return nil, err
 	}
 	if e.plans != nil {
-		e.plans.put(key, p)
+		e.plans.put(canonical, p)
 	}
 	return p, nil
 }
@@ -384,8 +344,9 @@ type memoKey struct {
 // predSel returns σ_p(u): 1 for no predicate; 0 when the predicate kind
 // cannot apply to the node's value type (the synopsis is type-respecting,
 // so the whole cluster fails); the value summary's estimate when present;
-// and UninformedSel for a type-matching predicate on an unsummarized
-// cluster.
+// and 0 for a type-matching predicate on an unsummarized cluster (a value
+// path not configured for summarization), which keeps negative queries at
+// the near-zero estimates reported in the paper.
 func (e *Estimator) predSel(n *Node, p query.Pred) float64 {
 	if p == nil {
 		return 1
@@ -395,7 +356,7 @@ func (e *Estimator) predSel(n *Node, p query.Pred) float64 {
 		return 0
 	}
 	if n.VSum == nil {
-		return e.UninformedSel
+		return 0
 	}
 	return n.VSum.PredSel(p, e.s.dict)
 }

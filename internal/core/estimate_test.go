@@ -92,6 +92,12 @@ func TestEstimateZeroFrontier(t *testing.T) {
 			t.Errorf("s(%s) = %g, want 0", qs, got)
 		}
 	}
+	// A type-matching predicate on a cluster without a value summary
+	// estimates 0, keeping negative queries near zero as in the paper.
+	bare, _ := BuildReference(tr, ReferenceOptions{ValuePaths: []string{}})
+	if got := NewEstimator(bare).Selectivity(query.MustParse("//paper[year>2000]")); got != 0 {
+		t.Errorf("unsummarized predicate = %g, want 0", got)
+	}
 }
 
 func TestTypeRespectingClusters(t *testing.T) {
@@ -133,23 +139,5 @@ func TestTypeRespectingClusters(t *testing.T) {
 		if math.Abs(got-want) > 1e-9 {
 			t.Errorf("s(%s) = %g, want %g", qs, got, want)
 		}
-	}
-}
-
-func TestEstimatorUninformedSel(t *testing.T) {
-	tr := figure1(t)
-	// Summarize no paths: every value cluster is uninformed.
-	ref, err := BuildReference(tr, ReferenceOptions{ValuePaths: []string{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := query.MustParse("//paper[year>2000]")
-	est := NewEstimator(ref)
-	if got := est.Selectivity(q); got != 0 {
-		t.Fatalf("default uninformed sel = %g, want 0", got)
-	}
-	est.UninformedSel = 1
-	if got := est.Selectivity(q); got != 2 { // all papers pass
-		t.Fatalf("optimistic uninformed sel = %g, want 2", got)
 	}
 }

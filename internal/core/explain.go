@@ -36,7 +36,7 @@ type Embedding struct {
 // limit; only limit <= 0 enumerates every embedding.
 func (e *Estimator) Explain(q *query.Query, limit int) []Embedding {
 	canonical := q.String()
-	p, err := e.planFor(q, canonical, e.saltKey(canonical), nil)
+	p, err := e.planFor(q, canonical, nil)
 	if err != nil {
 		return nil
 	}

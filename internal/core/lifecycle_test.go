@@ -2,72 +2,10 @@ package core
 
 import (
 	"context"
-	"sync/atomic"
 	"testing"
 
 	"xcluster/internal/query"
 )
-
-// TestInvalidateCachesDropsBoth proves one InvalidateCaches call empties
-// the result cache and the plan cache together — the core guarantee a
-// synopsis hot swap relies on.
-func TestInvalidateCachesDropsBoth(t *testing.T) {
-	tr := figure1(t)
-	ref, err := BuildReference(tr, ReferenceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := NewEstimator(ref)
-	q := query.MustParse("//paper[year>2000]/title")
-	want := est.Selectivity(q)
-	if st := est.CacheStats(); st.Len != 1 {
-		t.Fatalf("result cache not populated: %+v", st)
-	}
-	if st := est.PlanCacheStats(); st.Len != 1 {
-		t.Fatalf("plan cache not populated: %+v", st)
-	}
-
-	est.InvalidateCaches()
-	if st := est.CacheStats(); st.Len != 0 {
-		t.Fatalf("result cache survived invalidation: %+v", st)
-	}
-	if st := est.PlanCacheStats(); st.Len != 0 {
-		t.Fatalf("plan cache survived invalidation: %+v", st)
-	}
-	// The next call misses both caches, recompiles, and reproduces the
-	// estimate bit-for-bit.
-	if got := est.Selectivity(q); got != want {
-		t.Fatalf("estimate changed across invalidation: %g != %g", got, want)
-	}
-	if st := est.PlanCacheStats(); st.Misses != 2 {
-		t.Fatalf("expected a fresh compile after invalidation: %+v", st)
-	}
-}
-
-// TestEpochStalePutNeverHits closes the swap race: a writer that
-// computed a value against the old generation and inserts it after the
-// epoch bump must not produce a hit — the entry carries the old stamp.
-func TestEpochStalePutNeverHits(t *testing.T) {
-	var epoch atomic.Uint64
-	c := newLRUCache[float64](8, &epoch)
-	stale := epoch.Load() // writer snapshots the epoch implicitly via put
-
-	c.put("q", 1.5)
-	if _, ok := c.get("q"); !ok {
-		t.Fatal("same-epoch entry should hit")
-	}
-
-	// Swap: bump the epoch without (or before) the eager purge.
-	epoch.Add(1)
-	if v, ok := c.get("q"); ok {
-		t.Fatalf("stale entry (epoch %d) served after bump: %g", stale, v)
-	}
-	// A post-bump insert is stamped fresh and hits again.
-	c.put("q", 2.5)
-	if v, ok := c.get("q"); !ok || v != 2.5 {
-		t.Fatalf("fresh entry after bump: %g, %v", v, ok)
-	}
-}
 
 // TestTraceCarriesGeneration checks that traced estimates are stamped
 // with the synopsis generation and the executed plan's generation, on
@@ -86,7 +24,7 @@ func TestTraceCarriesGeneration(t *testing.T) {
 
 	for i, wantPlanHit := range []bool{false, false} {
 		if i == 1 {
-			est.InvalidateCaches() // force recompute, same generation
+			est = NewEstimator(ref) // force recompute, same generation
 		}
 		_, trc, err := est.SelectivityTraced(context.Background(), q)
 		if err != nil {

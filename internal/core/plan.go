@@ -19,9 +19,8 @@ import (
 // state (the value table comes from execScratch, one pool shared by
 // every plan).
 //
-// A Plan is bound to the synopsis and the estimator configuration
-// (UninformedSel) it was compiled under, and is immutable and safe for
-// concurrent execution.
+// A Plan is bound to the synopsis it was compiled over, and is
+// immutable and safe for concurrent execution.
 type Plan struct {
 	// canonical is the query's canonical string: the identity under
 	// which the plan is cached.

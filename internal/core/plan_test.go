@@ -189,40 +189,6 @@ func TestPlanCache(t *testing.T) {
 	}
 }
 
-// TestPlanCacheSaltedByUninformedSel checks that plans compiled under
-// different UninformedSel configurations do not collide: the bound
-// predicate selectivities differ.
-func TestPlanCacheSaltedByUninformedSel(t *testing.T) {
-	tr := figure1(t)
-	ref, err := BuildReference(tr, ReferenceOptions{ValuePaths: []string{"/dblp/author/paper/year"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// foreword is TEXT but outside the value paths → unsummarized.
-	q := query.MustParse("//book[foreword ftcontains(database)]")
-	est := NewEstimator(ref)
-	est.SetCacheCapacity(0)
-	if got := est.Selectivity(q); got != 0 {
-		t.Fatalf("uninformed=0 estimate = %v, want 0", got)
-	}
-	est2 := NewEstimator(ref)
-	est2.SetCacheCapacity(0)
-	est2.UninformedSel = 1
-	if got := est2.Selectivity(q); got != 1 {
-		t.Fatalf("uninformed=1 estimate = %v, want 1", got)
-	}
-	// One estimator reconfigured between compiles must not reuse the
-	// stale plan (cacheKey salts with UninformedSel).
-	est3 := NewEstimator(ref)
-	est3.SetCacheCapacity(0)
-	a := est3.Selectivity(q)
-	est3.UninformedSel = 1
-	b := est3.Selectivity(q)
-	if a != 0 || b != 1 {
-		t.Fatalf("salted plan cache: got %v then %v, want 0 then 1", a, b)
-	}
-}
-
 // TestExplainPlan checks the rendered plan names the resolved clusters
 // and subproblem structure.
 func TestExplainPlan(t *testing.T) {

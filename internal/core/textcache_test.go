@@ -118,31 +118,9 @@ func TestParseQueryCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestParseQueryInvalidate: InvalidateCaches stales the text cache with
-// the other two, so the next lookup misses and parses again.
-func TestParseQueryInvalidate(t *testing.T) {
-	est := planEstimators(t)["merged"]
-	q1, _, _ := est.ParseQuery("//paper/title")
-	est.InvalidateCaches()
-	if n := est.texts.stats().Len; n != 0 {
-		t.Fatalf("text cache holds %d entries after InvalidateCaches", n)
-	}
-	q2, _, err := est.ParseQuery("//paper/title")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q2 == q1 {
-		t.Fatal("lookup after InvalidateCaches served the old entry")
-	}
-	if st := est.texts.stats(); st.Misses != 2 || st.Hits != 0 {
-		t.Fatalf("text cache %+v, want 2 misses and no hit", st)
-	}
-}
-
 // TestParseQueryConcurrent shares repeated texts across 32 goroutines
 // through a text cache smaller than the text set (so entries are
-// evicted and re-inserted under contention) while one goroutine keeps
-// invalidating. Every estimate of a cached parse must equal the
+// evicted and re-inserted under contention). Every estimate of a cached parse must equal the
 // estimate of a fresh query.Parse bit-for-bit. Run under -race.
 func TestParseQueryConcurrent(t *testing.T) {
 	est := planEstimators(t)["merged"]
@@ -158,19 +136,6 @@ func TestParseQueryConcurrent(t *testing.T) {
 
 	const goroutines = 32
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	invalidated := make(chan struct{})
-	go func() {
-		defer close(invalidated)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				est.InvalidateCaches()
-			}
-		}
-	}()
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -193,8 +158,6 @@ func TestParseQueryConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	close(stop)
-	<-invalidated
 	close(errs)
 	for err := range errs {
 		t.Error(err)

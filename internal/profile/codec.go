@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"xcluster/internal/accuracy"
+	"xcluster/internal/core"
 )
 
 // ProfileVersion is the WorkloadProfile file-format version this build
@@ -77,7 +78,7 @@ func (s *Snapshot) fingerprint() string {
 	for _, sh := range s.Shapes {
 		fmt.Fprintf(&b, "|s:%s=%d-%d", sh.ID, sh.Count, sh.CountError)
 	}
-	return fmt.Sprintf("%016x", hash64(b.String()))
+	return fmt.Sprintf("%016x", core.CanonicalHash(b.String()))
 }
 
 // Encode renders the profile as its canonical JSON file form.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"xcluster/internal/accuracy"
+	"xcluster/internal/core"
 	"xcluster/internal/obs"
 	"xcluster/internal/query"
 )
@@ -34,7 +35,7 @@ const (
 // after admission, so the hot path never takes the write lock.
 type shapeEntry struct {
 	shape string
-	id    string // 16-hex of hash64(shape), pre-rendered (no per-hit alloc)
+	id    string // 16-hex of core.CanonicalHash(shape), pre-rendered (no per-hit alloc)
 	class accuracy.Class
 	// rep is the query that admitted the shape: the shape's
 	// representative in the adaptive budget search's sample.
@@ -173,7 +174,7 @@ func (p *Profiler) Record(now time.Time, q *query.Query, canonical string, hash 
 		return ""
 	}
 	if hash == 0 {
-		hash = hash64(canonical)
+		hash = core.CanonicalHash(canonical)
 	}
 	p.mu.RLock()
 	if e := p.lookup[hash]; e != nil && !e.evicted.Load() {

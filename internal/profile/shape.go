@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"strings"
 
+	"xcluster/internal/core"
 	"xcluster/internal/query"
 )
 
@@ -80,22 +81,5 @@ func predShape(p query.Pred) string {
 // shapeID renders a shape's 16-hex identifier — the join key shared by
 // /debug/workload, slow-query-log entries, and exported profiles.
 func shapeID(shape string) string {
-	return fmt.Sprintf("%016x", hash64(shape))
-}
-
-// hash64 is FNV-1a over s — the same canonical-string hash
-// core.SelectivityTraced stamps on every trace (EstimateTrace
-// CanonicalHash), recomputed here only for callers that bypass the
-// traced pipeline.
-func hash64(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
+	return fmt.Sprintf("%016x", core.CanonicalHash(shape))
 }

@@ -81,13 +81,13 @@ func TestBudgetGaugesScrape(t *testing.T) {
 		}
 	}
 
-	reg := obs.NewRegistry()
-	svc := New(ref, WithRegistry(reg))
+	svc := New(ref)
+	reg := svc.reg
 	check("reference", budgetScrape(t, svc, reg), budgetLines([4]int{1672, 4776, 244, 246}, "", 0, 0))
 	svc.Close()
 
-	reg = obs.NewRegistry()
-	svc = New(newTestSynopsis(t), WithRegistry(reg), WithDocument(tree))
+	svc = New(newTestSynopsis(t), WithDocument(tree))
+	reg = svc.reg
 	defer svc.Close()
 	check("static", budgetScrape(t, svc, reg), budgetLines([4]int{56, 486, 244, 4}, "static", 1024, 512))
 

@@ -136,10 +136,11 @@ func (s *Service) Installed() time.Time {
 }
 
 // install stamps syn with the next generation, builds its estimator,
-// and swaps it in. In-flight estimates finish on the slot they pinned;
-// the outgoing estimator's result and plan caches are invalidated in
-// one atomic epoch bump so nothing computed against the old generation
-// can be served again.
+// and swaps it in. In-flight estimates finish on the slot they pinned.
+// Caches are generation-local: each generation has its own estimator,
+// new requests load the new slot and never consult the old one, and the
+// retired slot, caches included, is collected when its last pinned
+// request returns.
 func (s *Service) install(syn *core.Synopsis, reason string, d time.Duration, build *core.BuildStats) SwapEvent {
 	s.swapMu.Lock()
 	old := s.cur.Load()
@@ -150,7 +151,6 @@ func (s *Service) install(syn *core.Synopsis, reason string, d time.Duration, bu
 	s.genGauge.Set(float64(fp.Generation))
 	s.swaps.Inc()
 	s.swapMu.Unlock()
-	old.est.InvalidateCaches()
 	split := syn.Split()
 	ev := SwapEvent{
 		OldGeneration:       old.syn.Fingerprint().Generation,
@@ -264,13 +264,12 @@ func (s *Service) Rebuild(ctx context.Context, opts RebuildOptions) (SwapEvent, 
 	if s.doc == nil {
 		return SwapEvent{}, ErrNoDocument
 	}
-	if !s.rebuilding.CompareAndSwap(false, true) {
-		return SwapEvent{}, ErrRebuildInProgress
-	}
-	defer s.rebuilding.Store(false)
-
 	t0 := time.Now()
 	s.rbMu.Lock()
+	if s.rb.Running {
+		s.rbMu.Unlock()
+		return SwapEvent{}, ErrRebuildInProgress
+	}
 	s.rb.Running = true
 	s.rb.Phase = PhaseReference
 	s.rb.StartedAt = t0

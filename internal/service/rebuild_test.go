@@ -5,11 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"weak"
 
 	"xcluster/internal/accuracy"
 	"xcluster/internal/core"
@@ -183,9 +185,10 @@ func TestRebuildErrors(t *testing.T) {
 	}
 }
 
-// TestSwapInvalidatesCachesAndPlans proves the swap drops both the
-// result and the plan cache, and that traced estimates never mix plans
-// across generations: every trace's PlanGeneration equals its
+// TestSwapInvalidatesCachesAndPlans proves the swap retires both the
+// result and the plan cache with the outgoing estimator, which is
+// collected once no request pins it, and that traced estimates never
+// mix plans across generations: every trace's PlanGeneration equals its
 // Generation, before and after the swap.
 func TestSwapInvalidatesCachesAndPlans(t *testing.T) {
 	tree := testTree(t)
@@ -195,6 +198,7 @@ func TestSwapInvalidatesCachesAndPlans(t *testing.T) {
 	// Populate both caches on the old generation and hold its estimator
 	// the way a pinned in-flight request would.
 	oldEst := svc.Estimator()
+	old := weak.Make(oldEst)
 	for _, q := range qs {
 		if _, tr, err := svc.estimateOne(context.Background(), time.Time{}, svc.cur.Load(), q, ""); err != nil {
 			t.Fatal(err)
@@ -210,20 +214,18 @@ func TestSwapInvalidatesCachesAndPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The outgoing estimator's caches were invalidated by the swap, so a
-	// straggler holding it cannot be served anything computed against
-	// the retired generation.
-	if n := oldEst.CacheStats().Len; n != 0 {
-		t.Fatalf("old result cache still holds %d entries after swap", n)
-	}
-	if n := oldEst.PlanCacheStats().Len; n != 0 {
-		t.Fatalf("old plan cache still holds %d entries after swap", n)
+	// The outgoing estimator's caches are its own: with no request
+	// pinning the retired slot, nothing references them after the swap,
+	// and the collector releases the estimator, caches and all.
+	runtime.GC()
+	if old.Value() != nil {
+		t.Fatal("retired estimator still reachable after swap")
 	}
 
 	// Post-swap traces run entirely inside generation 1: fresh compiles,
 	// never a generation-0 plan.
 	newEst := svc.Estimator()
-	if newEst == oldEst {
+	if weak.Make(newEst) == old {
 		t.Fatal("swap did not replace the estimator")
 	}
 	for i, q := range qs {

@@ -66,13 +66,6 @@ func WithPlanCacheCapacity(n int) Option {
 	return func(s *Service) { s.planCap, s.planCapSet = n, true }
 }
 
-// WithRegistry makes the service emit into a caller-owned metrics
-// registry instead of creating its own (e.g. to share one registry
-// across a build pipeline and the serving path).
-func WithRegistry(r *obs.Registry) Option {
-	return func(s *Service) { s.reg = r }
-}
-
 // WithSlowQueryLog enables the slow-query log: estimates whose total
 // latency reaches threshold are captured (canonical query, plan
 // summary, stage timings, estimate) in a ring of the given capacity
@@ -161,11 +154,11 @@ type Service struct {
 	planCap     int
 	planCapSet  bool
 
-	// Lifecycle state: swapMu serializes installs, gen numbers them,
-	// rebuilding single-flights Rebuild, source re-reads the synopsis
-	// for Reload, onSwap observes transitions. See lifecycle.go.
+	// Lifecycle state: swapMu serializes installs, source re-reads the
+	// synopsis for Reload, onSwap observes transitions, and rb (under
+	// rbMu) is the rebuilder's status, whose Running flag single-flights
+	// Rebuild. See lifecycle.go.
 	swapMu         sync.Mutex
-	rebuilding     atomic.Bool
 	source         func(context.Context) (*core.Synopsis, error)
 	onSwap         func(SwapEvent)
 	rebuildOnDrift bool
@@ -238,12 +231,9 @@ type Service struct {
 // estimator of each installed generation, configured by the options;
 // configuration after New is not synchronized.
 func New(syn *core.Synopsis, opts ...Option) *Service {
-	s := &Service{start: time.Now()}
+	s := &Service{start: time.Now(), reg: obs.NewRegistry()}
 	for _, opt := range opts {
 		opt(s)
-	}
-	if s.reg == nil {
-		s.reg = obs.NewRegistry()
 	}
 	s.reqs = obs.NewRequestWindow(s.sloCfg.LatencyObjective)
 	s.slo = obs.NewSLOTracker(s.sloCfg, s.reqs)
@@ -481,10 +471,14 @@ func (s *Service) RequestsTotal() uint64 { return s.reqHist.Count() + s.failed.V
 func (s *Service) Synopsis() *core.Synopsis { return s.cur.Load().syn }
 
 // Estimator returns the current generation's estimator (for callers
-// that want direct access, e.g. Explain). A hot swap replaces it; hold
-// the returned pointer across related calls if cross-call consistency
-// matters.
+// that want direct access, e.g. core.Estimator.Explain). A hot swap
+// replaces it; hold the returned pointer across related calls if
+// cross-call consistency matters.
 func (s *Service) Estimator() *core.Estimator { return s.cur.Load().est }
+
+// Registry returns the registry the service emits every metric into,
+// its rebuilds' included; each service owns its own.
+func (s *Service) Registry() *obs.Registry { return s.reg }
 
 // SlowLog returns the slow-query log (nil when disabled).
 func (s *Service) SlowLog() *obs.SlowLog { return s.slow }
@@ -716,14 +710,10 @@ func (s *Service) Drain(ctx context.Context) error {
 	}
 }
 
-// ExplainPlan compiles one query and renders its compiled plan: the
-// resolved frontier clusters, bound term weights, and subproblem
-// structure of the canonicalize → compile → execute pipeline.
-func (s *Service) ExplainPlan(q *query.Query) (string, error) {
-	return s.cur.Load().explainPlan(q)
-}
-
-// explainPlan is ExplainPlan on a pinned slot.
+// explainPlan compiles one query on a pinned slot and renders its
+// compiled plan: the resolved frontier clusters, bound term weights,
+// and subproblem structure of the canonicalize → compile → execute
+// pipeline.
 func (sl *slot) explainPlan(q *query.Query) (string, error) {
 	pq, err := sl.est.Prepare(q)
 	if err != nil {
@@ -732,13 +722,9 @@ func (sl *slot) explainPlan(q *query.Query) (string, error) {
 	return pq.ExplainPlan(), nil
 }
 
-// Explain returns up to limit formatted embeddings (query variables →
-// synopsis clusters with per-embedding tuple counts) for one query.
-func (s *Service) Explain(q *query.Query, limit int) []string {
-	return s.cur.Load().explain(q, limit)
-}
-
-// explain is Explain on a pinned slot.
+// explain returns up to limit formatted embeddings (query variables →
+// synopsis clusters with per-embedding tuple counts) for one query on a
+// pinned slot.
 func (sl *slot) explain(q *query.Query, limit int) []string {
 	ems := sl.est.Explain(q, limit)
 	out := make([]string, len(ems))

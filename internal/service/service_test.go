@@ -362,7 +362,7 @@ func TestEstimateBatchCompilesOnce(t *testing.T) {
 
 func TestExplainPlan(t *testing.T) {
 	svc := New(newTestSynopsis(t))
-	out, err := svc.ExplainPlan(query.MustParse("//book[year>1990]/title"))
+	out, err := svc.cur.Load().explainPlan(query.MustParse("//book[year>1990]/title"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestExplainPlan(t *testing.T) {
 	}
 	// A query over labels absent from the synopsis still has a plan (an
 	// empty one); only malformed queries error.
-	if _, err := svc.ExplainPlan(query.MustParse("//nosuchtag")); err != nil {
+	if _, err := svc.cur.Load().explainPlan(query.MustParse("//nosuchtag")); err != nil {
 		t.Fatalf("ExplainPlan(//nosuchtag): %v", err)
 	}
 }
@@ -381,7 +381,7 @@ func TestExplainPlan(t *testing.T) {
 func TestExplain(t *testing.T) {
 	syn := newTestSynopsis(t)
 	svc := New(syn)
-	lines := svc.Explain(query.MustParse("//book[year>1990]"), 3)
+	lines := svc.cur.Load().explain(query.MustParse("//book[year>1990]"), 3)
 	if len(lines) == 0 {
 		t.Fatal("no embeddings explained")
 	}
