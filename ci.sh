@@ -10,10 +10,14 @@
 # this script.
 #
 # The allocation pins (internal/core TestEstimateCacheHitAllocs,
-# TestCompileAllocs and TestLRUPutFullRecycles' allocation check,
-# internal/service TestServiceEstimateCacheHitAllocs, internal/catalog
-# TestHandlerEstimateHotAllocs, internal/query TestStringAllocs) run in
-# the plain pass only: the race detector's instrumentation allocates,
+# TestCompileAllocs — a compiled plan is four allocations — and
+# TestLRUPutFullRecycles' allocation check, internal/service
+# TestServiceEstimateCacheHitAllocs, internal/catalog
+# TestHandlerEstimateHotAllocs and TestHandlerEstimateScatterAllocs — a
+# cached scatter over three shards at ≤58 allocations per request plus
+# 1 per query —, internal/pst TestSelectivityAllocs — no allocation
+# for a string of up to 64 bytes —, internal/query TestStringAllocs)
+# run in the plain pass only: the race detector's instrumentation allocates,
 # so under -race they skip themselves (raceEnabled, set by each
 # package's race_test.go). Both serving pins run under xclusterd's
 # default -timeout (service.WithTimeout(5s)):
@@ -76,12 +80,13 @@ go test -run=Fuzz ./...
 # internal/service BenchmarkEstimateTelemetry (bare, default,
 # SLO-sampled-out and traced telemetry), internal/catalog
 # BenchmarkHandlerEstimateHot (one cached POST /estimate through the
-# daemon's handler), and the root package's BenchmarkEstimateCold (both
+# daemon's handler) and BenchmarkHandlerEstimateScatter (a cached
+# 32-query scatter over three shards through the same handler), and the root package's BenchmarkEstimateCold (both
 # caches off: every call compiles), BenchmarkPrepared (execute only),
 # whose ratio is the compile cost, and BenchmarkEstimateCacheHit (the
 # result-cache LRU hit path). Timing itself lives in bench/ and
 # `go test -bench`.
-go test -run '^$' -bench 'EstimateTelemetry|HandlerEstimateHot' -benchtime 1x ./internal/service ./internal/catalog
+go test -run '^$' -bench 'EstimateTelemetry|HandlerEstimateHot|HandlerEstimateScatter' -benchtime 1x ./internal/service ./internal/catalog
 go test -run '^$' -bench 'EstimateCold$|Prepared$|EstimateCacheHit$' -benchtime 1x .
 
 # Machine-readable benchmark artifact, kept at the repo root for

@@ -1,6 +1,8 @@
 package catalog
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -79,6 +81,80 @@ func TestHandlerEstimateHotAllocs(t *testing.T) {
 		serve := hotEstimate(t, c.body)
 		if n := testing.AllocsPerRun(200, func() { serve() }); n > c.max {
 			t.Errorf("cached POST /estimate, %s body: %v allocs, want ≤%v", c.name, n, c.max)
+		}
+	}
+}
+
+// scatterBody returns a scatter POST /estimate body for tenant acme
+// carrying n distinct query texts.
+func scatterBody(n int) string {
+	qs := make([]string, n)
+	for i := range qs {
+		qs[i] = fmt.Sprintf("//book[year>%d]/title", 1950+i)
+	}
+	raw, err := json.Marshal(qs)
+	if err != nil {
+		panic(err)
+	}
+	return `{"tenant":"acme","queries":` + string(raw) + `}`
+}
+
+// scatterEstimate returns a function that serves body, a scatter POST
+// /estimate, through the daemon's handler over a tenant of three
+// collections, after a first call that fills every cache the request
+// reaches: the first shard's text cache and each shard's result cache.
+func scatterEstimate(tb testing.TB, body string) func() *httptest.ResponseRecorder {
+	c := newTestCatalog(tb, Config{
+		ShardOptions: func(ShardSpec) []service.Option {
+			return []service.Option{service.WithTimeout(5 * time.Second)}
+		},
+	}, spec("acme", "docs"), spec("acme", "mail"), spec("acme", "wiki"))
+	h := c.Handler()
+	serve := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/estimate", strings.NewReader(body)))
+		return w
+	}
+	if w := serve(); w.Code != http.StatusOK {
+		tb.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	return serve
+}
+
+// BenchmarkHandlerEstimateScatter drives the daemon's handler with a
+// repeated 32-query scatter over three collections: one parse (a
+// text-cache hit) per query, then one batch per shard whose estimates
+// the result caches answer, so it measures the scatter's per-shard
+// fan-out, telemetry and gather. Run it with -benchmem for allocs/op.
+func BenchmarkHandlerEstimateScatter(b *testing.B) {
+	serve := scatterEstimate(b, scatterBody(32))
+	b.ReportAllocs()
+	for b.Loop() {
+		serve()
+	}
+}
+
+// TestHandlerEstimateScatterAllocs pins the allocations of a repeated
+// scatter over three collections, BenchmarkHandlerEstimateScatter's
+// request, at a per-request constant plus a per-query bound. A query
+// costs one allocation, its text decoded from the body: it is parsed
+// and canonicalized once per request, through the first shard's text
+// cache, not once per shard; each shard's batch takes its traces from
+// one slice and grows its span once; and a query's selectivity is
+// rendered from the gathered sums without a copy. The request costs
+// the rest, whatever its size: routing, decode, the root span, the
+// per-request slices, the scatter workers and gather, and per shard a
+// span, its context, the batch's estimates and its traces.
+func TestHandlerEstimateScatterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const perRequest, perQuery = 58, 1
+	for _, n := range []int{1, 8, 32} {
+		serve := scatterEstimate(t, scatterBody(n))
+		want := float64(perRequest + perQuery*n)
+		if got := testing.AllocsPerRun(100, func() { serve() }); got > want {
+			t.Errorf("cached %d-query scatter: %v allocs, want ≤%v", n, got, want)
 		}
 	}
 }

@@ -12,7 +12,9 @@ package catalog
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,7 +75,7 @@ type Shard struct {
 	// estimateBatch is the scatter path's estimate function; tests
 	// substitute it to inject per-shard faults without touching the
 	// service underneath.
-	estimateBatch func(ctx context.Context, qs []*query.Query) ([]float64, error)
+	estimateBatch func(ctx context.Context, qs []*query.Query, canonicals []string) ([]float64, error)
 }
 
 // Key returns the shard's (tenant, collection) address.
@@ -383,7 +385,8 @@ func (c *Catalog) RouteDocument(tenant, docKey string) (Key, error) {
 
 // tenantShards snapshots a tenant's shards sorted by collection,
 // including draining ones (the scatter path reports those as errors
-// rather than silently shrinking coverage).
+// rather than silently shrinking coverage). The snapshot is never
+// empty.
 func (c *Catalog) tenantShards(tenant string) ([]*Shard, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -391,11 +394,16 @@ func (c *Catalog) tenantShards(tenant string) ([]*Shard, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", service.ErrUnknownTenant, tenant)
 	}
+	if len(ts.shards) == 0 {
+		// Detaching the last shard removes the tenant, so this does not
+		// happen, but guard anyway.
+		return nil, fmt.Errorf("%w: tenant %q has no collections", service.ErrUnknownCollection, tenant)
+	}
 	out := make([]*Shard, 0, len(ts.shards))
 	for _, sh := range ts.shards {
 		out = append(out, sh)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].key.Collection < out[j].key.Collection })
+	slices.SortFunc(out, func(a, b *Shard) int { return strings.Compare(a.key.Collection, b.key.Collection) })
 	return out, nil
 }
 

@@ -26,7 +26,7 @@ func TestAttachResolveDetach(t *testing.T) {
 		t.Fatalf("resolved wrong shard %s", sh.Key())
 	}
 	qs := parseWorkload(t)
-	if _, err := sh.Service().EstimateBatch(context.Background(), qs); err != nil {
+	if _, err := sh.Service().EstimateBatch(context.Background(), qs, nil); err != nil {
 		t.Fatalf("estimate on attached shard: %v", err)
 	}
 
@@ -165,11 +165,11 @@ func TestShardEstimatesMatchStandaloneService(t *testing.T) {
 	defer direct.Close()
 
 	qs := parseWorkload(t)
-	got, err := sh.Service().EstimateBatch(context.Background(), qs)
+	got, err := sh.Service().EstimateBatch(context.Background(), qs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := direct.EstimateBatch(context.Background(), qs)
+	want, err := direct.EstimateBatch(context.Background(), qs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,10 @@
-// Differential acceptance test for the multi-tenant catalog: a
+// Differential acceptance tests for the multi-tenant catalog: a
 // one-shard catalog's POST /estimate must answer byte-for-byte what a
 // standalone service.Service over the same synopsis renders for the
-// same request (service.WriteJSON of RunEstimateRequest), across the
-// full generated workloads of both harness datasets (IMDB and XMark).
+// same request (service.WriteJSON of RunEstimateRequest), and a
+// scatter over several shards what the standalone services' answers
+// sum to, across the full generated workloads of both harness datasets
+// (IMDB and XMark).
 package catalog_test
 
 import (
@@ -12,6 +14,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -23,15 +26,18 @@ import (
 	"xcluster/internal/xmltree"
 )
 
-// differentialDataset is one dataset's fixture: the compressed synopsis
-// and its generated workload as request strings.
+// differentialDataset is one dataset's fixture: its compressed
+// synopses, one per requested budget, and its generated workload as
+// request strings.
 type differentialDataset struct {
 	name    string
-	syn     *core.Synopsis
+	syns    []*core.Synopsis
 	queries []string
 }
 
-func differentialFixtures(t *testing.T) []differentialDataset {
+// differentialFixtures builds both datasets, each compressed once per
+// divisor to a structural budget of its reference size / divisor.
+func differentialFixtures(t *testing.T, divisors ...int) []differentialDataset {
 	t.Helper()
 	cfg := harness.Config{Scale: 1, Seed: 7, PerClass: 30, Points: 4}
 	var out []differentialDataset
@@ -40,9 +46,13 @@ func differentialFixtures(t *testing.T) []differentialDataset {
 		if err != nil {
 			t.Fatal(err)
 		}
-		syn, err := cfg.BuildAt(d, d.Ref.StructBytes()/20)
-		if err != nil {
-			t.Fatal(err)
+		var syns []*core.Synopsis
+		for _, div := range divisors {
+			syn, err := cfg.BuildAt(d, d.Ref.StructBytes()/div)
+			if err != nil {
+				t.Fatal(err)
+			}
+			syns = append(syns, syn)
 		}
 		var qs []string
 		for i := range d.Workload.Queries {
@@ -57,7 +67,7 @@ func differentialFixtures(t *testing.T) []differentialDataset {
 		for i := range neg.Queries {
 			qs = append(qs, neg.Queries[i].Q.String())
 		}
-		out = append(out, differentialDataset{name: name, syn: syn, queries: qs})
+		out = append(out, differentialDataset{name: name, syns: syns, queries: qs})
 	}
 	return out
 }
@@ -98,8 +108,8 @@ func TestCatalogDifferentialSingleShard(t *testing.T) {
 		t.Skip("builds full harness datasets")
 	}
 	total := 0
-	for _, d := range differentialFixtures(t) {
-		syn := d.syn
+	for _, d := range differentialFixtures(t, 20) {
+		syn := d.syns[0]
 		direct := service.New(syn)
 		defer direct.Close()
 
@@ -164,5 +174,97 @@ func TestCatalogDifferentialSingleShard(t *testing.T) {
 	}
 	if total < 200 {
 		t.Fatalf("differential workload covered %d queries, want >= 200", total)
+	}
+}
+
+// TestCatalogDifferentialScatter scatters every generated query of
+// both datasets, with a few malformed texts among them, over a tenant
+// of three shards compressed to different budgets, and requires each
+// response to be byte-identical to the one rendered from three
+// standalone services over the same synopses: every selectivity the
+// bit-exact sum of the services' RunEstimateRequest answers in
+// collection order, every parse error and offset as the services
+// report it. Each body is sent twice, so the second send parses through
+// the text cache and estimates from the result caches.
+func TestCatalogDifferentialScatter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds full harness datasets")
+	}
+	collections := []string{"a", "b", "c"} // sorted: the gather's order
+	bad := []string{"//book[year>", "not a query", "//paper[", "book]"}
+	total := 0
+	for _, d := range differentialFixtures(t, 20, 10, 40) {
+		syns := make(map[string]*core.Synopsis)
+		direct := make([]*service.Service, len(collections))
+		for i, coll := range collections {
+			syns[coll] = d.syns[i]
+			direct[i] = service.New(d.syns[i])
+			defer direct[i].Close()
+		}
+		cat, err := catalog.New(catalog.Config{
+			Loader: func(ctx context.Context, spec catalog.ShardSpec) (*core.Synopsis, *xmltree.Tree, error) {
+				return syns[spec.Collection], nil, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cat.DrainAll(context.Background()) //nolint:errcheck // test cleanup
+		for _, coll := range collections {
+			if _, err := cat.Attach(context.Background(), catalog.ShardSpec{
+				Tenant: "acme", Collection: coll, Synopsis: "mem:" + d.name + "/" + coll,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		catH := cat.Handler()
+
+		const batch = 32
+		for start := 0; start < len(d.queries); start += batch {
+			texts := slices.Clone(d.queries[start:min(start+batch, len(d.queries))])
+			// One malformed text per batch, at a varying position.
+			b := bad[(start/batch)%len(bad)]
+			texts = slices.Insert(texts, (start/batch)%len(texts), b)
+
+			want := catalog.ScatterResponse{Tenant: "acme", Collections: collections}
+			want.Results = make([]catalog.ScatterQueryResult, len(texts))
+			sums := make([]float64, len(texts))
+			for _, svc := range direct {
+				resp, err := svc.RunEstimateRequest(context.Background(), service.EstimateRequest{Queries: texts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range resp.Results {
+					want.Results[i] = catalog.ScatterQueryResult{Query: r.Query, Error: r.Error, Offset: r.Offset}
+					if r.Selectivity != nil {
+						sums[i] += *r.Selectivity
+						want.Results[i].Selectivity = &sums[i]
+					}
+				}
+			}
+			w := httptest.NewRecorder()
+			service.WriteJSON(w, http.StatusOK, want)
+			wantBody := w.Body.Bytes()
+
+			qjson, err := json.Marshal(texts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := fmt.Sprintf(`{"tenant":"acme","queries":%s}`, qjson)
+			for send := 1; send <= 2; send++ {
+				code, got := postBody(catH, "/estimate", body)
+				if code != http.StatusOK {
+					t.Fatalf("%s: scatter of batch %d, send %d: %d %s", d.name, start, send, code, got)
+				}
+				if !bytes.Equal(got, wantBody) {
+					t.Fatalf("%s: batch %d, send %d: scatter response differs from the summed standalone answers\nscatter: %s\nsummed:  %s",
+						d.name, start, send, got, wantBody)
+				}
+			}
+			total += len(texts)
+		}
+	}
+	if total < 200 {
+		t.Fatalf("scatter differential covered %d queries, want >= 200", total)
 	}
 }

@@ -352,12 +352,22 @@ func (c *Catalog) scatterEstimateHTTP(w http.ResponseWriter, r *http.Request, re
 		sp.SetShard(req.Tenant, "")
 		sp.SetDetail(fmt.Sprintf("scatter %d queries", len(req.Queries)))
 	}
+	shards, err := c.tenantShards(req.Tenant)
+	if err != nil {
+		service.WriteError(w, err)
+		return
+	}
+	// A parse depends on no shard, so each text is parsed (and
+	// canonicalized) once, through the first shard's text cache, and the
+	// query and its canonical string go to every shard.
+	parser := shards[0].svc
 	results := make([]ScatterQueryResult, len(req.Queries))
-	var qs []*query.Query
-	var pos []int
+	qs := make([]*query.Query, 0, len(req.Queries))
+	canonicals := make([]string, 0, len(req.Queries))
+	pos := make([]int, 0, len(req.Queries))
 	for i, qstr := range req.Queries {
 		results[i].Query = qstr
-		q, err := query.Parse(qstr)
+		q, canonical, err := parser.ParseQuery(qstr)
 		if err != nil {
 			results[i].Error = err.Error()
 			var perr *query.ParseError
@@ -368,16 +378,16 @@ func (c *Catalog) scatterEstimateHTTP(w http.ResponseWriter, r *http.Request, re
 			continue
 		}
 		qs = append(qs, q)
+		canonicals = append(canonicals, canonical)
 		pos = append(pos, i)
 	}
-	res, err := c.ScatterEstimate(r.Context(), req.Tenant, qs)
+	res, err := c.scatter(r.Context(), req.Tenant, shards, qs, canonicals)
 	if err != nil {
 		service.WriteError(w, err)
 		return
 	}
 	for j, i := range pos {
-		v := res.Selectivities[j]
-		results[i].Selectivity = &v
+		results[i].Selectivity = &res.Selectivities[j]
 	}
 	service.WriteJSON(w, http.StatusOK, ScatterResponse{
 		Tenant:      req.Tenant,

@@ -67,7 +67,7 @@ func TestMultiTenantConcurrentLifecycle(t *testing.T) {
 		}
 		alphaWant[i] = v
 	}
-	betaWant, err := beta.Service().EstimateBatch(context.Background(), betaQueries)
+	betaWant, err := beta.Service().EstimateBatch(context.Background(), betaQueries, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestMultiTenantConcurrentLifecycle(t *testing.T) {
 						return
 					}
 				case 1: // fixed workload against beta
-					got, err := beta.Service().EstimateBatch(ctx, betaQueries)
+					got, err := beta.Service().EstimateBatch(ctx, betaQueries, nil)
 					if err != nil {
 						errs <- fmt.Errorf("beta batch: %w", err)
 						return

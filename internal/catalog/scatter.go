@@ -62,22 +62,36 @@ func (r *ScatterResult) Complete() bool { return len(r.Errors) == 0 }
 //
 // The call errors only when the tenant is unknown or no shard answered;
 // otherwise partial failure is expressed in ScatterResult.Errors.
+//
+// Each query is canonicalized once here, not once per shard.
 func (c *Catalog) ScatterEstimate(ctx context.Context, tenant string, qs []*query.Query) (*ScatterResult, error) {
 	shards, err := c.tenantShards(tenant)
 	if err != nil {
 		return nil, err
 	}
-	res := &ScatterResult{Selectivities: make([]float64, len(qs))}
-	if len(shards) == 0 {
-		// tenantShards never returns an empty live tenant (detaching the
-		// last shard removes the tenant), but guard anyway.
-		return nil, fmt.Errorf("%w: tenant %q has no collections", service.ErrUnknownCollection, tenant)
+	canonicals := make([]string, len(qs))
+	for i, q := range qs {
+		canonicals[i] = q.String()
+	}
+	return c.scatter(ctx, tenant, shards, qs, canonicals)
+}
+
+// scatter is ScatterEstimate over the tenant's shards (tenantShards),
+// with each query's canonical string, which every shard's batch reuses.
+func (c *Catalog) scatter(ctx context.Context, tenant string, shards []*Shard, qs []*query.Query, canonicals []string) (*ScatterResult, error) {
+	res := &ScatterResult{
+		Selectivities: make([]float64, len(qs)),
+		Collections:   make([]string, 0, len(shards)),
+	}
+	if sp := obs.SpanFrom(ctx); sp != nil {
+		sp.Grow(len(shards))
 	}
 
 	type answer struct {
 		idx  int
 		sels []float64
 		err  error
+		done bool
 	}
 	// Buffered for the full fan-out: a worker finishing after the
 	// deadline still completes its send and exits.
@@ -97,7 +111,7 @@ func (c *Catalog) ScatterEstimate(ctx context.Context, tenant string, qs []*quer
 				}
 				sh := shards[idx]
 				if sh.draining.Load() {
-					answers <- answer{idx: idx, err: service.ErrShardDraining}
+					answers <- answer{idx: idx, err: service.ErrShardDraining, done: true}
 					continue
 				}
 				// One child span per shard under the request's root, carrying
@@ -112,23 +126,23 @@ func (c *Catalog) ScatterEstimate(ctx context.Context, tenant string, qs []*quer
 					child.SetShard(sh.key.Tenant, sh.key.Collection)
 					sctx = obs.WithSpan(ctx, child)
 				}
-				sels, err := sh.estimateBatch(sctx, qs)
+				sels, err := sh.estimateBatch(sctx, qs, canonicals)
 				if child != nil {
 					child.FinishErr(err)
 				}
-				answers <- answer{idx: idx, sels: sels, err: err}
+				answers <- answer{idx: idx, sels: sels, err: err, done: true}
 			}
 		}()
 	}
 
 	// Gather until every shard reported or the deadline fired.
-	answered := make([]*answer, len(shards))
+	answered := make([]answer, len(shards))
 	pending := len(shards)
 gather:
 	for pending > 0 {
 		select {
 		case a := <-answers:
-			answered[a.idx] = &a
+			answered[a.idx] = a
 			pending--
 		case <-ctx.Done():
 			break gather
@@ -136,9 +150,9 @@ gather:
 	}
 
 	for i, sh := range shards {
-		a := answered[i]
+		a := &answered[i]
 		switch {
-		case a == nil:
+		case !a.done:
 			res.Errors = append(res.Errors, ShardError{
 				Collection: sh.key.Collection,
 				Reason:     ReasonDeadline,

@@ -40,7 +40,7 @@ func TestScatterAggregatesAcrossShards(t *testing.T) {
 	// so the float comparison below can demand bit equality.
 	want := make([]float64, len(qs))
 	for _, coll := range []string{"docs", "mail", "wiki"} {
-		sels, err := shards[coll].Service().EstimateBatch(context.Background(), qs)
+		sels, err := shards[coll].Service().EstimateBatch(context.Background(), qs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,13 +84,13 @@ func TestScatterUnknownTenant(t *testing.T) {
 func TestScatterPartialFailure(t *testing.T) {
 	c, shards := scatterFixture(t, Config{})
 	qs := parseWorkload(t)
-	shards["mail"].estimateBatch = func(ctx context.Context, qs []*query.Query) ([]float64, error) {
+	shards["mail"].estimateBatch = func(ctx context.Context, qs []*query.Query, canonicals []string) ([]float64, error) {
 		return nil, errors.New("injected shard fault")
 	}
 
 	want := make([]float64, len(qs))
 	for _, coll := range []string{"docs", "wiki"} {
-		sels, err := shards[coll].Service().EstimateBatch(context.Background(), qs)
+		sels, err := shards[coll].Service().EstimateBatch(context.Background(), qs, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestScatterDeadline(t *testing.T) {
 	qs := parseWorkload(t)
 	release := make(chan struct{})
 	defer close(release)
-	shards["wiki"].estimateBatch = func(ctx context.Context, qs []*query.Query) ([]float64, error) {
+	shards["wiki"].estimateBatch = func(ctx context.Context, qs []*query.Query, canonicals []string) ([]float64, error) {
 		// Simulate a stuck shard: hold until the test ends, well past
 		// the scatter deadline.
 		<-release
@@ -184,7 +184,7 @@ func TestScatterDrainingShardReported(t *testing.T) {
 func TestScatterAllShardsFailed(t *testing.T) {
 	c, shards := scatterFixture(t, Config{})
 	for _, sh := range shards {
-		sh.estimateBatch = func(ctx context.Context, qs []*query.Query) ([]float64, error) {
+		sh.estimateBatch = func(ctx context.Context, qs []*query.Query, canonicals []string) ([]float64, error) {
 			return nil, errors.New("injected total outage")
 		}
 	}
@@ -208,14 +208,14 @@ func TestScatterOneWorkerSerializes(t *testing.T) {
 	var running, overlaps, calls atomic.Int64
 	for _, sh := range shards {
 		estimate := sh.estimateBatch
-		sh.estimateBatch = func(ctx context.Context, qs []*query.Query) ([]float64, error) {
+		sh.estimateBatch = func(ctx context.Context, qs []*query.Query, canonicals []string) ([]float64, error) {
 			if running.Add(1) > 1 {
 				overlaps.Add(1)
 			}
 			defer running.Add(-1)
 			calls.Add(1)
 			time.Sleep(10 * time.Millisecond) // widen any overlap window
-			return estimate(ctx, qs)
+			return estimate(ctx, qs, canonicals)
 		}
 	}
 	res, err := c.ScatterEstimate(context.Background(), "acme", parseWorkload(t))
@@ -241,7 +241,7 @@ func TestScatterCancelledContext(t *testing.T) {
 	c, shards := scatterFixture(t, Config{})
 	var calls atomic.Int64
 	for _, sh := range shards {
-		sh.estimateBatch = func(ctx context.Context, qs []*query.Query) ([]float64, error) {
+		sh.estimateBatch = func(ctx context.Context, qs []*query.Query, canonicals []string) ([]float64, error) {
 			calls.Add(1)
 			return make([]float64, len(qs)), nil
 		}

@@ -85,32 +85,53 @@ func (pq *PreparedQuery) PlanSummary() string { return pq.plan.Summary() }
 // frontier and predicate selectivities are evaluated through the same
 // reach/predSel arithmetic as the interpreted reference walk, and the
 // result is flattened into a Plan whose execution replays that
-// arithmetic bit-for-bit. The working memory — the dense frontier
-// accumulator, the frontier stack, the step and subproblem memos — is
-// pooled per estimator, so a compile allocates little beyond the plan
-// it returns.
+// arithmetic bit-for-bit. The plan is built in the estimator's pooled
+// compiler — the dense frontier accumulator, the frontier and kid
+// stacks, the step and subproblem memos, and the subproblem, term and
+// kid arrays under construction — and copied out at exact sizes, so
+// once the pool is warm a compile allocates only the plan's four
+// blocks.
 func (e *Estimator) compile(q *query.Query, canonical string) (*Plan, error) {
 	c := e.getCompiler()
-	n := len(q.Roots)
-	ints := make([]int32, 2*n) // roots, then groupStart: one allocation
-	p := &Plan{
-		canonical:  canonical,
-		gen:        e.s.fp.Generation,
-		roots:      ints[:0:n],
-		groupStart: ints[n:n],
-	}
+	defer e.scratch.Put(c)
 	for _, r := range q.Roots {
-		p.groupStart = append(p.groupStart, int32(len(c.subs)))
+		c.groupStart = append(c.groupStart, int32(len(c.subs)))
 		idx, err := c.compileVar(r, -1)
 		if err != nil {
-			e.scratch.Put(c)
 			return nil, err
 		}
-		p.roots = append(p.roots, idx)
+		c.roots = append(c.roots, idx)
 	}
-	p.subs = slices.Clone(c.subs)
-	p.loweredSteps = len(c.lowered)
-	e.scratch.Put(c)
+	n := len(c.roots)
+	ints := make([]int32, 2*n+len(c.kids))
+	copy(ints, c.roots)
+	copy(ints[n:], c.groupStart)
+	kids := ints[2*n:]
+	copy(kids, c.kids)
+	p := &Plan{
+		canonical:    canonical,
+		gen:          e.s.fp.Generation,
+		subs:         slices.Clone(c.subs),
+		roots:        ints[:n:n],
+		groupStart:   ints[n : 2*n : 2*n],
+		loweredSteps: len(c.lowered),
+	}
+	// Point every subproblem at its run of the term array and every
+	// term at its run of kids: compileVar writes both in subproblem
+	// order, and a term has one kid per child variable.
+	terms := slices.Clone(c.terms)
+	t0 := 0
+	for i := range p.subs {
+		sub := &p.subs[i]
+		t1 := int(c.termEnd[i])
+		sub.terms = terms[t0:t1:t1]
+		nk := len(sub.v.Children)
+		for ti := range sub.terms {
+			sub.terms[ti].kids = kids[:nk:nk]
+			kids = kids[nk:]
+		}
+		t0 = t1
+	}
 	return p, nil
 }
 
@@ -118,9 +139,17 @@ func (e *Estimator) compile(q *query.Query, canonical string) (*Plan, error) {
 // pools compilers, and getCompiler resets one for the next compile.
 type compiler struct {
 	e *Estimator
-	// subs is the subproblem array under construction (copied into the
-	// plan at the end).
-	subs []planSub
+	// subs, terms and kids are the plan's arrays under construction,
+	// and roots and groupStart its root indices and group boundaries
+	// (all copied into the plan at the end). A term's kids slice stays
+	// nil until then: termEnd[i] ends subproblem i's run of terms, and
+	// its terms' kids follow each other in kids.
+	subs       []planSub
+	terms      []planTerm
+	termEnd    []int32
+	kids       []int32
+	roots      []int32
+	groupStart []int32
 	// memo maps each compiled (variable, origin) subproblem to its index.
 	memo map[memoKey]int32
 	// lowered is the step memo: each distinct (axis, label) step lowered
@@ -140,6 +169,11 @@ type compiler struct {
 	// is compiled, so a nested reach never overwrites a frontier still
 	// being read.
 	frontiers []weight
+	// pending is a stack of the kid indices of the compileVar frames in
+	// progress: a frame's terms are written to terms only after all its
+	// children are compiled, so each subproblem's terms (and each
+	// term's kids) stay contiguous although children compile in between.
+	pending []int32
 }
 
 // getCompiler takes a compiler from the estimator's pool (allocating
@@ -156,11 +190,17 @@ func (e *Estimator) getCompiler() *compiler {
 			seen: make([]bool, n),
 		}
 	}
-	clear(c.subs) // drop the previous plan's term slices
+	clear(c.subs) // drop the previous query's variables
 	c.subs = c.subs[:0]
+	c.terms = c.terms[:0]
+	c.termEnd = c.termEnd[:0]
+	c.kids = c.kids[:0]
+	c.roots = c.roots[:0]
+	c.groupStart = c.groupStart[:0]
 	clear(c.memo)
 	c.lowered = c.lowered[:0]
 	c.frontiers = c.frontiers[:0]
+	c.pending = c.pending[:0]
 	return c
 }
 
@@ -217,36 +257,33 @@ func (c *compiler) compileVar(v *query.Node, from NodeID) (int32, error) {
 	base := len(c.frontiers)
 	frontier := c.reach(from, v.Steps)
 	// Bind the predicate selectivities first, compacting the frontier
-	// in place to the clusters that pass, so the terms and their kid
-	// indices are allocated at their exact sizes.
+	// in place to the clusters that pass.
 	kept := frontier[:0]
 	for _, fw := range frontier {
 		if sel := c.e.predSel(c.e.s.nodes[fw.id], v.Pred); sel != 0 {
 			kept = append(kept, weight{id: fw.id, w: fw.w * sel})
 		}
 	}
-	sub := planSub{v: v, from: from}
-	if len(kept) > 0 {
-		sub.terms = make([]planTerm, len(kept))
-	}
-	var kids []int32
-	if nk := len(v.Children); nk > 0 {
-		kids = make([]int32, 0, nk*len(kept))
-	}
-	for i, fw := range kept {
-		start := len(kids)
+	// The children compile first; their kid indices wait on pending.
+	pbase := len(c.pending)
+	for _, fw := range kept {
 		for _, child := range v.Children {
 			kidIdx, err := c.compileVar(child, fw.id)
 			if err != nil {
 				return 0, err
 			}
-			kids = append(kids, kidIdx)
+			c.pending = append(c.pending, kidIdx)
 		}
-		sub.terms[i] = planTerm{node: fw.id, w: fw.w, kids: kids[start:len(kids):len(kids)]}
 	}
+	for _, fw := range kept {
+		c.terms = append(c.terms, planTerm{node: fw.id, w: fw.w})
+	}
+	c.kids = append(c.kids, c.pending[pbase:]...)
+	c.pending = c.pending[:pbase]
 	c.frontiers = c.frontiers[:base]
 	idx := int32(len(c.subs))
-	c.subs = append(c.subs, sub)
+	c.subs = append(c.subs, planSub{v: v, from: from})
+	c.termEnd = append(c.termEnd, int32(len(c.terms)))
 	c.memo[k] = idx
 	return idx, nil
 }

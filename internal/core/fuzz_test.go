@@ -106,7 +106,8 @@ func FuzzEstimate(f *testing.F) {
 				if err != nil || canonical != q.String() {
 					t.Fatalf("%s: ParseQuery(%q) #%d = %q, %v; direct parse %q", name, text, i, canonical, err, q)
 				}
-				v, _, err := est.SelectivityTracedCanonical(context.Background(), cq, canonical, time.Time{})
+				var tr EstimateTrace
+				v, err := est.SelectivityTracedCanonical(context.Background(), cq, canonical, time.Time{}, &tr)
 				if err != nil || v != got {
 					t.Fatalf("%s: estimate of ParseQuery(%q) #%d = %v, %v; direct parse %v", name, text, i, v, err, got)
 				}

@@ -19,8 +19,10 @@ import (
 // state (the value table comes from execScratch, one pool shared by
 // every plan).
 //
-// A Plan is bound to the synopsis it was compiled over, and is
-// immutable and safe for concurrent execution.
+// A Plan is four allocations: the Plan, subs, one term array that
+// every subproblem's terms are a slice of, and one int32 array holding
+// roots, groupStart and every term's kids. It is bound to the synopsis it was
+// compiled over, and is immutable and safe for concurrent execution.
 type Plan struct {
 	// canonical is the query's canonical string: the identity under
 	// which the plan is cached.

@@ -148,7 +148,8 @@ func TestParseQueryConcurrent(t *testing.T) {
 					errs <- err
 					return
 				}
-				v, _, err := est.SelectivityTracedCanonical(context.Background(), q, c, time.Time{})
+				var tr EstimateTrace
+				v, err := est.SelectivityTracedCanonical(context.Background(), q, c, time.Time{}, &tr)
 				if err != nil || c != canon[i] || v != want[i] {
 					errs <- fmt.Errorf("goroutine %d: %s = %v (canonical %q, err %v); fresh parse %v (%q)",
 						g, planQueries[i], v, c, err, want[i], canon[i])

@@ -111,34 +111,30 @@ func (t *EstimateTrace) SpanSum() time.Duration {
 // where the time went. The trace is also returned on error, covering
 // the stages that ran.
 func (e *Estimator) SelectivityTraced(ctx context.Context, q *query.Query) (float64, *EstimateTrace, error) {
-	return e.SelectivityTracedCanonical(ctx, q, "", time.Time{})
+	tr := new(EstimateTrace)
+	v, err := e.SelectivityTracedCanonical(ctx, q, "", time.Time{}, tr)
+	return v, tr, err
 }
 
-// SelectivityTracedCanonical is SelectivityTraced for a query whose
-// canonical string, q.String(), the caller already holds (ParseQuery
-// and WarmPlan return it), so the pipeline does not canonicalize q
-// again. An empty canonical canonicalizes as SelectivityTraced does.
+// SelectivityTracedCanonical is SelectivityTraced into a trace the
+// caller owns, for a query whose canonical string, q.String(), the
+// caller may already hold (ParseQuery and WarmPlan return it), so the
+// pipeline does not canonicalize q again. An empty canonical
+// canonicalizes as SelectivityTraced does. tr is overwritten: a batch
+// can fill one slice of traces, one allocation for all its estimates.
 // deadline, unless zero, bounds the estimate like a context deadline
 // would, checked where ctx is (before each root variable's subproblem
 // group of an executed plan) and failing with context.DeadlineExceeded,
 // without a timer or a derived context per call.
-func (e *Estimator) SelectivityTracedCanonical(ctx context.Context, q *query.Query, canonical string, deadline time.Time) (float64, *EstimateTrace, error) {
-	tr := e.newTrace()
-	v, err := e.pipeline(ctx, deadline, q, canonical, tr)
-	return v, tr, err
-}
-
-// newTrace starts the trace of one estimate over this estimator's
-// generation.
-func (e *Estimator) newTrace() *EstimateTrace {
+func (e *Estimator) SelectivityTracedCanonical(ctx context.Context, q *query.Query, canonical string, deadline time.Time, tr *EstimateTrace) (float64, error) {
 	g := e.s.fp.Generation
-	tr := &EstimateTrace{
+	*tr = EstimateTrace{
 		Generation:     g,
 		PlanGeneration: g, // refined when a plan runs
 		Start:          time.Now(),
 	}
 	tr.Spans = tr.spans[:0]
-	return tr
+	return e.pipeline(ctx, deadline, q, canonical, tr)
 }
 
 // now returns the start time of the next stage, or the zero time on a

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -184,6 +185,14 @@ func (s *Span) StartChild(name string) *Span {
 	s.children = append(s.children, child{span: c})
 	s.mu.Unlock()
 	return c
+}
+
+// Grow makes room for n more children, so a caller about to attach n
+// runs (a batch of estimates) grows the child list once.
+func (s *Span) Grow(n int) {
+	s.mu.Lock()
+	s.children = slices.Grow(s.children, n)
+	s.mu.Unlock()
 }
 
 // AddRun attaches a finished run as a child, failed with err when

@@ -171,7 +171,14 @@ func (t *Tree) Selectivity(qs string) float64 {
 		return 0 // absence within the exact depth is definitive
 	}
 	// Maximal-overlap parse. m[i] = longest retained prefix of qs[i:].
-	m := make([]int, len(qs))
+	// A query string of up to len(buf) bytes parses on the stack.
+	var buf [64]int
+	var m []int
+	if len(qs) <= len(buf) {
+		m = buf[:len(qs)]
+	} else {
+		m = make([]int, len(qs))
+	}
 	for i := range qs {
 		m[i] = t.longestPrefix(qs[i:])
 	}

@@ -317,3 +317,31 @@ func TestEstimateCount(t *testing.T) {
 		t.Fatalf("EstimateCount(zz) = %g, want 0", got)
 	}
 }
+
+// raceEnabled is set under the race detector, whose instrumentation
+// makes allocation counts meaningless.
+var raceEnabled bool
+
+// TestSelectivityAllocs pins the maximal-overlap parse's working array
+// to the stack for query strings of up to 64 bytes: such an estimate
+// allocates nothing, and a longer one allocates the array once.
+func TestSelectivityAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	tr := Build([]string{strings.Repeat("abc", 30), strings.Repeat("abcd", 20)}, 3)
+	for _, tc := range []struct {
+		qs   string
+		want float64
+	}{
+		{strings.Repeat("abc", 21) + "a", 0}, // 64 bytes
+		{strings.Repeat("abc", 22), 1},       // 66 bytes
+	} {
+		if tr.Selectivity(tc.qs) == 0 {
+			t.Fatalf("sel(%d-byte string) = 0; the test needs a string the parse chains over", len(tc.qs))
+		}
+		if n := testing.AllocsPerRun(100, func() { tr.Selectivity(tc.qs) }); n != tc.want {
+			t.Errorf("sel(%d-byte string): %v allocs, want %v", len(tc.qs), n, tc.want)
+		}
+	}
+}

@@ -448,6 +448,46 @@ func TestHTTPBuildInfo(t *testing.T) {
 	}
 }
 
+// TestAdminRebuildConflictHTTP: while a rebuild runs, POST
+// /admin/rebuild answers 409, synchronous or async, and the refused
+// request leaves RebuildStatus and the rebuild counters as they were;
+// once the running rebuild ends, an async request is accepted again.
+func TestAdminRebuildConflictHTTP(t *testing.T) {
+	svc, srv := serve(t, service.WithDocument(service.TestTree(t)))
+	release := svc.HoldRebuild()
+	before := svc.RebuildStatus()
+	for _, body := range []string{`{"async":true}`, `{}`} {
+		if resp, raw := postJSON(t, srv, "/admin/rebuild", body); resp.StatusCode != http.StatusConflict {
+			t.Fatalf("rebuild %s during a running rebuild: %d: %s, want 409", body, resp.StatusCode, raw)
+		}
+	}
+	time.Sleep(50 * time.Millisecond) // a wrongly spawned rebuild would record by now
+	if st := svc.RebuildStatus(); st != before {
+		t.Fatalf("refused rebuilds changed the status: %+v, was %+v", st, before)
+	}
+	_, metrics := getBody(t, srv, "/metrics")
+	for _, series := range []string{
+		`xcluster_rebuilds_total{outcome="error"} 0`,
+		`xcluster_rebuilds_total{outcome="ok"} 0`,
+	} {
+		if !bytes.Contains(metrics, []byte(series)) {
+			t.Fatalf("refused rebuilds were counted: /metrics lacks %q:\n%s", series, metrics)
+		}
+	}
+
+	release()
+	if resp, raw := postJSON(t, srv, "/admin/rebuild", `{"async":true}`); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("async rebuild after release: %d: %s, want 202", resp.StatusCode, raw)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for svc.Generation() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("async rebuild never landed; status %+v", svc.RebuildStatus())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestAdminRebuildHTTP is the acceptance path over the wire: POST
 // /admin/rebuild lands while 32 goroutines hammer POST /estimate, with
 // zero failed requests; /debug/synopsis reports the new generation and

@@ -264,17 +264,33 @@ func (s *Service) Rebuild(ctx context.Context, opts RebuildOptions) (SwapEvent, 
 	if s.doc == nil {
 		return SwapEvent{}, ErrNoDocument
 	}
+	t0, err := s.claimRebuild()
+	if err != nil {
+		return SwapEvent{}, err
+	}
+	return s.runRebuild(ctx, opts, t0)
+}
+
+// claimRebuild marks a rebuild running, started now, and returns the
+// start time; ErrRebuildInProgress when one already runs. The claim is
+// made under rbMu, so RebuildStatus never reads idle while a claim is
+// refused.
+func (s *Service) claimRebuild() (time.Time, error) {
 	t0 := time.Now()
 	s.rbMu.Lock()
+	defer s.rbMu.Unlock()
 	if s.rb.Running {
-		s.rbMu.Unlock()
-		return SwapEvent{}, ErrRebuildInProgress
+		return time.Time{}, ErrRebuildInProgress
 	}
 	s.rb.Running = true
 	s.rb.Phase = PhaseReference
 	s.rb.StartedAt = t0
-	s.rbMu.Unlock()
+	return t0, nil
+}
 
+// runRebuild runs a claimed rebuild, started at t0, and releases the
+// claim with its outcome in RebuildStatus and the rebuild metrics.
+func (s *Service) runRebuild(ctx context.Context, opts RebuildOptions, t0 time.Time) (SwapEvent, error) {
 	ev, err := s.rebuild(ctx, opts, t0)
 
 	s.rbMu.Lock()
@@ -304,10 +320,11 @@ func (s *Service) Rebuild(ctx context.Context, opts RebuildOptions) (SwapEvent, 
 
 // StartRebuild checks Rebuild's preconditions — a resident document,
 // and the workload profiler when the rebuild would plan adaptively —
-// then runs the rebuild in the background and returns at once. A
-// precondition failure comes back typed (ErrNoDocument, ErrNoProfiler),
-// so a request that can only fail is refused up front; the background
-// outcome lands in RebuildStatus.
+// claims the single-flight rebuilder, then runs the rebuild in the
+// background and returns at once. A precondition failure comes back
+// typed (ErrNoDocument, ErrNoProfiler), and a rebuild already running
+// as ErrRebuildInProgress, so a request that can only fail is refused
+// up front; the background outcome lands in RebuildStatus.
 func (s *Service) StartRebuild(opts RebuildOptions) error {
 	if s.doc == nil {
 		return ErrNoDocument
@@ -315,7 +332,11 @@ func (s *Service) StartRebuild(opts RebuildOptions) error {
 	if opts.Adaptive && opts.StructBudget <= 0 && opts.ValueBudget <= 0 && s.prof == nil {
 		return ErrNoProfiler
 	}
-	go func() { _, _ = s.Rebuild(context.Background(), opts) }()
+	t0, err := s.claimRebuild()
+	if err != nil {
+		return err
+	}
+	go func() { _, _ = s.runRebuild(context.Background(), opts, t0) }()
 	return nil
 }
 

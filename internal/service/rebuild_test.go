@@ -200,7 +200,8 @@ func TestSwapInvalidatesCachesAndPlans(t *testing.T) {
 	oldEst := svc.Estimator()
 	old := weak.Make(oldEst)
 	for _, q := range qs {
-		if _, tr, err := svc.estimateOne(context.Background(), time.Time{}, svc.cur.Load(), q, ""); err != nil {
+		tr := new(core.EstimateTrace)
+		if _, err := svc.estimateOne(context.Background(), time.Time{}, svc.cur.Load(), q, "", tr); err != nil {
 			t.Fatal(err)
 		} else if tr.Generation != 0 || tr.PlanGeneration != 0 {
 			t.Fatalf("pre-swap trace generations %d/%d, want 0/0", tr.Generation, tr.PlanGeneration)
@@ -229,7 +230,8 @@ func TestSwapInvalidatesCachesAndPlans(t *testing.T) {
 		t.Fatal("swap did not replace the estimator")
 	}
 	for i, q := range qs {
-		_, tr, err := svc.estimateOne(context.Background(), time.Time{}, svc.cur.Load(), q, "")
+		tr := new(core.EstimateTrace)
+		_, err := svc.estimateOne(context.Background(), time.Time{}, svc.cur.Load(), q, "", tr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +308,8 @@ func TestHammerWhileSwapping(t *testing.T) {
 			<-start
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % len(qs)
-				v, tr, err := svc.estimateOne(context.Background(), time.Time{}, svc.cur.Load(), qs[i], "")
+				tr := new(core.EstimateTrace)
+				v, err := svc.estimateOne(context.Background(), time.Time{}, svc.cur.Load(), qs[i], "", tr)
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d round %d: %v", g, r, err)
 					return

@@ -58,7 +58,7 @@ func TestEstimateRecordsPipelineMetrics(t *testing.T) {
 	// (two LRU misses), then each estimate's traced lookup is a hit.
 	planBefore := svc.Estimator().PlanCacheStats()
 	qs := []*query.Query{query.MustParse("//book[year>1990]"), query.MustParse("//journal[year<2000]/title")}
-	if _, err := svc.EstimateBatch(ctx, qs); err != nil {
+	if _, err := svc.EstimateBatch(ctx, qs, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := lookups("plan", "hit"); got != 2 {
@@ -124,7 +124,8 @@ func TestSpanSnapshotMatchesTrace(t *testing.T) {
 		{"plan hit", planOnly, ctx, q},
 		{"deadline", cached, obs.WithSpan(expired, root), query.MustParse("//book[pages>=300]")},
 	} {
-		_, tr, err := c.svc.estimateOne(c.ctx, time.Time{}, c.svc.cur.Load(), c.q, "")
+		tr := new(core.EstimateTrace)
+		_, err := c.svc.estimateOne(c.ctx, time.Time{}, c.svc.cur.Load(), c.q, "", tr)
 		runs = append(runs, estimate{c.name, tr, err})
 	}
 	if !runs[1].tr.ResultCacheHit || !runs[3].tr.PlanCacheHit || runs[4].err == nil {

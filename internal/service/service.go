@@ -508,8 +508,7 @@ func (s *Service) WorkloadProfile() (profile.Profile, error) {
 func (s *Service) Estimate(ctx context.Context, q *query.Query) (float64, error) {
 	s.inflightWG.Add(1)
 	defer s.inflightWG.Done()
-	v, _, err := s.estimateOne(ctx, s.deadline(), s.cur.Load(), q, "")
-	return v, err
+	return s.estimateOne(ctx, s.deadline(), s.cur.Load(), q, "", new(core.EstimateTrace))
 }
 
 // deadline returns the service deadline of one Estimate or
@@ -524,18 +523,20 @@ func (s *Service) deadline() time.Time {
 	return time.Now().Add(s.timeout)
 }
 
-// estimateOne runs one traced estimate against the pinned slot and
-// records it. The caller pins the slot so one logical operation (a
-// single estimate, or a whole batch) runs coherently on one generation
-// even while a hot swap installs the next. canonical is q's canonical
-// string when the caller already computed it (the batch warm pass), ""
-// otherwise. deadline is the call's service deadline (zero for none).
-func (s *Service) estimateOne(ctx context.Context, deadline time.Time, sl *slot, q *query.Query, canonical string) (float64, *core.EstimateTrace, error) {
+// estimateOne runs one estimate against the pinned slot, traced into
+// tr, and records it. The caller pins the slot so one logical operation
+// (a single estimate, or a whole batch) runs coherently on one
+// generation even while a hot swap installs the next. canonical is q's
+// canonical string when the caller already computed it (a parse through
+// the text cache, or the batch warm pass), "" otherwise. deadline is
+// the call's service deadline (zero for none). tr must stay unchanged
+// afterwards: the request's span tree may keep it.
+func (s *Service) estimateOne(ctx context.Context, deadline time.Time, sl *slot, q *query.Query, canonical string, tr *core.EstimateTrace) (float64, error) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
-	v, tr, err := sl.est.SelectivityTracedCanonical(ctx, q, canonical, deadline)
+	v, err := sl.est.SelectivityTracedCanonical(ctx, q, canonical, deadline, tr)
 	s.record(ctx, sl, q, tr, err)
-	return v, tr, err
+	return v, err
 }
 
 // record writes one estimate down, once. Every per-request sink reads
@@ -595,15 +596,21 @@ func (s *Service) record(ctx context.Context, sl *slot, q *query.Query, tr *core
 
 // EstimateBatch answers a batch of queries in order, on the caller's
 // goroutine. Results are positional: out[i] is the selectivity of
-// qs[i]. The first error (a context error, say) aborts the remaining
-// queries and is returned; already-computed entries stay in the slice.
-// Concurrency comes from the callers: the catalog's scatter pool runs
-// one shard's batch per goroutine.
-func (s *Service) EstimateBatch(ctx context.Context, qs []*query.Query) ([]float64, error) {
+// qs[i]. canonicals is nil, or holds each query's canonical string
+// (canonicals[i] == qs[i].String(), as ParseQuery returns it), so a
+// caller estimating the same queries on several services canonicalizes
+// them once. The first error (a context error, say) aborts the
+// remaining queries and is returned; already-computed entries stay in
+// the slice. Concurrency comes from the callers: the catalog's scatter
+// pool runs one shard's batch per goroutine.
+func (s *Service) EstimateBatch(ctx context.Context, qs []*query.Query, canonicals []string) ([]float64, error) {
 	bp := batchPool.Get().(*[]batchQuery)
 	batch := slices.Grow((*bp)[:0], len(qs))[:len(qs)]
 	for i, q := range qs {
 		batch[i] = batchQuery{q: q}
+		if canonicals != nil {
+			batch[i].canonical = canonicals[i]
+		}
 	}
 	err := s.estimateBatch(ctx, s.cur.Load(), batch)
 	out := make([]float64, len(qs))
@@ -628,11 +635,11 @@ var batchPool = sync.Pool{New: func() any { return new([]batchQuery) }}
 const maxPooledBatch = 1024
 
 // batchQuery is one query's record on its way through estimateBatch:
-// the parsed query and its canonical string ("" until prepareShapes
-// computes it), then its estimate and pipeline trace (nil when the
-// batch never reached it). RunEstimateRequest also keeps the query's
-// results index and parse time here, so a request needs one slice of
-// records however many queries it carries.
+// the parsed query and its canonical string (from the caller, or ""
+// until prepareShapes computes it), then its estimate and pipeline
+// trace (nil when the batch never reached it). RunEstimateRequest also
+// keeps the query's results index and parse time here, so a request
+// needs one slice of records however many queries it carries.
 type batchQuery struct {
 	q         *query.Query
 	canonical string
@@ -644,7 +651,8 @@ type batchQuery struct {
 
 // estimateBatch answers the batch in place on a pinned slot: every
 // query of the batch is answered by the same generation even if a swap
-// lands mid-batch.
+// lands mid-batch. The batch's traces are one slice, and the request's
+// span, when there is one, makes room for all of them at once.
 func (s *Service) estimateBatch(ctx context.Context, sl *slot, batch []batchQuery) error {
 	s.inflightWG.Add(1)
 	defer s.inflightWG.Done()
@@ -657,10 +665,14 @@ func (s *Service) estimateBatch(ctx context.Context, sl *slot, batch []batchQuer
 	if err := s.prepareShapes(sl, batch); err != nil {
 		return err
 	}
+	traces := make([]core.EstimateTrace, len(batch))
+	if sp := obs.SpanFrom(ctx); sp != nil {
+		sp.Grow(len(batch))
+	}
 	for i := range batch {
 		bq := &batch[i]
-		v, tr, err := s.estimateOne(ctx, deadline, sl, bq.q, bq.canonical)
-		bq.tr = tr
+		bq.tr = &traces[i]
+		v, err := s.estimateOne(ctx, deadline, sl, bq.q, bq.canonical, bq.tr)
 		if err != nil {
 			return fmt.Errorf("service: query %d: %w", i, err)
 		}
@@ -689,6 +701,16 @@ func (s *Service) prepareShapes(sl *slot, batch []batchQuery) error {
 		batch[i].canonical = c
 	}
 	return nil
+}
+
+// ParseQuery parses a query text through the serving estimator's text
+// cache (core.Estimator.ParseQuery), returning the query and its
+// canonical string. A parse depends on neither the synopsis nor its
+// generation, so the result is valid on every service: the catalog's
+// scatter parses each text once, here on the tenant's first shard, and
+// hands the query to every shard.
+func (s *Service) ParseQuery(text string) (*query.Query, string, error) {
+	return s.cur.Load().est.ParseQuery(text)
 }
 
 // Drain blocks until every in-flight Estimate and EstimateBatch call

@@ -137,7 +137,7 @@ func TestEstimateBatchMatchesSequential(t *testing.T) {
 		big = append(big, qs...)
 	}
 	svc := New(syn)
-	got, err := svc.EstimateBatch(context.Background(), big)
+	got, err := svc.EstimateBatch(context.Background(), big, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestEstimateBatchMatchesSequential(t *testing.T) {
 		}
 	}
 	// The empty batch is a no-op, not an error.
-	if out, err := svc.EstimateBatch(context.Background(), nil); err != nil || len(out) != 0 {
+	if out, err := svc.EstimateBatch(context.Background(), nil, nil); err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: %v, %v", out, err)
 	}
 }
@@ -217,7 +217,7 @@ func TestTimeoutAndCancellation(t *testing.T) {
 	if _, err := svc.Estimate(context.Background(), qs[0]); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("timeout: %v, want DeadlineExceeded", err)
 	}
-	if _, err := svc.EstimateBatch(context.Background(), qs); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := svc.EstimateBatch(context.Background(), qs, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("batch timeout: %v, want DeadlineExceeded", err)
 	}
 	if st := svc.Stats(); st.Failed == 0 || st.Served != 0 {
@@ -230,7 +230,7 @@ func TestTimeoutAndCancellation(t *testing.T) {
 	if _, err := svc2.Estimate(ctx, qs[0]); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancel: %v, want Canceled", err)
 	}
-	_, err := svc2.EstimateBatch(ctx, qs)
+	_, err := svc2.EstimateBatch(ctx, qs, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch cancel: %v, want Canceled", err)
 	}
@@ -244,7 +244,7 @@ func TestTimeoutAndCancellation(t *testing.T) {
 	if _, err := svc3.Estimate(ctx, qs[0]); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancel under a service timeout: %v, want Canceled", err)
 	}
-	if _, err := svc3.EstimateBatch(ctx, qs); !errors.Is(err, context.Canceled) {
+	if _, err := svc3.EstimateBatch(ctx, qs, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch cancel under a service timeout: %v, want Canceled", err)
 	}
 
@@ -258,7 +258,7 @@ func TestTimeoutAndCancellation(t *testing.T) {
 	if got, err := svc4.Estimate(context.Background(), qs[0]); err != nil || got != want[0] {
 		t.Fatalf("cache hit under an expired deadline: %v, %v, want %v", got, err, want[0])
 	}
-	got, err := svc4.EstimateBatch(context.Background(), qs)
+	got, err := svc4.EstimateBatch(context.Background(), qs, nil)
 	if err != nil || !slices.Equal(got, want) {
 		t.Fatalf("batch of cache hits under an expired deadline: %v, %v, want %v", got, err, want)
 	}
@@ -269,7 +269,7 @@ func TestStatsPercentiles(t *testing.T) {
 	qs := parseWorkload(t)
 	svc := New(syn)
 	for r := 0; r < 3; r++ {
-		if _, err := svc.EstimateBatch(context.Background(), qs); err != nil {
+		if _, err := svc.EstimateBatch(context.Background(), qs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +313,7 @@ func TestEstimateBatchCompilesOnce(t *testing.T) {
 	}
 	// Result cache off so every execution reaches the plan layer.
 	svc := New(syn, WithCacheCapacity(0))
-	if _, err := svc.EstimateBatch(context.Background(), big); err != nil {
+	if _, err := svc.EstimateBatch(context.Background(), big, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := svc.Stats().PlanCache
@@ -346,7 +346,7 @@ func TestEstimateBatchCompilesOnce(t *testing.T) {
 	// With the plan cache disabled the batch still answers correctly.
 	want := sequentialAnswers(syn, qs)
 	svc2 := New(syn, WithCacheCapacity(0), WithPlanCacheCapacity(0))
-	got, err := svc2.EstimateBatch(context.Background(), big)
+	got, err := svc2.EstimateBatch(context.Background(), big, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
