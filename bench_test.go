@@ -11,6 +11,7 @@
 package xcluster_test
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -268,18 +269,27 @@ func BenchmarkBuildReference(b *testing.B) {
 }
 
 // BenchmarkXClusterBuild measures the two-phase compression to a mid
-// budget.
+// budget, with the Δ-evaluation pool at one worker and at GOMAXPROCS
+// workers: their ratio is what the build pool buys on this machine.
 func BenchmarkXClusterBuild(b *testing.B) {
 	d := datasets(b)["IMDB"]
 	bstr := d.Ref.StructBytes() / 20
 	bval := benchCfg.ValueBudget(d)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := core.XClusterBuild(d.Ref, core.BuildOptions{StructBudget: bstr, ValueBudget: bval})
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = s
+	for _, w := range []struct {
+		name    string
+		workers int
+	}{
+		{"workers=1", 1},
+		{"workers=GOMAXPROCS", runtime.GOMAXPROCS(0)},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			opts := core.BuildOptions{StructBudget: bstr, ValueBudget: bval, Workers: w.workers}
+			for i := 0; i < b.N; i++ {
+				if _, err := core.XClusterBuild(d.Ref, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

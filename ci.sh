@@ -69,25 +69,25 @@ go test ./...
 # — over a shard with a resident document and a slow log that captures
 # every estimate — panics or answers 500, every status is one its route
 # documents, and /debug/traces and /debug/slowlog render afterwards),
-# internal/profile FuzzParseProfile (the WorkloadProfile artifact
-# parser never panics and anything accepted is a round-trip fixed
-# point), and internal/core FuzzEstimate (every parsed query gets a
+# and internal/core FuzzEstimate (every parsed query gets a
 # finite, non-negative estimate equal to the reference interpreter's,
 # and Explain's top embeddings are sorted and sum to at most it).
 go test -run=Fuzz ./...
 
-# The estimate-path benchmarks run once each, so they cannot rot:
-# internal/service BenchmarkEstimateTelemetry (bare, default,
+# The estimate-path and build benchmarks run once each, so they cannot
+# rot: internal/service BenchmarkEstimateTelemetry (bare, default,
 # SLO-sampled-out and traced telemetry), internal/catalog
 # BenchmarkHandlerEstimateHot (one cached POST /estimate through the
 # daemon's handler) and BenchmarkHandlerEstimateScatter (a cached
 # 32-query scatter over three shards through the same handler), and the root package's BenchmarkEstimateCold (both
 # caches off: every call compiles), BenchmarkPrepared (execute only),
-# whose ratio is the compile cost, and BenchmarkEstimateCacheHit (the
-# result-cache LRU hit path). Timing itself lives in bench/ and
+# whose ratio is the compile cost, BenchmarkEstimateCacheHit (the
+# result-cache LRU hit path) and BenchmarkXClusterBuild (one IMDB
+# build with the Δ-evaluation pool at workers=1 and at
+# workers=GOMAXPROCS). Timing itself lives in bench/ and
 # `go test -bench`.
 go test -run '^$' -bench 'EstimateTelemetry|HandlerEstimateHot|HandlerEstimateScatter' -benchtime 1x ./internal/service ./internal/catalog
-go test -run '^$' -bench 'EstimateCold$|Prepared$|EstimateCacheHit$' -benchtime 1x .
+go test -run '^$' -bench 'EstimateCold$|Prepared$|EstimateCacheHit$|XClusterBuild' -benchtime 1x .
 
 # Machine-readable benchmark artifact, kept at the repo root for
 # comparison across revisions: the budget-allocation experiment (fixed

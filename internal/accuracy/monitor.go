@@ -33,7 +33,7 @@ var DefaultErrorBuckets = []float64{
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// Monitor defaults.
+// Monitor drift policy. Every monitor runs on these constants.
 const (
 	// DefaultWindow is the rolling-window size per class.
 	DefaultWindow = 128
@@ -56,36 +56,6 @@ type DriftEvent struct {
 
 // MonitorOption configures NewMonitor.
 type MonitorOption func(*Monitor)
-
-// WithWindow sets the rolling-window size per class (default
-// DefaultWindow).
-func WithWindow(n int) MonitorOption {
-	return func(m *Monitor) {
-		if n > 0 {
-			m.window = n
-		}
-	}
-}
-
-// WithDriftFactor sets the multiple of the baseline mean at which the
-// rolling mean flags drift (default DefaultDriftFactor).
-func WithDriftFactor(f float64) MonitorOption {
-	return func(m *Monitor) {
-		if f > 0 {
-			m.factor = f
-		}
-	}
-}
-
-// WithMinDelta sets the absolute margin the rolling mean must exceed
-// the baseline by before drift is flagged (default DefaultMinDelta).
-func WithMinDelta(d float64) MonitorOption {
-	return func(m *Monitor) {
-		if d >= 0 {
-			m.minDelta = d
-		}
-	}
-}
 
 // WithMonitorRegistry routes the monitor's per-class error histograms
 // and drift gauges into a metrics registry.
@@ -127,11 +97,9 @@ type classState struct {
 // statistics with the paper's relative-error metric. All methods are
 // safe for concurrent use.
 type Monitor struct {
-	window   int
-	factor   float64
-	minDelta float64
-	onDrift  func(DriftEvent)
-	reg      *obs.Registry
+	window  int // DefaultWindow; tests shorten it
+	onDrift func(DriftEvent)
+	reg     *obs.Registry
 
 	// Pre-resolved registry series per class (nil without a registry).
 	hists   [NumClasses]*obs.Histogram
@@ -145,13 +113,9 @@ type Monitor struct {
 }
 
 // NewMonitor returns a monitor with the paper's default sanity bound
-// and the default drift policy.
+// and the drift policy above.
 func NewMonitor(opts ...MonitorOption) *Monitor {
-	m := &Monitor{
-		window:   DefaultWindow,
-		factor:   DefaultDriftFactor,
-		minDelta: DefaultMinDelta,
-	}
+	m := &Monitor{window: DefaultWindow}
 	for _, opt := range opts {
 		opt(m)
 	}
@@ -241,8 +205,8 @@ func (m *Monitor) driftLocked(st *classState) (recent, baseline, ratio float64, 
 		ratio = recent / baseline
 	}
 	drifted = st.filled == len(st.ring) &&
-		recent >= m.factor*baseline &&
-		recent-baseline >= m.minDelta
+		recent >= DefaultDriftFactor*baseline &&
+		recent-baseline >= DefaultMinDelta
 	return recent, baseline, ratio, drifted
 }
 
@@ -282,7 +246,7 @@ type Report struct {
 
 // Report snapshots the monitor.
 func (m *Monitor) Report() Report {
-	rep := Report{SanityBound: DefaultSanityBound, Window: m.window, DriftFactor: m.factor}
+	rep := Report{SanityBound: DefaultSanityBound, Window: m.window, DriftFactor: DefaultDriftFactor}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var totalN uint64
@@ -311,17 +275,4 @@ func (m *Monitor) Report() Report {
 		rep.AvgRelError = totalSum / float64(totalN)
 	}
 	return rep
-}
-
-// Drifted returns the classes currently flagged as drifted.
-func (m *Monitor) Drifted() []Class {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []Class
-	for _, c := range Classes() {
-		if m.classes[c].drifted {
-			out = append(out, c)
-		}
-	}
-	return out
 }

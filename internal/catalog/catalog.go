@@ -64,9 +64,8 @@ type Config struct {
 // Shard is one attached (tenant, collection) member: a service plus the
 // catalog bookkeeping around it.
 type Shard struct {
-	key  Key
-	spec ShardSpec
-	svc  *service.Service
+	key Key
+	svc *service.Service
 
 	// draining flips once, when Detach claims the shard; estimates
 	// observing it fail fast with ErrShardDraining.
@@ -81,14 +80,8 @@ type Shard struct {
 // Key returns the shard's (tenant, collection) address.
 func (sh *Shard) Key() Key { return sh.key }
 
-// Spec returns the spec the shard was attached with.
-func (sh *Shard) Spec() ShardSpec { return sh.spec }
-
 // Service returns the shard's underlying service.
 func (sh *Shard) Service() *service.Service { return sh.svc }
-
-// Draining reports whether Detach has claimed the shard.
-func (sh *Shard) Draining() bool { return sh.draining.Load() }
 
 // tenantState groups a tenant's shards with the consistent-hash ring
 // that routes the tenant's documents across them.
@@ -154,9 +147,6 @@ func New(cfg Config) (*Catalog, error) {
 	c.reg.Gauge("xcluster_catalog_shards", "").Set(0)
 	return c, nil
 }
-
-// Traces returns the catalog's request trace store.
-func (c *Catalog) Traces() *obs.TraceStore { return c.traces }
 
 // BeginShutdown flips the catalog not-ready (GET /readyz → 503) without
 // touching the serving paths. Call it before stopping the listener so
@@ -292,7 +282,7 @@ func (c *Catalog) buildShard(ctx context.Context, spec ShardSpec) (*Shard, error
 		return s, err
 	}))
 	svc := service.New(syn, opts...)
-	sh := &Shard{key: spec.Key(), spec: spec, svc: svc}
+	sh := &Shard{key: spec.Key(), svc: svc}
 	sh.estimateBatch = svc.EstimateBatch
 	return sh, nil
 }

@@ -284,12 +284,15 @@ func TestCatalogWorkload(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("export status %d: %s", w.Code, w.Body.String())
 	}
-	exported, err := profile.Parse(w.Body.Bytes())
-	if err != nil {
-		t.Fatalf("addressed export does not parse: %v", err)
+	var exported profile.Profile
+	if err := json.Unmarshal(w.Body.Bytes(), &exported); err != nil {
+		t.Fatalf("addressed export does not decode: %v", err)
 	}
 	if exported.TotalRequests != 2 {
 		t.Fatalf("exported total = %d, want acme/docs's 2", exported.TotalRequests)
+	}
+	if again, err := profile.Encode(exported); err != nil || string(again) != w.Body.String() {
+		t.Fatalf("exported bytes are not Encode's form of their decoding (err %v)", err)
 	}
 
 	// Workload series arrive in the merged scrape with shard labels;

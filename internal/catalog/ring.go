@@ -59,16 +59,6 @@ func ringHash(s string) uint64 {
 // Len returns the number of members.
 func (r *Ring) Len() int { return len(r.members) }
 
-// Members returns the member names, sorted.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Add inserts a member (idempotent).
 func (r *Ring) Add(member string) {
 	if _, ok := r.members[member]; ok {

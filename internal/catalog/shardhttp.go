@@ -214,11 +214,11 @@ func handleRebuild(w http.ResponseWriter, r *http.Request, svc *service.Service)
 }
 
 // handleWorkloadExport answers GET /admin/workload/export: the
-// versioned WorkloadProfile artifact in its canonical file encoding
-// (profile.Encode), so the body can be saved and fed back through
-// profile.Parse byte-for-byte. It is an audit record of the traffic
-// mix (its fingerprint is the one on swap events); rebuilds do not
-// read it. 412 when profiling is disabled.
+// versioned WorkloadProfile artifact in its stable encoding
+// (profile.Encode). It is an audit output of the traffic mix (its
+// fingerprint is the one on swap events); nothing reads it back, and
+// rebuilds score on the profiler's representatives. 412 when profiling
+// is disabled.
 func handleWorkloadExport(w http.ResponseWriter, _ *http.Request, svc *service.Service) {
 	p, err := svc.WorkloadProfile()
 	if err != nil {

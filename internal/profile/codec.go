@@ -3,7 +3,6 @@ package profile
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strconv"
 	"time"
@@ -13,21 +12,17 @@ import (
 )
 
 // ProfileVersion is the WorkloadProfile file-format version this build
-// writes and the only one Parse accepts.
+// writes.
 const ProfileVersion = 1
 
-// ErrProfileVersion reports a profile whose version this build cannot
-// read; test with errors.Is.
-var ErrProfileVersion = errors.New("profile: unsupported workload profile version")
-
-// Profile is the versioned, persistable WorkloadProfile artifact: a
-// Snapshot plus identity, exported at GET /admin/workload/export and
-// parsed back with Parse. It is an audit record: an operator saves it
-// to archive or diff the traffic mix, and its Fingerprint is the one
-// stamped into rebuild SwapEvents and onto the fingerprint of a
-// workload-split synopsis, so a saved profile names the traffic a
-// rebuild was planned on. Adaptive rebuilds do not read it; they score
-// on Profiler.Representatives.
+// Profile is the versioned WorkloadProfile artifact: a Snapshot plus
+// identity, exported at GET /admin/workload/export in Encode's stable
+// form. It is an audit record: an operator saves it to archive or diff
+// the traffic mix, and its Fingerprint is the one stamped into rebuild
+// SwapEvents and onto the fingerprint of a workload-split synopsis, so
+// a saved profile names the traffic a rebuild was planned on. Nothing
+// in-process reads it back: adaptive rebuilds score on
+// Profiler.Representatives.
 type Profile struct {
 	Version        int   `json:"version"`
 	CapturedAtUnix int64 `json:"captured_at_unix"`
@@ -88,39 +83,4 @@ func Encode(p Profile) ([]byte, error) {
 		return nil, fmt.Errorf("profile: encode: %w", err)
 	}
 	return append(b, '\n'), nil
-}
-
-// Parse decodes and validates a WorkloadProfile file: unknown fields
-// are rejected (a field this build does not know is a format it does
-// not speak), the version must match, and the recorded fingerprint
-// must agree with one recomputed from the contents — a profile edited
-// or truncated in transit fails loudly instead of silently steering a
-// rebuild. Parse(Encode(p)) returns p exactly.
-func Parse(data []byte) (Profile, error) {
-	var p Profile
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p); err != nil {
-		return Profile{}, fmt.Errorf("profile: parse: %w", err)
-	}
-	if err := checkTrailer(dec); err != nil {
-		return Profile{}, err
-	}
-	if p.Version != ProfileVersion {
-		return Profile{}, fmt.Errorf("%w: file version %d, this build reads %d",
-			ErrProfileVersion, p.Version, ProfileVersion)
-	}
-	if got := p.Snapshot.fingerprint(); got != p.Fingerprint {
-		return Profile{}, fmt.Errorf("profile: parse: fingerprint mismatch: file says %s, contents hash to %s",
-			p.Fingerprint, got)
-	}
-	return p, nil
-}
-
-// checkTrailer rejects trailing garbage after the JSON document.
-func checkTrailer(dec *json.Decoder) error {
-	if _, err := dec.Token(); err == nil {
-		return errors.New("profile: parse: trailing data after profile document")
-	}
-	return nil
 }

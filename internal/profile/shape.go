@@ -8,8 +8,9 @@
 // per-shape representatives are the sample a workload-adaptive rebuild
 // scores its budget split on. Snapshots render at
 // GET /debug/workload, mirror into xcluster_workload_* Prometheus
-// series at scrape time, and persist as a versioned WorkloadProfile
-// JSON artifact (codec.go).
+// series at scrape time, and export as a versioned WorkloadProfile
+// JSON artifact (codec.go): an audit record with a stable encoding that
+// nothing in-process reads back.
 package profile
 
 import (

@@ -20,9 +20,6 @@ func WithAdaptiveBudget() Option {
 	return func(s *Service) { s.adaptiveBudget = true }
 }
 
-// AdaptiveBudget reports whether WithAdaptiveBudget was configured.
-func (s *Service) AdaptiveBudget() bool { return s.adaptiveBudget }
-
 // planAdaptive runs budget.Plan for a rebuild that would otherwise
 // build at inherited's budgets: it searches the split of their total
 // on the live profile's shapes, with ground truth from the resident

@@ -382,19 +382,17 @@ func TestRebuildOnDrift(t *testing.T) {
 		WithDocument(tree),
 		WithRebuildOnDrift(),
 		WithAccuracy(
-			accuracy.WithWindow(4),
-			accuracy.WithDriftFactor(2),
-			accuracy.WithMinDelta(0.01),
 			accuracy.WithOnDrift(func(ev accuracy.DriftEvent) { drifts.Add(1) }),
 		),
 	)
 	q := query.MustParse("//book[year>1990]")
-	// Establish an accurate baseline, then let the window fill with
-	// large errors: the false→true transition fires the rebuild.
-	for i := 0; i < 8; i++ {
+	// Establish an accurate baseline (a window's worth scrolls out of
+	// the window), then let the window fill with large errors: the
+	// false→true transition fires the rebuild.
+	for i := 0; i < 2*accuracy.DefaultWindow; i++ {
 		svc.Monitor().Observe(q, 100, 100)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < accuracy.DefaultWindow; i++ {
 		svc.Monitor().Observe(q, 100, 1000)
 	}
 	if drifts.Load() == 0 {

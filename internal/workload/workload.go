@@ -21,7 +21,7 @@ import (
 
 // classNames is the one table of the query classes the generator
 // emits, in generation and report order, with the names Figure 8 gives
-// them — the names the text codec and the experiment tables print.
+// them — the names the experiment tables print.
 // Keyword predicates are ftcontains; the generator never emits ftsim.
 var classNames = [...]struct {
 	class accuracy.Class

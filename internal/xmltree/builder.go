@@ -68,12 +68,6 @@ func (b *Builder) Text(label, text string) *Builder {
 	return b
 }
 
-// TextTerms adds a TEXT-valued leaf element from pre-tokenized terms.
-func (b *Builder) TextTerms(label string, terms []string) *Builder {
-	b.push(&Node{Label: label, Type: TypeText, Terms: b.dict.InternTerms(terms)})
-	return b
-}
-
 // Empty adds a structural leaf element with no value.
 func (b *Builder) Empty(label string) *Builder {
 	b.push(&Node{Label: label})
