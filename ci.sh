@@ -10,13 +10,16 @@
 # this script.
 #
 # The allocation pins (internal/core TestEstimateCacheHitAllocs,
-# TestCompileAllocs — a compiled plan is four allocations — and
-# TestLRUPutFullRecycles' allocation check, internal/service
-# TestServiceEstimateCacheHitAllocs, internal/catalog
+# TestCompileAllocs — a compiled plan is four allocations and an ftsim
+# predicate none — and TestLRUPutFullRecycles' allocation check,
+# internal/service TestServiceEstimateCacheHitAllocs, internal/catalog
 # TestHandlerEstimateHotAllocs and TestHandlerEstimateScatterAllocs — a
 # cached scatter over three shards at ≤58 allocations per request plus
-# 1 per query —, internal/pst TestSelectivityAllocs — no allocation
-# for a string of up to 64 bytes —, internal/query TestStringAllocs)
+# 1 per query, also with one plan slot per shard, where the batch warm
+# pass compiles nothing behind a cached answer —, internal/pst
+# TestSelectivityAllocs — no allocation for a string of up to 64 bytes
+# —, internal/query TestStringAllocs and TestParseAllocs — a parsed
+# query is four allocations plus its predicates')
 # run in the plain pass only: the race detector's instrumentation allocates,
 # so under -race they skip themselves (raceEnabled, set by each
 # package's race_test.go). Both serving pins run under xclusterd's
@@ -78,15 +81,19 @@ go test -run=Fuzz ./...
 # rot: internal/service BenchmarkEstimateTelemetry (bare, default,
 # SLO-sampled-out and traced telemetry), internal/catalog
 # BenchmarkHandlerEstimateHot (one cached POST /estimate through the
-# daemon's handler) and BenchmarkHandlerEstimateScatter (a cached
-# 32-query scatter over three shards through the same handler), and the root package's BenchmarkEstimateCold (both
+# daemon's handler), BenchmarkHandlerEstimateScatter (a cached
+# 32-query scatter over three shards through the same handler) and
+# BenchmarkHandlerEstimateScatterColdPlans (the same scatter with one
+# plan slot per shard), internal/query BenchmarkParse (every accepted
+# fuzz seed parsed once per op), and the root package's
+# BenchmarkEstimateCold (both
 # caches off: every call compiles), BenchmarkPrepared (execute only),
 # whose ratio is the compile cost, BenchmarkEstimateCacheHit (the
 # result-cache LRU hit path) and BenchmarkXClusterBuild (one IMDB
 # build with the Δ-evaluation pool at workers=1 and at
 # workers=GOMAXPROCS). Timing itself lives in bench/ and
 # `go test -bench`.
-go test -run '^$' -bench 'EstimateTelemetry|HandlerEstimateHot|HandlerEstimateScatter' -benchtime 1x ./internal/service ./internal/catalog
+go test -run '^$' -bench 'EstimateTelemetry|HandlerEstimateHot|HandlerEstimateScatter|^BenchmarkParse$' -benchtime 1x ./internal/service ./internal/catalog ./internal/query
 go test -run '^$' -bench 'EstimateCold$|Prepared$|EstimateCacheHit$|XClusterBuild' -benchtime 1x .
 
 # Machine-readable benchmark artifact, kept at the repo root for

@@ -103,10 +103,11 @@ func scatterBody(n int) string {
 // /estimate, through the daemon's handler over a tenant of three
 // collections, after a first call that fills every cache the request
 // reaches: the first shard's text cache and each shard's result cache.
-func scatterEstimate(tb testing.TB, body string) func() *httptest.ResponseRecorder {
+// Every shard gets opts after xclusterd's default -timeout.
+func scatterEstimate(tb testing.TB, body string, opts ...service.Option) func() *httptest.ResponseRecorder {
 	c := newTestCatalog(tb, Config{
 		ShardOptions: func(ShardSpec) []service.Option {
-			return []service.Option{service.WithTimeout(5 * time.Second)}
+			return append([]service.Option{service.WithTimeout(5 * time.Second)}, opts...)
 		},
 	}, spec("acme", "docs"), spec("acme", "mail"), spec("acme", "wiki"))
 	h := c.Handler()
@@ -128,6 +129,20 @@ func scatterEstimate(tb testing.TB, body string) func() *httptest.ResponseRecord
 // fan-out, telemetry and gather. Run it with -benchmem for allocs/op.
 func BenchmarkHandlerEstimateScatter(b *testing.B) {
 	serve := scatterEstimate(b, scatterBody(32))
+	b.ReportAllocs()
+	for b.Loop() {
+		serve()
+	}
+}
+
+// BenchmarkHandlerEstimateScatterColdPlans is
+// BenchmarkHandlerEstimateScatter with one plan slot per shard: the
+// result caches answer every query, but all plans but one per shard
+// are evicted, so it measures what the batch warm pass spends on
+// queries whose answers are cached. Run it with -benchmem for
+// allocs/op.
+func BenchmarkHandlerEstimateScatterColdPlans(b *testing.B) {
+	serve := scatterEstimate(b, scatterBody(32), service.WithPlanCacheCapacity(1))
 	b.ReportAllocs()
 	for b.Loop() {
 		serve()
@@ -156,5 +171,15 @@ func TestHandlerEstimateScatterAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(100, func() { serve() }); got > want {
 			t.Errorf("cached %d-query scatter: %v allocs, want ≤%v", n, got, want)
 		}
+	}
+	// With one plan slot per shard, the batch warm pass skips every
+	// query whose answer is cached and whose plan was evicted, so the
+	// request compiles nothing and stays within the same bound (it
+	// compiled about 31 plans per shard when the pass looked every
+	// query up).
+	serve := scatterEstimate(t, scatterBody(32), service.WithPlanCacheCapacity(1))
+	want := float64(perRequest + perQuery*32)
+	if got := testing.AllocsPerRun(100, func() { serve() }); got > want {
+		t.Errorf("cached 32-query scatter with one plan slot: %v allocs, want ≤%v", got, want)
 	}
 }

@@ -48,7 +48,11 @@ type ScatterResponse struct {
 	Collections []string             `json:"collections"`
 	Partial     bool                 `json:"partial,omitempty"`
 	Results     []ScatterQueryResult `json:"results"`
-	ShardErrors []ShardError         `json:"shard_errors,omitempty"`
+	// ShardErrors lists the shards that did not answer. A shard's
+	// error text that names a query ("service: query 2: ...") counts
+	// within the batch the shard received, which leaves out the
+	// request's unparseable queries, not within Results.
+	ShardErrors []ShardError `json:"shard_errors,omitempty"`
 }
 
 // AttachResponse is the body of a successful POST /admin/catalog/attach.

@@ -37,17 +37,24 @@ func (e *Estimator) Prepare(q *query.Query) (*PreparedQuery, error) {
 
 // WarmPlan is the batch warm pass for one query: it looks q's shape up
 // in the plan cache once and compiles it into the cache on a miss, as
-// Prepare does, without building a PreparedQuery. canonical is q's
-// canonical string when the caller holds it (from ParseQuery), "" to
-// compute it here. It returns the canonical string, which
-// SelectivityTracedCanonical takes so the estimate that follows does
-// not canonicalize q again. With the plan cache disabled it only
-// canonicalizes.
+// Prepare does, without building a PreparedQuery. A query whose answer
+// the result cache holds and whose plan the plan cache does not is
+// skipped: its estimate never reaches the plan layer, so the pass
+// compiles only what the estimate will execute. The two membership
+// checks count nothing, so every plan-cache miss is still one
+// compilation. canonical is q's canonical string when the caller holds
+// it (from ParseQuery), "" to compute it here. It returns the canonical
+// string, which SelectivityTracedCanonical takes so the estimate that
+// follows does not canonicalize q again. With the plan cache disabled
+// it only canonicalizes.
 func (e *Estimator) WarmPlan(q *query.Query, canonical string) (string, error) {
 	if canonical == "" {
 		canonical = q.String()
 	}
 	if e.plans == nil {
+		return canonical, nil
+	}
+	if e.cache != nil && !e.plans.contains(canonical) && e.cache.contains(canonical) {
 		return canonical, nil
 	}
 	_, err := e.planFor(q, canonical, nil)

@@ -84,6 +84,17 @@ func (c *lruCache[V]) get(key string) (V, bool) {
 	return v, true
 }
 
+// contains reports whether key is cached, without counting a hit or a
+// miss and without refreshing its recency: a look ahead at what a later
+// get will find, which must not change what the counters or the
+// eviction order say about the lookups that happen.
+func (c *lruCache[V]) contains(key string) bool {
+	c.mu.Lock()
+	_, ok := c.items[key]
+	c.mu.Unlock()
+	return ok
+}
+
 // put inserts key → val, evicting the least recently used entry when
 // the cache is full. The eviction recycles the victim's list element
 // and entry for the new key, so a put into a full cache allocates

@@ -30,6 +30,24 @@ func TestLRUEvictionCounter(t *testing.T) {
 	}
 }
 
+// TestLRUContains: a membership check counts neither a hit nor a miss
+// and leaves the eviction order alone.
+func TestLRUContains(t *testing.T) {
+	c := newLRUCache[int](2)
+	c.put("a", 1)
+	c.put("b", 2)
+	if !c.contains("a") || c.contains("z") {
+		t.Fatal("contains disagrees with the cached keys")
+	}
+	if st := c.stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("contains counted a lookup: %+v", st)
+	}
+	c.put("c", 3) // "a" is still the least recently used
+	if c.contains("a") || !c.contains("b") {
+		t.Fatal("contains refreshed the recency of a")
+	}
+}
+
 // TestLRUPutFullRecycles pins eviction by recycling: a put into a full
 // cache reuses the least recently used entry for the new key, so it
 // allocates nothing, and the LRU order, the victim and the eviction

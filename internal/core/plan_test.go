@@ -189,6 +189,43 @@ func TestPlanCache(t *testing.T) {
 	}
 }
 
+// TestWarmPlanSkipsCachedAnswers: with the result cache on, WarmPlan
+// skips a query whose answer is cached and whose plan is not, since its
+// estimate never reaches the plan layer, and touches neither cache's
+// counters doing so; a query with a cached plan keeps its one counted
+// lookup, and one in neither cache compiles.
+func TestWarmPlanSkipsCachedAnswers(t *testing.T) {
+	est := planEstimators(t)["reference"]
+	est.SetCacheCapacity(16)
+	est.SetPlanCacheCapacity(1)
+	a := query.MustParse("//paper[year>2000]/title")
+	b := query.MustParse("//author/name")
+	est.Selectivity(a) // answer cached; plan cached
+	est.Selectivity(b) // answer cached; b's plan evicts a's
+	res, plans := est.CacheStats(), est.PlanCacheStats()
+	if c, err := est.WarmPlan(a, ""); err != nil || c != a.String() {
+		t.Fatalf("WarmPlan(a) = %q, %v", c, err)
+	}
+	if st := est.PlanCacheStats(); st != plans {
+		t.Fatalf("WarmPlan of a cached answer reached the plan cache: %+v, was %+v", st, plans)
+	}
+	if st := est.CacheStats(); st != res {
+		t.Fatalf("WarmPlan counted a result-cache lookup: %+v, was %+v", st, res)
+	}
+	if _, err := est.WarmPlan(b, ""); err != nil {
+		t.Fatal(err)
+	}
+	if st := est.PlanCacheStats(); st.Hits != plans.Hits+1 || st.Misses != plans.Misses {
+		t.Fatalf("WarmPlan of a cached plan: %+v, was %+v", st, plans)
+	}
+	if _, err := est.WarmPlan(query.MustParse("//book/title"), ""); err != nil {
+		t.Fatal(err)
+	}
+	if st := est.PlanCacheStats(); st.Misses != plans.Misses+1 {
+		t.Fatalf("WarmPlan of a new shape did not compile: %+v, was %+v", st, plans)
+	}
+}
+
 // TestExplainPlan checks the rendered plan names the resolved clusters
 // and subproblem structure.
 func TestExplainPlan(t *testing.T) {

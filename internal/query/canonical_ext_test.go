@@ -10,7 +10,8 @@ import (
 )
 
 // TestStringMatchesOracleOnWorkloads renders generated workload pools,
-// positive and negative, over both synthetic fixtures.
+// positive and negative, over both synthetic fixtures, and parses each
+// rendering with Parse and the oracle parser.
 func TestStringMatchesOracleOnWorkloads(t *testing.T) {
 	docs := []struct {
 		name  string
@@ -28,6 +29,7 @@ func TestStringMatchesOracleOnWorkloads(t *testing.T) {
 			}
 			for _, wq := range w.Queries {
 				query.CheckCanonical(t, wq.Q)
+				query.CheckParseOracle(t, wq.Q.String())
 			}
 		}
 	}

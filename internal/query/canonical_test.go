@@ -136,9 +136,10 @@ func TestStringMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestStringMatchesOracleOnPlanQueries renders the estimator's plan
-// corpus (planQueries in internal/core/plan_test.go, read from the
-// source so the two lists cannot drift).
+// TestStringMatchesOracleOnPlanQueries parses (checked against the
+// oracle parser) and renders the estimator's plan corpus (planQueries
+// in internal/core/plan_test.go, read from the source so the two lists
+// cannot drift).
 func TestStringMatchesOracleOnPlanQueries(t *testing.T) {
 	f, err := goparser.ParseFile(token.NewFileSet(), "../core/plan_test.go", nil, 0)
 	if err != nil {
@@ -163,7 +164,9 @@ func TestStringMatchesOracleOnPlanQueries(t *testing.T) {
 		t.Fatal("planQueries not found in internal/core/plan_test.go")
 	}
 	for _, s := range qs {
-		checkCanonical(t, MustParse(s))
+		q := MustParse(s)
+		checkOracle(t, s, q, nil)
+		checkCanonical(t, q)
 	}
 }
 

@@ -1,6 +1,8 @@
 package query
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"xcluster/internal/xmltree"
@@ -29,8 +31,9 @@ var parseSeeds = []string{
 	"/0<-9223372036854775808",
 }
 
-// FuzzParse checks that the query parser never panics, and that anything
-// it accepts survives a String() → Parse round trip with the same
+// FuzzParse checks that the query parser never panics, that it agrees
+// with the recursive-descent oracle (checkOracle), and that anything it
+// accepts survives a String() → Parse round trip with the same
 // structure (variable count and predicate kinds). The rendering must
 // equal the original renderer's byte for byte and be a fixed point of
 // the round trip (checkCanonical).
@@ -40,12 +43,14 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, input string) {
 		q, err := Parse(input)
+		checkOracle(t, input, q, err)
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
 		// Accepted queries render and re-parse to the same shape.
 		rendered := q.String()
 		q2, err := Parse(rendered)
+		checkOracle(t, rendered, q2, err)
 		if err != nil {
 			t.Fatalf("Parse(%q) ok but re-parse of %q failed: %v", input, rendered, err)
 		}
@@ -61,6 +66,42 @@ func FuzzParse(f *testing.F) {
 		}
 		checkCanonical(t, q)
 	})
+}
+
+// checkOracle fails t unless Parse's answer for input, q and err,
+// equals the oracle parser's: the same tree for an accepted input, the
+// same error text and offset for a rejected one. Every slice of an
+// accepted tree must also end its capacity at its length, so that an
+// append cannot write into a neighbour in the shared blocks.
+func checkOracle(t testing.TB, input string, q *Query, err error) {
+	t.Helper()
+	want, wantErr := oracleParse(input)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("Parse(%q) error %v, oracle error %v", input, err, wantErr)
+	}
+	if err != nil {
+		var pe, we *ParseError
+		if !errors.As(err, &pe) || !errors.As(wantErr, &we) || *pe != *we {
+			t.Fatalf("Parse(%q) error %#v, oracle error %#v", input, err, wantErr)
+		}
+		return
+	}
+	if !reflect.DeepEqual(q, want) {
+		t.Fatalf("Parse(%q) = %s, oracle %s: trees differ", input, q, want)
+	}
+	var walk func([]*Node)
+	walk = func(ns []*Node) {
+		if cap(ns) != len(ns) {
+			t.Fatalf("Parse(%q): a child list has capacity %d beyond its length %d", input, cap(ns), len(ns))
+		}
+		for _, n := range ns {
+			if cap(n.Steps) != len(n.Steps) {
+				t.Fatalf("Parse(%q): a step list has capacity %d beyond its length %d", input, cap(n.Steps), len(n.Steps))
+			}
+			walk(n.Children)
+		}
+	}
+	walk(q.Roots)
 }
 
 // FuzzTokenizeAndEval pairs arbitrary parsed queries with a small fixed

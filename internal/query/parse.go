@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"unicode"
 )
 
@@ -33,7 +34,15 @@ const MaxBound = 1<<31 - 1
 // path becomes a query variable; conditions without a path apply to the
 // variable whose step they follow.
 func Parse(s string) (*Query, error) {
-	p := &parser{s: s}
+	p := parserPool.Get().(*parser)
+	q, err := p.parse(s)
+	p.release()
+	return q, err
+}
+
+// parse is Parse on a reset parser taken from the pool.
+func (p *parser) parse(s string) (*Query, error) {
+	p.s = s
 	p.skipSpace()
 	if !p.peekIs('/') {
 		return nil, p.errf("query must start with '/' or '//'")
@@ -46,7 +55,8 @@ func Parse(s string) (*Query, error) {
 	if p.pos != len(p.s) {
 		return nil, p.errf("trailing input %q", p.s[p.pos:])
 	}
-	return &Query{Roots: []*Node{root}}, nil
+	p.kids = append(p.kids, root) // q0's child list, after its subtree
+	return p.build(), nil
 }
 
 // MustParse is Parse that panics on error, for tests and examples.
@@ -75,9 +85,98 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("query: parse error at offset %d: %s", e.Offset, e.Msg)
 }
 
+// parser is Parse's state: the input, the position, and the query
+// under construction in scratch arrays that build copies out at exact
+// sizes. Parsers are pooled, so once the pool is warm a parse allocates
+// only the query's blocks and its predicates.
 type parser struct {
 	s   string
 	pos int
+	// steps holds every variable's steps, one contiguous run per
+	// variable.
+	steps []Step
+	// vars holds the variables in pre-order (a variable before its
+	// children): each one's run of steps and of kids, and its predicate.
+	vars []scratchVar
+	// kids holds the child lists as indices into vars, each list
+	// contiguous and written once its variable's subtree is parsed, so
+	// a variable's list follows those of its descendants. The last list
+	// is q0's: the root alone.
+	kids []int32
+	// pending is a stack of the child indices of the chains in
+	// progress: a chain moves its children to kids when it ends, so
+	// its list stays contiguous although its children's lists are
+	// written in between.
+	pending []int32
+}
+
+// scratchVar is one variable under construction: steps[stepLo:stepHi]
+// and kids[kidLo:kidHi] are its runs.
+type scratchVar struct {
+	stepLo, stepHi int32
+	kidLo, kidHi   int32
+	pred           Pred
+}
+
+var parserPool = sync.Pool{New: func() any { return new(parser) }}
+
+// maxPooledParse is the largest scratch array a parser keeps when it
+// goes back to the pool, so one huge query does not pin its memory.
+const maxPooledParse = 1024
+
+// release clears the parser, so the pool keeps neither the input nor a
+// predicate alive, and returns it to the pool unless a huge query grew
+// its scratch.
+func (p *parser) release() {
+	if max(cap(p.steps), cap(p.vars), cap(p.kids), cap(p.pending)) > maxPooledParse {
+		return
+	}
+	clear(p.steps)
+	clear(p.vars)
+	*p = parser{steps: p.steps[:0], vars: p.vars[:0], kids: p.kids[:0], pending: p.pending[:0]}
+	parserPool.Put(p)
+}
+
+// build copies the parsed query out of the scratch arrays into four
+// exactly sized blocks: the steps, the nodes, every child list with
+// q0's last, and the Query. Every slice into a block ends its capacity
+// at its own end (three-index), so nothing can append across a
+// neighbour.
+func (p *parser) build() *Query {
+	steps := make([]Step, len(p.steps))
+	copy(steps, p.steps)
+	nodes := make([]Node, len(p.vars))
+	kids := make([]*Node, len(p.kids))
+	for i, k := range p.kids {
+		kids[i] = &nodes[k]
+	}
+	for i, v := range p.vars {
+		n := &nodes[i]
+		n.Steps = steps[v.stepLo:v.stepHi:v.stepHi]
+		n.Pred = v.pred
+		if v.kidHi > v.kidLo {
+			n.Children = kids[v.kidLo:v.kidHi:v.kidHi]
+		}
+	}
+	r := len(kids) - 1
+	return &Query{Roots: kids[r:]}
+}
+
+// splitTerms returns the comma-separated terms of a full-text
+// predicate, lowercased and trimmed, with empty terms dropped, in one
+// slice sized by the commas.
+func splitTerms(arg string) []string {
+	terms := make([]string, 0, strings.Count(arg, ",")+1)
+	for {
+		t, rest, more := strings.Cut(arg, ",")
+		if t = strings.TrimSpace(strings.ToLower(t)); t != "" {
+			terms = append(terms, t)
+		}
+		if !more {
+			return terms
+		}
+		arg = rest
+	}
 }
 
 func (p *parser) errf(format string, args ...any) error {
@@ -132,15 +231,15 @@ func (p *parser) number() (int, error) {
 	return n, nil
 }
 
-// parseSteps consumes one or more steps. When implicitChild is true, a
-// leading bare identifier (branch shorthand like [year>2000]) is accepted
-// as a child step.
-func (p *parser) parseSteps(implicitChild bool) ([]Step, error) {
-	var steps []Step
+// parseSteps consumes one or more steps into p.steps. When
+// implicitChild is true, a leading bare identifier (branch shorthand
+// like [year>2000]) is accepted as a child step.
+func (p *parser) parseSteps(implicitChild bool) error {
+	lo := len(p.steps)
 	if implicitChild {
 		p.eat('.') // branch shorthand: [./x], [.//x]
 		if p.pos < len(p.s) && isIdentRune(rune(p.s[p.pos])) {
-			steps = append(steps, Step{Axis: Child, Label: p.ident()})
+			p.steps = append(p.steps, Step{Axis: Child, Label: p.ident()})
 		}
 	}
 	for p.peekIs('/') {
@@ -155,66 +254,74 @@ func (p *parser) parseSteps(implicitChild bool) ([]Step, error) {
 		} else {
 			label = p.ident()
 			if label == "" {
-				return nil, p.errf("expected element name or *")
+				return p.errf("expected element name or *")
 			}
 		}
-		steps = append(steps, Step{Axis: axis, Label: label})
+		p.steps = append(p.steps, Step{Axis: axis, Label: label})
 	}
-	if len(steps) == 0 {
-		return nil, p.errf("expected a path step")
+	if len(p.steps) == lo {
+		return p.errf("expected a path step")
 	}
-	return steps, nil
+	return nil
 }
 
 // parseChain parses a variable chain: steps, brackets, then an optional
-// continuation path that becomes a child variable.
-func (p *parser) parseChain(implicitChild bool) (*Node, error) {
-	steps, err := p.parseSteps(implicitChild)
-	if err != nil {
-		return nil, err
+// continuation path that becomes a child variable. It returns the
+// variable's index in p.vars.
+func (p *parser) parseChain(implicitChild bool) (int32, error) {
+	lo := int32(len(p.steps))
+	if err := p.parseSteps(implicitChild); err != nil {
+		return 0, err
 	}
-	node := &Node{Steps: steps}
+	idx := int32(len(p.vars))
+	p.vars = append(p.vars, scratchVar{stepLo: lo, stepHi: int32(len(p.steps))})
 
 	// An inline condition may follow the path inside a branch, separated
 	// by whitespace: [abstract ftcontains(synopsis,xml)].
 	p.skipSpace()
 	if pred, ok, err := p.tryCond(); err != nil {
-		return nil, err
+		return 0, err
 	} else if ok {
-		node.Pred = pred
+		p.vars[idx].pred = pred
 	}
 
+	base := len(p.pending)
 	for p.peekIs('[') {
 		p.pos++
 		p.skipSpace()
 		if pred, ok, err := p.tryCond(); err != nil {
-			return nil, err
+			return 0, err
 		} else if ok {
-			if node.Pred != nil {
-				return nil, p.errf("variable already has a value predicate")
+			if p.vars[idx].pred != nil {
+				return 0, p.errf("variable already has a value predicate")
 			}
-			node.Pred = pred
+			p.vars[idx].pred = pred
 		} else {
 			branch, err := p.parseChain(true)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			node.Children = append(node.Children, branch)
+			p.pending = append(p.pending, branch)
 		}
 		p.skipSpace()
 		if !p.eat(']') {
-			return nil, p.errf("expected ']'")
+			return 0, p.errf("expected ']'")
 		}
 	}
 
 	if p.peekIs('/') {
 		child, err := p.parseChain(false)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		node.Children = append(node.Children, child)
+		p.pending = append(p.pending, child)
 	}
-	return node, nil
+	v := &p.vars[idx]
+	v.kidLo = int32(len(p.kids))
+	p.kids = append(p.kids, p.pending[base:]...)
+	v.kidHi = int32(len(p.kids))
+	p.pending = p.pending[:base]
+	return idx, nil
 }
 
 // closedRange returns the condition [lo,hi], rejecting it when empty.
@@ -270,13 +377,7 @@ func (p *parser) tryCond() (Pred, bool, error) {
 		}
 		arg := p.s[p.pos : p.pos+end]
 		p.pos += end + 1
-		var terms []string
-		for _, t := range strings.Split(arg, ",") {
-			t = strings.TrimSpace(strings.ToLower(t))
-			if t != "" {
-				terms = append(terms, t)
-			}
-		}
+		terms := splitTerms(arg)
 		if len(terms) == 0 {
 			return nil, false, p.errf("ftcontains() needs at least one term")
 		}
@@ -297,13 +398,7 @@ func (p *parser) tryCond() (Pred, bool, error) {
 		}
 		arg := p.s[p.pos : p.pos+end]
 		p.pos += end + 1
-		var terms []string
-		for _, t := range strings.Split(arg, ",") {
-			t = strings.TrimSpace(strings.ToLower(t))
-			if t != "" {
-				terms = append(terms, t)
-			}
-		}
+		terms := splitTerms(arg)
 		if len(terms) == 0 {
 			return nil, false, p.errf("ftsim() needs at least one term")
 		}

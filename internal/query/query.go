@@ -14,6 +14,12 @@
 // to all query variables that satisfy every structural and value
 // constraint.
 //
+// A parsed *Query lives in a few shared, exactly sized blocks: one for
+// all its steps, one for all its nodes, one for every child list (its
+// Roots among them), and the Query itself, plus what its predicates
+// hold. Each Steps and Children slice ends its capacity at its own end,
+// so an append to one copies it instead of writing over a neighbour.
+//
 // A parsed *Query is immutable: nothing modifies a query after Parse
 // returns it, and the serving path relies on that. The estimator's text
 // cache hands one parsed query to every request that repeats its text,

@@ -607,7 +607,7 @@ func (s *Service) EstimateBatch(ctx context.Context, qs []*query.Query, canonica
 	bp := batchPool.Get().(*[]batchQuery)
 	batch := slices.Grow((*bp)[:0], len(qs))[:len(qs)]
 	for i, q := range qs {
-		batch[i] = batchQuery{q: q}
+		batch[i] = batchQuery{q: q, pos: i}
 		if canonicals != nil {
 			batch[i].canonical = canonicals[i]
 		}
@@ -637,9 +637,12 @@ const maxPooledBatch = 1024
 // batchQuery is one query's record on its way through estimateBatch:
 // the parsed query and its canonical string (from the caller, or ""
 // until prepareShapes computes it), then its estimate and pipeline
-// trace (nil when the batch never reached it). RunEstimateRequest also
-// keeps the query's results index and parse time here, so a request
-// needs one slice of records however many queries it carries.
+// trace (nil when the batch never reached it). pos is the query's
+// index in the caller's list (qs for EstimateBatch, the request's
+// queries for RunEstimateRequest, which leaves unparseable ones out of
+// the batch), and a whole-batch error names it. RunEstimateRequest also
+// keeps the query's parse time here, so a request needs one slice of
+// records however many queries it carries.
 type batchQuery struct {
 	q         *query.Query
 	canonical string
@@ -674,7 +677,7 @@ func (s *Service) estimateBatch(ctx context.Context, sl *slot, batch []batchQuer
 		bq.tr = &traces[i]
 		v, err := s.estimateOne(ctx, deadline, sl, bq.q, bq.canonical, bq.tr)
 		if err != nil {
-			return fmt.Errorf("service: query %d: %w", i, err)
+			return fmt.Errorf("service: query %d: %w", bq.pos, err)
 		}
 		bq.sel = v
 	}
@@ -685,20 +688,22 @@ func (s *Service) estimateBatch(ctx context.Context, sl *slot, batch []batchQuer
 // estimator's plan cache (core.Estimator.WarmPlan: canonicalize unless
 // the record already holds the canonical string, then one plan-cache
 // lookup, compiling on a miss) and stores the canonical strings in the
-// records, where the batch's estimates reuse them. The batch runs in
-// order on one goroutine, so the pass does not change how often a shape
-// compiles; what it adds is one plan-cache lookup per query, also for
-// queries the result cache then answers. The serving benchmark's plan
+// records, where the batch's estimates reuse them. A query whose
+// answer the result cache holds and whose plan the plan cache does not
+// is skipped, so the pass compiles only what the estimates will
+// execute. What it still adds is one plan-cache lookup for each query
+// whose answer and plan are both cached. The serving benchmark's plan
 // hit rate counts those lookups (on a result-cache hit they are the
 // only ones), which is why the pass is still here. With the plan cache
 // disabled it only canonicalizes.
 func (s *Service) prepareShapes(sl *slot, batch []batchQuery) error {
 	for i := range batch {
-		c, err := sl.est.WarmPlan(batch[i].q, batch[i].canonical)
+		bq := &batch[i]
+		c, err := sl.est.WarmPlan(bq.q, bq.canonical)
 		if err != nil {
-			return fmt.Errorf("service: query %d: %w", i, err)
+			return fmt.Errorf("service: query %d: %w", bq.pos, err)
 		}
-		batch[i].canonical = c
+		bq.canonical = c
 	}
 	return nil
 }

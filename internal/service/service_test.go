@@ -360,6 +360,55 @@ func TestEstimateBatchCompilesOnce(t *testing.T) {
 	}
 }
 
+// TestWarmPassSkipsCachedAnswers pins the batch warm pass against the
+// result cache: with one plan slot and every answer cached, a repeat of
+// a batch of distinct queries compiles nothing, because the pass skips
+// a query whose answer is cached and whose plan is not. Before it did,
+// the repeat compiled every plan but the cached one, and the estimates
+// that followed ran none of them.
+func TestWarmPassSkipsCachedAnswers(t *testing.T) {
+	svc := New(newTestSynopsis(t), WithPlanCacheCapacity(1))
+	qs := parseWorkload(t)
+	first, err := svc.EstimateBatch(context.Background(), qs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := svc.Stats()
+	second, err := svc.EstimateBatch(context.Background(), qs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := svc.Stats()
+	if after.PlanCache.Misses != before.PlanCache.Misses {
+		t.Fatalf("repeated batch of %d cached answers compiled %d plans",
+			len(qs), after.PlanCache.Misses-before.PlanCache.Misses)
+	}
+	if got := after.Cache.Hits - before.Cache.Hits; got != uint64(len(qs)) {
+		t.Fatalf("repeated batch: %d result-cache hits, want %d", got, len(qs))
+	}
+	if !slices.Equal(first, second) {
+		t.Fatalf("repeated batch answered %v, first %v", second, first)
+	}
+}
+
+// TestBatchErrorNamesRequestQuery checks that a whole-request error
+// names the query by its index in the caller's list: RunEstimateRequest
+// leaves an unparseable query out of the batch it runs, so the batch
+// index would name the wrong one.
+func TestBatchErrorNamesRequestQuery(t *testing.T) {
+	svc := New(newTestSynopsis(t))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := svc.RunEstimateRequest(ctx, EstimateRequest{Queries: []string{"((", "//book/title"}})
+	if want := "service: query 1: context canceled"; err == nil || err.Error() != want {
+		t.Fatalf("RunEstimateRequest error %v, want %q", err, want)
+	}
+	_, err = svc.EstimateBatch(ctx, []*query.Query{query.MustParse("//book/title")}, nil)
+	if want := "service: query 0: context canceled"; err == nil || err.Error() != want {
+		t.Fatalf("EstimateBatch error %v, want %q", err, want)
+	}
+}
+
 func TestExplainPlan(t *testing.T) {
 	svc := New(newTestSynopsis(t))
 	out, err := svc.cur.Load().explainPlan(query.MustParse("//book[year>1990]/title"))

@@ -59,6 +59,11 @@ func (s *Text) AtomicSel(a Atomic) float64 {
 	return s.H.Frequency(a.Term)
 }
 
+// maxStackSimTerms is the most terms an ftsim predicate can have for
+// PredSel to keep its per-term probabilities and its dynamic-programming
+// row (one entry longer) on the stack.
+const maxStackSimTerms = 15
+
 // PredSel implements Summary.
 func (s *Text) PredSel(p query.Pred, dict *xmltree.Dict) float64 {
 	switch ft := p.(type) {
@@ -78,14 +83,20 @@ func (s *Text) PredSel(p query.Pred, dict *xmltree.Dict) float64 {
 	case query.FTSim:
 		// P(at least Min of the terms present) under term independence:
 		// the Poisson-binomial tail, computed by dynamic programming
-		// over the per-term frequencies.
-		probs := make([]float64, len(ft.Terms))
+		// over the per-term frequencies. Both arrays come from the
+		// stack for up to maxStackSimTerms terms.
+		var probsBuf, dpBuf [maxStackSimTerms + 1]float64
+		var probs, dp []float64
+		if n := len(ft.Terms); n <= maxStackSimTerms {
+			probs, dp = probsBuf[:n], dpBuf[:n+1]
+		} else {
+			probs, dp = make([]float64, n), make([]float64, n+1)
+		}
 		for i, term := range ft.Terms {
 			if id, known := dict.ID(term); known {
 				probs[i] = s.H.Frequency(id)
 			}
 		}
-		dp := make([]float64, len(probs)+1)
 		dp[0] = 1
 		for _, q := range probs {
 			for j := len(probs); j >= 1; j-- {

@@ -2,6 +2,7 @@ package vsum
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"xcluster/internal/query"
@@ -253,6 +254,23 @@ func TestTextFTSimEstimation(t *testing.T) {
 	got = s.PredSel(query.FTSim{Terms: []string{"alpha", "zzz"}, Min: 1}, d)
 	if math.Abs(got-0.5) > 1e-9 {
 		t.Fatalf("ftsim with unknown = %g, want 0.5", got)
+	}
+	// n copies of alpha make the tail binomial(n, 0.5), on either side
+	// of the largest term list PredSel keeps on the stack.
+	for _, n := range []int{maxStackSimTerms, maxStackSimTerms + 1} {
+		terms := slices.Repeat([]string{"alpha"}, n)
+		atLeast := n / 2
+		want := 0.0
+		for k := atLeast; k <= n; k++ {
+			c := 1.0
+			for i := 0; i < k; i++ {
+				c = c * float64(n-i) / float64(i+1)
+			}
+			want += c * math.Pow(0.5, float64(n))
+		}
+		if got := s.PredSel(query.FTSim{Terms: terms, Min: atLeast}, d); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("ftsim(%d) over %d terms = %g, want %g", atLeast, n, got, want)
+		}
 	}
 }
 
