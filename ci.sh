@@ -13,8 +13,13 @@
 # TestCompileAllocs — a compiled plan is four allocations and an ftsim
 # predicate none — and TestLRUPutFullRecycles' allocation check,
 # internal/service TestServiceEstimateCacheHitAllocs, internal/catalog
-# TestHandlerEstimateHotAllocs and TestHandlerEstimateScatterAllocs — a
-# cached scatter over three shards at ≤58 allocations per request plus
+# TestHandlerEstimateHotAllocs, TestServeEstimateAllocs — the same
+# cached one-query POST /estimate served by an http.Server with
+# xclusterd's timeouts over loopback to an allocation-free keep-alive
+# client, at ≤29 allocations per request for the whole process, the
+# one pin that sees net/http read an unclosed body after the handler —
+# and TestHandlerEstimateScatterAllocs — a
+# cached scatter over three shards at ≤56 allocations per request plus
 # 1 per query, also with one plan slot per shard, where the batch warm
 # pass compiles nothing behind a cached answer —, internal/pst
 # TestSelectivityAllocs — no allocation for a string of up to 64 bytes
@@ -26,11 +31,14 @@
 # default -timeout (service.WithTimeout(5s)):
 # TestServiceEstimateCacheHitAllocs checks a timeout service too,
 # under the same ≤2 bound, and TestHandlerEstimateHotAllocs's shard
-# (hotEstimate) gets the timeout through ShardOptions, with the bound
-# at ≤29, the measured count once the deadline arms no timer and the
-# body decodes without a json.Decoder; it also pins the same query as
-# json.Marshal escapes it (≤29) and a body that falls back to
-# json.Decoder (≤40).
+# (hotCatalog) gets the timeout through ShardOptions, with the bound
+# at ≤25, the measured count once the deadline arms no timer, the body
+# decodes without a json.Decoder into a pooled queries slice, the root
+# span and its context are one record, the batch's records hold their
+# traces and the answer reaches WriteJSON as a pointer into a pooled
+# record, so boxing it into an any allocates nothing; it also
+# pins the same query as json.Marshal escapes it (≤25) and a body that
+# falls back to json.Decoder (≤37).
 set -eux
 
 fmt="$(gofmt -l .)"

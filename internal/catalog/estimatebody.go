@@ -13,27 +13,62 @@ import (
 	"xcluster/internal/service"
 )
 
-// decodeEstimateBody decodes the body of POST /estimate into req with
-// decodeBody's outcome — the same request, or the same 400 envelope —
-// but without a json.Decoder for a plain body. The body is read into a
-// pooled buffer, up to one byte past service.MaxRequestBytes, and a
-// whole body within the limit is parsed by parsePlainEstimateRequest.
+// estimateBody is one pooled POST /estimate exchange: the body's
+// bytes, the slice a plain body's queries are decoded into, and the
+// routed response. The decoded request's Queries may be that slice, so
+// the handler releases the record only after the response is written.
+type estimateBody struct {
+	buf     []byte
+	queries []string
+	resp    service.EstimateResponse
+}
+
+// estimateBodies recycles estimateBody records.
+var estimateBodies = sync.Pool{New: func() any { return new(estimateBody) }}
+
+// Caps on what release returns to the pool, so one large body does not
+// pin its memory.
+const (
+	maxPooledBody    = 64 << 10
+	maxPooledQueries = 1024
+)
+
+// newEstimateBody returns a pooled record; release it once the
+// response is written.
+func newEstimateBody() *estimateBody { return estimateBodies.Get().(*estimateBody) }
+
+// release returns b to the pool, its queries and response cleared so
+// the pool keeps no query text or result alive.
+func (b *estimateBody) release() {
+	clear(b.queries)
+	b.resp = service.EstimateResponse{}
+	b.queries = b.queries[:0]
+	if cap(b.buf) <= maxPooledBody && cap(b.queries) <= maxPooledQueries {
+		estimateBodies.Put(b)
+	}
+}
+
+// decode decodes the body of POST /estimate into req with decodeBody's
+// outcome — the same request, or the same 400 envelope — but without a
+// json.Decoder for a plain body. The body is read into b's buffer, up
+// to one byte past service.MaxRequestBytes, and closed once read to its
+// end: net/http then skips the read that looks for the end of a body
+// the handler left open, and its allocation. A whole body within the
+// limit is parsed by parsePlainEstimateRequest into b's queries slice.
 // Any other body, including one the plain parser turns down, goes to
 // decodeBody's json.Decoder over the same bytes followed by what ended
 // the read: the end of the body, the read error, or, past the limit,
 // the rest of the body under the same bound. Status and error text
 // therefore cannot differ.
-func decodeEstimateBody(w http.ResponseWriter, r *http.Request, req *EstimateRequest) bool {
-	bp := bodyBufs.Get().(*[]byte)
-	defer func() {
-		if cap(*bp) <= maxPooledBody {
-			bodyBufs.Put(bp)
-		}
-	}()
-	buf, err := readBody(r.Body, (*bp)[:0], int(min(max(r.ContentLength, 0), service.MaxRequestBytes)))
-	*bp = buf
+func (b *estimateBody) decode(w http.ResponseWriter, r *http.Request, req *EstimateRequest) bool {
+	buf, err := readBody(r.Body, b.buf[:0], int(min(max(r.ContentLength, 0), service.MaxRequestBytes)))
+	b.buf = buf
+	if err == io.EOF {
+		r.Body.Close() //nolint:errcheck // the body is read; closing it only marks it done
+	}
 	over := len(buf) > service.MaxRequestBytes
-	if err == io.EOF && !over && parsePlainEstimateRequest(buf, req) {
+	if err == io.EOF && !over && parsePlainEstimateRequest(buf, b.queries, req) {
+		b.queries = req.Queries
 		return true
 	}
 	// The decoder reads the same bytes, then what ended the read: the
@@ -57,13 +92,6 @@ func decodeEstimateBody(w http.ResponseWriter, r *http.Request, req *EstimateReq
 	*req = dec
 	return ok
 }
-
-// bodyBufs recycles decodeEstimateBody's read buffers.
-var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
-
-// maxPooledBody is the largest buffer decodeEstimateBody returns to the
-// pool, so one large body does not pin its memory.
-const maxPooledBody = 64 << 10
 
 // readBody appends r's bytes to buf until r fails or ends, or buf holds
 // more than service.MaxRequestBytes. It sizes buf for sizeHint bytes
@@ -101,10 +129,11 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 // with JSON whitespace between tokens and nothing but whitespace after
 // the object. json.Decoder, unknown fields disallowed, decodes such a
 // body into the same request (FuzzDecodeEstimateRequest checks it). For
-// any other body it reports false and leaves req untouched. Validation
-// comes first, so the only allocations are the strings and queries
-// slice of an accepted body.
-func parsePlainEstimateRequest(body []byte, req *EstimateRequest) bool {
+// any other body it reports false and leaves req untouched. The queries
+// are decoded into queries' storage, grown only when it is too short.
+// Validation comes first, so the only allocations are the strings of an
+// accepted body and, past queries' capacity, its queries slice.
+func parsePlainEstimateRequest(body []byte, queries []string, req *EstimateRequest) bool {
 	const (
 		fTenant = 1 << iota
 		fCollection
@@ -118,7 +147,7 @@ func parsePlainEstimateRequest(body []byte, req *EstimateRequest) bool {
 		out                EstimateRequest
 		seen               int
 		tenant, collection []byte
-		queries            plainParser
+		array              plainParser
 		nq                 int
 	)
 	if !p.token('{') {
@@ -140,7 +169,7 @@ func parsePlainEstimateRequest(body []byte, req *EstimateRequest) bool {
 				collection, ok = p.str()
 			case "queries":
 				field = fQueries
-				queries = p
+				array = p
 				nq, ok = p.strs()
 			case "explain":
 				field = fExplain
@@ -172,14 +201,18 @@ func parsePlainEstimateRequest(body []byte, req *EstimateRequest) bool {
 	}
 	out.Tenant, out.Collection = unescape(tenant), unescape(collection)
 	if seen&fQueries != 0 {
-		// The array is valid: rescan it for its strings.
-		queries.token('[')
-		out.Queries = make([]string, nq)
+		// The array is valid: rescan it for its strings. An empty array
+		// decodes, as json.Decoder decodes it, to an empty slice, not nil.
+		array.token('[')
+		out.Queries = slices.Grow(queries[:0], nq)[:nq]
+		if out.Queries == nil {
+			out.Queries = []string{}
+		}
 		for i := range out.Queries {
 			if i > 0 {
-				queries.token(',')
+				array.token(',')
 			}
-			s, _ := queries.str()
+			s, _ := array.str()
 			out.Queries[i] = unescape(s)
 		}
 	}

@@ -68,7 +68,9 @@ func FuzzDecodeEstimateRequest(f *testing.F) {
 
 		var got EstimateRequest
 		w := httptest.NewRecorder()
-		ok := decodeEstimateBody(w, httptest.NewRequest(http.MethodPost, "/estimate", strings.NewReader(body)), &got)
+		eb := newEstimateBody()
+		defer eb.release()
+		ok := eb.decode(w, httptest.NewRequest(http.MethodPost, "/estimate", strings.NewReader(body)), &got)
 		switch {
 		case ok && wantErr != nil:
 			t.Fatalf("%q: decoded %+v, json.Decoder fails: %v", body, got, wantErr)
@@ -99,7 +101,7 @@ func TestParsePlainEstimateRequest(t *testing.T) {
 		`{"queries":["\/\b\f\n\r\t\u00e9\u0000\uFFFF"]}`,
 	} {
 		var got, want EstimateRequest
-		if !parsePlainEstimateRequest([]byte(body), &got) {
+		if !parsePlainEstimateRequest([]byte(body), nil, &got) {
 			t.Errorf("%q: not parsed as a plain request", body)
 		} else if err := json.Unmarshal([]byte(body), &want); err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("%q: parsed as %#v, json.Unmarshal %#v (%v)", body, got, want, err)
@@ -121,7 +123,7 @@ func TestParsePlainEstimateRequest(t *testing.T) {
 		``,
 	} {
 		req := EstimateRequest{Tenant: "keep"}
-		if parsePlainEstimateRequest([]byte(body), &req) || req.Tenant != "keep" {
+		if parsePlainEstimateRequest([]byte(body), nil, &req) || req.Tenant != "keep" {
 			t.Errorf("%q: parsed as a plain request (%+v)", body, req)
 		}
 	}
@@ -161,7 +163,7 @@ func TestDecodeEstimateBodyReadsLikeDecodeBody(t *testing.T) {
 			return w, decode(w, r)
 		}
 		var got, want EstimateRequest
-		gw, gok := serve(func(w http.ResponseWriter, r *http.Request) bool { return decodeEstimateBody(w, r, &got) })
+		gw, gok := serve(func(w http.ResponseWriter, r *http.Request) bool { return new(estimateBody).decode(w, r, &got) })
 		ww, wok := serve(func(w http.ResponseWriter, r *http.Request) bool { return decodeBody(w, r, &want, false) })
 		if gok != wok || gw.Code != ww.Code || gw.Body.String() != ww.Body.String() || !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: got %v %d %q %+v, decodeBody %v %d %q %+v", c.name,

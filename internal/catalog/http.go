@@ -300,8 +300,10 @@ func truncate[T any](s []T, limit int) []T {
 }
 
 func (c *Catalog) handleEstimate(w http.ResponseWriter, r *http.Request) {
+	body := newEstimateBody()
+	defer body.release() // req.Queries and the response may be body's: release after writing
 	var req EstimateRequest
-	if !decodeEstimateBody(w, r, &req) {
+	if !body.decode(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -337,12 +339,14 @@ func (c *Catalog) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if sp := obs.SpanFrom(r.Context()); sp != nil {
 		sp.SetShard(sh.key.Tenant, sh.key.Collection)
 	}
-	resp, err := sh.svc.RunEstimateRequest(r.Context(), req.EstimateRequest)
+	body.resp, err = sh.svc.RunEstimateRequest(r.Context(), req.EstimateRequest)
 	if err != nil {
 		service.WriteError(w, err)
 		return
 	}
-	service.WriteJSON(w, http.StatusOK, resp)
+	// A pointer into the pooled record boxes into WriteJSON's any
+	// without copying the response to the heap.
+	service.WriteJSON(w, http.StatusOK, &body.resp)
 }
 
 // scatterEstimateHTTP answers a scatter-gather estimate over HTTP.

@@ -121,7 +121,8 @@ func (e *Estimator) SelectivityTraced(ctx context.Context, q *query.Query) (floa
 // caller may already hold (ParseQuery and WarmPlan return it), so the
 // pipeline does not canonicalize q again. An empty canonical
 // canonicalizes as SelectivityTraced does. tr is overwritten: a batch
-// can fill one slice of traces, one allocation for all its estimates.
+// can trace each estimate into storage it already holds, such as the
+// query's own record.
 // deadline, unless zero, bounds the estimate like a context deadline
 // would, checked where ctx is (before each root variable's subproblem
 // group of an executed plan) and failing with context.DeadlineExceeded,

@@ -78,6 +78,44 @@ func WithSpan(ctx context.Context, sp *Span) context.Context {
 	return context.WithValue(ctx, spanKey{}, sp)
 }
 
+// NewRootSpan starts a request's root span now and returns it with a
+// context carrying it as the active span, as WithSpan would, in one
+// allocation: the span and its context are one record. The context
+// answers the span for the span key and delegates every other value,
+// and its deadline, done channel and error, to ctx, so a context derived
+// from it (context.WithCancel) is cancelled with ctx's cancellation
+// without a goroutine of its own.
+func NewRootSpan(ctx context.Context, name, requestID string) (*Span, context.Context) {
+	r := &rootSpan{span: Span{name: name, requestID: requestID, start: time.Now()}}
+	r.span.children = r.span.first[:0]
+	r.ctx = rootContext{Context: ctx, span: &r.span}
+	return &r.span, &r.ctx
+}
+
+// rootSpan is NewRootSpan's record: a root span and the context that
+// carries it.
+type rootSpan struct {
+	span Span
+	ctx  rootContext
+}
+
+// rootContext is the context of a root span: the request's context
+// plus the span as its one value.
+type rootContext struct {
+	context.Context
+	span *Span
+}
+
+// Value returns the root span for the span key and defers every other
+// key to the request's context; context.WithCancel finds the request's
+// cancellation through it.
+func (c *rootContext) Value(key any) any {
+	if key == (spanKey{}) {
+		return c.span
+	}
+	return c.Context.Value(key)
+}
+
 // SpanFrom returns the active span carried by ctx, or nil. A nil result
 // means the call did not come through TraceHandler (a direct Go API
 // caller), and callers skip span construction entirely — that single
@@ -430,7 +468,8 @@ func (ts *TraceStore) Snapshot() []FamilySnapshot {
 // echoes it on the response before the handler runs (so error renderers
 // can read it back from the response headers), opens a root span for
 // the request carrying that ID, and records the finished tree into
-// store. The root span is the one context value a request gets:
+// store. The root span is the one context value a request gets, and
+// the span and its context are one allocation (NewRootSpan):
 // RequestIDFrom reads the ID off it. The catalog's handler (the
 // daemon's one HTTP surface) is its caller; handlers below it attach
 // child spans to that root.
@@ -440,7 +479,7 @@ func TraceHandler(store *TraceStore, next http.Handler) http.Handler {
 		if id == "" {
 			id = NewRequestID()
 		}
-		root := NewSpan(r.Method, id)
+		root, ctx := NewRootSpan(r.Context(), r.Method, id)
 		root.path = r.URL.Path
 		root.idHeader[0] = id
 		w.Header()[RequestIDHeader] = root.idHeader[:]
@@ -448,6 +487,6 @@ func TraceHandler(store *TraceStore, next http.Handler) http.Handler {
 			root.Finish()
 			store.Record(root)
 		}()
-		next.ServeHTTP(w, r.WithContext(WithSpan(r.Context(), root)))
+		next.ServeHTTP(w, r.WithContext(ctx))
 	})
 }

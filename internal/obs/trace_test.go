@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -403,5 +404,44 @@ func TestTraceHandlerFamilyName(t *testing.T) {
 	}
 	if got := fams[1].Recent[0].Name; got != "POST "+long {
 		t.Fatalf("long-path root rendered as %q", got)
+	}
+}
+
+// TestRootSpanContext: a root span's context carries the span and
+// passes its deadline, done channel, error and every other key through
+// to the request's context; a context.WithCancel under it is cancelled
+// with the request, synchronously: context found the request's
+// cancellation through it, where a goroutine watching the request
+// would cancel it only later.
+func TestRootSpanContext(t *testing.T) {
+	type otherKey struct{}
+	deadline := time.Now().Add(time.Hour)
+	base, cancelBase := context.WithDeadline(context.WithValue(context.Background(), otherKey{}, "v"), deadline)
+	defer cancelBase()
+	req, cancelReq := context.WithCancel(base)
+	root, ctx := NewRootSpan(req, "POST", "req-1")
+	if SpanFrom(ctx) != root || RequestIDFrom(ctx) != "req-1" {
+		t.Fatalf("root context carries span %p (ID %q), want %p (req-1)", SpanFrom(ctx), RequestIDFrom(ctx), root)
+	}
+	if got, ok := ctx.Deadline(); !ok || !got.Equal(deadline) {
+		t.Fatalf("Deadline() = %v, %v; want the request's %v", got, ok, deadline)
+	}
+	if ctx.Done() != req.Done() || ctx.Err() != nil {
+		t.Fatalf("Done/Err not the request's: err %v", ctx.Err())
+	}
+	if got := ctx.Value(otherKey{}); got != "v" {
+		t.Fatalf("foreign key = %v, want the request's value", got)
+	}
+
+	child, cancelChild := context.WithCancel(ctx)
+	defer cancelChild()
+	cancelReq()
+	select {
+	case <-child.Done():
+	default:
+		t.Fatal("cancelling the request did not cancel the derived context at once")
+	}
+	if !errors.Is(ctx.Err(), context.Canceled) || !errors.Is(child.Err(), context.Canceled) {
+		t.Fatalf("after cancel: root %v, derived %v", ctx.Err(), child.Err())
 	}
 }

@@ -606,8 +606,11 @@ func (s *Service) record(ctx context.Context, sl *slot, q *query.Query, tr *core
 func (s *Service) EstimateBatch(ctx context.Context, qs []*query.Query, canonicals []string) ([]float64, error) {
 	bp := batchPool.Get().(*[]batchQuery)
 	batch := slices.Grow((*bp)[:0], len(qs))[:len(qs)]
+	// A request's span tree may keep the traces past the call, so they
+	// live in one slice of their own, not in the pooled records.
+	traces := make([]core.EstimateTrace, len(qs))
 	for i, q := range qs {
-		batch[i] = batchQuery{q: q, pos: i}
+		batch[i] = batchQuery{q: q, pos: i, tr: &traces[i]}
 		if canonicals != nil {
 			batch[i].canonical = canonicals[i]
 		}
@@ -627,7 +630,7 @@ func (s *Service) EstimateBatch(ctx context.Context, qs []*query.Query, canonica
 
 // batchPool recycles EstimateBatch's records. The catalog's scatter
 // calls EstimateBatch once per shard per request, and only the
-// estimates outlive the call.
+// estimates and traces outlive the call.
 var batchPool = sync.Pool{New: func() any { return new([]batchQuery) }}
 
 // maxPooledBatch is the largest record slice EstimateBatch returns to
@@ -637,12 +640,15 @@ const maxPooledBatch = 1024
 // batchQuery is one query's record on its way through estimateBatch:
 // the parsed query and its canonical string (from the caller, or ""
 // until prepareShapes computes it), then its estimate and pipeline
-// trace (nil when the batch never reached it). pos is the query's
-// index in the caller's list (qs for EstimateBatch, the request's
-// queries for RunEstimateRequest, which leaves unparseable ones out of
-// the batch), and a whole-batch error names it. RunEstimateRequest also
-// keeps the query's parse time here, so a request needs one slice of
-// records however many queries it carries.
+// trace. tr points at the trace: EstimateBatch's own slice, or else the
+// record's trace field, and nil until the batch reaches the query. pos
+// is the query's index in the caller's list (qs for EstimateBatch, the
+// request's queries for RunEstimateRequest, which leaves unparseable
+// ones out of the batch), and a whole-batch error names it.
+// RunEstimateRequest also keeps the query's parse time here, so a
+// request needs one slice of records, traces included, however many
+// queries it carries. A record must not be copied once its trace is
+// filled: the trace's Spans alias its own storage.
 type batchQuery struct {
 	q         *query.Query
 	canonical string
@@ -650,12 +656,14 @@ type batchQuery struct {
 	tr        *core.EstimateTrace
 	pos       int
 	parse     time.Duration
+	trace     core.EstimateTrace
 }
 
 // estimateBatch answers the batch in place on a pinned slot: every
 // query of the batch is answered by the same generation even if a swap
-// lands mid-batch. The batch's traces are one slice, and the request's
-// span, when there is one, makes room for all of them at once.
+// lands mid-batch. An estimate is traced where its record's tr points,
+// or into the record itself, and the request's span, when there is
+// one, makes room for all of them at once.
 func (s *Service) estimateBatch(ctx context.Context, sl *slot, batch []batchQuery) error {
 	s.inflightWG.Add(1)
 	defer s.inflightWG.Done()
@@ -668,13 +676,14 @@ func (s *Service) estimateBatch(ctx context.Context, sl *slot, batch []batchQuer
 	if err := s.prepareShapes(sl, batch); err != nil {
 		return err
 	}
-	traces := make([]core.EstimateTrace, len(batch))
 	if sp := obs.SpanFrom(ctx); sp != nil {
 		sp.Grow(len(batch))
 	}
 	for i := range batch {
 		bq := &batch[i]
-		bq.tr = &traces[i]
+		if bq.tr == nil {
+			bq.tr = &bq.trace
+		}
 		v, err := s.estimateOne(ctx, deadline, sl, bq.q, bq.canonical, bq.tr)
 		if err != nil {
 			return fmt.Errorf("service: query %d: %w", bq.pos, err)

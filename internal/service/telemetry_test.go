@@ -28,7 +28,9 @@ type telemetryConfig struct {
 //   - bare: profiler off, no SLO;
 //   - default: the default telemetry (workload profiler on);
 //   - slo_sampled_out: SLO tracking on, no span in the context;
-//   - traced: as slo_sampled_out, with a root span recorded per estimate.
+//   - traced: as slo_sampled_out, with a root span recorded per
+//     estimate, opened as the daemon's request middleware opens it
+//     (obs.NewRootSpan: the span and its context in one allocation).
 func telemetryConfigs(tb testing.TB, syn *core.Synopsis) []telemetryConfig {
 	slo := obs.SLOConfig{Availability: 0.999, LatencyObjective: 50 * time.Millisecond}
 	bare := New(syn, WithCacheCapacity(-1), WithWorkloadProfile(-1))
@@ -50,8 +52,8 @@ func (c telemetryConfig) estimate(ctx context.Context, q *query.Query) (float64,
 	if c.traces == nil {
 		return c.svc.Estimate(ctx, q)
 	}
-	sp := obs.NewSpan("estimate", "bench")
-	v, err := c.svc.Estimate(obs.WithSpan(ctx, sp), q)
+	sp, spanCtx := obs.NewRootSpan(ctx, "estimate", "bench")
+	v, err := c.svc.Estimate(spanCtx, q)
 	sp.FinishErr(err)
 	c.traces.Record(sp)
 	return v, err
