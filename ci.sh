@@ -10,35 +10,25 @@
 # this script.
 #
 # The allocation pins (internal/core TestEstimateCacheHitAllocs,
-# TestCompileAllocs — a compiled plan is four allocations and an ftsim
-# predicate none — and TestLRUPutFullRecycles' allocation check,
+# TestCompileAllocs and TestLRUPutFullRecycles' allocation check,
 # internal/service TestServiceEstimateCacheHitAllocs, internal/catalog
-# TestHandlerEstimateHotAllocs, TestServeEstimateAllocs — the same
-# cached one-query POST /estimate served by an http.Server with
-# xclusterd's timeouts over loopback to an allocation-free keep-alive
-# client, at ≤29 allocations per request for the whole process, the
+# TestHandlerEstimateHotAllocs, TestServeEstimateAllocs — the cached
+# one-query POST /estimate served by an http.Server with xclusterd's
+# timeouts over loopback to an allocation-free keep-alive client, the
 # one pin that sees net/http read an unclosed body after the handler —
-# and TestHandlerEstimateScatterAllocs — a
-# cached scatter over three shards at ≤56 allocations per request plus
-# 1 per query, also with one plan slot per shard, where the batch warm
-# pass compiles nothing behind a cached answer —, internal/pst
-# TestSelectivityAllocs — no allocation for a string of up to 64 bytes
-# —, internal/query TestStringAllocs and TestParseAllocs — a parsed
-# query is four allocations plus its predicates')
-# run in the plain pass only: the race detector's instrumentation allocates,
-# so under -race they skip themselves (raceEnabled, set by each
-# package's race_test.go). Both serving pins run under xclusterd's
-# default -timeout (service.WithTimeout(5s)):
-# TestServiceEstimateCacheHitAllocs checks a timeout service too,
-# under the same ≤2 bound, and TestHandlerEstimateHotAllocs's shard
-# (hotCatalog) gets the timeout through ShardOptions, with the bound
-# at ≤25, the measured count once the deadline arms no timer, the body
-# decodes without a json.Decoder into a pooled queries slice, the root
-# span and its context are one record, the batch's records hold their
-# traces and the answer reaches WriteJSON as a pointer into a pooled
-# record, so boxing it into an any allocates nothing; it also
-# pins the same query as json.Marshal escapes it (≤25) and a body that
-# falls back to json.Decoder (≤37).
+# and TestHandlerEstimateScatterAllocs — a cached scatter over three
+# shards, per request plus per query, also with one plan slot per
+# shard —, internal/pst TestSelectivityAllocs, internal/query
+# TestStringAllocs and TestParseAllocs; each bound is a constant in its
+# test, documented there) run in the plain pass only: the race
+# detector's instrumentation allocates, so under -race they skip
+# themselves (raceEnabled, set by each package's race_test.go). Both
+# serving pins run under xclusterd's default -timeout
+# (service.WithTimeout(5s)): TestServiceEstimateCacheHitAllocs checks a
+# timeout service too, under the same bound, and
+# TestHandlerEstimateHotAllocs's shard (hotCatalog) gets the timeout
+# through ShardOptions; it also pins the same query as json.Marshal
+# escapes it and a body that falls back to json.Decoder.
 set -eux
 
 fmt="$(gofmt -l .)"
@@ -57,11 +47,13 @@ trap 'rm -rf "$bindir"' EXIT
 go build -o "$bindir" ./cmd/...
 "$bindir/xclusterd" -version
 
-# The -short -race pass includes the build differential test
-# (internal/core TestBuildWorkersAndMemoIdentical, on a synthetic tree
-# and the value-bearing IMDB and XMark generators): serial, parallel
-# and memoized construction must agree bit-for-bit, with the worker
-# pool under the race detector.
+# The -short -race pass includes the build differential tests
+# (internal/core TestBuildWorkersAndMemoIdentical and
+# TestSweepMatchesIndividualBuilds, on a synthetic tree and the
+# value-bearing IMDB and XMark generators): serial, parallel and
+# memoized construction must agree bit-for-bit, and so must a sweep
+# with one build per budget under every policy, with the worker pool
+# and the sweep's concurrent value phases under the race detector.
 go test -short -race ./...
 go test ./...
 

@@ -258,12 +258,13 @@ func BenchmarkHandlerEstimateScatterColdPlans(b *testing.B) {
 // the rest, whatever its size: routing, decode (the queries slice is
 // pooled), the root span and its context (one record), the
 // per-request slices, the scatter workers and gather, and per shard a
-// span, its context, the batch's estimates and its traces.
+// span and its context (one record), the batch's estimates and its
+// traces.
 func TestHandlerEstimateScatterAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const perRequest, perQuery = 56, 1
+	const perRequest, perQuery = 53, 1
 	for _, n := range []int{1, 8, 32} {
 		serve := scatterEstimate(t, scatterBody(n))
 		want := float64(perRequest + perQuery*n)

@@ -122,9 +122,8 @@ func (c *Catalog) scatter(ctx context.Context, tenant string, shards []*Shard, q
 				sctx := ctx
 				var child *obs.Span
 				if sp := obs.SpanFrom(ctx); sp != nil {
-					child = sp.StartChild("shard")
+					child, sctx = sp.StartChild(ctx, "shard")
 					child.SetShard(sh.key.Tenant, sh.key.Collection)
-					sctx = obs.WithSpan(ctx, child)
 				}
 				sels, err := sh.estimateBatch(sctx, qs, canonicals)
 				if child != nil {

@@ -191,21 +191,15 @@ func handleRebuild(w http.ResponseWriter, r *http.Request, svc *service.Service)
 	if !decodeBody(w, r, &req, true) {
 		return
 	}
-	opts := service.RebuildOptions{
-		StructBudget: req.StructBudget,
-		ValueBudget:  req.ValueBudget,
-		Adaptive:     req.Adaptive,
-		Reason:       req.Reason,
-	}
 	if req.Async {
-		if err := svc.StartRebuild(opts); err != nil {
+		if err := svc.StartRebuild(req.RebuildOptions); err != nil {
 			service.WriteError(w, err)
 			return
 		}
 		service.WriteJSON(w, http.StatusAccepted, map[string]string{"status": "rebuild started"})
 		return
 	}
-	ev, err := svc.Rebuild(r.Context(), opts)
+	ev, err := svc.Rebuild(r.Context(), req.RebuildOptions)
 	if err != nil {
 		service.WriteError(w, err)
 		return

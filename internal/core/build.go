@@ -1,15 +1,18 @@
 package core
 
 import (
+	"cmp"
 	"container/heap"
 	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"xcluster/internal/vsum"
@@ -157,14 +160,54 @@ func XClusterBuild(ref *Synopsis, opts BuildOptions) (*Synopsis, error) {
 // huge builds abort within a bounded amount of work of ctx ending. The
 // error is ctx.Err() when cancellation caused the abort.
 func XClusterBuildContext(ctx context.Context, ref *Synopsis, opts BuildOptions) (*Synopsis, error) {
+	syns, err := build(ctx, ref, []int{opts.StructBudget}, opts.ValueBudget, opts)
+	if err != nil {
+		return nil, err
+	}
+	return syns[0], nil
+}
+
+// XClusterSweep builds synopses for several structural budgets in one
+// pass, under any policy (the default, NoLevelHeuristic, GlobalMetric
+// or seeded RandomMerges). Greedy merging does not depend on the budget
+// (a smaller budget's merge sequence is a prefix extension of a larger
+// one's), so the merge phase runs once toward the smallest budget; see
+// build. The result matches XClusterBuild at every budget, fingerprint
+// included (budgets and static provenance; the clock fields count from
+// the sweep's start), while paying for one merge phase instead of
+// len(budgets). Results are returned in the order of structBudgets;
+// Stats and Metrics report the sweep as one build, and only the merge
+// phase reports Progress.
+func XClusterSweep(ref *Synopsis, structBudgets []int, valueBudget int, opts BuildOptions) ([]*Synopsis, error) {
+	return build(context.Background(), ref, structBudgets, valueBudget, opts)
+}
+
+// build is the one construction driver. It clones ref once and runs
+// the merge phase under the policy opts selects toward the smallest of
+// structBudgets, snapshotting the synopsis as the phase crosses each
+// larger budget; the state the phase ends in is the smallest budget's,
+// and budgets it never reached share that state. Every synopsis then
+// gets its own value phase, fanned out over opts.Workers, and its build
+// stamp. Results follow the order of structBudgets; a repeated budget
+// shares one synopsis.
+func build(ctx context.Context, ref *Synopsis, structBudgets []int, valueBudget int, opts BuildOptions) ([]*Synopsis, error) {
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("core: build workers must be non-negative (0 = GOMAXPROCS), got %d", opts.Workers)
 	}
+	if len(structBudgets) == 0 {
+		return nil, fmt.Errorf("core: build needs at least one structural budget")
+	}
 	opts = opts.withDefaults()
 	buildStart := time.Now()
+	// Distinct budgets, descending: syns[i] is budgets[i]'s synopsis.
+	budgets := slices.Clone(structBudgets)
+	slices.SortFunc(budgets, func(x, y int) int { return cmp.Compare(y, x) })
+	budgets = slices.Compact(budgets)
+	last := len(budgets) - 1
+	opts.StructBudget, opts.ValueBudget = budgets[last], valueBudget
 	b := newBuilder(ctx, ref.Clone(), opts)
 	if opts.GlobalMetric {
-		b.ref = ref
+		b.ref, b.refKids = ref, buildKidIndex(ref)
 		b.members = make(map[NodeID][]NodeID, len(ref.nodes))
 		b.refToCur = make(map[NodeID]NodeID, len(ref.nodes))
 		for id := range ref.nodes {
@@ -172,21 +215,48 @@ func XClusterBuildContext(ctx context.Context, ref *Synopsis, opts BuildOptions)
 			b.refToCur[id] = id
 		}
 	}
+	b.pending = budgets[:last]
+	b.snaps = make([]*Synopsis, 0, len(budgets))
+	b.snapshotDue()
 	phaseStart := time.Now()
+	var err error
 	if opts.RandomMerges {
-		if err := b.randomMergePhase(); err != nil {
-			return nil, err
-		}
-	} else if err := b.mergePhase(); err != nil {
+		err = b.randomMergePhase()
+	} else {
+		err = b.mergePhase()
+	}
+	if err != nil {
 		return nil, err
 	}
+	for range b.pending {
+		b.snaps = append(b.snaps, b.s.Clone())
+	}
+	syns := append(b.snaps, b.s)
 	b.stats.MergeSeconds = time.Since(phaseStart).Seconds()
 	if opts.Metrics != nil {
 		opts.Metrics.Observe(MetricBuildPhaseSeconds, `phase="merge"`, b.stats.MergeSeconds)
 	}
+
+	// The value phases are independent: the smallest budget's runs on the
+	// builder's own synopsis, each snapshot's on a builder of its own.
+	// Concurrent value phases report no progress.
 	phaseStart = time.Now()
-	if err := b.valuePhase(); err != nil {
-		return nil, err
+	if last > 0 {
+		b.opts.Progress = nil
+	}
+	errs := make([]error, len(syns))
+	fanOut(len(syns), opts.Workers, func(i int) {
+		vb := b
+		if i < last {
+			vb = &builder{s: syns[i], opts: b.opts, ctx: ctx}
+		}
+		errs[i] = vb.valuePhase()
+		syns[i].stampBuild(budgets[i], valueBudget, buildStart)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	b.stats.ValueSeconds = time.Since(phaseStart).Seconds()
 	if opts.Metrics != nil {
@@ -199,8 +269,11 @@ func XClusterBuildContext(ctx context.Context, ref *Synopsis, opts BuildOptions)
 	if opts.Stats != nil {
 		*opts.Stats = b.stats
 	}
-	b.s.stampBuild(opts.StructBudget, opts.ValueBudget, buildStart)
-	return b.s, nil
+	out := make([]*Synopsis, len(structBudgets))
+	for i, budget := range structBudgets {
+		out[i] = syns[slices.Index(budgets, budget)]
+	}
+	return out, nil
 }
 
 // stampBuild records a compression's build identity: the budgets it
@@ -240,15 +313,12 @@ func newBuilder(ctx context.Context, s *Synopsis, opts BuildOptions) *builder {
 // structural budget is met — the no-Δ baseline for ablation runs.
 func (b *builder) randomMergePhase() error {
 	rng := rand.New(rand.NewSource(b.opts.RandomSeed))
+	b.initGroups()
+	var mergeable []groupKey
 	for b.s.StructBytes() > b.opts.StructBudget {
-		groups := make(map[groupKey][]*Node)
-		for _, n := range b.s.nodes {
-			k := nodeGroup(n)
-			groups[k] = append(groups[k], n)
-		}
-		var mergeable []groupKey
-		for k, members := range groups {
-			if len(members) >= 2 {
+		mergeable = mergeable[:0]
+		for k, ids := range b.groups {
+			if len(ids) >= 2 {
 				mergeable = append(mergeable, k)
 			}
 		}
@@ -267,108 +337,17 @@ func (b *builder) randomMergePhase() error {
 			}
 			return !a.hasV && b.hasV
 		})
-		members := groups[mergeable[rng.Intn(len(mergeable))]]
-		sort.Slice(members, func(i, j int) bool { return members[i].ID < members[j].ID })
-		i := rng.Intn(len(members))
-		j := rng.Intn(len(members) - 1)
+		ids := b.groups[mergeable[rng.Intn(len(mergeable))]]
+		i := rng.Intn(len(ids))
+		j := rng.Intn(len(ids) - 1)
 		if j >= i {
 			j++
 		}
-		if _, err := b.s.Merge(members[i].ID, members[j].ID); err != nil {
+		if _, err := b.applyMerge(ids[i], ids[j]); err != nil {
 			return fmt.Errorf("core: randomMergePhase: %w", err)
 		}
-		b.stats.Merges++
 	}
 	return nil
-}
-
-// XClusterSweep builds synopses for several structural budgets in one
-// pass. Greedy merging does not depend on the budget (a smaller budget's
-// merge sequence is a prefix extension of a larger one's), so the merge
-// phase runs once toward the smallest budget, snapshotting the synopsis
-// as it crosses each requested budget; each snapshot then gets its own
-// value-compression phase. The result matches XClusterBuild at every
-// budget, fingerprint included (budgets and static provenance; the
-// clock fields count from the sweep's start), while paying for one merge
-// phase instead of len(budgets). Results are returned in the order of
-// structBudgets.
-func XClusterSweep(ref *Synopsis, structBudgets []int, valueBudget int, opts BuildOptions) ([]*Synopsis, error) {
-	if opts.Workers < 0 {
-		return nil, fmt.Errorf("core: build workers must be non-negative (0 = GOMAXPROCS), got %d", opts.Workers)
-	}
-	opts = opts.withDefaults()
-	if opts.RandomMerges || opts.GlobalMetric {
-		return nil, fmt.Errorf("core: XClusterSweep supports only the default policy")
-	}
-	sweepStart := time.Now()
-	// Work over distinct budgets in descending order.
-	desc := append([]int(nil), structBudgets...)
-	sort.Sort(sort.Reverse(sort.IntSlice(desc)))
-	minBudget := desc[len(desc)-1]
-
-	b := newBuilder(nil, ref.Clone(), opts)
-	b.opts.StructBudget = minBudget
-
-	snapshots := make(map[int]*Synopsis, len(desc))
-	pending := desc
-	takeDue := func() {
-		for len(pending) > 0 && b.s.StructBytes() <= pending[0] {
-			if _, dup := snapshots[pending[0]]; !dup {
-				snapshots[pending[0]] = b.s.Clone()
-			}
-			pending = pending[1:]
-		}
-	}
-	takeDue()
-	b.onMerge = takeDue
-	if err := b.mergePhase(); err != nil {
-		return nil, err
-	}
-	// Budgets below the merge floor get the final state.
-	for _, budget := range pending {
-		snapshots[budget] = b.s.Clone()
-	}
-
-	// Independent value phases, in parallel.
-	distinct := make([]int, 0, len(snapshots))
-	for budget := range snapshots {
-		distinct = append(distinct, budget)
-	}
-	sort.Ints(distinct)
-	var wg sync.WaitGroup
-	next := make(chan int)
-	workers := opts.Workers
-	if workers > len(distinct) {
-		workers = len(distinct)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for budget := range next {
-				vopts := opts
-				vopts.ValueBudget = valueBudget
-				vopts.Progress = nil
-				vb := newBuilder(nil, snapshots[budget], vopts)
-				vb.valuePhase()
-				vb.s.stampBuild(budget, valueBudget, sweepStart)
-			}
-		}()
-	}
-	for _, budget := range distinct {
-		next <- budget
-	}
-	close(next)
-	wg.Wait()
-
-	out := make([]*Synopsis, len(structBudgets))
-	for i, budget := range structBudgets {
-		out[i] = snapshots[budget]
-	}
-	return out, nil
 }
 
 // builder holds the mutable state of one XClusterBuild run.
@@ -378,9 +357,11 @@ type builder struct {
 	// ctx, when non-nil, is polled at phase boundaries so callers can
 	// abort long builds.
 	ctx context.Context
-	// onMerge, when set, runs after every applied merge (used by
-	// XClusterSweep to snapshot budget crossings).
-	onMerge func()
+	// pending lists, descending, the larger budgets of a sweep whose
+	// snapshots the merge phase has yet to take; snaps receives them in
+	// the same order (see snapshotDue).
+	pending []int
+	snaps   []*Synopsis
 	// ver tracks node adjacency versions so queued candidates whose
 	// neighborhoods changed are lazily re-evaluated (the paper recomputes
 	// marginal losses in the merged nodes' neighborhood eagerly). cver
@@ -409,9 +390,10 @@ type builder struct {
 	// start anchors BuildProgress.Elapsed.
 	start time.Time
 	// Global-metric state (GlobalMetric only): the reference synopsis,
-	// the reference nodes absorbed by each current cluster, and the
-	// inverse map.
+	// its id-sorted child lists, the reference nodes absorbed by each
+	// current cluster, and the inverse map.
 	ref      *Synopsis
+	refKids  map[NodeID][]weight
 	members  map[NodeID][]NodeID
 	refToCur map[NodeID]NodeID
 }
@@ -494,62 +476,55 @@ func (h *candHeap) Pop() any {
 // serially. Slot i of the result belongs to pair i regardless of which
 // worker computed it, so worker count and scheduling cannot change the
 // candidate ranking.
-func (b *builder) evalCands(proposed []*mergeCand) []*mergeCand {
-	results := make([]*mergeCand, len(proposed))
+func (b *builder) evalCands(pairs []pairKey) []*mergeCand {
+	cands := make([]*mergeCand, len(pairs))
 	var misses []int
-	if b.memo != nil {
-		for i, p := range proposed {
+	for i, p := range pairs {
+		if b.memo != nil {
 			if c, hit := b.memoLookup(p.u, p.v); hit {
-				results[i] = c
-			} else {
-				misses = append(misses, i)
+				cands[i] = c
+				continue
 			}
 		}
-	} else {
-		misses = make([]int, len(proposed))
-		for i := range proposed {
-			misses[i] = i
-		}
+		misses = append(misses, i)
 	}
-	workers := b.opts.Workers
-	if workers > len(misses) {
-		workers = len(misses)
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		next := make(chan int, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					results[i] = b.computeCand(proposed[i].u, proposed[i].v)
-				}
-			}()
-		}
-		for _, i := range misses {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	} else {
-		for _, i := range misses {
-			results[i] = b.computeCand(proposed[i].u, proposed[i].v)
-		}
-	}
+	fanOut(len(misses), b.opts.Workers, func(k int) {
+		p := pairs[misses[k]]
+		cands[misses[k]] = b.computeCand(p.u, p.v)
+	})
 	b.stats.PairsEvaluated += int64(len(misses))
 	if b.memo != nil {
 		for _, i := range misses {
-			b.memoStore(proposed[i].u, proposed[i].v, results[i])
+			b.memoStore(pairs[i].u, pairs[i].v, cands[i])
 		}
 	}
-	out := proposed[:0]
-	for _, c := range results {
-		if c != nil {
-			out = append(out, c)
+	return slices.DeleteFunc(cands, func(c *mergeCand) bool { return c == nil })
+}
+
+// fanOut runs work(0) … work(n-1) over up to workers goroutines, or on
+// the calling goroutine when one suffices, and returns when all are
+// done. Calls for distinct i must be independent.
+func fanOut(n, workers int, work func(i int)) {
+	if workers = min(workers, n); workers <= 1 {
+		for i := range n {
+			work(i)
 		}
+		return
 	}
-	return out
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int64
+	)
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				work(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // newCand evaluates the merge (u, v) through the memo table, returning
@@ -601,30 +576,32 @@ func (b *builder) computeCand(u, v NodeID) *mergeCand {
 // refCentroid maps a reference node's structural centroid onto the
 // current clustering: for each reference child edge, the average count is
 // attributed to the current cluster holding that reference child (u and
-// v remapped to the placeholder).
+// v remapped to the placeholder). Several edges can land on one cluster,
+// so they are added in child-id order: float addition order must be
+// reproducible for deterministic builds.
 func (b *builder) refCentroid(refID, u, v NodeID) map[NodeID]float64 {
 	out := make(map[NodeID]float64)
-	for c, avg := range b.ref.nodes[refID].Children {
-		t := b.refToCur[c]
+	for _, kw := range b.refKids[refID] {
+		t := b.refToCur[kw.id]
 		if t == u || t == v {
 			t = placeholderID
 		}
-		out[t] += avg
+		out[t] += kw.w
 	}
 	return out
 }
 
 // centroidDist2 returns the squared L2 distance between two sparse
-// centroids.
+// centroids, summed in id order so that it is reproducible.
 func centroidDist2(a, bb map[NodeID]float64) float64 {
 	d := 0.0
-	for t, x := range a {
-		diff := x - bb[t]
+	for _, x := range sortedWeights(a) {
+		diff := x.w - bb[x.id]
 		d += diff * diff
 	}
-	for t, y := range bb {
-		if _, seen := a[t]; !seen {
-			d += y * y
+	for _, y := range sortedWeights(bb) {
+		if _, seen := a[y.id]; !seen {
+			d += y.w * y.w
 		}
 	}
 	return d
@@ -757,7 +734,7 @@ func (b *builder) buildPool(l int, levels map[NodeID]int) *candHeap {
 			groups[k] = append(groups[k], n)
 		}
 	}
-	var cands []*mergeCand
+	var pairs []pairKey
 	for _, k := range keys {
 		members := groups[k]
 		if len(members) < 2 {
@@ -772,14 +749,14 @@ func (b *builder) buildPool(l int, levels map[NodeID]int) *candHeap {
 		sort.Sort(&memberSort{members: members, sigs: sigs})
 		for i := range members {
 			for j := i + 1; j <= i+pairWindow && j < len(members); j++ {
-				cands = append(cands, &mergeCand{u: members[i].ID, v: members[j].ID})
+				pairs = append(pairs, pairKey{members[i].ID, members[j].ID})
 			}
 		}
 	}
 	// Candidate Δ evaluations are independent and read-only against the
 	// synopsis, so they run in parallel; the deterministic ordering comes
 	// from the sort and the heap's strict total order afterwards.
-	cands = b.evalCands(cands)
+	cands := b.evalCands(pairs)
 	if len(cands) > b.opts.Hm {
 		sort.Slice(cands, func(i, j int) bool {
 			if cands[i].marginal != cands[j].marginal {
@@ -913,10 +890,20 @@ func (b *builder) applyMerge(u, v NodeID) (*Node, error) {
 	b.stats.Merges++
 	b.touchNeighborhood(w)
 	b.groupsOnMerge(u, v, w)
-	if b.onMerge != nil {
-		b.onMerge()
+	if len(b.pending) > 0 {
+		b.snapshotDue()
 	}
 	return w, nil
+}
+
+// snapshotDue clones the synopsis for every pending sweep budget it now
+// fits. A build with that budget would stop here, so the clone is its
+// merge phase's result.
+func (b *builder) snapshotDue() {
+	for len(b.pending) > 0 && b.s.StructBytes() <= b.pending[0] {
+		b.snaps = append(b.snaps, b.s.Clone())
+		b.pending = b.pending[1:]
+	}
 }
 
 // touchNeighborhood bumps the versions of a freshly merged node and its

@@ -183,14 +183,23 @@ func TestAutoAllocate(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesIndividualBuilds: every synopsis a sweep returns is
-// codec-identical (clock fields aside) to XClusterBuild at the same
-// budgets, fingerprint included, on a synthetic tree and on the
-// value-bearing IMDB and XMark generators.
+// TestSweepMatchesIndividualBuilds: under every construction policy,
+// every synopsis a sweep returns is codec-identical (clock fields aside)
+// to XClusterBuild at the same budgets, fingerprint included, on a
+// synthetic tree and on the value-bearing IMDB and XMark generators.
 func TestSweepMatchesIndividualBuilds(t *testing.T) {
 	synth, _ := buildFixture(t, 26, 300)
 	imdb := valueFixture(t, datagen.IMDB(datagen.IMDBConfig{Seed: 7, Scale: 0.1}), datagen.IMDBValuePaths())
 	xmark := valueFixture(t, datagen.XMark(datagen.XMarkConfig{Seed: 7, Scale: 0.1}), datagen.XMarkValuePaths())
+	policies := []struct {
+		name string
+		opts BuildOptions
+	}{
+		{"default", BuildOptions{}},
+		{"no-level-heuristic", BuildOptions{NoLevelHeuristic: true}},
+		{"global-metric", BuildOptions{GlobalMetric: true}},
+		{"random", BuildOptions{RandomMerges: true, RandomSeed: 11}},
+	}
 	for _, fx := range []struct {
 		name string
 		ref  *Synopsis
@@ -201,42 +210,48 @@ func TestSweepMatchesIndividualBuilds(t *testing.T) {
 		{"XMark", xmark, BuildOptions{}},
 	} {
 		t.Run(fx.name, func(t *testing.T) {
-			ref := fx.ref
-			budgets := []int{
-				ref.StructBytes(), // no merging
-				ref.StructBytes() / 2,
-				ref.StructBytes() / 4,
-				0, // tag-level floor
-			}
-			bval := ref.ValueBytes() / 2
-			swept, err := XClusterSweep(ref, budgets, bval, fx.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(swept) != len(budgets) {
-				t.Fatalf("results = %d", len(swept))
-			}
-			for i, budget := range budgets {
-				o := fx.opts
-				o.StructBudget = budget
-				o.ValueBudget = bval
-				want, err := XClusterBuild(ref, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := swept[i]
-				if err := got.Validate(); err != nil {
-					t.Fatalf("budget %d: %v", budget, err)
-				}
-				if g, w := codecBytes(t, got), codecBytes(t, want); !bytes.Equal(g, w) {
-					t.Fatalf("budget %d: sweep (%d bytes, %+v) and build (%d bytes, %+v) encode differently",
-						budget, len(g), got.Fingerprint(), len(w), want.Fingerprint())
-				}
+			for _, pol := range policies {
+				t.Run(pol.name, func(t *testing.T) {
+					ref := fx.ref
+					opts := pol.opts
+					opts.Hm, opts.Hl = fx.opts.Hm, fx.opts.Hl
+					budgets := []int{
+						ref.StructBytes(), // no merging
+						ref.StructBytes() / 2,
+						ref.StructBytes() / 4,
+						0, // tag-level floor
+					}
+					bval := ref.ValueBytes() / 2
+					swept, err := XClusterSweep(ref, budgets, bval, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(swept) != len(budgets) {
+						t.Fatalf("results = %d", len(swept))
+					}
+					for i, budget := range budgets {
+						o := opts
+						o.StructBudget = budget
+						o.ValueBudget = bval
+						want, err := XClusterBuild(ref, o)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := swept[i]
+						if err := got.Validate(); err != nil {
+							t.Fatalf("budget %d: %v", budget, err)
+						}
+						if g, w := codecBytes(t, got), codecBytes(t, want); !bytes.Equal(g, w) {
+							t.Fatalf("budget %d: sweep (%d bytes, %+v) and build (%d bytes, %+v) encode differently",
+								budget, len(g), got.Fingerprint(), len(w), want.Fingerprint())
+						}
+					}
+				})
 			}
 		})
 	}
-	// Unsupported policies are rejected.
-	if _, err := XClusterSweep(synth, []int{0}, 0, BuildOptions{RandomMerges: true}); err == nil {
-		t.Fatal("sweep accepted random policy")
+	// A sweep needs a budget.
+	if _, err := XClusterSweep(synth, nil, 0, BuildOptions{}); err == nil {
+		t.Fatal("sweep accepted no budgets")
 	}
 }

@@ -26,8 +26,8 @@ import (
 // pipeline, ParseQuery keeps a third cache from raw query text to the
 // parsed query and its canonical string, so a served request that
 // repeats a text neither parses nor canonicalizes it. Selectivity,
-// SelectivityContext and SelectivityTraced differ only in what they
-// report; Prepare exposes the compiled plan directly for callers that
+// SelectivityContext and SelectivityTracedCanonical differ only in what
+// they report; Prepare exposes the compiled plan directly for callers that
 // hold a query shape and execute it repeatedly, and Explain reads the
 // top embeddings off it.
 //
@@ -118,7 +118,7 @@ func NewEstimator(s *Synopsis) *Estimator {
 	}
 	e.labelOf, e.labelIDs = buildLabelIndex(s)
 	e.plans = newLRUCache[*Plan](DefaultPlanCacheCapacity)
-	e.desc = buildDescIndex(s)
+	e.desc = buildDescIndex(s, e.kids)
 	e.SetCacheCapacity(DefaultCacheCapacity)
 	return e
 }
@@ -386,22 +386,14 @@ func sortedWeights(m map[NodeID]float64) []weight {
 // the cycle was cut, so each is computed from its own node as the
 // traversal root — exactly the value the previous lazy implementation
 // produced at query time.
-func buildDescIndex(s *Synopsis) map[NodeID][]weight {
+//
+// kids is buildKidIndex's id-sorted child lists, so children are
+// visited deterministically: where a cycle is cut depends on traversal
+// order, and estimates must be reproducible across runs and
+// serialization round trips.
+func buildDescIndex(s *Synopsis, kids map[NodeID][]weight) map[NodeID][]weight {
 	perm := make(map[NodeID]map[NodeID]float64) // clean (exact) vectors
 	final := make(map[NodeID][]weight, len(s.nodes))
-	// kidsOf iterates children deterministically: where a cycle is cut
-	// depends on traversal order, and estimates must be reproducible
-	// across runs and serialization round trips.
-	kidsOf := make(map[NodeID][]weight, len(s.nodes))
-	for id, n := range s.nodes {
-		ws := make([]weight, 0, len(n.Children))
-		for c, avg := range n.Children {
-			ws = append(ws, weight{id: c, w: avg})
-		}
-		sort.Slice(ws, func(i, j int) bool { return ws[i].id < ws[j].id })
-		kidsOf[id] = ws
-	}
-
 	onStack := make(map[NodeID]bool)
 	// local memoizes cycle-tainted vectors within one top-level
 	// traversal only: without any memo a DAG with shared substructure
@@ -425,7 +417,7 @@ func buildDescIndex(s *Synopsis) map[NodeID][]weight {
 		out := make(map[NodeID]float64)
 		clean := true
 		self := 0.0
-		for _, kw := range kidsOf[id] {
+		for _, kw := range kids[id] {
 			c, avg := kw.id, kw.w
 			if c == id {
 				self = avg

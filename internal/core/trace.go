@@ -82,8 +82,8 @@ type EstimateTrace struct {
 const numStages = 5
 
 // CanonicalHash is the 64-bit FNV-1a hash of a canonical query string,
-// the cheap per-request identity SelectivityTraced stamps on every
-// trace (EstimateTrace.CanonicalHash).
+// the cheap per-request identity SelectivityTracedCanonical stamps on
+// every trace (EstimateTrace.CanonicalHash).
 func CanonicalHash(canonical string) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -97,30 +97,13 @@ func CanonicalHash(canonical string) uint64 {
 	return h
 }
 
-// SpanSum returns the summed stage durations (at most Total).
-func (t *EstimateTrace) SpanSum() time.Duration {
-	var s time.Duration
-	for _, sp := range t.Spans {
-		s += sp.Duration
-	}
-	return s
-}
-
-// SelectivityTraced is SelectivityContext with per-stage tracing: it
-// runs the same pipeline and returns, alongside the estimate, a trace of
-// where the time went. The trace is also returned on error, covering
-// the stages that ran.
-func (e *Estimator) SelectivityTraced(ctx context.Context, q *query.Query) (float64, *EstimateTrace, error) {
-	tr := new(EstimateTrace)
-	v, err := e.SelectivityTracedCanonical(ctx, q, "", time.Time{}, tr)
-	return v, tr, err
-}
-
-// SelectivityTracedCanonical is SelectivityTraced into a trace the
-// caller owns, for a query whose canonical string, q.String(), the
-// caller may already hold (ParseQuery and WarmPlan return it), so the
-// pipeline does not canonicalize q again. An empty canonical
-// canonicalizes as SelectivityTraced does. tr is overwritten: a batch
+// SelectivityTracedCanonical is SelectivityContext with per-stage
+// tracing into a trace the caller owns: it runs the same pipeline and
+// records, alongside the estimate, where the time went, also on error,
+// covering the stages that ran. The caller may already hold the query's
+// canonical string, q.String() (ParseQuery and WarmPlan return it), so
+// the pipeline does not canonicalize q again; an empty canonical
+// canonicalizes q here. tr is overwritten: a batch
 // can trace each estimate into storage it already holds, such as the
 // query's own record.
 // deadline, unless zero, bounds the estimate like a context deadline

@@ -4,9 +4,27 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 
 	"xcluster/internal/query"
 )
+
+// SelectivityTraced is SelectivityTracedCanonical into a fresh trace,
+// canonicalizing q.
+func (e *Estimator) SelectivityTraced(ctx context.Context, q *query.Query) (float64, *EstimateTrace, error) {
+	tr := new(EstimateTrace)
+	v, err := e.SelectivityTracedCanonical(ctx, q, "", time.Time{}, tr)
+	return v, tr, err
+}
+
+// SpanSum returns the summed stage durations (at most Total).
+func (t *EstimateTrace) SpanSum() time.Duration {
+	var s time.Duration
+	for _, sp := range t.Spans {
+		s += sp.Duration
+	}
+	return s
+}
 
 // fakeSink collects MetricSink emissions for assertions.
 type fakeSink struct {

@@ -73,43 +73,38 @@ func RequestIDFrom(ctx context.Context) string {
 	return ""
 }
 
-// WithSpan returns a context carrying sp as the active span.
-func WithSpan(ctx context.Context, sp *Span) context.Context {
-	return context.WithValue(ctx, spanKey{}, sp)
-}
-
 // NewRootSpan starts a request's root span now and returns it with a
-// context carrying it as the active span, as WithSpan would, in one
+// context derived from ctx that carries it as the active span, in one
 // allocation: the span and its context are one record. The context
 // answers the span for the span key and delegates every other value,
 // and its deadline, done channel and error, to ctx, so a context derived
 // from it (context.WithCancel) is cancelled with ctx's cancellation
 // without a goroutine of its own.
 func NewRootSpan(ctx context.Context, name, requestID string) (*Span, context.Context) {
-	r := &rootSpan{span: Span{name: name, requestID: requestID, start: time.Now()}}
+	r := &spanRecord{span: Span{name: name, requestID: requestID, start: time.Now()}}
 	r.span.children = r.span.first[:0]
-	r.ctx = rootContext{Context: ctx, span: &r.span}
+	r.ctx = spanContext{Context: ctx, span: &r.span}
 	return &r.span, &r.ctx
 }
 
-// rootSpan is NewRootSpan's record: a root span and the context that
-// carries it.
-type rootSpan struct {
+// spanRecord is the one record of a span and the context that carries
+// it (NewRootSpan, StartChild).
+type spanRecord struct {
 	span Span
-	ctx  rootContext
+	ctx  spanContext
 }
 
-// rootContext is the context of a root span: the request's context
-// plus the span as its one value.
-type rootContext struct {
+// spanContext is the context of a span record: the parent context plus
+// the span as its one value.
+type spanContext struct {
 	context.Context
 	span *Span
 }
 
-// Value returns the root span for the span key and defers every other
-// key to the request's context; context.WithCancel finds the request's
-// cancellation through it.
-func (c *rootContext) Value(key any) any {
+// Value returns the record's span for the span key and defers every
+// other key to the parent context; context.WithCancel finds the
+// request's cancellation through it.
+func (c *spanContext) Value(key any) any {
 	if key == (spanKey{}) {
 		return c.span
 	}
@@ -181,14 +176,6 @@ type Run interface {
 	RunStages(fn func(stage string, offset, d time.Duration))
 }
 
-// NewSpan starts a span now. requestID may be "" for children; Snapshot
-// omits empty fields.
-func NewSpan(name, requestID string) *Span {
-	s := &Span{name: name, requestID: requestID, start: time.Now()}
-	s.children = s.first[:0]
-	return s
-}
-
 // RequestID returns the span's request ID.
 func (s *Span) RequestID() string { return s.requestID }
 
@@ -216,13 +203,15 @@ func (s *Span) SetDetail(detail string) {
 	s.mu.Unlock()
 }
 
-// StartChild starts and attaches a child span, inheriting the request ID.
-func (s *Span) StartChild(name string) *Span {
-	c := NewSpan(name, s.requestID)
+// StartChild starts and attaches a child span, inheriting the request
+// ID, and returns it with a context derived from ctx that carries it as
+// the active span: one record, as NewRootSpan's.
+func (s *Span) StartChild(ctx context.Context, name string) (*Span, context.Context) {
+	c, cctx := NewRootSpan(ctx, name, s.requestID)
 	s.mu.Lock()
 	s.children = append(s.children, child{span: c})
 	s.mu.Unlock()
-	return c
+	return c, cctx
 }
 
 // Grow makes room for n more children, so a caller about to attach n

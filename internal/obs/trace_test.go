@@ -54,8 +54,8 @@ func TestNewRequestID(t *testing.T) {
 }
 
 func TestSpanTree(t *testing.T) {
-	root := NewSpan("root", "req-1")
-	child := root.StartChild("child")
+	root, _ := NewRootSpan(context.Background(), "root", "req-1")
+	child, _ := root.StartChild(context.Background(), "child")
 	if got := child.RequestID(); got != "req-1" {
 		t.Fatalf("child request ID = %q, want inherited %q", got, "req-1")
 	}
@@ -125,7 +125,7 @@ func TestSpanSnapshotRendersRuns(t *testing.T) {
 		d:      40 * us,
 		stages: []fakeStage{{"canonicalize", 0, 2 * us}, {"result_cache", 3 * us, 1 * us}},
 	}, nil)
-	shard := root.StartChild("shard")
+	shard, _ := root.StartChild(context.Background(), "shard")
 	shard.start, shard.d = t0.Add(60*us), 500*us
 	shard.SetShard("acme", "docs")
 	shard.AddRun(&fakeRun{
@@ -160,7 +160,7 @@ func TestSpanSnapshotRendersRuns(t *testing.T) {
 }
 
 func TestSpanFinishClampsToPositive(t *testing.T) {
-	sp := NewSpan("fast", "")
+	sp, _ := NewRootSpan(context.Background(), "fast", "")
 	sp.Finish()
 	if d := sp.Duration(); d < 1 {
 		t.Fatalf("finished duration = %v, want >= 1ns (clamped)", d)
@@ -248,7 +248,7 @@ func TestTraceStoreFamilyCap(t *testing.T) {
 // from 32 goroutines while snapshots run — meaningful under -race.
 func TestTraceStoreConcurrent(t *testing.T) {
 	ts := NewTraceStore()
-	shared := NewSpan("shared", "req-shared")
+	shared, _ := NewRootSpan(context.Background(), "shared", "req-shared")
 	const goroutines = 32
 	var wg sync.WaitGroup
 	wg.Add(goroutines)
@@ -258,11 +258,11 @@ func TestTraceStoreConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				switch g % 4 {
 				case 0: // record fresh roots
-					sp := NewSpan(fmt.Sprintf("fam-%d", g%8), "")
+					sp, _ := NewRootSpan(context.Background(), fmt.Sprintf("fam-%d", g%8), "")
 					sp.Finish()
 					ts.Record(sp)
 				case 1: // straggler children on a shared, already-recorded root
-					c := shared.StartChild("late")
+					c, _ := shared.StartChild(context.Background(), "late")
 					c.SetShard("t", "c")
 					c.FinishErr(nil)
 				case 2: // snapshot the store
@@ -287,8 +287,8 @@ func TestTraceStoreConcurrent(t *testing.T) {
 // under -race; the straggler's reference keeps the tree intact.
 func TestStragglerAfterEviction(t *testing.T) {
 	ts := NewTraceStore()
-	root := NewSpan("POST /estimate", "req-late")
-	shard := root.StartChild("shard")
+	root, _ := NewRootSpan(context.Background(), "POST /estimate", "req-late")
+	shard, _ := root.StartChild(context.Background(), "shard")
 	root.Finish()
 	ts.Record(root)
 
@@ -386,7 +386,7 @@ func TestTraceHandlerFamilyName(t *testing.T) {
 	for _, path := range []string{"/estimate", "/estimate", long} {
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("POST", path, nil))
 	}
-	direct := NewSpan("POST /estimate", "req-direct")
+	direct, _ := NewRootSpan(context.Background(), "POST /estimate", "req-direct")
 	direct.Finish()
 	ts.Record(direct)
 

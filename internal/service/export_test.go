@@ -1,6 +1,10 @@
 package service
 
-import "time"
+import (
+	"time"
+
+	"xcluster/internal/accuracy"
+)
 
 // Fixtures shared with the external service_test package. Its tests
 // drive the service over HTTP through a one-shard catalog, and
@@ -26,4 +30,10 @@ func (s *Service) HoldRebuild() (release func()) {
 		s.rb.Running, s.rb.Phase, s.rb.StartedAt = false, PhaseIdle, time.Time{}
 		s.rbMu.Unlock()
 	}
+}
+
+// WithTruthFunc overrides the ground-truth source for shadow sampling
+// (it wins over WithDocument), so a test can force deadline expiry.
+func WithTruthFunc(fn accuracy.TruthFunc) Option {
+	return func(s *Service) { s.truth = fn }
 }

@@ -330,21 +330,15 @@ type SynopsisDebugResponse struct {
 	ClusterDetail []SynopsisCluster `json:"cluster_detail"`
 }
 
-// RebuildRequest is the (optional) body of POST /admin/rebuild.
+// RebuildRequest is the (optional) body of POST /admin/rebuild: the
+// rebuild's options (struct_budget, value_budget, adaptive, reason; an
+// adaptive rebuild answers 412 when the workload profiler is disabled)
+// plus async.
 type RebuildRequest struct {
-	// StructBudget and ValueBudget override the new synopsis's byte
-	// budgets (nonpositive or absent: keep the current ones).
-	StructBudget int `json:"struct_budget,omitempty"`
-	ValueBudget  int `json:"value_budget,omitempty"`
-	// Adaptive asks for a workload-adaptive re-split of the inherited
-	// total (ignored when explicit budgets are given; 412 when the
-	// workload profiler is disabled).
-	Adaptive bool `json:"adaptive,omitempty"`
+	RebuildOptions
 	// Async returns 202 immediately and rebuilds in the background;
 	// poll GET /debug/synopsis for the outcome.
 	Async bool `json:"async,omitempty"`
-	// Reason is recorded in the swap event and logs.
-	Reason string `json:"reason,omitempty"`
 }
 
 // explainLimit caps the embeddings returned per query when Explain is set.

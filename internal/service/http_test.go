@@ -570,9 +570,12 @@ func TestAdminRebuildHTTP(t *testing.T) {
 	if ev.NewGeneration != 1 || ev.Reason != "acceptance" {
 		t.Fatalf("rebuild swap event %+v", ev)
 	}
-	// A malformed body is a 400 before any rebuild starts.
-	if code, _ := post("/admin/rebuild", `{"struct_budget":"nope"}`); code != http.StatusBadRequest {
-		t.Fatalf("malformed rebuild body: %d, want 400", code)
+	// A malformed body or an unknown key is a 400 before any rebuild
+	// starts.
+	for _, body := range []string{`{"struct_budget":"nope"}`, `{"struct_budget":512,"budget":512}`} {
+		if code, _ := post("/admin/rebuild", body); code != http.StatusBadRequest {
+			t.Fatalf("rebuild body %s: %d, want 400", body, code)
+		}
 	}
 
 	wg.Wait()

@@ -101,11 +101,9 @@ func TestSpanSnapshotMatchesTrace(t *testing.T) {
 	t.Cleanup(cached.Close)
 	t.Cleanup(planOnly.Close)
 	q := query.MustParse("//book[year>1990]/title")
-	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	root, ctx := obs.NewRootSpan(context.Background(), "POST /estimate", "req-1")
+	expired, cancel := context.WithDeadline(ctx, time.Now().Add(-time.Second))
 	defer cancel()
-
-	root := obs.NewSpan("POST /estimate", "req-1")
-	ctx := obs.WithSpan(context.Background(), root)
 	type estimate struct {
 		name string
 		tr   *core.EstimateTrace
@@ -122,7 +120,7 @@ func TestSpanSnapshotMatchesTrace(t *testing.T) {
 		{"result hit", cached, ctx, q},
 		{"plan warm-up", planOnly, ctx, q},
 		{"plan hit", planOnly, ctx, q},
-		{"deadline", cached, obs.WithSpan(expired, root), query.MustParse("//book[pages>=300]")},
+		{"deadline", cached, expired, query.MustParse("//book[pages>=300]")},
 	} {
 		tr := new(core.EstimateTrace)
 		_, err := c.svc.estimateOne(c.ctx, time.Time{}, c.svc.cur.Load(), c.q, "", tr)
@@ -172,7 +170,7 @@ func TestServiceEstimateCacheHitAllocs(t *testing.T) {
 	}
 	syn := newTestSynopsis(t)
 	plain := context.Background()
-	traced := obs.WithSpan(plain, obs.NewSpan("POST /estimate", "req-1"))
+	_, traced := obs.NewRootSpan(plain, "POST /estimate", "req-1")
 	for svcName, opts := range map[string][]Option{"no timeout": nil, "timeout": {WithTimeout(5 * time.Second)}} {
 		svc := New(syn, opts...)
 		t.Cleanup(svc.Close)

@@ -80,8 +80,8 @@ func WithSlowQueryLog(threshold time.Duration, capacity int) Option {
 // of workers goroutines, each evaluation bounded by deadline (measured
 // from enqueue; accuracy.DefaultShadowDeadline when <= 0). Shadow work
 // is queued and dropped under overload — it can never block or fail a
-// client estimate. Requires a ground-truth source: WithDocument or
-// WithTruthFunc; without one, shadow sampling stays off.
+// client estimate. Requires a ground-truth source, the resident
+// document (WithDocument); without one, shadow sampling stays off.
 func WithShadowSampling(rate float64, workers int, deadline time.Duration) Option {
 	return func(s *Service) {
 		s.shadowRate = rate
@@ -94,14 +94,6 @@ func WithShadowSampling(rate float64, workers int, deadline time.Duration) Optio
 // can compute exact ground truth with internal/query's evaluator.
 func WithDocument(tree *xmltree.Tree) Option {
 	return func(s *Service) { s.doc = tree }
-}
-
-// WithTruthFunc overrides the ground-truth source for shadow sampling
-// (it wins over WithDocument). Deployments that cannot keep the
-// document resident can plug a remote exact-evaluation client; tests
-// use it to force deadline expiry.
-func WithTruthFunc(fn accuracy.TruthFunc) Option {
-	return func(s *Service) { s.truth = fn }
 }
 
 // WithAccuracy forwards options to the service's accuracy monitor
