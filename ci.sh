@@ -19,11 +19,12 @@
 # and TestHandlerEstimateScatterAllocs — a cached scatter over three
 # shards, per request plus per query, also with one plan slot per
 # shard —, internal/pst TestSelectivityAllocs, internal/query
-# TestStringAllocs and TestParseAllocs; each bound is a constant in its
-# test, documented there) run in the plain pass only: the race
-# detector's instrumentation allocates, so under -race they skip
-# themselves (raceEnabled, set by each package's race_test.go). Both
-# serving pins run under xclusterd's default -timeout
+# TestStringAllocs and TestParseAllocs, and internal/xmltree
+# TestParseAllocs — allocations per element of a generated document;
+# each bound is a constant in its test, documented there) run in the
+# plain pass only: the race detector's instrumentation allocates, so
+# under -race they skip themselves (raceEnabled, set by each package's
+# race_test.go). Both serving pins run under xclusterd's default -timeout
 # (service.WithTimeout(5s)): TestServiceEstimateCacheHitAllocs checks a
 # timeout service too, under the same bound, and
 # TestHandlerEstimateHotAllocs's shard (hotCatalog) gets the timeout
@@ -72,9 +73,13 @@ go test ./...
 # — over a shard with a resident document and a slow log that captures
 # every estimate — panics or answers 500, every status is one its route
 # documents, and /debug/traces and /debug/slowlog render afterwards),
-# and internal/core FuzzEstimate (every parsed query gets a
+# internal/core FuzzEstimate (every parsed query gets a
 # finite, non-negative estimate equal to the reference interpreter's,
-# and Explain's top embeddings are sorted and sum to at most it).
+# and Explain's top embeddings are sorted and sum to at most it),
+# internal/xmltree FuzzParseXML (the byte-level document reader and the
+# encoding/xml oracle parser agree on every document: the same tree,
+# dictionary and type-hint calls, or both reject it) and FuzzInternText
+# (the type hint's term count and InternText find Tokenize's terms).
 go test -run=Fuzz ./...
 
 # The estimate-path and build benchmarks run once each, so they cannot
@@ -85,7 +90,8 @@ go test -run=Fuzz ./...
 # 32-query scatter over three shards through the same handler) and
 # BenchmarkHandlerEstimateScatterColdPlans (the same scatter with one
 # plan slot per shard), internal/query BenchmarkParse (every accepted
-# fuzz seed parsed once per op), and the root package's
+# fuzz seed parsed once per op), internal/xmltree BenchmarkParseXML (the
+# IMDB scale-1 document read by xmltree.Parse), and the root package's
 # BenchmarkEstimateCold (both
 # caches off: every call compiles), BenchmarkPrepared (execute only),
 # whose ratio is the compile cost, BenchmarkEstimateCacheHit (the
@@ -93,7 +99,7 @@ go test -run=Fuzz ./...
 # build with the Δ-evaluation pool at workers=1 and at
 # workers=GOMAXPROCS). Timing itself lives in bench/ and
 # `go test -bench`.
-go test -run '^$' -bench 'EstimateTelemetry|HandlerEstimateHot|HandlerEstimateScatter|^BenchmarkParse$' -benchtime 1x ./internal/service ./internal/catalog ./internal/query
+go test -run '^$' -bench 'EstimateTelemetry|HandlerEstimateHot|HandlerEstimateScatter|^BenchmarkParse$|^BenchmarkParseXML$' -benchtime 1x ./internal/service ./internal/catalog ./internal/query ./internal/xmltree
 go test -run '^$' -bench 'EstimateCold$|Prepared$|EstimateCacheHit$|XClusterBuild' -benchtime 1x .
 
 # Machine-readable benchmark artifact, kept at the repo root for

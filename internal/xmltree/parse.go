@@ -1,9 +1,11 @@
 package xmltree
 
 import (
+	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
+	"io/fs"
 	"strconv"
 	"strings"
 )
@@ -19,14 +21,30 @@ type TypeHint func(path, text string) ValueType
 // NUMERIC values live in an integer domain, STRING values are short
 // (titles, names), and TEXT values are free text (abstracts, forewords).
 func DefaultTypeHint(path, text string) ValueType {
-	if _, err := strconv.Atoi(strings.TrimSpace(text)); err == nil {
+	if _, ok := atoi(text); ok {
 		return TypeNumeric
 	}
-	if len(Tokenize(text)) > 5 {
+	if countTerms(text, 6) > 5 {
 		return TypeText
 	}
 	return TypeString
 }
+
+// atoi is strconv.Atoi of the space-trimmed text. Text whose first byte
+// is neither a digit nor a sign is rejected before Atoi would build a
+// *strconv.NumError for it.
+func atoi(text string) (int, bool) {
+	s := strings.TrimSpace(text)
+	if s == "" || !startsNumber(s[0]) {
+		return 0, false
+	}
+	n, err := strconv.Atoi(s)
+	return n, err == nil
+}
+
+// startsNumber reports whether strconv.Atoi could accept a string that
+// starts with c: a digit or a sign.
+func startsNumber(c byte) bool { return '0' <= c && c <= '9' || c == '+' || c == '-' }
 
 // ParseOptions configures Parse.
 type ParseOptions struct {
@@ -45,76 +63,50 @@ type ParseOptions struct {
 
 // Parse reads an XML document into a Tree. Elements whose content is pure
 // character data become typed value nodes; mixed and element-only content
-// contributes structure only. Attributes are ignored (the paper's model is
-// element-only; generators emit attribute-free documents).
+// contributes structure only. Attributes are ignored unless
+// opts.Attributes is set (the paper's model is element-only; generators
+// emit attribute-free documents).
+//
+// Parse reads the whole input and builds the tree in one pass over its
+// bytes (see reader). It accepts exactly the documents encoding/xml's
+// strict Decoder accepts: end tags must match, names and characters
+// must be legal, only the five predefined entities and character
+// references resolve, there is one root element, and an XML declaration
+// may name no encoding but UTF-8. Comments, processing instructions and
+// DOCTYPE declarations are skipped, and so is text outside the root.
 func Parse(r io.Reader, opts ParseOptions) (*Tree, error) {
-	hint := opts.Hint
-	if hint == nil {
-		hint = DefaultTypeHint
+	in, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("xmltree: parse: %w", err)
 	}
 	dict := opts.Dict
 	if dict == nil {
 		dict = NewDict()
 	}
-
-	dec := xml.NewDecoder(r)
-	var root *Node
-	var stack []*Node
-	var textStack []*strings.Builder
-
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmltree: parse: %w", err)
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			n := &Node{Label: t.Name.Local}
-			if len(stack) > 0 {
-				p := stack[len(stack)-1]
-				n.Parent = p
-				p.Children = append(p.Children, n)
-			} else if root == nil {
-				root = n
-			} else {
-				return nil, fmt.Errorf("xmltree: parse: multiple root elements")
-			}
-			if opts.Attributes {
-				for _, a := range t.Attr {
-					c := &Node{Label: "@" + a.Name.Local, Parent: n}
-					assignValue(c, hint(n.Path()+"/@"+a.Name.Local, a.Value), a.Value, dict)
-					n.Children = append(n.Children, c)
-				}
-			}
-			stack = append(stack, n)
-			textStack = append(textStack, &strings.Builder{})
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, fmt.Errorf("xmltree: parse: unbalanced end element %q", t.Name.Local)
-			}
-			n := stack[len(stack)-1]
-			text := strings.TrimSpace(textStack[len(textStack)-1].String())
-			stack = stack[:len(stack)-1]
-			textStack = textStack[:len(textStack)-1]
-			if text != "" && len(n.Children) == 0 {
-				assignValue(n, hint(n.Path(), text), text, dict)
-			}
-		case xml.CharData:
-			if len(textStack) > 0 {
-				textStack[len(textStack)-1].Write(t)
-			}
-		}
-	}
-	if root == nil {
-		return nil, fmt.Errorf("xmltree: parse: empty document")
-	}
-	if len(stack) != 0 {
-		return nil, fmt.Errorf("xmltree: parse: unbalanced document")
+	p := &reader{in: in, attrs: opts.Attributes, hint: opts.Hint, dict: dict, names: make(map[string]qname)}
+	root, err := p.document()
+	if err != nil {
+		return nil, err
 	}
 	return NewTree(root, dict), nil
+}
+
+// readAll reads r to its end into one buffer, sized up front when r
+// reports its length (bytes and strings readers, files).
+func readAll(r io.Reader) ([]byte, error) {
+	size := 0
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		size = r.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil {
+			size = int(fi.Size())
+		}
+	}
+	var buf bytes.Buffer
+	buf.Grow(size + bytes.MinRead)
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // assignValue stores text on n under the given type, interning TEXT terms
@@ -122,8 +114,8 @@ func Parse(r io.Reader, opts ParseOptions) (*Tree, error) {
 func assignValue(n *Node, vt ValueType, text string, dict *Dict) {
 	switch vt {
 	case TypeNumeric:
-		num, err := strconv.Atoi(strings.TrimSpace(text))
-		if err != nil {
+		num, ok := atoi(text)
+		if !ok {
 			// The hint lied; fall back to STRING so no data is lost.
 			n.Type = TypeString
 			n.Str = text

@@ -3,10 +3,11 @@
 // element node carries a label (tag) and, optionally, a typed value
 // (NUMERIC, STRING, or TEXT).
 //
-// The package also provides a parser and writer built on encoding/xml, a
-// free-text tokenizer, and a global term dictionary that maps index terms
-// to dense integer ids (the Boolean-vector representation of TEXT values
-// from the paper's IR model).
+// The package also provides a one-pass byte-level parser that accepts
+// exactly the documents encoding/xml accepts, a writer built on
+// encoding/xml, a free-text tokenizer, and a global term dictionary that
+// maps index terms to dense integer ids (the Boolean-vector
+// representation of TEXT values from the paper's IR model).
 package xmltree
 
 import (

@@ -2,8 +2,11 @@ package xmltree
 
 import (
 	"bytes"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // paperExample builds the bibliographic document of Figure 1 in the paper:
@@ -129,15 +132,81 @@ func TestParseRoundTrip(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cases := map[string]string{
-		"empty":      "",
-		"unbalanced": "<a><b></a>",
-		"two roots":  "<a></a><b></b>",
+		"empty":                "",
+		"unbalanced":           "<a><b></a>",
+		"two roots":            "<a></a><b></b>",
+		"mismatched end tag":   "<a><b></c></a>",
+		"unclosed root":        "<a><b>1</b>",
+		"unknown entity":       "<a>&nbsp;</a>",
+		"bad char reference":   "<a>&#xZZ;</a>",
+		"illegal name start":   "<1a>1</1a>",
+		"NUL byte":             "<a>\x00</a>",
+		"-- inside a comment":  "<a><!-- a -- b --></a>",
+		"unsupported encoding": `<?xml version="1.0" encoding="latin1"?><a/>`,
 	}
 	for name, doc := range cases {
 		if _, err := Parse(strings.NewReader(doc), ParseOptions{}); err == nil {
 			t.Errorf("%s: Parse accepted %q", name, doc)
 		}
+		if _, err := oracleParse(strings.NewReader(doc), ParseOptions{}); err == nil {
+			t.Errorf("%s: the oracle accepted %q", name, doc)
+		}
 	}
+}
+
+// TestParseAcceptsOracleQuirks pins documents encoding/xml accepts that
+// a stricter reader might not, each against its expected tree and
+// against the oracle.
+func TestParseAcceptsOracleQuirks(t *testing.T) {
+	cases := []struct {
+		name, doc string
+		check     func(*Tree) bool
+	}{
+		{"text after the root is ignored", "<a>1</a> trailing <!-- c --> text &amp; more",
+			func(tr *Tree) bool { return tr.Len() == 1 && tr.Root.Type == TypeNumeric && tr.Root.Num == 1 }},
+		{"entities and CDATA resolve inside a STRING value", "<a> Tom &amp; <![CDATA[<Jerry>]]>&#x21;&#33; </a>",
+			func(tr *Tree) bool { return tr.Root.Type == TypeString && tr.Root.Str == "Tom & <Jerry>!!" }},
+		{"comments and PIs inside a value are dropped", "<a>19<!-- c -->8<?pi x?>4</a>",
+			func(tr *Tree) bool { return tr.Root.Type == TypeNumeric && tr.Root.Num == 1984 }},
+		{"mixed content stays structural", "<a>hello <b>5</b> world</a>",
+			func(tr *Tree) bool {
+				b := tr.Root.Children
+				return tr.Root.Type == TypeNull && len(b) == 1 && b[0].Type == TypeNumeric && b[0].Num == 5
+			}},
+		{"a DOCTYPE with an internal subset is skipped", "<!DOCTYPE a [<!ENTITY e \"x\"><!-- > -->]><a>x y</a>",
+			func(tr *Tree) bool { return tr.Root.Type == TypeString && tr.Root.Str == "x y" }},
+		{"a namespace prefix leaves the label", `<x:a xmlns:x="urn:x"><x:b>2</x:b></x:a>`,
+			func(tr *Tree) bool { return tr.Root.Label == "a" && tr.Root.Children[0].Label == "b" }},
+		{"a BOM and white space may lead", "\ufeff \n<?xml version=\"1.0\" encoding=\"utf-8\"?><a/>",
+			func(tr *Tree) bool { return tr.Len() == 1 && tr.Root.Type == TypeNull }},
+		{"a surrogate reference reads as U+FFFD", "<a>&#xD800;</a>",
+			func(tr *Tree) bool { return tr.Root.Str == "\uFFFD" }},
+		{"CR LF and lone CR read as LF", "<a>x\r\ny\rz w</a>",
+			func(tr *Tree) bool { return tr.Root.Str == "x\ny\nz w" }},
+	}
+	for _, c := range cases {
+		tr, err := Parse(strings.NewReader(c.doc), ParseOptions{})
+		if err != nil {
+			t.Errorf("%s: Parse(%q): %v", c.name, c.doc, err)
+			continue
+		}
+		if !c.check(tr) {
+			t.Errorf("%s: Parse(%q) built an unexpected tree: %+v", c.name, c.doc, shapeOf(tr))
+		}
+		for _, opts := range oracleOptions {
+			checkOracle(t, []byte(c.doc), opts)
+		}
+	}
+}
+
+// tokenizeCases are texts whose terms are easy to get wrong: case,
+// single characters, runes whose lower case has another length, and
+// invalid UTF-8.
+var tokenizeCases = []string{
+	"", "!!! ... ???", "a b c", "XML, employs a Tree-structured data-model!",
+	"aa bb cc dd ee", "aa bb cc dd ee ff", "aa bb cc dd ee f", "aa bb cc dd ee \u0130",
+	"aa bb cc dd ee \u212a", "\u0130\u0130 \u212aK \u00c9cole \u00e9COLE", "x\xffy zz\xc3",
+	"one_two three-four 5six 1_000", "日本語 テキスト ok",
 }
 
 func TestDefaultTypeHint(t *testing.T) {
@@ -147,7 +216,20 @@ func TestDefaultTypeHint(t *testing.T) {
 	}{
 		{"1984", TypeNumeric},
 		{"  42 ", TypeNumeric},
+		{"+5", TypeNumeric},
+		{"-0", TypeNumeric},
+		{"\u00a0 42\u2003", TypeNumeric},
+		{"99999999999999999999", TypeString},
+		{"1_000", TypeString},
+		{"12abc", TypeString},
+		{"+", TypeString},
+		{"", TypeString},
+		{"!!! ... ???", TypeString},
 		{"Database Systems", TypeString},
+		{"aa bb cc dd ee", TypeString},
+		{"aa bb cc dd ee f", TypeString},
+		{"aa bb cc dd ee \u0130", TypeString},
+		{"aa bb cc dd ee ff", TypeText},
 		{"one two three four five six seven", TypeText},
 	}
 	for _, c := range cases {
@@ -155,17 +237,33 @@ func TestDefaultTypeHint(t *testing.T) {
 			t.Errorf("hint(%q) = %v, want %v", c.text, got, c.want)
 		}
 	}
+	// The hint's answers are strconv.Atoi's and the term count's.
+	texts := append([]string(nil), tokenizeCases...)
+	for _, c := range cases {
+		texts = append(texts, c.text)
+	}
+	for _, text := range texts {
+		want := TypeString
+		if _, err := strconv.Atoi(strings.TrimSpace(text)); err == nil {
+			want = TypeNumeric
+		} else if len(Tokenize(text)) > 5 {
+			want = TypeText
+		}
+		if got := DefaultTypeHint("", text); got != want {
+			t.Errorf("hint(%q) = %v; Atoi and the term count say %v", text, got, want)
+		}
+	}
 }
 
 func TestTokenize(t *testing.T) {
 	got := Tokenize("XML, employs a Tree-structured data-model!")
 	want := []string{"xml", "employs", "tree", "structured", "data", "model"}
-	if len(got) != len(want) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Tokenize = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Tokenize[%d] = %q, want %q", i, got[i], want[i])
+	for _, text := range tokenizeCases {
+		if got, want := countTerms(text, 1<<30), len(Tokenize(text)); got != want {
+			t.Errorf("countTerms(%q) = %d, want %d", text, got, want)
 		}
 	}
 }
@@ -196,6 +294,53 @@ func TestInternTextDedup(t *testing.T) {
 	}
 	if ids[0] >= ids[1] {
 		t.Fatalf("ids not sorted: %v", ids)
+	}
+	// Repeated, mixed-case and single-character tokens: terms are interned
+	// lower-cased in order of first use, single characters are dropped,
+	// and the vector is the sorted distinct ids.
+	d = NewDict()
+	d.Intern("zeta")
+	ids = d.InternText("Tree a XML b tree ZETA x \u00c9cole TREE xml \u00e9COLE 7")
+	if want := []int{0, 1, 2, 3}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("InternText ids = %v, want %v", ids, want)
+	}
+	if want := []string{"zeta", "tree", "xml", "\u00e9cole"}; !reflect.DeepEqual(d.Terms(), want) {
+		t.Fatalf("dictionary terms = %q, want %q", d.Terms(), want)
+	}
+	if ids := d.InternText("a . b !"); ids != nil {
+		t.Fatalf("InternText of no terms = %v, want nil", ids)
+	}
+	if ids := d.InternTerms([]string{"xml", "new", "zeta", "xml"}); !reflect.DeepEqual(ids, []int{0, 2, 4}) {
+		t.Fatalf("InternTerms = %v, want [0 2 4]", ids)
+	}
+	for _, text := range tokenizeCases {
+		want := NewDict()
+		for _, term := range Tokenize(text) {
+			want.Intern(term)
+		}
+		got := NewDict()
+		ids := got.InternText(text)
+		if !reflect.DeepEqual(got.Terms(), want.Terms()) || len(ids) != want.Len() {
+			t.Errorf("InternText(%q) interned %q as %v, want %q", text, got.Terms(), ids, want.Terms())
+		}
+	}
+}
+
+// TestInternCopiesTerms checks that the dictionary keeps copies, never
+// the caller's memory.
+func TestInternCopiesTerms(t *testing.T) {
+	d := NewDict()
+	text := strings.Repeat("long free text ", 4)
+	id := d.Intern(text[5:9])
+	if unsafe.StringData(d.Term(id)) == unsafe.StringData(text[5:9]) {
+		t.Fatal("Intern stored the caller's string")
+	}
+	for _, id := range d.InternText(text) {
+		term := d.Term(id)
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(term))); p >= uintptr(unsafe.Pointer(unsafe.StringData(text))) &&
+			p < uintptr(unsafe.Pointer(unsafe.StringData(text)))+uintptr(len(text)) {
+			t.Fatalf("InternText stored %q inside the caller's text", term)
+		}
 	}
 }
 
@@ -299,4 +444,37 @@ func TestParseAttributes(t *testing.T) {
 	if len(feat) != 1 || feat[0].Type != TypeString || feat[0].Str != "yes" {
 		t.Fatalf("@featured = %+v", feat)
 	}
+}
+
+// FuzzInternText checks the word scanner against Tokenize on arbitrary
+// text: countTerms' count, DefaultTypeHint's TEXT decision, and the
+// terms InternText interns, in order.
+func FuzzInternText(f *testing.F) {
+	for _, text := range tokenizeCases {
+		f.Add(text)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		want := Tokenize(text)
+		if got := countTerms(text, 6); got != min(len(want), 6) {
+			t.Fatalf("countTerms(%q, 6) = %d, want %d", text, got, min(len(want), 6))
+		}
+		wantHint := TypeString
+		if _, err := strconv.Atoi(strings.TrimSpace(text)); err == nil {
+			wantHint = TypeNumeric
+		} else if len(want) > 5 {
+			wantHint = TypeText
+		}
+		if got := DefaultTypeHint("", text); got != wantHint {
+			t.Fatalf("DefaultTypeHint(%q) = %v, want %v", text, got, wantHint)
+		}
+		wantDict := NewDict()
+		for _, term := range want {
+			wantDict.Intern(term)
+		}
+		d := NewDict()
+		ids := d.InternText(text)
+		if !reflect.DeepEqual(d.Terms(), wantDict.Terms()) || len(ids) != wantDict.Len() {
+			t.Fatalf("InternText(%q) interned %q as %v, want %q", text, d.Terms(), ids, wantDict.Terms())
+		}
+	})
 }
