@@ -49,10 +49,10 @@ go build -o "$bindir" ./cmd/...
 "$bindir/xclusterd" -version
 
 # The -short -race pass includes the build differential tests
-# (internal/core TestBuildWorkersAndMemoIdentical and
+# (internal/core TestBuildWorkersAndCacheIdentical and
 # TestSweepMatchesIndividualBuilds, on a synthetic tree and the
-# value-bearing IMDB and XMark generators): serial, parallel and
-# memoized construction must agree bit-for-bit, and so must a sweep
+# value-bearing IMDB and XMark generators): serial and parallel, cached
+# and uncached construction must agree bit-for-bit, and so must a sweep
 # with one build per budget under every policy, with the worker pool
 # and the sweep's concurrent value phases under the race detector.
 go test -short -race ./...

@@ -253,7 +253,6 @@ func main() {
 							"build_workers", ev.Build.Workers,
 							"merges", ev.Build.Merges,
 							"pairs_evaluated", ev.Build.PairsEvaluated,
-							"memo_hit_rate", ev.Build.MemoHitRate(),
 							"merge_seconds", ev.Build.MergeSeconds,
 							"value_seconds", ev.Build.ValueSeconds,
 						)

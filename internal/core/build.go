@@ -46,10 +46,10 @@ type BuildOptions struct {
 	// order (marginal loss, then mass, then (u, v)) makes the merge
 	// sequence identical at any parallelism.
 	Workers int
-	// noDeltaMemo disables the pair-Δ memo table, recomputing every
-	// candidate from scratch: the serial unmemoized build, kept as the
-	// oracle the package's differential tests compare the memo against.
-	noDeltaMemo bool
+	// noEvalCache disables the evaluation and signature caches,
+	// recomputing every candidate from scratch: the uncached build, kept
+	// as the oracle the package's differential tests compare against.
+	noEvalCache bool
 	// Progress, when non-nil, receives periodic BuildProgress snapshots
 	// from the build goroutine (synchronously; keep the callback cheap).
 	Progress func(BuildProgress)
@@ -97,15 +97,11 @@ type BuildStats struct {
 	Workers int `json:"workers"`
 	// Merges is the number of node merges applied.
 	Merges int64 `json:"merges"`
-	// PairsEvaluated counts full Δ evaluations (memo misses included).
+	// PairsEvaluated counts candidate Δ evaluations.
 	PairsEvaluated int64 `json:"pairs_evaluated"`
-	// MemoHits counts candidate lookups answered from the pair-Δ memo
-	// table instead of a fresh evaluation.
+	// Deprecated: always zero; the pair-Δ memo is gone. bench/ still reads it.
 	MemoHits int64 `json:"memo_hits"`
-	// MemoPartialHits counts lookups where the cached clustering-error
-	// term was reused and only the integer structural savings were
-	// recomputed (an endpoint's parent set changed, its centroid state
-	// did not; see delta.go).
+	// Deprecated: always zero; the pair-Δ memo is gone. bench/ still reads it.
 	MemoPartialHits int64 `json:"memo_partial_hits"`
 	// PoolBuilds counts candidate-pool (re)constructions.
 	PoolBuilds int64 `json:"pool_builds"`
@@ -114,16 +110,10 @@ type BuildStats struct {
 	ValueSeconds float64 `json:"value_seconds"`
 }
 
-// MemoHitRate is the fraction of candidate lookups the memo table
-// absorbed (0 when the memo is disabled).
-func (s BuildStats) MemoHitRate() float64 {
-	hits := s.MemoHits + s.MemoPartialHits
-	lookups := hits + s.PairsEvaluated
-	if lookups == 0 {
-		return 0
-	}
-	return float64(hits) / float64(lookups)
-}
+// MemoHitRate returns 0.
+//
+// Deprecated: always zero; the pair-Δ memo is gone. bench/ still reads it.
+func (s BuildStats) MemoHitRate() float64 { return 0 }
 
 // BuildProgress is a point-in-time snapshot of a running build,
 // delivered to BuildOptions.Progress from the build goroutine.
@@ -136,10 +126,9 @@ type BuildProgress struct {
 	StructBudget int `json:"struct_budget"`
 	ValueBytes   int `json:"value_bytes"`
 	ValueBudget  int `json:"value_budget"`
-	// Merges, PairsEvaluated and MemoHits mirror BuildStats so far.
+	// Merges and PairsEvaluated mirror BuildStats so far.
 	Merges         int64 `json:"merges"`
 	PairsEvaluated int64 `json:"pairs_evaluated"`
-	MemoHits       int64 `json:"memo_hits"`
 	// Elapsed is the wall time since the build started.
 	Elapsed time.Duration `json:"elapsed"`
 }
@@ -263,8 +252,6 @@ func build(ctx context.Context, ref *Synopsis, structBudgets []int, valueBudget 
 		opts.Metrics.Observe(MetricBuildPhaseSeconds, `phase="value"`, b.stats.ValueSeconds)
 		opts.Metrics.Add(MetricBuildMergesTotal, "", float64(b.stats.Merges))
 		opts.Metrics.Add(MetricBuildPairsTotal, `outcome="computed"`, float64(b.stats.PairsEvaluated))
-		opts.Metrics.Add(MetricBuildPairsTotal, `outcome="memo_hit"`, float64(b.stats.MemoHits))
-		opts.Metrics.Add(MetricBuildPairsTotal, `outcome="memo_partial"`, float64(b.stats.MemoPartialHits))
 	}
 	if opts.Stats != nil {
 		*opts.Stats = b.stats
@@ -279,9 +266,9 @@ func build(ctx context.Context, ref *Synopsis, structBudgets []int, valueBudget 
 // stampBuild records a compression's build identity: the budgets it
 // ran under, provenance static, the completion time and the wall time
 // since start. The doc hash and option summary arrive via the
-// reference's fingerprint (through Clone). Workers and the memo are
-// deliberately absent: they must not affect the output, so they are
-// not part of the synopsis identity.
+// reference's fingerprint (through Clone). Workers and the evaluation
+// caches are deliberately absent: they must not affect the output, so
+// they are not part of the synopsis identity.
 func (s *Synopsis) stampBuild(structBudget, valueBudget int, start time.Time) {
 	s.fp.StructBudget, s.fp.ValueBudget = structBudget, valueBudget
 	s.fp.Provenance, s.fp.WorkloadFingerprint = ProvenanceStatic, ""
@@ -289,20 +276,17 @@ func (s *Synopsis) stampBuild(structBudget, valueBudget int, start time.Time) {
 	s.fp.BuildNanos = time.Since(start).Nanoseconds()
 }
 
-// newBuilder assembles a builder with its incremental indexes. The memo
-// table serves only the default Δ policy: the global metric's Δ depends
-// on the whole reference-to-cluster assignment (any merge anywhere
-// shifts it), which the neighborhood version stamps do not cover.
+// newBuilder assembles a builder with its incremental indexes. The
+// caches serve only the default Δ policy: the global metric never reads
+// the evaluation cache, and random merges evaluate no Δ at all.
 func newBuilder(ctx context.Context, s *Synopsis, opts BuildOptions) *builder {
 	b := &builder{
 		s: s, opts: opts, ctx: ctx,
 		ver:   make(map[NodeID]int),
-		cver:  make(map[NodeID]int),
 		start: time.Now(),
 	}
 	b.stats.Workers = opts.Workers
-	if !opts.noDeltaMemo && !opts.GlobalMetric && !opts.RandomMerges {
-		b.memo = make(map[pairKey]memoEntry)
+	if !opts.noEvalCache && !opts.GlobalMetric && !opts.RandomMerges {
 		b.sigs = make(map[NodeID]sigEntry)
 		b.evalc = &evalCache{}
 	}
@@ -364,20 +348,13 @@ type builder struct {
 	snaps   []*Synopsis
 	// ver tracks node adjacency versions so queued candidates whose
 	// neighborhoods changed are lazily re-evaluated (the paper recomputes
-	// marginal losses in the merged nodes' neighborhood eagerly). cver
-	// tracks only centroid-affecting changes (a node's own children or
-	// summary) so the memo can keep a pair's error term across
-	// parent-side churn; see the invalidation rule in delta.go.
-	ver  map[NodeID]int
-	cver map[NodeID]int
-	// memo caches pair-Δ evaluations keyed by oriented pair, validated
-	// against ver stamps (nil when disabled; see delta.go).
-	memo map[pairKey]memoEntry
+	// marginal losses in the merged nodes' neighborhood eagerly).
+	ver map[NodeID]int
 	// sigs caches childSig per node version: the signature only changes
 	// when a node's child set does, which always bumps its version.
 	sigs map[NodeID]sigEntry
 	// evalc caches summary-derived state across Δ evaluations (nil when
-	// the memo is disabled; see delta.go).
+	// disabled; see delta.go).
 	evalc *evalCache
 	// groups indexes live node ids by merge-compatibility group in
 	// ascending id order, so follow-up pairing touches one group instead
@@ -422,7 +399,6 @@ func (b *builder) emitProgress(phase string, valueBytes int) {
 		ValueBudget:    b.opts.ValueBudget,
 		Merges:         b.stats.Merges,
 		PairsEvaluated: b.stats.PairsEvaluated,
-		MemoHits:       b.stats.MemoHits,
 		Elapsed:        time.Since(b.start),
 	})
 }
@@ -470,34 +446,16 @@ func (h *candHeap) Pop() any {
 }
 
 // evalCands resolves Δ and marginal loss for proposed pairs, dropping
-// infeasible ones. Order is preserved. Memo hits are answered serially;
-// the remaining misses are pure, read-only evaluations, so they fan out
-// over opts.Workers goroutines; results are stored back into the memo
-// serially. Slot i of the result belongs to pair i regardless of which
-// worker computed it, so worker count and scheduling cannot change the
-// candidate ranking.
+// infeasible ones. Order is preserved. The evaluations are pure and
+// read-only, so they fan out over opts.Workers goroutines; slot i of the
+// result belongs to pair i regardless of which worker computed it, so
+// worker count and scheduling cannot change the candidate ranking.
 func (b *builder) evalCands(pairs []pairKey) []*mergeCand {
 	cands := make([]*mergeCand, len(pairs))
-	var misses []int
-	for i, p := range pairs {
-		if b.memo != nil {
-			if c, hit := b.memoLookup(p.u, p.v); hit {
-				cands[i] = c
-				continue
-			}
-		}
-		misses = append(misses, i)
-	}
-	fanOut(len(misses), b.opts.Workers, func(k int) {
-		p := pairs[misses[k]]
-		cands[misses[k]] = b.computeCand(p.u, p.v)
+	fanOut(len(pairs), b.opts.Workers, func(i int) {
+		cands[i] = b.computeCand(pairs[i].u, pairs[i].v)
 	})
-	b.stats.PairsEvaluated += int64(len(misses))
-	if b.memo != nil {
-		for _, i := range misses {
-			b.memoStore(pairs[i].u, pairs[i].v, cands[i])
-		}
-	}
+	b.stats.PairsEvaluated += int64(len(pairs))
 	return slices.DeleteFunc(cands, func(c *mergeCand) bool { return c == nil })
 }
 
@@ -527,26 +485,17 @@ func fanOut(n, workers int, work func(i int)) {
 	wg.Wait()
 }
 
-// newCand evaluates the merge (u, v) through the memo table, returning
-// nil when it cannot be applied. Serial callers only; parallel workers
-// go through computeCand and store afterwards.
+// newCand evaluates the merge (u, v) and counts the evaluation,
+// returning nil when it cannot be applied. Serial callers only; parallel
+// workers go through computeCand and evalCands counts for them.
 func (b *builder) newCand(u, v NodeID) *mergeCand {
-	if b.memo != nil {
-		if c, hit := b.memoLookup(u, v); hit {
-			return c
-		}
-		c := b.computeCand(u, v)
-		b.stats.PairsEvaluated++
-		b.memoStore(u, v, c)
-		return c
-	}
 	c := b.computeCand(u, v)
 	b.stats.PairsEvaluated++
 	return c
 }
 
-// computeCand evaluates the merge (u, v) from scratch, returning nil
-// when it cannot be applied. It is read-only against the builder, so
+// computeCand evaluates the merge (u, v), returning nil when it cannot
+// be applied. It is read-only against the builder, so
 // concurrent calls are safe.
 func (b *builder) computeCand(u, v NodeID) *mergeCand {
 	var (
@@ -557,7 +506,7 @@ func (b *builder) computeCand(u, v NodeID) *mergeCand {
 	if b.opts.GlobalMetric {
 		delta, saved, err = b.globalDelta(u, v)
 	} else {
-		delta, saved, err = b.s.mergeDeltaCached(u, v, DefaultAtomicCap, b.evalc)
+		delta, saved, err = b.s.mergeDelta(u, v, DefaultAtomicCap, b.evalc)
 	}
 	if err != nil {
 		return nil
@@ -793,7 +742,6 @@ func (b *builder) mergePhase() error {
 		if err := b.cancelled(); err != nil {
 			return err
 		}
-		b.memoSweep()
 		levels := b.s.Levels()
 		maxLvl := 0
 		for _, lv := range levels {
@@ -870,8 +818,7 @@ func (b *builder) mergePhase() error {
 }
 
 // applyMerge performs the merge (u, v) and maintains the builder's
-// incremental state: version stamps (which double as memo
-// invalidation), the group index, global-metric membership, stats and
+// incremental state: version stamps, the group index, global-metric membership, stats and
 // the sweep snapshot hook. Every merge the builder applies must go
 // through here.
 func (b *builder) applyMerge(u, v NodeID) (*Node, error) {
@@ -907,23 +854,17 @@ func (b *builder) snapshotDue() {
 }
 
 // touchNeighborhood bumps the versions of a freshly merged node and its
-// neighbors so queued candidates referencing them are re-evaluated.
-// These bumps are also the memo table's invalidation: they cover the
-// full dependency set of every Δ the merge could have changed (see the
-// invalidation rule in delta.go).
+// neighbors so queued candidates referencing them are re-evaluated: the
+// bumps cover every node whose Δ inputs the merge could have changed —
+// w itself, its children (their Parents moved) and its parents (their
+// Children moved).
 func (b *builder) touchNeighborhood(w *Node) {
 	b.ver[w.ID]++
-	b.cver[w.ID]++
 	for c := range w.Children {
-		// Only the child's Parents changed: its centroid state (own
-		// children, count, summary) is intact, so cver stays put and
-		// memoized error terms involving it remain exact.
 		b.ver[c]++
 	}
 	for p := range w.Parents {
-		// The parent's child set changed: full invalidation.
 		b.ver[p]++
-		b.cver[p]++
 	}
 }
 

@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"math/rand"
-	"sort"
 	"testing"
 
 	"xcluster/internal/datagen"
@@ -40,13 +38,14 @@ func valueFixture(t *testing.T, tr *xmltree.Tree, paths []string) *Synopsis {
 	return ref
 }
 
-// TestBuildWorkersAndMemoIdentical is the differential test of the
-// tentpole invariant: worker count and the pair-Δ memo table are pure
-// performance knobs — every configuration must produce the same bytes,
-// on a synthetic structure-only tree and on the value-bearing IMDB and
-// XMark generators alike. It runs under -short on purpose, so that the
-// -race pass audits the worker pool.
-func TestBuildWorkersAndMemoIdentical(t *testing.T) {
+// TestBuildWorkersAndCacheIdentical is the build differential: worker
+// count and the evaluation caches are pure performance knobs — every
+// configuration must produce the same bytes and merges, and score the
+// same pairs, as the serial uncached oracle, on a synthetic
+// structure-only tree and on the value-bearing IMDB and XMark
+// generators alike. It runs under -short on purpose, so that the -race
+// pass audits the worker pool.
+func TestBuildWorkersAndCacheIdentical(t *testing.T) {
 	synth, _ := buildFixture(t, 31, 300)
 	imdb := valueFixture(t, datagen.IMDB(datagen.IMDBConfig{Seed: 7, Scale: 0.2}), datagen.IMDBValuePaths())
 	xmark := valueFixture(t, datagen.XMark(datagen.XMarkConfig{Seed: 7, Scale: 0.2}), datagen.XMarkValuePaths())
@@ -72,12 +71,12 @@ func TestBuildWorkersAndMemoIdentical(t *testing.T) {
 	variants := []struct {
 		name    string
 		workers int
-		noMemo  bool
+		noCache bool
 	}{
 		{"serial", 1, true},
 		{"parallel", 4, true},
-		{"memo", 1, false},
-		{"parallel+memo", 4, false},
+		{"cached", 1, false},
+		{"parallel+cached", 4, false},
 	}
 	for _, f := range fixtures {
 		t.Run(f.name, func(t *testing.T) {
@@ -86,15 +85,12 @@ func TestBuildWorkersAndMemoIdentical(t *testing.T) {
 			for _, v := range variants {
 				opts := f.opts
 				opts.Workers = v.workers
-				opts.noDeltaMemo = v.noMemo
+				opts.noEvalCache = v.noCache
 				var stats BuildStats
 				opts.Stats = &stats
 				s, err := XClusterBuild(f.ref, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", v.name, err)
-				}
-				if v.noMemo && stats.MemoHits+stats.MemoPartialHits != 0 {
-					t.Fatalf("%s: unmemoized build recorded memo hits: %+v", v.name, stats)
 				}
 				got := codecBytes(t, s)
 				if want == nil {
@@ -107,11 +103,8 @@ func TestBuildWorkersAndMemoIdentical(t *testing.T) {
 				if stats.Merges != wantStats.Merges {
 					t.Fatalf("%s: %d merges, serial did %d", v.name, stats.Merges, wantStats.Merges)
 				}
-				if !v.noMemo && stats.MemoHits == 0 {
-					t.Fatalf("%s: memo enabled but never hit", v.name)
-				}
-				if !v.noMemo && stats.PairsEvaluated >= wantStats.PairsEvaluated {
-					t.Fatalf("%s: memo did not reduce evaluations (%d >= %d)",
+				if stats.PairsEvaluated != wantStats.PairsEvaluated {
+					t.Fatalf("%s: %d pairs evaluated, serial did %d",
 						v.name, stats.PairsEvaluated, wantStats.PairsEvaluated)
 				}
 			}
@@ -190,82 +183,5 @@ func TestBuildProgress(t *testing.T) {
 	final := snaps[len(snaps)-1]
 	if final.ValueBytes > opts.ValueBudget {
 		t.Fatalf("final value bytes %d over budget %d", final.ValueBytes, opts.ValueBudget)
-	}
-}
-
-// TestMemoNeverServesStaleDelta drives random merge sequences through
-// the builder's own bookkeeping and, after every merge, checks that the
-// memoized Δ of random live pairs matches a fresh recomputation
-// bit-for-bit. This is the property the version-stamp invalidation rule
-// must guarantee: no merge may leave a reachable stale entry behind.
-func TestMemoNeverServesStaleDelta(t *testing.T) {
-	for seed := int64(40); seed < 44; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		ref, _ := buildFixture(t, seed, 150)
-		opts := BuildOptions{StructBudget: 1, ValueBudget: 1}.withDefaults()
-		b := newBuilder(nil, ref.Clone(), opts)
-		if b.memo == nil {
-			t.Fatal("memo not enabled by default")
-		}
-		b.initGroups()
-
-		// Sorted group keys for deterministic random pair draws.
-		groupKeys := func() []groupKey {
-			keys := make([]groupKey, 0, len(b.groups))
-			for k, ids := range b.groups {
-				if len(ids) >= 2 {
-					keys = append(keys, k)
-				}
-			}
-			sort.Slice(keys, func(i, j int) bool {
-				if keys[i].label != keys[j].label {
-					return keys[i].label < keys[j].label
-				}
-				if keys[i].vt != keys[j].vt {
-					return keys[i].vt < keys[j].vt
-				}
-				return !keys[i].hasV && keys[j].hasV
-			})
-			return keys
-		}
-		randPair := func(keys []groupKey) (NodeID, NodeID) {
-			ids := b.groups[keys[rng.Intn(len(keys))]]
-			i := rng.Intn(len(ids))
-			j := rng.Intn(len(ids) - 1)
-			if j >= i {
-				j++
-			}
-			return ids[i], ids[j]
-		}
-
-		for step := 0; step < 60; step++ {
-			keys := groupKeys()
-			if len(keys) == 0 {
-				break
-			}
-			// Probe a handful of pairs: first via the memo (warming it or
-			// hitting it), then against a fresh recomputation.
-			for probe := 0; probe < 8; probe++ {
-				u, v := randPair(keys)
-				got := b.newCand(u, v)
-				fresh := b.computeCand(u, v)
-				switch {
-				case got == nil && fresh == nil:
-				case got == nil || fresh == nil:
-					t.Fatalf("seed %d step %d: memo feasibility diverges for (%d,%d)", seed, step, u, v)
-				case got.delta != fresh.delta || got.saved != fresh.saved || got.marginal != fresh.marginal:
-					t.Fatalf("seed %d step %d: stale Δ for (%d,%d): memo (%g,%d) fresh (%g,%d)",
-						seed, step, u, v, got.delta, got.saved, fresh.delta, fresh.saved)
-				}
-			}
-			// Apply a random merge through the builder's bookkeeping.
-			u, v := randPair(keys)
-			if _, err := b.applyMerge(u, v); err != nil {
-				t.Fatalf("seed %d step %d: %v", seed, step, err)
-			}
-		}
-		if b.stats.MemoHits == 0 {
-			t.Fatalf("seed %d: property test never exercised a memo hit", seed)
-		}
 	}
 }

@@ -349,7 +349,7 @@ func TestMergeDeltaZeroForIdenticalClusters(t *testing.T) {
 	s.setEdge(r, v, 6)
 	u.VSum = vsum.NewNumeric([]int{1, 1, 2, 2}, 0)
 	v.VSum = vsum.NewNumeric([]int{1, 1, 1, 2, 2, 2}, 0)
-	delta, saved, err := s.MergeDelta(u.ID, v.ID, 0)
+	delta, saved, err := s.mergeDelta(u.ID, v.ID, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestMergeDeltaPositiveForDifferentDistributions(t *testing.T) {
 	s.setEdge(r, v, 4)
 	u.VSum = vsum.NewNumeric([]int{1, 1, 1, 1}, 0)
 	v.VSum = vsum.NewNumeric([]int{100, 100, 100, 100}, 0)
-	delta, _, err := s.MergeDelta(u.ID, v.ID, 0)
+	delta, _, err := s.mergeDelta(u.ID, v.ID, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestMergeDeltaStructuralDifference(t *testing.T) {
 	s.setEdge(r, v, 2)
 	s.setEdge(u, leaf, 10) // u-elements have 10 L-children
 	s.setEdge(v, leaf, 0)  // v-elements have none (edge with zero avg)
-	delta, _, err := s.MergeDelta(u.ID, v.ID, 0)
+	delta, _, err := s.mergeDelta(u.ID, v.ID, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

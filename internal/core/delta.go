@@ -203,7 +203,7 @@ func edgeCountsTo(x *Node, t NodeID, uid, vid, placeholder NodeID) float64 {
 // placeholderID marks the would-be merged node in Δ computations.
 const placeholderID NodeID = -1
 
-// MergeDelta computes the clustering-error increase Δ(S, merge(S,u,v)) of
+// mergeDelta computes the clustering-error increase Δ(S, merge(S,u,v)) of
 // Section 4.1:
 //
 //	Δ = |u| Σ_p Σ_c (e_S(u,p,c) − e_S′(w,p,c))²
@@ -215,22 +215,19 @@ const placeholderID NodeID = -1
 // use a single virtual unit child so that value differences still
 // register (the atomic query u[p] itself). It also returns the structural
 // bytes the merge would save.
-func (s *Synopsis) MergeDelta(uid, vid NodeID, atomicCap int) (delta float64, structSaved int, err error) {
-	return s.mergeDeltaCached(uid, vid, atomicCap, nil)
-}
-
-// mergeDeltaCached is MergeDelta with an optional evaluation cache
-// (nil behaves exactly like the plain form). With a cache, per-summary
-// atomic enumerations are memoized, and summaries implementing
+//
+// ec is the build's optional evaluation cache (nil computes everything
+// afresh). With a cache, per-summary atomic enumerations and per-pair
+// selectivity profiles are served from it, and summaries implementing
 // vsum.FusedSeler answer the merged-summary selectivities without
 // materializing the fusion; both are bit-for-bit neutral.
-func (s *Synopsis) mergeDeltaCached(uid, vid NodeID, atomicCap int, ec *evalCache) (delta float64, structSaved int, err error) {
+func (s *Synopsis) mergeDelta(uid, vid NodeID, atomicCap int, ec *evalCache) (delta float64, structSaved int, err error) {
 	u, v := s.nodes[uid], s.nodes[vid]
 	if u == nil || v == nil {
-		return 0, 0, fmt.Errorf("core: MergeDelta(%d,%d): node gone", uid, vid)
+		return 0, 0, fmt.Errorf("core: mergeDelta(%d,%d): node gone", uid, vid)
 	}
 	if !Compatible(u, v) {
-		return 0, 0, fmt.Errorf("core: MergeDelta(%d,%d): incompatible", uid, vid)
+		return 0, 0, fmt.Errorf("core: mergeDelta(%d,%d): incompatible", uid, vid)
 	}
 	children := mergedChildren(u, v, placeholderID)
 
@@ -304,133 +301,12 @@ func (s *Synopsis) mergeSavings(u, v *Node, wEdges int) int {
 	return NodeBytes + (before+extParents-after)*EdgeBytes
 }
 
-// ---- pair-Δ memoization ----
-//
-// The merge phase evaluates the same candidate pairs over and over: the
-// pool is rebuilt from scratch at every level step and every replenish,
-// yet a merge changes the Δ of only the pairs touching the merged
-// node's neighborhood. The memo table below caches Δ evaluations and
-// invalidates them incrementally instead of recomputing the frontier.
-//
-// Invalidation rule. Δ(u, v) splits into two terms with different
-// dependency sets:
-//
-//   - the clustering-error term depends on u's and v's Count, Children
-//     and VSum (the centroid and selectivity sums) — the "centroid
-//     state" of the two endpoints;
-//   - the structural savings depend additionally on u's and v's Parents
-//     and on the parents' Children entries toward u and v.
-//
-// A merge of (x, y) into w perturbs that state for three disjoint node
-// sets: w itself (new node), the parents of w (their Children changed
-// from x/y to w — centroid state), and the children of w (only their
-// Parents changed — savings state, their centroid state is untouched).
-// The builder therefore keeps two version counters per node: ver bumps
-// for any Δ-relevant change, cver only for centroid changes (w and the
-// parents of w). A memo entry is fully valid while both endpoints' ver
-// stamps match; if only the cver stamps match, the cached error term is
-// still exact and just the integer savings — no summary work — are
-// recomputed. Pairs whose endpoint died are caught by the liveness
-// check (a consumed node's versions are never bumped again), and
-// infeasibility (incompatible labels/types) is permanent for live
-// nodes, so it is remembered without any stamp.
-
 // pairKey identifies an ordered candidate pair. Orientation matters:
 // Merge(u, v) and Merge(v, u) accumulate their float sums in different
-// orders and may differ in the last ULPs, so (u, v) and (v, u) are
-// distinct memo entries — collapsing them would break bit-for-bit
-// reproducibility against the unmemoized build.
+// orders and may differ in the last ULPs, so a candidate keeps the
+// orientation it was proposed in — normalizing (v, u) to (u, v) would
+// change the Δs a build ranks on.
 type pairKey struct{ u, v NodeID }
-
-// memoEntry caches one Δ evaluation with the version stamps of both
-// endpoints at evaluation time. feasible is false when the pair cannot
-// merge (incompatible nodes).
-type memoEntry struct {
-	delta        float64
-	saved        int
-	verU, verV   int // full stamps: entry exact while both match
-	cverU, cverV int // centroid stamps: delta exact while both match
-	feasible     bool
-}
-
-// memoLookup returns the cached candidate for (u, v) if a valid entry
-// exists, recomputing just the structural savings when only the
-// parent-side state moved. The second return reports whether the
-// lookup was conclusive: (nil, true) means the pair is known
-// infeasible, (nil, false) means the caller must evaluate it afresh.
-func (b *builder) memoLookup(u, v NodeID) (*mergeCand, bool) {
-	e, ok := b.memo[pairKey{u, v}]
-	if !ok {
-		return nil, false
-	}
-	un, vn := b.s.nodes[u], b.s.nodes[v]
-	if un == nil || vn == nil {
-		// A dead endpoint can never merge again; its versions are
-		// frozen, so the stamp checks alone must not validate the entry.
-		b.stats.MemoHits++
-		return nil, true
-	}
-	if !e.feasible {
-		// Compatibility is a function of immutable node attributes:
-		// once infeasible for live nodes, infeasible forever.
-		b.stats.MemoHits++
-		return nil, true
-	}
-	if e.verU != b.ver[u] || e.verV != b.ver[v] {
-		if e.cverU != b.cver[u] || e.cverV != b.cver[v] {
-			return nil, false
-		}
-		// Centroid state intact: the error term is still exact, only
-		// the structural savings may have moved (an endpoint's parent
-		// set changed). Recompute them without touching any summary.
-		children := mergedChildren(un, vn, placeholderID)
-		saved := b.s.mergeSavings(un, vn, len(children))
-		if saved < 1 {
-			saved = 1
-		}
-		e.saved = saved
-		e.verU, e.verV = b.ver[u], b.ver[v]
-		b.memo[pairKey{u, v}] = e
-		b.stats.MemoPartialHits++
-	} else {
-		b.stats.MemoHits++
-	}
-	return &mergeCand{
-		u: u, v: v, delta: e.delta, saved: e.saved,
-		marginal: e.delta / float64(e.saved),
-		mass:     un.Count + vn.Count,
-		verU:     e.verU, verV: e.verV,
-	}, true
-}
-
-// memoStore records the outcome of evaluating (u, v) under the current
-// version stamps. c == nil records infeasibility.
-func (b *builder) memoStore(u, v NodeID, c *mergeCand) {
-	e := memoEntry{
-		verU: b.ver[u], verV: b.ver[v],
-		cverU: b.cver[u], cverV: b.cver[v],
-	}
-	if c != nil {
-		e.feasible = true
-		e.delta = c.delta
-		e.saved = c.saved
-	}
-	b.memo[pairKey{u, v}] = e
-}
-
-// memoSweep drops entries whose endpoints died, bounding the table to
-// pairs that can still come up. It only bothers once the table clearly
-// outgrew the live pair population.
-func (b *builder) memoSweep() {
-	if b.memo == nil || len(b.memo) <= 8*pairWindow*len(b.s.nodes) {
-		return
-	}
-	for k := range b.memo {
-		if b.s.nodes[k.u] == nil || b.s.nodes[k.v] == nil {
-			delete(b.memo, k)
-		}
-	}
-}
 
 // CompressDelta computes the clustering-error increase of replacing
 // vsumm(u) with the compressed summary cs: the first summand of the Δ

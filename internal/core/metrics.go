@@ -21,8 +21,8 @@ const (
 	// MetricBuildPhaseSeconds is a histogram of synopsis-build phase
 	// wall time, labeled phase="merge|value".
 	MetricBuildPhaseSeconds = "xcluster_build_phase_seconds"
-	// MetricBuildPairsTotal counts candidate-pair Δ lookups during
-	// builds, labeled outcome="computed|memo_hit".
+	// MetricBuildPairsTotal counts candidate-pair Δ evaluations during
+	// builds, labeled outcome="computed" (the only outcome).
 	MetricBuildPairsTotal = "xcluster_build_pairs_total"
 	// MetricBuildMergesTotal counts node merges applied during builds.
 	MetricBuildMergesTotal = "xcluster_build_merges_total"

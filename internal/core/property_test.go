@@ -192,7 +192,7 @@ func TestPropertyDeltaNonNegative(t *testing.T) {
 				if !Compatible(nodes[i], nodes[j]) {
 					continue
 				}
-				delta, saved, err := ref.MergeDelta(nodes[i].ID, nodes[j].ID, 16)
+				delta, saved, err := ref.mergeDelta(nodes[i].ID, nodes[j].ID, 16, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -169,10 +170,12 @@ func TestBuildPhaseMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := newFakeSink()
+	var stats BuildStats
 	if _, err := XClusterBuild(ref, BuildOptions{
 		StructBudget: ref.StructBytes() / 2,
 		ValueBudget:  1 << 20,
 		Metrics:      sink,
+		Stats:        &stats,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -180,6 +183,21 @@ func TestBuildPhaseMetrics(t *testing.T) {
 		k := MetricBuildPhaseSeconds + `{phase="` + phase + `"}`
 		if sink.observes[k] != 1 {
 			t.Errorf("build phase %s observed %d times, want 1 (%v)", phase, sink.observes[k], sink.observes)
+		}
+	}
+	if stats.Merges == 0 || stats.PairsEvaluated == 0 {
+		t.Fatalf("degenerate build: stats %+v", stats)
+	}
+	computed := MetricBuildPairsTotal + `{outcome="computed"}`
+	if got := sink.adds[computed]; got != float64(stats.PairsEvaluated) {
+		t.Errorf("%s = %g, want PairsEvaluated %d", computed, got, stats.PairsEvaluated)
+	}
+	if got := sink.adds[MetricBuildMergesTotal]; got != float64(stats.Merges) {
+		t.Errorf("%s = %g, want Merges %d", MetricBuildMergesTotal, got, stats.Merges)
+	}
+	for k := range sink.adds {
+		if strings.HasPrefix(k, MetricBuildPairsTotal) && k != computed {
+			t.Errorf("unexpected pairs outcome emitted: %s", k)
 		}
 	}
 }

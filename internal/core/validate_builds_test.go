@@ -16,7 +16,7 @@ import (
 // Figure 8 sweep (the harness's per-dataset value fraction and sweep
 // range, six points from 0) on IMDB and XMark. It takes about 20 s, so
 // it runs in the full pass only; the -short -race pass audits the
-// parallel build through TestBuildWorkersAndMemoIdentical.
+// parallel build through TestBuildWorkersAndCacheIdentical.
 func TestEveryBuildValidates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("about 200 builds; runs in the full pass")

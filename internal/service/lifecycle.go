@@ -233,7 +233,7 @@ type RebuildStatus struct {
 	LastDurationMS int64         `json:"last_duration_ms,omitempty"`
 	LastGeneration uint64        `json:"last_generation,omitempty"`
 	// LastBuildStats is the construction profile of the most recent
-	// successful rebuild (pairs evaluated, memo hit rate, phase times).
+	// successful rebuild (merges, pairs evaluated, phase times).
 	LastBuildStats *core.BuildStats `json:"last_build,omitempty"`
 }
 

@@ -413,7 +413,7 @@ func TestRebuildOnDrift(t *testing.T) {
 // TestHammerWhileParallelBuilding re-runs the swap hammer with the
 // rebuild's merge engine fanned out over 4 evaluation workers
 // (WithBuildWorkers). Run under -race: the build workers share the
-// builder's memo/caches while 32 goroutines estimate against the
+// builder's evaluation caches while 32 goroutines estimate against the
 // serving slot. Worker count must never leak into results — answers
 // stay bit-for-bit the sequential ground truth across every swap — and
 // each rebuild's swap event must carry its construction stats.

@@ -394,7 +394,7 @@ func (s *Service) wireMetrics() {
 	r.Help(metricCacheLookups, "Estimate-pipeline cache lookups, by cache and outcome.")
 	r.Help(core.MetricBuildPhaseSeconds, "Synopsis build phase wall time.")
 	r.Help(core.MetricBuildMergesTotal, "Node merges applied by synopsis builds.")
-	r.Help(core.MetricBuildPairsTotal, "Merge-candidate evaluations by synopsis builds, by outcome (computed, memo_hit, memo_partial).")
+	r.Help(core.MetricBuildPairsTotal, "Merge-candidate evaluations by synopsis builds, by outcome (always computed).")
 	s.stages = newStageMetrics(r)
 	s.served = r.Counter("xcluster_requests_total", `outcome="ok"`)
 	s.failed = r.Counter("xcluster_requests_total", `outcome="error"`)

@@ -101,7 +101,7 @@ func WithBuildMetrics(sink MetricSink) Option {
 
 // WithBuildStats points the build at a BuildStats to fill in: after a
 // successful Build the struct holds the work performed (pairs
-// evaluated, memo hit rate, per-phase wall times).
+// evaluated, merges applied, per-phase wall times).
 func WithBuildStats(st *BuildStats) Option {
 	return func(o *Options) { o.BuildStats = st }
 }

@@ -143,8 +143,8 @@ func (o Options) numericKind() (vsum.NumericKind, error) {
 type BuildProgress = core.BuildProgress
 
 // BuildStats summarizes the work one build performed: merges applied,
-// candidate evaluations, memo hit rate, per-phase wall times. Request
-// it with WithBuildStats.
+// candidate evaluations, per-phase wall times. Request it with
+// WithBuildStats.
 type BuildStats = core.BuildStats
 
 // MetricSink receives build counters (see WithBuildMetrics). The obs
