@@ -11,14 +11,18 @@
 package xcluster_test
 
 import (
+	"bytes"
 	"runtime"
 	"sync"
 	"testing"
 
+	"xcluster"
 	"xcluster/internal/core"
+	"xcluster/internal/datagen"
 	"xcluster/internal/harness"
 	"xcluster/internal/query"
 	"xcluster/internal/workload"
+	"xcluster/internal/xmltree"
 )
 
 // benchCfg is the shared experiment configuration for benchmarks. Scale 1
@@ -286,6 +290,69 @@ func BenchmarkXClusterBuild(b *testing.B) {
 			opts := core.BuildOptions{StructBudget: bstr, ValueBudget: bval, Workers: w.workers}
 			for i := 0; i < b.N; i++ {
 				if _, err := core.XClusterBuild(d.Ref, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// served holds one synopsis file per dataset, built the way the serving
+// benchmark (bench/) builds its collections.
+var (
+	servedOnce  sync.Once
+	servedFiles map[string][]byte
+)
+
+// servedSynopses generates the IMDB and XMark scale-1 documents (seed 1),
+// parses their XML text, builds the reference with default options and
+// compresses it to StructBytes/20 and ValueBytes/3, then encodes it.
+func servedSynopses(b *testing.B) map[string][]byte {
+	b.Helper()
+	servedOnce.Do(func() {
+		servedFiles = make(map[string][]byte)
+		for name, gen := range map[string]*xmltree.Tree{
+			"IMDB":  datagen.IMDB(datagen.IMDBConfig{Seed: 1, Scale: 1}),
+			"XMark": datagen.XMark(datagen.XMarkConfig{Seed: 1, Scale: 1}),
+		} {
+			var doc, file bytes.Buffer
+			if err := xcluster.WriteXML(&doc, gen); err != nil {
+				panic(err)
+			}
+			tree, err := xcluster.ParseXML(&doc)
+			if err != nil {
+				panic(err)
+			}
+			ref, err := core.BuildReference(tree, core.ReferenceOptions{})
+			if err != nil {
+				panic(err)
+			}
+			s, err := core.XClusterBuild(ref, core.BuildOptions{
+				StructBudget: ref.StructBytes() / 20, ValueBudget: ref.ValueBytes() / 3,
+			})
+			if err != nil {
+				panic(err)
+			}
+			if _, err := s.WriteTo(&file); err != nil {
+				panic(err)
+			}
+			servedFiles[name] = file.Bytes()
+		}
+	})
+	return servedFiles
+}
+
+// BenchmarkReadSynopsis measures decoding a served synopsis file, the
+// part of a daemon's start-up that scales with the synopsis.
+func BenchmarkReadSynopsis(b *testing.B) {
+	files := servedSynopses(b)
+	for _, name := range harness.DatasetNames() {
+		b.Run(name, func(b *testing.B) {
+			data := files[name]
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.ReadSynopsis(bytes.NewReader(data)); err != nil {
 					b.Fatal(err)
 				}
 			}

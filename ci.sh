@@ -18,10 +18,13 @@
 # one pin that sees net/http read an unclosed body after the handler —
 # and TestHandlerEstimateScatterAllocs — a cached scatter over three
 # shards, per request plus per query, also with one plan slot per
-# shard —, internal/pst TestSelectivityAllocs, internal/query
-# TestStringAllocs and TestParseAllocs, and internal/xmltree
-# TestParseAllocs — allocations per element of a generated document;
-# each bound is a constant in its test, documented there) run in the
+# shard —, internal/core TestReadSynopsisAllocs — one synopsis file
+# decoded —, internal/pst TestSelectivityAllocs and TestDecodeAllocs —
+# a constant per tree, whatever its size —, internal/wire
+# TestPrimitiveAllocs, internal/query TestStringAllocs and
+# TestParseAllocs, and internal/xmltree TestParseAllocs — allocations
+# per element of a generated document; each bound is a constant in its
+# test, documented there) run in the
 # plain pass only: the race detector's instrumentation allocates, so
 # under -race they skip themselves (raceEnabled, set by each package's
 # race_test.go). Both serving pins run under xclusterd's default -timeout
@@ -79,7 +82,10 @@ go test ./...
 # internal/xmltree FuzzParseXML (the byte-level document reader and the
 # encoding/xml oracle parser agree on every document: the same tree,
 # dictionary and type-hint calls, or both reject it) and FuzzInternText
-# (the type hint's term count and InternText find Tokenize's terms).
+# (the type hint's term count and InternText find Tokenize's terms), and
+# internal/pst FuzzPSTOracle (the array trie and the map-based oracle it
+# replaced agree on Build, Merge, Clone, both prunings, Freq,
+# Selectivity, Substrings order and Encode bytes).
 go test -run=Fuzz ./...
 
 # The estimate-path and build benchmarks run once each, so they cannot
@@ -91,16 +97,19 @@ go test -run=Fuzz ./...
 # BenchmarkHandlerEstimateScatterColdPlans (the same scatter with one
 # plan slot per shard), internal/query BenchmarkParse (every accepted
 # fuzz seed parsed once per op), internal/xmltree BenchmarkParseXML (the
-# IMDB scale-1 document read by xmltree.Parse), and the root package's
+# IMDB scale-1 document read by xmltree.Parse), internal/pst
+# BenchmarkSelectivity (a mix of retained, chained and absent
+# substrings on a pruned PST), and the root package's
 # BenchmarkEstimateCold (both
 # caches off: every call compiles), BenchmarkPrepared (execute only),
 # whose ratio is the compile cost, BenchmarkEstimateCacheHit (the
-# result-cache LRU hit path) and BenchmarkXClusterBuild (one IMDB
-# build with the Δ-evaluation pool at workers=1 and at
-# workers=GOMAXPROCS). Timing itself lives in bench/ and
+# result-cache LRU hit path), BenchmarkXClusterBuild (one IMDB build
+# with the Δ-evaluation pool at workers=1 and at workers=GOMAXPROCS)
+# and BenchmarkReadSynopsis (decoding the IMDB and XMark scale-1
+# synopsis files bench/ serves). Timing itself lives in bench/ and
 # `go test -bench`.
-go test -run '^$' -bench 'EstimateTelemetry|HandlerEstimateHot|HandlerEstimateScatter|^BenchmarkParse$|^BenchmarkParseXML$' -benchtime 1x ./internal/service ./internal/catalog ./internal/query ./internal/xmltree
-go test -run '^$' -bench 'EstimateCold$|Prepared$|EstimateCacheHit$|XClusterBuild' -benchtime 1x .
+go test -run '^$' -bench 'EstimateTelemetry|HandlerEstimateHot|HandlerEstimateScatter|^BenchmarkParse$|^BenchmarkParseXML$|^BenchmarkSelectivity$' -benchtime 1x ./internal/service ./internal/catalog ./internal/query ./internal/xmltree ./internal/pst
+go test -run '^$' -bench 'EstimateCold$|Prepared$|EstimateCacheHit$|XClusterBuild|^BenchmarkReadSynopsis$' -benchtime 1x .
 
 # Machine-readable benchmark artifact, kept at the repo root for
 # comparison across revisions: the budget-allocation experiment (fixed

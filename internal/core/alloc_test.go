@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
+	"xcluster/internal/datagen"
 	"xcluster/internal/query"
 )
 
@@ -105,5 +107,44 @@ func TestCompileAllocs(t *testing.T) {
 				t.Errorf("%s: cold %q: %v allocs, want ≤%v (measured %v)", name, s, n, want[i]+2, want[i])
 			}
 		}
+	}
+}
+
+// readSynopsisAllocs is the measured allocation count of decoding the
+// IMDB synopsis of TestReadSynopsisAllocs (38 clusters, 174 terms, 16
+// PSTs, 62,572 bytes): one buffer for the file; per cluster its node,
+// label, path and edge maps; per term the decoded string and the
+// dictionary's copy; per PST the tree and its one node array; and the
+// other summaries' slices and maps. The same decode took 19,445 when
+// the reader streamed through bufio and each trie node was a map.
+const readSynopsisAllocs = 735
+
+// TestReadSynopsisAllocs pins the allocation cost of loading a synopsis
+// file, built at the serving benchmark's budgets (StructBytes/20,
+// ValueBytes/3) from a default reference.
+func TestReadSynopsisAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ref, err := BuildReference(datagen.IMDB(datagen.IMDBConfig{Seed: 7, Scale: 0.2}), ReferenceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := XClusterBuild(ref, BuildOptions{StructBudget: ref.StructBytes() / 20, ValueBudget: ref.ValueBytes() / 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if _, err := s.WriteTo(&file); err != nil {
+		t.Fatal(err)
+	}
+	data := file.Bytes()
+	n := testing.AllocsPerRun(10, func() {
+		if _, err := ReadSynopsis(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > readSynopsisAllocs {
+		t.Errorf("ReadSynopsis: %v allocs, want ≤%v", n, readSynopsisAllocs)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"sort"
 
 	"xcluster/internal/vsum"
@@ -121,15 +120,10 @@ func (s *Synopsis) WriteTo(w io.Writer) (int64, error) {
 // add the provenance and workload fingerprint. Unknown versions fail
 // with ErrSynopsisVersion.
 func ReadSynopsis(r io.Reader) (*Synopsis, error) {
+	// The reader holds the whole input in one buffer (sized from Len or
+	// a regular file's Stat), so corrupt length prefixes fail before
+	// allocating.
 	rr := wire.NewReader(r)
-	// In-memory readers self-report their size (wire.NewReader detects
-	// Len); for regular files the stat size serves the same purpose, so
-	// corrupt length prefixes fail before allocating.
-	if f, ok := r.(fs.File); ok {
-		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
-			rr.SetLimit(fi.Size())
-		}
-	}
 	head := rr.Raw(len(magicV2))
 	if err := rr.Err(); err != nil {
 		return nil, fmt.Errorf("core: ReadSynopsis: magic: %w", err)

@@ -407,3 +407,76 @@ func TestCodecRejectsCorruptInput(t *testing.T) {
 		}
 	}
 }
+
+// corruptPSTs returns encodings of s, which must hold a STRING summary,
+// with the first PST's trie replaced by one no encoder writes. Each
+// keeps the PST's header and the bytes after it, so the rest of the
+// file decodes in step.
+func corruptPSTs(t testing.TB, s *Synopsis) map[string][]byte {
+	t.Helper()
+	var file bytes.Buffer
+	if _, err := s.WriteTo(&file); err != nil {
+		t.Fatal(err)
+	}
+	var tree bytes.Buffer
+	for _, n := range s.Nodes() {
+		if str, ok := n.VSum.(*vsum.String); ok {
+			w := wire.NewWriter(&tree)
+			str.T.Encode(w)
+			_ = w.Flush()
+			break
+		}
+	}
+	at := bytes.Index(file.Bytes(), tree.Bytes())
+	if tree.Len() == 0 || at < 0 {
+		t.Fatal("no PST in the synopsis encoding")
+	}
+	const header = 10 // count float, depth and exact-depth varints
+	leaf := func(w *wire.Writer, c byte) {
+		w.Uint(uint64(c))
+		w.Float(1)
+		w.Uint(0)
+	}
+	out := make(map[string][]byte)
+	for name, body := range map[string]func(w *wire.Writer){
+		// Once accepted as an empty trie that still claimed its exact
+		// depth, so every substring estimated 0.
+		"child count above 256": func(w *wire.Writer) {
+			w.Uint(300)
+			w.Uint(0)
+		},
+		"duplicate child symbol": func(w *wire.Writer) {
+			w.Uint(2)
+			leaf(w, 'a')
+			leaf(w, 'a')
+		},
+		"unsorted child symbols": func(w *wire.Writer) {
+			w.Uint(2)
+			leaf(w, 'b')
+			leaf(w, 'a')
+		},
+	} {
+		var b bytes.Buffer
+		b.Write(file.Bytes()[:at+header])
+		w := wire.NewWriter(&b)
+		body(w)
+		_ = w.Flush()
+		b.Write(file.Bytes()[at+tree.Len():])
+		out[name] = b.Bytes()
+	}
+	return out
+}
+
+// TestCodecRejectsCorruptPST: a synopsis whose PST trie is corrupt is
+// rejected as a whole.
+func TestCodecRejectsCorruptPST(t *testing.T) {
+	ref, err := BuildReference(figure1(t), ReferenceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range corruptPSTs(t, ref) {
+		if _, err := ReadSynopsis(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}

@@ -14,7 +14,7 @@ import (
 // must either return a valid synopsis or an error — never panic, hang,
 // over-allocate on a lying length prefix, or return a synopsis that
 // fails validation. Seeds cover both codec versions, truncations, and
-// bit flips; checked-in inputs live in testdata/fuzz/FuzzDecodeSynopsis.
+// bit flips, corrupt PST tries; checked-in inputs live in testdata/fuzz/FuzzDecodeSynopsis.
 func FuzzDecodeSynopsis(f *testing.F) {
 	tr := figure1(f)
 	ref, err := BuildReference(tr, ReferenceOptions{})
@@ -50,6 +50,11 @@ func FuzzDecodeSynopsis(f *testing.F) {
 
 	// Huge varint length prefix right after the magic.
 	f.Add(append([]byte("XCLUSTER2\n"), 0xfe, 0xff, 0xff, 0xff, 0x0f))
+
+	// PST tries no encoder writes (TestCodecRejectsCorruptPST).
+	for _, data := range corruptPSTs(f, ref) {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadSynopsis(bytes.NewReader(data))

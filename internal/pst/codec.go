@@ -1,59 +1,96 @@
 package pst
 
 import (
-	"sort"
+	"fmt"
 
 	"xcluster/internal/wire"
 )
 
+// maxDecodeDepth bounds the depth of a decoded trie, so a corrupt
+// stream cannot recurse without end.
+const maxDecodeDepth = 64
+
 // Encode writes the tree: header fields, then the trie in preorder (per
 // node: child count, then per child its symbol, count, and subtree).
 func (t *Tree) Encode(w *wire.Writer) {
-	w.Float(t.root.count)
+	w.Float(t.Count())
 	w.Uint(uint64(t.maxDepth))
 	w.Uint(uint64(t.exactDepth))
-	var enc func(n *node)
-	enc = func(n *node) {
-		w.Uint(uint64(len(n.children)))
-		syms := make([]int, 0, len(n.children))
-		for c := range n.children {
-			syms = append(syms, int(c))
-		}
-		sort.Ints(syms)
-		for _, ci := range syms {
-			c := byte(ci)
-			ch := n.children[c]
-			w.Uint(uint64(c))
-			w.Float(ch.count)
-			enc(ch)
+	var enc func(i int32)
+	enc = func(i int32) {
+		lo, hi := t.span(i)
+		w.Uint(uint64(hi - lo))
+		for k := lo; k < hi; k++ {
+			w.Uint(uint64(t.nodes[k].sym))
+			w.Float(t.nodes[k].count)
+			enc(k)
 		}
 	}
-	enc(t.root)
+	enc(0)
 }
 
-// Decode reads a tree written by Encode.
+// Decode reads a tree written by Encode. A read ahead over the same
+// bytes counts the nodes first, so the trie takes one allocation. A
+// node with more than 256 children, a trie deeper than maxDecodeDepth,
+// or children not in strictly ascending symbol order fail r.
 func Decode(r *wire.Reader) *Tree {
-	t := &Tree{root: &node{count: r.Float()}}
+	t := &Tree{}
+	count := r.Float()
 	t.maxDepth = int(r.Uint())
 	t.exactDepth = int(r.Uint())
-	var dec func(n *node, depth int)
-	dec = func(n *node, depth int) {
-		cnt := int(r.Uint())
-		if r.Err() != nil || depth > 64 || cnt > 256 {
-			if cnt > 256 || depth > 64 {
-				// Corrupt stream; poison via an impossible read.
-				r.Uint()
-			}
+	ahead := *r
+	t.nodes = make([]node, 1, 1+countNodes(&ahead, 0))
+	t.nodes[0].count = count
+	t.decode(r, 0, 0)
+	t.index()
+	return t
+}
+
+// kidCount reads the child count of a node at depth, failing r when it
+// cannot be valid.
+func kidCount(r *wire.Reader, depth int) int {
+	n := r.Uint()
+	switch {
+	case r.Err() != nil:
+		return 0
+	case n > 256:
+		r.Fail(fmt.Errorf("pst: node with %d children", n))
+		return 0
+	case n > 0 && depth >= maxDecodeDepth:
+		r.Fail(fmt.Errorf("pst: trie deeper than %d", maxDecodeDepth))
+		return 0
+	}
+	return int(n)
+}
+
+// countNodes reads the subtree below a node at depth and returns its
+// node count, up to the first read error.
+func countNodes(r *wire.Reader, depth int) int {
+	n := kidCount(r, depth)
+	total := n
+	for i := 0; i < n && r.Err() == nil; i++ {
+		r.Uint()
+		r.Float()
+		total += countNodes(r, depth+1)
+	}
+	return total
+}
+
+// decode reads the subtree below node at (at depth) into t.
+func (t *Tree) decode(r *wire.Reader, at int32, depth int) {
+	n := kidCount(r, depth)
+	if n == 0 {
+		return
+	}
+	k := t.reserve(at, n)
+	for i := 0; i < n && r.Err() == nil; i++ {
+		c := r.Uint()
+		if c > 255 || (i > 0 && byte(c) <= t.nodes[k-1].sym) {
+			r.Fail(fmt.Errorf("pst: child symbol %d out of order at depth %d", c, depth+1))
 			return
 		}
-		for i := 0; i < cnt && r.Err() == nil; i++ {
-			c := byte(r.Uint())
-			ch := n.ensureChild(c)
-			ch.count = r.Float()
-			t.nodes++
-			dec(ch, depth+1)
-		}
+		t.nodes[k].sym, t.nodes[k].count = byte(c), r.Float()
+		t.decode(r, k, depth+1)
+		k++
 	}
-	dec(t.root, 0)
-	return t
 }

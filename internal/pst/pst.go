@@ -16,6 +16,8 @@ package pst
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -27,41 +29,93 @@ const NodeBytes = 6
 // (reference-synopsis) PSTs.
 const DefaultMaxDepth = 4
 
+// node is one trie node. Its children are the contiguous block
+// nodes[kids : kids+nkids] of the tree's array, in ascending symbol
+// order; a leaf has nkids == 0. The struct holds no pointers.
 type node struct {
-	children map[byte]*node
-	count    float64
-}
-
-func (n *node) child(c byte) *node {
-	if n.children == nil {
-		return nil
-	}
-	return n.children[c]
-}
-
-func (n *node) ensureChild(c byte) *node {
-	if n.children == nil {
-		n.children = make(map[byte]*node)
-	}
-	ch := n.children[c]
-	if ch == nil {
-		ch = &node{}
-		n.children[c] = ch
-	}
-	return ch
+	count float64
+	kids  int32  // index of the first child in Tree.nodes
+	nkids uint16 // number of children (at most 256)
+	sym   byte   // the edge symbol from the parent (0 at the root)
 }
 
 // Tree is a pruned suffix tree over a collection of strings. The zero
 // value is unusable; use Build or Merge.
 type Tree struct {
-	root     *node // count = number of strings
+	// nodes is the trie, root first (count = number of strings). Every
+	// node's children form one block after it, sorted by symbol, so a
+	// child is found by binary search and the array is pointer-free: the
+	// GC never scans it.
+	nodes []node
+	// rootSet has bit c set when the root has a child on symbol c: the
+	// child's position in the root's block is its rank in the set, so
+	// the lookup every query string starts with is O(1).
+	rootSet  [4]uint64
 	maxDepth int
-	nodes    int // trie nodes, root excluded
 	// exactDepth is the substring length up to which absence from the
 	// trie is definitive (true zero count). A freshly built tree retains
 	// every substring up to maxDepth; pruning reduces the guarantee to
 	// depth 1 (the one-node-per-symbol invariant).
 	exactDepth int
+}
+
+// child returns the index of node i's child on symbol c, or 0 when
+// there is none (the root is never a child).
+func (t *Tree) child(i int32, c byte) int32 {
+	if i == 0 {
+		w, bit := c>>6, uint64(1)<<(c&63)
+		if t.rootSet[w]&bit == 0 {
+			return 0
+		}
+		rank := bits.OnesCount64(t.rootSet[w] & (bit - 1))
+		for _, x := range t.rootSet[:w] {
+			rank += bits.OnesCount64(x)
+		}
+		return t.nodes[0].kids + int32(rank)
+	}
+	lo, end := t.span(i)
+	for hi := end; lo < hi; {
+		m := int32(uint32(lo+hi) >> 1)
+		if t.nodes[m].sym < c {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < end && t.nodes[lo].sym == c {
+		return lo
+	}
+	return 0
+}
+
+// span returns the bounds [lo, hi) of node i's children block.
+func (t *Tree) span(i int32) (lo, hi int32) {
+	n := &t.nodes[i]
+	return n.kids, n.kids + int32(n.nkids)
+}
+
+// kids returns node i's children block.
+func (t *Tree) kids(i int32) []node {
+	lo, hi := t.span(i)
+	return t.nodes[lo:hi]
+}
+
+// reserve appends a block of k zero nodes for node i's children and
+// returns its first index. It allocates only when the array's capacity,
+// sized by the caller for the whole tree, runs out.
+func (t *Tree) reserve(i int32, k int) int32 {
+	at := int32(len(t.nodes))
+	t.nodes = append(t.nodes, make([]node, k)...)
+	t.nodes[i].kids, t.nodes[i].nkids = at, uint16(k)
+	return at
+}
+
+// index rebuilds rootSet from the root's children.
+func (t *Tree) index() {
+	t.rootSet = [4]uint64{}
+	for _, ch := range t.kids(0) {
+		t.rootSet[ch.sym>>6] |= 1 << (ch.sym & 63)
+	}
 }
 
 // Build constructs a detailed PST over the collection, recording every
@@ -72,68 +126,117 @@ func Build(strs []string, maxDepth int) *Tree {
 	if maxDepth <= 0 {
 		maxDepth = DefaultMaxDepth
 	}
-	t := &Tree{root: &node{count: float64(len(strs))}, maxDepth: maxDepth, exactDepth: maxDepth}
-	for _, s := range strs {
-		t.insertString(s)
+	b := builder{nodes: make([]bnode, 1, 64)}
+	for i, s := range strs {
+		b.insertString(s, int32(i+1), maxDepth)
 	}
+	b.nodes[0].count = float64(len(strs))
+	t := &Tree{maxDepth: maxDepth, exactDepth: maxDepth, nodes: make([]node, 1, len(b.nodes))}
+	b.place(t, 0, 0)
+	t.index()
 	return t
 }
 
-// insertString adds every distinct substring of s (up to maxDepth) with a
-// count of one. Deduplication walks all start positions but bumps a node
-// only on the first visit per string, using a per-call stamp.
-func (t *Tree) insertString(s string) {
-	type stamp map[*node]struct{}
-	seen := make(stamp)
+// builder is the mutable trie Build inserts into before it lays the
+// result out as a Tree: every node's children form a linked list in
+// symbol order, and the root's are also indexed by symbol, so the step
+// every substring starts with skips the list.
+type builder struct {
+	nodes []bnode // nodes[0] is the root
+	root  [256]int32
+}
+
+type bnode struct {
+	count       float64
+	first, next int32 // first child, next sibling; 0 for none
+	stamp       int32 // the last string that counted this node
+	sym         byte
+}
+
+// insertString adds every distinct substring of s (up to maxDepth) with
+// a count of one. Deduplication walks all start positions but bumps a
+// node only on the first visit per string, tracked by the string's
+// stamp id.
+func (b *builder) insertString(s string, id int32, maxDepth int) {
 	for i := 0; i < len(s); i++ {
-		cur := t.root
-		for j := i; j < len(s) && j-i < t.maxDepth; j++ {
-			next := cur.child(s[j])
-			if next == nil {
-				next = cur.ensureChild(s[j])
-				t.nodes++
+		cur := int32(0)
+		for j := i; j < len(s) && j-i < maxDepth; j++ {
+			if cur == 0 {
+				if cur = b.root[s[j]]; cur == 0 {
+					cur = b.childOrAdd(0, s[j])
+					b.root[s[j]] = cur
+				}
+			} else {
+				cur = b.childOrAdd(cur, s[j])
 			}
-			cur = next
-			if _, dup := seen[cur]; !dup {
-				seen[cur] = struct{}{}
-				cur.count++
+			if n := &b.nodes[cur]; n.stamp != id {
+				n.stamp = id
+				n.count++
 			}
 		}
+	}
+}
+
+// childOrAdd returns p's child on symbol c, linking a new one into p's
+// sorted child list when there is none.
+func (b *builder) childOrAdd(p int32, c byte) int32 {
+	prev, k := int32(0), b.nodes[p].first
+	for k != 0 && b.nodes[k].sym < c {
+		prev, k = k, b.nodes[k].next
+	}
+	if k != 0 && b.nodes[k].sym == c {
+		return k
+	}
+	b.nodes = append(b.nodes, bnode{sym: c, next: k})
+	n := int32(len(b.nodes) - 1)
+	if prev == 0 {
+		b.nodes[p].first = n
+	} else {
+		b.nodes[prev].next = n
+	}
+	return n
+}
+
+// place copies builder node k into t.nodes[at] and lays out its subtree.
+func (b *builder) place(t *Tree, at, k int32) {
+	src := &b.nodes[k]
+	t.nodes[at].sym, t.nodes[at].count = src.sym, src.count
+	n := 0
+	for c := src.first; c != 0; c = b.nodes[c].next {
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	first := t.reserve(at, n)
+	for c := src.first; c != 0; c = b.nodes[c].next {
+		b.place(t, first, c)
+		first++
 	}
 }
 
 // Count returns the number of summarized strings.
-func (t *Tree) Count() float64 { return t.root.count }
+func (t *Tree) Count() float64 { return t.nodes[0].count }
 
 // Nodes returns the number of trie nodes (root excluded).
-func (t *Tree) Nodes() int { return t.nodes }
+func (t *Tree) Nodes() int { return len(t.nodes) - 1 }
 
 // SizeBytes returns the storage charge of the tree.
-func (t *Tree) SizeBytes() int { return t.nodes * NodeBytes }
+func (t *Tree) SizeBytes() int { return t.Nodes() * NodeBytes }
 
 // MaxDepth returns the depth bound of retained substrings.
 func (t *Tree) MaxDepth() int { return t.maxDepth }
 
-// lookup returns the node for substring s, or nil if not fully retained.
-func (t *Tree) lookup(s string) *node {
-	cur := t.root
-	for i := 0; i < len(s); i++ {
-		cur = cur.child(s[i])
-		if cur == nil {
-			return nil
-		}
-	}
-	return cur
-}
-
 // freq returns the document-frequency count of substring s, or -1 if s is
 // not retained. freq("") is the string count.
 func (t *Tree) freq(s string) float64 {
-	n := t.lookup(s)
-	if n == nil {
-		return -1
+	cur := int32(0)
+	for i := 0; i < len(s); i++ {
+		if cur = t.child(cur, s[i]); cur == 0 {
+			return -1
+		}
 	}
-	return n.count
+	return t.nodes[cur].count
 }
 
 // Freq returns the document-frequency count of substring s, or -1 when
@@ -143,10 +246,9 @@ func (t *Tree) Freq(s string) float64 { return t.freq(s) }
 // longestPrefix returns the length of the longest prefix of s retained in
 // the tree.
 func (t *Tree) longestPrefix(s string) int {
-	cur := t.root
+	cur := int32(0)
 	for i := 0; i < len(s); i++ {
-		cur = cur.child(s[i])
-		if cur == nil {
+		if cur = t.child(cur, s[i]); cur == 0 {
 			return i
 		}
 	}
@@ -157,13 +259,13 @@ func (t *Tree) longestPrefix(s string) int {
 // substring. Fully-retained substrings are answered exactly; longer ones
 // use the maximal-overlap Markovian estimate.
 func (t *Tree) Selectivity(qs string) float64 {
-	if t.root.count == 0 {
+	if t.Count() == 0 {
 		return 0
 	}
 	if qs == "" {
 		return 1
 	}
-	n := float64(t.root.count)
+	n := t.Count()
 	if f := t.freq(qs); f >= 0 {
 		return f / n
 	}
@@ -219,7 +321,7 @@ func (t *Tree) Selectivity(qs string) float64 {
 
 // EstimateCount returns the estimated number of strings containing qs.
 func (t *Tree) EstimateCount(qs string) float64 {
-	return t.Selectivity(qs) * t.root.count
+	return t.Selectivity(qs) * t.Count()
 }
 
 // Merge fuses two PSTs into a summary of the union of their string
@@ -233,27 +335,74 @@ func Merge(a, b *Tree) *Tree {
 		return a.Clone()
 	}
 	out := &Tree{
-		root:       &node{count: a.root.count + b.root.count},
 		maxDepth:   max(a.maxDepth, b.maxDepth),
 		exactDepth: min(a.exactDepth, b.exactDepth),
 	}
-	var add func(dst, src *node)
-	add = func(dst, src *node) {
-		for c, sc := range src.children {
-			dc := dst.child(c)
-			if dc == nil {
-				dc = dst.ensureChild(c)
-				out.nodes++
-			}
-			dc.count += sc.count
-			add(dc, sc)
+	out.nodes = make([]node, 1, 1+unionSize(a, 0, b, 0))
+	out.nodes[0].count = a.Count() + b.Count()
+	out.merge(0, a, 0, b, 0)
+	out.index()
+	return out
+}
+
+// unionSize returns the number of distinct nodes below a's node ai and
+// b's node bi together; an index of -1 stands for an absent node.
+func unionSize(a *Tree, ai int32, b *Tree, bi int32) int {
+	n := 0
+	mergeKids(a, ai, b, bi, func(_ byte, ak, bk int32) {
+		n += 1 + unionSize(a, ak, b, bk)
+	})
+	return n
+}
+
+// mergeKids calls fn for each symbol among the children of a's node ai
+// and b's node bi (-1: absent) in ascending order, with the child's
+// index in each tree or -1 where that tree lacks it.
+func mergeKids(a *Tree, ai int32, b *Tree, bi int32, fn func(c byte, ak, bk int32)) {
+	var ak, aEnd, bk, bEnd int32
+	if ai >= 0 {
+		ak, aEnd = a.span(ai)
+	}
+	if bi >= 0 {
+		bk, bEnd = b.span(bi)
+	}
+	for ak < aEnd || bk < bEnd {
+		switch {
+		case bk == bEnd || (ak < aEnd && a.nodes[ak].sym < b.nodes[bk].sym):
+			fn(a.nodes[ak].sym, ak, -1)
+			ak++
+		case ak == aEnd || b.nodes[bk].sym < a.nodes[ak].sym:
+			fn(b.nodes[bk].sym, -1, bk)
+			bk++
+		default:
+			fn(a.nodes[ak].sym, ak, bk)
+			ak++
+			bk++
 		}
 	}
-	// Union by cloning a's shape then folding b in. out.nodes counts
-	// every created node.
-	add(out.root, a.root)
-	add(out.root, b.root)
-	return out
+}
+
+// merge lays out below t's node at the union of the children of a's
+// node ai and b's node bi (-1: absent), counts summed a first.
+func (t *Tree) merge(at int32, a *Tree, ai int32, b *Tree, bi int32) {
+	n := 0
+	mergeKids(a, ai, b, bi, func(byte, int32, int32) { n++ })
+	if n == 0 {
+		return
+	}
+	k := t.reserve(at, n)
+	mergeKids(a, ai, b, bi, func(c byte, ak, bk int32) {
+		count := 0.0
+		if ak >= 0 {
+			count += a.nodes[ak].count
+		}
+		if bk >= 0 {
+			count += b.nodes[bk].count
+		}
+		t.nodes[k].sym, t.nodes[k].count = c, count
+		t.merge(k, a, ak, b, bk)
+		k++
+	})
 }
 
 // Clone returns a deep copy.
@@ -261,46 +410,42 @@ func (t *Tree) Clone() *Tree {
 	if t == nil {
 		return nil
 	}
-	out := &Tree{root: &node{count: t.root.count}, maxDepth: t.maxDepth, nodes: t.nodes, exactDepth: t.exactDepth}
-	var cp func(dst, src *node)
-	cp = func(dst, src *node) {
-		for c, sc := range src.children {
-			dc := dst.ensureChild(c)
-			dc.count = sc.count
-			cp(dc, sc)
-		}
-	}
-	cp(out.root, t.root)
-	return out
+	out := *t
+	out.nodes = slices.Clone(t.nodes)
+	return &out
 }
 
-// leafInfo identifies a prunable leaf by its substring path.
+// leafInfo identifies a prunable leaf by its substring path and index.
 type leafInfo struct {
 	path  string
 	err   float64
 	count float64
+	at    int32
 }
 
 // leaves collects all prunable leaves (depth >= 2, no children) with
 // their pruning errors.
 func (t *Tree) leaves() []leafInfo {
 	var out []leafInfo
-	var walk func(n *node, path []byte)
-	walk = func(n *node, path []byte) {
-		for c, ch := range n.children {
-			p := append(path, c)
-			if len(ch.children) == 0 {
-				if len(p) >= 2 {
-					s := string(p)
-					out = append(out, leafInfo{path: s, err: t.pruneError(s, ch.count), count: ch.count})
+	var path []byte
+	var walk func(i int32)
+	walk = func(i int32) {
+		lo, hi := t.span(i)
+		for k := lo; k < hi; k++ {
+			ch := t.nodes[k]
+			path = append(path, ch.sym)
+			if ch.nkids == 0 {
+				if len(path) >= 2 {
+					s := string(path)
+					out = append(out, leafInfo{path: s, err: t.pruneError(s, ch.count), count: ch.count, at: k})
 				}
 			} else {
-				walk(ch, p)
+				walk(k)
 			}
-			path = p[:len(p)-1]
+			path = path[:len(path)-1]
 		}
 	}
-	walk(t.root, nil)
+	walk(0)
 	return out
 }
 
@@ -310,7 +455,7 @@ func (t *Tree) leaves() []leafInfo {
 // retained proper suffix — exactly the estimate Selectivity would produce
 // once the node is gone.
 func (t *Tree) pruneError(s string, f float64) float64 {
-	n := t.root.count
+	n := t.Count()
 	if n == 0 {
 		return 0
 	}
@@ -342,43 +487,23 @@ func (t *Tree) pruneError(s string, f float64) float64 {
 // removing depth-1 nodes (the one-node-per-symbol invariant). It returns
 // the number of nodes actually removed. Pruning mutates the tree.
 func (t *Tree) Prune(b int) int {
-	removed := 0
-	for removed < b {
-		ls := t.leaves()
-		if len(ls) == 0 {
-			break
+	return t.prune(b, func(x, y *leafInfo) bool {
+		if x.err != y.err {
+			return x.err < y.err
 		}
-		sort.Slice(ls, func(i, j int) bool {
-			if ls[i].err != ls[j].err {
-				return ls[i].err < ls[j].err
-			}
-			// Ties (common at error 0): prune deeper leaves first — they
-			// carry the least residual information — and spread within a
-			// depth by hash so no alphabet region is systematically
-			// favored. Both keys are deterministic.
-			if len(ls[i].path) != len(ls[j].path) {
-				return len(ls[i].path) > len(ls[j].path)
-			}
-			hi, hj := pathHash(ls[i].path), pathHash(ls[j].path)
-			if hi != hj {
-				return hi < hj
-			}
-			return ls[i].path < ls[j].path
-		})
-		// Remove as many of this round's lowest-error leaves as allowed;
-		// removing a leaf can expose its parent as a new leaf, so
-		// re-collect after each batch.
-		batch := b - removed
-		if batch > len(ls) {
-			batch = len(ls)
+		// Ties (common at error 0): prune deeper leaves first — they
+		// carry the least residual information — and spread within a
+		// depth by hash so no alphabet region is systematically
+		// favored. Both keys are deterministic.
+		if len(x.path) != len(y.path) {
+			return len(x.path) > len(y.path)
 		}
-		for i := 0; i < batch; i++ {
-			t.removeLeaf(ls[i].path)
-			removed++
+		hx, hy := pathHash(x.path), pathHash(y.path)
+		if hx != hy {
+			return hx < hy
 		}
-		t.exactDepth = 1
-	}
-	return removed
+		return x.path < y.path
+	})
 }
 
 // PruneLowestCount removes up to b leaves in ascending count order,
@@ -386,29 +511,66 @@ func (t *Tree) Prune(b int) int {
 // pruning-error scheme is measured against (low count does not imply the
 // Markov estimate reconstructs the substring well).
 func (t *Tree) PruneLowestCount(b int) int {
+	return t.prune(b, func(x, y *leafInfo) bool {
+		if x.count != y.count {
+			return x.count < y.count
+		}
+		return x.path < y.path // deterministic tie-break
+	})
+}
+
+// prune removes up to b leaves, the first in less's order first. Removing
+// a leaf can expose its parent as a new leaf, so the leaves are
+// re-collected after each batch.
+func (t *Tree) prune(b int, less func(x, y *leafInfo) bool) int {
 	removed := 0
 	for removed < b {
 		ls := t.leaves()
 		if len(ls) == 0 {
 			break
 		}
-		sort.Slice(ls, func(i, j int) bool {
-			if ls[i].count != ls[j].count {
-				return ls[i].count < ls[j].count
-			}
-			return ls[i].path < ls[j].path // deterministic tie-break
-		})
-		batch := b - removed
-		if batch > len(ls) {
-			batch = len(ls)
+		sort.Slice(ls, func(i, j int) bool { return less(&ls[i], &ls[j]) })
+		batch := min(b-removed, len(ls))
+		for _, l := range ls[:batch] {
+			t.nodes[l.at].kids = -1 // mark for removal
 		}
-		for i := 0; i < batch; i++ {
-			t.removeLeaf(ls[i].path)
-			removed++
-		}
+		t.compact(batch)
+		removed += batch
 		t.exactDepth = 1
 	}
 	return removed
+}
+
+// compact lays the tree out again without the marked nodes, of which
+// there are removed.
+func (t *Tree) compact(removed int) {
+	out := &Tree{nodes: make([]node, 1, len(t.nodes)-removed)}
+	out.nodes[0].count = t.Count()
+	var cp func(dst, src int32)
+	cp = func(dst, src int32) {
+		n := 0
+		for _, ch := range t.kids(src) {
+			if ch.kids >= 0 {
+				n++
+			}
+		}
+		if n == 0 {
+			return
+		}
+		k := out.reserve(dst, n)
+		lo, hi := t.span(src)
+		for j := lo; j < hi; j++ {
+			if t.nodes[j].kids < 0 {
+				continue
+			}
+			out.nodes[k].sym, out.nodes[k].count = t.nodes[j].sym, t.nodes[j].count
+			cp(k, j)
+			k++
+		}
+	}
+	cp(0, 0)
+	t.nodes = out.nodes
+	t.index()
 }
 
 // pathHash is a deterministic FNV-1a spreader for pruning tie-breaks.
@@ -421,79 +583,60 @@ func pathHash(s string) uint32 {
 	return h
 }
 
-// removeLeaf unlinks the node at path (which must be a leaf).
-func (t *Tree) removeLeaf(path string) {
-	cur := t.root
-	for i := 0; i < len(path)-1; i++ {
-		cur = cur.child(path[i])
-		if cur == nil {
-			return
-		}
-	}
-	last := path[len(path)-1]
-	if ch := cur.child(last); ch != nil {
-		if len(ch.children) != 0 {
-			panic(fmt.Sprintf("pst: removeLeaf(%q): not a leaf", path))
-		}
-		delete(cur.children, last)
-		t.nodes--
-	}
-}
-
 // Substrings invokes fn for every retained substring and its count, in
-// depth-first order. Returning false stops the walk.
+// depth-first order over sorted symbols. Returning false stops the walk.
 func (t *Tree) Substrings(fn func(s string, count float64) bool) {
-	var walk func(n *node, path []byte) bool
-	walk = func(n *node, path []byte) bool {
-		// Deterministic order: sorted symbols.
-		syms := make([]int, 0, len(n.children))
-		for c := range n.children {
-			syms = append(syms, int(c))
-		}
-		sort.Ints(syms)
-		for _, ci := range syms {
-			c := byte(ci)
-			ch := n.children[c]
-			p := append(path, c)
-			if !fn(string(p), ch.count) {
+	var path []byte
+	var walk func(i int32) bool
+	walk = func(i int32) bool {
+		lo, hi := t.span(i)
+		for k := lo; k < hi; k++ {
+			path = append(path, t.nodes[k].sym)
+			if !fn(string(path), t.nodes[k].count) || !walk(k) {
 				return false
 			}
-			if !walk(ch, p) {
-				return false
-			}
-			path = p[:len(p)-1]
+			path = path[:len(path)-1]
 		}
 		return true
 	}
-	walk(t.root, nil)
+	walk(0)
 }
 
 // Validate checks the monotonicity invariant (every node's count is at
-// most its parent's) and the node-count bookkeeping.
+// most its parent's), that siblings are in strictly ascending symbol
+// order, and that every node of the array is reached exactly once.
 func (t *Tree) Validate() error {
 	seen := 0
-	var walk func(n *node, parentCount float64, depth int) error
-	walk = func(n *node, parentCount float64, depth int) error {
-		for c, ch := range n.children {
+	var walk func(i int32, depth int) error
+	walk = func(i int32, depth int) error {
+		n := t.nodes[i]
+		if n.nkids > 0 && (n.kids <= i || int(n.kids)+int(n.nkids) > len(t.nodes)) {
+			return fmt.Errorf("pst: children of a depth-%d node out of range", depth)
+		}
+		for k := n.kids; k < n.kids+int32(n.nkids); k++ {
+			ch := t.nodes[k]
 			seen++
-			if ch.count > parentCount+1e-9 {
+			if k > n.kids && ch.sym <= t.nodes[k-1].sym {
+				return fmt.Errorf("pst: symbol %q out of order at depth %d", string(ch.sym), depth+1)
+			}
+			if ch.count > n.count+1e-9 {
 				return fmt.Errorf("pst: monotonicity violated at symbol %q depth %d: %g > %g",
-					string(c), depth+1, ch.count, parentCount)
+					string(ch.sym), depth+1, ch.count, n.count)
 			}
 			if ch.count <= 0 {
-				return fmt.Errorf("pst: non-positive count at symbol %q depth %d", string(c), depth+1)
+				return fmt.Errorf("pst: non-positive count at symbol %q depth %d", string(ch.sym), depth+1)
 			}
-			if err := walk(ch, ch.count, depth+1); err != nil {
+			if err := walk(k, depth+1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(t.root, t.root.count, 0); err != nil {
+	if err := walk(0, 0); err != nil {
 		return err
 	}
-	if seen != t.nodes {
-		return fmt.Errorf("pst: node count %d, bookkeeping says %d", seen, t.nodes)
+	if seen != t.Nodes() {
+		return fmt.Errorf("pst: node count %d, bookkeeping says %d", seen, t.Nodes())
 	}
 	return nil
 }

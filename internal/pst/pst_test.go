@@ -345,3 +345,135 @@ func TestSelectivityAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodeRejectsCorruptTries feeds Decode tries no encoder writes:
+// each must fail the reader instead of yielding a tree that silently
+// lost nodes or counts one symbol twice.
+func TestDecodeRejectsCorruptTries(t *testing.T) {
+	header := func(w *wire.Writer) {
+		w.Float(5) // count
+		w.Uint(4)  // maxDepth
+		w.Uint(4)  // exactDepth
+	}
+	leaf := func(w *wire.Writer, c uint64) {
+		w.Uint(c)
+		w.Float(1)
+		w.Uint(0)
+	}
+	for _, tc := range []struct {
+		name string
+		body func(w *wire.Writer)
+	}{
+		{"child count above 256, then one byte", func(w *wire.Writer) {
+			w.Uint(300)
+			w.Uint(0)
+		}},
+		{"duplicate child symbol", func(w *wire.Writer) {
+			w.Uint(2)
+			leaf(w, 'a')
+			leaf(w, 'a')
+		}},
+		{"unsorted child symbols", func(w *wire.Writer) {
+			w.Uint(2)
+			leaf(w, 'b')
+			leaf(w, 'a')
+		}},
+		{"symbol above 255", func(w *wire.Writer) {
+			w.Uint(1)
+			leaf(w, 300)
+		}},
+		{"deeper than 64", func(w *wire.Writer) {
+			for range maxDecodeDepth + 1 {
+				w.Uint(1)
+				w.Uint('a')
+				w.Float(1)
+			}
+			w.Uint(0)
+		}},
+	} {
+		var buf bytes.Buffer
+		w := wire.NewWriter(&buf)
+		header(w)
+		tc.body(w)
+		_ = w.Flush()
+		r := wire.NewReader(&buf)
+		_ = Decode(r)
+		if r.Err() == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+
+	// The deepest trie Decode admits still decodes.
+	chain := Build([]string{strings.Repeat("a", maxDecodeDepth)}, maxDecodeDepth)
+	var buf bytes.Buffer
+	w := wire.NewWriter(&buf)
+	chain.Encode(w)
+	_ = w.Flush()
+	r := wire.NewReader(&buf)
+	if back := Decode(r); r.Err() != nil || back.Nodes() != maxDecodeDepth {
+		t.Fatalf("depth-%d chain: err %v", maxDecodeDepth, r.Err())
+	}
+}
+
+// TestDecodeAllocs pins Decode at a constant number of allocations per
+// tree, whatever its size: the tree, and one node array sized by a
+// read ahead.
+func TestDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, n := range []int{10, 1000} {
+		strs := benchStrings(n)
+		var buf bytes.Buffer
+		w := wire.NewWriter(&buf)
+		Build(strs, 4).Encode(w)
+		_ = w.Flush()
+		data := buf.Bytes()
+		r := wire.NewReader(bytes.NewReader(data))
+		got := testing.AllocsPerRun(20, func() {
+			rr := *r // a fresh cursor over the same bytes
+			Decode(&rr)
+		})
+		if got != 2 {
+			t.Errorf("decode of a %d-string tree: %v allocs, want 2", n, got)
+		}
+	}
+}
+
+// benchStrings returns n reproducible strings over a 60-symbol alphabet,
+// word-like enough that substrings repeat across strings.
+func benchStrings(n int) []string {
+	const alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ01234567"
+	rng := rand.New(rand.NewSource(7))
+	out := make([]string, n)
+	for i := range out {
+		var sb strings.Builder
+		for range 6 + rng.Intn(20) {
+			// Skew toward the first letters, as text is.
+			sb.WriteByte(alphabet[rng.Intn(1+rng.Intn(len(alphabet)))])
+		}
+		out[i] = sb.String()
+	}
+	return out
+}
+
+// BenchmarkSelectivity estimates a fixed mix of substrings on a pruned
+// depth-4 PST over 2,000 strings: retained ones (answered by one trie
+// walk), longer ones (the maximal-overlap parse) and absent ones.
+func BenchmarkSelectivity(b *testing.B) {
+	strs := benchStrings(2000)
+	tr := Build(strs, 4)
+	tr.Prune(tr.Nodes() / 2)
+	var qs []string
+	for i := 0; i < 64; i++ {
+		s := strs[i*31%len(strs)]
+		qs = append(qs, s[:min(len(s), 1+i%8)], s[i%3:], s[:min(len(s), 3)]+"Z9")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		selSink = tr.Selectivity(qs[i%len(qs)])
+	}
+}
+
+// selSink keeps BenchmarkSelectivity's estimates live.
+var selSink float64

@@ -5,9 +5,11 @@ package wire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 )
 
@@ -63,97 +65,110 @@ func (w *Writer) Uint(v uint64) {
 
 // Float encodes a float64.
 func (w *Writer) Float(v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	w.write(b[:])
+	binary.LittleEndian.PutUint64(w.buf[:8], math.Float64bits(v))
+	w.write(w.buf[:8])
 }
 
 // String encodes a length-prefixed string.
 func (w *Writer) String(s string) {
 	w.Uint(uint64(len(s)))
-	w.write([]byte(s))
+	if w.err != nil {
+		return
+	}
+	n, err := w.w.WriteString(s)
+	w.n += int64(n)
+	w.err = err
 }
 
 // Bytes encodes raw bytes without a prefix.
 func (w *Writer) Bytes(p []byte) { w.write(p) }
 
-// Reader decodes primitives from an underlying stream with a sticky
-// error. When the total input size is known — detected automatically
-// for in-memory readers exposing Len(), or declared with SetLimit —
-// length prefixes are validated against the remaining input before any
-// allocation, so a corrupt or truncated file fails with a sticky error
-// instead of a huge allocation.
+// Reader decodes primitives from an in-memory copy of its input with a
+// sticky error. NewReader reads the whole input into one buffer, so the
+// remaining input is always known: every length prefix is checked
+// against it before anything is allocated, and a corrupt or truncated
+// file fails with a sticky error instead of a huge allocation.
+//
+// A Reader holds no reference to its source, only the buffer: a copy of
+// one (ahead := *r) is an independent cursor over the same bytes, which
+// a decoder can read ahead with to size an allocation before the real
+// pass.
 type Reader struct {
-	r *bufio.Reader
-	// n counts bytes consumed so far.
-	n int64
-	// limit is the total input size when known, -1 otherwise; the
-	// remaining input is limit - n.
-	limit int64
-	err   error
+	buf []byte
+	off int
+	err error
 }
 
-// NewReader wraps r. If r exposes the number of unread bytes via a
-// Len() int method (bytes.Reader, bytes.Buffer, strings.Reader), that
-// size becomes the reader's limit and every length prefix is validated
-// against it.
+// NewReader reads all of r into memory. The buffer is sized up front
+// when r reports its length: in-memory readers through a Len() int
+// method (bytes.Reader, bytes.Buffer, strings.Reader), regular files
+// through Stat. Other streams are read in full with a growing buffer.
+// A read error other than EOF sticks at once: every read then fails.
 func NewReader(r io.Reader) *Reader {
-	rr := &Reader{r: bufio.NewReader(r), limit: -1}
-	if l, ok := r.(interface{ Len() int }); ok {
-		rr.limit = int64(l.Len())
+	size := int64(-1)
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		size = int64(v.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = fi.Size()
+		}
+	}
+	buf, err := readAll(r, size)
+	rr := &Reader{buf: buf}
+	if err != nil {
+		rr.Fail(fmt.Errorf("wire: read: %w", err))
 	}
 	return rr
 }
 
-// SetLimit declares the total input size in bytes (e.g. a file's Stat
-// size), enabling length-prefix validation on streams that cannot
-// report their own length. A negative n removes the limit.
-func (r *Reader) SetLimit(n int64) {
-	if n < 0 {
-		r.limit = -1
-		return
+// readAll reads r to EOF into one buffer. A size hint >= 0 sizes the
+// buffer at size+1 bytes, so an input that ends where its size said
+// takes one allocation and the final empty read needs no growth;
+// without a hint (or past it) the buffer grows as append grows it.
+func readAll(r io.Reader, size int64) ([]byte, error) {
+	c := 512
+	if size >= 0 && size < math.MaxInt32 {
+		c = int(size) + 1
 	}
-	r.limit = n
+	b := make([]byte, 0, c)
+	for {
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // Err returns the first read error.
 func (r *Reader) Err() error { return r.err }
 
-// Len returns the number of bytes consumed so far.
-func (r *Reader) Len() int64 { return r.n }
-
-func (r *Reader) fail(err error) {
+// Fail records err as the reader's error unless one is already set:
+// decoders call it when the bytes read well but mean nothing valid, so
+// every later read returns zero and Err reports the first fault.
+func (r *Reader) Fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
 }
 
-// remaining returns the unread input size, or -1 when unknown.
-func (r *Reader) remaining() int64 {
-	if r.limit < 0 {
-		return -1
-	}
-	if r.n > r.limit {
-		return 0
-	}
-	return r.limit - r.n
-}
+// Len returns the number of bytes consumed so far.
+func (r *Reader) Len() int64 { return int64(r.off) }
 
-// ReadByte implements io.ByteReader over the counted stream (it feeds
-// the varint decoders; callers should prefer Int/Uint).
-func (r *Reader) ReadByte() (byte, error) {
-	b, err := r.r.ReadByte()
-	if err == nil {
-		r.n++
+// short fails a read of what that found the input too short.
+func (r *Reader) short(what string) {
+	err := io.ErrUnexpectedEOF
+	if r.off == len(r.buf) {
+		err = io.EOF
 	}
-	return b, err
-}
-
-// full reads exactly len(b) bytes, counting them.
-func (r *Reader) full(b []byte) error {
-	n, err := io.ReadFull(r.r, b)
-	r.n += int64(n)
-	return err
+	r.Fail(fmt.Errorf("wire: %s: %w", what, err))
 }
 
 // Int decodes a zig-zag varint.
@@ -161,11 +176,12 @@ func (r *Reader) Int() int {
 	if r.err != nil {
 		return 0
 	}
-	v, err := binary.ReadVarint(r)
-	if err != nil {
-		r.fail(fmt.Errorf("wire: varint: %w", err))
+	v, n := binary.Varint(r.buf[r.off:])
+	if n <= 0 {
+		r.varintFail("varint", n)
 		return 0
 	}
+	r.off += n
 	return int(v)
 }
 
@@ -174,12 +190,23 @@ func (r *Reader) Uint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		r.fail(fmt.Errorf("wire: uvarint: %w", err))
+	v, n := binary.Uvarint(r.buf[r.off:])
+	if n <= 0 {
+		r.varintFail("uvarint", n)
 		return 0
 	}
+	r.off += n
 	return v
+}
+
+// varintFail records a varint decode that returned n <= 0: the input
+// ran out (n == 0) or the value overflows 64 bits.
+func (r *Reader) varintFail(what string, n int) {
+	if n == 0 {
+		r.short(what)
+		return
+	}
+	r.Fail(fmt.Errorf("wire: %s overflows a 64-bit integer", what))
 }
 
 // Float decodes a float64.
@@ -187,76 +214,52 @@ func (r *Reader) Float() float64 {
 	if r.err != nil {
 		return 0
 	}
-	var b [8]byte
-	if err := r.full(b[:]); err != nil {
-		r.fail(fmt.Errorf("wire: float: %w", err))
+	if len(r.buf)-r.off < 8 {
+		r.short("float")
 		return 0
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
+	r.off += 8
+	return v
 }
 
 // maxStringLen guards against corrupt length prefixes.
 const maxStringLen = 1 << 24
 
-// stringChunk bounds the per-step allocation of a length-prefixed read
-// on streams of unknown size: a lying prefix costs at most one chunk
-// before the truncated stream surfaces as a sticky error.
-const stringChunk = 64 << 10
-
 // String decodes a length-prefixed string. The length is validated
-// against maxStringLen, and against the remaining input when the total
-// size is known; otherwise the body is read in bounded chunks so a
-// corrupt prefix cannot force a large up-front allocation.
+// against maxStringLen and against the remaining input before the
+// string is allocated.
 func (r *Reader) String() string {
 	n := r.Uint()
 	if r.err != nil {
 		return ""
 	}
 	if n > maxStringLen {
-		r.fail(fmt.Errorf("wire: string length %d too large", n))
+		r.Fail(fmt.Errorf("wire: string length %d too large", n))
 		return ""
 	}
-	if rem := r.remaining(); rem >= 0 && int64(n) > rem {
-		r.fail(fmt.Errorf("wire: string length %d exceeds remaining input %d", n, rem))
+	if rem := len(r.buf) - r.off; n > uint64(rem) {
+		r.Fail(fmt.Errorf("wire: string length %d exceeds remaining input %d", n, rem))
 		return ""
 	}
-	if n <= stringChunk {
-		b := make([]byte, n)
-		if err := r.full(b); err != nil {
-			r.fail(fmt.Errorf("wire: string body: %w", err))
-			return ""
-		}
-		return string(b)
-	}
-	b := make([]byte, 0, stringChunk)
-	var chunk [stringChunk]byte
-	for got := uint64(0); got < n; {
-		step := n - got
-		if step > stringChunk {
-			step = stringChunk
-		}
-		if err := r.full(chunk[:step]); err != nil {
-			r.fail(fmt.Errorf("wire: string body: %w", err))
-			return ""
-		}
-		b = append(b, chunk[:step]...)
-		got += step
-	}
-	return string(b)
+	s := string(r.buf[r.off : r.off+int(n)])
+	r.off += int(n)
+	return s
 }
 
 // Raw consumes exactly n bytes and returns them (nil after a failure).
-// n is a caller-chosen constant (e.g. a magic length), not untrusted
-// input.
+// The slice aliases the reader's buffer. n is a caller-chosen constant
+// (e.g. a magic length), not untrusted input.
 func (r *Reader) Raw(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	b := make([]byte, n)
-	if err := r.full(b); err != nil {
-		r.fail(fmt.Errorf("wire: raw read: %w", err))
+	if len(r.buf)-r.off < n {
+		r.short("raw read")
 		return nil
 	}
+	b := r.buf[r.off : r.off+n : r.off+n]
+	r.off += n
 	return b
 }
 
@@ -265,15 +268,13 @@ func (r *Reader) Expect(want []byte) {
 	if r.err != nil {
 		return
 	}
-	b := make([]byte, len(want))
-	if err := r.full(b); err != nil {
-		r.fail(fmt.Errorf("wire: magic: %w", err))
+	if len(r.buf)-r.off < len(want) {
+		r.short("magic")
 		return
 	}
-	for i := range want {
-		if b[i] != want[i] {
-			r.fail(fmt.Errorf("wire: bad magic %q, want %q", b, want))
-			return
-		}
+	b := r.buf[r.off : r.off+len(want)]
+	r.off += len(want)
+	if !bytes.Equal(b, want) {
+		r.Fail(fmt.Errorf("wire: bad magic %q, want %q", b, want))
 	}
 }
